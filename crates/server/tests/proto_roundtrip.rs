@@ -11,10 +11,11 @@ use proptest::prelude::*;
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::DiffEntry;
 use pathcopy_server::proto::{
+    read_request_enveloped, read_response_enveloped, response_frame_traced, write_request_traced,
     FeedInfo, ProtoError, Request, Response, ServerGauges, StageSummary, WireError, WireStats,
     PROTO_TRACE_FLAG, PROTO_V2, PROTO_VERSION,
 };
-use pathcopy_server::SpanRecord;
+use pathcopy_server::{SpanRecord, TraceContext};
 
 fn arb_opt_i64() -> impl Strategy<Value = Option<i64>> {
     (any::<bool>(), any::<i64>()).prop_map(|(some, v)| some.then_some(v))
@@ -454,4 +455,352 @@ fn truncated_request_strict_prefixes_all_fail() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire vectors
+// ---------------------------------------------------------------------------
+//
+// One complete frame (length prefix included) per `Request`, `Response`
+// and `WireError` variant, plus one traced request and one traced
+// `Push`. The literals pin the v3 byte layout: any codec change that
+// moves a byte fails here. Only the two adapters below may follow the
+// codec's public entry points; the vectors and assertions do not change.
+
+/// The id every golden frame carries: eight distinct bytes, so a
+/// byte-order slip in the envelope shows.
+const GOLDEN_ID: u64 = 0x0102_0304_0506_0708;
+
+fn golden_ctx() -> TraceContext {
+    TraceContext {
+        trace_id: 0x1112_1314_1516_1718,
+        parent_span: 0x2122_2324_2526_2728,
+        flags: TraceContext::SAMPLED | TraceContext::SLOW,
+    }
+}
+
+/// Adapter: one complete request frame from the codec under test.
+fn golden_request_frame(req: &Request, trace: Option<&TraceContext>) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_request_traced(&mut frame, GOLDEN_ID, req, trace).expect("write to a Vec");
+    frame
+}
+
+/// Adapter: one complete response frame from the codec under test.
+fn golden_response_frame(resp: &Response, trace: Option<&TraceContext>) -> Vec<u8> {
+    response_frame_traced(resp, PROTO_VERSION, GOLDEN_ID, trace)
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digit pair"))
+        .collect()
+}
+
+fn golden_requests() -> Vec<(Request, &'static str)> {
+    vec![
+        (Request::Get { key: -7 }, "1200000003080706050403020101f9ffffffffffffff"),
+        (Request::Insert { key: 1, value: -2 }, "1a000000030807060504030201020100000000000000feffffffffffffff"),
+        (Request::Remove { key: i64::MIN }, "12000000030807060504030201030000000000000080"),
+        (
+            Request::Cas {
+                key: 3,
+                expected: Some(i64::MAX),
+                new: None,
+            },
+            "1c00000003080706050403020104030000000000000001ffffffffffffff7f00",
+        ),
+        (
+            Request::Batch {
+                ops: vec![
+                    BatchOp::Get(1),
+                    BatchOp::Insert(2, 20),
+                    BatchOp::Remove(3),
+                    BatchOp::Cas {
+                        key: 4,
+                        expected: None,
+                        new: Some(40),
+                    },
+                ],
+                guarded: true,
+            },
+            "45000000030807060504030201050104000000000100000000000000010200000000000000140000000000000002030000000000000003040000000000000000012800000000000000",
+        ),
+        (Request::Snapshot, "0a00000003080706050403020106"),
+        (
+            Request::Range {
+                snapshot: Some(9),
+                lo: Bound::Included(-5),
+                hi: Bound::Excluded(5),
+                limit: 128,
+            },
+            "290000000308070605040302010701090000000000000001fbffffffffffffff02050000000000000080000000",
+        ),
+        (
+            Request::Diff {
+                from: 1,
+                to: Some(2),
+            },
+            "1b000000030807060504030201080100000000000000010200000000000000",
+        ),
+        (Request::Release { snapshot: 11 }, "12000000030807060504030201090b00000000000000"),
+        (Request::Stats, "0a0000000308070605040302010a"),
+        (Request::Publish, "0a0000000308070605040302010b"),
+        (Request::Subscribe, "0a0000000308070605040302010c"),
+        (Request::PullDiff { from: 17 }, "120000000308070605040302010d1100000000000000"),
+        (
+            Request::FullSync {
+                epoch: Some(9),
+                after: Some(-3),
+                limit: 4096,
+            },
+            "200000000308070605040302010e01090000000000000001fdffffffffffffff00100000",
+        ),
+        (Request::SubscribePush { from: 41 }, "120000000308070605040302010f2900000000000000"),
+        (
+            Request::GetAt {
+                key: -9,
+                min_epoch: 17,
+                wait_ms: 250,
+            },
+            "1e00000003080706050403020110f7ffffffffffffff1100000000000000fa000000",
+        ),
+        (
+            Request::WriteAt {
+                op: BatchOp::Cas {
+                    key: 6,
+                    expected: Some(1),
+                    new: None,
+                },
+            },
+            "1d0000000308070605040302011103060000000000000001010000000000000000",
+        ),
+        (Request::Gauges, "0a00000003080706050403020112"),
+        (Request::Metrics, "0a00000003080706050403020113"),
+        (Request::ResetMetrics, "0a00000003080706050403020114"),
+        (Request::TraceDump, "0a00000003080706050403020115"),
+    ]
+}
+
+fn golden_responses() -> Vec<(Response, &'static str)> {
+    vec![
+        (Response::Got(Some(4)), "1300000003080706050403020101010400000000000000"),
+        (Response::Inserted(None), "0b0000000308070605040302010200"),
+        (Response::Removed(Some(-1)), "130000000308070605040302010301ffffffffffffffff"),
+        (Response::CasApplied(true), "0b0000000308070605040302010401"),
+        (
+            Response::Batch(vec![
+                BatchResult::Got(None),
+                BatchResult::Inserted(Some(1)),
+                BatchResult::Removed(None),
+                BatchResult::Cas(true),
+            ]),
+            "1e000000030807060504030201050400000000000101010000000000000002000301",
+        ),
+        (Response::SnapshotTaken(42), "12000000030807060504030201062a00000000000000"),
+        (
+            Response::Entries {
+                entries: vec![(1, 10), (-2, 20)],
+                complete: false,
+            },
+            "2f000000030807060504030201070200000001000000000000000a00000000000000feffffffffffffff140000000000000000",
+        ),
+        (
+            Response::Diff(vec![
+                DiffEntry::Added(1, 10),
+                DiffEntry::Removed(2, 20),
+                DiffEntry::Changed(3, 30, 31),
+            ]),
+            "4900000003080706050403020108030000000001000000000000000a0000000000000001020000000000000014000000000000000203000000000000001e000000000000001f00000000000000",
+        ),
+        (Response::Released(true), "0b0000000308070605040302010901"),
+        (
+            Response::Stats(WireStats {
+                ops: 1,
+                attempts: 2,
+                cas_failures: 3,
+                noop_updates: 4,
+                reads: 5,
+                frozen_installs: 6,
+                freeze_retries: 7,
+                len: 8,
+                snapshots: 9,
+            }),
+            "520000000308070605040302010a010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000000900000000000000",
+        ),
+        (Response::BatchAborted(vec![0, 3, 7]), "1a0000000308070605040302010c03000000000000000300000007000000"),
+        (Response::Published(12), "120000000308070605040302010d0c00000000000000"),
+        (
+            Response::FeedInfo(FeedInfo {
+                head: 12,
+                oldest: 5,
+                capacity: 8,
+            }),
+            "220000000308070605040302010e0c0000000000000005000000000000000800000000000000",
+        ),
+        (
+            Response::EpochDiff {
+                to: 12,
+                entries: vec![DiffEntry::Added(1, 10), DiffEntry::Removed(2, 20)],
+            },
+            "380000000308070605040302010f0c00000000000000020000000001000000000000000a000000000000000102000000000000001400000000000000",
+        ),
+        (
+            Response::SyncPage {
+                epoch: 12,
+                entries: vec![(1, 10), (2, 20)],
+                done: true,
+            },
+            "37000000030807060504030201100c000000000000000200000001000000000000000a000000000000000200000000000000140000000000000001",
+        ),
+        (
+            Response::SubscribeAck(FeedInfo {
+                head: 7,
+                oldest: 3,
+                capacity: 8,
+            }),
+            "2200000003080706050403020111070000000000000003000000000000000800000000000000",
+        ),
+        (
+            Response::Push {
+                from: 6,
+                epoch: 7,
+                entries: vec![DiffEntry::Changed(2, 20, 21)],
+            },
+            "3700000003080706050403020112060000000000000007000000000000000100000002020000000000000014000000000000001500000000000000",
+        ),
+        (
+            Response::GotAt {
+                value: Some(-4),
+                epoch: 19,
+            },
+            "1b0000000308070605040302011301fcffffffffffffff1300000000000000",
+        ),
+        (
+            Response::WroteAt {
+                result: BatchResult::Inserted(Some(5)),
+                watermark: 21,
+            },
+            "1c00000003080706050403020114010105000000000000001500000000000000",
+        ),
+        (
+            Response::Gauges(ServerGauges {
+                requests: 1,
+                requests_shed: 2,
+                open_conns: 3,
+                wire_sent: 4,
+                wire_received: 5,
+                subscribers: 6,
+                pushes: 7,
+                push_demotions: 8,
+                feed_head: 9,
+            }),
+            "5200000003080706050403020115010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000000900000000000000",
+        ),
+        (
+            Response::Metrics(vec![StageSummary {
+                stage: 1,
+                tag: 2,
+                count: 3,
+                sum: 4,
+                p50: 5,
+                p90: 6,
+                p99: 7,
+                p999: 8,
+                max: 9,
+                exemplar_id: 10,
+                exemplar_trace: 11,
+            }]),
+            "580000000308070605040302011601000000010203000000000000000400000000000000050000000000000006000000000000000700000000000000080000000000000009000000000000000a000000000000000b00000000000000",
+        ),
+        (Response::MetricsReset, "0a00000003080706050403020117"),
+        (
+            Response::TraceDump {
+                node: "relay-1".to_string(),
+                spans: vec![SpanRecord {
+                    trace_id: 9,
+                    span_id: 2,
+                    parent_span: 1,
+                    kind: 2,
+                    tag: 11,
+                    flags: 1,
+                    epoch: 40,
+                    start_ns: 1_000,
+                    dur_ns: 250,
+                }],
+            },
+            "51000000030807060504030201180700000072656c61792d3101000000090000000000000002000000000000000100000000000000020b0100000000002800000000000000e803000000000000fa00000000000000",
+        ),
+        (Response::Error(WireError::UnknownSnapshot(77)), "130000000308070605040302010b004d00000000000000"),
+        (Response::Error(WireError::SnapshotMismatch), "0b0000000308070605040302010b01"),
+        (Response::Error(WireError::Malformed), "0b0000000308070605040302010b02"),
+        (Response::Error(WireError::TooLarge), "0b0000000308070605040302010b03"),
+        (Response::Error(WireError::SnapshotLimit(512)), "130000000308070605040302010b040002000000000000"),
+        (Response::Error(WireError::EpochRetired(4)), "130000000308070605040302010b050400000000000000"),
+        (Response::Error(WireError::Busy(64)), "130000000308070605040302010b064000000000000000"),
+        (Response::Error(WireError::Stale(13)), "130000000308070605040302010b070d00000000000000"),
+    ]
+}
+
+#[test]
+fn golden_vectors_pin_every_request_frame() {
+    for (req, golden) in golden_requests() {
+        let golden = unhex(golden);
+        assert_eq!(
+            hex(&golden_request_frame(&req, None)),
+            hex(&golden),
+            "{req:?} encodes to its golden frame"
+        );
+        let framed = read_request_enveloped(&mut &golden[..])
+            .expect("golden frame decodes")
+            .expect("one whole frame");
+        assert_eq!((framed.request_id, framed.trace), (GOLDEN_ID, None));
+        assert_eq!(framed.msg, req);
+    }
+}
+
+#[test]
+fn golden_vectors_pin_every_response_and_error_frame() {
+    for (resp, golden) in golden_responses() {
+        let golden = unhex(golden);
+        assert_eq!(
+            hex(&golden_response_frame(&resp, None)),
+            hex(&golden),
+            "{resp:?} encodes to its golden frame"
+        );
+        let framed = read_response_enveloped(&mut &golden[..])
+            .expect("golden frame decodes")
+            .expect("one whole frame");
+        assert_eq!((framed.request_id, framed.trace), (GOLDEN_ID, None));
+        assert_eq!(framed.msg, resp);
+    }
+}
+
+#[test]
+fn golden_vectors_pin_the_traced_envelope() {
+    let ctx = golden_ctx();
+    let golden = unhex("1b00000083080706050403020118171615141312112827262524232221030b");
+    let req = Request::Publish;
+    assert_eq!(hex(&golden_request_frame(&req, Some(&ctx))), hex(&golden));
+    let framed = Request::decode_enveloped(&golden[4..]).expect("golden frame decodes");
+    assert_eq!((framed.request_id, framed.trace), (GOLDEN_ID, Some(ctx)));
+    assert_eq!(framed.msg, req);
+
+    let golden = unhex(
+        "4000000083080706050403020118171615141312112827262524232221031206000000000000000700000000000000010000000001000000000000000a00000000000000",
+    );
+    let push = Response::Push {
+        from: 6,
+        epoch: 7,
+        entries: vec![DiffEntry::Added(1, 10)],
+    };
+    assert_eq!(hex(&golden_response_frame(&push, Some(&ctx))), hex(&golden));
+    let framed = Response::decode_enveloped(&golden[4..]).expect("golden frame decodes");
+    assert_eq!((framed.request_id, framed.trace), (GOLDEN_ID, Some(ctx)));
+    assert_eq!(framed.msg, push);
 }
