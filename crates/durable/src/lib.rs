@@ -10,8 +10,9 @@
 //! versions share all unchanged subtrees). This crate writes that
 //! sequence down:
 //!
-//! * **Records** reuse the proto-v2 message encoding under a
-//!   checksummed, length-prefixed envelope — a diff record *is* an
+//! * **Records** reuse the wire protocol's message encoding (untraced
+//!   proto-v3 bodies with request id `0`) under a checksummed,
+//!   length-prefixed envelope — a diff record *is* an
 //!   encoded `EpochDiff`, a checkpoint *is* a run of bounded
 //!   `SyncPage`s (see [`record::crc32`] and `docs/WIRE_PROTOCOL.md`).
 //! * **Segments** rotate at a size threshold and retire oldest-first

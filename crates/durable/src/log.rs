@@ -68,11 +68,13 @@ impl Default for LogConfig {
 pub enum LogError {
     /// The underlying filesystem operation failed.
     Io(io::Error),
-    /// A segment other than the newest has an invalid tail, or the
+    /// A segment other than the newest has an invalid tail, the
     /// segment sequence is structurally impossible (a diff with no
-    /// preceding checkpoint, an epoch that does not chain). Torn tails
-    /// in the *newest* segment are not errors — [`EpochLog::open`]
-    /// truncates them.
+    /// preceding checkpoint, an epoch that does not chain), or a record
+    /// anywhere has a matching checksum but a body this build cannot
+    /// decode (a log from an older or newer build). Torn tails in the
+    /// *newest* segment are not errors — [`EpochLog::open`] truncates
+    /// them.
     Corrupt {
         /// The offending segment file.
         segment: PathBuf,
@@ -253,7 +255,9 @@ impl EpochLog {
     /// checksums and the epoch chain. A torn tail in the *newest*
     /// segment — a crash mid-append — is truncated away and reported in
     /// [`RecoveryInfo::truncated_bytes`]; damage anywhere else is
-    /// [`LogError::Corrupt`].
+    /// [`LogError::Corrupt`], and so is a checksum-valid record whose
+    /// body does not decode, even at the tail — no crash writes one, so
+    /// the file is left untouched.
     ///
     /// # Errors
     ///
@@ -294,18 +298,17 @@ impl EpochLog {
                 clean_len,
                 tail,
             } = scan_segment(&buf, false);
-            if let Tail::Torn(why) = tail {
-                if i != last_index {
-                    return Err(LogError::Corrupt {
-                        segment: path.clone(),
-                        detail: why.to_string(),
-                    });
-                }
+            if matches!(tail, Tail::Torn(_)) && i == last_index {
                 truncated = buf.len() as u64 - clean_len;
                 let f = OpenOptions::new().write(true).open(path)?;
                 f.set_len(clean_len)?;
                 f.sync_all()?;
                 io.record_fsync();
+            } else if let Some(detail) = tail.damage() {
+                return Err(LogError::Corrupt {
+                    segment: path.clone(),
+                    detail,
+                });
             }
             let mut checkpoint = None;
             for (j, unit) in units.iter().enumerate() {
@@ -667,10 +670,10 @@ impl EpochLog {
             let buf = fs::read(&meta.path)?;
             self.io.add_read(buf.len() as u64);
             let scan = scan_segment(&buf, true);
-            if let Tail::Torn(why) = scan.tail {
+            if let Some(detail) = scan.tail.damage() {
                 return Err(LogError::Corrupt {
                     segment: meta.path.clone(),
-                    detail: why.to_string(),
+                    detail,
                 });
             }
             for unit in scan.units {

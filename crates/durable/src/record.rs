@@ -6,8 +6,9 @@
 //! [ body_len: u32 LE ][ crc32(body): u32 LE ][ body: body_len bytes ]
 //! ```
 //!
-//! where `body` is a proto-v2 frame body (version byte, tag byte,
-//! payload) produced by [`Response::encode`] — the log stores exactly
+//! where `body` is a proto-v3 frame body with request id `0` (version
+//! byte, id, tag byte, payload) produced by [`Response::encode`] — the
+//! log stores exactly
 //! the messages the replication protocol already knows how to build and
 //! parse, so there is no second serialization format to maintain:
 //!
@@ -93,6 +94,22 @@ pub(crate) enum Tail {
     /// checkpoint missing its final page, …). Legal only at the tail of
     /// the *last* segment, where it is truncated away.
     Torn(&'static str),
+    /// A record whose checksum matches but whose body does not decode.
+    /// A crash cannot produce one — the bytes are exactly what some
+    /// writer meant to store (an older or newer build, most likely) —
+    /// so it is never truncated away, wherever it sits.
+    Undecodable(String),
+}
+
+impl Tail {
+    /// What is wrong with the stream's end, if anything.
+    pub(crate) fn damage(self) -> Option<String> {
+        match self {
+            Tail::Clean => None,
+            Tail::Torn(why) => Some(why.to_string()),
+            Tail::Undecodable(detail) => Some(detail),
+        }
+    }
 }
 
 /// A scanned segment: its complete units, the byte length they cover,
@@ -144,12 +161,25 @@ pub(crate) fn scan_segment(buf: &[u8], keep_payloads: bool) -> Scan {
             return torn(units, clean, "partial record body");
         }
         let body = &buf[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len];
+        let Some(&version) = body.first() else {
+            // No writer stores an empty body, and its checksum is zero:
+            // this is what a zero-filled tail looks like after a crash.
+            return torn(units, clean, "empty record");
+        };
         if crc32(body) != crc {
             return torn(units, clean, "record checksum mismatch");
         }
         let resp = match Response::decode(body) {
             Ok(r) => r,
-            Err(_) => return torn(units, clean, "undecodable record body"),
+            Err(_) => {
+                return Scan {
+                    units,
+                    clean_len: clean as u64,
+                    tail: Tail::Undecodable(format!(
+                        "checksum-valid record with undecodable body (version byte {version})"
+                    )),
+                };
+            }
         };
         pos += RECORD_HEADER_LEN + len;
         match resp {
@@ -250,6 +280,26 @@ mod tests {
         assert!(scan.units.is_empty());
         assert_eq!(scan.clean_len, 0);
         assert!(matches!(scan.tail, Tail::Torn("record checksum mismatch")));
+    }
+
+    #[test]
+    fn checksum_valid_garbage_is_undecodable_not_torn() {
+        let mut buf = diff_record(1);
+        let clean = buf.len() as u64;
+        // A well-formed record in the retired id-less v2 envelope.
+        buf.extend(encode_record(&[2, 15, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]));
+        let scan = scan_segment(&buf, true);
+        assert_eq!(scan.units.len(), 1);
+        assert_eq!(scan.clean_len, clean);
+        assert!(matches!(scan.tail, Tail::Undecodable(why) if why.contains("version byte 2")));
+
+        // A zero-filled tail parses as an empty record whose checksum
+        // (zero) matches: still a crash artefact, still just torn.
+        let mut buf = diff_record(1);
+        buf.extend([0u8; 16]);
+        let scan = scan_segment(&buf, true);
+        assert_eq!(scan.clean_len, clean);
+        assert!(matches!(scan.tail, Tail::Torn("empty record")));
     }
 
     #[test]

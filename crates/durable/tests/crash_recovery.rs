@@ -228,6 +228,68 @@ fn torn_tail_garbage_is_truncated_and_appends_resume() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A checksum-valid record no crash could have written: an `EpochDiff`
+/// in the retired id-less v2 envelope (`[2][tag][to][count = 0]`), as a
+/// pre-v3 build logged it.
+fn retired_v2_record(epoch: u64) -> Vec<u8> {
+    let mut body = vec![2u8, 15];
+    body.extend_from_slice(&epoch.to_le_bytes());
+    body.extend_from_slice(&0u32.to_le_bytes());
+    let mut record = (body.len() as u32).to_le_bytes().to_vec();
+    record.extend_from_slice(&pathcopy_durable::record::crc32(&body).to_le_bytes());
+    record.extend_from_slice(&body);
+    record
+}
+
+#[test]
+fn checksum_valid_undecodable_record_is_corrupt_never_truncated() {
+    let config = LogConfig {
+        fsync: false,
+        ..LogConfig::default()
+    };
+    let refused = |dir: &Path, seg: &Path| {
+        let len_before = std::fs::metadata(seg).unwrap().len();
+        match EpochLog::open(dir, config.clone()) {
+            Err(LogError::Corrupt { segment, detail }) => {
+                assert_eq!(segment, seg);
+                assert!(detail.contains("version byte 2"), "{detail}");
+            }
+            Err(other) => panic!("expected Corrupt, got {other}"),
+            Ok(_) => panic!("a pre-v3 record must not be recovered over"),
+        }
+        assert_eq!(
+            std::fs::metadata(seg).unwrap().len(),
+            len_before,
+            "the refused log is left byte-for-byte untouched"
+        );
+    };
+
+    // As the last record of the newest segment, where a torn tail would
+    // have been truncated away.
+    let dir = scratch("undecodable-last");
+    {
+        let primary = logged_primary(&dir, config.clone(), 8);
+        primary.backend.insert(1, 10);
+        primary.feed.publish(primary.backend.snapshot());
+    }
+    let seg = newest_segment(&dir).unwrap();
+    {
+        use std::io::Write as _;
+        let mut f = std::fs::OpenOptions::new().append(true).open(&seg).unwrap();
+        f.write_all(&retired_v2_record(2)).unwrap();
+    }
+    refused(&dir, &seg);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // As the only record of the only segment: a whole pre-v3 log.
+    let dir = scratch("undecodable-only");
+    std::fs::create_dir_all(&dir).unwrap();
+    let seg = dir.join(format!("{:020}.seg", 1));
+    std::fs::write(&seg, retired_v2_record(1)).unwrap();
+    refused(&dir, &seg);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn segments_rotate_and_old_chains_retire_under_the_byte_cap() {
     let dir = scratch("retire");

@@ -33,7 +33,7 @@ use pathcopy_core::{ByteCounters, ByteCountersSnapshot, DiffEntry};
 use pathcopy_trace::{SpanRecord, TraceContext};
 
 use crate::proto::{
-    read_response_enveloped, write_request_traced, Epoch, FeedInfo, ProtoError, Request, RequestId,
+    read_response_enveloped, request_frame, Epoch, FeedInfo, ProtoError, Request, RequestId,
     Response, ServerGauges, SnapshotId, StageSummary, WireError, WireStats, PUSH_ID_BASE,
 };
 
@@ -337,7 +337,9 @@ impl Session {
         }
         let write_result = {
             let mut writer = self.shared.writer.lock();
-            write_request_traced(&mut *writer, id, req, trace).and_then(|()| writer.flush())
+            request_frame(req, id, trace)
+                .and_then(|frame| writer.write_all(&frame))
+                .and_then(|()| writer.flush())
         };
         if let Err(e) = write_result {
             // The frame may be half-written; nothing more can be

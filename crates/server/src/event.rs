@@ -26,9 +26,9 @@
 //! Because requests from one connection run on a pool of workers,
 //! pipelined requests may complete **out of order**; each reply's
 //! envelope echoes its request id (see [`crate::proto`]), which is the
-//! whole point of the v3 envelope. An idle connection costs one fd and
-//! a couple of buffers — no thread — which is what lets the server
-//! hold thousands of mostly-idle subscribers.
+//! whole point of the envelope's id field. An idle connection costs one
+//! fd and a couple of buffers — no thread — which is what lets the
+//! server hold thousands of mostly-idle subscribers.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -49,8 +49,8 @@ use crate::feed::EpochFanout;
 use crate::poll::{Interest, PollEvent, Poller};
 use crate::pool::ThreadPool;
 use crate::proto::{
-    response_frame, response_frame_traced, Epoch, Request, RequestId, Response, WireError,
-    MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_V2, PROTO_VERSION, PUSH_ID_BASE,
+    peek_request_id, response_frame, Epoch, Request, RequestId, Response, WireError, MAX_FRAME_LEN,
+    PUSH_ID_BASE,
 };
 use crate::server::{handle_request, Shared};
 
@@ -255,7 +255,7 @@ impl EpochFanout for PushHub {
         // A traced publish stamps its context into every push frame's
         // envelope, so a subscriber's apply span joins the publisher's
         // trace (parented under the publisher's execute span).
-        let frame = response_frame_traced(&resp, PROTO_VERSION, PUSH_ID_BASE | epoch, trace);
+        let frame = response_frame(&resp, PUSH_ID_BASE | epoch, trace);
         for conn in subs {
             self.pushes.fetch_add(1, Ordering::Relaxed);
             self.completions.push(Completion {
@@ -308,10 +308,6 @@ struct Conn {
     closing: bool,
     /// The interest currently registered with the poller.
     interest: Interest,
-    /// Envelope version of the last frame that decoded, so
-    /// framing-level errors (where the broken frame names no usable
-    /// version) are answered in the dialect the peer last spoke.
-    last_version: u8,
 }
 
 impl Conn {
@@ -324,7 +320,6 @@ impl Conn {
             in_flight: 0,
             closing: false,
             interest: Interest::READ,
-            last_version: PROTO_VERSION,
         }
     }
 }
@@ -579,12 +574,11 @@ impl EventLoop {
                 u32::from_le_bytes(conn.rbuf[pos..pos + 4].try_into().expect("4 bytes")) as usize;
             if len > MAX_FRAME_LEN as usize || len < 2 {
                 // The length prefix itself is broken: no envelope to
-                // echo, answer in the peer's last-known dialect and
-                // stop trusting the stream.
+                // echo, answer with id 0 and stop trusting the stream.
                 conn.outq.push_back(OutFrame::untimed(response_frame(
                     &Response::Error(WireError::Malformed),
-                    conn.last_version,
                     0,
+                    None,
                 )));
                 conn.closing = true;
                 break;
@@ -594,24 +588,15 @@ impl EventLoop {
             }
             let body = &conn.rbuf[pos + 4..pos + 4 + len];
             pos += 4 + len;
-            let (version, request_id) = peek_envelope(body, conn.last_version);
             match Request::decode_enveloped(body) {
                 Ok(framed) => {
-                    conn.last_version = framed.version;
-                    self.dispatch(
-                        token,
-                        conn,
-                        framed.version,
-                        framed.request_id,
-                        framed.msg,
-                        framed.trace,
-                    );
+                    self.dispatch(token, conn, framed.request_id, framed.msg, framed.trace);
                 }
                 Err(_) => {
                     conn.outq.push_back(OutFrame::untimed(response_frame(
                         &Response::Error(WireError::Malformed),
-                        version,
-                        request_id,
+                        peek_request_id(body),
+                        None,
                     )));
                     conn.closing = true;
                     break;
@@ -632,13 +617,12 @@ impl EventLoop {
         &mut self,
         token: u64,
         conn: &mut Conn,
-        version: u8,
         request_id: RequestId,
         req: Request,
         trace: Option<TraceContext>,
     ) {
         if let Request::SubscribePush { from } = req {
-            self.subscribe_push(token, conn, version, request_id, from);
+            self.subscribe_push(token, conn, request_id, from);
             return;
         }
         let depth = self.tunables.queue_depth.max(1);
@@ -646,8 +630,8 @@ impl EventLoop {
             self.shared.shed.fetch_add(1, Ordering::Relaxed);
             conn.outq.push_back(OutFrame::untimed(response_frame(
                 &Response::Error(WireError::Busy(depth as u64)),
-                version,
                 request_id,
+                None,
             )));
             return;
         }
@@ -689,7 +673,7 @@ impl EventLoop {
             };
             let resp = handle_request(&shared, req, child.as_ref());
             let epoch = response_epoch(&resp);
-            let frame = response_frame(&resp, version, request_id);
+            let frame = response_frame(&resp, request_id, None);
             let write_start = shared
                 .metrics
                 .execute(tag)
@@ -724,30 +708,14 @@ impl EventLoop {
     /// *before* the first live push for this connection can land (live
     /// pushes travel the completion queue, which is drained after
     /// dispatch).
-    fn subscribe_push(
-        &mut self,
-        token: u64,
-        conn: &mut Conn,
-        version: u8,
-        request_id: RequestId,
-        from: Epoch,
-    ) {
-        if version == PROTO_V2 {
-            // A v2 peer cannot tell an unsolicited frame from a reply.
-            conn.outq.push_back(OutFrame::untimed(response_frame(
-                &Response::Error(WireError::Malformed),
-                version,
-                request_id,
-            )));
-            return;
-        }
+    fn subscribe_push(&mut self, token: u64, conn: &mut Conn, request_id: RequestId, from: Epoch) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
         self.shared.push.register(token);
         let info = self.shared.feed.info();
         conn.outq.push_back(OutFrame::untimed(response_frame(
             &Response::SubscribeAck(info),
-            version,
             request_id,
+            None,
         )));
         // Catch-up: a subscriber registering behind the head gets one
         // synthetic push covering `from → head`, provided `from` is
@@ -770,8 +738,8 @@ impl EventLoop {
                         epoch: head,
                         entries,
                     },
-                    PROTO_VERSION,
                     PUSH_ID_BASE | head,
+                    None,
                 )));
             }
         }
@@ -864,23 +832,5 @@ fn response_epoch(resp: &Response) -> u64 {
         Response::Published(epoch) => *epoch,
         Response::WroteAt { watermark, .. } => *watermark,
         _ => 0,
-    }
-}
-
-/// Best-effort envelope peek for error replies when full decoding
-/// fails: enough of a v3/v2 head (traced or not) to echo the right
-/// version and id, or the fallback version with id `0`.
-fn peek_envelope(body: &[u8], fallback_version: u8) -> (u8, RequestId) {
-    match body.first() {
-        Some(&v)
-            if (v == PROTO_VERSION || v == PROTO_VERSION | PROTO_TRACE_FLAG) && body.len() >= 9 =>
-        {
-            (
-                PROTO_VERSION,
-                u64::from_le_bytes(body[1..9].try_into().expect("8 bytes")),
-            )
-        }
-        Some(&PROTO_V2) => (PROTO_V2, 0),
-        _ => (fallback_version, 0),
     }
 }

@@ -82,7 +82,7 @@ pub use pathcopy_trace::{
 };
 pub use proto::{
     Epoch, FeedInfo, Framed, ProtoError, Request, RequestId, Response, ServerGauges, SnapshotId,
-    StageSummary, WireError, WireStats, MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_V2, PROTO_VERSION,
+    StageSummary, WireError, WireStats, MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_VERSION,
     PUSH_ID_BASE,
 };
 pub use server::{spawn, ServerConfig, ServerConfigBuilder, ServerHandle};

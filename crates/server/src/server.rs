@@ -995,16 +995,33 @@ mod tests {
     fn malformed_frame_gets_error_then_close() {
         use std::io::{Read as _, Write as _};
         let server = sharded_server();
-        let mut raw = TcpStream::connect(server.addr()).unwrap();
-        // A framed body with a bogus request tag.
-        let body = [crate::proto::PROTO_VERSION, 0xEE];
-        raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
-        raw.write_all(&body).unwrap();
-        let resp = crate::proto::read_response(&mut raw).unwrap();
-        assert_eq!(resp, Response::Error(WireError::Malformed));
-        // The server then closes the stream.
-        let mut rest = Vec::new();
-        assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0);
+        // A body with a bogus request tag, and a well-formed body in the
+        // retired id-less v2 envelope (`[2][tag = Get][key]`): both are
+        // refused the same way.
+        let bogus_tag = vec![crate::proto::PROTO_VERSION, 0xEE];
+        let mut retired_v2 = vec![2u8, 1];
+        retired_v2.extend_from_slice(&7i64.to_le_bytes());
+        for body in [bogus_tag, retired_v2] {
+            let mut raw = TcpStream::connect(server.addr()).unwrap();
+            raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
+            raw.write_all(&body).unwrap();
+            // The refusal is a v3 frame carrying id 0.
+            let mut reply = Vec::new();
+            raw.read_to_end(&mut reply).unwrap();
+            assert_eq!(reply[4], crate::proto::PROTO_VERSION, "{body:?}");
+            let framed = crate::proto::read_response_enveloped(&mut &reply[..])
+                .unwrap()
+                .expect("one whole frame");
+            assert_eq!(framed.request_id, 0);
+            assert_eq!(framed.msg, Response::Error(WireError::Malformed));
+            // ...and the server closed the stream right after it.
+            let frame_len = 4 + u32::from_le_bytes(reply[..4].try_into().unwrap()) as usize;
+            assert_eq!(reply.len(), frame_len, "nothing follows the refusal");
+        }
+        // Other connections are unaffected.
+        let mut c = Client::connect(server.addr()).unwrap();
+        assert_eq!(c.insert(1, 10).unwrap(), None);
+        assert_eq!(c.get(1).unwrap(), Some(10));
         server.shutdown();
     }
 

@@ -1,18 +1,17 @@
 //! Keeps `docs/WIRE_PROTOCOL.md` honest: every tag number, constant,
 //! and error sub-tag the document states is re-derived here from the
-//! actual encoder, so the prose cannot silently drift from the code.
+//! codec's own message table, so the prose cannot silently drift from
+//! the code.
 //!
-//! The checks are deliberately structural (encode a sample message,
-//! read the tag byte out of the frame, require the doc's table to pair
-//! that number with that variant name) rather than golden-text — the
-//! doc can be reworded freely as long as the facts stay right.
+//! The checks are deliberately structural (the doc's tag tables must
+//! hold exactly the `(tag, name)` rows the codec exports; layouts are
+//! re-measured from encoded samples) rather than golden-text — the doc
+//! can be reworded freely as long as the facts stay right.
 
-use std::ops::Bound;
-
-use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_server::proto::{
-    FeedInfo, Request, Response, ServerGauges, StageSummary, WireError, WireStats, MAX_FRAME_LEN,
-    PROTO_TRACE_FLAG, PROTO_V2, PROTO_VERSION, PUSH_ID_BASE, SYNC_PAGE_MAX_ENTRIES,
+    request_frame, response_frame, Request, Response, ServerGauges, StageSummary, ERROR_TAGS,
+    MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_VERSION, PUSH_ID_BASE, REQUEST_TAGS, RESPONSE_TAGS,
+    SYNC_PAGE_MAX_ENTRIES,
 };
 use pathcopy_server::{SpanRecord, TraceContext};
 
@@ -34,11 +33,35 @@ fn spaced(n: u64) -> String {
     out
 }
 
-/// The tag byte of an encoded v3 body
-/// (`[version][request_id: 8 bytes][tag]...`).
-fn tag_of(body: &[u8]) -> u8 {
-    assert_eq!(body[0], PROTO_VERSION, "version byte leads every body");
-    body[9]
+/// The `| tag | `Name` | ...` rows of the table under `heading` (up to
+/// the next heading), as `(tag, name)` pairs.
+fn table_rows(doc: &str, heading: &str) -> Vec<(u8, String)> {
+    let (_, after) = doc
+        .split_once(heading)
+        .unwrap_or_else(|| panic!("doc must have a `{heading}` section"));
+    let section = after
+        .split("\n#")
+        .next()
+        .expect("split yields a first piece");
+    section
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.strip_prefix("| ")?.split(" | ");
+            let tag = cells.next()?.trim().parse().ok()?;
+            let name = cells.next()?.trim().strip_prefix('`')?.strip_suffix('`')?;
+            Some((tag, name.to_string()))
+        })
+        .collect()
+}
+
+/// Both directions at once: every row of the doc's table is an entry of
+/// the codec's tag table, and every entry has its row.
+fn assert_table_is_the_codec_table(heading: &str, tags: &[(u8, &str)]) {
+    let mut rows = table_rows(&doc(), heading);
+    rows.sort();
+    let mut want: Vec<(u8, String)> = tags.iter().map(|(t, n)| (*t, n.to_string())).collect();
+    want.sort();
+    assert_eq!(rows, want, "`{heading}` table vs the codec's tag table");
 }
 
 #[test]
@@ -47,10 +70,6 @@ fn constants_quoted_in_the_doc_match_the_code() {
     assert!(
         doc.contains(&format!("`PROTO_VERSION = {PROTO_VERSION}`")),
         "doc must quote the current protocol version"
-    );
-    assert!(
-        doc.contains(&format!("`PROTO_V2 = {PROTO_V2}`")),
-        "doc must quote the accepted legacy version"
     );
     assert_eq!(MAX_FRAME_LEN, 16 << 20, "doc states the cap as 16 MiB");
     assert!(
@@ -68,179 +87,17 @@ fn constants_quoted_in_the_doc_match_the_code() {
 
 #[test]
 fn request_tag_table_matches_the_encoder() {
-    let doc = doc();
-    let samples: Vec<(&str, Request)> = vec![
-        ("Get", Request::Get { key: 0 }),
-        ("Insert", Request::Insert { key: 0, value: 0 }),
-        ("Remove", Request::Remove { key: 0 }),
-        (
-            "Cas",
-            Request::Cas {
-                key: 0,
-                expected: None,
-                new: None,
-            },
-        ),
-        (
-            "Batch",
-            Request::Batch {
-                ops: vec![],
-                guarded: false,
-            },
-        ),
-        ("Snapshot", Request::Snapshot),
-        (
-            "Range",
-            Request::Range {
-                snapshot: None,
-                lo: Bound::Unbounded,
-                hi: Bound::Unbounded,
-                limit: 0,
-            },
-        ),
-        ("Diff", Request::Diff { from: 0, to: None }),
-        ("Release", Request::Release { snapshot: 0 }),
-        ("Stats", Request::Stats),
-        ("Publish", Request::Publish),
-        ("Subscribe", Request::Subscribe),
-        ("PullDiff", Request::PullDiff { from: 0 }),
-        (
-            "FullSync",
-            Request::FullSync {
-                epoch: None,
-                after: None,
-                limit: 0,
-            },
-        ),
-        ("SubscribePush", Request::SubscribePush { from: 0 }),
-        (
-            "GetAt",
-            Request::GetAt {
-                key: 0,
-                min_epoch: 0,
-                wait_ms: 0,
-            },
-        ),
-        (
-            "WriteAt",
-            Request::WriteAt {
-                op: BatchOp::Get(0),
-            },
-        ),
-        ("Gauges", Request::Gauges),
-        ("Metrics", Request::Metrics),
-        ("ResetMetrics", Request::ResetMetrics),
-        ("TraceDump", Request::TraceDump),
-    ];
-    for (name, req) in samples {
-        let mut body = Vec::new();
-        req.encode(&mut body);
-        let row = format!("| {} | `{name}` |", tag_of(&body));
-        assert!(doc.contains(&row), "request table must contain `{row}`");
-    }
+    assert_table_is_the_codec_table("## Request frames", REQUEST_TAGS);
 }
 
 #[test]
 fn response_tag_table_matches_the_encoder() {
-    let doc = doc();
-    let samples: Vec<(&str, Response)> = vec![
-        ("Got", Response::Got(None)),
-        ("Inserted", Response::Inserted(None)),
-        ("Removed", Response::Removed(None)),
-        ("CasApplied", Response::CasApplied(false)),
-        ("Batch", Response::Batch(vec![])),
-        ("SnapshotTaken", Response::SnapshotTaken(0)),
-        (
-            "Entries",
-            Response::Entries {
-                entries: vec![],
-                complete: true,
-            },
-        ),
-        ("Diff", Response::Diff(vec![])),
-        ("Released", Response::Released(false)),
-        ("Stats", Response::Stats(WireStats::default())),
-        ("Error", Response::Error(WireError::Malformed)),
-        ("BatchAborted", Response::BatchAborted(vec![])),
-        ("Published", Response::Published(0)),
-        ("FeedInfo", Response::FeedInfo(FeedInfo::default())),
-        (
-            "EpochDiff",
-            Response::EpochDiff {
-                to: 0,
-                entries: vec![],
-            },
-        ),
-        (
-            "SyncPage",
-            Response::SyncPage {
-                epoch: 0,
-                entries: vec![],
-                done: true,
-            },
-        ),
-        ("SubscribeAck", Response::SubscribeAck(FeedInfo::default())),
-        (
-            "Push",
-            Response::Push {
-                from: 0,
-                epoch: 0,
-                entries: vec![],
-            },
-        ),
-        (
-            "GotAt",
-            Response::GotAt {
-                value: None,
-                epoch: 0,
-            },
-        ),
-        (
-            "WroteAt",
-            Response::WroteAt {
-                result: BatchResult::Got(None),
-                watermark: 0,
-            },
-        ),
-        ("Gauges", Response::Gauges(ServerGauges::default())),
-        ("Metrics", Response::Metrics(vec![])),
-        ("MetricsReset", Response::MetricsReset),
-        (
-            "TraceDump",
-            Response::TraceDump {
-                node: String::new(),
-                spans: vec![],
-            },
-        ),
-    ];
-    for (name, resp) in samples {
-        let mut body = Vec::new();
-        resp.encode(&mut body);
-        let row = format!("| {} | `{name}` |", tag_of(&body));
-        assert!(doc.contains(&row), "response table must contain `{row}`");
-    }
+    assert_table_is_the_codec_table("## Response frames", RESPONSE_TAGS);
 }
 
 #[test]
 fn error_subtag_table_matches_the_encoder() {
-    let doc = doc();
-    let samples: Vec<(&str, WireError)> = vec![
-        ("UnknownSnapshot", WireError::UnknownSnapshot(0)),
-        ("SnapshotMismatch", WireError::SnapshotMismatch),
-        ("Malformed", WireError::Malformed),
-        ("TooLarge", WireError::TooLarge),
-        ("SnapshotLimit", WireError::SnapshotLimit(0)),
-        ("EpochRetired", WireError::EpochRetired(0)),
-        ("Busy", WireError::Busy(0)),
-        ("Stale", WireError::Stale(0)),
-    ];
-    for (name, err) in samples {
-        let mut body = Vec::new();
-        Response::Error(err).encode(&mut body);
-        // [version][request_id: 8 bytes][tag 11][sub-tag]...
-        let row = format!("| {} | `{name}` |", body[10]);
-        assert!(doc.contains(&row), "error table must contain `{row}`");
-    }
+    assert_table_is_the_codec_table("### Error frames", ERROR_TAGS);
 }
 
 #[test]
@@ -258,13 +115,12 @@ fn push_id_namespace_matches_the_doc() {
     // A push frame really carries an id in the reserved namespace, and
     // the gauges the doc lists really are nine u64s (9 * 8 bytes after
     // the envelope's version + id + tag).
-    let mut body = Vec::new();
-    Response::Push {
+    let push = Response::Push {
         from: 1,
         epoch: 2,
         entries: vec![],
-    }
-    .encode_with_id(PUSH_ID_BASE | 2, &mut body);
+    };
+    let body = response_frame(&push, PUSH_ID_BASE | 2, None).split_off(4);
     let id = u64::from_le_bytes(body[1..9].try_into().unwrap());
     assert_ne!(id & PUSH_ID_BASE, 0, "push ids live above the top bit");
     let mut gauges = Vec::new();
@@ -308,18 +164,19 @@ fn traced_envelope_matches_the_doc() {
     // A traced body really is the plain v3 body with 17 bytes spliced
     // in after the request id, flag set on the version byte.
     let ctx = TraceContext::sampled(7);
-    let mut traced = Vec::new();
-    let mut plain = Vec::new();
     let req = Request::Publish;
-    req.encode_traced(5, &ctx, &mut traced);
-    req.encode_with_id(5, &mut plain);
+    let body = |trace| {
+        request_frame(&req, 5, trace)
+            .expect("fits a frame")
+            .split_off(4)
+    };
+    let (traced, plain) = (body(Some(&ctx)), body(None));
+    assert_eq!(plain[0], PROTO_VERSION);
     assert_eq!(traced[0], PROTO_VERSION | PROTO_TRACE_FLAG);
     assert_eq!(traced.len(), plain.len() + 17);
     assert_eq!(traced[1..9], plain[1..9], "same request id");
     assert_eq!(traced[9 + 17..], plain[9..], "same tag + payload");
-    // And the decoder strips the flag, reporting base version 3.
     let framed = Request::decode_enveloped(&traced).expect("traced frame decodes");
-    assert_eq!(framed.version, PROTO_VERSION);
     assert_eq!(framed.trace, Some(ctx));
 }
 
@@ -339,29 +196,6 @@ fn trace_dump_row_layout_matches_the_doc() {
     }
     .encode(&mut body);
     assert_eq!(body.len(), 1 + 8 + 1 + 4 + 4 + 7 * 8, "one 56-byte span");
-}
-
-#[test]
-fn legacy_v2_envelope_matches_the_doc() {
-    let doc = doc();
-    // The doc's v2 diagram: no request_id field between version and tag.
-    assert!(
-        doc.contains("`[version: u8 = 2] [tag: u8] [payload ...]`"),
-        "doc must show the legacy v2 body layout"
-    );
-    // encode_v2 really emits that layout with the same tag numbers as
-    // v3, and it round-trips through the v3-aware decoder with id 0.
-    let mut v2 = Vec::new();
-    let mut v3 = Vec::new();
-    let req = Request::Stats;
-    req.encode_v2(&mut v2);
-    req.encode(&mut v3);
-    assert_eq!(v2[0], PROTO_V2);
-    assert_eq!(v2[1], v3[9], "v2 and v3 share tag numbers");
-    let framed = Request::decode_enveloped(&v2).expect("v2 decodes");
-    assert_eq!(framed.version, PROTO_V2);
-    assert_eq!(framed.request_id, 0, "v2 frames carry implicit id 0");
-    assert_eq!(framed.msg, req);
 }
 
 #[test]

@@ -58,7 +58,7 @@ fn wire_gauges_equal_in_process_gauges_field_for_field() {
         use pathcopy_server::proto::response_frame;
         // The client sent request id 1..; ids are fixed-width so any id
         // yields the frame length the server actually wrote.
-        response_frame(&pathcopy_server::Response::Gauges(wire), 3, 0).len() as u64
+        response_frame(&pathcopy_server::Response::Gauges(wire), 0, None).len() as u64
     };
     let expected_sent = wire.wire_sent + self_reply;
     let deadline = Instant::now() + Duration::from_secs(5);

@@ -4,7 +4,7 @@
 //! replies, and idle connections are multiplexed — not pinned to
 //! workers.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::thread;
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::StatsSnapshot;
-use pathcopy_server::proto::{read_request_enveloped, write_response_with_id, Request, Response};
+use pathcopy_server::proto::{read_request_enveloped, response_frame, Request, Response};
 use pathcopy_server::{
     backend, Client, ClientError, ServeBackend, ServeSnapshot, ServerConfig, Session,
 };
@@ -41,7 +41,9 @@ fn mock_shuffled_server(listener: TcpListener, n: usize, reply_order: Vec<usize>
     let mut stream = stream;
     for &idx in &reply_order {
         let (id, key) = arrived[idx];
-        write_response_with_id(&mut stream, id, &Response::Got(Some(key))).expect("write");
+        stream
+            .write_all(&response_frame(&Response::Got(Some(key)), id, None))
+            .expect("write");
     }
 }
 

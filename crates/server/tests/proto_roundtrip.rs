@@ -1,8 +1,8 @@
 //! Property tests for the wire protocol: encode→decode is the identity
-//! for arbitrary messages, the v3 envelope carries its correlation id
-//! both ways (and legacy v2 frames still decode), and corrupted frames
-//! (truncation, bad tags, bad versions, trailing bytes) are rejected,
-//! never mis-parsed.
+//! for arbitrary messages, the envelope carries its correlation id both
+//! ways, and corrupted frames (truncation, bad tags, bad versions — the
+//! retired v2 included — trailing bytes) are rejected, never
+//! mis-parsed. Golden vectors pin the byte layout itself.
 
 use std::ops::Bound;
 
@@ -11,9 +11,9 @@ use proptest::prelude::*;
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::DiffEntry;
 use pathcopy_server::proto::{
-    read_request_enveloped, read_response_enveloped, response_frame_traced, write_request_traced,
-    FeedInfo, ProtoError, Request, Response, ServerGauges, StageSummary, WireError, WireStats,
-    PROTO_TRACE_FLAG, PROTO_V2, PROTO_VERSION,
+    read_request_enveloped, read_response_enveloped, request_frame, response_frame, FeedInfo,
+    ProtoError, Request, Response, ServerGauges, StageSummary, WireError, WireStats,
+    PROTO_TRACE_FLAG, PROTO_VERSION,
 };
 use pathcopy_server::{SpanRecord, TraceContext};
 
@@ -282,10 +282,15 @@ fn arb_response() -> impl Strategy<Value = Response> {
     ]
 }
 
+/// An untraced request body (no length prefix) carrying `id`.
+fn request_body(req: &Request, id: u64) -> Vec<u8> {
+    request_frame(req, id, None)
+        .expect("fits a frame")
+        .split_off(4)
+}
+
 fn encode_request(req: &Request) -> Vec<u8> {
-    let mut body = Vec::new();
-    req.encode(&mut body);
-    body
+    request_body(req, 0)
 }
 
 fn encode_response(resp: &Response) -> Vec<u8> {
@@ -294,13 +299,17 @@ fn encode_response(resp: &Response) -> Vec<u8> {
     body
 }
 
+fn decode_request(body: &[u8]) -> Result<Request, ProtoError> {
+    Request::decode_enveloped(body).map(|f| f.msg)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn request_encode_decode_is_identity(req in arb_request()) {
         let body = encode_request(&req);
-        prop_assert_eq!(Request::decode(&body).expect("decode"), req);
+        prop_assert_eq!(decode_request(&body).expect("decode"), req);
     }
 
     #[test]
@@ -316,7 +325,7 @@ proptest! {
         // (never panic, never yield a different valid message).
         let cut = cut % body.len().max(1);
         if cut < body.len() {
-            match Request::decode(&body[..cut]) {
+            match decode_request(&body[..cut]) {
                 Err(_) => {}
                 // A prefix that still parses must parse to the SAME
                 // message (possible only when cut == body.len()).
@@ -330,7 +339,7 @@ proptest! {
         let mut body = encode_request(&req);
         body.extend(vec![0xABu8; extra]);
         prop_assert!(matches!(
-            Request::decode(&body),
+            decode_request(&body),
             Err(ProtoError::TrailingBytes { .. })
         ));
     }
@@ -338,9 +347,9 @@ proptest! {
     #[test]
     fn bad_version_is_rejected(req in arb_request(), v in 0u8..=255) {
         let mut body = encode_request(&req);
-        if v != PROTO_VERSION && v != PROTO_V2 && v != (PROTO_VERSION | PROTO_TRACE_FLAG) {
+        if v != PROTO_VERSION && v != (PROTO_VERSION | PROTO_TRACE_FLAG) {
             body[0] = v;
-            prop_assert!(matches!(Request::decode(&body), Err(ProtoError::BadVersion(_))));
+            prop_assert!(matches!(decode_request(&body), Err(ProtoError::BadVersion(_))));
         }
     }
 
@@ -351,7 +360,7 @@ proptest! {
         body.push(tag);
         body.extend(payload);
         prop_assert!(matches!(
-            Request::decode(&body),
+            decode_request(&body),
             Err(ProtoError::BadTag { .. })
         ));
     }
@@ -370,45 +379,26 @@ proptest! {
 
     #[test]
     fn request_envelope_id_roundtrips(req in arb_request(), id in any::<u64>()) {
-        let mut body = Vec::new();
-        req.encode_with_id(id, &mut body);
+        let body = request_body(&req, id);
+        prop_assert_eq!(body[0], PROTO_VERSION);
         let framed = Request::decode_enveloped(&body).expect("decode");
-        prop_assert_eq!(framed.version, PROTO_VERSION);
         prop_assert_eq!(framed.request_id, id);
         prop_assert_eq!(framed.msg, req);
     }
 
     #[test]
     fn response_envelope_id_roundtrips(resp in arb_response(), id in any::<u64>()) {
-        let mut body = Vec::new();
-        resp.encode_with_id(id, &mut body);
+        let body = response_frame(&resp, id, None).split_off(4);
+        prop_assert_eq!(body[0], PROTO_VERSION);
         let framed = Response::decode_enveloped(&body).expect("decode");
-        prop_assert_eq!(framed.version, PROTO_VERSION);
         prop_assert_eq!(framed.request_id, id);
-        prop_assert_eq!(framed.msg, resp);
-    }
-
-    #[test]
-    fn legacy_v2_frames_decode_with_id_zero(req in arb_request(), resp in arb_response()) {
-        let mut body = Vec::new();
-        req.encode_v2(&mut body);
-        let framed = Request::decode_enveloped(&body).expect("decode v2 request");
-        prop_assert_eq!(framed.version, PROTO_V2);
-        prop_assert_eq!(framed.request_id, 0);
-        prop_assert_eq!(framed.msg, req);
-
-        let mut body = Vec::new();
-        resp.encode_v2(&mut body);
-        let framed = Response::decode_enveloped(&body).expect("decode v2 response");
-        prop_assert_eq!(framed.version, PROTO_V2);
-        prop_assert_eq!(framed.request_id, 0);
         prop_assert_eq!(framed.msg, resp);
     }
 
     #[test]
     fn random_bytes_never_panic_the_decoder(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
         // Either outcome is fine; what matters is no panic and no UB.
-        let _ = Request::decode(&bytes);
+        let _ = decode_request(&bytes);
         let _ = Response::decode(&bytes);
     }
 }
@@ -449,7 +439,7 @@ fn truncated_request_strict_prefixes_all_fail() {
         let body = encode_request(&req);
         for cut in 0..body.len() {
             assert!(
-                Request::decode(&body[..cut]).is_err(),
+                decode_request(&body[..cut]).is_err(),
                 "{req:?} prefix {cut}/{} must fail",
                 body.len()
             );
@@ -481,14 +471,12 @@ fn golden_ctx() -> TraceContext {
 
 /// Adapter: one complete request frame from the codec under test.
 fn golden_request_frame(req: &Request, trace: Option<&TraceContext>) -> Vec<u8> {
-    let mut frame = Vec::new();
-    write_request_traced(&mut frame, GOLDEN_ID, req, trace).expect("write to a Vec");
-    frame
+    request_frame(req, GOLDEN_ID, trace).expect("fits a frame")
 }
 
 /// Adapter: one complete response frame from the codec under test.
 fn golden_response_frame(resp: &Response, trace: Option<&TraceContext>) -> Vec<u8> {
-    response_frame_traced(resp, PROTO_VERSION, GOLDEN_ID, trace)
+    response_frame(resp, GOLDEN_ID, trace)
 }
 
 fn hex(bytes: &[u8]) -> String {

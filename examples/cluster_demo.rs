@@ -107,7 +107,7 @@ fn main() {
             let raddr = *raddr;
             reader_handles.push(s.spawn(move || {
                 let mut reader = Client::connect(raddr).expect("reader connect");
-                let mut last_version = -1i64;
+                let mut prev_version = -1i64;
                 let mut scans = 0u64;
                 while !writer_done.load(Ordering::Acquire) || scans < 5 {
                     let (entries, complete) = reader.range(None, .., 0).expect("scan");
@@ -118,10 +118,10 @@ fn main() {
                         .map(|(_, v)| *v)
                         .expect("version key present after bootstrap");
                     assert!(
-                        version >= last_version,
-                        "replica[{i}] went back in time: {version} < {last_version}"
+                        version >= prev_version,
+                        "replica[{i}] went back in time: {version} < {prev_version}"
                     );
-                    last_version = version;
+                    prev_version = version;
                     let accounts: Vec<(i64, i64)> =
                         entries.iter().filter(|(k, _)| *k >= 0).copied().collect();
                     assert_eq!(accounts.len() as i64, PAIRS * 2);
@@ -138,7 +138,7 @@ fn main() {
                     }
                     scans += 1;
                 }
-                (i, scans, last_version)
+                (i, scans, prev_version)
             }));
         }
 

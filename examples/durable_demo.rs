@@ -5,7 +5,8 @@
 //! sequence, a point-in-time restore of an old epoch, and a replica
 //! that bootstraps from the log with **zero wire bytes**.
 //!
-//! The log reuses the proto-v2 wire encoding for its records: a
+//! The log reuses the proto-v3 wire encoding for its records (untraced
+//! bodies with request id `0`): a
 //! checkpoint is a run of `SyncPage` frames, an incremental epoch is an
 //! `EpochDiff` frame, each wrapped in a length + CRC32 envelope. What
 //! travels to replicas and what lands on disk are the same bytes.
