@@ -3,16 +3,15 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use pathcopy_metrics::{HistogramSnapshot, LatencyHistogram, Stage};
+use pathcopy_metrics::{HistogramSnapshot, Stage};
 use pathcopy_server::backend::ServeSnapshot;
-use pathcopy_server::metrics::{summarize, MetricsSource};
+use pathcopy_server::metrics::MetricsSource;
 use pathcopy_server::proto::{Epoch, StageSummary};
 use pathcopy_server::FeedSink;
-use pathcopy_trace::{Flight, TraceContext};
+use pathcopy_trace::{Flight, Probe, TraceContext};
 
 use crate::log::{EpochLog, LogError};
 
@@ -44,10 +43,9 @@ pub struct FeedPersister {
     log: Arc<EpochLog>,
     last_error: Mutex<Option<LogError>>,
     errors: AtomicU64,
-    append_fsync: LatencyHistogram,
-    /// Span sink for traced publishes; `None` until
-    /// [`attach_flight`](Self::attach_flight).
-    flight: Mutex<Option<Arc<Flight>>>,
+    /// Times [`Stage::AppendFsync`]: the histogram is always on, spans
+    /// need [`attach_flight`](Self::attach_flight).
+    probe: Probe,
 }
 
 impl FeedPersister {
@@ -57,8 +55,7 @@ impl FeedPersister {
             log,
             last_error: Mutex::new(None),
             errors: AtomicU64::new(0),
-            append_fsync: LatencyHistogram::new(),
-            flight: Mutex::new(None),
+            probe: Probe::new(&[Stage::AppendFsync], 1, true),
         })
     }
 
@@ -66,8 +63,10 @@ impl FeedPersister {
     /// traced publish records its append+fsync as an
     /// [`Stage::AppendFsync`] span under the publish's execute span,
     /// so the durability cost shows up inside the request's timeline.
+    /// Set-once — the publish path reads it without a lock — so a
+    /// second call is ignored.
     pub fn attach_flight(&self, flight: Arc<Flight>) {
-        *self.flight.lock() = Some(flight);
+        self.probe.attach_flight(flight);
     }
 
     /// Latency distribution of whole-epoch persistence (diff or
@@ -77,7 +76,7 @@ impl FeedPersister {
     /// ([`ServerHandle::register_metrics_source`](pathcopy_server::ServerHandle::register_metrics_source))
     /// to expose it over `Request::Metrics`.
     pub fn append_fsync_snapshot(&self) -> HistogramSnapshot {
-        self.append_fsync.snapshot()
+        self.probe.snapshot(Stage::AppendFsync, 0)
     }
 
     /// The log being written.
@@ -122,7 +121,7 @@ impl FeedSink for FeedPersister {
         if epoch <= self.log.head() {
             return; // already durable (recovered primary republishing)
         }
-        let started = Instant::now();
+        let started = self.probe.begin(trace);
         let every = self.log.config().checkpoint_every.max(1);
         let last = self.log.last_checkpoint();
         let checkpoint_due = last == 0 || epoch - last >= every;
@@ -138,18 +137,12 @@ impl FeedSink for FeedPersister {
             },
             _ => self.log.append_checkpoint(epoch, snap.as_ref()),
         };
-        let finished = Instant::now();
-        let ns = (finished - started).as_nanos().min(u64::MAX as u128) as u64;
-        // A traced publish pins the fsync cost inside its timeline (a
-        // child of the execute span on this node) and becomes the
-        // histogram's exemplar candidate.
-        self.append_fsync
-            .record_tagged(ns, 0, trace.map_or(0, |c| c.trace_id));
-        if let Some(ctx) = trace {
-            if let Some(flight) = self.flight.lock().as_ref() {
-                flight.span(ctx, Stage::AppendFsync, 0, epoch, started, finished);
-            }
-        }
+        // One clock reading closes both the histogram sample and, for a
+        // traced publish, the span that pins the fsync cost inside its
+        // timeline (a child of the execute span on this node); the trace
+        // id makes the sample the histogram's exemplar candidate.
+        self.probe
+            .lap(Stage::AppendFsync, 0, 0, trace, epoch, started);
         if let Err(e) = result {
             self.record_error(e);
         }
@@ -158,14 +151,10 @@ impl FeedSink for FeedPersister {
 
 impl MetricsSource for FeedPersister {
     fn collect(&self) -> Vec<StageSummary> {
-        vec![summarize(
-            Stage::AppendFsync,
-            0,
-            &self.append_fsync.snapshot(),
-        )]
+        self.probe.collect()
     }
 
     fn reset(&self) {
-        self.append_fsync.reset();
+        self.probe.reset();
     }
 }

@@ -7,28 +7,28 @@
 //! distributions*, not just the monotonic counters in
 //! `pathcopy_core::stats`.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`LatencyHistogram`] — a lock-free, HdrHistogram-style log-bucketed
 //!   histogram: power-of-two octaves with [`SUB_BUCKETS`] linear
 //!   sub-buckets each, a fixed array of relaxed atomic counters, and
 //!   mergeable [`HistogramSnapshot`]s with bounded-relative-error
 //!   percentiles (p50/p90/p99/p999/max via [`Summary`]).
-//! * [`Recorder`] — the facade hot paths hold. The `Disabled` variant is
-//!   provably zero-cost: no clock reads, no atomics, just a branch.
 //! * [`Stage`] — names for the instrumented pipeline stages, shared by
 //!   the wire protocol's `Metrics` frame and the text exposition.
+//!
+//! Hot paths do not record into a histogram directly: they hold a
+//! `pathcopy_trace::Probe`, which laps one clock per stage boundary into
+//! both a histogram here and a trace span.
 
 #![warn(missing_docs)]
 
 pub mod histogram;
-pub mod recorder;
 
 pub use histogram::{
     bucket_high, bucket_index, bucket_low, HistogramSnapshot, LatencyHistogram, Summary,
     BUCKET_COUNT, SUB_BUCKETS, SUB_BUCKET_BITS,
 };
-pub use recorder::Recorder;
 
 /// The instrumented pipeline stages. Discriminants are the `stage` bytes
 /// carried by the wire protocol's `Metrics` response and must never be

@@ -182,8 +182,10 @@ fn main() {
     let addr = server.addr();
 
     // Prefill through the wire in large batches, so measured traffic
-    // starts from a realistically populated map.
-    {
+    // starts from a realistically populated map. The engine counters
+    // are read back afterwards: the report's `engine:` line is the
+    // measured traffic's delta, not prefill's batches.
+    let prefill_stats = {
         let mut c = Client::connect(addr).expect("connect for prefill");
         let mut rng_key = seed | 1;
         for chunk_start in (0..prefill).step_by(512) {
@@ -200,7 +202,8 @@ fn main() {
                 c.batch(&ops).expect("prefill batch");
             }
         }
-    }
+        c.stats().expect("stats after prefill")
+    };
 
     // The replication tier: bootstrapped replicas serving on their own
     // ports, kept fresh by per-replica sync threads while a publisher
@@ -574,11 +577,11 @@ fn main() {
     print!("{}", table.render());
     println!(
         "engine: ops={} attempts={} cas_failures={} frozen_installs={} freeze_retries={} len={}",
-        final_stats.ops,
-        final_stats.attempts,
-        final_stats.cas_failures,
-        final_stats.frozen_installs,
-        final_stats.freeze_retries,
+        final_stats.ops - prefill_stats.ops,
+        final_stats.attempts - prefill_stats.attempts,
+        final_stats.cas_failures - prefill_stats.cas_failures,
+        final_stats.frozen_installs - prefill_stats.frozen_installs,
+        final_stats.freeze_retries - prefill_stats.freeze_retries,
         final_stats.len,
     );
     for (i, node) in synced_nodes.iter().enumerate() {

@@ -47,17 +47,17 @@
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pathcopy_concurrent::{diff_to_ops, BatchOp, BatchResult};
 use pathcopy_core::StatsSnapshot;
-use pathcopy_metrics::{HistogramSnapshot, LatencyHistogram, Stage};
-use pathcopy_server::metrics::{summarize, MetricsSource};
+use pathcopy_metrics::{HistogramSnapshot, Stage};
+use pathcopy_server::metrics::MetricsSource;
 use pathcopy_server::proto::StageSummary;
 use pathcopy_server::{
     ClientError, Epoch, ServeBackend, ServeSnapshot, ServerConfig, ServerHandle, Subscription,
 };
-use pathcopy_trace::{Flight, TraceContext};
+use pathcopy_trace::{Flight, Probe, TraceContext};
 
 use crate::replica::{Replica, ReplicaStatsSnapshot};
 
@@ -177,35 +177,40 @@ pub struct PushStats {
 ///   per frame, anything larger is backlog the primary published while
 ///   this replica wasn't keeping up (the watermark already on the wire
 ///   makes this measurable end-to-end, at any relay depth).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PushMetrics {
-    push_apply: LatencyHistogram,
-    epoch_lag: LatencyHistogram,
+    /// Times both stages; also holds this node's flight recorder once
+    /// [`PushReplica::set_trace`] attached one.
+    probe: Probe,
+}
+
+impl Default for PushMetrics {
+    fn default() -> Self {
+        PushMetrics {
+            probe: Probe::new(&[Stage::PushApply, Stage::EpochLag], 1, true),
+        }
+    }
 }
 
 impl PushMetrics {
     /// Snapshot of the push-apply latency histogram (nanoseconds).
     pub fn push_apply_snapshot(&self) -> HistogramSnapshot {
-        self.push_apply.snapshot()
+        self.probe.snapshot(Stage::PushApply, 0)
     }
 
     /// Snapshot of the epoch-lag histogram (epochs).
     pub fn epoch_lag_snapshot(&self) -> HistogramSnapshot {
-        self.epoch_lag.snapshot()
+        self.probe.snapshot(Stage::EpochLag, 0)
     }
 }
 
 impl MetricsSource for PushMetrics {
     fn collect(&self) -> Vec<StageSummary> {
-        vec![
-            summarize(Stage::PushApply, 0, &self.push_apply.snapshot()),
-            summarize(Stage::EpochLag, 0, &self.epoch_lag.snapshot()),
-        ]
+        self.probe.collect()
     }
 
     fn reset(&self) {
-        self.push_apply.reset();
-        self.epoch_lag.reset();
+        self.probe.reset();
     }
 }
 
@@ -217,12 +222,6 @@ pub struct PushReplica {
     relay: Option<ServerHandle>,
     stats: PushStats,
     metrics: Arc<PushMetrics>,
-    /// This node's flight recorder: when set, a traced push frame's
-    /// apply is recorded as a [`Stage::PushApply`] span under the
-    /// upstream context, and the context (re-parented under that span)
-    /// rides the relay's own push frames downstream — each hop of the
-    /// tree adds its spans to the same trace.
-    flight: Option<Arc<Flight>>,
 }
 
 impl PushReplica {
@@ -251,16 +250,19 @@ impl PushReplica {
             relay: None,
             stats: PushStats::default(),
             metrics: Arc::new(PushMetrics::default()),
-            flight: None,
         })
     }
 
-    /// Installs this node's trace flight recorder (see the `flight`
-    /// field docs). Call **before** [`serve_relay`](Self::serve_relay)
-    /// so the relay endpoint dumps the same recorder over
-    /// `Request::TraceDump`.
+    /// Installs this node's trace flight recorder: from here on a
+    /// traced push frame's apply is recorded as a [`Stage::PushApply`]
+    /// span under the upstream context, and the context (re-parented
+    /// under that span) rides the relay's own push frames downstream —
+    /// each hop of the tree adds its spans to the same trace. Set-once
+    /// (a second call is ignored). Call **before**
+    /// [`serve_relay`](Self::serve_relay) so the relay endpoint dumps
+    /// the same recorder over `Request::TraceDump`.
     pub fn set_trace(&mut self, flight: Arc<Flight>) {
-        self.flight = Some(flight);
+        self.metrics.probe.attach_flight(flight);
     }
 
     /// The push path's latency histograms; hold the `Arc` to scrape
@@ -308,14 +310,14 @@ impl PushReplica {
         // `TraceDump` against the relay address returns the apply spans
         // the pump thread records.
         if config.trace.is_none() {
-            config.trace = self.flight.clone();
+            config.trace = self.metrics.probe.flight().cloned();
         }
         let handle =
             pathcopy_server::spawn(Box::new(RelayBackend::new(self.replica.store())), config)?;
         handle.register_metrics_source(self.metrics());
         let applied = self.applied_epoch();
         if applied > 0 {
-            handle.publish_at(applied);
+            handle.publish_at(applied, None);
         }
         let addr = handle.addr();
         self.relay = Some(handle);
@@ -360,13 +362,11 @@ impl PushReplica {
         // steady state, more when this replica fell behind. A traced
         // frame's lag sample competes to become the exemplar, so an
         // `epoch_lag` breach in a scrape names the trace that saw it.
-        self.metrics.epoch_lag.record_tagged(
-            frame.epoch - applied,
-            0,
-            frame.trace.map_or(0, |c| c.trace_id),
-        );
+        let probe = &self.metrics.probe;
+        let ctx = frame.trace.as_ref();
+        probe.record(Stage::EpochLag, 0, frame.epoch - applied, 0, ctx);
         if frame.from == applied {
-            let started = Instant::now();
+            let started = probe.begin(ctx);
             if !frame.entries.is_empty() {
                 self.replica.store().transact(&diff_to_ops(&frame.entries));
             }
@@ -377,31 +377,18 @@ impl PushReplica {
             // the upstream context, and the onward mirror re-parents
             // the context under that span — the next hop's spans nest
             // beneath this one.
-            let onward = match (self.flight.as_ref(), frame.trace.as_ref()) {
-                (Some(flight), Some(ctx)) => {
-                    let span_id = flight.next_span_id();
-                    Some((Arc::clone(flight), *ctx, span_id, ctx.child(span_id)))
-                }
-                _ => None,
-            };
-            self.mirror_traced(frame.epoch, onward.as_ref().map(|(_, _, _, child)| child));
-            let finished = Instant::now();
-            let ns = (finished - started).as_nanos().min(u64::MAX as u128) as u64;
-            self.metrics
-                .push_apply
-                .record_tagged(ns, 0, frame.trace.map_or(0, |c| c.trace_id));
-            if let Some((flight, ctx, span_id, _)) = onward {
-                flight.span_with_id(
-                    span_id,
-                    &ctx,
-                    Stage::PushApply,
-                    0,
-                    frame.epoch,
-                    started,
-                    finished,
-                );
-                flight.maybe_pin(&ctx, ns);
-            }
+            let onward = probe.child(ctx);
+            self.mirror(frame.epoch, onward.as_ref());
+            let finished = probe.lap_as(
+                onward.as_ref(),
+                Stage::PushApply,
+                0,
+                0,
+                ctx,
+                frame.epoch,
+                started,
+            );
+            probe.pin_slow(ctx, started, finished);
             Ok(PushOutcome::Pushed {
                 epoch: frame.epoch,
                 changes: frame.entries.len(),
@@ -451,22 +438,18 @@ impl PushReplica {
         let (_info, sub) = self.replica.client().session().subscribe(to)?;
         self.sub = sub;
         self.stats.resubscribes += 1;
-        self.mirror(to);
+        self.mirror(to, None);
         Ok(PushOutcome::CaughtUp { to })
     }
 
-    /// Mirrors `epoch` into the relay feed, if this replica serves one.
-    /// `publish_at` rejects anything at or below the relay feed's
-    /// sequence on its own, so stale mirrors are naturally dropped.
-    fn mirror(&self, epoch: Epoch) {
-        self.mirror_traced(epoch, None);
-    }
-
-    /// [`mirror`](Self::mirror) carrying a trace context: the relay's
-    /// own push fan-out stamps it onto the frames it sends downstream.
-    fn mirror_traced(&self, epoch: Epoch, trace: Option<&TraceContext>) {
+    /// Mirrors `epoch` into the relay feed, if this replica serves one;
+    /// the relay's own push fan-out stamps `trace`, if any, onto the
+    /// frames it sends downstream. `publish_at` rejects anything at or
+    /// below the relay feed's sequence on its own, so stale mirrors are
+    /// naturally dropped.
+    fn mirror(&self, epoch: Epoch, trace: Option<&TraceContext>) {
         if let Some(relay) = &self.relay {
-            relay.publish_at_traced(epoch, trace);
+            relay.publish_at(epoch, trace);
         }
     }
 }

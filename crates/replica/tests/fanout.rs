@@ -8,7 +8,7 @@ use std::net::SocketAddr;
 use std::ops::Bound;
 use std::time::Duration;
 
-use pathcopy_replica::PushReplica;
+use pathcopy_replica::{PushOutcome, PushReplica};
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::{backend, Client, ClientError, ServerConfig, ServerHandle, SessionToken};
 
@@ -52,6 +52,16 @@ fn pump_until(nodes: &mut [&mut PushReplica], target: u64) {
     }
     let at: Vec<u64> = nodes.iter().map(|n| n.applied_epoch()).collect();
     panic!("fan-out stalled below epoch {target}: applied = {at:?}");
+}
+
+/// One step of a production pump loop: under the churn thread's
+/// unthrottled publishes a subscriber can be demoted for a full outbox,
+/// after which no later frame arrives to reveal the gap, so a quiet
+/// pump falls back to the anti-entropy pull (`sync_now`).
+fn pump_or_resync(node: &mut PushReplica) {
+    if node.pump(Duration::from_millis(5)).expect("pump") == PushOutcome::Idle {
+        node.sync_now().expect("resync");
+    }
 }
 
 fn state_of(node: &PushReplica) -> Vec<(i64, i64)> {
@@ -210,15 +220,19 @@ fn session_token_reads_your_writes_through_a_leaf() {
                 churn.publish().unwrap();
             }
         });
-        // The pump threads keeping the chain flowing.
+        // The pump threads keeping the chain flowing. They borrow their
+        // nodes: a relay moved into its thread would be dropped (its
+        // endpoint shut down) the moment that thread saw `done`, and a
+        // leaf still mid-pump would fail with `Disconnected`.
+        let (relay, leaf) = (&mut relay, &mut leaf);
         s.spawn(move || {
             while !done_ref.load(std::sync::atomic::Ordering::Acquire) {
-                relay.pump(Duration::from_millis(5)).expect("relay pump");
+                pump_or_resync(relay);
             }
         });
         s.spawn(move || {
             while !done_ref.load(std::sync::atomic::Ordering::Acquire) {
-                leaf.pump(Duration::from_millis(5)).expect("leaf pump");
+                pump_or_resync(leaf);
             }
         });
 

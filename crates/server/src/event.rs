@@ -1,5 +1,5 @@
 //! The readiness-driven server core: one event-loop thread multiplexing
-//! every connection, with the [`ThreadPool`](crate::pool::ThreadPool)
+//! every connection, with the `ThreadPool` (the private `pool` module)
 //! demoted from "one worker per connection" to what it should have been
 //! all along — an execution stage for backend work.
 //!
@@ -91,33 +91,31 @@ struct Completion {
     /// decrements the connection's in-flight count nor bypasses the
     /// subscriber backpressure bound ([`PUSH_OUTQ_MAX`]).
     push: bool,
-    /// Write/flush stage tracing: the request tag and the moment the
-    /// encoded reply left its worker. `None` when metrics are disabled
-    /// or the frame is not a traced reply.
-    timing: Option<(u8, Instant)>,
-    /// Span breadcrumb for a request carrying a trace context; closes
-    /// the write/flush span (and judges the request slow) when the
-    /// frame's last byte reaches the kernel.
-    trace: Option<TraceOut>,
+    /// As [`OutFrame::crumb`].
+    crumb: Option<Crumb>,
 }
 
-/// Trace breadcrumb riding a reply frame through the completion queue
-/// to the flush stage: enough to close the per-request write/flush
-/// span and decide whether the whole request breached `slow_ms`.
+/// The one breadcrumb a reply frame carries through the completion
+/// queue to the flush stage: enough for the probe to close the
+/// write/flush stage — histogram sample and, for a traced request, span
+/// — and to judge whether the whole request breached `slow_ms`.
 #[derive(Clone, Copy)]
-struct TraceOut {
-    /// The request's incoming context (write/flush is a sibling of
-    /// queue-wait and execute under the same upstream parent).
-    ctx: TraceContext,
+struct Crumb {
+    /// Request tag byte: the histogram slot and the span's `tag`.
+    tag: u8,
+    /// Names the request in the write/flush exemplar.
+    request_id: RequestId,
+    /// The request's incoming context, if it was traced (write/flush is
+    /// a sibling of queue-wait and execute under the same upstream
+    /// parent).
+    ctx: Option<TraceContext>,
+    /// Epoch the reply names (publish/write-at), `0` otherwise.
+    epoch: u64,
     /// When the decoded request was accepted off the wire — the
     /// request's end-to-end anchor on this node.
     accepted: Instant,
-    /// When the encoded reply left its worker: the write span's start.
+    /// When the encoded reply left its worker: the write stage's start.
     write_start: Instant,
-    /// Request tag byte, for the span's `tag` field.
-    tag: u8,
-    /// Epoch the reply names (publish/write-at), `0` otherwise.
-    epoch: u64,
 }
 
 /// The worker→loop return path: a queue plus the write end of the
@@ -209,16 +207,6 @@ impl EpochFanout for PushHub {
         prev: Option<&Arc<dyn ServeSnapshot>>,
         epoch: Epoch,
         snap: &Arc<dyn ServeSnapshot>,
-    ) {
-        self.on_epoch_traced(from, prev, epoch, snap, None);
-    }
-
-    fn on_epoch_traced(
-        &self,
-        from: Epoch,
-        prev: Option<&Arc<dyn ServeSnapshot>>,
-        epoch: Epoch,
-        snap: &Arc<dyn ServeSnapshot>,
         trace: Option<&TraceContext>,
     ) {
         let subs: Vec<u64> = self.subs.lock().iter().copied().collect();
@@ -262,32 +250,25 @@ impl EpochFanout for PushHub {
                 conn,
                 frame: frame.clone(),
                 push: true,
-                timing: None,
-                trace: None,
+                crumb: None,
             });
         }
     }
 }
 
-/// One encoded frame on a connection's write queue, with the tracing
-/// breadcrumb needed to close out the write/flush stage when its last
-/// byte reaches the kernel.
+/// One encoded frame on a connection's write queue.
 struct OutFrame {
     bytes: Vec<u8>,
-    /// As [`Completion::timing`].
-    timing: Option<(u8, Instant)>,
-    /// As [`Completion::trace`].
-    trace: Option<TraceOut>,
+    /// Closes out the write/flush stage when the frame's last byte
+    /// reaches the kernel. `None` when the probe records nothing for
+    /// this request, or the frame is not a request's reply.
+    crumb: Option<Crumb>,
 }
 
 impl OutFrame {
-    /// A frame outside the traced request path (errors, acks, pushes).
+    /// A frame outside the timed request path (errors, acks, pushes).
     fn untimed(bytes: Vec<u8>) -> Self {
-        OutFrame {
-            bytes,
-            timing: None,
-            trace: None,
-        }
+        OutFrame { bytes, crumb: None }
     }
 }
 
@@ -373,7 +354,12 @@ impl EventLoop {
     /// their final completions into a queue nobody reads again.
     pub(crate) fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::with_capacity(256);
-        loop {
+        // The stop flag is checked on both sides of the wait. After it,
+        // because shutdown's wake byte is what returned us; before it,
+        // because an iteration already past that check can drain
+        // shutdown's byte together with a completion's
+        // (`drain_wake_bytes`) and would otherwise park forever.
+        while !self.shared.stop.load(Ordering::SeqCst) {
             events.clear();
             if self.poller.wait(&mut events).is_err() {
                 return;
@@ -464,8 +450,7 @@ impl EventLoop {
                 }
                 conn.outq.push_back(OutFrame {
                     bytes: completion.frame,
-                    timing: completion.timing,
-                    trace: completion.trace,
+                    crumb: completion.crumb,
                 });
                 touched.push(completion.conn);
             }
@@ -636,68 +621,50 @@ impl EventLoop {
             return;
         }
         conn.in_flight += 1;
-        // Stage tracing: `begin` reads the clock only when metrics are
-        // enabled, the worker closes out queue-wait when it starts and
-        // execute when the reply is encoded, and `flush` closes out the
-        // write stage when the frame's last byte reaches the kernel.
-        let queued_at = self.shared.metrics.begin();
-        // Span tracing mirrors the same three stages but only for
-        // requests that arrived with a trace context; `begin` is
-        // branch-only otherwise.
-        let accepted = self.shared.trace.begin(trace.as_ref());
+        // One probe, one clock reading per stage boundary: `begin` here
+        // (only if a histogram or a span will record), the worker laps
+        // queue-wait when it starts and execute when the reply is
+        // encoded, and `flush` laps the write stage when the frame's
+        // last byte reaches the kernel.
+        let accepted = self.shared.metrics.probe.begin(trace.as_ref());
         let tag = req.tag_byte();
         let shared = Arc::clone(&self.shared);
         let completions = Arc::clone(&self.completions);
         self.pool.execute(move || {
-            let trace_id = trace.as_ref().map_or(0, |c| c.trace_id);
-            let exec_start = shared
-                .metrics
-                .queue_wait(tag)
-                .lap_tagged(queued_at, request_id, trace_id);
-            // Close the queue-wait span and pre-allocate the execute
-            // span's id: `handle_request` gets a child context carrying
-            // that id, so downstream stages this request triggers
-            // (durable append, push fan-out, relay apply) parent under
-            // the execute span before it has even closed.
-            let mut exec_span = 0u64;
-            let mut child = None;
-            let span_start = match (shared.trace.flight(), trace.as_ref(), accepted) {
-                (Some(flight), Some(ctx), Some(t0)) => {
-                    let now = Instant::now();
-                    flight.span(ctx, Stage::QueueWait, tag, 0, t0, now);
-                    exec_span = flight.next_span_id();
-                    child = Some(ctx.child(exec_span));
-                    Some(now)
-                }
-                _ => None,
-            };
+            let probe = &shared.metrics.probe;
+            let ctx = trace.as_ref();
+            let exec_start = probe.lap(Stage::QueueWait, tag, request_id, ctx, 0, accepted);
+            // Reserve the execute span's id: `handle_request` gets a
+            // child context carrying it, so downstream stages this
+            // request triggers (durable append, push fan-out, relay
+            // apply) parent under the execute span before it has closed.
+            let child = probe.child(ctx);
             let resp = handle_request(&shared, req, child.as_ref());
             let epoch = response_epoch(&resp);
             let frame = response_frame(&resp, request_id, None);
-            let write_start = shared
-                .metrics
-                .execute(tag)
-                .lap_tagged(exec_start, request_id, trace_id);
-            let trace_out = match (shared.trace.flight(), trace.as_ref(), accepted, span_start) {
-                (Some(flight), Some(ctx), Some(t_acc), Some(t0)) => {
-                    let now = Instant::now();
-                    flight.span_with_id(exec_span, ctx, Stage::Execute, tag, epoch, t0, now);
-                    Some(TraceOut {
-                        ctx: *ctx,
-                        accepted: t_acc,
-                        write_start: now,
-                        tag,
-                        epoch,
-                    })
-                }
-                _ => None,
-            };
+            let write_start = probe.lap_as(
+                child.as_ref(),
+                Stage::Execute,
+                tag,
+                request_id,
+                ctx,
+                epoch,
+                exec_start,
+            );
             completions.push(Completion {
                 conn: token,
                 frame,
                 push: false,
-                timing: write_start.map(|t| (tag, t)),
-                trace: trace_out,
+                crumb: accepted
+                    .zip(write_start)
+                    .map(|(accepted, write_start)| Crumb {
+                        tag,
+                        request_id,
+                        ctx: trace,
+                        epoch,
+                        accepted,
+                        write_start,
+                    }),
             });
         });
     }
@@ -772,36 +739,22 @@ impl EventLoop {
                             // Close out the write/flush stage: reply
                             // encoded on its worker → last byte handed
                             // to the kernel (queueing behind the socket
-                            // included, by design).
-                            if let Some(t) = done.trace {
-                                if let Some(flight) = self.shared.trace.flight() {
-                                    let now = Instant::now();
-                                    flight.span(
-                                        &t.ctx,
-                                        Stage::WriteFlush,
-                                        t.tag,
-                                        t.epoch,
-                                        t.write_start,
-                                        now,
-                                    );
-                                    // The request is over on this node:
-                                    // accepted → last byte out. A slow
-                                    // one gets its span chain pinned.
-                                    let total = now
-                                        .saturating_duration_since(t.accepted)
-                                        .as_nanos()
-                                        .min(u128::from(u64::MAX))
-                                        as u64;
-                                    flight.maybe_pin(&t.ctx, total);
-                                }
-                            }
-                            if let Some((tag, t0)) = done.timing {
-                                let trace_id = done.trace.map_or(0, |t| t.ctx.trace_id);
-                                self.shared.metrics.write_flush(tag).record_since_tagged(
-                                    Some(t0),
-                                    0,
-                                    trace_id,
+                            // included, by design). The request is then
+                            // over on this node — accepted → last byte
+                            // out — and a slow one gets its span chain
+                            // pinned.
+                            if let Some(c) = done.crumb {
+                                let probe = &self.shared.metrics.probe;
+                                let ctx = c.ctx.as_ref();
+                                let now = probe.lap(
+                                    Stage::WriteFlush,
+                                    c.tag,
+                                    c.request_id,
+                                    ctx,
+                                    c.epoch,
+                                    Some(c.write_start),
                                 );
+                                probe.pin_slow(ctx, Some(c.accepted), now);
                             }
                         } else {
                             conn.out_off += n;

@@ -33,30 +33,17 @@ use crate::proto::{Epoch, FeedInfo};
 /// it). Fired under the feed lock, after the sink.
 pub(crate) trait EpochFanout: Send + Sync + 'static {
     /// Called once per epoch that lands in the feed. `from` is the
-    /// epoch `prev` belongs to (`0` when `prev` is `None`).
+    /// epoch `prev` belongs to (`0` when `prev` is `None`); `trace` is
+    /// the context of the publish that produced the epoch, when that
+    /// publish was traced.
     fn on_epoch(
         &self,
         from: Epoch,
         prev: Option<&Arc<dyn ServeSnapshot>>,
         epoch: Epoch,
         snap: &Arc<dyn ServeSnapshot>,
-    );
-
-    /// [`on_epoch`](Self::on_epoch) with the trace context of the
-    /// publish that produced the epoch, when the publish was traced.
-    /// Default: drop the context and delegate, so fan-outs that predate
-    /// tracing keep working (the trace just ends at them).
-    fn on_epoch_traced(
-        &self,
-        from: Epoch,
-        prev: Option<&Arc<dyn ServeSnapshot>>,
-        epoch: Epoch,
-        snap: &Arc<dyn ServeSnapshot>,
         trace: Option<&TraceContext>,
-    ) {
-        let _ = trace;
-        self.on_epoch(from, prev, epoch, snap);
-    }
+    );
 }
 
 /// An observer of epoch publication, called by [`VersionFeed::publish`]
@@ -182,7 +169,7 @@ impl VersionFeed {
     /// If the feed has a [`FeedSink`], it observes the epoch before
     /// `publish` returns (see the trait docs for the ordering contract).
     pub fn publish(&self, snap: Arc<dyn ServeSnapshot>) -> Epoch {
-        self.publish_with(|| snap)
+        self.publish_with(|| snap, None)
     }
 
     /// Publishes the snapshot `take` returns as the next epoch, taking
@@ -194,15 +181,12 @@ impl VersionFeed {
     /// crate::proto::Request::WriteAt)) depend on the closed ordering:
     /// every epoch assigned after a write's watermark read contains the
     /// write.
-    pub fn publish_with(&self, take: impl FnOnce() -> Arc<dyn ServeSnapshot>) -> Epoch {
-        self.publish_with_traced(take, None)
-    }
-
-    /// [`publish_with`](Self::publish_with) carrying the trace context
-    /// of the publish request, so the sink (durable append+fsync) and
-    /// the fan-out (push frames to subscribers) can record their work
-    /// as spans of — and propagate — the same distributed trace.
-    pub fn publish_with_traced(
+    ///
+    /// `trace` is the context of a traced publish request, if any: the
+    /// sink (durable append+fsync) and the fan-out (push frames to
+    /// subscribers) record their work as spans of — and propagate — the
+    /// same distributed trace.
+    pub fn publish_with(
         &self,
         take: impl FnOnce() -> Arc<dyn ServeSnapshot>,
         trace: Option<&TraceContext>,
@@ -222,7 +206,7 @@ impl VersionFeed {
             sink.on_publish_traced(epoch, prev.as_ref(), &snap, trace);
         }
         if let Some(fanout) = self.fanout.get() {
-            fanout.on_epoch_traced(from, prev.as_ref(), epoch, &snap, trace);
+            fanout.on_epoch(from, prev.as_ref(), epoch, &snap, trace);
         }
         epoch
     }
@@ -238,15 +222,10 @@ impl VersionFeed {
     /// this relay and it caught up by diff), so the [`FeedSink`] — whose
     /// contract promises gap-free adjacent epochs — is **not** fired;
     /// only the push fan-out, which carries the `from` epoch explicitly,
-    /// observes mirrored publishes.
-    pub fn publish_at(&self, epoch: Epoch, snap: Arc<dyn ServeSnapshot>) -> bool {
-        self.publish_at_traced(epoch, snap, None)
-    }
-
-    /// [`publish_at`](Self::publish_at) carrying the trace context of
-    /// the upstream push being mirrored, so a relay's own push fan-out
-    /// re-serves the epoch under the same distributed trace.
-    pub fn publish_at_traced(
+    /// observes mirrored publishes. `trace` is the context of the
+    /// upstream push being mirrored, if it was traced, so a relay's own
+    /// fan-out re-serves the epoch under the same distributed trace.
+    pub fn publish_at(
         &self,
         epoch: Epoch,
         snap: Arc<dyn ServeSnapshot>,
@@ -265,7 +244,7 @@ impl VersionFeed {
         state.prev_epoch = epoch;
         let prev = state.prev.replace(Arc::clone(&snap));
         if let Some(fanout) = self.fanout.get() {
-            fanout.on_epoch_traced(from, prev.as_ref(), epoch, &snap, trace);
+            fanout.on_epoch(from, prev.as_ref(), epoch, &snap, trace);
         }
         true
     }
@@ -366,13 +345,13 @@ mod tests {
         let feed = VersionFeed::new(4);
         assert_eq!(feed.next_epoch(), 1);
         b.insert(1, 10);
-        assert!(feed.publish_at(5, snap_of(&b)), "fresh epoch lands");
+        assert!(feed.publish_at(5, snap_of(&b), None), "fresh epoch lands");
         assert_eq!(feed.info().head, 5);
         assert_eq!(feed.next_epoch(), 6);
-        assert!(!feed.publish_at(5, snap_of(&b)), "duplicate rejected");
-        assert!(!feed.publish_at(3, snap_of(&b)), "stale rejected");
+        assert!(!feed.publish_at(5, snap_of(&b), None), "duplicate rejected");
+        assert!(!feed.publish_at(3, snap_of(&b), None), "stale rejected");
         b.insert(2, 20);
-        assert!(feed.publish_at(9, snap_of(&b)), "gaps are fine");
+        assert!(feed.publish_at(9, snap_of(&b), None), "gaps are fine");
         assert_eq!((feed.info().oldest, feed.info().head), (5, 9));
         // Ordinary publish continues the mirrored sequence.
         assert_eq!(feed.publish(snap_of(&b)), 10);
@@ -383,7 +362,7 @@ mod tests {
         let b = ShardedServe::with_shards(2);
         let feed = VersionFeed::new(4);
         b.insert(7, 70);
-        let epoch = feed.publish_with(|| b.snapshot());
+        let epoch = feed.publish_with(|| b.snapshot(), None);
         assert_eq!(epoch, 1);
         assert_eq!(feed.get(epoch).unwrap().get(7), Some(70));
     }

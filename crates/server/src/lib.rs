@@ -5,7 +5,7 @@
 //! carries a correlation id so multiple requests can be in flight per
 //! connection, an event-driven nonblocking TCP [server] (a single
 //! readiness loop over a hand-rolled `epoll`/`poll(2)` shim multiplexes
-//! every connection; a [thread pool](pool) executes the backend work),
+//! every connection; a thread pool executes the backend work),
 //! a pipelined [client] ([`Session::submit`] → [`Ticket::wait`], with
 //! the blocking [`Client`] as the serial facade), and the primary side
 //! of the replication subsystem (the [version feed](feed) replicas sync
@@ -67,19 +67,17 @@ mod event;
 pub mod feed;
 pub mod metrics;
 mod poll;
-pub mod pool;
+mod pool;
 pub mod proto;
 pub mod server;
 
 pub use backend::{ServeBackend, ServeSnapshot};
 pub use client::{Client, ClientError, PushFrame, Session, SessionToken, Subscription, Ticket};
 pub use feed::{FeedSink, VersionFeed};
-pub use metrics::{render_text, MetricsSource, ServerMetrics};
+pub use metrics::{render_text, MetricsSource};
 // Tracing types clients and operators need, re-exported so depending on
 // `pathcopy-trace` directly is optional.
-pub use pathcopy_trace::{
-    render_trace, trace_ids, Flight, SpanRecord, TraceContext, TraceRecorder,
-};
+pub use pathcopy_trace::{render_trace, trace_ids, Flight, SpanRecord, TraceContext};
 pub use proto::{
     Epoch, FeedInfo, Framed, ProtoError, Request, RequestId, Response, ServerGauges, SnapshotId,
     StageSummary, WireError, WireStats, MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_VERSION,

@@ -2,30 +2,42 @@
 //! exposition both [`crate::proto::Request::Metrics`] scrapes and
 //! humans read.
 //!
-//! The event loop owns a [`ServerMetrics`]: one
-//! [`Recorder`] per (stage, request-tag)
-//! pair for the three in-process stages it can see — decode→dispatch
-//! queue wait, worker execute time, and reply-ready→flushed write time.
-//! Components outside the event loop (the durable feed persister, push
-//! replicas relaying a feed) implement [`MetricsSource`] and register
-//! themselves, so one `Metrics` scrape returns the whole pipeline.
+//! The event loop laps one [`Probe`] at each of the three in-process
+//! stage boundaries it can see — decode→dispatch queue wait, worker
+//! execute time, and reply-ready→flushed write time — into one
+//! histogram per (stage, request-tag) pair. Components outside the
+//! event loop (the durable feed persister, push replicas relaying a
+//! feed) hold probes of their own, implement [`MetricsSource`] and
+//! register themselves, so one `Metrics` scrape returns the whole
+//! pipeline.
 //!
-//! When the server is configured with metrics disabled every recorder
-//! is `Recorder::Disabled` and the per-request cost is a handful of
-//! branches — no clock reads, no atomics (see the `metrics_overhead`
-//! bench in `pathcopy-bench`).
+//! When the server is configured with metrics disabled the probe holds
+//! no histograms and the per-request cost is a handful of branches — no
+//! clock reads, no atomics (see the `trace_overhead` bench in
+//! `pathcopy-bench`).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
-use pathcopy_metrics::{HistogramSnapshot, Recorder, Stage};
+use pathcopy_metrics::{HistogramSnapshot, Stage};
+use pathcopy_trace::Probe;
 
-use crate::proto::{Request, StageSummary};
+use crate::proto::{Request, StageSummary, REQUEST_TAGS};
 
-/// Per-tag histogram slots: request tags `1..=21` plus slot `0` for
-/// untagged samples.
-const TAG_SLOTS: usize = 22;
+/// Per-tag histogram slots: one per declared request tag plus slot `0`
+/// for untagged samples — derived from [`REQUEST_TAGS`], so a new
+/// request gets its own slot instead of folding into slot `0`.
+const TAG_SLOTS: usize = {
+    let mut max = 0;
+    let mut i = 0;
+    while i < REQUEST_TAGS.len() {
+        if REQUEST_TAGS[i].0 > max {
+            max = REQUEST_TAGS[i].0;
+        }
+        i += 1;
+    }
+    max as usize + 1
+};
 
 /// Anything that can contribute rows to a `Metrics` scrape: the durable
 /// persister's fsync histogram, a push replica's apply/lag histograms,
@@ -65,98 +77,54 @@ pub fn summarize(stage: Stage, tag: u8, snap: &HistogramSnapshot) -> StageSummar
     }
 }
 
-/// The server's stage-tracing registry: three per-tag recorder families
-/// for the event loop's stages plus externally registered
-/// [`MetricsSource`]s.
-pub struct ServerMetrics {
-    enabled: bool,
-    queue_wait: Vec<Recorder>,
-    execute: Vec<Recorder>,
-    write_flush: Vec<Recorder>,
+/// A probe's non-empty histograms are its rows: what lets the event
+/// loop, the durable persister and the push pump share one scrape path.
+impl MetricsSource for Probe {
+    fn collect(&self) -> Vec<StageSummary> {
+        self.snapshots()
+            .iter()
+            .map(|(stage, tag, snap)| summarize(*stage, *tag, snap))
+            .collect()
+    }
+
+    fn reset(&self) {
+        Probe::reset(self);
+    }
+}
+
+/// The server's stage-tracing registry: the event loop's probe plus
+/// externally registered [`MetricsSource`]s.
+pub(crate) struct ServerMetrics {
+    /// The event loop's three stages, per request tag.
+    pub(crate) probe: Probe,
     extra: Mutex<Vec<Arc<dyn MetricsSource>>>,
 }
 
 impl ServerMetrics {
-    /// Builds the registry. With `enabled = false` every recorder is
-    /// [`Recorder::Disabled`] and recording is branch-only.
-    #[must_use]
-    pub fn new(enabled: bool) -> Self {
-        let family = || -> Vec<Recorder> {
-            (0..TAG_SLOTS)
-                .map(|_| {
-                    if enabled {
-                        Recorder::enabled()
-                    } else {
-                        Recorder::Disabled
-                    }
-                })
-                .collect()
-        };
+    /// Builds the registry. With `enabled = false` the probe holds no
+    /// histograms and recording is branch-only.
+    pub(crate) fn new(enabled: bool) -> Self {
         ServerMetrics {
-            enabled,
-            queue_wait: family(),
-            execute: family(),
-            write_flush: family(),
+            probe: Probe::new(
+                &[Stage::QueueWait, Stage::Execute, Stage::WriteFlush],
+                TAG_SLOTS,
+                enabled,
+            ),
             extra: Mutex::new(Vec::new()),
         }
     }
 
-    /// True when the event loop's recorders are live.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Starts a request's stage clock: reads the clock only when
-    /// enabled, so the disabled path stays free of clock syscalls.
-    #[inline]
-    pub(crate) fn begin(&self) -> Option<Instant> {
-        if self.enabled {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn slot(family: &[Recorder], tag: u8) -> &Recorder {
-        let idx = tag as usize;
-        &family[if idx < TAG_SLOTS { idx } else { 0 }]
-    }
-
-    /// Queue-wait recorder for a request tag.
-    #[inline]
-    pub(crate) fn queue_wait(&self, tag: u8) -> &Recorder {
-        Self::slot(&self.queue_wait, tag)
-    }
-
-    /// Execute-time recorder for a request tag.
-    #[inline]
-    pub(crate) fn execute(&self, tag: u8) -> &Recorder {
-        Self::slot(&self.execute, tag)
-    }
-
-    /// Write/flush-time recorder for a request tag.
-    #[inline]
-    pub(crate) fn write_flush(&self, tag: u8) -> &Recorder {
-        Self::slot(&self.write_flush, tag)
-    }
-
     /// Adds an external histogram source to subsequent scrapes.
-    pub fn register_source(&self, source: Arc<dyn MetricsSource>) {
+    pub(crate) fn register_source(&self, source: Arc<dyn MetricsSource>) {
         self.extra.lock().push(source);
     }
 
-    /// Zeroes every histogram — the event loop's per-tag stage
-    /// recorders and every registered source — so subsequent scrapes
-    /// report a fresh window. Idempotent; concurrent recordings may
-    /// land on either side of the wipe.
-    pub fn reset_all(&self) {
-        for family in [&self.queue_wait, &self.execute, &self.write_flush] {
-            for rec in family.iter() {
-                rec.reset();
-            }
-        }
+    /// Zeroes every histogram — the event loop's per-tag stages and
+    /// every registered source — so subsequent scrapes report a fresh
+    /// window. Idempotent; concurrent recordings may land on either
+    /// side of the wipe.
+    pub(crate) fn reset_all(&self) {
+        self.probe.reset();
         for source in self.extra.lock().iter() {
             source.reset();
         }
@@ -164,36 +132,13 @@ impl ServerMetrics {
 
     /// Snapshots every non-empty histogram as wire rows, ascending by
     /// (stage, tag).
-    #[must_use]
-    pub fn report(&self) -> Vec<StageSummary> {
-        let mut rows = Vec::new();
-        let families = [
-            (Stage::QueueWait, &self.queue_wait),
-            (Stage::Execute, &self.execute),
-            (Stage::WriteFlush, &self.write_flush),
-        ];
-        for (stage, family) in families {
-            for (tag, rec) in family.iter().enumerate() {
-                let snap = rec.snapshot();
-                if !snap.is_empty() {
-                    rows.push(summarize(stage, tag as u8, &snap));
-                }
-            }
-        }
+    pub(crate) fn report(&self) -> Vec<StageSummary> {
+        let mut rows = self.probe.collect();
         for source in self.extra.lock().iter() {
             rows.extend(source.collect().into_iter().filter(|r| r.count > 0));
         }
         rows.sort_by_key(|r| (r.stage, r.tag));
         rows
-    }
-}
-
-impl std::fmt::Debug for ServerMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerMetrics")
-            .field("enabled", &self.enabled)
-            .field("sources", &self.extra.lock().len())
-            .finish_non_exhaustive()
     }
 }
 
@@ -264,21 +209,20 @@ mod tests {
     #[test]
     fn disabled_registry_reports_nothing_and_reads_no_clock() {
         let m = ServerMetrics::new(false);
-        assert!(!m.is_enabled());
-        assert!(m.begin().is_none());
-        let t = m.queue_wait(1).lap(m.begin());
-        assert!(t.is_none());
+        let t0 = m.probe.begin(None);
+        assert!(t0.is_none());
+        assert!(m.probe.lap(Stage::QueueWait, 1, 0, None, 0, t0).is_none());
         assert!(m.report().is_empty());
     }
 
     #[test]
     fn enabled_registry_reports_per_stage_per_tag_rows() {
         let m = ServerMetrics::new(true);
-        let t0 = m.begin();
-        let t1 = m.queue_wait(1).lap(t0);
-        let t2 = m.execute(1).lap(t1);
+        let t0 = m.probe.begin(None);
+        let t1 = m.probe.lap(Stage::QueueWait, 1, 0, None, 0, t0);
+        let t2 = m.probe.lap(Stage::Execute, 1, 0, None, 0, t1);
         assert!(t2.is_some());
-        m.write_flush(5).record(100);
+        m.probe.record(Stage::WriteFlush, 5, 100, 0, None);
 
         let rows = m.report();
         assert_eq!(rows.len(), 3);
@@ -296,10 +240,23 @@ mod tests {
     #[test]
     fn out_of_range_tags_fold_into_slot_zero() {
         let m = ServerMetrics::new(true);
-        m.execute(200).record(7);
+        m.probe.record(Stage::Execute, 200, 7, 0, None);
         let rows = m.report();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].tag, 0);
+    }
+
+    #[test]
+    fn every_declared_request_tag_gets_its_own_slot() {
+        let m = ServerMetrics::new(true);
+        for (tag, name) in REQUEST_TAGS {
+            assert!((*tag as usize) < TAG_SLOTS, "{name} folds into slot 0");
+            assert_ne!(*tag, 0, "{name}: slot 0 is the untagged slot");
+            m.probe.record(Stage::Execute, *tag, 1, 0, None);
+        }
+        let tags: Vec<u8> = m.report().iter().map(|r| r.tag).collect();
+        let declared: Vec<u8> = REQUEST_TAGS.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(tags, declared, "one row per declared tag, none folded");
     }
 
     #[test]
@@ -389,7 +346,7 @@ mod tests {
         let m = ServerMetrics::new(true);
         let flag = Arc::new(Flag(AtomicBool::new(false)));
         m.register_source(flag.clone());
-        m.execute(1).record(7);
+        m.probe.record(Stage::Execute, 1, 7, 0, None);
         assert_eq!(m.report().len(), 1);
         m.reset_all();
         assert!(m.report().is_empty(), "recorders must be zeroed");

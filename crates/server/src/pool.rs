@@ -15,14 +15,14 @@ use std::thread::JoinHandle;
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed-size pool of worker threads executing boxed jobs.
-pub struct ThreadPool {
+pub(crate) struct ThreadPool {
     sender: Option<mpsc::Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
     /// Spawns `size` workers (minimum 1).
-    pub fn new(size: usize) -> Self {
+    pub(crate) fn new(size: usize) -> Self {
         let size = size.max(1);
         let (sender, receiver) = mpsc::channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
@@ -58,13 +58,8 @@ impl ThreadPool {
         }
     }
 
-    /// Number of worker threads.
-    pub fn size(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Queues `job` for execution on some worker.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
+    pub(crate) fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.sender
             .as_ref()
             .expect("pool alive")
@@ -94,7 +89,7 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         {
             let pool = ThreadPool::new(4);
-            assert_eq!(pool.size(), 4);
+            assert_eq!(pool.workers.len(), 4);
             for _ in 0..100 {
                 let counter = Arc::clone(&counter);
                 pool.execute(move || {
@@ -109,7 +104,7 @@ mod tests {
     #[test]
     fn zero_size_rounds_up_to_one() {
         let pool = ThreadPool::new(0);
-        assert_eq!(pool.size(), 1);
+        assert_eq!(pool.workers.len(), 1);
         let done = Arc::new(AtomicUsize::new(0));
         let d = Arc::clone(&done);
         pool.execute(move || {

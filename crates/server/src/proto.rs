@@ -430,11 +430,12 @@ wire_enum! {
         /// Read the server's process gauges — request/shed/connection
         /// counters, wire byte counters, and push fan-out counters —
         /// without touching the backend. Replied with
-        /// [`Response::Gauges`]. This is the scrape endpoint loadgen and
-        /// tests use instead of process-local handles.
+        /// [`Response::Gauges`]. The wire twin of
+        /// `ServerHandle::gauges`; in this repository only the tests
+        /// scrape it.
         18 => Gauges,
         /// Read the server's latency histograms — per-stage, per-request-tag
-        /// percentile summaries from the event loop's tracing recorders plus
+        /// percentile summaries from the event loop's probe plus
         /// any registered sources (durable persister, push replicas).
         /// Replied with [`Response::Metrics`]; the reply is empty when the
         /// server runs with metrics disabled.

@@ -4,7 +4,7 @@
 //! [`spawn`] binds a listener (an ephemeral loopback port by default)
 //! and starts one event-loop thread (the private `event` module) that
 //! owns every connection nonblockingly; decoded requests run on a
-//! [`ThreadPool`](crate::pool::ThreadPool) of `workers` threads, so
+//! thread pool (the private `pool` module) of `workers` threads, so
 //! connection count and execution parallelism are independent knobs —
 //! thousands of mostly-idle connections cost fds and buffers, not
 //! threads. The server is generic over its engine through
@@ -36,7 +36,7 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::{ByteCounters, ByteCountersSnapshot};
-use pathcopy_trace::{Flight, TraceContext, TraceRecorder};
+use pathcopy_trace::{Flight, TraceContext};
 
 use crate::backend::{ServeBackend, ServeSnapshot};
 use crate::event::{Completions, EventLoop, PushHub, Tunables};
@@ -94,9 +94,9 @@ pub struct ServerConfig {
     pub feed_sink: Option<Arc<dyn FeedSink>>,
     /// Whether the event loop records per-stage latency histograms
     /// (queue wait, execute, write/flush — per request tag), scrapeable
-    /// via [`Request::Metrics`]. On by default; with `false` every
-    /// recorder is the disabled variant and the hot path pays a branch,
-    /// not a clock read or an atomic (see `pathcopy-metrics`).
+    /// via [`Request::Metrics`]. On by default; with `false` the event
+    /// loop's probe holds no histograms and the hot path pays a branch,
+    /// not a clock read or an atomic (see `pathcopy_trace::Probe`).
     pub metrics: bool,
     /// Optional flight recorder for distributed request tracing
     /// ([`Request::TraceDump`]). When set, requests arriving with a
@@ -281,13 +281,11 @@ pub(crate) struct Shared {
     /// The push fan-out registry; also the feed's [`EpochFanout`](
     /// crate::feed) hook.
     pub(crate) push: Arc<PushHub>,
-    /// Per-stage latency tracing ([`Request::Metrics`]); every recorder
-    /// is disabled when [`ServerConfig::metrics`] is `false`.
-    pub(crate) metrics: Arc<ServerMetrics>,
-    /// Distributed-trace span recording ([`Request::TraceDump`]);
-    /// disabled unless [`ServerConfig::trace`] supplied a flight
-    /// recorder.
-    pub(crate) trace: TraceRecorder,
+    /// The event loop's probe and the registered metrics sources
+    /// ([`Request::Metrics`], [`Request::TraceDump`]): histograms are
+    /// off when [`ServerConfig::metrics`] is `false`, spans unless
+    /// [`ServerConfig::trace`] supplied a flight recorder.
+    pub(crate) metrics: ServerMetrics,
     pub(crate) stop: AtomicBool,
 }
 
@@ -352,6 +350,10 @@ pub fn spawn(backend: Box<dyn ServeBackend>, config: ServerConfig) -> io::Result
     let handle_wake = wake_tx.try_clone()?;
     let completions = Arc::new(Completions::new(wake_tx));
     let push = Arc::new(PushHub::new(Arc::clone(&completions)));
+    let metrics = ServerMetrics::new(config.metrics);
+    if let Some(flight) = config.trace {
+        metrics.probe.attach_flight(flight);
+    }
     let shared = Arc::new(Shared {
         backend,
         snapshots: Mutex::new(HashMap::new()),
@@ -363,10 +365,7 @@ pub fn spawn(backend: Box<dyn ServeBackend>, config: ServerConfig) -> io::Result
         open_conns: AtomicU64::new(0),
         wire: ByteCounters::new(),
         push: Arc::clone(&push),
-        metrics: Arc::new(ServerMetrics::new(config.metrics)),
-        trace: config
-            .trace
-            .map_or(TraceRecorder::Disabled, TraceRecorder::Enabled),
+        metrics,
         stop: AtomicBool::new(false),
     });
     shared.feed.set_fanout(push);
@@ -458,27 +457,19 @@ impl ServerHandle {
     /// under `epoch` — an upstream's epoch number, not this feed's next
     /// in sequence. This is how a relay republishes each applied epoch
     /// so its own subscribers and watermarked reads see the primary's
-    /// epoch sequence; see [`VersionFeed::publish_at`]. Returns `false`
-    /// if `epoch` is already behind this feed.
-    pub fn publish_at(&self, epoch: Epoch) -> bool {
+    /// epoch sequence; see [`VersionFeed::publish_at`], which also says
+    /// what `trace` carries. Returns `false` if `epoch` is already
+    /// behind this feed.
+    pub fn publish_at(&self, epoch: Epoch, trace: Option<&TraceContext>) -> bool {
         self.shared
             .feed
-            .publish_at(epoch, self.shared.backend.snapshot())
-    }
-
-    /// [`publish_at`](Self::publish_at) carrying the trace context of
-    /// the upstream push being mirrored, so the relay's own push
-    /// fan-out re-serves the epoch under the same distributed trace.
-    pub fn publish_at_traced(&self, epoch: Epoch, trace: Option<&TraceContext>) -> bool {
-        self.shared
-            .feed
-            .publish_at_traced(epoch, self.shared.backend.snapshot(), trace)
+            .publish_at(epoch, self.shared.backend.snapshot(), trace)
     }
 
     /// This node's trace flight recorder, when one was configured
     /// ([`ServerConfig::trace`]).
     pub fn flight(&self) -> Option<&Arc<Flight>> {
-        self.shared.trace.flight()
+        self.shared.metrics.probe.flight()
     }
 
     /// Stops the event loop, closes every connection, joins the worker
@@ -599,7 +590,7 @@ pub(crate) fn handle_request(
         Request::Publish => Response::Published(
             shared
                 .feed
-                .publish_with_traced(|| shared.backend.snapshot(), trace),
+                .publish_with(|| shared.backend.snapshot(), trace),
         ),
         Request::Subscribe => Response::FeedInfo(shared.feed.info()),
         Request::PullDiff { from } => {
@@ -720,7 +711,7 @@ pub(crate) fn handle_request(
             shared.metrics.reset_all();
             Response::MetricsReset
         }
-        Request::TraceDump => match shared.trace.flight() {
+        Request::TraceDump => match shared.metrics.probe.flight() {
             Some(flight) => Response::TraceDump {
                 node: flight.node().to_string(),
                 spans: flight.dump(),

@@ -2,7 +2,9 @@
 //! scrapes over the wire must equal the in-process
 //! [`ServerHandle::gauges`] snapshot field-for-field (no drift between
 //! the two read paths), and a `Metrics` scrape after real traffic must
-//! return per-stage, per-tag histograms.
+//! return per-stage, per-tag histograms — every row naming the request
+//! behind its worst sample, and, under tracing, each row's sample being
+//! the very measurement the trace's span holds.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,8 +12,8 @@ use std::time::{Duration, Instant};
 use pathcopy_concurrent::BatchOp;
 use pathcopy_metrics::Stage;
 use pathcopy_server::{
-    backend, render_text, spawn, Client, MetricsSource, ServerConfig, ServerGauges, ServerHandle,
-    StageSummary,
+    backend, render_text, spawn, Client, Flight, MetricsSource, Request, ServerConfig,
+    ServerGauges, ServerHandle, StageSummary, TraceContext,
 };
 
 fn server_with(metrics: bool) -> ServerHandle {
@@ -127,6 +129,67 @@ fn metrics_scrape_returns_per_stage_per_tag_histograms() {
     assert!(text.contains("# TYPE pathcopy_queue_wait_ns summary"));
     assert!(text.contains("pathcopy_execute_ns{tag=\"Get\",quantile=\"0.99\"}"));
     assert!(text.contains("pathcopy_write_flush_ns_count{tag=\"Batch\"}"));
+    server.shutdown();
+}
+
+#[test]
+fn every_event_loop_row_names_the_request_behind_its_max() {
+    let server = server_with(true);
+    let mut c = Client::connect(server.addr()).unwrap();
+    known_op_sequence(&mut c);
+    let rows = c.metrics().unwrap();
+    for stage in [Stage::QueueWait, Stage::Execute, Stage::WriteFlush] {
+        let of_stage: Vec<_> = rows.iter().filter(|r| r.stage == stage as u8).collect();
+        assert!(!of_stage.is_empty(), "{stage:?}: {rows:?}");
+        for row in of_stage {
+            assert_ne!(row.exemplar_id, 0, "{stage:?} exemplar: {row:?}");
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn the_span_is_the_sample() {
+    // Metrics and a flight both on: one probe laps one clock per stage
+    // boundary, so a stage's histogram sample and its span are the same
+    // number, not two measurements of the same interval.
+    let server = spawn(
+        backend::by_name("sharded_map_8").expect("backend"),
+        ServerConfig::builder()
+            .trace(Flight::new("primary"))
+            .build(),
+    )
+    .expect("bind ephemeral port");
+    let mut c = Client::connect(server.addr()).unwrap();
+    c.insert(1, 10).unwrap();
+    c.reset_metrics().unwrap();
+    let ctx = TraceContext::sampled(0x5a3e);
+    let epoch = c.publish_traced(&ctx).unwrap();
+
+    let rows = c.metrics().unwrap();
+    let (node, spans) = c.trace_dump().unwrap();
+    assert_eq!(node, "primary");
+    let publish = Request::Publish.tag_byte();
+    for stage in [Stage::QueueWait, Stage::Execute, Stage::WriteFlush] {
+        let row = rows
+            .iter()
+            .find(|r| r.stage == stage as u8 && r.tag == publish)
+            .unwrap_or_else(|| panic!("{stage:?} row for Publish: {rows:?}"));
+        let span = spans
+            .iter()
+            .find(|s| s.trace_id == ctx.trace_id && s.kind == stage as u8)
+            .unwrap_or_else(|| panic!("{stage:?} span: {spans:?}"));
+        assert_eq!(row.count, 1, "{stage:?}: one Publish since the reset");
+        assert_eq!(row.max, span.dur_ns, "{stage:?}: the span is the sample");
+        assert_ne!(row.exemplar_id, 0, "{stage:?}: exemplar names the request");
+        assert_eq!(row.exemplar_trace, ctx.trace_id, "{stage:?}");
+        assert_eq!(span.tag, publish);
+    }
+    let execute = spans
+        .iter()
+        .find(|s| s.kind == Stage::Execute as u8)
+        .unwrap();
+    assert_eq!(execute.epoch, epoch, "the execute span names its epoch");
     server.shutdown();
 }
 

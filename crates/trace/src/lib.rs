@@ -13,9 +13,18 @@
 //! lock-free fixed-size ring buffer (per-slot seqlock, no allocation on
 //! the hot path) with **slow-request capture** — a request whose total
 //! exceeds the configured threshold gets its span chain pinned past
-//! ring eviction ([`Flight::pin`]). The same zero-cost discipline as
-//! the metrics `Recorder` applies: [`TraceRecorder::Disabled`] (and any
-//! request without a context) costs a branch, no clock read, no atomic.
+//! ring eviction ([`Flight::pin`]).
+//!
+//! Hot paths never touch a [`Flight`] (or a histogram) directly: they
+//! hold a [`Probe`], the stack's **one instrumentation spine**. A probe
+//! owns the per-(stage, tag) latency histograms *and* the optional
+//! flight, reads the clock once per stage boundary, and feeds that one
+//! reading to both — so the exemplar a `Metrics` scrape names and the
+//! span a `TraceDump` holds are the same measurement. With histograms
+//! off and no flight attached (or no context on the request) a probe
+//! costs branches: no clock read, no atomic write — the
+//! `trace_overhead` bench in `pathcopy-bench` pins that against a bare
+//! loop.
 //!
 //! Span *kinds* reuse the wire discriminants of
 //! [`pathcopy_metrics::Stage`], so a span's `kind` byte and a metrics
@@ -28,11 +37,18 @@
 #![warn(rust_2018_idioms)]
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use pathcopy_metrics::Stage;
+use pathcopy_metrics::{HistogramSnapshot, LatencyHistogram, Stage};
+
+/// Saturating nanoseconds from `from` to `to` (`0` if `to` is earlier).
+fn ns_between(from: Instant, to: Instant) -> u64 {
+    to.saturating_duration_since(from)
+        .as_nanos()
+        .min(u128::from(u64::MAX)) as u64
+}
 
 /// The compact per-request context carried in the wire envelope:
 /// everything a downstream node needs to attach its spans to the same
@@ -153,7 +169,7 @@ impl SpanRecord {
         }
     }
 
-    /// Human name of the span's stage (`"stage<N>"` for unknown bytes).
+    /// Human name of the span's stage (`"?"` for unknown bytes).
     #[must_use]
     pub fn kind_name(&self) -> &'static str {
         Stage::from_u8(self.kind).map_or("?", |s| s.as_str())
@@ -253,9 +269,7 @@ impl Flight {
     /// the recorder's span timebase).
     #[must_use]
     pub fn ns_since_origin(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.origin)
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64
+        ns_between(self.origin, t)
     }
 
     /// Allocates a fresh span id (node-unique, starts at 1).
@@ -284,52 +298,6 @@ impl Flight {
             cell.store(word, Ordering::Relaxed);
         }
         slot.seq.store((seq | 1) + 1, Ordering::Release);
-    }
-
-    /// Records a stage interval `start..end` for `ctx`, allocating the
-    /// span id; returns the id so callers can parent downstream spans.
-    pub fn span(
-        &self,
-        ctx: &TraceContext,
-        kind: Stage,
-        tag: u8,
-        epoch: u64,
-        start: Instant,
-        end: Instant,
-    ) -> u64 {
-        let id = self.next_span_id();
-        self.span_with_id(id, ctx, kind, tag, epoch, start, end);
-        id
-    }
-
-    /// Like [`span`](Self::span) with a pre-allocated id — for callers
-    /// that must hand the id to a downstream context *before* the span
-    /// interval closes.
-    #[allow(clippy::too_many_arguments)]
-    pub fn span_with_id(
-        &self,
-        span_id: u64,
-        ctx: &TraceContext,
-        kind: Stage,
-        tag: u8,
-        epoch: u64,
-        start: Instant,
-        end: Instant,
-    ) {
-        self.record(&SpanRecord {
-            trace_id: ctx.trace_id,
-            span_id,
-            parent_span: ctx.parent_span,
-            kind: kind as u8,
-            tag,
-            flags: ctx.flags,
-            epoch,
-            start_ns: self.ns_since_origin(start),
-            dur_ns: end
-                .saturating_duration_since(start)
-                .as_nanos()
-                .min(u128::from(u64::MAX)) as u64,
-        });
     }
 
     /// Pins every ring span of `trace_id` into the survive-eviction
@@ -419,70 +387,220 @@ impl std::fmt::Debug for Flight {
     }
 }
 
-/// The hot-path facade, mirroring the metrics `Recorder` discipline:
-/// [`Disabled`](Self::Disabled) (or an absent context) short-circuits
-/// before any clock read or atomic — the per-request cost of a
-/// non-traced request is one branch, proven by the `trace_overhead`
-/// bench.
-#[derive(Debug, Clone, Default)]
-pub enum TraceRecorder {
-    /// Tracing off: every call is a branch-only no-op.
-    #[default]
-    Disabled,
-    /// Tracing on: spans land in the shared [`Flight`].
-    Enabled(Arc<Flight>),
+/// The instrumentation spine: per-(stage, tag) latency histograms and
+/// an optional [`Flight`], behind **one** clock.
+///
+/// A stage boundary is one [`lap`](Self::lap): a single `Instant::now()`
+/// whose distance to the previous boundary becomes both the histogram
+/// sample (with the request and trace id as exemplar attribution) and,
+/// when a flight is attached and the request carries a context, the
+/// span — the two can never disagree. [`begin`](Self::begin) reads the
+/// clock only if one of the two will record, so a probe with
+/// histograms off and no flight (or an untraced request) costs
+/// branches: no clock read, no atomic write.
+///
+/// The flight is set-once ([`attach_flight`](Self::attach_flight)), so
+/// the hot path reads it without a lock.
+#[derive(Debug)]
+pub struct Probe {
+    stages: Vec<Stage>,
+    tag_slots: usize,
+    /// `stages.len() * tag_slots` histograms, stage-major; empty when
+    /// histograms are off.
+    hists: Box<[LatencyHistogram]>,
+    flight: OnceLock<Arc<Flight>>,
 }
 
-impl TraceRecorder {
-    /// A live recorder over `flight`.
+impl Probe {
+    /// A probe timing `stages`, each with `tag_slots` (min 1)
+    /// histograms: slot `t` holds request tag `t`, and tags at or past
+    /// `tag_slots` fold into slot `0`. With `histograms` false nothing
+    /// is allocated and only spans (once a flight is attached) record.
     #[must_use]
-    pub fn enabled(flight: Arc<Flight>) -> Self {
-        TraceRecorder::Enabled(flight)
-    }
-
-    /// True when spans are being recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        matches!(self, TraceRecorder::Enabled(_))
-    }
-
-    /// The underlying recorder, when enabled.
-    #[must_use]
-    pub fn flight(&self) -> Option<&Arc<Flight>> {
-        match self {
-            TraceRecorder::Disabled => None,
-            TraceRecorder::Enabled(f) => Some(f),
+    pub fn new(stages: &[Stage], tag_slots: usize, histograms: bool) -> Self {
+        let tag_slots = tag_slots.max(1);
+        let hists = if histograms {
+            stages.len() * tag_slots
+        } else {
+            0
+        };
+        Probe {
+            stages: stages.to_vec(),
+            tag_slots,
+            hists: (0..hists).map(|_| LatencyHistogram::new()).collect(),
+            flight: OnceLock::new(),
         }
     }
 
-    /// Reads the clock only when this request will actually record
-    /// spans (recorder enabled *and* a context present) — the
-    /// stage-boundary entry point.
+    /// Attaches the node's flight recorder. One shot: a second call is
+    /// ignored.
+    pub fn attach_flight(&self, flight: Arc<Flight>) {
+        let _ = self.flight.set(flight);
+    }
+
+    /// The attached flight recorder, if any.
+    #[must_use]
+    pub fn flight(&self) -> Option<&Arc<Flight>> {
+        self.flight.get()
+    }
+
+    fn hist(&self, stage: Stage, tag: u8) -> Option<&LatencyHistogram> {
+        if self.hists.is_empty() {
+            return None;
+        }
+        let row = self.stages.iter().position(|s| *s == stage)?;
+        let tag = usize::from(tag);
+        let slot = if tag < self.tag_slots { tag } else { 0 };
+        Some(&self.hists[row * self.tag_slots + slot])
+    }
+
+    /// Where a span for `ctx` would land: both a context and a flight.
+    fn span_sink<'a>(
+        &'a self,
+        ctx: Option<&'a TraceContext>,
+    ) -> Option<(&'a Flight, &'a TraceContext)> {
+        let ctx = ctx?;
+        Some((self.flight.get()?, ctx))
+    }
+
+    /// Opens a request's stage chain. Reads the clock only if a lap will
+    /// record something: histograms are on, or a flight is attached
+    /// *and* the request carries a context.
     #[inline]
     #[must_use]
     pub fn begin(&self, ctx: Option<&TraceContext>) -> Option<Instant> {
-        match self {
-            TraceRecorder::Disabled => None,
-            TraceRecorder::Enabled(_) => ctx.map(|_| Instant::now()),
+        (!self.hists.is_empty() || self.span_sink(ctx).is_some()).then(Instant::now)
+    }
+
+    /// Reserves the id of a span that is still open and returns the
+    /// context to hand downstream, so stages the open span triggers
+    /// parent under it before it closes; close it with
+    /// [`lap_as`](Self::lap_as). `None` when no span would be cut.
+    #[must_use]
+    pub fn child(&self, ctx: Option<&TraceContext>) -> Option<TraceContext> {
+        self.span_sink(ctx)
+            .map(|(flight, ctx)| ctx.child(flight.next_span_id()))
+    }
+
+    /// Closes the stage that started at `t0`: takes **one** clock
+    /// reading and feeds the elapsed nanoseconds to the (stage, tag)
+    /// histogram — attributed to `request_id` and the trace — and, for a
+    /// traced request, to a span about `epoch`. Returns the reading as
+    /// the next stage's start; branch-only when `t0` is `None`.
+    #[inline]
+    pub fn lap(
+        &self,
+        stage: Stage,
+        tag: u8,
+        request_id: u64,
+        ctx: Option<&TraceContext>,
+        epoch: u64,
+        t0: Option<Instant>,
+    ) -> Option<Instant> {
+        self.lap_as(None, stage, tag, request_id, ctx, epoch, t0)
+    }
+
+    /// [`lap`](Self::lap) for a span whose id was reserved with
+    /// [`child`](Self::child): pass that child context as `reserved`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn lap_as(
+        &self,
+        reserved: Option<&TraceContext>,
+        stage: Stage,
+        tag: u8,
+        request_id: u64,
+        ctx: Option<&TraceContext>,
+        epoch: u64,
+        t0: Option<Instant>,
+    ) -> Option<Instant> {
+        // Only this branch is inlined into the caller; the recording
+        // half stays out of line so the disabled path is just the test.
+        t0.map(|t0| self.close(reserved, stage, tag, request_id, ctx, epoch, t0))
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn close(
+        &self,
+        reserved: Option<&TraceContext>,
+        stage: Stage,
+        tag: u8,
+        request_id: u64,
+        ctx: Option<&TraceContext>,
+        epoch: u64,
+        t0: Instant,
+    ) -> Instant {
+        let now = Instant::now();
+        let dur_ns = ns_between(t0, now);
+        self.record(stage, tag, dur_ns, request_id, ctx);
+        if let Some((flight, ctx)) = self.span_sink(ctx) {
+            flight.record(&SpanRecord {
+                trace_id: ctx.trace_id,
+                span_id: reserved.map_or_else(|| flight.next_span_id(), |c| c.parent_span),
+                parent_span: ctx.parent_span,
+                kind: stage as u8,
+                tag,
+                flags: ctx.flags,
+                epoch,
+                start_ns: flight.ns_since_origin(t0),
+                dur_ns,
+            });
+        }
+        now
+    }
+
+    /// Records a raw (stage, tag) sample that is not a timed interval —
+    /// an epoch gap, say — with the same exemplar attribution.
+    #[inline]
+    pub fn record(
+        &self,
+        stage: Stage,
+        tag: u8,
+        value: u64,
+        request_id: u64,
+        ctx: Option<&TraceContext>,
+    ) {
+        if let Some(hist) = self.hist(stage, tag) {
+            hist.record_tagged(value, request_id, ctx.map_or(0, |c| c.trace_id));
         }
     }
 
-    /// Closes a stage span started at `start`; branch-only when
-    /// disabled or untraced. Returns the span id for parenting.
-    #[inline]
-    pub fn span(
-        &self,
-        ctx: Option<&TraceContext>,
-        kind: Stage,
-        tag: u8,
-        epoch: u64,
-        start: Option<Instant>,
-    ) -> Option<u64> {
-        match (self, ctx, start) {
-            (TraceRecorder::Enabled(f), Some(ctx), Some(t0)) => {
-                Some(f.span(ctx, kind, tag, epoch, t0, Instant::now()))
+    /// Applies the slow-capture policy ([`Flight::maybe_pin`]) to a
+    /// traced request that took `from..to` on this node.
+    pub fn pin_slow(&self, ctx: Option<&TraceContext>, from: Option<Instant>, to: Option<Instant>) {
+        if let (Some((flight, ctx)), Some(from), Some(to)) = (self.span_sink(ctx), from, to) {
+            flight.maybe_pin(ctx, ns_between(from, to));
+        }
+    }
+
+    /// Snapshot of one (stage, tag) histogram; empty when histograms
+    /// are off or the probe does not time `stage`.
+    #[must_use]
+    pub fn snapshot(&self, stage: Stage, tag: u8) -> HistogramSnapshot {
+        self.hist(stage, tag)
+            .map_or_else(HistogramSnapshot::empty, LatencyHistogram::snapshot)
+    }
+
+    /// Every non-empty histogram as `(stage, tag, snapshot)`, in
+    /// (declared stage, tag) order.
+    #[must_use]
+    pub fn snapshots(&self) -> Vec<(Stage, u8, HistogramSnapshot)> {
+        let mut out = Vec::new();
+        for (i, hist) in self.hists.iter().enumerate() {
+            let snap = hist.snapshot();
+            if !snap.is_empty() {
+                let stage = self.stages[i / self.tag_slots];
+                out.push((stage, (i % self.tag_slots) as u8, snap));
             }
-            _ => None,
+        }
+        out
+    }
+
+    /// Zeroes every histogram. Not atomic with respect to concurrent
+    /// laps; spans are untouched.
+    pub fn reset(&self) {
+        for hist in self.hists.iter() {
+            hist.reset();
         }
     }
 }
@@ -651,37 +769,109 @@ mod tests {
     }
 
     #[test]
-    fn span_records_interval_and_parents() {
-        let f = Flight::with_capacity("n", 8);
+    fn lap_records_interval_and_parents() {
+        let probe = Probe::new(&[], 1, false);
+        probe.attach_flight(Flight::with_capacity("n", 8));
         let ctx = TraceContext::sampled(9).child(77);
-        let t0 = Instant::now();
-        let id = f.span(&ctx, Stage::QueueWait, 3, 12, t0, Instant::now());
-        let dump = f.dump();
+        let t0 = probe.begin(Some(&ctx));
+        assert!(probe
+            .lap(Stage::QueueWait, 3, 0, Some(&ctx), 12, t0)
+            .is_some());
+        let dump = probe.flight().unwrap().dump();
         assert_eq!(dump.len(), 1);
-        assert_eq!(dump[0].span_id, id);
+        assert_ne!(dump[0].span_id, 0);
         assert_eq!(dump[0].parent_span, 77);
-        assert_eq!(dump[0].kind, Stage::QueueWait as u8);
+        assert_eq!((dump[0].kind, dump[0].tag), (Stage::QueueWait as u8, 3));
         assert_eq!(dump[0].epoch, 12);
     }
 
     #[test]
-    fn disabled_recorder_is_branch_only() {
-        let r = TraceRecorder::Disabled;
-        assert!(!r.is_enabled());
-        assert!(r.begin(Some(&TraceContext::sampled(1))).is_none());
-        assert!(r
-            .span(
-                Some(&TraceContext::sampled(1)),
-                Stage::Execute,
-                1,
-                0,
-                Some(Instant::now())
-            )
-            .is_none());
-        // Enabled recorder without a context also short-circuits.
-        let r = TraceRecorder::enabled(Flight::new("n"));
-        assert!(r.begin(None).is_none());
-        assert!(r.flight().unwrap().dump().is_empty());
+    fn reserved_child_parents_under_the_still_open_span() {
+        let probe = Probe::new(&[], 1, false);
+        assert!(probe.child(Some(&TraceContext::sampled(1))).is_none());
+        probe.attach_flight(Flight::with_capacity("n", 8));
+        assert!(probe.child(None).is_none(), "untraced: nothing to reserve");
+        let ctx = TraceContext::sampled(1).child(5);
+        let child = probe.child(Some(&ctx)).expect("flight and context");
+        assert_eq!((child.trace_id, child.flags), (ctx.trace_id, ctx.flags));
+        let t0 = probe.begin(Some(&ctx));
+        probe.lap_as(Some(&child), Stage::Execute, 1, 0, Some(&ctx), 0, t0);
+        let dump = probe.flight().unwrap().dump();
+        assert_eq!(dump[0].span_id, child.parent_span);
+        assert_eq!(dump[0].parent_span, 5);
+    }
+
+    #[test]
+    fn disabled_probe_never_reads_the_clock() {
+        let ctx = TraceContext::sampled(1);
+        // Histograms off, no flight: branch-only even with a context.
+        let off = Probe::new(&[Stage::Execute], 4, false);
+        assert!(off.begin(Some(&ctx)).is_none());
+        assert!(off.lap(Stage::Execute, 1, 7, Some(&ctx), 0, None).is_none());
+        off.record(Stage::Execute, 1, 42, 7, Some(&ctx));
+        off.pin_slow(Some(&ctx), None, None);
+        assert!(off.snapshot(Stage::Execute, 1).is_empty());
+        assert!(off.snapshots().is_empty());
+        assert!(off.flight().is_none());
+        // A live flight serving a request without a context also
+        // short-circuits.
+        off.attach_flight(Flight::new("n"));
+        assert!(off.begin(None).is_none());
+        assert!(off.begin(Some(&ctx)).is_some());
+        assert!(off.flight().unwrap().dump().is_empty());
+    }
+
+    #[test]
+    fn histogram_only_probe_records_laps_per_stage_and_tag() {
+        let probe = Probe::new(&[Stage::QueueWait, Stage::Execute], 4, true);
+        let t0 = probe.begin(None);
+        assert!(t0.is_some(), "histograms on: the clock is read");
+        let t1 = probe.lap(Stage::QueueWait, 1, 10, None, 0, t0);
+        let t2 = probe.lap(Stage::Execute, 1, 10, None, 0, t1);
+        assert!(t2.is_some());
+        probe.record(Stage::Execute, 200, 5, 0, None); // folds into slot 0
+        probe.record(Stage::WriteFlush, 1, 5, 0, None); // not timed here
+        let rows: Vec<(Stage, u8, u64)> = probe
+            .snapshots()
+            .into_iter()
+            .map(|(stage, tag, snap)| (stage, tag, snap.count()))
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                (Stage::QueueWait, 1, 1),
+                (Stage::Execute, 0, 1),
+                (Stage::Execute, 1, 1)
+            ]
+        );
+        assert_eq!(
+            probe.snapshot(Stage::Execute, 1).exemplar().map(|e| e.1),
+            Some(10)
+        );
+        probe.reset();
+        assert!(probe.snapshots().is_empty());
+    }
+
+    #[test]
+    fn the_span_is_the_sample() {
+        let probe = Probe::new(&[Stage::Execute], 2, true);
+        probe.attach_flight(Flight::with_capacity("n", 8));
+        probe.attach_flight(Flight::new("ignored")); // set-once
+        assert_eq!(probe.flight().unwrap().node(), "n");
+        let ctx = TraceContext::sampled(0xabc);
+        let t0 = probe.begin(Some(&ctx));
+        let t1 = probe.lap(Stage::Execute, 1, 41, Some(&ctx), 3, t0);
+        let dump = probe.flight().unwrap().dump();
+        let snap = probe.snapshot(Stage::Execute, 1);
+        assert_eq!(dump.len(), 1);
+        assert_eq!(snap.max(), dump[0].dur_ns, "one clock reading feeds both");
+        assert_eq!(snap.exemplar(), Some((dump[0].dur_ns, 41, 0xabc)));
+        // Force-flagged contexts pin through the probe.
+        let mut slow = ctx;
+        slow.flags |= TraceContext::SLOW;
+        probe.pin_slow(Some(&slow), t0, t1);
+        probe.flight().unwrap().clear_ring_for_test();
+        assert_eq!(probe.flight().unwrap().dump().len(), 1, "pinned");
     }
 
     #[test]

@@ -32,8 +32,8 @@ use pathcopy_server::{backend, render_text, Client, ServerConfig};
 const OPS: i64 = 2_000;
 
 fn main() {
-    // Metrics are on by default; `.metrics(false)` turns every recorder
-    // into a no-op for latency-critical deployments.
+    // Metrics are on by default; `.metrics(false)` makes every stage
+    // lap a branch-only no-op for latency-critical deployments.
     let server = pathcopy_server::spawn(
         backend::by_name("sharded_map_8").expect("backend"),
         ServerConfig::default(),
