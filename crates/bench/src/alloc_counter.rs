@@ -82,8 +82,19 @@ mod tests {
     // binaries; in unit tests these functions exercise the counter
     // plumbing, not live interception.
 
+    /// Both tests write the process-wide counters, and the harness runs
+    /// them on parallel threads: without taking turns, one test's
+    /// `reset` lands between the other's increment and its assertion
+    /// (about one full-suite run in fifteen).
+    fn take_turns() -> std::sync::MutexGuard<'static, ()> {
+        static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        TURN.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn counters_move_and_reset() {
+        let _turn = take_turns();
         reset();
         ALLOCATIONS.fetch_add(3, Relaxed);
         ALLOCATED_BYTES.fetch_add(100, Relaxed);
@@ -97,6 +108,7 @@ mod tests {
 
     #[test]
     fn counting_reports_delta() {
+        let _turn = take_turns();
         reset();
         let (value, allocs) = counting(|| {
             ALLOCATIONS.fetch_add(5, Relaxed);

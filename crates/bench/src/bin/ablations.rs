@@ -13,8 +13,9 @@
 //!   policies (the paper retries immediately).
 //! * `structures` — the same UC over treap vs external BST.
 //! * `locks`      — lock-free UC vs global-mutex vs RwLock baselines.
-//! * `alloc-rate` — allocations per operation, successful and failed
-//!   attempts included (the Appendix-B allocator-pressure story).
+//! * `alloc-rate` — pool nodes and global allocations per operation,
+//!   successful and failed attempts included (the Appendix-B
+//!   allocator-pressure story).
 
 use std::num::NonZeroU32;
 use std::time::Duration;
@@ -25,7 +26,7 @@ use pathcopy_bench::harness::{run_paper_table, StructureKind, TableConfig};
 use pathcopy_bench::measure::run_concurrent;
 use pathcopy_bench::sets::{prefill_treap, ConcurrentSet};
 use pathcopy_concurrent::TreapSet;
-use pathcopy_core::{BackoffPolicy, PathCopyUc, Update};
+use pathcopy_core::{pool, BackoffPolicy, PathCopyUc, Update};
 use pathcopy_workloads::{BatchWorkload, RandomWorkload};
 
 #[global_allocator]
@@ -210,7 +211,10 @@ fn ablate_locks(cfg: &TableConfig) {
 
 /// Allocations per operation under contention: every failed attempt
 /// allocates a full path copy that becomes garbage — the paper's
-/// suggested Appendix-B bottleneck.
+/// suggested Appendix-B bottleneck. Treap nodes come from
+/// `pathcopy_core::pool`, not the global allocator, so Appendix B's
+/// quantity is the pool's nodes per op; the global count beside it is
+/// what is left (the version `Arc` and the deferred drop).
 fn ablate_alloc_rate(cfg: &TableConfig, threads: usize) {
     println!("== ablation: allocation pressure (Batch workload) ==");
     let workload =
@@ -223,12 +227,16 @@ fn ablate_alloc_rate(cfg: &TableConfig, threads: usize) {
         let mut streams = workload.streams();
         streams.truncate(p);
         alloc_counter::reset();
+        let nodes_before = pool::stats().blocks_handed_out;
         let ops = run_concurrent(&set, streams, cfg.trial);
         let allocs = alloc_counter::allocations();
+        let nodes = pool::stats().blocks_handed_out - nodes_before;
         let stats = set.stats().snapshot();
         println!(
-            "  p={p}: {ops} ops, {allocs} allocations ({:.1} allocs/op), \
+            "  p={p}: {ops} ops, {nodes} nodes from the pool ({:.1} nodes/op), \
+             {allocs} global allocations ({:.1} allocs/op), \
              {:.2} attempts/op, {:.1}% first-try",
+            nodes as f64 / ops.max(1) as f64,
             allocs as f64 / ops.max(1) as f64,
             stats.mean_attempts(),
             100.0 * stats.first_try_rate()

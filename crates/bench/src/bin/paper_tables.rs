@@ -21,6 +21,7 @@ use std::time::Duration;
 use pathcopy_bench::alloc_counter;
 use pathcopy_bench::cli::Args;
 use pathcopy_bench::harness::{machine_profile, run_paper_table, StructureKind, TableConfig};
+use pathcopy_core::pool;
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
@@ -83,6 +84,7 @@ fn main() {
             backoff: pathcopy_core::BackoffPolicy::None,
         };
         alloc_counter::reset();
+        let nodes_before = pool::stats().blocks_handed_out;
         let table = run_paper_table(&cfg);
         println!();
         if csv {
@@ -90,8 +92,12 @@ fn main() {
         } else {
             print!("{}", table.render());
         }
+        // Appendix B's quantity is nodes allocated; treap nodes come from
+        // the pool, so the global allocator's count alone would read ~0.
         println!(
-            "# allocation pressure during this table: {} allocations, {} MiB\n",
+            "# allocation pressure during this table: {} nodes from the pool, \
+             {} global allocations, {} MiB\n",
+            pool::stats().blocks_handed_out - nodes_before,
             table_allocs(),
             alloc_counter::allocated_bytes() / (1024 * 1024)
         );

@@ -24,6 +24,8 @@
 //!
 //! * [`version`] — `VersionCell<T>`: epoch-protected atomic `Arc` cell.
 //! * [`uc`] — `PathCopyUc<S>`: the retrying load/copy/CAS loop.
+//! * [`pool`] — `PoolArc<T>`: node memory. One node per cache line from
+//!   per-thread magazines, so the loop above never calls `malloc`.
 //! * [`lock_uc`] — `MutexUc`, `RwLockUc`, `SeqUc` baselines.
 //! * [`backoff`] — retry backoff policies (ablation; the paper uses none).
 //! * [`stats`] — attempt/retry counters used to validate the model.
@@ -36,6 +38,7 @@
 pub mod api;
 pub mod backoff;
 pub mod lock_uc;
+pub mod pool;
 pub mod stats;
 pub mod uc;
 pub mod version;
@@ -45,6 +48,7 @@ pub use api::{
 };
 pub use backoff::{Backoff, BackoffPolicy};
 pub use lock_uc::{MutexUc, RwLockUc, SeqUc};
+pub use pool::{PoolArc, PoolStats};
 pub use stats::{
     ByteCounters, ByteCountersSnapshot, IoCounters, IoCountersSnapshot, StatsSnapshot, UcStats,
 };

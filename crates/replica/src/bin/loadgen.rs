@@ -204,6 +204,9 @@ fn main() {
         }
         c.stats().expect("stats after prefill")
     };
+    // The server runs in this process, so its node pool is this one;
+    // like the engine counters, the traffic's share is a delta.
+    let prefill_pool = pathcopy_core::pool::stats();
 
     // The replication tier: bootstrapped replicas serving on their own
     // ports, kept fresh by per-replica sync threads while a publisher
@@ -575,14 +578,20 @@ fn main() {
         ]],
     };
     print!("{}", table.render());
+    let final_pool = pathcopy_core::pool::stats();
     println!(
-        "engine: ops={} attempts={} cas_failures={} frozen_installs={} freeze_retries={} len={}",
+        "engine: ops={} attempts={} cas_failures={} frozen_installs={} freeze_retries={} len={} \
+         pool_nodes={} pool_exchanges={} pool_slabs={} pool_depot_blocks={}",
         final_stats.ops - prefill_stats.ops,
         final_stats.attempts - prefill_stats.attempts,
         final_stats.cas_failures - prefill_stats.cas_failures,
         final_stats.frozen_installs - prefill_stats.frozen_installs,
         final_stats.freeze_retries - prefill_stats.freeze_retries,
         final_stats.len,
+        final_pool.blocks_handed_out - prefill_pool.blocks_handed_out,
+        final_pool.depot_exchanges - prefill_pool.depot_exchanges,
+        final_pool.slabs_carved,
+        final_pool.depot_blocks,
     );
     for (i, node) in synced_nodes.iter().enumerate() {
         let s = node.replica.stats();

@@ -9,8 +9,9 @@
 //!   path that it has not already loaded (and therefore has not cached)
 //!   is small — in expectation ≤ 2: [`uncached_on_retry`].
 //!
-//! Node identity is the `Arc` allocation address; two versions share a
-//! node exactly when the addresses match.
+//! Node identity is the node's allocation address (`Arc` or `PoolArc`
+//! alike); two versions that are both alive share a node exactly when
+//! the addresses match.
 
 use std::collections::HashSet;
 
@@ -99,7 +100,7 @@ pub fn node_count<T: SearchTree>(tree: &T) -> usize {
 // --- implementations for the crate's trees ------------------------------
 
 use crate::treap::{TreapMap, TreapSet};
-use std::sync::Arc;
+use pathcopy_core::pool::PoolArc;
 
 impl<K: Ord, V> SearchTree for TreapMap<K, V> {
     type Key = K;
@@ -107,7 +108,7 @@ impl<K: Ord, V> SearchTree for TreapMap<K, V> {
     fn visit_path(&self, key: &K, visit: &mut dyn FnMut(usize)) {
         let mut cur = self.root();
         while let Some(n) = cur {
-            visit(Arc::as_ptr(n) as usize);
+            visit(PoolArc::as_ptr(n) as usize);
             match key.cmp(n.key()) {
                 std::cmp::Ordering::Less => cur = n.left(),
                 std::cmp::Ordering::Equal => return,
@@ -117,9 +118,12 @@ impl<K: Ord, V> SearchTree for TreapMap<K, V> {
     }
 
     fn visit_all(&self, visit: &mut dyn FnMut(usize)) {
-        fn walk<K, V>(node: Option<&Arc<crate::treap::Node<K, V>>>, visit: &mut dyn FnMut(usize)) {
+        fn walk<K, V>(
+            node: Option<&PoolArc<crate::treap::Node<K, V>>>,
+            visit: &mut dyn FnMut(usize),
+        ) {
             if let Some(n) = node {
-                visit(Arc::as_ptr(n) as usize);
+                visit(PoolArc::as_ptr(n) as usize);
                 walk(n.left(), visit);
                 walk(n.right(), visit);
             }

@@ -23,9 +23,9 @@ use std::fmt;
 use std::hash::Hash;
 use std::ops::Bound;
 use std::ops::RangeBounds;
-use std::sync::Arc;
 
 use pathcopy_core::api::DiffEntry;
+use pathcopy_core::pool::PoolArc;
 
 use crate::hash::priority_of;
 
@@ -41,7 +41,15 @@ pub struct Node<K, V> {
     right: Link<K, V>,
 }
 
-pub(crate) type Link<K, V> = Option<Arc<Node<K, V>>>;
+pub(crate) type Link<K, V> = Option<PoolArc<Node<K, V>>>;
+
+// One node, one cache line: the reference count plus a word-keyed node is
+// 56 bytes, so the pool serves it from its 64-byte, 64-aligned class. A
+// field added to `Node` that breaks this doubles every update's memory
+// traffic, so it fails the build rather than a benchmark.
+const _: () = assert!(
+    PoolArc::<Node<i64, i64>>::BLOCK_BYTES == 64 && PoolArc::<Node<i64, i64>>::BLOCK_ALIGN == 64
+);
 
 impl<K, V> Node<K, V> {
     /// The node's key.
@@ -57,11 +65,11 @@ impl<K, V> Node<K, V> {
         self.priority
     }
     /// Left child, if any.
-    pub fn left(&self) -> Option<&Arc<Node<K, V>>> {
+    pub fn left(&self) -> Option<&PoolArc<Node<K, V>>> {
         self.left.as_ref()
     }
     /// Right child, if any.
-    pub fn right(&self) -> Option<&Arc<Node<K, V>>> {
+    pub fn right(&self) -> Option<&PoolArc<Node<K, V>>> {
         self.right.as_ref()
     }
 }
@@ -78,9 +86,9 @@ fn mk<K, V>(
     priority: u64,
     left: Link<K, V>,
     right: Link<K, V>,
-) -> Arc<Node<K, V>> {
+) -> PoolArc<Node<K, V>> {
     let size = 1 + size_of(&left) + size_of(&right);
-    Arc::new(Node {
+    PoolArc::new(Node {
         key,
         value,
         priority,
@@ -92,7 +100,7 @@ fn mk<K, V>(
 
 /// A persistent ordered map backed by a treap.
 ///
-/// Cloning is O(1) (it clones an `Arc` and a counter); all updates are
+/// Cloning is O(1) (it clones the root's `PoolArc`); all updates are
 /// O(log n) expected time and allocate O(log n) nodes, sharing the rest
 /// with the previous version.
 ///
@@ -148,7 +156,7 @@ impl<K, V> TreapMap<K, V> {
 
     /// The root node, exposed for structural inspection (sharing
     /// measurements, invariant checks).
-    pub fn root(&self) -> Option<&Arc<Node<K, V>>> {
+    pub fn root(&self) -> Option<&PoolArc<Node<K, V>>> {
         self.root.as_ref()
     }
 }
@@ -460,7 +468,7 @@ impl<K: Ord + Clone, V: Clone + PartialEq> TreapMap<K, V> {
             // positioned just before the same run of entries, so the run
             // contributes nothing to the diff.
             while let (Some(a), Some(b)) = (old.top_subtree(), new.top_subtree()) {
-                if Arc::ptr_eq(a, b) {
+                if PoolArc::ptr_eq(a, b) {
                     old.pop();
                     new.pop();
                 } else {
@@ -522,7 +530,7 @@ enum DiffFrame<'a, K, V> {
     /// subtree has already been dispatched).
     Entry(&'a Node<K, V>),
     /// An unexplored subtree, still skippable as a whole.
-    Subtree(&'a Arc<Node<K, V>>),
+    Subtree(&'a PoolArc<Node<K, V>>),
 }
 
 /// In-order walk that exposes its unexplored subtrees, so the diff can
@@ -538,7 +546,7 @@ impl<'a, K, V> DiffWalk<'a, K, V> {
         }
     }
 
-    fn top_subtree(&self) -> Option<&'a Arc<Node<K, V>>> {
+    fn top_subtree(&self) -> Option<&'a PoolArc<Node<K, V>>> {
         match self.frames.last() {
             Some(DiffFrame::Subtree(s)) => Some(s),
             _ => None,
@@ -565,7 +573,7 @@ impl<'a, K, V> DiffWalk<'a, K, V> {
         if let Some(r) = s.right.as_ref() {
             self.frames.push(DiffFrame::Subtree(r));
         }
-        self.frames.push(DiffFrame::Entry(s.as_ref()));
+        self.frames.push(DiffFrame::Entry(s));
         if let Some(l) = s.left.as_ref() {
             self.frames.push(DiffFrame::Subtree(l));
         }
@@ -597,7 +605,7 @@ impl<K: Ord, V: Eq> Eq for TreapMap<K, V> {}
 
 // ---------------------------------------------------------------------------
 // Recursive machinery. Every function here allocates only along the search
-// path: untouched subtrees are shared via `Arc` clones.
+// path: untouched subtrees are shared via `PoolArc` clones.
 // ---------------------------------------------------------------------------
 
 /// Copies a node, replacing its children.
@@ -606,7 +614,7 @@ fn with_children<K: Clone, V: Clone>(
     n: &Node<K, V>,
     left: Link<K, V>,
     right: Link<K, V>,
-) -> Arc<Node<K, V>> {
+) -> PoolArc<Node<K, V>> {
     mk(n.key.clone(), n.value.clone(), n.priority, left, right)
 }
 
@@ -615,7 +623,7 @@ fn insert_rec<K: Ord + Clone, V: Clone>(
     key: K,
     value: V,
     priority: u64,
-) -> (Arc<Node<K, V>>, Option<V>) {
+) -> (PoolArc<Node<K, V>>, Option<V>) {
     match link {
         None => (mk(key, value, priority, None, None), None),
         Some(n) => {
@@ -656,7 +664,7 @@ fn insert_new_rec<K: Ord + Clone, V: Clone>(
     key: K,
     value: V,
     priority: u64,
-) -> Option<Arc<Node<K, V>>> {
+) -> Option<PoolArc<Node<K, V>>> {
     match link {
         None => Some(mk(key, value, priority, None, None)),
         Some(n) => {
@@ -727,7 +735,7 @@ fn merge<K: Ord + Clone, V: Clone>(l: &Link<K, V>, r: &Link<K, V>) -> Link<K, V>
 fn split_rec<K, V, Q>(
     link: &Link<K, V>,
     key: &Q,
-) -> (Link<K, V>, Option<Arc<Node<K, V>>>, Link<K, V>)
+) -> (Link<K, V>, Option<PoolArc<Node<K, V>>>, Link<K, V>)
 where
     K: Ord + Clone + Borrow<Q>,
     V: Clone,
@@ -810,11 +818,11 @@ impl<'a, K, V> Iterator for Iter<'a, K, V> {
 
 /// Owning in-order iterator over a [`TreapMap`] version.
 ///
-/// Holds `Arc` references to the pending subtrees, so it is independent
+/// Holds `PoolArc` references to the pending subtrees, so it is independent
 /// of any borrow of the map — the iterator form of a snapshot handle.
 /// Entries are cloned out of the shared nodes as they are produced.
 pub struct IntoIter<K, V> {
-    stack: Vec<Arc<Node<K, V>>>,
+    stack: Vec<PoolArc<Node<K, V>>>,
 }
 
 impl<K, V> IntoIter<K, V> {
@@ -1227,7 +1235,7 @@ mod tests {
                 out: &mut std::collections::HashSet<*const Node<K, V>>,
             ) {
                 if let Some(n) = l {
-                    out.insert(Arc::as_ptr(n));
+                    out.insert(PoolArc::as_ptr(n));
                     collect(&n.left, out);
                     collect(&n.right, out);
                 }
@@ -1243,7 +1251,7 @@ mod tests {
             match l {
                 None => 0,
                 Some(n) => {
-                    if olds.contains(&Arc::as_ptr(n)) {
+                    if olds.contains(&PoolArc::as_ptr(n)) {
                         0 // entire subtree is shared
                     } else {
                         1 + count_fresh(&n.left, olds) + count_fresh(&n.right, olds)

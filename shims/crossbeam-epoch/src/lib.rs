@@ -8,8 +8,12 @@
 //!   thread is pinned, the record publishes which global epoch it pinned
 //!   in; unpinned threads publish "not pinned".
 //! * Deferred functions accumulate in a thread-local bag. Bags are sealed
-//!   into a global garbage list stamped with the epoch at seal time
-//!   (automatically once a bag grows, or eagerly on [`Guard::flush`]).
+//!   into a global garbage queue stamped with the epoch at seal time
+//!   (automatically once a bag holds a few, or eagerly on
+//!   [`Guard::flush`]). An automatic seal then runs a bounded number of
+//!   the oldest ready bags and leaves the rest queued, so reclamation is
+//!   spread over operations instead of landing on one; `flush` runs
+//!   everything that is ready.
 //! * The global epoch may advance from `E` to `E + 1` only when every
 //!   currently-pinned participant pinned in `E`. Hence active pins always
 //!   span at most `{E - 1, E}`, and garbage stamped `E` is executed only
@@ -23,13 +27,23 @@
 //! memory is never touched before it is provably unreachable.
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Seal a thread-local bag into the global garbage list once it holds
 /// this many deferred functions.
-const BAG_SEAL_THRESHOLD: usize = 64;
+const BAG_SEAL_THRESHOLD: usize = 4;
+
+/// Ready bags one automatic seal executes at most; the rest stay queued
+/// for the next seal (on any thread). Each seal adds one bag and retires
+/// up to this many, so the queue drains whenever it is longer than the
+/// epoch lag, yet no single operation pays for a whole backlog: with the
+/// former threshold of 64 and no cap, one unlucky update ran every
+/// thread's ready garbage — ~1 600 node frees inside one operation, the
+/// 60–90 us p99 over a 5.7 us p50 on the perf ledger's `engine_update`.
+const BAGS_PER_SEAL: usize = 2;
 
 type Deferred = Box<dyn FnOnce() + Send>;
 
@@ -41,8 +55,8 @@ struct Participant {
 struct Global {
     epoch: AtomicU64,
     participants: Mutex<Vec<Arc<Participant>>>,
-    /// Sealed bags: `(seal_epoch, deferred functions)`.
-    garbage: Mutex<Vec<(u64, Vec<Deferred>)>>,
+    /// Sealed bags, oldest first: `(seal_epoch, deferred functions)`.
+    garbage: Mutex<VecDeque<(u64, Vec<Deferred>)>>,
 }
 
 fn global() -> &'static Global {
@@ -50,7 +64,7 @@ fn global() -> &'static Global {
     GLOBAL.get_or_init(|| Global {
         epoch: AtomicU64::new(0),
         participants: Mutex::new(Vec::new()),
-        garbage: Mutex::new(Vec::new()),
+        garbage: Mutex::new(VecDeque::new()),
     })
 }
 
@@ -74,20 +88,25 @@ impl Global {
             .is_ok()
     }
 
-    /// Executes every sealed bag that is at least two epochs old. The
-    /// deferred functions run *outside* the garbage lock so that a drop
-    /// which itself defers cannot deadlock.
-    fn collect(&self) {
+    /// Executes up to `max_bags` of the oldest sealed bags that are at
+    /// least two epochs old. The deferred functions run *outside* the
+    /// garbage lock so that a drop which itself defers cannot deadlock.
+    ///
+    /// Bags are queued in seal order. Two threads can enqueue slightly
+    /// out of epoch order (the stamp is read before the lock is taken);
+    /// stopping at the first bag that is not ready only delays the ones
+    /// behind it, it never runs one early.
+    fn collect(&self, max_bags: usize) {
         let epoch = self.epoch.load(Ordering::SeqCst);
-        let ready: Vec<(u64, Vec<Deferred>)> = {
-            let mut garbage = self.garbage.lock().unwrap_or_else(PoisonError::into_inner);
-            let (ready, keep) = std::mem::take(&mut *garbage)
-                .into_iter()
-                .partition(|(sealed, _)| sealed + 2 <= epoch);
-            *garbage = keep;
-            ready
-        };
-        for (_, bag) in ready {
+        for _ in 0..max_bags {
+            let bag = {
+                let mut garbage = self.garbage.lock().unwrap_or_else(PoisonError::into_inner);
+                match garbage.front() {
+                    Some((sealed, _)) if sealed + 2 <= epoch => garbage.pop_front(),
+                    _ => None,
+                }
+            };
+            let Some((_, bag)) = bag else { return };
             for f in bag {
                 f();
             }
@@ -101,7 +120,7 @@ impl Global {
         self.garbage
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push((sealed_at, bag));
+            .push_back((sealed_at, bag));
     }
 }
 
@@ -131,7 +150,12 @@ impl Local {
 
     /// Moves the open bag into the global garbage list.
     fn seal_bag(&self) {
-        let bag = std::mem::take(&mut *self.bag.borrow_mut());
+        // The replacement is sized for a whole bag, so filling it costs
+        // one allocation rather than one per doubling.
+        let bag = std::mem::replace(
+            &mut *self.bag.borrow_mut(),
+            Vec::with_capacity(BAG_SEAL_THRESHOLD),
+        );
         let epoch = global().epoch.load(Ordering::SeqCst);
         global().seal(epoch, bag);
     }
@@ -211,7 +235,7 @@ impl Guard {
                 local.seal_bag();
                 let g = global();
                 g.try_advance();
-                g.collect();
+                g.collect(BAGS_PER_SEAL);
             }
         });
     }
@@ -222,7 +246,7 @@ impl Guard {
         LOCAL.with(|local| local.seal_bag());
         let g = global();
         g.try_advance();
-        g.collect();
+        g.collect(usize::MAX);
     }
 }
 
@@ -299,11 +323,44 @@ mod tests {
         // advance twice past a live pin.
         for _ in 0..50 {
             global().try_advance();
-            global().collect();
+            global().collect(usize::MAX);
         }
         assert_eq!(FREED.load(Relaxed), 0, "freed under an active pin");
         drop(blocker);
         drain(&FREED, 1);
+    }
+
+    #[test]
+    fn a_capped_collect_runs_the_oldest_ready_bags_and_queues_the_rest() {
+        // A private collector, so other tests' seals cannot drain it.
+        let g = Global {
+            epoch: AtomicU64::new(0),
+            participants: Mutex::new(Vec::new()),
+            garbage: Mutex::new(VecDeque::new()),
+        };
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let bag = |id: u32| -> Vec<Deferred> {
+            let ran = Arc::clone(&ran);
+            vec![Box::new(move || ran.lock().unwrap().push(id))]
+        };
+        for id in 0..5 {
+            g.seal(0, bag(id));
+        }
+        g.seal(1, bag(5));
+        g.collect(BAGS_PER_SEAL);
+        assert!(ran.lock().unwrap().is_empty(), "nothing is two epochs old");
+        g.epoch.store(2, Ordering::SeqCst);
+        g.collect(BAGS_PER_SEAL);
+        assert_eq!(*ran.lock().unwrap(), [0, 1], "oldest first, capped");
+        g.collect(usize::MAX);
+        assert_eq!(
+            *ran.lock().unwrap(),
+            [0, 1, 2, 3, 4],
+            "the bag sealed in epoch 1 waits for epoch 3"
+        );
+        g.epoch.store(3, Ordering::SeqCst);
+        g.collect(BAGS_PER_SEAL);
+        assert_eq!(ran.lock().unwrap().len(), 6);
     }
 
     #[test]

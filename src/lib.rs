@@ -11,10 +11,13 @@
 //! crates for details:
 //!
 //! * [`pathcopy_core`] — `VersionCell` (the `Root_Ptr` register),
-//!   `PathCopyUc` (the retrying load/copy/CAS loop), lock baselines,
-//!   and the unified trait family ([`pathcopy_core::api`]).
-//! * [`pathcopy_trees`] — persistent treap, AVL, red–black tree,
-//!   external BST, list, queue, vector; sharing measurements.
+//!   `PathCopyUc` (the retrying load/copy/CAS loop), `PoolArc` (node
+//!   memory: [`pathcopy_core::pool`]), lock baselines, and the unified
+//!   trait family ([`pathcopy_core::api`]).
+//! * [`pathcopy_trees`] — persistent treap (its nodes are
+//!   `PoolArc<Node>`: one cache line each, from per-thread magazines),
+//!   AVL, red–black tree, external BST, list, queue, vector; sharing
+//!   measurements.
 //! * [`pathcopy_concurrent`] — ready-made lock-free sets/maps/sequences
 //!   and the backend registry.
 //! * [`pathcopy_sim`] — the Appendix-A model: private LRU caches,
@@ -45,7 +48,7 @@
 //!
 //! | Backend | Progress guarantee | Snapshot cost | When to use |
 //! |---|---|---|---|
-//! | [`TreapMap`](prelude::TreapMap) / [`TreapSet`](prelude::TreapSet) | lock-free updates, wait-free reads | O(1) | The paper's construction; the default until a single root CAS saturates. |
+//! | [`TreapMap`](prelude::TreapMap) / [`TreapSet`](prelude::TreapSet) | lock-free updates, wait-free reads | O(1) | The paper's construction; the default until a single root CAS saturates. Nodes are pooled (`PoolArc`), so an update makes ~2 global allocations, not one per copied node. |
 //! | [`ShardedTreapMap`](prelude::ShardedTreapMap) / [`ShardedTreapSet`](prelude::ShardedTreapSet) | lock-free | O(shards), validated double scan | Write-heavy multi-core workloads; atomic cross-shard batches via `transact`. `len()` is weakly consistent — use the snapshot for exact counts. |
 //! | [`ConcurrentExternalBstSet`](prelude::ConcurrentExternalBstSet) | lock-free | O(1) | The Appendix-A model tree (no rotations); reference subject for path-length measurements. |
 //! | [`ConcurrentAvlSet`](prelude::ConcurrentAvlSet), [`ConcurrentRbSet`](prelude::ConcurrentRbSet) | lock-free | O(1) | Alternative balancing disciplines under the same UC. |
