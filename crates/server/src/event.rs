@@ -1,34 +1,46 @@
 //! The readiness-driven server core: one event-loop thread multiplexing
-//! every connection, with the `ThreadPool` (the private `pool` module)
-//! demoted from "one worker per connection" to what it should have been
-//! all along — an execution stage for backend work.
+//! every connection and running each one **to completion** per
+//! readiness wake — read, decode, execute, reply — with a few worker
+//! threads on the side for the requests that may block.
 //!
-//! The old core parked one pool worker in a blocking read per
-//! connection, so concurrent connections were capped at the worker
-//! count. Here the loop owns every socket nonblockingly:
+//! The loop owns every socket nonblockingly:
 //!
 //! * **accepts** are drained in bursts (at most
 //!   [`Tunables::backlog`] per readiness wake) and refused above
 //!   [`Tunables::max_conns`];
-//! * **reads** append to a per-connection buffer that is parsed into
-//!   whole frames; each decoded request is dispatched to the pool,
-//!   which computes the reply and encodes it off the loop thread;
-//! * **completions** return through a queue + self-wake pipe (a
-//!   `UnixStream` pair — `std` has no portable pipe) and are appended
-//!   to the connection's write queue;
-//! * **writes** drain the queue with vectored writes, so replies that
-//!   piled up while the socket was busy leave in one syscall;
+//! * **reads** take one chunk per wake (the poller is level-triggered,
+//!   so a busier socket is simply reported again, after the other
+//!   connections had their turn) and parse it into whole frames;
+//! * **requests that cannot block** — `Get`, `Insert`, `Remove`, `Cas`,
+//!   `WriteAt`, a `GetAt` whose epoch the feed already reached, a
+//!   `Batch` of at most [`INLINE_BATCH_MAX`] ops: the arms of
+//!   `handle_request` that touch only the backend and the feed's
+//!   atomics — execute right there on the loop thread, and their
+//!   replies join the connection's write queue in request order;
+//! * **requests that may block or run long** — `Publish` (holds the feed
+//!   lock across the sink's fsync), anything that takes the feed lock or
+//!   the snapshot table, scans, diffs, scrapes, a `GetAt` that must
+//!   wait — go to the workers; their **completions** return through a
+//!   queue + self-wake pipe (a `UnixStream` pair — `std` has no portable
+//!   pipe) and are appended to the connection's write queue;
+//! * **writes** drain the queue with vectored writes before the loop
+//!   returns to `poll`, so a pipelined burst decoded in one wake is
+//!   answered in one syscall;
 //! * **admission control** sheds any request that would put a
-//!   connection past [`Tunables::queue_depth`] in-flight requests with
-//!   an immediate [`WireError::Busy`] carrying the bound — the client
-//!   sees backpressure instead of unbounded server-side queueing.
+//!   connection past [`Tunables::queue_depth`] requests on the workers
+//!   with an immediate [`WireError::Busy`] carrying the bound, and a
+//!   connection whose peer does not read its replies stops being read
+//!   ([`OUTQ_MAX_BYTES`]) — the client sees backpressure instead of
+//!   unbounded server-side queueing.
 //!
-//! Because requests from one connection run on a pool of workers,
-//! pipelined requests may complete **out of order**; each reply's
-//! envelope echoes its request id (see [`crate::proto`]), which is the
-//! whole point of the envelope's id field. An idle connection costs one
-//! fd and a couple of buffers — no thread — which is what lets the
-//! server hold thousands of mostly-idle subscribers.
+//! Replies to one connection's loop-executed requests leave in request
+//! order, but a worker-bound request may be overtaken by anything sent
+//! after it, so pipelined requests complete **out of order** in
+//! general; each reply's envelope echoes its request id (see
+//! [`crate::proto`]), which is the whole point of the envelope's id
+//! field. An idle connection costs one fd and a couple of buffers — no
+//! thread — which is what lets the server hold thousands of mostly-idle
+//! subscribers.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -36,7 +48,8 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -47,7 +60,6 @@ use pathcopy_trace::TraceContext;
 use crate::backend::ServeSnapshot;
 use crate::feed::EpochFanout;
 use crate::poll::{Interest, PollEvent, Poller};
-use crate::pool::ThreadPool;
 use crate::proto::{
     peek_request_id, response_frame, Epoch, Request, RequestId, Response, WireError, MAX_FRAME_LEN,
     PUSH_ID_BASE,
@@ -58,8 +70,21 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Read chunk size; one such buffer lives on the loop's stack.
+/// Read chunk size; the loop owns one such buffer. Also the bound on
+/// what one connection may have executed per readiness wake: one
+/// chunk's worth of frames, then the others get their turn.
 const READ_CHUNK: usize = 16 * 1024;
+
+/// Largest `Batch` the loop thread executes itself; a bigger one is a
+/// long-running request and goes to a worker.
+const INLINE_BATCH_MAX: usize = 16;
+
+/// Reply backlog past which a connection stops being read: a peer that
+/// pipelines requests without reading the answers gets TCP backpressure
+/// instead of server memory. One read chunk of the smallest requests
+/// can still land on top of it, so the queue is bounded by this plus a
+/// chunk's worth of replies (plus whatever the workers still owe).
+const OUTQ_MAX_BYTES: usize = 256 * 1024;
 
 /// Cap on the number of frames batched into one vectored write.
 const MAX_IOVECS: usize = 64;
@@ -77,28 +102,97 @@ pub(crate) struct Tunables {
     pub(crate) backlog: usize,
     /// Max simultaneous connections; accepts beyond it are refused.
     pub(crate) max_conns: usize,
-    /// Max in-flight (dispatched, not yet answered) requests per
-    /// connection before shedding with [`WireError::Busy`].
+    /// Max requests per connection queued for or running on the
+    /// workers before shedding with [`WireError::Busy`].
     pub(crate) queue_depth: usize,
 }
 
-/// A finished request on its way back from a pool worker: the
-/// connection it belongs to and the fully encoded reply frame.
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// The threads for requests that may block: each drains one shared
+/// channel of boxed jobs. Dropping it closes the channel and joins
+/// every thread, queued jobs first, so server shutdown
+/// deterministically waits for in-flight requests to finish.
+struct Workers {
+    jobs: Option<mpsc::Sender<Job>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Workers {
+    /// Spawns `size` threads (minimum 1).
+    fn new(size: usize) -> Self {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let queue = Arc::new(std::sync::Mutex::new(queue));
+        let threads = (0..size.max(1))
+            .map(|i| {
+                let queue = Arc::clone(&queue);
+                std::thread::Builder::new()
+                    .name(format!("pathcopy-server-worker-{i}"))
+                    .spawn(move || loop {
+                        // The lock is held for the recv only: pickup is
+                        // serialized, execution parallel. Poisoned means
+                        // a sibling panicked inside `recv`, which does
+                        // not happen; stop rather than guess.
+                        let job = match queue.lock() {
+                            Ok(queue) => queue.recv(),
+                            Err(_) => return,
+                        };
+                        match job {
+                            // A panicking job must not take its thread
+                            // with it — capacity would shrink silently
+                            // until blocking requests stop being served.
+                            Ok(job) => {
+                                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                            }
+                            // Channel closed: shutting down.
+                            Err(_) => return,
+                        }
+                    })
+                    .expect("spawn server worker")
+            })
+            .collect();
+        Workers {
+            jobs: Some(jobs),
+            threads,
+        }
+    }
+
+    /// Queues `job` for some worker.
+    fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        self.jobs
+            .as_ref()
+            .expect("sender lives until drop")
+            .send(Box::new(job))
+            .expect("workers outlive the sender");
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        drop(self.jobs.take());
+        for thread in self.threads.drain(..) {
+            // A worker cannot have panicked (jobs are unwound inside
+            // it), and `Drop` must not.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// A frame on its way from a worker (or the push fan-out) to the loop:
+/// the connection it belongs to and the encoded frame.
 struct Completion {
     conn: u64,
-    frame: Vec<u8>,
     /// Server-initiated push frame: answers no request, so it neither
     /// decrements the connection's in-flight count nor bypasses the
     /// subscriber backpressure bound ([`PUSH_OUTQ_MAX`]).
     push: bool,
-    /// As [`OutFrame::crumb`].
-    crumb: Option<Crumb>,
+    frame: OutFrame,
 }
 
-/// The one breadcrumb a reply frame carries through the completion
-/// queue to the flush stage: enough for the probe to close the
-/// write/flush stage — histogram sample and, for a traced request, span
-/// — and to judge whether the whole request breached `slow_ms`.
+/// The one breadcrumb a reply frame carries from execution to the flush
+/// stage: enough for the probe to close the write/flush stage —
+/// histogram sample and, for a traced request, span — and to judge
+/// whether the whole request breached `slow_ms`.
 #[derive(Clone, Copy)]
 struct Crumb {
     /// Request tag byte: the histogram slot and the span's `tag`.
@@ -114,7 +208,7 @@ struct Crumb {
     /// When the decoded request was accepted off the wire — the
     /// request's end-to-end anchor on this node.
     accepted: Instant,
-    /// When the encoded reply left its worker: the write stage's start.
+    /// When the reply was encoded: the write stage's start.
     write_start: Instant,
 }
 
@@ -248,9 +342,8 @@ impl EpochFanout for PushHub {
             self.pushes.fetch_add(1, Ordering::Relaxed);
             self.completions.push(Completion {
                 conn,
-                frame: frame.clone(),
                 push: true,
-                crumb: None,
+                frame: OutFrame::untimed(frame.clone()),
             });
         }
     }
@@ -270,6 +363,11 @@ impl OutFrame {
     fn untimed(bytes: Vec<u8>) -> Self {
         OutFrame { bytes, crumb: None }
     }
+
+    /// An untimed reply to request `request_id`.
+    fn reply(resp: &Response, request_id: RequestId) -> Self {
+        Self::untimed(response_frame(resp, request_id, None))
+    }
 }
 
 /// Per-connection state: the nonblocking socket and its buffers.
@@ -281,8 +379,10 @@ struct Conn {
     /// partially written (`out_off` bytes already gone).
     outq: VecDeque<OutFrame>,
     out_off: usize,
-    /// Dispatched requests not yet answered — the admission-control
-    /// counter.
+    /// Bytes in `outq`, written or not: what [`OUTQ_MAX_BYTES`] bounds.
+    out_bytes: usize,
+    /// Requests handed to the workers and not yet answered — the
+    /// admission-control counter.
     in_flight: usize,
     /// No more reads (peer half-closed, or inbound framing is broken);
     /// the connection closes once everything pending has been written.
@@ -298,10 +398,22 @@ impl Conn {
             rbuf: Vec::new(),
             outq: VecDeque::new(),
             out_off: 0,
+            out_bytes: 0,
             in_flight: 0,
             closing: false,
             interest: Interest::READ,
         }
+    }
+
+    fn queue(&mut self, frame: OutFrame) {
+        self.out_bytes += frame.bytes.len();
+        self.outq.push_back(frame);
+    }
+
+    /// Whether the peer has fallen so far behind on reading replies
+    /// that its requests should wait in the kernel, not here.
+    fn backlogged(&self) -> bool {
+        self.out_bytes >= OUTQ_MAX_BYTES
     }
 }
 
@@ -310,7 +422,7 @@ impl Conn {
 pub(crate) struct EventLoop {
     // Declared first so its drop joins the workers while the wake pipe
     // and completion queue are still alive for their final pushes.
-    pool: ThreadPool,
+    pool: Workers,
     listener: TcpListener,
     wake_rx: UnixStream,
     poller: Poller,
@@ -319,6 +431,9 @@ pub(crate) struct EventLoop {
     tunables: Tunables,
     conns: HashMap<u64, Conn>,
     next_token: u64,
+    /// Where every socket read lands before it joins a connection's
+    /// `rbuf`; [`READ_CHUNK`] bytes, zeroed once.
+    chunk: Vec<u8>,
 }
 
 impl EventLoop {
@@ -336,7 +451,7 @@ impl EventLoop {
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, Interest::READ)?;
         Ok(EventLoop {
-            pool: ThreadPool::new(workers),
+            pool: Workers::new(workers),
             listener,
             wake_rx,
             poller,
@@ -345,12 +460,13 @@ impl EventLoop {
             tunables,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
+            chunk: vec![0; READ_CHUNK],
         })
     }
 
     /// Serves until the shared stop flag is raised (and a wake byte
     /// lands). Teardown is deterministic: dropping `self` closes every
-    /// connection socket and joins the pool, whose queued jobs push
+    /// connection socket and joins the workers, whose queued jobs push
     /// their final completions into a queue nobody reads again.
     pub(crate) fn run(mut self) {
         let mut events: Vec<PollEvent> = Vec::with_capacity(256);
@@ -448,10 +564,7 @@ impl EventLoop {
                 } else {
                     conn.in_flight = conn.in_flight.saturating_sub(1);
                 }
-                conn.outq.push_back(OutFrame {
-                    bytes: completion.frame,
-                    crumb: completion.crumb,
-                });
+                conn.queue(completion.frame);
                 touched.push(completion.conn);
             }
         }
@@ -496,10 +609,11 @@ impl EventLoop {
             return;
         }
         // A closing connection stops reading (or a level-triggered
-        // poller would spin on its unread bytes); write interest
-        // follows the queue.
+        // poller would spin on its unread bytes), and so does one whose
+        // peer is not reading its replies, until a writable wake has
+        // drained the backlog; write interest follows the queue.
         let want = Interest {
-            read: !conn.closing,
+            read: !conn.closing && !conn.backlogged(),
             write: !conn.outq.is_empty(),
         };
         if want != conn.interest
@@ -513,15 +627,19 @@ impl EventLoop {
         self.conns.insert(token, conn);
     }
 
-    /// Drains the socket into the read buffer and parses/dispatches
-    /// every complete frame. Returns `false` if the connection died.
+    /// Reads one chunk off the socket and parses/dispatches every
+    /// complete frame in it. One chunk, not "until `WouldBlock`": that
+    /// bounds what one connection executes per wake, so a firehose
+    /// cannot starve the others or the push path, and it spares the
+    /// common case the read that only confirms the socket is empty. The
+    /// poller is level-triggered, so unread bytes are reported again.
+    /// Returns `false` if the connection died.
     fn read_and_dispatch(&mut self, token: u64, conn: &mut Conn) -> bool {
-        if conn.closing {
+        if conn.closing || conn.backlogged() {
             return true;
         }
-        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            match (&conn.stream).read(&mut chunk) {
+            match (&conn.stream).read(&mut self.chunk) {
                 Ok(0) => {
                     // Peer closed its write side. Anything still
                     // in flight or queued is written before the
@@ -535,11 +653,9 @@ impl EventLoop {
                 }
                 Ok(n) => {
                     self.shared.wire.add_received(n as u64);
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
+                    conn.rbuf.extend_from_slice(&self.chunk[..n]);
                     self.parse_frames(token, conn);
-                    if conn.closing {
-                        return true;
-                    }
+                    return true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -560,11 +676,7 @@ impl EventLoop {
             if len > MAX_FRAME_LEN as usize || len < 2 {
                 // The length prefix itself is broken: no envelope to
                 // echo, answer with id 0 and stop trusting the stream.
-                conn.outq.push_back(OutFrame::untimed(response_frame(
-                    &Response::Error(WireError::Malformed),
-                    0,
-                    None,
-                )));
+                conn.queue(OutFrame::reply(&Response::Error(WireError::Malformed), 0));
                 conn.closing = true;
                 break;
             }
@@ -578,11 +690,8 @@ impl EventLoop {
                     self.dispatch(token, conn, framed.request_id, framed.msg, framed.trace);
                 }
                 Err(_) => {
-                    conn.outq.push_back(OutFrame::untimed(response_frame(
-                        &Response::Error(WireError::Malformed),
-                        peek_request_id(body),
-                        None,
-                    )));
+                    let id = peek_request_id(body);
+                    conn.queue(OutFrame::reply(&Response::Error(WireError::Malformed), id));
                     conn.closing = true;
                     break;
                 }
@@ -595,9 +704,13 @@ impl EventLoop {
         }
     }
 
-    /// Admission control, then hand the request to the pool. The reply
-    /// frame is encoded on the worker (parallel across requests) and
-    /// returns through the completion queue.
+    /// Decides where a decoded request runs. A request that cannot
+    /// block — it touches only the backend and the feed's atomics, and
+    /// does a bounded amount of work — runs here, on the wake that
+    /// decoded it, and its reply is on the write queue before the next
+    /// frame is parsed. Everything else is admitted (or shed) and handed
+    /// to a worker, which returns the encoded reply through the
+    /// completion queue.
     fn dispatch(
         &mut self,
         token: u64,
@@ -606,65 +719,53 @@ impl EventLoop {
         req: Request,
         trace: Option<TraceContext>,
     ) {
-        if let Request::SubscribePush { from } = req {
-            self.subscribe_push(token, conn, request_id, from);
-            return;
+        let inline = match &req {
+            Request::SubscribePush { from } => {
+                return self.subscribe_push(token, conn, request_id, *from)
+            }
+            Request::Get { .. }
+            | Request::Insert { .. }
+            | Request::Remove { .. }
+            | Request::Cas { .. }
+            | Request::WriteAt { .. } => true,
+            Request::Batch { ops, .. } => ops.len() <= INLINE_BATCH_MAX,
+            // The head only moves forward, so a read that is satisfied
+            // now is still satisfied when `handle_request` looks; one
+            // that is not would sleep, and sleeping is a worker's job.
+            Request::GetAt { min_epoch, .. } => *min_epoch <= self.shared.feed.head_epoch(),
+            _ => false,
+        };
+        if !inline {
+            let depth = self.tunables.queue_depth.max(1);
+            if conn.in_flight >= depth {
+                self.shared.shed.fetch_add(1, Ordering::Relaxed);
+                conn.queue(OutFrame::reply(
+                    &Response::Error(WireError::Busy(depth as u64)),
+                    request_id,
+                ));
+                return;
+            }
+            conn.in_flight += 1;
         }
-        let depth = self.tunables.queue_depth.max(1);
-        if conn.in_flight >= depth {
-            self.shared.shed.fetch_add(1, Ordering::Relaxed);
-            conn.outq.push_back(OutFrame::untimed(response_frame(
-                &Response::Error(WireError::Busy(depth as u64)),
-                request_id,
-                None,
-            )));
-            return;
-        }
-        conn.in_flight += 1;
-        // One probe, one clock reading per stage boundary: `begin` here
-        // (only if a histogram or a span will record), the worker laps
-        // queue-wait when it starts and execute when the reply is
-        // encoded, and `flush` laps the write stage when the frame's
-        // last byte reaches the kernel.
+        // One probe, one clock reading per stage boundary on both
+        // paths: `begin` here (only if a histogram or a span will
+        // record), `execute` laps queue-wait when it starts — about
+        // zero for an inline request, and that is the point — and
+        // execute when the reply is encoded, and `flush` laps the write
+        // stage when the frame's last byte reaches the kernel.
         let accepted = self.shared.metrics.probe.begin(trace.as_ref());
-        let tag = req.tag_byte();
+        if inline {
+            conn.queue(execute(&self.shared, req, request_id, trace, accepted));
+            return;
+        }
         let shared = Arc::clone(&self.shared);
         let completions = Arc::clone(&self.completions);
         self.pool.execute(move || {
-            let probe = &shared.metrics.probe;
-            let ctx = trace.as_ref();
-            let exec_start = probe.lap(Stage::QueueWait, tag, request_id, ctx, 0, accepted);
-            // Reserve the execute span's id: `handle_request` gets a
-            // child context carrying it, so downstream stages this
-            // request triggers (durable append, push fan-out, relay
-            // apply) parent under the execute span before it has closed.
-            let child = probe.child(ctx);
-            let resp = handle_request(&shared, req, child.as_ref());
-            let epoch = response_epoch(&resp);
-            let frame = response_frame(&resp, request_id, None);
-            let write_start = probe.lap_as(
-                child.as_ref(),
-                Stage::Execute,
-                tag,
-                request_id,
-                ctx,
-                epoch,
-                exec_start,
-            );
+            let frame = execute(&shared, req, request_id, trace, accepted);
             completions.push(Completion {
                 conn: token,
-                frame,
                 push: false,
-                crumb: accepted
-                    .zip(write_start)
-                    .map(|(accepted, write_start)| Crumb {
-                        tag,
-                        request_id,
-                        ctx: trace,
-                        epoch,
-                        accepted,
-                        write_start,
-                    }),
+                frame,
             });
         });
     }
@@ -678,12 +779,11 @@ impl EventLoop {
     fn subscribe_push(&mut self, token: u64, conn: &mut Conn, request_id: RequestId, from: Epoch) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
         self.shared.push.register(token);
+        // Lock-free: a publish holds the feed lock across its fsync, and
+        // the loop must not wait that out. Only a subscriber that is
+        // actually behind pays for the lock, below.
         let info = self.shared.feed.info();
-        conn.outq.push_back(OutFrame::untimed(response_frame(
-            &Response::SubscribeAck(info),
-            request_id,
-            None,
-        )));
+        conn.queue(OutFrame::reply(&Response::SubscribeAck(info), request_id));
         // Catch-up: a subscriber registering behind the head gets one
         // synthetic push covering `from → head`, provided `from` is
         // still retained and the diff fits a frame. Otherwise it will
@@ -699,15 +799,14 @@ impl EventLoop {
         if let Some(entries) = from_snap.diff(head_snap.as_ref()) {
             if entries.len() as u64 * 17 <= MAX_FRAME_LEN as u64 {
                 self.shared.push.pushes.fetch_add(1, Ordering::Relaxed);
-                conn.outq.push_back(OutFrame::untimed(response_frame(
+                conn.queue(OutFrame::reply(
                     &Response::Push {
                         from,
                         epoch: head,
                         entries,
                     },
                     PUSH_ID_BASE | head,
-                    None,
-                )));
+                ));
             }
         }
     }
@@ -717,15 +816,15 @@ impl EventLoop {
     /// if the connection died.
     fn flush(&self, conn: &mut Conn) -> bool {
         while !conn.outq.is_empty() {
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(conn.outq.len().min(MAX_IOVECS));
-            let mut frames = conn.outq.iter();
-            if let Some(front) = frames.next() {
-                slices.push(IoSlice::new(&front.bytes[conn.out_off..]));
+            let mut slices = [IoSlice::new(&[]); MAX_IOVECS];
+            let mut filled = 0;
+            let mut skip = conn.out_off; // of the front frame only
+            for (slice, frame) in slices.iter_mut().zip(&conn.outq) {
+                *slice = IoSlice::new(&frame.bytes[skip..]);
+                skip = 0;
+                filled += 1;
             }
-            for frame in frames.take(MAX_IOVECS - 1) {
-                slices.push(IoSlice::new(&frame.bytes));
-            }
-            match (&conn.stream).write_vectored(&slices) {
+            match (&conn.stream).write_vectored(&slices[..filled]) {
                 Ok(0) => return false,
                 Ok(mut n) => {
                     self.shared.wire.add_sent(n as u64);
@@ -736,13 +835,13 @@ impl EventLoop {
                             n -= front_left;
                             let done = conn.outq.pop_front().expect("front exists");
                             conn.out_off = 0;
+                            conn.out_bytes -= done.bytes.len();
                             // Close out the write/flush stage: reply
-                            // encoded on its worker → last byte handed
-                            // to the kernel (queueing behind the socket
-                            // included, by design). The request is then
-                            // over on this node — accepted → last byte
-                            // out — and a slow one gets its span chain
-                            // pinned.
+                            // encoded → last byte handed to the kernel
+                            // (queueing behind the socket included, by
+                            // design). The request is then over on this
+                            // node — accepted → last byte out — and a
+                            // slow one gets its span chain pinned.
                             if let Some(c) = done.crumb {
                                 let probe = &self.shared.metrics.probe;
                                 let ctx = c.ctx.as_ref();
@@ -777,6 +876,51 @@ impl EventLoop {
     }
 }
 
+/// Runs one admitted request to its encoded reply, on whichever thread
+/// `dispatch` chose, lapping the probe at each stage boundary.
+fn execute(
+    shared: &Shared,
+    req: Request,
+    request_id: RequestId,
+    trace: Option<TraceContext>,
+    accepted: Option<Instant>,
+) -> OutFrame {
+    let probe = &shared.metrics.probe;
+    let ctx = trace.as_ref();
+    let tag = req.tag_byte();
+    let exec_start = probe.lap(Stage::QueueWait, tag, request_id, ctx, 0, accepted);
+    // Reserve the execute span's id: `handle_request` gets a child
+    // context carrying it, so downstream stages this request triggers
+    // (durable append, push fan-out, relay apply) parent under the
+    // execute span before it has closed.
+    let child = probe.child(ctx);
+    let resp = handle_request(shared, req, child.as_ref());
+    let epoch = response_epoch(&resp);
+    let bytes = response_frame(&resp, request_id, None);
+    let write_start = probe.lap_as(
+        child.as_ref(),
+        Stage::Execute,
+        tag,
+        request_id,
+        ctx,
+        epoch,
+        exec_start,
+    );
+    OutFrame {
+        bytes,
+        crumb: accepted
+            .zip(write_start)
+            .map(|(accepted, write_start)| Crumb {
+                tag,
+                request_id,
+                ctx: trace,
+                epoch,
+                accepted,
+                write_start,
+            }),
+    }
+}
+
 /// The epoch a reply names, when it names one: the anchor that lets a
 /// span chain on one node line up with the same epoch's spans on
 /// replicas downstream. `0` for replies outside the feed path.
@@ -785,5 +929,71 @@ fn response_epoch(resp: &Response) -> u64 {
         Response::Published(epoch) => *epoch,
         Response::WroteAt { watermark, .. } => *watermark,
         _ => 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn all_jobs_run_and_drop_joins() {
+        let counter = Arc::new(AtomicUsize::new(0));
+        {
+            let workers = Workers::new(4);
+            assert_eq!(workers.threads.len(), 4);
+            for _ in 0..100 {
+                let counter = Arc::clone(&counter);
+                workers.execute(move || {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            // Drop waits for the queue to drain.
+        }
+        assert_eq!(counter.load(Ordering::Relaxed), 100);
+    }
+
+    #[test]
+    fn zero_size_rounds_up_to_one() {
+        let workers = Workers::new(0);
+        assert_eq!(workers.threads.len(), 1);
+        let done = Arc::new(AtomicUsize::new(0));
+        let d = Arc::clone(&done);
+        workers.execute(move || {
+            d.store(7, Ordering::Relaxed);
+        });
+        drop(workers);
+        assert_eq!(done.load(Ordering::Relaxed), 7);
+    }
+
+    #[test]
+    fn panicking_job_does_not_kill_its_worker() {
+        let workers = Workers::new(1);
+        workers.execute(|| panic!("job blew up"));
+        let done = Arc::new(AtomicUsize::new(0));
+        let d = Arc::clone(&done);
+        // The single worker must survive to run this.
+        workers.execute(move || {
+            d.store(1, Ordering::Relaxed);
+        });
+        drop(workers);
+        assert_eq!(done.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn jobs_run_concurrently_across_workers() {
+        use std::sync::Barrier;
+        let workers = Workers::new(2);
+        let barrier = Arc::new(Barrier::new(2));
+        // Both jobs block on the same barrier: they can only finish if
+        // they run on two workers at once.
+        for _ in 0..2 {
+            let barrier = Arc::clone(&barrier);
+            workers.execute(move || {
+                barrier.wait();
+            });
+        }
+        drop(workers); // joins — would deadlock if the workers were serial
     }
 }

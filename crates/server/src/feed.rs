@@ -18,6 +18,7 @@
 //! [`FullSync`](crate::proto::Request::FullSync).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -100,6 +101,17 @@ pub trait FeedSink: Send + Sync + 'static {
 /// A capped, monotone ring of published snapshots; see the module docs.
 pub struct VersionFeed {
     state: Mutex<FeedState>,
+    /// The epoch the next publish will be assigned. Written only under
+    /// `state`; read lock-free by [`next_epoch`](Self::next_epoch), so a
+    /// watermarked write never waits behind a publish's fsync.
+    next: AtomicU64,
+    /// The ring's newest and oldest epochs (`0` = nothing published),
+    /// mirrored under `state` for the lock-free [`info`](Self::info) and
+    /// `head_epoch`. `head` is stored after the sink has run and before
+    /// the fan-out, `oldest` after `head` (and read before it), so a
+    /// reader never sees `oldest > head`.
+    head: AtomicU64,
+    oldest: AtomicU64,
     capacity: usize,
     sink: Option<Arc<dyn FeedSink>>,
     fanout: OnceLock<Arc<dyn EpochFanout>>,
@@ -108,7 +120,6 @@ pub struct VersionFeed {
 struct FeedState {
     /// `(epoch, snapshot)` pairs in ascending epoch order.
     ring: VecDeque<(Epoch, Arc<dyn ServeSnapshot>)>,
-    next: Epoch,
     /// The most recently published snapshot, kept one beat past its
     /// ring retirement so the sink always sees a correct `prev`.
     prev: Option<Arc<dyn ServeSnapshot>>,
@@ -135,10 +146,12 @@ impl VersionFeed {
         VersionFeed {
             state: Mutex::new(FeedState {
                 ring: VecDeque::new(),
-                next: start.max(1),
                 prev: None,
                 prev_epoch: 0,
             }),
+            next: AtomicU64::new(start.max(1)),
+            head: AtomicU64::new(0),
+            oldest: AtomicU64::new(0),
             capacity: capacity.max(1),
             sink,
             fanout: OnceLock::new(),
@@ -153,8 +166,47 @@ impl VersionFeed {
     /// The epoch the next publish will be assigned. A server reads this
     /// right after applying a write to learn the write's visibility
     /// watermark: the first epoch whose snapshot must contain it.
+    ///
+    /// Lock-free. The fence pairs with the one in
+    /// [`publish_with`](Self::publish_with): the caller stores its write
+    /// and then loads `next`, the publisher stores `next` and then loads
+    /// the backend's roots, and with a `SeqCst` fence between each pair
+    /// at least one side sees the other — either this returns the
+    /// bumped number, or the publish's snapshot contains the write.
     pub fn next_epoch(&self) -> Epoch {
-        self.state.lock().next
+        fence(Ordering::SeqCst);
+        self.next.load(Ordering::SeqCst)
+    }
+
+    /// The newest published epoch (`0` = none yet), lock-free: what a
+    /// watermarked read compares its session token against.
+    pub(crate) fn head_epoch(&self) -> Epoch {
+        self.head.load(Ordering::SeqCst)
+    }
+
+    /// Appends `(epoch, snap)` to the ring, retiring past the capacity,
+    /// and returns the previous epoch's number and snapshot.
+    fn advance(
+        &self,
+        state: &mut FeedState,
+        epoch: Epoch,
+        snap: &Arc<dyn ServeSnapshot>,
+    ) -> (Epoch, Option<Arc<dyn ServeSnapshot>>) {
+        state.ring.push_back((epoch, Arc::clone(snap)));
+        while state.ring.len() > self.capacity {
+            state.ring.pop_front();
+        }
+        let from = std::mem::replace(&mut state.prev_epoch, epoch);
+        (from, state.prev.replace(Arc::clone(snap)))
+    }
+
+    /// Makes `epoch` the visible head. Before the fan-out, not after: a
+    /// connection that registers for pushes too late for this epoch's
+    /// fan-out must already read it as the head to be caught up to.
+    fn show_head(&self, state: &FeedState, epoch: Epoch) {
+        self.head.store(epoch, Ordering::SeqCst);
+        let oldest = state.ring.front().map_or(0, |(e, _)| *e);
+        self.oldest.store(oldest, Ordering::SeqCst);
     }
 
     /// Installs the push subsystem's fan-out hook. One shot: a second
@@ -192,19 +244,16 @@ impl VersionFeed {
         trace: Option<&TraceContext>,
     ) -> Epoch {
         let mut state = self.state.lock();
+        // The number is bumped *before* the snapshot is taken; see
+        // `next_epoch` for the pairing.
+        let epoch = self.next.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
         let snap = take();
-        let epoch = state.next;
-        state.next += 1;
-        state.ring.push_back((epoch, Arc::clone(&snap)));
-        while state.ring.len() > self.capacity {
-            state.ring.pop_front();
-        }
-        let from = state.prev_epoch;
-        state.prev_epoch = epoch;
-        let prev = state.prev.replace(Arc::clone(&snap));
+        let (from, prev) = self.advance(&mut state, epoch, &snap);
         if let Some(sink) = &self.sink {
             sink.on_publish_traced(epoch, prev.as_ref(), &snap, trace);
         }
+        self.show_head(&state, epoch);
         if let Some(fanout) = self.fanout.get() {
             fanout.on_epoch(from, prev.as_ref(), epoch, &snap, trace);
         }
@@ -232,17 +281,12 @@ impl VersionFeed {
         trace: Option<&TraceContext>,
     ) -> bool {
         let mut state = self.state.lock();
-        if epoch < state.next {
+        if epoch < self.next.load(Ordering::SeqCst) {
             return false;
         }
-        state.next = epoch + 1;
-        state.ring.push_back((epoch, Arc::clone(&snap)));
-        while state.ring.len() > self.capacity {
-            state.ring.pop_front();
-        }
-        let from = state.prev_epoch;
-        state.prev_epoch = epoch;
-        let prev = state.prev.replace(Arc::clone(&snap));
+        self.next.store(epoch + 1, Ordering::SeqCst);
+        let (from, prev) = self.advance(&mut state, epoch, &snap);
+        self.show_head(&state, epoch);
         if let Some(fanout) = self.fanout.get() {
             fanout.on_epoch(from, prev.as_ref(), epoch, &snap, trace);
         }
@@ -250,12 +294,12 @@ impl VersionFeed {
     }
 
     /// The feed's bounds (`head`/`oldest` are `0` while nothing is
-    /// published).
+    /// published). Lock-free: never waits behind a publish in progress.
     pub fn info(&self) -> FeedInfo {
-        let state = self.state.lock();
+        let oldest = self.oldest.load(Ordering::SeqCst);
         FeedInfo {
-            head: state.ring.back().map_or(0, |(e, _)| *e),
-            oldest: state.ring.front().map_or(0, |(e, _)| *e),
+            head: self.head.load(Ordering::SeqCst),
+            oldest,
             capacity: self.capacity as u64,
         }
     }

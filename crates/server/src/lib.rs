@@ -5,7 +5,9 @@
 //! carries a correlation id so multiple requests can be in flight per
 //! connection, an event-driven nonblocking TCP [server] (a single
 //! readiness loop over a hand-rolled `epoll`/`poll(2)` shim multiplexes
-//! every connection; a thread pool executes the backend work),
+//! every connection and executes point requests on the wake that
+//! decoded them; a few worker threads take the requests that may
+//! block),
 //! a pipelined [client] ([`Session::submit`] → [`Ticket::wait`], with
 //! the blocking [`Client`] as the serial facade), and the primary side
 //! of the replication subsystem (the [version feed](feed) replicas sync
@@ -17,10 +19,11 @@
 //! Because connections are multiplexed rather than pinned to threads,
 //! idle connections are nearly free ([`ServerConfig::max_conns`]
 //! bounds them, not the worker count), and overload is shed explicitly:
-//! past [`ServerConfig::queue_depth`] in-flight requests on one
-//! connection the server answers [`WireError::Busy`] instead of
+//! past [`ServerConfig::queue_depth`] worker-bound requests in flight
+//! on one connection the server answers [`WireError::Busy`] instead of
 //! stalling the socket — surfaced client-side as
-//! [`ClientError::Busy`].
+//! [`ClientError::Busy`] — and a peer that does not read its replies is
+//! not read from until it does.
 //!
 //! Why a server is the natural front-end for this engine: the paper's
 //! construction gives lock-free point writes *plus* O(1) coherent
@@ -67,7 +70,6 @@ mod event;
 pub mod feed;
 pub mod metrics;
 mod poll;
-mod pool;
 pub mod proto;
 pub mod server;
 

@@ -1,13 +1,16 @@
-//! The TCP server: an event-driven core, a backend work pool, and the
-//! named-snapshot version table.
+//! The TCP server: an event-driven core, a few worker threads for
+//! requests that may block, and the named-snapshot version table.
 //!
 //! [`spawn`] binds a listener (an ephemeral loopback port by default)
 //! and starts one event-loop thread (the private `event` module) that
-//! owns every connection nonblockingly; decoded requests run on a
-//! thread pool (the private `pool` module) of `workers` threads, so
-//! connection count and execution parallelism are independent knobs —
-//! thousands of mostly-idle connections cost fds and buffers, not
-//! threads. The server is generic over its engine through
+//! owns every connection nonblockingly. Requests that touch only the
+//! backend — point reads and writes, small batches — execute on the
+//! loop thread, on the readiness wake that decoded them; requests that
+//! may block or run long (a publish and its fsync, scans, diffs,
+//! scrapes) run on `workers` threads, so connection count and blocking
+//! capacity are independent knobs — thousands of mostly-idle
+//! connections cost fds and buffers, not threads. The server is
+//! generic over its engine through
 //! `Box<dyn ServeBackend>` — any backend of the registry
 //! ([`crate::backend::backends`]) can be served unchanged.
 //!
@@ -23,7 +26,7 @@
 //! Shutdown ([`ServerHandle::shutdown`], also run on drop) is
 //! deterministic: the stop flag is raised, a byte on the self-wake pipe
 //! returns the event loop from its poll, and the loop's teardown closes
-//! every connection socket and joins the pool.
+//! every connection socket and joins the workers.
 
 use std::collections::HashMap;
 use std::io::{self, Write as _};
@@ -53,9 +56,14 @@ pub struct ServerConfig {
     /// Address to bind; the default is an ephemeral loopback port
     /// (`127.0.0.1:0`), read back via [`ServerHandle::addr`].
     pub addr: SocketAddr,
-    /// Backend worker threads — the execution parallelism for request
-    /// handling. Connections are multiplexed on the event loop and are
-    /// **not** bounded by this (see [`ServerConfig::max_conns`]).
+    /// Threads for requests that may block: [`Request::Publish`] (holds
+    /// the feed lock across the sink's fsync), an unsatisfied
+    /// [`Request::GetAt`] (waits for its epoch), and everything that
+    /// scans, diffs or scrapes. Point reads and writes and small batches
+    /// never queue for one — they execute on the event-loop thread — so
+    /// this is **not** the server's read/write parallelism, and
+    /// connections are not bounded by it either (see
+    /// [`ServerConfig::max_conns`]).
     pub workers: usize,
     /// Maximum accepts drained per listener readiness wake. Bounds how
     /// long an accept storm can monopolize one loop iteration before
@@ -64,11 +72,12 @@ pub struct ServerConfig {
     /// Maximum simultaneous connections; accepts beyond the cap are
     /// refused (the socket is closed immediately after the handshake).
     pub max_conns: usize,
-    /// Per-connection bound on in-flight (dispatched, unanswered)
-    /// requests. A pipelined client pushing past it gets an immediate
-    /// [`WireError::Busy`] for the excess request — admission control
-    /// instead of unbounded server-side queueing. Lock-step clients
-    /// (at most one request in flight) never trip it.
+    /// Per-connection bound on requests queued for or running on the
+    /// workers (requests executed on the loop thread never queue, so
+    /// they neither count nor shed). A pipelined client pushing past it
+    /// gets an immediate [`WireError::Busy`] for the excess request —
+    /// admission control instead of unbounded server-side queueing.
+    /// Lock-step clients (at most one request in flight) never trip it.
     pub queue_depth: usize,
     /// Capacity of the version table. Every pinned snapshot keeps an
     /// entire map version alive under write churn, and nothing but an
@@ -187,7 +196,8 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Sets the backend worker-thread count ([`ServerConfig::workers`]).
+    /// Sets the number of threads for requests that may block
+    /// ([`ServerConfig::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self
@@ -257,7 +267,7 @@ impl ServerConfigBuilder {
     }
 }
 
-/// State shared by the event loop and every pool worker.
+/// State shared by the event loop and every worker.
 pub(crate) struct Shared {
     backend: Box<dyn ServeBackend>,
     /// The version table: named snapshot handles pinned by
@@ -302,7 +312,7 @@ impl Shared {
             subscribers: self.push.subscriber_count(),
             pushes: self.push.pushes.load(Ordering::Relaxed),
             push_demotions: self.push.demotions.load(Ordering::Relaxed),
-            feed_head: self.feed.info().head,
+            feed_head: self.feed.head_epoch(),
         }
     }
 }
@@ -343,8 +353,8 @@ pub struct ServerHandle {
 pub fn spawn(backend: Box<dyn ServeBackend>, config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(config.addr)?;
     let addr = listener.local_addr()?;
-    // The self-wake pipe: pool workers (and shutdown) poke the write
-    // end, the event loop polls the read end.
+    // The self-wake pipe: workers (and shutdown) poke the write end, the
+    // event loop polls the read end.
     let (wake_tx, wake_rx) = UnixStream::pair()?;
     wake_tx.set_nonblocking(true)?;
     let handle_wake = wake_tx.try_clone()?;
@@ -472,9 +482,9 @@ impl ServerHandle {
         self.shared.metrics.probe.flight()
     }
 
-    /// Stops the event loop, closes every connection, joins the worker
-    /// pool, and returns once the server is fully down. Also performed
-    /// on drop.
+    /// Stops the event loop, closes every connection, joins the
+    /// workers, and returns once the server is fully down. Also
+    /// performed on drop.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -514,9 +524,12 @@ fn resolve_snapshot(
     }
 }
 
-/// Executes one request against the shared state — the dispatch every
-/// pool worker runs. Pure request→response; framing, ordering, and
-/// admission control all live in the event loop. `trace` is the
+/// Executes one request against the shared state, on whichever thread
+/// the event loop chose for it. Pure request→response; framing,
+/// ordering, and admission control all live in the event loop. Which
+/// arms may run on the loop thread is decided by `event.rs::dispatch`:
+/// an arm that starts taking a lock or doing more than O(log n) work
+/// must leave that list. `trace` is the
 /// context to propagate into downstream stages (the durable sink and
 /// the push fan-out) — for a traced request the event loop passes the
 /// child of its own execute span, so downstream spans parent
@@ -670,12 +683,14 @@ pub(crate) fn handle_request(
             wait_ms,
         } => {
             // Bounded wait for the feed to reach the caller's session
-            // watermark. The wait parks a pool worker, so it is clamped
-            // hard; a load-bearing deployment sizes `workers` for it.
+            // watermark. The wait parks a worker (the event loop sends
+            // a `GetAt` here only when the head is still behind it), so
+            // it is clamped hard; a load-bearing deployment sizes
+            // `workers` for it.
             let deadline = std::time::Instant::now()
                 + std::time::Duration::from_millis(wait_ms.min(1000) as u64);
             loop {
-                let head = shared.feed.info().head;
+                let head = shared.feed.head_epoch();
                 if head >= min_epoch {
                     return Response::GotAt {
                         value: shared.backend.get(key),
@@ -697,8 +712,8 @@ pub(crate) fn handle_request(
                     BatchResult::Cas(shared.backend.cas(key, expected, new))
                 }
             };
-            // Read *after* the write: `publish_with` snapshots under
-            // the feed lock, so every epoch from this number on
+            // Read *after* the write: `publish_with` bumps the number
+            // before it snapshots, so every epoch from this number on
             // contains the write — the session watermark.
             Response::WroteAt {
                 result,

@@ -6,6 +6,7 @@
 
 use std::io::{BufReader, Write};
 use std::net::TcpListener;
+use std::ops::Bound;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -93,17 +94,17 @@ proptest! {
     }
 }
 
-/// Delegates every operation to the wrapped backend, stalling reads so
-/// a pipelined client can pile requests up faster than workers drain
-/// them.
+/// Delegates every operation to the wrapped backend, stalling
+/// snapshots so a pipelined client can pile scans up faster than the
+/// workers drain them. (Point reads run on the event loop and never
+/// queue, so they cannot be shed; a scan is worker-bound.)
 struct SlowBackend {
     inner: Box<dyn ServeBackend>,
-    read_delay: Duration,
+    snapshot_delay: Duration,
 }
 
 impl ServeBackend for SlowBackend {
     fn get(&self, key: i64) -> Option<i64> {
-        thread::sleep(self.read_delay);
         self.inner.get(key)
     }
     fn insert(&self, key: i64, value: i64) -> Option<i64> {
@@ -128,6 +129,7 @@ impl ServeBackend for SlowBackend {
         self.inner.atomic_batches()
     }
     fn snapshot(&self) -> Arc<dyn ServeSnapshot> {
+        thread::sleep(self.snapshot_delay);
         self.inner.snapshot()
     }
     fn len(&self) -> usize {
@@ -138,13 +140,23 @@ impl ServeBackend for SlowBackend {
     }
 }
 
+/// A one-key scan of a fresh snapshot: `Get`'s worker-bound cousin.
+fn scan_one(key: i64) -> Request {
+    Request::Range {
+        snapshot: None,
+        lo: Bound::Included(key),
+        hi: Bound::Included(key),
+        limit: 0,
+    }
+}
+
 #[test]
 fn saturated_queue_sheds_busy_without_corrupting_in_flight_replies() {
     const DEPTH: usize = 2;
     const FLOOD: i64 = 24;
     let slow = SlowBackend {
         inner: backend::by_name("sharded_map_8").expect("backend"),
-        read_delay: Duration::from_millis(5),
+        snapshot_delay: Duration::from_millis(5),
     };
     let server = pathcopy_server::spawn(
         Box::new(slow),
@@ -172,9 +184,9 @@ fn saturated_queue_sheds_busy_without_corrupting_in_flight_replies() {
         }
     }
 
-    // Flood the connection with slow reads far past the queue depth.
+    // Flood the connection with slow scans far past the queue depth.
     let tickets: Vec<_> = (0..FLOOD)
-        .map(|k| (k, session.submit(&Request::Get { key: k }).expect("submit")))
+        .map(|k| (k, session.submit(&scan_one(k)).expect("submit")))
         .collect();
     let mut served = 0usize;
     let mut shed = 0usize;
@@ -182,8 +194,12 @@ fn saturated_queue_sheds_busy_without_corrupting_in_flight_replies() {
         match ticket.wait() {
             // Every reply that wasn't shed must carry the value for
             // ITS key — shedding must not shift the pairing.
-            Ok(Response::Got(v)) => {
-                assert_eq!(v, Some(k * 3), "in-flight reply corrupted for key {k}");
+            Ok(Response::Entries { entries, .. }) => {
+                assert_eq!(
+                    entries,
+                    vec![(k, k * 3)],
+                    "in-flight reply corrupted for key {k}"
+                );
                 served += 1;
             }
             Err(ClientError::Busy(depth)) => {
@@ -196,7 +212,7 @@ fn saturated_queue_sheds_busy_without_corrupting_in_flight_replies() {
     assert_eq!(served + shed, FLOOD as usize);
     assert!(
         shed >= 1,
-        "flooding {FLOOD} slow reads past depth {DEPTH} must shed at least once"
+        "flooding {FLOOD} slow scans past depth {DEPTH} must shed at least once"
     );
     assert!(
         served >= DEPTH,
