@@ -48,8 +48,10 @@
 //! reply write/flush time per request tag, plus the durable log's
 //! append+fsync distribution when `--log-dir` is active. Reading the
 //! split tells you *where* a latency regression lives — queue wait
-//! rises when workers are saturated, execute time when the backend
-//! slows down, write time when replies outpace the sockets.
+//! rises when the threads for requests that may block (`--workers`)
+//! are all taken (point requests run on the event loop and have no
+//! queue), execute time when the backend slows down, write time when
+//! replies outpace the sockets.
 //!
 //! `--subscribe` switches the replica tier from pull to **push**: each
 //! replica registers for the primary's feed and applies unsolicited
@@ -107,11 +109,14 @@ fn main() {
     let replicas: usize = args.get_or("replicas", 0);
     let relays: usize = args.get_or("relays", 0);
     let subscribe = args.has_flag("subscribe") || relays > 0;
-    // Connections are multiplexed on the server's event loop, so the
-    // worker count sizes backend execution parallelism only — standing
-    // connections (publisher, replica sync clients, idle sessions) cost
-    // no worker. Cover the driving threads, floored at the event core's
-    // sweet spot for small round trips.
+    // `--workers` is the server's threads for requests that may block
+    // (`Publish`, scans, diffs, sync pages, a `GetAt` waiting for its
+    // epoch, scrapes). Point reads and writes execute on the event
+    // loop, which also multiplexes every connection, so neither the
+    // driving threads' traffic nor standing connections (publisher,
+    // replica sync clients, idle sessions) use one. The default leaves
+    // room for every driving thread to have a batch or a waiting read
+    // in progress at once.
     let workers: usize = args.get_or("workers", threads.max(4));
     let prefill: u64 = args.get_or("prefill", keys / 2);
     let seed: u64 = args.get_or("seed", 42);
@@ -211,9 +216,10 @@ fn main() {
     // The replication tier: bootstrapped replicas serving on their own
     // ports, kept fresh by per-replica sync threads while a publisher
     // advances the primary's feed.
-    // Each replica serves its share of the reader threads; size its
-    // backend workers to that share so reads execute in parallel (the
-    // event loop multiplexes the connections themselves).
+    // Each replica serves its share of the reader threads. Their point
+    // reads run on the replica's event loop; its workers are the
+    // threads for reads that may block — a `GetAt` waiting for its
+    // epoch — so size them to that share, one waiting read per reader.
     let readers_per_replica = threads.div_ceil(replicas.max(1)) + 1;
     let mut nodes = Vec::new();
     let mut push_nodes: Vec<PushReplica> = Vec::new();

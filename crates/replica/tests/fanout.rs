@@ -1,13 +1,15 @@
 //! Push fan-out end-to-end: a relay tree (1 primary, 2 relays, 4
 //! leaves) converges with **zero** `PullDiff` traffic in the steady
 //! state, the primary's exact egress is independent of the leaf count,
-//! and a session token carries read-your-writes through a leaf while
-//! concurrent writers churn the primary.
+//! a session token carries read-your-writes through a leaf while
+//! concurrent writers churn the primary, and a replica that stops
+//! pumping is demoted by the primary rather than buffered anywhere.
 
 use std::net::SocketAddr;
 use std::ops::Bound;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use pathcopy_concurrent::BatchOp;
 use pathcopy_replica::{PushOutcome, PushReplica};
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::{backend, Client, ClientError, ServerConfig, ServerHandle, SessionToken};
@@ -150,7 +152,14 @@ fn primary_egress_is_independent_of_leaf_count() {
                    r2: &mut PushReplica,
                    leaves: &mut [PushReplica],
                    base: i64| {
-        let before = primary.wire_bytes().sent;
+        // Read the counter through the primary's own event loop, not
+        // from this thread: the loop adds a frame's bytes after the
+        // `write` that delivered it, and a relay can have applied that
+        // frame (ending `pump_until`) before the loop gets there. A
+        // request is read by the loop only after it has finished
+        // accounting for everything it wrote earlier, and the scrape's
+        // own fixed-size reply lands in the same place in both phases.
+        let before = writer.gauges().unwrap().wire_sent;
         for round in 0..4i64 {
             for k in 0..8i64 {
                 writer.insert(k, base + round * 8 + k).unwrap();
@@ -162,7 +171,7 @@ fn primary_egress_is_independent_of_leaf_count() {
             nodes.extend(leaves.iter_mut());
             pump_until(&mut nodes, epoch);
         }
-        primary.wire_bytes().sent - before
+        writer.gauges().unwrap().wire_sent - before
     };
 
     // Phase A: two leaves.
@@ -275,5 +284,50 @@ fn session_token_reads_your_writes_through_a_leaf() {
         }
         done.store(true, std::sync::atomic::Ordering::Release);
     });
+    primary.shutdown();
+}
+
+#[test]
+fn a_replica_that_stops_pumping_is_demoted_then_repairs() {
+    let primary = primary_server();
+    let mut writer = Client::connect(primary.addr()).unwrap();
+    writer.insert(-1, -1).unwrap();
+    writer.publish().unwrap();
+    let mut stalled = push_node(primary.addr());
+
+    // ~34 KiB of diff per epoch and nobody pumping: the replica's
+    // session reads nothing, its kernel buffers fill, the primary's
+    // bounded push queue behind them overflows, and the primary
+    // unregisters the subscriber instead of queueing without bound.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut round = 0i64;
+    while primary.gauges().push_demotions == 0 {
+        assert!(Instant::now() < deadline, "never demoted");
+        round += 1;
+        let ops: Vec<_> = (0..2000).map(|k| BatchOp::Insert(k, round)).collect();
+        writer.batch(&ops).unwrap();
+        writer.publish().unwrap();
+    }
+    assert_eq!(primary.gauges().subscribers, 0);
+    assert_eq!(stalled.push_stats().pushes_applied, 0);
+
+    // Pumping again: the frames that made it into the socket apply in
+    // order, then the feed goes quiet short of the head (a demoted
+    // subscriber is sent nothing more) and the anti-entropy pull closes
+    // the rest and resubscribes.
+    while stalled.pump(Duration::from_millis(50)).expect("pump") != PushOutcome::Idle {}
+    let head = primary.gauges().feed_head;
+    assert!(stalled.applied_epoch() < head, "demotion dropped frames");
+    assert_eq!(stalled.sync_now().expect("resync"), head);
+    assert_eq!(stalled.push_stats().resubscribes, 1);
+    let (expect, complete) = writer.range(None, .., 0).unwrap();
+    assert!(complete);
+    assert_eq!(state_of(&stalled), expect);
+
+    // And it is a subscriber again: the next epoch arrives by push.
+    writer.insert(-2, -2).unwrap();
+    let next = writer.publish().unwrap();
+    pump_until(&mut [&mut stalled], next);
+    assert_eq!(primary.gauges().subscribers, 1);
     primary.shutdown();
 }

@@ -3,9 +3,32 @@
 //! [`Session`] owns a single connection and lets any number of requests
 //! be **in flight at once**: [`Session::submit`] stamps the request
 //! with a fresh correlation id, writes the proto-v3 frame, and returns
-//! a [`Ticket`] immediately; a background reader thread demultiplexes
-//! response frames by id and resolves the matching ticket. Responses
-//! may come back in any order — the id, not arrival order, pairs them.
+//! a [`Ticket`] immediately. Responses may come back in any order — the
+//! id, not arrival order, pairs them.
+//!
+//! # Who reads the socket
+//!
+//! Nobody, until somebody waits. A session has no thread of its own:
+//! the thread inside [`Ticket::wait`] (or
+//! [`Subscription::recv_timeout`]) first looks in its own slot; if that
+//! is empty and no one is reading, it becomes the **leader** — one
+//! blocking `read` into the session's reassembly buffer, every complete
+//! frame of that read decoded in place, all of them settled under one
+//! lock (replies into their tickets' slots, [`Response::Push`] frames
+//! onto the subscription queue), parked **followers** woken only if
+//! there are any. The leader keeps reading until its own reply (or
+//! push, or deadline) is in, then hands the lead on. A reply therefore
+//! reaches the thread that wants it with one wake-up — the kernel's,
+//! out of `read` — and a caller that does not share its session never
+//! touches a futex.
+//!
+//! Two consequences: a [`Subscription`] is fed only while some thread
+//! waits on the session, so an idle subscriber backpressures into the
+//! socket and the server demotes it instead of the client buffering
+//! without bound; and replies are read only while somebody waits, so
+//! keep the window of unredeemed tickets bounded — a caller that
+//! submits forever without waiting ends up blocked in `submit` once
+//! the kernel's buffers are full.
 //!
 //! [`Client`] is the blocking facade over a session: every typed call
 //! is literally `submit + wait`, so serial code pays one round trip per
@@ -17,15 +40,12 @@
 //! [`DiffEntry`] — code written against the in-process map moves to the
 //! network client by swapping the receiver.
 
-use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::collections::VecDeque;
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::ops::{Bound, RangeBounds};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use pathcopy_concurrent::{BatchOp, BatchResult};
@@ -33,7 +53,7 @@ use pathcopy_core::{ByteCounters, ByteCountersSnapshot, DiffEntry};
 use pathcopy_trace::{SpanRecord, TraceContext};
 
 use crate::proto::{
-    read_response_enveloped, request_frame, Epoch, FeedInfo, ProtoError, Request, RequestId,
+    body_len, request_frame_into, Epoch, FeedInfo, Framed, ProtoError, Request, RequestId,
     Response, ServerGauges, SnapshotId, StageSummary, WireError, WireStats, PUSH_ID_BASE,
 };
 
@@ -124,40 +144,6 @@ impl From<ClientError> for io::Error {
     }
 }
 
-/// [`Read`] half of a connection that counts bytes into a shared
-/// [`ByteCounters`] block.
-struct CountingReader {
-    inner: TcpStream,
-    wire: Arc<ByteCounters>,
-}
-
-impl Read for CountingReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.wire.add_received(n as u64);
-        Ok(n)
-    }
-}
-
-/// [`Write`] half of a connection that counts bytes into a shared
-/// [`ByteCounters`] block.
-struct CountingWriter {
-    inner: TcpStream,
-    wire: Arc<ByteCounters>,
-}
-
-impl Write for CountingWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.wire.add_sent(n as u64);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// Why the session can no longer carry requests. [`io::Error`] is not
 /// `Clone`, so the terminal error is stored as `(kind, message)` and a
 /// fresh `io::Error` is minted for every ticket and submit that hits
@@ -180,13 +166,17 @@ impl SessionDead {
         }
     }
 
+    fn from_io(e: &io::Error) -> SessionDead {
+        SessionDead {
+            kind: e.kind(),
+            msg: e.to_string(),
+            disconnected: false,
+        }
+    }
+
     fn from_proto(e: &ProtoError) -> SessionDead {
         match e {
-            ProtoError::Io(e) => SessionDead {
-                kind: e.kind(),
-                msg: e.to_string(),
-                disconnected: false,
-            },
+            ProtoError::Io(e) => SessionDead::from_io(e),
             other => SessionDead {
                 kind: io::ErrorKind::InvalidData,
                 msg: format!("undecodable response frame: {other}"),
@@ -204,35 +194,423 @@ impl SessionDead {
     }
 }
 
-/// What the reader thread delivers to a waiting ticket.
-type Settled = Result<Response, SessionDead>;
+/// Size of a session's reassembly buffer while no frame needs more.
+const READ_BUF: usize = 8 << 10;
 
-/// State shared between submitters and the reader thread.
-struct SessionShared {
-    /// Serializes frame writes so concurrent submitters never
-    /// interleave bytes.
-    writer: Mutex<BufWriter<CountingWriter>>,
-    /// Tickets awaiting a response, keyed by correlation id. The
-    /// terminal `dead` marker lives **inside** this lock so that
-    /// "check dead, then insert" in [`Session::submit`] and "set dead,
-    /// then drain" in the reader cannot interleave — a submit either
-    /// sees the session alive and gets drained later, or sees it dead
-    /// and fails fast. No ticket can be orphaned.
-    pending: Mutex<Pending>,
-    next_id: AtomicU64,
-    wire: Arc<ByteCounters>,
-    /// Where the reader routes server-initiated [`Response::Push`]
-    /// frames (ids in the [`PUSH_ID_BASE`] namespace); `None` until
-    /// [`Session::subscribe`] installs a channel. Pushes arriving with
-    /// no channel are dropped — the server pushes to subscribers only,
-    /// so that can only happen transiently around resubscription.
-    push_tx: Mutex<Option<Sender<PushFrame>>>,
+/// A session buffer (reassembly, request encoding) that a large frame
+/// grew past this is given back once the frame is through.
+const BUF_KEEP: usize = 64 << 10;
+
+/// Slots a session's ticket ring starts with; it doubles whenever more
+/// than half of it is reserved and never shrinks.
+const SLOTS_MIN: usize = 32;
+
+/// Most [`PushFrame`]s a session queues for a subscriber that is not
+/// receiving them (a leader waiting on a *ticket* reads pushes it does
+/// not want). On overflow the queue is dropped: the next frame the
+/// subscriber sees no longer continues from what it applied, which is
+/// the ordinary gap a pull repairs.
+const PUSH_QUEUE_MAX: usize = 1024;
+
+/// One in-flight request's place in the ticket ring.
+struct Slot {
+    /// The id reserved here; `0` (never issued) marks the slot free.
+    id: RequestId,
+    /// The reply, from the moment a leader settles it until its ticket
+    /// takes it.
+    reply: Option<Response>,
 }
 
-#[derive(Default)]
-struct Pending {
-    waiters: HashMap<RequestId, SyncSender<Settled>>,
+/// Everything waiters and submitters agree on, under the one lock
+/// [`SessionShared::settled`] pairs with: a waiter checks its condition
+/// and parks without releasing it in between, a leader publishes and
+/// notifies while holding it, so no wake-up can fall between the two.
+struct State {
+    /// Ticket slots, a power-of-two ring indexed by `id & (len - 1)`.
+    /// Ids are handed out in sequence, skipping any whose slot is still
+    /// reserved, so lookup is one index and one compare.
+    slots: Vec<Slot>,
+    /// Reserved slots.
+    live: usize,
+    next_id: RequestId,
+    /// Set once, by whoever first sees the connection fail. It lives
+    /// here so that "check dead, then reserve" in [`Session::submit`]
+    /// and "set dead" in a leader cannot interleave: a ticket either
+    /// is refused at submit or finds `dead` when it waits.
     dead: Option<SessionDead>,
+    /// Some thread is reading the socket.
+    leading: bool,
+    /// Threads parked on [`SessionShared::settled`].
+    followers: usize,
+    /// Server-initiated frames nobody has received yet, oldest first.
+    pushes: VecDeque<PushFrame>,
+    /// Which [`Subscription`] `pushes` belongs to; `0` before the first
+    /// [`Session::subscribe`].
+    generation: u64,
+}
+
+impl State {
+    fn new() -> State {
+        State {
+            slots: free_slots(SLOTS_MIN),
+            live: 0,
+            next_id: 1,
+            dead: None,
+            leading: false,
+            followers: 0,
+            pushes: VecDeque::new(),
+            generation: 0,
+        }
+    }
+
+    fn slot(&mut self, id: RequestId) -> Option<&mut Slot> {
+        let mask = self.slots.len() - 1;
+        let slot = &mut self.slots[id as usize & mask];
+        (id != 0 && slot.id == id).then_some(slot)
+    }
+
+    /// Reserves a slot and returns the id that indexes it.
+    fn reserve(&mut self) -> RequestId {
+        if (self.live + 1) * 2 > self.slots.len() {
+            // Two ids that differ in the old ring's index bits still
+            // differ in the new one's, so re-placing cannot collide.
+            let mut slots = free_slots(self.slots.len() * 2);
+            let mask = slots.len() - 1;
+            for slot in self.slots.drain(..).filter(|slot| slot.id != 0) {
+                let at = slot.id as usize & mask;
+                slots[at] = slot;
+            }
+            self.slots = slots;
+        }
+        // At most half full, so a free slot is a few steps away; the
+        // ids skipped over are simply never used.
+        loop {
+            let id = self.next_id;
+            self.next_id += 1;
+            let mask = self.slots.len() - 1;
+            let slot = &mut self.slots[id as usize & mask];
+            if slot.id == 0 {
+                slot.id = id;
+                self.live += 1;
+                return id;
+            }
+        }
+    }
+
+    /// Frees `id`'s slot, returning the reply if one had arrived. A
+    /// reply that arrives later finds no slot and is discarded.
+    fn release(&mut self, id: RequestId) -> Option<Response> {
+        let slot = self.slot(id)?;
+        slot.id = 0;
+        let reply = slot.reply.take();
+        self.live -= 1;
+        reply
+    }
+
+    /// The reply to `id`, if it is in; taking it frees the slot.
+    fn take_reply(&mut self, id: RequestId) -> Option<Response> {
+        self.slot(id)?.reply.as_ref()?;
+        self.release(id)
+    }
+
+    /// Routes one decoded frame: a reply into its ticket's slot, a
+    /// server-initiated frame (an id in the [`PUSH_ID_BASE`] namespace,
+    /// which no ticket ever carried) onto the push queue.
+    fn settle(&mut self, framed: Framed<Response>) {
+        if framed.request_id & PUSH_ID_BASE == 0 {
+            if let Some(slot) = self.slot(framed.request_id) {
+                slot.reply = Some(framed.msg);
+            }
+        } else if let Response::Push {
+            from,
+            epoch,
+            entries,
+        } = framed.msg
+        {
+            if self.pushes.len() >= PUSH_QUEUE_MAX {
+                self.pushes.clear();
+            }
+            self.pushes.push_back(PushFrame {
+                from,
+                epoch,
+                entries,
+                trace: framed.trace,
+            });
+        }
+    }
+}
+
+fn free_slots(n: usize) -> Vec<Slot> {
+    (0..n).map(|_| Slot { id: 0, reply: None }).collect()
+}
+
+/// The receiving direction: the reassembly buffer and what goes with
+/// it. Only the leader holds this.
+struct ReadHalf {
+    /// `buf[..filled]` is what has been read and not yet decoded — after
+    /// [`decode`](Self::decode), at most one incomplete frame. Owned
+    /// here rather than by a `BufReader` so that a read deadline firing
+    /// mid-frame loses nothing: the bytes wait for the next leader.
+    buf: Vec<u8>,
+    filled: usize,
+    /// The `SO_RCVTIMEO` currently installed. The option is socket-wide
+    /// and outlives the wait that set it, so it is set only when the
+    /// next read needs a different one: a run of ticket waits (or of
+    /// `recv_timeout`s with one timeout) issues no `setsockopt` at all.
+    timeout: Option<Duration>,
+    /// Frames decoded from one read, on their way to being settled
+    /// under one acquisition of the state lock.
+    decoded: Vec<Framed<Response>>,
+}
+
+impl ReadHalf {
+    fn new() -> ReadHalf {
+        ReadHalf {
+            buf: vec![0; READ_BUF],
+            filled: 0,
+            timeout: None,
+            decoded: Vec::new(),
+        }
+    }
+
+    /// One `read` of up to `timeout` (`None`: until bytes arrive).
+    /// `Ok(0)` means the timeout passed with nothing read.
+    fn fill(
+        &mut self,
+        mut stream: &TcpStream,
+        timeout: Option<Duration>,
+    ) -> Result<usize, SessionDead> {
+        if self.timeout != timeout {
+            stream
+                .set_read_timeout(timeout)
+                .map_err(|e| SessionDead::from_io(&e))?;
+            self.timeout = timeout;
+        }
+        loop {
+            match stream.read(&mut self.buf[self.filled..]) {
+                Ok(0) if self.filled == 0 => return Err(SessionDead::closed()),
+                Ok(0) => return Err(SessionDead::from_proto(&ProtoError::Truncated)),
+                Ok(n) => {
+                    self.filled += n;
+                    return Ok(n);
+                }
+                Err(e) => match e.kind() {
+                    io::ErrorKind::Interrupted => {}
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => return Ok(0),
+                    _ => return Err(SessionDead::from_io(&e)),
+                },
+            }
+        }
+    }
+
+    /// Decodes every complete frame in the buffer, in place, onto
+    /// `decoded`; moves an incomplete last frame to the front and makes
+    /// sure the rest of it fits. Frames ahead of an undecodable one are
+    /// still delivered.
+    fn decode(&mut self) -> Result<(), SessionDead> {
+        let mut pos = 0;
+        // `Ok`: the size of the frame at `pos` (4 until its prefix is
+        // in), none of which is decodable yet.
+        let stopped = loop {
+            let unread = &self.buf[pos..self.filled];
+            let Some(prefix) = unread.get(..4) else {
+                break Ok(4);
+            };
+            let frame = match body_len(prefix.try_into().expect("4 bytes")) {
+                Ok(len) => 4 + len,
+                Err(e) => break Err(e),
+            };
+            let Some(body) = unread.get(4..frame) else {
+                break Ok(frame);
+            };
+            match Response::decode_enveloped(body) {
+                Ok(framed) => self.decoded.push(framed),
+                Err(e) => break Err(e),
+            }
+            pos += frame;
+        };
+        self.buf.copy_within(pos..self.filled, 0);
+        self.filled -= pos;
+        let need = stopped.map_err(|e| SessionDead::from_proto(&e))?;
+        if need > self.buf.len() {
+            self.buf.resize(need, 0);
+        } else if self.filled == 0 && self.buf.len() > BUF_KEEP {
+            self.buf.truncate(READ_BUF);
+            self.buf.shrink_to_fit();
+        }
+        Ok(())
+    }
+}
+
+/// A session's state; [`Session`], its [`Ticket`]s and its
+/// [`Subscription`]s each hold a reference.
+struct SessionShared {
+    /// The connection. Both directions go through `&TcpStream`, so there
+    /// is one descriptor; `writer` and `reader` say who may use which.
+    stream: TcpStream,
+    /// Serializes frame writes so concurrent submitters never
+    /// interleave bytes. What it guards is the buffer each request is
+    /// encoded into before its one `write`.
+    writer: Mutex<Vec<u8>>,
+    state: std::sync::Mutex<State>,
+    /// Signalled by a leader that settled something while followers
+    /// were parked, or that is giving up the lead.
+    settled: Condvar,
+    /// Taken only by the thread that set [`State::leading`], so never
+    /// contended; no submitter or follower ever waits behind a `read`.
+    reader: Mutex<ReadHalf>,
+    wire: ByteCounters,
+}
+
+/// Clears [`State::leading`] if the leader unwinds, and marks the
+/// session dead (the reassembly buffer may be mid-update), so a panic
+/// in one waiter fails the others instead of parking them forever.
+struct LeadGuard<'a>(&'a SessionShared);
+
+impl Drop for LeadGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut st = self.0.state();
+            st.leading = false;
+            st.dead.get_or_insert_with(|| {
+                SessionDead::from_io(&io::Error::other("a thread panicked reading the session"))
+            });
+            self.0.settled.notify_all();
+        }
+    }
+}
+
+impl SessionShared {
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until `ready` yields (`Ok(Some)`), `timeout` passes
+    /// (`Ok(None)`; `None` waits forever) or the session is dead. This
+    /// is the only way anything is read off the socket: the caller
+    /// leads if nobody is, and follows otherwise.
+    ///
+    /// `ready` runs under the state lock and takes what it finds — the
+    /// caller's reply out of its slot, the oldest queued push — so a
+    /// `Some` is delivered exactly once.
+    fn wait_until<T>(
+        &self,
+        timeout: Option<Duration>,
+        mut ready: impl FnMut(&mut State) -> Option<T>,
+    ) -> Result<Option<T>, SessionDead> {
+        let mut deadline = None;
+        let mut st = self.state();
+        loop {
+            if let Some(out) = ready(&mut st) {
+                return Ok(Some(out));
+            }
+            if let Some(dead) = &st.dead {
+                return Err(dead.clone());
+            }
+            // How long this pass may block. The first pass uses the
+            // caller's timeout as given, so a pump loop's reads all ask
+            // for the same `SO_RCVTIMEO`.
+            let budget = match (timeout, deadline) {
+                (None, _) => None,
+                (Some(timeout), None) => {
+                    deadline = Instant::now().checked_add(timeout);
+                    deadline.map(|_| timeout)
+                }
+                (Some(_), Some(deadline)) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Ok(None);
+                    }
+                    Some(left)
+                }
+            };
+            if st.leading {
+                st.followers += 1;
+                st = match budget {
+                    None => self
+                        .settled
+                        .wait(st)
+                        .unwrap_or_else(PoisonError::into_inner),
+                    Some(left) => {
+                        self.settled
+                            .wait_timeout(st, left)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
+                    }
+                };
+                st.followers -= 1;
+            } else {
+                st.leading = true;
+                drop(st);
+                let (unlocked, out) = self.lead(budget, deadline, &mut ready);
+                if out.is_some() {
+                    return Ok(out);
+                }
+                st = unlocked;
+            }
+        }
+    }
+
+    /// Reads, decodes and settles until `ready` yields, `deadline`
+    /// passes or the session dies; then gives up the lead. Entered with
+    /// [`State::leading`] set by the caller; returns holding the state
+    /// lock, with `leading` clear and anyone parked notified.
+    fn lead<T>(
+        &self,
+        mut budget: Option<Duration>,
+        deadline: Option<Instant>,
+        ready: &mut impl FnMut(&mut State) -> Option<T>,
+    ) -> (MutexGuard<'_, State>, Option<T>) {
+        let _unwind = LeadGuard(self);
+        let mut rd = self.reader.lock();
+        debug_assert!(
+            self.state().leading,
+            "the read half is only taken with `leading` set"
+        );
+        loop {
+            // `SO_RCVTIMEO` cannot be zero (that means "none").
+            let timeout = budget.map(|left| left.max(Duration::from_micros(1)));
+            let read = rd.fill(&self.stream, timeout).and_then(|n| {
+                self.wire.add_received(n as u64);
+                rd.decode()
+            });
+            let mut st = self.state();
+            let settled = !rd.decoded.is_empty();
+            for framed in rd.decoded.drain(..) {
+                st.settle(framed);
+            }
+            if let Err(dead) = read {
+                st.dead.get_or_insert(dead);
+            }
+            let out = ready(&mut st);
+            let done = out.is_some()
+                || st.dead.is_some()
+                || deadline.is_some_and(|deadline| Instant::now() >= deadline);
+            if done {
+                st.leading = false;
+            }
+            // A follower's reply may be among those just settled, and
+            // on the way out one of them has to take over.
+            if st.followers > 0 && (done || settled) {
+                self.settled.notify_all();
+            }
+            if done {
+                return (st, out);
+            }
+            drop(st);
+            budget = deadline.map(|deadline| deadline.saturating_duration_since(Instant::now()));
+        }
+    }
+
+    /// Marks the session dead (first cause wins) and tells whoever is
+    /// parked.
+    fn kill(&self, dead: SessionDead) {
+        let mut st = self.state();
+        st.dead.get_or_insert(dead);
+        if st.followers > 0 {
+            self.settled.notify_all();
+        }
+    }
 }
 
 /// A pipelined connection to a `pathcopy-server`.
@@ -242,18 +620,16 @@ struct Pending {
 /// surfaced here as [`ClientError::Busy`]). `submit` takes `&self`, so
 /// a session can be shared across threads behind an `Arc` if desired;
 /// each submit is stamped with a unique id and responses are paired by
-/// id, never by order.
+/// id, never by order. The session runs no thread: whoever waits reads
+/// the socket, for itself and for everyone parked behind it (see the
+/// [module docs](self)).
 pub struct Session {
     shared: Arc<SessionShared>,
-    /// Extra handle used only to `shutdown()` the socket on drop, which
-    /// unblocks the reader thread promptly.
-    stream: TcpStream,
-    reader: Option<thread::JoinHandle<()>>,
 }
 
 impl Session {
-    /// Connects (with `TCP_NODELAY`, since the protocol is small framed
-    /// messages) and spawns the demultiplexing reader thread.
+    /// Connects, with `TCP_NODELAY` since the protocol is small framed
+    /// messages. Nothing is spawned.
     ///
     /// # Errors
     ///
@@ -262,44 +638,24 @@ impl Session {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Session, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let read_half = stream.try_clone()?;
-        let write_half = stream.try_clone()?;
-        let wire = Arc::new(ByteCounters::new());
-        let shared = Arc::new(SessionShared {
-            writer: Mutex::new(BufWriter::new(CountingWriter {
-                inner: write_half,
-                wire: Arc::clone(&wire),
-            })),
-            pending: Mutex::new(Pending::default()),
-            next_id: AtomicU64::new(1),
-            wire: Arc::clone(&wire),
-            push_tx: Mutex::new(None),
-        });
-        let reader_shared = Arc::clone(&shared);
-        let reader = thread::Builder::new()
-            .name("pathcopy-client-reader".to_owned())
-            .spawn(move || {
-                reader_loop(
-                    &reader_shared,
-                    BufReader::new(CountingReader {
-                        inner: read_half,
-                        wire,
-                    }),
-                )
-            })
-            .map_err(ClientError::Io)?;
         Ok(Session {
-            shared,
-            stream,
-            reader: Some(reader),
+            shared: Arc::new(SessionShared {
+                stream,
+                writer: Mutex::new(Vec::with_capacity(64)),
+                state: std::sync::Mutex::new(State::new()),
+                settled: Condvar::new(),
+                reader: Mutex::new(ReadHalf::new()),
+                wire: ByteCounters::new(),
+            }),
         })
     }
 
     /// Sends `req` without waiting for its reply and returns the
-    /// [`Ticket`] that will resolve to it. The frame is written (and
-    /// flushed) before this returns, so tickets submitted back-to-back
-    /// are all on the wire — that is the whole point: the server works
-    /// on all of them while the client has not blocked once.
+    /// [`Ticket`] that will resolve to it. The frame is handed to the
+    /// socket in one `write` before this returns, so tickets submitted
+    /// back-to-back are all on the wire — that is the whole point: the
+    /// server works on all of them while the client has not blocked
+    /// once.
     ///
     /// # Errors
     ///
@@ -326,36 +682,37 @@ impl Session {
         req: &Request,
         trace: Option<&TraceContext>,
     ) -> Result<Ticket, ClientError> {
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::sync_channel(1);
-        {
-            let mut pending = self.shared.pending.lock();
-            if let Some(dead) = &pending.dead {
+        let shared = &self.shared;
+        let id = {
+            let mut st = shared.state();
+            if let Some(dead) = &st.dead {
                 return Err(dead.to_client_error());
             }
-            pending.waiters.insert(id, tx);
-        }
-        let write_result = {
-            let mut writer = self.shared.writer.lock();
-            request_frame(req, id, trace)
-                .and_then(|frame| writer.write_all(&frame))
-                .and_then(|()| writer.flush())
+            st.reserve()
         };
-        if let Err(e) = write_result {
+        // From here the ticket owns the slot: every early return below
+        // frees it by dropping the ticket.
+        let ticket = Ticket {
+            id,
+            shared: Arc::clone(shared),
+        };
+        let written = {
+            let mut frame = shared.writer.lock();
+            let written = request_frame_into(&mut frame, req, id, trace)
+                .and_then(|()| (&shared.stream).write_all(&frame))
+                .map(|()| shared.wire.add_sent(frame.len() as u64));
+            if frame.capacity() > BUF_KEEP {
+                *frame = Vec::new();
+            }
+            written
+        };
+        if let Err(e) = written {
             // The frame may be half-written; nothing more can be
             // multiplexed onto this connection safely.
-            let mut pending = self.shared.pending.lock();
-            pending.waiters.remove(&id);
-            if pending.dead.is_none() {
-                pending.dead = Some(SessionDead {
-                    kind: e.kind(),
-                    msg: e.to_string(),
-                    disconnected: false,
-                });
-            }
+            shared.kill(SessionDead::from_io(&e));
             return Err(ClientError::Io(e));
         }
-        Ok(Ticket { id, rx })
+        Ok(ticket)
     }
 
     /// `submit` + [`Ticket::wait`] in one call: a blocking round trip.
@@ -369,24 +726,26 @@ impl Session {
 
     /// Bytes this connection has moved so far, both directions. The
     /// counters are exact whenever no request is in flight (every
-    /// submit flushes, and responses are counted as they are read),
-    /// which is what the replication layer uses to prove that diff
-    /// catch-up transfers O(changes) bytes while a full sync transfers
-    /// O(n).
+    /// submit is one unbuffered write, and responses are counted as
+    /// they are read), which is what the replication layer uses to
+    /// prove that diff catch-up transfers O(changes) bytes while a full
+    /// sync transfers O(n).
     pub fn wire_bytes(&self) -> ByteCountersSnapshot {
         self.shared.wire.snapshot()
     }
 
     /// Registers this connection for push delivery: the server will
     /// send every published epoch's diff as an unsolicited
-    /// [`Response::Push`] frame, which the reader thread routes to the
-    /// returned [`Subscription`]. `from` is the epoch already applied
-    /// locally (`0` = nothing); if it is behind the head and still
-    /// retained, one catch-up push arrives first. Returns the feed's
-    /// bounds at registration time.
+    /// [`Response::Push`] frame, which whoever is reading the socket
+    /// queues for the returned [`Subscription`]. `from` is the epoch
+    /// already applied locally (`0` = nothing); if it is behind the
+    /// head and still retained, one catch-up push arrives first.
+    /// Returns the feed's bounds at registration time.
     ///
-    /// Calling this again replaces the previous subscription's channel
-    /// — what a demoted subscriber does after catching up by pull.
+    /// Calling this again replaces the previous subscription — what a
+    /// demoted subscriber does after catching up by pull: frames still
+    /// queued for the old one are dropped, and it reads
+    /// [`ClientError::Disconnected`] from then on.
     ///
     /// # Errors
     ///
@@ -394,16 +753,35 @@ impl Session {
     /// plus [`ClientError::Unexpected`] if the server answers with
     /// anything but an ack.
     pub fn subscribe(&self, from: Epoch) -> Result<(FeedInfo, Subscription), ClientError> {
-        let (tx, rx) = mpsc::channel();
-        // Install the channel before the request is on the wire so the
-        // catch-up push (which follows the ack immediately) cannot slip
-        // past an empty slot.
-        *self.shared.push_tx.lock() = Some(tx);
-        let ticket = self.submit(&Request::SubscribePush { from })?;
-        match ticket.wait()? {
-            Response::SubscribeAck(info) => Ok((info, Subscription { rx })),
+        // Open the new generation before the request is on the wire so
+        // the catch-up push (which follows the ack immediately) is
+        // queued for it, whoever reads it.
+        let generation = {
+            let mut st = self.shared.state();
+            st.generation += 1;
+            st.pushes.clear();
+            st.generation
+        };
+        match self.call(&Request::SubscribePush { from })? {
+            Response::SubscribeAck(info) => Ok((
+                info,
+                Subscription {
+                    shared: Arc::clone(&self.shared),
+                    generation,
+                },
+            )),
             _ => Err(ClientError::Unexpected("SubscribePush")),
         }
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        // Nothing to join. A leader parked in `read` wakes with EOF and
+        // fails everyone behind it; a ticket or subscription waited on
+        // later reads the EOF itself. Either way nothing outlives its
+        // session hanging.
+        let _ = self.shared.stream.shutdown(Shutdown::Both);
     }
 }
 
@@ -429,30 +807,39 @@ pub struct PushFrame {
 /// The receiving end of a push registration (see
 /// [`Session::subscribe`]): epoch diffs arrive here as the primary
 /// publishes, with no polling round trips.
+///
+/// Frames reach it only while some thread is waiting on the session —
+/// in [`recv_timeout`](Self::recv_timeout) here, or on a [`Ticket`].
+/// A subscriber that stops calling `recv_timeout` stops reading the
+/// socket; the server sees the backlog and demotes it.
 pub struct Subscription {
-    rx: Receiver<PushFrame>,
+    shared: Arc<SessionShared>,
+    generation: u64,
 }
 
 impl Subscription {
-    /// Waits up to `timeout` for the next push. `Ok(None)` means no
+    /// Waits up to `timeout` for the next push, reading the socket
+    /// itself unless another thread already is. `Ok(None)` means no
     /// push arrived in time (the feed is simply quiet — not an error).
     ///
     /// # Errors
     ///
-    /// [`ClientError::Disconnected`] once the session's reader thread
-    /// has exited — the connection is gone and no further push can
-    /// ever arrive; reconnect and resubscribe.
+    /// [`ClientError::Disconnected`] once the connection is gone or a
+    /// later [`Session::subscribe`] has replaced this subscription — no
+    /// further push can ever arrive here; reconnect and resubscribe.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<PushFrame>, ClientError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(Some(frame)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(ClientError::Disconnected),
+        let received = self.shared.wait_until(Some(timeout), |st| {
+            if st.generation == self.generation {
+                st.pushes.pop_front().map(Some)
+            } else {
+                Some(None)
+            }
+        });
+        match received {
+            Ok(Some(Some(frame))) => Ok(Some(frame)),
+            Ok(None) => Ok(None),
+            Ok(Some(None)) | Err(_) => Err(ClientError::Disconnected),
         }
-    }
-
-    /// Drains any push that already arrived, without blocking.
-    pub fn try_recv(&self) -> Option<PushFrame> {
-        self.rx.try_recv().ok()
     }
 }
 
@@ -486,82 +873,14 @@ impl SessionToken {
     }
 }
 
-impl Drop for Session {
-    fn drop(&mut self) {
-        // Unblock the reader (it is parked in read()) and join it; it
-        // drains any still-pending tickets with an error on the way
-        // out, so a Ticket outliving its Session never hangs.
-        let _ = self.stream.shutdown(Shutdown::Both);
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.join();
-        }
-    }
-}
-
-/// Demultiplexes response frames to their tickets until the connection
-/// dies, then fails every still-pending ticket with the terminal error.
-fn reader_loop(shared: &SessionShared, mut reader: BufReader<CountingReader>) {
-    let dead = loop {
-        match read_response_enveloped(&mut reader) {
-            Ok(Some(framed)) => {
-                if framed.request_id & PUSH_ID_BASE != 0 {
-                    // Server-initiated frame: no ticket ever carried
-                    // this id. Route it to the push channel, if one is
-                    // installed.
-                    if let Response::Push {
-                        from,
-                        epoch,
-                        entries,
-                    } = framed.msg
-                    {
-                        let tx = shared.push_tx.lock().clone();
-                        if let Some(tx) = tx {
-                            let _ = tx.send(PushFrame {
-                                from,
-                                epoch,
-                                entries,
-                                trace: framed.trace,
-                            });
-                        }
-                    }
-                    continue;
-                }
-                let waiter = shared.pending.lock().waiters.remove(&framed.request_id);
-                if let Some(tx) = waiter {
-                    // Capacity-1 channel, exactly one message per
-                    // ticket: send never blocks. A dropped ticket just
-                    // discards the response.
-                    let _ = tx.send(Ok(framed.msg));
-                }
-            }
-            Ok(None) => break SessionDead::closed(),
-            Err(e) => break SessionDead::from_proto(&e),
-        }
-    };
-    let waiters = {
-        let mut pending = shared.pending.lock();
-        if pending.dead.is_none() {
-            pending.dead = Some(dead.clone());
-        }
-        std::mem::take(&mut pending.waiters)
-    };
-    for (_, tx) in waiters {
-        let _ = tx.send(Err(dead.clone()));
-    }
-    // Dropping the push sender disconnects any Subscription, so a
-    // blocked `recv_timeout` learns the session is gone instead of
-    // timing out forever.
-    shared.push_tx.lock().take();
-}
-
 /// A claim on one in-flight request's eventual response. Obtained from
 /// [`Session::submit`]; redeem it with [`wait`](Ticket::wait).
-/// Dropping a ticket abandons the request (the server still executes
-/// it; the reply is discarded on arrival).
+/// Dropping a ticket abandons the request: its slot is freed at once
+/// (the server still executes it; the reply is discarded on arrival).
 #[must_use = "a Ticket does nothing until wait()ed on"]
 pub struct Ticket {
     id: RequestId,
-    rx: Receiver<Settled>,
+    shared: Arc<SessionShared>,
 }
 
 impl Ticket {
@@ -571,27 +890,38 @@ impl Ticket {
     }
 
     /// Blocks until the response for this ticket's request arrives and
-    /// returns it, surfacing server-side errors.
+    /// returns it, surfacing server-side errors. If no other thread is
+    /// reading the session's socket, this one does (see the
+    /// [module docs](self)).
     ///
     /// # Errors
     ///
-    /// [`ClientError::Io`] if the session died before the response
-    /// arrived, [`ClientError::Busy`] if the server shed the request at
-    /// its queue-depth bound, and [`ClientError::Server`] for any other
-    /// error the server reported.
-    pub fn wait(self) -> Result<Response, ClientError> {
-        match self.rx.recv() {
-            Ok(Ok(Response::Error(WireError::Busy(depth)))) => Err(ClientError::Busy(depth)),
-            Ok(Ok(Response::Error(e))) => Err(ClientError::Server(e)),
-            Ok(Ok(resp)) => Ok(resp),
-            Ok(Err(dead)) => Err(dead.to_client_error()),
-            // The reader always settles every pending ticket before
-            // exiting, so a closed channel here means the Session (and
-            // its reader) are gone entirely.
-            Err(_) => Err(ClientError::Io(io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "session dropped before the response arrived",
-            ))),
+    /// [`ClientError::Io`] or [`ClientError::Disconnected`] if the
+    /// session died — or its [`Session`] was dropped — before the
+    /// response arrived, [`ClientError::Busy`] if the server shed the
+    /// request at its queue-depth bound, and [`ClientError::Server`]
+    /// for any other error the server reported.
+    pub fn wait(mut self) -> Result<Response, ClientError> {
+        let id = self.id;
+        let reply = self
+            .shared
+            .wait_until(None, |st| st.take_reply(id))
+            .map_err(|dead| dead.to_client_error())?
+            .expect("a wait without a deadline does not time out");
+        // `take_reply` freed the slot; leave nothing for `drop`.
+        self.id = 0;
+        match reply {
+            Response::Error(WireError::Busy(depth)) => Err(ClientError::Busy(depth)),
+            Response::Error(e) => Err(ClientError::Server(e)),
+            resp => Ok(resp),
+        }
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        if self.id != 0 {
+            self.shared.state().release(self.id);
         }
     }
 }
@@ -1182,7 +1512,7 @@ mod tests {
         // the real-shutdown test above where a reset can race the close.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let server = thread::spawn(move || {
+        let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
             // Read the length prefix, then the body, then hang up
             // without answering.
@@ -1286,5 +1616,135 @@ mod tests {
         let inner = io::Error::new(io::ErrorKind::ConnectionReset, "boom");
         let through: io::Error = ClientError::Io(inner).into();
         assert_eq!(through.kind(), io::ErrorKind::ConnectionReset);
+    }
+
+    #[test]
+    fn ticket_ring_skips_a_long_held_slot_instead_of_growing() {
+        let mut st = State::new();
+        let held = st.reserve();
+        st.settle(Framed {
+            request_id: held,
+            trace: None,
+            msg: Response::Got(Some(1)),
+        });
+        let mut last = held;
+        for _ in 0..10_000 {
+            let id = st.reserve();
+            assert!(id > last, "ids only move forward");
+            assert_ne!(id as usize % SLOTS_MIN, held as usize % SLOTS_MIN);
+            last = id;
+            assert_eq!(st.release(id), None);
+        }
+        assert_eq!(st.slots.len(), SLOTS_MIN);
+        assert_eq!(st.live, 1);
+        assert_eq!(st.take_reply(held), Some(Response::Got(Some(1))));
+        assert_eq!(st.live, 0);
+    }
+
+    #[test]
+    fn ticket_ring_grows_with_the_window_and_keeps_every_reply() {
+        let mut st = State::new();
+        let ids: Vec<RequestId> = (0..1000).map(|_| st.reserve()).collect();
+        for &id in &ids {
+            st.settle(Framed {
+                request_id: id,
+                trace: None,
+                msg: Response::Got(Some(id as i64)),
+            });
+        }
+        // Replies for ids never issued, already released, or in the
+        // free slot's own id space go nowhere.
+        for stray in [0, ids[999] + 1, u64::MAX >> 1] {
+            st.settle(Framed {
+                request_id: stray,
+                trace: None,
+                msg: Response::Got(None),
+            });
+        }
+        assert!(st.slots.len() >= 2000 && st.slots.len().is_power_of_two());
+        for &id in ids.iter().rev() {
+            assert_eq!(st.take_reply(id), Some(Response::Got(Some(id as i64))));
+        }
+        assert_eq!(st.live, 0);
+        assert!(st
+            .slots
+            .iter()
+            .all(|slot| slot.id == 0 && slot.reply.is_none()));
+    }
+
+    #[test]
+    fn dropped_tickets_free_their_slots_and_late_replies_are_discarded() {
+        let server = sharded_server(ServerConfig::default());
+        server.backend().insert(5, 50);
+        let session = Session::connect(server.addr()).unwrap();
+        for _ in 0..1000 {
+            drop(session.submit(&Request::Get { key: 5 }).unwrap());
+        }
+        {
+            let st = session.shared.state();
+            assert_eq!(st.live, 0, "an abandoned ticket keeps no slot");
+            assert_eq!(st.slots.len(), SLOTS_MIN);
+        }
+        // The thousand replies nobody wants arrive ahead of this one.
+        let kept = session.submit(&Request::Get { key: 5 }).unwrap();
+        match kept.wait().unwrap() {
+            Response::Got(v) => assert_eq!(v, Some(50)),
+            other => panic!("unexpected response: {other:?}"),
+        }
+        let st = session.shared.state();
+        assert_eq!(st.live, 0);
+        assert!(st.slots.iter().all(|slot| slot.reply.is_none()));
+        drop(st);
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_idle_subscriber_is_demoted_by_the_server_not_buffered_here() {
+        let server = sharded_server(ServerConfig::default());
+        let idle = Session::connect(server.addr()).unwrap();
+        let (_info, _sub) = idle.subscribe(0).unwrap();
+        let received = idle.wire_bytes().received;
+
+        // ~34 KiB of diff per epoch, until the idle connection's kernel
+        // buffers are full and the server's bounded push queue behind
+        // them overflows.
+        let mut writer = Client::connect(server.addr()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut round = 0i64;
+        while writer.gauges().unwrap().push_demotions == 0 {
+            assert!(Instant::now() < deadline, "never demoted");
+            round += 1;
+            let ops: Vec<_> = (0..2000).map(|k| BatchOp::Insert(k, round)).collect();
+            writer.batch(&ops).unwrap();
+            writer.publish().unwrap();
+        }
+        // Nobody waited on the idle session, so nothing was read.
+        assert_eq!(idle.shared.state().pushes.len(), 0);
+        assert_eq!(idle.wire_bytes().received, received);
+        server.shutdown();
+    }
+
+    #[test]
+    fn pushes_queued_by_a_ticket_leader_are_capped() {
+        let mut st = State::new();
+        let push = |epoch: Epoch| Framed {
+            request_id: PUSH_ID_BASE | epoch,
+            trace: None,
+            msg: Response::Push {
+                from: epoch - 1,
+                epoch,
+                entries: Vec::new(),
+            },
+        };
+        for epoch in 1..=PUSH_QUEUE_MAX as Epoch {
+            st.settle(push(epoch));
+        }
+        assert_eq!(st.pushes.len(), PUSH_QUEUE_MAX);
+        // One more: the backlog goes, and what is left starts with a
+        // frame that does not continue from anything the subscriber
+        // applied — a gap, which it repairs by pulling.
+        st.settle(push(PUSH_QUEUE_MAX as Epoch + 1));
+        assert_eq!(st.pushes.len(), 1);
+        assert_eq!(st.pushes[0].from, PUSH_QUEUE_MAX as Epoch);
     }
 }

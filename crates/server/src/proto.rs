@@ -1020,15 +1020,26 @@ wire_enum!(@codec DiffEntry<i64, i64>, "diff entry", 17;
 // The envelope and framing: one path each way
 // ---------------------------------------------------------------------------
 
-/// Encodes one complete frame — length prefix, envelope, tag, payload.
-/// Every encoder in this module ends here; this is the only place the
-/// envelope is laid down.
+/// Appends one complete frame — length prefix, envelope, tag, payload —
+/// to `out`. Every encoder in this module ends here; this is the only
+/// place the envelope is laid down.
+fn encode_frame_into<M: Wire>(
+    out: &mut Vec<u8>,
+    msg: &M,
+    id: RequestId,
+    trace: Option<&TraceContext>,
+) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 4]);
+    put_body(out, msg, id, trace);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// [`encode_frame_into`] a fresh buffer.
 fn encode_frame<M: Wire>(msg: &M, id: RequestId, trace: Option<&TraceContext>) -> Vec<u8> {
     let mut frame = Vec::with_capacity(64);
-    frame.extend_from_slice(&[0u8; 4]);
-    put_body(&mut frame, msg, id, trace);
-    let len = (frame.len() - 4) as u32;
-    frame[..4].copy_from_slice(&len.to_le_bytes());
+    encode_frame_into(&mut frame, msg, id, trace);
     frame
 }
 
@@ -1081,6 +1092,22 @@ pub(crate) fn peek_request_id(body: &[u8]) -> RequestId {
     }
 }
 
+/// Validates a frame's length prefix and returns the body length it
+/// announces. The one place the bounds are checked, for the blocking
+/// reader below and for a [`Session`](crate::Session)'s reassembly
+/// buffer alike.
+pub(crate) fn body_len(prefix: [u8; 4]) -> Result<usize, ProtoError> {
+    let len = u32::from_le_bytes(prefix);
+    if len > MAX_FRAME_LEN {
+        return Err(ProtoError::FrameTooLarge(len));
+    }
+    if len < 2 {
+        // A valid body always has at least a version and a tag byte.
+        return Err(ProtoError::Truncated);
+    }
+    Ok(len as usize)
+}
+
 /// Reads one length-prefixed frame body. `Ok(None)` means the peer
 /// closed the connection cleanly at a frame boundary.
 fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ProtoError> {
@@ -1097,15 +1124,7 @@ fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ProtoError> {
             Err(e) => return Err(ProtoError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(ProtoError::FrameTooLarge(len));
-    }
-    if len < 2 {
-        // A valid body always has at least a version and a tag byte.
-        return Err(ProtoError::Truncated);
-    }
-    let mut body = vec![0u8; len as usize];
+    let mut body = vec![0u8; body_len(len_buf)?];
     match r.read_exact(&mut body) {
         Ok(()) => Ok(Some(body)),
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(ProtoError::Truncated),
@@ -1179,17 +1198,34 @@ pub fn request_frame(
     id: RequestId,
     trace: Option<&TraceContext>,
 ) -> io::Result<Vec<u8>> {
-    let frame = encode_frame(req, id, trace);
-    if frame.len() - 4 > MAX_FRAME_LEN as usize {
+    let mut frame = Vec::with_capacity(64);
+    request_frame_into(&mut frame, req, id, trace)?;
+    Ok(frame)
+}
+
+/// [`request_frame`] into a buffer the caller reuses: `out` is cleared
+/// and holds exactly the frame on success. What a [`Session`](crate::Session)
+/// encodes with, so a steady stream of requests allocates nothing.
+///
+/// # Errors
+///
+/// As [`request_frame`].
+pub(crate) fn request_frame_into(
+    out: &mut Vec<u8>,
+    req: &Request,
+    id: RequestId,
+    trace: Option<&TraceContext>,
+) -> io::Result<()> {
+    out.clear();
+    encode_frame_into(out, req, id, trace);
+    let body = out.len() - 4;
+    if body > MAX_FRAME_LEN as usize {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!(
-                "frame body of {} bytes exceeds MAX_FRAME_LEN",
-                frame.len() - 4
-            ),
+            format!("frame body of {body} bytes exceeds MAX_FRAME_LEN"),
         ));
     }
-    Ok(frame)
+    Ok(())
 }
 
 /// Encodes `resp` as one complete frame — length prefix included —
