@@ -13,7 +13,7 @@
 //!   ops (no atomicity): what the batch's atomicity actually costs.
 //!
 //! Run `BENCH_JSON=out.jsonl cargo bench --bench batch_txn` to capture
-//! machine-readable medians (CI uploads these as `BENCH_ci.json`).
+//! machine-readable medians.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathcopy_concurrent::{BatchOp, ShardedTreapMap};

@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pathcopy_trees::mutable::MutTreapSet;
-use pathcopy_trees::{avl::AvlSet, rbtree::RbSet, ExternalBstSet, TreapSet};
+use pathcopy_trees::{ExternalBstSet, TreapSet};
 
 const N: i64 = 10_000;
 
@@ -27,28 +27,6 @@ fn bench_inserts(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("persistent_treap", N), |b| {
         b.iter(|| {
             let mut s = TreapSet::empty();
-            for k in 0..N {
-                if let Some(next) = s.insert(black_box(k)) {
-                    s = next;
-                }
-            }
-            s.len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("persistent_avl", N), |b| {
-        b.iter(|| {
-            let mut s = AvlSet::new();
-            for k in 0..N {
-                if let Some(next) = s.insert(black_box(k)) {
-                    s = next;
-                }
-            }
-            s.len()
-        })
-    });
-    group.bench_function(BenchmarkId::new("persistent_rbtree", N), |b| {
-        b.iter(|| {
-            let mut s = RbSet::new();
             for k in 0..N {
                 if let Some(next) = s.insert(black_box(k)) {
                     s = next;

@@ -23,10 +23,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod batch;
-pub mod composite;
 pub mod ebst_set;
 pub mod locked;
-pub mod more;
 pub mod registry;
 pub mod sharded;
 pub mod snapshot;
@@ -34,10 +32,8 @@ pub mod treap_map;
 pub mod treap_set;
 
 pub use batch::{diff_to_ops, BatchOp, BatchResult, GuardAbort};
-pub use composite::Composite;
 pub use ebst_set::ExternalBstSet;
 pub use locked::{LockedMap, LockedTreapSet, RwLockedTreapSet};
-pub use more::{AvlSet, Queue, RbSet, Stack};
 pub use sharded::{MergedRange, ShardedSnapshot, ShardedTreapMap};
 pub use snapshot::{EbstSnapshot, SetRange, TreapSetSnapshot, TreapSnapshot};
 pub use treap_set::{MergedKeys, ShardedSetSnapshot, ShardedTreapSet, TreapSet};

@@ -19,8 +19,8 @@
 use pathcopy_core::api::{ConcurrentMap, ConcurrentSet, MapSnapshot, SetSnapshot, Snapshottable};
 
 use crate::{
-    AvlSet, ExternalBstSet, LockedMap, LockedTreapSet, RbSet, RwLockedTreapSet, ShardedTreapMap,
-    ShardedTreapSet, TreapMap, TreapSet,
+    ExternalBstSet, LockedMap, LockedTreapSet, RwLockedTreapSet, ShardedTreapMap, ShardedTreapSet,
+    TreapMap, TreapSet,
 };
 
 /// A named, `dyn`-able constructor for a set backend over `i64` keys.
@@ -69,35 +69,28 @@ pub fn map_backends() -> Vec<MapBackend> {
     ]
 }
 
-/// Every set backend, as `dyn` constructors.
+/// Every set backend, as `dyn` constructors (same list, same names, and
+/// same order as [`for_each_set_backend`]).
 pub fn set_backends() -> Vec<SetBackend> {
     vec![
         SetBackend {
-            name: "treap",
+            name: "treap_set",
             make: || Box::new(TreapSet::new()),
         },
         SetBackend {
-            name: "sharded_treap_8",
+            name: "sharded_set_8",
             make: || Box::new(ShardedTreapSet::with_shards(8)),
         },
         SetBackend {
-            name: "ebst",
+            name: "ebst_set",
             make: || Box::new(ExternalBstSet::new()),
         },
         SetBackend {
-            name: "avl",
-            make: || Box::new(AvlSet::new()),
-        },
-        SetBackend {
-            name: "rb",
-            make: || Box::new(RbSet::new()),
-        },
-        SetBackend {
-            name: "mutex_treap",
+            name: "mutex_treap_set",
             make: || Box::new(LockedTreapSet::new()),
         },
         SetBackend {
-            name: "rwlock_treap",
+            name: "rwlock_treap_set",
             make: || Box::new(RwLockedTreapSet::new()),
         },
     ]
@@ -219,7 +212,7 @@ mod tests {
             ["treap_map", "sharded_map_1", "sharded_map_8", "locked_map"]
         );
 
-        struct SetCount(usize);
+        struct SetCount(Vec<String>);
         impl SetBackendDriver for SetCount {
             fn drive<S>(&mut self, name: &str, make: fn() -> S)
             where
@@ -232,11 +225,38 @@ mod tests {
                     SetSnapshot::contains(&Snapshottable::snapshot(&s), &3),
                     "[{name}]"
                 );
-                self.0 += 1;
+                self.0.push(name.to_string());
             }
         }
-        let mut d = SetCount(0);
+        let mut d = SetCount(Vec::new());
         for_each_set_backend(&mut d);
-        assert_eq!(d.0, 5);
+        assert_eq!(
+            d.0,
+            [
+                "treap_set",
+                "sharded_set_8",
+                "ebst_set",
+                "mutex_treap_set",
+                "rwlock_treap_set"
+            ]
+        );
+    }
+
+    #[test]
+    fn dyn_set_backends_match_the_visitor_list() {
+        struct Names(Vec<String>);
+        impl SetBackendDriver for Names {
+            fn drive<S>(&mut self, name: &str, _make: fn() -> S)
+            where
+                S: ConcurrentSet<i64> + Snapshottable,
+                S::Snapshot: SetSnapshot<i64>,
+            {
+                self.0.push(name.to_string());
+            }
+        }
+        let mut visitor = Names(Vec::new());
+        for_each_set_backend(&mut visitor);
+        let dyn_names: Vec<String> = set_backends().iter().map(|b| b.name.to_string()).collect();
+        assert_eq!(visitor.0, dyn_names);
     }
 }

@@ -14,14 +14,18 @@
 //! key changes **only** when a committed update's path overlaps it, which
 //! is the exact premise of the paper's cache analysis. Built from random
 //! keys the tree is balanced with high probability.
+//!
+//! Nodes are [`PoolArc`] blocks from `pathcopy_core::pool`, one cache
+//! line each — the treap's allocator, so the modelled tree and the
+//! measured one pay the same for a copied node.
 
 use std::borrow::Borrow;
 use std::cmp::Ordering::{Equal, Greater, Less};
 use std::fmt;
 use std::ops::{Bound, RangeBounds};
-use std::sync::Arc;
 
 use pathcopy_core::api::SetDiffEntry;
+use pathcopy_core::pool::PoolArc;
 
 /// A node of the external BST.
 #[derive(Debug)]
@@ -37,13 +41,20 @@ pub enum EbNode<K> {
         /// The routing key.
         router: K,
         /// Keys `< router`.
-        left: Arc<EbNode<K>>,
+        left: PoolArc<EbNode<K>>,
         /// Keys `>= router`.
-        right: Arc<EbNode<K>>,
+        right: PoolArc<EbNode<K>>,
         /// Number of leaves below this node.
         size: usize,
     },
 }
+
+// One node, one cache line, as for the treap: the reference count plus
+// an `i64`-keyed internal node (router, two links, size, tag) fits the
+// pool's 64-byte, 64-aligned class; a field that breaks this fails the
+// build.
+const _: () =
+    assert!(PoolArc::<EbNode<i64>>::BLOCK_BYTES == 64 && PoolArc::<EbNode<i64>>::BLOCK_ALIGN == 64);
 
 impl<K> EbNode<K> {
     fn size(&self) -> usize {
@@ -69,7 +80,7 @@ impl<K> EbNode<K> {
 /// assert!(!s1.contains(&20)); // old version untouched
 /// ```
 pub struct ExternalBstSet<K> {
-    root: Option<Arc<EbNode<K>>>,
+    root: Option<PoolArc<EbNode<K>>>,
 }
 
 impl<K> Clone for ExternalBstSet<K> {
@@ -103,15 +114,18 @@ impl<K> ExternalBstSet<K> {
     }
 
     /// The root node, for structural inspection.
-    pub fn root(&self) -> Option<&Arc<EbNode<K>>> {
+    pub fn root(&self) -> Option<&PoolArc<EbNode<K>>> {
         self.root.as_ref()
     }
 }
 
-fn mk_internal<K: Clone + Ord>(left: Arc<EbNode<K>>, right: Arc<EbNode<K>>) -> Arc<EbNode<K>> {
+fn mk_internal<K: Clone + Ord>(
+    left: PoolArc<EbNode<K>>,
+    right: PoolArc<EbNode<K>>,
+) -> PoolArc<EbNode<K>> {
     let router = min_key(&right).clone();
     let size = left.size() + right.size();
-    Arc::new(EbNode::Internal {
+    PoolArc::new(EbNode::Internal {
         router,
         left,
         right,
@@ -131,7 +145,7 @@ impl<K: Ord + Clone> ExternalBstSet<K> {
     pub fn insert(&self, key: K) -> Option<Self> {
         match &self.root {
             None => Some(ExternalBstSet {
-                root: Some(Arc::new(EbNode::Leaf { key })),
+                root: Some(PoolArc::new(EbNode::Leaf { key })),
             }),
             Some(root) => insert_rec(root, key).map(|root| ExternalBstSet { root: Some(root) }),
         }
@@ -206,14 +220,14 @@ impl<K: Ord + Clone> ExternalBstSet<K> {
     /// walk visited — two identical versions visit 0 nodes, and nearby
     /// versions visit only the changed region plus its boundary paths.
     pub fn diff_counted(&self, newer: &Self) -> (Vec<SetDiffEntry<K>>, usize) {
-        let mut old: Vec<&Arc<EbNode<K>>> = self.root.iter().collect();
-        let mut new: Vec<&Arc<EbNode<K>>> = newer.root.iter().collect();
+        let mut old: Vec<&PoolArc<EbNode<K>>> = self.root.iter().collect();
+        let mut new: Vec<&PoolArc<EbNode<K>>> = newer.root.iter().collect();
         let mut out = Vec::new();
         let mut visited = 0usize;
         loop {
             // Skip subtrees (and leaves) shared between the versions.
             while let (Some(a), Some(b)) = (old.last(), new.last()) {
-                if Arc::ptr_eq(a, b) {
+                if PoolArc::ptr_eq(a, b) {
                     old.pop();
                     new.pop();
                 } else {
@@ -333,19 +347,19 @@ impl<K: Ord + Clone> ExternalBstSet<K> {
 
 enum Removed<K> {
     Empty,
-    Tree(Arc<EbNode<K>>),
+    Tree(PoolArc<EbNode<K>>),
 }
 
-fn insert_rec<K: Ord + Clone>(node: &Arc<EbNode<K>>, key: K) -> Option<Arc<EbNode<K>>> {
+fn insert_rec<K: Ord + Clone>(node: &PoolArc<EbNode<K>>, key: K) -> Option<PoolArc<EbNode<K>>> {
     match &**node {
         EbNode::Leaf { key: leaf_key } => match key.cmp(leaf_key) {
             Equal => None,
             Less => {
-                let new_leaf = Arc::new(EbNode::Leaf { key });
+                let new_leaf = PoolArc::new(EbNode::Leaf { key });
                 Some(mk_internal(new_leaf, node.clone()))
             }
             Greater => {
-                let new_leaf = Arc::new(EbNode::Leaf { key });
+                let new_leaf = PoolArc::new(EbNode::Leaf { key });
                 Some(mk_internal(node.clone(), new_leaf))
             }
         },
@@ -366,7 +380,7 @@ fn insert_rec<K: Ord + Clone>(node: &Arc<EbNode<K>>, key: K) -> Option<Arc<EbNod
     }
 }
 
-fn remove_rec<K, Q>(node: &Arc<EbNode<K>>, key: &Q) -> Option<Removed<K>>
+fn remove_rec<K, Q>(node: &PoolArc<EbNode<K>>, key: &Q) -> Option<Removed<K>>
 where
     K: Ord + Clone + Borrow<Q>,
     Q: Ord + ?Sized,
@@ -458,7 +472,7 @@ pub struct EbRange<'a, K> {
 }
 
 impl<'a, K: Ord> EbRange<'a, K> {
-    fn new(root: Option<&'a Arc<EbNode<K>>>, lo: Bound<K>, hi: Bound<K>) -> Self {
+    fn new(root: Option<&'a PoolArc<EbNode<K>>>, lo: Bound<K>, hi: Bound<K>) -> Self {
         let mut it = EbRange {
             stack: Vec::new(),
             lo,
@@ -570,7 +584,7 @@ impl<K: Ord + Clone> crate::sharing::SearchTree for ExternalBstSet<K> {
             Some(r) => r,
         };
         loop {
-            visit(Arc::as_ptr(cur) as usize);
+            visit(PoolArc::as_ptr(cur) as usize);
             match &**cur {
                 EbNode::Leaf { .. } => return,
                 EbNode::Internal {
@@ -586,8 +600,8 @@ impl<K: Ord + Clone> crate::sharing::SearchTree for ExternalBstSet<K> {
     }
 
     fn visit_all(&self, visit: &mut dyn FnMut(usize)) {
-        fn walk<K>(n: &Arc<EbNode<K>>, visit: &mut dyn FnMut(usize)) {
-            visit(Arc::as_ptr(n) as usize);
+        fn walk<K>(n: &PoolArc<EbNode<K>>, visit: &mut dyn FnMut(usize)) {
+            visit(PoolArc::as_ptr(n) as usize);
             if let EbNode::Internal { left, right, .. } = &**n {
                 walk(left, visit);
                 walk(right, visit);

@@ -9,8 +9,8 @@
 //!   path that it has not already loaded (and therefore has not cached)
 //!   is small — in expectation ≤ 2: [`uncached_on_retry`].
 //!
-//! Node identity is the node's allocation address (`Arc` or `PoolArc`
-//! alike); two versions that are both alive share a node exactly when
+//! Node identity is the node's allocation address (its `PoolArc`
+//! block); two versions that are both alive share a node exactly when
 //! the addresses match.
 
 use std::collections::HashSet;

@@ -14,12 +14,12 @@
 //!   `PathCopyUc` (the retrying load/copy/CAS loop), `PoolArc` (node
 //!   memory: [`pathcopy_core::pool`]), lock baselines, and the unified
 //!   trait family ([`pathcopy_core::api`]).
-//! * [`pathcopy_trees`] — persistent treap (its nodes are
-//!   `PoolArc<Node>`: one cache line each, from per-thread magazines),
-//!   AVL, red–black tree, external BST, list, queue, vector; sharing
+//! * [`pathcopy_trees`] — the persistent treap and the Appendix-A
+//!   external BST (their nodes are `PoolArc`s: one cache line each, from
+//!   per-thread magazines), the mutable "Seq Treap" baseline; sharing
 //!   measurements.
-//! * [`pathcopy_concurrent`] — ready-made lock-free sets/maps/sequences
-//!   and the backend registry.
+//! * [`pathcopy_concurrent`] — ready-made lock-free sets/maps and the
+//!   backend registry.
 //! * [`pathcopy_sim`] — the Appendix-A model: private LRU caches,
 //!   synchronous processes, closed-form speedup.
 //! * [`pathcopy_workloads`] — the §4 Batch/Random workload generators.
@@ -51,7 +51,6 @@
 //! | [`TreapMap`](prelude::TreapMap) / [`TreapSet`](prelude::TreapSet) | lock-free updates, wait-free reads | O(1) | The paper's construction; the default until a single root CAS saturates. Nodes are pooled (`PoolArc`), so an update makes ~2 global allocations, not one per copied node. |
 //! | [`ShardedTreapMap`](prelude::ShardedTreapMap) / [`ShardedTreapSet`](prelude::ShardedTreapSet) | lock-free | O(shards), validated double scan | Write-heavy multi-core workloads; atomic cross-shard batches via `transact`. `len()` is weakly consistent — use the snapshot for exact counts. |
 //! | [`ConcurrentExternalBstSet`](prelude::ConcurrentExternalBstSet) | lock-free | O(1) | The Appendix-A model tree (no rotations); reference subject for path-length measurements. |
-//! | [`ConcurrentAvlSet`](prelude::ConcurrentAvlSet), [`ConcurrentRbSet`](prelude::ConcurrentRbSet) | lock-free | O(1) | Alternative balancing disciplines under the same UC. |
 //! | [`LockedMap`](prelude::LockedMap) / [`LockedTreapSet`](prelude::LockedTreapSet) | blocking (global mutex) | O(1) | The intro's "simplest UC" baseline; surprisingly fine at low thread counts. |
 //! | [`RwLockedTreapSet`](prelude::RwLockedTreapSet) | blocking (rwlock) | O(1) | Read-mostly baseline; writers still serialize. |
 //!
@@ -226,9 +225,8 @@
 //!
 //! Drive it: `cargo run --release --bin loadgen -- --threads 8
 //! --ops 100000` (Zipf read/write mix, throughput + latency table,
-//! optional `--json` in the bench-trend schema);
-//! `cargo run --release --example kv_server_demo`;
-//! `cargo bench --bench server_rtt`.
+//! optional `--json` in the criterion shim's `BENCH_JSON` schema);
+//! `cargo run --release --example kv_server_demo`.
 //!
 //! ## Replication: read scale-out from snapshot diffs
 //!
@@ -280,9 +278,9 @@
 //! primary.shutdown();
 //! ```
 //!
-//! (On a real map the byte asymmetry is stark — the `replica_sync`
-//! bench tabulates it, and `crates/replica/tests/transfer_cost.rs`
-//! asserts it on a 100k-key map.)
+//! (On a real map the byte asymmetry is stark —
+//! `crates/replica/tests/transfer_cost.rs` asserts it on a 100k-key
+//! map.)
 //!
 //! Guarded mini-transactions ride the same wire: a `Batch` frame with
 //! the `guarded` flag aborts **whole-batch, zero writes** when any `Cas`
@@ -292,8 +290,7 @@
 //!
 //! See it run: `cargo run --release --example cluster_demo` (1 primary,
 //! 2 replicas, concurrent writer, replica readers verifying they only
-//! ever see frozen versions); `cargo bench --bench replica_sync`
-//! (diff-sync vs full-sync transfer bytes as write locality varies).
+//! ever see frozen versions).
 //!
 //! ## Durability: the epoch log
 //!
@@ -341,9 +338,9 @@
 //!
 //! See it run: `cargo run --release --example durable_demo` (durable
 //! primary, simulated crash with a torn tail, recovery, point-in-time
-//! restore, log-seeded replica); `cargo bench --bench recovery`
-//! (replay/restore cost vs checkpoint cadence); `loadgen --log-dir DIR`
-//! for durability under load.
+//! restore, log-seeded replica); `loadgen --log-dir DIR` for
+//! durability under load; the perf ledger's `wire_durable_fanout`
+//! workload reports `durable.recover_ms` and `durable.checkpoint_ms`.
 //!
 //! ## Further reading
 //!
@@ -359,7 +356,7 @@
 //!   against the encoder by `crates/server/tests/doc_contract.rs`).
 //! * [`docs/OPERATIONS.md`](../../../docs/OPERATIONS.md) — running a
 //!   durable cluster, failure drills, what healthy counters look like,
-//!   and the CI bench soft-gate.
+//!   and what CI checks.
 //!
 //! ## Building and testing
 //!
@@ -387,11 +384,10 @@ pub use pathcopy_workloads;
 /// One-line import for the common API.
 pub mod prelude {
     pub use pathcopy_concurrent::{
-        diff_to_ops, AvlSet as ConcurrentAvlSet, BatchOp, BatchResult, EbstSnapshot,
-        ExternalBstSet as ConcurrentExternalBstSet, GuardAbort, LockedMap, LockedTreapSet, Queue,
-        RbSet as ConcurrentRbSet, RwLockedTreapSet, ShardedSetSnapshot, ShardedSnapshot,
-        ShardedTreapMap, ShardedTreapSet, Stack, TreapMap, TreapSet, TreapSetSnapshot,
-        TreapSnapshot,
+        diff_to_ops, BatchOp, BatchResult, EbstSnapshot,
+        ExternalBstSet as ConcurrentExternalBstSet, GuardAbort, LockedMap, LockedTreapSet,
+        RwLockedTreapSet, ShardedSetSnapshot, ShardedSnapshot, ShardedTreapMap, ShardedTreapSet,
+        TreapMap, TreapSet, TreapSetSnapshot, TreapSnapshot,
     };
     pub use pathcopy_core::{
         BackoffPolicy, ConcurrentMap, ConcurrentSet, DiffEntry, MapSnapshot, MutexUc, PathCopyUc,
@@ -400,8 +396,6 @@ pub mod prelude {
     };
     pub use pathcopy_replica::{Replica, ReplicaStatsSnapshot, SyncOutcome};
     pub use pathcopy_trees::{
-        avl::AvlMap, avl::AvlSet, list::PStack, pvec::PVec, queue::PQueue, rbtree::RbMap,
-        rbtree::RbSet, ExternalBstSet, TreapMap as PersistentTreapMap,
-        TreapSet as PersistentTreapSet,
+        ExternalBstSet, TreapMap as PersistentTreapMap, TreapSet as PersistentTreapSet,
     };
 }

@@ -1,5 +1,5 @@
-//! The treap's node memory, end to end: nodes come from
-//! `pathcopy_core::pool`, so no sequence of persistent operations,
+//! The trees' node memory, end to end: treap and external-BST nodes come
+//! from `pathcopy_core::pool`, so no sequence of persistent operations,
 //! retained versions, concurrent updates or short-lived threads may
 //! leak a block, free one twice, or make the pool grow.
 //!
@@ -39,14 +39,17 @@ fn flush_epochs_until(what: &str, done: impl Fn() -> bool) {
 /// Every structural operation the treap has, applied in a random order
 /// to a population of retained versions that share subtrees every which
 /// way, then the same from four threads through the universal
-/// construction. When everything is dropped and the epochs are flushed
-/// the live-block count is back where it started: no node leaked, and
-/// (the count is exact and unsigned) none freed twice. The poison check
-/// on reuse turns a write through a stale node into a panic.
+/// construction; then both again for the external BST. When everything
+/// is dropped and the epochs are flushed the live-block count is back
+/// where it started: no node leaked, and (the count is exact and
+/// unsigned) none freed twice. The poison check on reuse turns a write
+/// through a stale node into a panic.
 #[cfg(debug_assertions)]
 #[test]
 fn no_operation_sequence_leaks_or_double_frees_a_node() {
+    use path_copying::pathcopy_concurrent::ExternalBstSet as ConcurrentExternalBstSet;
     use path_copying::pathcopy_concurrent::TreapMap as ConcurrentTreapMap;
+    use path_copying::pathcopy_trees::ExternalBstSet;
 
     let _turn = take_turns();
     let start = pool::live_blocks();
@@ -107,6 +110,60 @@ fn no_operation_sequence_leaks_or_double_frees_a_node() {
             }
         });
         map.snapshot().check_invariants();
+    }
+    {
+        let mut x = 0xeb57_u64;
+        let mut next = move || {
+            x = splitmix64(x);
+            x
+        };
+        let mut versions: Vec<ExternalBstSet<i64>> = vec![ExternalBstSet::new()];
+        for _ in 0..4_000 {
+            let a = versions[next() as usize % versions.len()].clone();
+            let key = (next() % 512) as i64;
+            let made = match next() % 4 {
+                0 | 1 => a.insert(key).unwrap_or(a),
+                2 => a.remove(&key).unwrap_or(a),
+                // A diff walks two versions by `ptr_eq`, holding both.
+                _ => {
+                    let b = &versions[next() as usize % versions.len()];
+                    assert_eq!(a.diff(b).len(), b.diff(&a).len());
+                    a
+                }
+            };
+            made.check_invariants();
+            if versions.len() < 24 {
+                versions.push(made);
+            } else {
+                let slot = next() as usize % versions.len();
+                versions[slot] = made;
+            }
+        }
+        assert!(pool::live_blocks() > start, "the versions hold nodes");
+
+        let set = ConcurrentExternalBstSet::from_version(versions[0].clone());
+        let mut snapshots = Vec::new();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let set = &set;
+                s.spawn(move || {
+                    let mut x = t + 1;
+                    for _ in 0..3_000 {
+                        x = splitmix64(x);
+                        let key = (x % 256) as i64;
+                        if x & (1 << 20) == 0 {
+                            set.insert(key);
+                        } else {
+                            set.remove(&key);
+                        }
+                    }
+                });
+            }
+            for _ in 0..50 {
+                snapshots.push(set.snapshot());
+            }
+        });
+        set.snapshot().check_invariants();
     }
     flush_epochs_until(
         "pool blocks still live after everything was dropped",

@@ -1,16 +1,15 @@
-//! Property-based tests: every persistent structure must behave exactly
-//! like its std reference model under arbitrary operation sequences, must
-//! keep old versions intact (persistence), and must respect its
-//! structural invariants and the path-copying sharing bound.
+//! Property-based tests: the two persistent trees — the treap and the
+//! external BST — must behave exactly like their std reference models
+//! under arbitrary operation sequences, keep old versions intact
+//! (persistence), and respect their structural invariants and the
+//! path-copying sharing bound; the sharded map must behave like one big
+//! map.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use path_copying::pathcopy_trees::{
-    avl::AvlMap, list::PStack, pvec::PVec, queue::PQueue, rbtree::RbMap, sharing, ExternalBstSet,
-    TreapMap,
-};
+use path_copying::pathcopy_trees::{sharing, ExternalBstSet, TreapMap};
 use path_copying::prelude::ShardedTreapMap;
 
 /// An operation on a keyed map/set.
@@ -39,62 +38,6 @@ proptest! {
     fn treap_matches_btreemap(ops in map_ops()) {
         let mut reference = BTreeMap::new();
         let mut m: TreapMap<i16, i16> = TreapMap::new();
-        for op in ops {
-            match op {
-                MapOp::Insert(k, v) => {
-                    let (nm, old) = m.insert(k, v);
-                    prop_assert_eq!(old, reference.insert(k, v));
-                    m = nm;
-                }
-                MapOp::Remove(k) => match (m.remove(&k), reference.remove(&k)) {
-                    (None, None) => {}
-                    (Some((nm, got)), Some(want)) => {
-                        prop_assert_eq!(got, want);
-                        m = nm;
-                    }
-                    other => prop_assert!(false, "remove mismatch: {:?}", other.1),
-                },
-                MapOp::Query(k) => {
-                    prop_assert_eq!(m.get(&k), reference.get(&k));
-                }
-            }
-        }
-        m.check_invariants();
-        prop_assert!(m.iter().map(|(k, v)| (*k, *v)).eq(reference.into_iter()));
-    }
-
-    #[test]
-    fn avl_matches_btreemap(ops in map_ops()) {
-        let mut reference = BTreeMap::new();
-        let mut m: AvlMap<i16, i16> = AvlMap::new();
-        for op in ops {
-            match op {
-                MapOp::Insert(k, v) => {
-                    let (nm, old) = m.insert(k, v);
-                    prop_assert_eq!(old, reference.insert(k, v));
-                    m = nm;
-                }
-                MapOp::Remove(k) => match (m.remove(&k), reference.remove(&k)) {
-                    (None, None) => {}
-                    (Some((nm, got)), Some(want)) => {
-                        prop_assert_eq!(got, want);
-                        m = nm;
-                    }
-                    other => prop_assert!(false, "remove mismatch: {:?}", other.1),
-                },
-                MapOp::Query(k) => {
-                    prop_assert_eq!(m.get(&k), reference.get(&k));
-                }
-            }
-        }
-        m.check_invariants();
-        prop_assert!(m.iter().map(|(k, v)| (*k, *v)).eq(reference.into_iter()));
-    }
-
-    #[test]
-    fn rbtree_matches_btreemap(ops in map_ops()) {
-        let mut reference = BTreeMap::new();
-        let mut m: RbMap<i16, i16> = RbMap::new();
         for op in ops {
             match op {
                 MapOp::Insert(k, v) => {
@@ -187,83 +130,6 @@ proptest! {
             2 * height + 2,
             m.len()
         );
-    }
-
-    #[test]
-    fn pvec_matches_vec(ops in prop::collection::vec(any::<(u8, u16)>(), 0..150)) {
-        let mut reference: Vec<u16> = Vec::new();
-        let mut v: PVec<u16> = PVec::new();
-        for (sel, val) in ops {
-            match sel % 3 {
-                0 => {
-                    reference.push(val);
-                    v = v.push(val);
-                }
-                1 if !reference.is_empty() => {
-                    let i = val as usize % reference.len();
-                    reference[i] = val;
-                    v = v.set(i, val).unwrap();
-                }
-                _ => {
-                    let expected = reference.pop();
-                    match v.pop() {
-                        Some((nv, got)) => {
-                            prop_assert_eq!(Some(got), expected);
-                            v = nv;
-                        }
-                        None => prop_assert_eq!(expected, None),
-                    }
-                }
-            }
-            prop_assert_eq!(v.len(), reference.len());
-        }
-        prop_assert!(v.iter().copied().eq(reference.into_iter()));
-    }
-
-    #[test]
-    fn pqueue_matches_vecdeque(ops in prop::collection::vec(any::<(bool, u16)>(), 0..150)) {
-        let mut reference: VecDeque<u16> = VecDeque::new();
-        let mut q: PQueue<u16> = PQueue::new();
-        for (push, val) in ops {
-            if push {
-                reference.push_back(val);
-                q = q.push_back(val);
-            } else {
-                let expected = reference.pop_front();
-                match q.pop_front() {
-                    Some((nq, got)) => {
-                        prop_assert_eq!(Some(got), expected);
-                        q = nq;
-                    }
-                    None => prop_assert_eq!(expected, None),
-                }
-            }
-        }
-        prop_assert_eq!(q.to_vec(), Vec::from(reference));
-    }
-
-    #[test]
-    fn pstack_matches_vec(ops in prop::collection::vec(any::<(bool, u16)>(), 0..150)) {
-        let mut reference: Vec<u16> = Vec::new();
-        let mut s: PStack<u16> = PStack::new();
-        for (push, val) in ops {
-            if push {
-                reference.push(val);
-                s = s.push(val);
-            } else {
-                let expected = reference.pop();
-                match s.pop() {
-                    Some((ns, got)) => {
-                        prop_assert_eq!(Some(got), expected);
-                        s = ns;
-                    }
-                    None => prop_assert_eq!(expected, None),
-                }
-            }
-        }
-        let got: Vec<u16> = s.iter().copied().collect();
-        let want: Vec<u16> = reference.into_iter().rev().collect();
-        prop_assert_eq!(got, want);
     }
 
     #[test]
