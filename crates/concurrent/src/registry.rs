@@ -31,44 +31,6 @@ pub struct SetBackend {
     pub make: fn() -> Box<dyn ConcurrentSet<i64>>,
 }
 
-/// A named, `dyn`-able constructor for a map backend over `i64 -> i64`.
-///
-/// This is the servable-backend enumeration: anything listed here can be
-/// driven through point operations alone, which is what generic harnesses
-/// and the network serving layer (`pathcopy-server`) build on. The names
-/// match [`for_each_map_backend`] one-to-one, so code needing the
-/// snapshot machinery can cross over to the visitor form by name.
-pub struct MapBackend {
-    /// Stable display name (also used as a bench id component and as the
-    /// `--backend` name in serving tools).
-    pub name: &'static str,
-    /// Builds a fresh, empty instance.
-    pub make: fn() -> Box<dyn ConcurrentMap<i64, i64>>,
-}
-
-/// Every map backend, as `dyn` constructors (same list, same names, and
-/// same order as [`for_each_map_backend`]).
-pub fn map_backends() -> Vec<MapBackend> {
-    vec![
-        MapBackend {
-            name: "treap_map",
-            make: || Box::new(TreapMap::new()),
-        },
-        MapBackend {
-            name: "sharded_map_1",
-            make: || Box::new(ShardedTreapMap::with_shards(1)),
-        },
-        MapBackend {
-            name: "sharded_map_8",
-            make: || Box::new(ShardedTreapMap::with_shards(8)),
-        },
-        MapBackend {
-            name: "locked_map",
-            make: || Box::new(LockedMap::new()),
-        },
-    ]
-}
-
 /// Every set backend, as `dyn` constructors (same list, same names, and
 /// same order as [`for_each_set_backend`]).
 pub fn set_backends() -> Vec<SetBackend> {
@@ -150,42 +112,6 @@ mod tests {
             assert!(set.remove(&1), "[{}] remove", backend.name);
             assert!(set.is_empty(), "[{}] empty", backend.name);
         }
-    }
-
-    #[test]
-    fn dyn_map_backends_all_work_and_match_the_visitor_list() {
-        for backend in map_backends() {
-            let map = (backend.make)();
-            assert_eq!(map.insert(1, 10), None, "[{}]", backend.name);
-            assert_eq!(map.insert(1, 11), Some(10), "[{}]", backend.name);
-            assert_eq!(map.get(&1), Some(11), "[{}]", backend.name);
-            assert_eq!(
-                map.compute(&1, &|v| v.map(|x| x + 1)),
-                Some(11),
-                "[{}]",
-                backend.name
-            );
-            assert_eq!(map.remove(&1), Some(12), "[{}]", backend.name);
-            assert!(map.is_empty(), "[{}]", backend.name);
-        }
-
-        // The dyn list and the generic visitor enumerate the same
-        // backends under the same names — tools keyed by either stay in
-        // sync.
-        struct Names(Vec<String>);
-        impl MapBackendDriver for Names {
-            fn drive<M>(&mut self, name: &str, _make: fn() -> M)
-            where
-                M: ConcurrentMap<i64, i64> + Snapshottable,
-                M::Snapshot: MapSnapshot<i64, i64>,
-            {
-                self.0.push(name.to_string());
-            }
-        }
-        let mut visitor = Names(Vec::new());
-        for_each_map_backend(&mut visitor);
-        let dyn_names: Vec<String> = map_backends().iter().map(|b| b.name.to_string()).collect();
-        assert_eq!(visitor.0, dyn_names);
     }
 
     #[test]

@@ -5,18 +5,16 @@
 //!
 //! ```text
 //! cargo run --release --bin loadgen -- \
-//!     --threads 8 --ops 100000 --backend sharded_map_8 \
+//!     --threads 8 --ops 100000 \
 //!     --read-frac 0.9 --theta 0.99 --keys 65536 \
-//!     [--batch 8] [--workers 8] [--replicas 2] [--json out.jsonl] \
-//!     [--log-dir /var/tmp/pathcopy-log] [--subscribe] [--relays 2] \
+//!     [--batch 8] [--workers 8] [--replicas 2] [--relays 2] \
+//!     [--log-dir /var/tmp/pathcopy-log] \
 //!     [--metrics] [--trace [--slow-ms t]] [--metrics-interval n]
 //! ```
 //!
-//! `--batch n` groups updates into n-op `Batch` frames (the sharded
-//! backend commits them atomically via `transact`); `--json` appends one
-//! JSON line per metric in the criterion shim's `BENCH_JSON` schema
-//! (`{"id":...,"median_ns":...,"samples":...,"mode":...}`), so server
-//! throughput joins the same perf-trajectory artifacts as the benches.
+//! Every node serves the 8-shard map (`ShardedServe`). `--batch n`
+//! groups updates into n-op `Batch` frames, each of which the primary
+//! commits atomically via `transact`.
 //!
 //! `--pipeline n` keeps up to `n` requests in flight per thread through
 //! the proto-v3 session API (`submit` + windowed `wait`) instead of
@@ -26,12 +24,17 @@
 //! `Busy` if `--pipeline` exceeds it.
 //!
 //! `--replicas n` stands up the replication subsystem: one primary plus
-//! `n` snapshot-diff replicas, each serving on its own port with a sync
-//! thread pulling epoch diffs while a publisher thread advances the
-//! primary's version feed. **Reads go to the replicas** (round-robin by
-//! worker thread), updates to the primary — the read scale-out topology
-//! the paper's O(changes) diffs make cheap. The final report includes
-//! per-replica applied epochs and diff/full transfer bytes.
+//! `n` push replicas (`PushReplica`), each serving on its own port with
+//! a pump thread applying the epoch diffs the primary pushes while a
+//! publisher thread advances the primary's version feed. **Reads go to
+//! the replicas** (round-robin by worker thread), updates to the
+//! primary — the read scale-out topology the paper's O(changes) diffs
+//! make cheap. `--relays r` inserts `r` relay nodes between the primary
+//! and the replicas: relays subscribe to the primary, re-serve the feed
+//! under the primary's epoch numbers, and the replicas subscribe to the
+//! relays round-robin — the primary's push egress then scales with `r`,
+//! not with the replica count. The final report prints per-node
+//! push/gap/resubscribe counters.
 //!
 //! `--log-dir <path>` makes the primary durable: every published epoch
 //! is appended to a `pathcopy-durable` segmented log in that directory
@@ -53,16 +56,6 @@
 //! queue), execute time when the backend slows down, write time when
 //! replies outpace the sockets.
 //!
-//! `--subscribe` switches the replica tier from pull to **push**: each
-//! replica registers for the primary's feed and applies unsolicited
-//! epoch-diff frames (`PushReplica::pump`) instead of polling
-//! `PullDiff`. `--relays r` (implies `--subscribe`) inserts `r` relay
-//! nodes between the primary and the replicas: relays subscribe to the
-//! primary, re-serve the feed under the primary's epoch numbers, and
-//! the replicas subscribe to the relays round-robin — the primary's
-//! push egress then scales with `r`, not with the replica count. The
-//! final report prints per-node push/gap/resubscribe counters.
-//!
 //! `--trace` turns on the cluster-wide flight recorders: every node
 //! (primary, relays, push replicas) gets a `pathcopy-trace` ring, the
 //! publisher mints a sampled trace context per epoch, and the context
@@ -78,7 +71,6 @@
 //! `HistogramSnapshot::delta`), so a long run shows drift over time
 //! instead of one blended end-of-run summary.
 
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -89,18 +81,21 @@ use pathcopy_bench::table::{group_thousands, Series};
 use pathcopy_concurrent::BatchOp;
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
 use pathcopy_metrics::LatencyHistogram;
-use pathcopy_replica::{cluster, PushOutcome, PushReplica};
+use pathcopy_replica::PushReplica;
+use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::{
-    backend, render_text, render_trace, trace_ids, Client, FeedSink, Flight, MetricsSource as _,
-    Request, ServerConfig, SpanRecord, Ticket, TraceContext,
+    render_text, render_trace, trace_ids, Client, FeedSink, Flight, MetricsSource as _, Request,
+    ServerConfig, SpanRecord, Ticket, TraceContext,
 };
 use pathcopy_workloads::{KeyDist, MixedStream, Op, OpStream as _};
+
+/// Shards of every node's map (`sharded_map_8`, the served engine).
+const SHARDS: usize = 8;
 
 fn main() {
     let args = Args::from_env();
     let threads: usize = args.get_or("threads", 4);
     let total_ops: u64 = args.get_or("ops", 100_000);
-    let backend_name: String = args.get_or("backend", "sharded_map_8".to_string());
     let read_frac: f64 = args.get_or("read-frac", 0.9);
     let theta: f64 = args.get_or("theta", 0.99);
     let keys: u64 = args.get_or("keys", 65_536);
@@ -108,20 +103,18 @@ fn main() {
     let pipeline: usize = args.get_or("pipeline", 1);
     let replicas: usize = args.get_or("replicas", 0);
     let relays: usize = args.get_or("relays", 0);
-    let subscribe = args.has_flag("subscribe") || relays > 0;
     // `--workers` is the server's threads for requests that may block
     // (`Publish`, scans, diffs, sync pages, a `GetAt` waiting for its
     // epoch, scrapes). Point reads and writes execute on the event
     // loop, which also multiplexes every connection, so neither the
     // driving threads' traffic nor standing connections (publisher,
-    // replica sync clients, idle sessions) use one. The default leaves
+    // replica upstream sessions, idle sessions) use one. The default leaves
     // room for every driving thread to have a batch or a waiting read
     // in progress at once.
     let workers: usize = args.get_or("workers", threads.max(4));
     let prefill: u64 = args.get_or("prefill", keys / 2);
     let seed: u64 = args.get_or("seed", 42);
     let publish_ms: u64 = args.get_or("publish-ms", 2);
-    let json: Option<String> = args.get("json").map(String::from);
     let log_dir: Option<String> = args.get("log-dir").map(String::from);
     let show_metrics = args.has_flag("metrics");
     let trace_on = args.has_flag("trace");
@@ -139,12 +132,6 @@ fn main() {
         let flight = Flight::new(name);
         flight.set_slow_threshold(slow_threshold);
         flight
-    };
-
-    let Some(engine) = backend::by_name(&backend_name) else {
-        let names: Vec<&str> = backend::backends().iter().map(|b| b.name).collect();
-        eprintln!("unknown --backend {backend_name}; available: {names:?}");
-        std::process::exit(2);
     };
 
     // --log-dir: persist every published epoch through the feed sink,
@@ -178,7 +165,8 @@ fn main() {
         config.feed_sink = Some(Arc::clone(&persister) as Arc<dyn FeedSink>);
         durable = Some((log, persister));
     }
-    let server = pathcopy_server::spawn(engine, config).expect("bind ephemeral loopback port");
+    let server = pathcopy_server::spawn(Box::new(ShardedServe::with_shards(SHARDS)), config)
+        .expect("bind ephemeral loopback port");
     if let Some((_, persister)) = &durable {
         // The log's append+fsync histogram joins `Request::Metrics`
         // scrapes alongside the event loop's own stages.
@@ -213,73 +201,59 @@ fn main() {
     // like the engine counters, the traffic's share is a delta.
     let prefill_pool = pathcopy_core::pool::stats();
 
-    // The replication tier: bootstrapped replicas serving on their own
-    // ports, kept fresh by per-replica sync threads while a publisher
+    // The replication tier: optional relays subscribed to the primary,
+    // then the read replicas subscribed round-robin to the relays (or
+    // straight to the primary when there are none), each serving on its
+    // own port and kept fresh by its pump thread while a publisher
     // advances the primary's feed.
     // Each replica serves its share of the reader threads. Their point
     // reads run on the replica's event loop; its workers are the
     // threads for reads that may block — a `GetAt` waiting for its
     // epoch — so size them to that share, one waiting read per reader.
     let readers_per_replica = threads.div_ceil(replicas.max(1)) + 1;
-    let mut nodes = Vec::new();
     let mut push_nodes: Vec<PushReplica> = Vec::new();
     let mut read_addrs: Vec<std::net::SocketAddr> = Vec::new();
     // Every push node's serve address, in `push_nodes` order, for the
     // post-run `TraceDump` sweep.
     let mut trace_addrs: Vec<std::net::SocketAddr> = Vec::new();
-    if subscribe {
-        // The push tier: optional relays subscribed to the primary,
-        // then the read replicas subscribed round-robin to the relays
-        // (or straight to the primary when there are none).
-        let mut relay_addrs = Vec::new();
-        for r in 0..relays {
-            let store = backend::by_name(&backend_name).expect("relay backend");
-            let mut relay = PushReplica::connect(addr, store).expect("stand up relay");
-            if trace_on {
-                relay.set_trace(new_flight(&format!("relay{r}")));
-            }
-            let relay_addr = relay
-                .serve_relay(ServerConfig::with_workers(2))
-                .expect("bind relay listener");
-            relay_addrs.push(relay_addr);
-            trace_addrs.push(relay_addr);
-            push_nodes.push(relay);
+    let mut relay_addrs = Vec::new();
+    for r in 0..relays {
+        let store = Box::new(ShardedServe::with_shards(SHARDS));
+        let mut relay = PushReplica::connect(addr, store).expect("stand up relay");
+        if trace_on {
+            relay.set_trace(new_flight(&format!("relay{r}")));
         }
-        for i in 0..replicas {
-            let upstream = if relay_addrs.is_empty() {
-                addr
-            } else {
-                relay_addrs[i % relay_addrs.len()]
-            };
-            let store = backend::by_name(&backend_name).expect("replica backend");
-            let mut leaf = PushReplica::connect(upstream, store).expect("stand up push replica");
-            if trace_on {
-                leaf.set_trace(new_flight(&format!("leaf{i}")));
-            }
-            let leaf_addr = leaf
-                .serve_relay(ServerConfig::with_workers(readers_per_replica))
-                .expect("bind replica listener");
-            read_addrs.push(leaf_addr);
-            trace_addrs.push(leaf_addr);
-            push_nodes.push(leaf);
+        let relay_addr = relay
+            .serve_relay(ServerConfig::with_workers(2))
+            .expect("bind relay listener");
+        relay_addrs.push(relay_addr);
+        trace_addrs.push(relay_addr);
+        push_nodes.push(relay);
+    }
+    for i in 0..replicas {
+        let upstream = if relay_addrs.is_empty() {
+            addr
+        } else {
+            relay_addrs[i % relay_addrs.len()]
+        };
+        let store = Box::new(ShardedServe::with_shards(SHARDS));
+        let mut leaf = PushReplica::connect(upstream, store).expect("stand up push replica");
+        if trace_on {
+            leaf.set_trace(new_flight(&format!("leaf{i}")));
         }
-        if replicas > 0 || relays > 0 {
-            println!(
-                "replication: push mode, {relays} relay(s) + {replicas} replica(s) \
-                 bootstrapped at epoch {}; reads target the replicas",
-                push_nodes.first().map_or(0, |n| n.applied_epoch())
-            );
-        }
-    } else {
-        nodes =
-            cluster(addr, replicas, &backend_name, readers_per_replica).expect("stand up replicas");
-        read_addrs = nodes.iter().map(|n| n.server.addr()).collect();
-        if replicas > 0 {
-            println!(
-                "replication: {replicas} replica(s) bootstrapped at epoch {}; reads target the replicas",
-                nodes[0].replica.applied_epoch()
-            );
-        }
+        let leaf_addr = leaf
+            .serve_relay(ServerConfig::with_workers(readers_per_replica))
+            .expect("bind replica listener");
+        read_addrs.push(leaf_addr);
+        trace_addrs.push(leaf_addr);
+        push_nodes.push(leaf);
+    }
+    if replicas > 0 || relays > 0 {
+        println!(
+            "replication: {relays} relay(s) + {replicas} push replica(s) \
+             bootstrapped at epoch {}; reads target the replicas",
+            push_nodes.first().map_or(0, |n| n.applied_epoch())
+        );
     }
     let stop = AtomicBool::new(false);
 
@@ -289,7 +263,6 @@ fn main() {
     // workers record concurrently, the report reads one snapshot.
     let latency_hist = LatencyHistogram::new();
     let mut done_ops = 0u64;
-    let mut synced_nodes = Vec::new();
     let mut pumped_nodes = Vec::new();
 
     std::thread::scope(|scope| {
@@ -297,7 +270,6 @@ fn main() {
         // a durable-but-replica-less primary (--log-dir alone): the log
         // persists *published* epochs, so without publishes it would
         // record nothing.
-        let mut sync_handles = Vec::new();
         let mut pump_handles = Vec::new();
         if replicas > 0 || relays > 0 || log_dir.is_some() || trace_on {
             let stop_ref = &stop;
@@ -322,22 +294,6 @@ fn main() {
                 }
             });
         }
-        if replicas > 0 {
-            for node in nodes {
-                let stop_ref = &stop;
-                sync_handles.push(scope.spawn(move || {
-                    let mut node = node;
-                    while !stop_ref.load(Ordering::Relaxed) {
-                        let outcome = node.replica.sync_once().expect("replica sync");
-                        if let pathcopy_replica::SyncOutcome::Diff { changes: 0, .. } = outcome {
-                            // At the head: don't hammer the primary.
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                    }
-                    node
-                }));
-            }
-        }
         for node in push_nodes {
             let stop_ref = &stop;
             pump_handles.push(scope.spawn(move || {
@@ -346,12 +302,7 @@ fn main() {
                 // frame; the publisher keeps frames coming.
                 let mut node = node;
                 while !stop_ref.load(Ordering::Relaxed) {
-                    match node.pump(Duration::from_millis(5)).expect("push pump") {
-                        PushOutcome::Idle
-                        | PushOutcome::Stale { .. }
-                        | PushOutcome::Pushed { .. }
-                        | PushOutcome::CaughtUp { .. } => {}
-                    }
+                    node.pump(Duration::from_millis(5)).expect("push pump");
                 }
                 node
             }));
@@ -529,9 +480,6 @@ fn main() {
             done_ops += h.join().expect("worker panicked");
         }
         stop.store(true, Ordering::Relaxed);
-        for h in sync_handles {
-            synced_nodes.push(h.join().expect("sync thread panicked"));
-        }
         for h in pump_handles {
             pumped_nodes.push(h.join().expect("pump thread panicked"));
         }
@@ -553,7 +501,7 @@ fn main() {
     };
 
     println!(
-        "loadgen: backend={backend_name} threads={threads} workers={workers} ops={done_ops} \
+        "loadgen: threads={threads} workers={workers} ops={done_ops} \
          read_frac={read_frac:.2} zipf(n={keys}, theta={theta}) batch={batch} \
          pipeline={pipeline} replicas={replicas}"
     );
@@ -599,20 +547,6 @@ fn main() {
         final_pool.slabs_carved,
         final_pool.depot_blocks,
     );
-    for (i, node) in synced_nodes.iter().enumerate() {
-        let s = node.replica.stats();
-        println!(
-            "replica[{i}]: applied_epoch={} lag={} diff_pulls={} diff_bytes={} \
-             full_syncs={} full_bytes={} ring_fallbacks={}",
-            s.applied_epoch,
-            s.lag(),
-            s.diff_pulls,
-            s.diff_bytes,
-            s.full_syncs,
-            s.full_bytes,
-            s.ring_fallbacks,
-        );
-    }
     for (i, node) in pumped_nodes.iter().enumerate() {
         let role = if i < relays { "relay" } else { "push-replica" };
         let p = node.push_stats();
@@ -707,48 +641,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = json {
-        // Same JSON-lines schema as the criterion shim's BENCH_JSON hook,
-        // so loadgen results aggregate into the same trend artifacts.
-        // `/p{n}` appears only for pipelined runs so that the default
-        // serial series keeps its historical trend ids.
-        let pipe_seg = if pipeline > 1 {
-            format!("/p{pipeline}")
-        } else {
-            String::new()
-        };
-        let prefix = format!("loadgen/{backend_name}/t{threads}/b{batch}/r{replicas}{pipe_seg}");
-        let per_op_ns = elapsed.as_nanos() as f64 / done_ops.max(1) as f64;
-        let lines = [
-            format!(
-                "{{\"id\":\"{prefix}/throughput\",\"median_ns\":{per_op_ns:.1},\
-                 \"samples\":{done_ops},\"mode\":\"loadgen\"}}"
-            ),
-            format!(
-                "{{\"id\":\"{prefix}/latency_p50\",\"median_ns\":{p50}.0,\
-                 \"samples\":{done_ops},\"mode\":\"loadgen\"}}"
-            ),
-        ];
-        let written = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| {
-                for line in &lines {
-                    writeln!(f, "{line}")?;
-                }
-                Ok(())
-            });
-        match written {
-            Ok(()) => println!("json: appended {} line(s) to {path}", lines.len()),
-            Err(e) => eprintln!("loadgen: cannot append to {path}: {e}"),
-        }
-    }
-
-    // Replica servers shut down when their handles drop.
-    for node in synced_nodes {
-        node.server.shutdown();
-    }
+    // Push nodes (relay endpoints included) shut down when dropped.
     server.shutdown();
 }
 

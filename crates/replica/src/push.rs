@@ -1,8 +1,8 @@
-//! Push-based replication: the subscriber side and relay chaining.
+//! Push-based replication — the one way to deploy a replica: the
+//! subscriber side and relay chaining.
 //!
-//! The pull engine ([`Replica`]) asks the primary what changed; the
-//! push subsystem inverts the arrow. A [`PushReplica`] bootstraps
-//! exactly like a pull replica, then registers for the primary's feed
+//! A [`PushReplica`] bootstraps with the pull engine ([`Replica`]: one
+//! chunked full sync), then registers for the primary's feed
 //! ([`Session::subscribe`](pathcopy_server::Session::subscribe)): every
 //! published epoch arrives as an unsolicited diff frame, and
 //! [`PushReplica::pump`] applies it as one atomic batch. In the steady
@@ -12,9 +12,11 @@
 //!
 //! **Relay chaining** is what makes fan-out scale: a push replica can
 //! itself serve the feed. [`PushReplica::serve_relay`] spawns a full
-//! `pathcopy-server` over the replica's store (via [`RelayBackend`])
-//! and mirrors every applied epoch into that server's own feed under
-//! its **original number**
+//! `pathcopy-server` over the replica's shared store (an
+//! `Arc<dyn ServeBackend>`: the pump thread is its only writer, the
+//! served endpoint reads coherent snapshots of whatever epoch the pump
+//! last applied) and mirrors every applied epoch into that server's own
+//! feed under its **original number**
 //! ([`VersionFeed::publish_at`](pathcopy_server::VersionFeed::publish_at)).
 //! Downstream subscribers — more relays, or leaves — cannot tell the
 //! relay from the primary: same frames, same epoch sequence, same
@@ -49,79 +51,14 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pathcopy_concurrent::{diff_to_ops, BatchOp, BatchResult};
-use pathcopy_core::StatsSnapshot;
+use pathcopy_concurrent::diff_to_ops;
 use pathcopy_metrics::{HistogramSnapshot, Stage};
 use pathcopy_server::metrics::MetricsSource;
 use pathcopy_server::proto::StageSummary;
-use pathcopy_server::{
-    ClientError, Epoch, ServeBackend, ServeSnapshot, ServerConfig, ServerHandle, Subscription,
-};
+use pathcopy_server::{ClientError, Epoch, ServeBackend, ServerConfig, ServerHandle, Subscription};
 use pathcopy_trace::{Flight, Probe, TraceContext};
 
 use crate::replica::{Replica, ReplicaStatsSnapshot};
-
-/// A [`ServeBackend`] view over a push replica's shared store: the
-/// backend a relay's serving endpoint runs on. Pure delegation — the
-/// type exists to name the role (and to give relay-specific policy a
-/// single seam): the pump thread is the only writer, the served
-/// endpoint reads coherent snapshots of whatever epoch the pump last
-/// applied.
-pub struct RelayBackend {
-    store: Arc<dyn ServeBackend>,
-}
-
-impl RelayBackend {
-    /// Wraps the shared store a [`PushReplica`] maintains.
-    pub fn new(store: Arc<dyn ServeBackend>) -> Self {
-        RelayBackend { store }
-    }
-}
-
-impl ServeBackend for RelayBackend {
-    fn get(&self, key: i64) -> Option<i64> {
-        self.store.get(key)
-    }
-
-    fn insert(&self, key: i64, value: i64) -> Option<i64> {
-        self.store.insert(key, value)
-    }
-
-    fn remove(&self, key: i64) -> Option<i64> {
-        self.store.remove(key)
-    }
-
-    fn cas(&self, key: i64, expected: Option<i64>, new: Option<i64>) -> bool {
-        self.store.cas(key, expected, new)
-    }
-
-    fn transact(&self, ops: &[BatchOp<i64, i64>]) -> Vec<BatchResult<i64>> {
-        self.store.transact(ops)
-    }
-
-    fn transact_guarded(
-        &self,
-        ops: &[BatchOp<i64, i64>],
-    ) -> Result<Vec<BatchResult<i64>>, Vec<u32>> {
-        self.store.transact_guarded(ops)
-    }
-
-    fn atomic_batches(&self) -> bool {
-        self.store.atomic_batches()
-    }
-
-    fn snapshot(&self) -> Arc<dyn ServeSnapshot> {
-        self.store.snapshot()
-    }
-
-    fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.store.stats()
-    }
-}
 
 /// What one [`PushReplica::pump`] step did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -312,8 +249,7 @@ impl PushReplica {
         if config.trace.is_none() {
             config.trace = self.metrics.probe.flight().cloned();
         }
-        let handle =
-            pathcopy_server::spawn(Box::new(RelayBackend::new(self.replica.store())), config)?;
+        let handle = pathcopy_server::spawn(Box::new(self.replica.store()), config)?;
         handle.register_metrics_source(self.metrics());
         let applied = self.applied_epoch();
         if applied > 0 {

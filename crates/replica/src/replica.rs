@@ -1,16 +1,16 @@
-//! The replica engine: bootstrap from a chunked full sync, then follow
-//! the primary's version feed with pruned snapshot-to-snapshot diffs.
+//! The pull engine a [`PushReplica`](crate::PushReplica) bootstraps and
+//! repairs gaps with: a chunked full sync, then pruned
+//! snapshot-to-snapshot diffs pulled on demand.
 //!
-//! A [`Replica`] owns a connection to the primary and a local store (any
-//! [`ServeBackend`]). [`Replica::sync_once`] drives one catch-up step:
+//! A [`Replica`] owns a connection to the primary and a local store.
+//! [`Replica::sync_once`] drives one catch-up step:
 //!
 //! * **Diff path** — `PullDiff(applied_epoch)` fetches everything that
 //!   changed between the replica's epoch and the feed head; the entries
 //!   are converted with
 //!   [`diff_to_ops`] and applied through the store's
-//!   [`transact`](ServeBackend::transact). On a backend with atomic
-//!   batches (the sharded map) the whole diff flips in **one**
-//!   linearizable operation, so local readers only ever observe
+//!   [`transact`](ServeBackend::transact), so the whole diff flips in
+//!   **one** linearizable operation and local readers only ever observe
 //!   published primary versions — never a half-applied epoch.
 //! * **Full-sync fallback** — when the replica's epoch has been retired
 //!   from the primary's feed ring (it lagged too far), or the diff reply
@@ -20,22 +20,19 @@
 //!   computes the *local* difference against its own store, and applies
 //!   that reconciliation — again as one atomic batch.
 //!
-//! The engine keeps a [`ReplicaStats`] block counting pulls, applied
-//! entries, and — via the client's [`wire_bytes`](Client::wire_bytes)
-//! accounting — the exact bytes each path moved. That counter is the
+//! The engine counts pulls, applied entries, and — via the client's
+//! [`wire_bytes`](Client::wire_bytes) accounting — the exact bytes each
+//! path moved ([`ReplicaStatsSnapshot`]). That counter is the
 //! experimental proof of the design's point: diff catch-up transfers
 //! O(changes) bytes while a full sync transfers O(n).
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::net::ToSocketAddrs;
 use std::sync::Arc;
 
 use pathcopy_concurrent::{diff_to_ops, BatchOp};
-use pathcopy_server::{
-    Client, ClientError, Epoch, ServeBackend, ServerConfig, ServerHandle, WireError,
-};
+use pathcopy_server::{Client, ClientError, Epoch, ServeBackend, WireError};
 
 /// What one [`Replica::sync_once`] step did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,52 +55,12 @@ pub enum SyncOutcome {
     },
 }
 
-/// Monotone counters describing a replica's sync history; read them as a
-/// [`ReplicaStatsSnapshot`] via [`Replica::stats`]. All counters are
-/// relaxed atomics, shareable across threads via
-/// [`Replica::stats_handle`].
-#[derive(Debug, Default)]
-pub struct ReplicaStats {
-    applied_epoch: AtomicU64,
-    head_seen: AtomicU64,
-    diff_pulls: AtomicU64,
-    full_syncs: AtomicU64,
-    diff_entries: AtomicU64,
-    full_entries: AtomicU64,
-    diff_bytes: AtomicU64,
-    full_bytes: AtomicU64,
-    ring_fallbacks: AtomicU64,
-    log_seeds: AtomicU64,
-    log_seed_entries: AtomicU64,
-}
-
-impl ReplicaStats {
-    /// Plain-data copy of every counter.
-    pub fn snapshot(&self) -> ReplicaStatsSnapshot {
-        ReplicaStatsSnapshot {
-            applied_epoch: self.applied_epoch.load(Relaxed),
-            head_seen: self.head_seen.load(Relaxed),
-            diff_pulls: self.diff_pulls.load(Relaxed),
-            full_syncs: self.full_syncs.load(Relaxed),
-            diff_entries: self.diff_entries.load(Relaxed),
-            full_entries: self.full_entries.load(Relaxed),
-            diff_bytes: self.diff_bytes.load(Relaxed),
-            full_bytes: self.full_bytes.load(Relaxed),
-            ring_fallbacks: self.ring_fallbacks.load(Relaxed),
-            log_seeds: self.log_seeds.load(Relaxed),
-            log_seed_entries: self.log_seed_entries.load(Relaxed),
-        }
-    }
-}
-
-/// Plain-data copy of [`ReplicaStats`] — the `replica_bytes` /
-/// `replica_lag` block.
+/// A replica's monotone sync counters; [`Replica::stats`] returns a
+/// copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplicaStatsSnapshot {
     /// The feed epoch the local store currently equals.
     pub applied_epoch: Epoch,
-    /// Newest primary epoch this replica has observed.
-    pub head_seen: Epoch,
     /// Completed incremental catch-ups ([`SyncOutcome::Diff`]).
     pub diff_pulls: u64,
     /// Completed full syncs ([`SyncOutcome::FullSync`]).
@@ -126,27 +83,17 @@ pub struct ReplicaStatsSnapshot {
     pub log_seed_entries: u64,
 }
 
-impl ReplicaStatsSnapshot {
-    /// How many epochs the replica trails the newest head it has seen
-    /// (`0` = caught up as of the last sync).
-    pub fn lag(&self) -> u64 {
-        self.head_seen.saturating_sub(self.applied_epoch)
-    }
-}
-
 /// A read replica of a `pathcopy-server` primary; see the module docs.
 pub struct Replica {
     client: Client,
     store: Arc<dyn ServeBackend>,
-    stats: Arc<ReplicaStats>,
+    stats: ReplicaStatsSnapshot,
 }
 
 impl Replica {
     /// Connects to the primary at `addr` and adopts `store` as the local
-    /// backend the synced state is materialized into (typically a fresh
-    /// [`backend::by_name`](pathcopy_server::backend::by_name) instance;
-    /// pick one with atomic batches — the sharded map — if local readers
-    /// must only ever observe published versions).
+    /// backend the synced state is materialized into (a fresh
+    /// [`ShardedServe`](pathcopy_server::backend::ShardedServe)).
     ///
     /// The store starts unsynced: call [`sync_once`](Self::sync_once)
     /// (the first call bootstraps with a full sync).
@@ -159,45 +106,25 @@ impl Replica {
         Ok(Replica {
             client: Client::connect(addr)?,
             store: Arc::from(store),
-            stats: Arc::new(ReplicaStats::default()),
+            stats: ReplicaStatsSnapshot::default(),
         })
     }
 
     /// The local store, shared: reads served from this handle see the
-    /// replica's latest applied epoch. Serve it over TCP with
-    /// [`serve`](Self::serve).
+    /// replica's latest applied epoch.
     pub fn store(&self) -> Arc<dyn ServeBackend> {
         Arc::clone(&self.store)
-    }
-
-    /// Spawns a TCP server over the replica's store (the same
-    /// [`ServeBackend`] surface the primary serves), so load generators
-    /// and clients can point read traffic at this replica while
-    /// [`sync_once`](Self::sync_once) keeps catching it up.
-    ///
-    /// # Errors
-    ///
-    /// Any [`io::Error`] from binding the replica's listener (see
-    /// [`pathcopy_server::spawn`]).
-    pub fn serve(&self, config: ServerConfig) -> io::Result<ServerHandle> {
-        pathcopy_server::spawn(Box::new(self.store()), config)
     }
 
     /// The feed epoch the local store currently equals (`0` = never
     /// synced).
     pub fn applied_epoch(&self) -> Epoch {
-        self.stats.applied_epoch.load(Relaxed)
+        self.stats.applied_epoch
     }
 
     /// Plain-data copy of the sync counters.
     pub fn stats(&self) -> ReplicaStatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Shared handle to the live counters (for reporting threads while
-    /// the replica syncs elsewhere).
-    pub fn stats_handle(&self) -> Arc<ReplicaStats> {
-        Arc::clone(&self.stats)
+        self.stats
     }
 
     /// Bootstraps the local store from a durable epoch log instead of a
@@ -233,25 +160,10 @@ impl Replica {
         if head == 0 {
             return Ok(0); // empty log: nothing to adopt
         }
-        self.stats.applied_epoch.store(head, Relaxed);
-        self.stats.head_seen.fetch_max(head, Relaxed);
-        self.stats.log_seeds.fetch_add(1, Relaxed);
-        self.stats
-            .log_seed_entries
-            .fetch_add(self.store.len() as u64, Relaxed);
+        self.stats.applied_epoch = head;
+        self.stats.log_seeds += 1;
+        self.stats.log_seed_entries += self.store.len() as u64;
         Ok(head)
-    }
-
-    /// Asks the primary how far ahead its feed head is and records it;
-    /// returns the current lag in epochs.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ClientError`] from the `Subscribe` round trip.
-    pub fn probe_lag(&mut self) -> Result<u64, ClientError> {
-        let info = self.client.feed_info()?;
-        self.stats.head_seen.fetch_max(info.head, Relaxed);
-        Ok(info.head.saturating_sub(self.applied_epoch()))
     }
 
     /// One catch-up step: incremental diff when possible, full sync when
@@ -275,13 +187,10 @@ impl Replica {
                     self.store.transact(&diff_to_ops(&entries));
                 }
                 let moved = self.client.wire_bytes().since(&before).total();
-                self.stats.diff_bytes.fetch_add(moved, Relaxed);
-                self.stats.diff_pulls.fetch_add(1, Relaxed);
-                self.stats
-                    .diff_entries
-                    .fetch_add(entries.len() as u64, Relaxed);
-                self.stats.applied_epoch.store(to, Relaxed);
-                self.stats.head_seen.fetch_max(to, Relaxed);
+                self.stats.diff_bytes += moved;
+                self.stats.diff_pulls += 1;
+                self.stats.diff_entries += entries.len() as u64;
+                self.stats.applied_epoch = to;
                 Ok(SyncOutcome::Diff {
                     to,
                     changes: entries.len(),
@@ -291,7 +200,7 @@ impl Replica {
             // bootstrap again from the head.
             Err(ClientError::Server(WireError::EpochRetired(_)))
             | Err(ClientError::Server(WireError::TooLarge)) => {
-                self.stats.ring_fallbacks.fetch_add(1, Relaxed);
+                self.stats.ring_fallbacks += 1;
                 self.full_resync()
             }
             Err(e) => Err(e),
@@ -320,13 +229,10 @@ impl Replica {
                     let transferred = target.len();
                     self.reconcile(&target);
                     let moved = self.client.wire_bytes().since(&before).total();
-                    self.stats.full_bytes.fetch_add(moved, Relaxed);
-                    self.stats.full_syncs.fetch_add(1, Relaxed);
-                    self.stats
-                        .full_entries
-                        .fetch_add(transferred as u64, Relaxed);
-                    self.stats.applied_epoch.store(epoch, Relaxed);
-                    self.stats.head_seen.fetch_max(epoch, Relaxed);
+                    self.stats.full_bytes += moved;
+                    self.stats.full_syncs += 1;
+                    self.stats.full_entries += transferred as u64;
+                    self.stats.applied_epoch = epoch;
                     return Ok(SyncOutcome::FullSync {
                         to: epoch,
                         entries: transferred,
@@ -409,57 +315,7 @@ impl Replica {
 
     /// Stamps the store as equal to `epoch` after the push subsystem
     /// applied a pushed diff outside [`sync_once`](Self::sync_once).
-    pub(crate) fn record_applied(&self, epoch: Epoch) {
-        self.stats.applied_epoch.store(epoch, Relaxed);
-        self.stats.head_seen.fetch_max(epoch, Relaxed);
+    pub(crate) fn record_applied(&mut self, epoch: Epoch) {
+        self.stats.applied_epoch = epoch;
     }
-}
-
-/// Convenience: a replica bound to a primary plus its own serving
-/// endpoint, as [`cluster`] hands them out.
-pub struct ReplicaNode {
-    /// The sync engine (drive it with [`Replica::sync_once`]).
-    pub replica: Replica,
-    /// The TCP endpoint serving this replica's store.
-    pub server: ServerHandle,
-}
-
-/// Stands up `n` bootstrapped read replicas of the primary at `addr`,
-/// each backed by a fresh `store_backend`
-/// ([`backend::by_name`](pathcopy_server::backend::by_name) name) and
-/// serving on its own ephemeral loopback port with `workers_per_replica`
-/// backend worker threads. Connections are multiplexed on each
-/// replica's event loop, so workers size execution parallelism, not the
-/// number of standing reader connections — a modest pool serves many
-/// idle sessions.
-///
-/// # Errors
-///
-/// `InvalidInput` for an unknown backend name; otherwise any IO error
-/// from connecting, bootstrapping (wrapped [`ClientError`]s), or
-/// binding a replica's listener. Replicas already stood up when an
-/// error occurs are dropped (their servers shut down).
-pub fn cluster(
-    addr: SocketAddr,
-    n: usize,
-    store_backend: &str,
-    workers_per_replica: usize,
-) -> io::Result<Vec<ReplicaNode>> {
-    (0..n)
-        .map(|_| {
-            let store = pathcopy_server::backend::by_name(store_backend).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("unknown backend {store_backend}"),
-                )
-            })?;
-            let mut replica = Replica::connect(addr, store)?;
-            replica
-                .sync_once()
-                .map_err(|e| io::Error::other(format!("bootstrap sync: {e}")))?;
-            let server =
-                replica.serve(ServerConfig::builder().workers(workers_per_replica).build())?;
-            Ok(ReplicaNode { replica, server })
-        })
-        .collect()
 }

@@ -178,7 +178,8 @@ fn diff_catch_up_applies_atomically_for_replica_readers() {
 
     let mut replica = Replica::connect(addr, backend::by_name("sharded_map_8").unwrap()).unwrap();
     replica.sync_once().unwrap();
-    let replica_server = replica.serve(ServerConfig::with_workers(2)).unwrap();
+    let replica_server =
+        pathcopy_server::spawn(Box::new(replica.store()), ServerConfig::with_workers(2)).unwrap();
     let replica_addr = replica_server.addr();
 
     let done = std::sync::atomic::AtomicBool::new(false);

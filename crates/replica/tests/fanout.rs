@@ -2,17 +2,43 @@
 //! leaves) converges with **zero** `PullDiff` traffic in the steady
 //! state, the primary's exact egress is independent of the leaf count,
 //! a session token carries read-your-writes through a leaf while
-//! concurrent writers churn the primary, and a replica that stops
-//! pumping is demoted by the primary rather than buffered anywhere.
+//! concurrent writers churn the primary, a leaf's readers never see a
+//! torn epoch, and a replica that stops pumping is demoted by the
+//! primary rather than buffered anywhere.
 
 use std::net::SocketAddr;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use pathcopy_concurrent::BatchOp;
 use pathcopy_replica::{PushOutcome, PushReplica};
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::{backend, Client, ClientError, ServerConfig, ServerHandle, SessionToken};
+
+/// Runs `body` on its own thread and fails the test if it has not
+/// finished within `limit`.
+fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done_tx, done_rx) = mpsc::channel();
+    let runner = thread::spawn(move || {
+        let _ = done_tx.send(body());
+    });
+    match done_rx.recv_timeout(limit) {
+        Ok(out) => {
+            runner.join().expect("test body");
+            out
+        }
+        // The body panicked: surface its message, not a timeout.
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("sender dropped without a value"))
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("not finished after {limit:?}: the chain stopped making progress")
+        }
+    }
+}
 
 fn primary_server() -> ServerHandle {
     pathcopy_server::spawn(
@@ -285,6 +311,106 @@ fn session_token_reads_your_writes_through_a_leaf() {
         done.store(true, std::sync::atomic::Ordering::Release);
     });
     primary.shutdown();
+}
+
+#[test]
+fn a_push_leaf_never_exposes_a_torn_epoch() {
+    // Accounts (2i, 2i+1) always sum to 0 on the primary: each round
+    // moves one pair and bumps the version key in one `Batch`, which
+    // spans shards. A leaf applies every pushed epoch diff as one atomic
+    // batch, so a reader scanning its endpoint must see only published
+    // epochs: every pair balanced, the version key never going back.
+    const PAIRS: i64 = 64;
+    const VERSION_KEY: i64 = -1;
+    const ROUNDS: i64 = 1000;
+
+    within(Duration::from_secs(120), || {
+        let primary = primary_server();
+        let primary_addr = primary.addr();
+        let mut setup = Client::connect(primary_addr).unwrap();
+        let init: Vec<_> = (VERSION_KEY..PAIRS * 2)
+            .map(|k| BatchOp::Insert(k, 0))
+            .collect();
+        setup.batch(&init).unwrap();
+        setup.publish().unwrap();
+
+        // primary -> relay -> leaf; the leaf serves the reads.
+        let mut relay = relay_node(primary_addr);
+        let mut leaf = relay_node(relay.relay_addr().unwrap());
+        let leaf_addr = leaf.relay_addr().unwrap();
+
+        // The last epoch the writer published; 0 while it is running.
+        let last_epoch = AtomicU64::new(0);
+        let leaf_done = AtomicBool::new(false);
+        let mut last_version = -1i64;
+        thread::scope(|s| {
+            let (last_epoch, leaf_done) = (&last_epoch, &leaf_done);
+            s.spawn(move || {
+                let mut writer = Client::connect(primary_addr).unwrap();
+                let mut epoch = 0;
+                for round in 1..=ROUNDS {
+                    let pair = (round % PAIRS) * 2;
+                    writer
+                        .batch(&[
+                            BatchOp::Insert(pair, round),
+                            BatchOp::Insert(pair + 1, -round),
+                            BatchOp::Insert(VERSION_KEY, round),
+                        ])
+                        .unwrap();
+                    epoch = writer.publish().unwrap();
+                }
+                last_epoch.store(epoch, Ordering::Release);
+            });
+            // Each node pumps on its own thread until it holds the
+            // writer's last epoch. Borrowed, not moved: the relay's
+            // endpoint must outlive the leaf's pumping.
+            let caught_up = |node: &PushReplica| {
+                let target = last_epoch.load(Ordering::Acquire);
+                target > 0 && node.applied_epoch() >= target
+            };
+            let relay = &mut relay;
+            s.spawn(move || {
+                while !caught_up(relay) {
+                    pump_or_resync(relay);
+                }
+            });
+            let leaf = &mut leaf;
+            s.spawn(move || {
+                while !caught_up(leaf) {
+                    pump_or_resync(leaf);
+                }
+                leaf_done.store(true, Ordering::Release);
+            });
+
+            // Scan until a scan has started after the leaf caught up.
+            let mut reader = Client::connect(leaf_addr).unwrap();
+            loop {
+                let final_scan = leaf_done.load(Ordering::Acquire);
+                let (entries, complete) = reader.range(None, .., 0).unwrap();
+                assert!(complete);
+                let (version, accounts) = entries.split_first().expect("seeded");
+                assert_eq!(version.0, VERSION_KEY);
+                assert!(
+                    version.1 >= last_version,
+                    "leaf went back in time: {} < {last_version}",
+                    version.1
+                );
+                last_version = version.1;
+                assert_eq!(accounts.len() as i64, PAIRS * 2);
+                for pair in accounts.chunks(2) {
+                    let [(ka, va), (kb, vb)] = pair else {
+                        unreachable!("even account count")
+                    };
+                    assert_eq!((*kb, va + vb), (ka + 1, 0), "torn epoch at pair {ka}");
+                }
+                if final_scan {
+                    break;
+                }
+            }
+        });
+        assert_eq!(last_version, ROUNDS, "the leaf reached the last epoch");
+        primary.shutdown();
+    });
 }
 
 #[test]

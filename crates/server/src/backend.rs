@@ -1,36 +1,27 @@
-//! Object-safe serving adapters over the engine's trait family.
+//! The engine the server serves, behind an object-safe seam.
 //!
-//! The server holds its backend as `Box<dyn ServeBackend>` so one binary
-//! can serve any engine. The engine-side traits are not enough on their
-//! own: [`ConcurrentMap`] is object safe
-//! but [`Snapshottable`] and
-//! [`MapSnapshot`] keep snapshots as
-//! associated types with lazy generic iterators, which `dyn` cannot
-//! carry. [`ServeBackend`]/[`ServeSnapshot`] flatten exactly the surface
-//! the wire protocol needs — point ops, batches, pinned snapshots,
-//! bounded range scans, diffs, stats — and two adapters implement it:
+//! The server holds its backend as `Box<dyn ServeBackend>`.
+//! [`ServeBackend`]/[`ServeSnapshot`] flatten exactly the surface the
+//! wire protocol needs — point ops, batches, pinned snapshots, bounded
+//! range scans, diffs, stats — out of the engine's generic trait family,
+//! whose snapshots are associated types with lazy iterators that `dyn`
+//! cannot carry.
 //!
-//! * [`SnapshotServe`] wraps **any** map implementing the PR-3 trait
-//!   family (`ConcurrentMap + Snapshottable`). Batches fall back to
-//!   per-op application: each op is individually linearizable but the
-//!   batch as a whole is not atomic ([`ServeBackend::atomic_batches`]
-//!   reports `false`).
-//! * [`ShardedServe`] wraps [`ShardedTreapMap`] natively, mapping
-//!   [`Request::Batch`](crate::proto::Request::Batch) onto
-//!   [`ShardedTreapMap::transact`] — the cross-shard two-phase commit —
-//!   so batches are all-or-nothing even over the network.
-//!
-//! [`backends`] enumerates the servable registry; its names are asserted
-//! (in tests) to match
-//! [`pathcopy_concurrent::registry::map_backends`], the engine-side
-//! enumeration of the same list.
+//! One implementation ships: [`ShardedServe`] over [`ShardedTreapMap`],
+//! mapping [`Request::Batch`](crate::proto::Request::Batch) onto
+//! [`ShardedTreapMap::transact`] — the cross-shard two-phase commit — so
+//! every served batch, guarded or not, is one linearizable operation.
+//! The traits stay a seam for two other holders: a shared
+//! `Arc<dyn ServeBackend>` is itself servable (a replica serves the
+//! store its pump applies to), and a test can wrap a backend to inject
+//! delays. [`by_name`] resolves the one served name, `"sharded_map_8"`.
 
 use std::any::Any;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use pathcopy_concurrent::{BatchOp, BatchResult, LockedMap, ShardedTreapMap, TreapMap};
-use pathcopy_core::api::{ConcurrentMap, MapSnapshot, Snapshottable};
+use pathcopy_concurrent::{BatchOp, BatchResult, ShardedSnapshot, ShardedTreapMap};
+use pathcopy_core::api::MapSnapshot;
 use pathcopy_core::{DiffEntry, StatsSnapshot};
 
 /// An immutable, coherent point-in-time view a server can pin in its
@@ -77,26 +68,18 @@ pub trait ServeBackend: Send + Sync + 'static {
     /// store `new` (`None` removes); returns whether it matched.
     fn cas(&self, key: i64, expected: Option<i64>, new: Option<i64>) -> bool;
 
-    /// Applies a batch of operations, returning one result per op in
-    /// batch order. Atomic if [`atomic_batches`](Self::atomic_batches).
+    /// Applies a batch of operations as one linearizable operation,
+    /// returning one result per op in batch order.
     fn transact(&self, ops: &[BatchOp<i64, i64>]) -> Vec<BatchResult<i64>>;
 
     /// Guarded (Sinfonia-style) form of [`transact`](Self::transact): if
     /// any [`BatchOp::Cas`] guard fails, the whole batch aborts with
     /// zero writes and `Err` carries the failed guard indices (into the
-    /// batch, ascending). On backends with
-    /// [`atomic_batches`](Self::atomic_batches) the abort is
-    /// linearizable; on per-op backends it is best-effort (guards are
-    /// checked before any write, but a concurrent writer can interleave).
+    /// batch, ascending). The abort is linearizable.
     fn transact_guarded(
         &self,
         ops: &[BatchOp<i64, i64>],
     ) -> Result<Vec<BatchResult<i64>>, Vec<u32>>;
-
-    /// `true` if [`transact`](Self::transact) applies the whole batch as
-    /// one linearizable operation (the sharded map's two-phase commit);
-    /// `false` if it falls back to per-op application.
-    fn atomic_batches(&self) -> bool;
 
     /// Takes a coherent snapshot.
     fn snapshot(&self) -> Arc<dyn ServeSnapshot>;
@@ -113,13 +96,10 @@ pub trait ServeBackend: Send + Sync + 'static {
     fn stats(&self) -> StatsSnapshot;
 }
 
-/// Wraps any [`MapSnapshot`] as a [`ServeSnapshot`].
-struct SnapWrap<S>(S);
+/// A [`ShardedSnapshot`] as a [`ServeSnapshot`].
+struct SnapWrap(ShardedSnapshot<i64, i64>);
 
-impl<S> ServeSnapshot for SnapWrap<S>
-where
-    S: MapSnapshot<i64, i64> + 'static,
-{
+impl ServeSnapshot for SnapWrap {
     fn get(&self, key: i64) -> Option<i64> {
         self.0.get(&key).copied()
     }
@@ -144,131 +124,12 @@ where
     }
 
     fn diff(&self, newer: &dyn ServeSnapshot) -> Option<Vec<DiffEntry<i64, i64>>> {
-        let newer = newer.as_any().downcast_ref::<SnapWrap<S>>()?;
+        let newer = newer.as_any().downcast_ref::<SnapWrap>()?;
         Some(self.0.diff(&newer.0))
     }
 
     fn as_any(&self) -> &dyn Any {
         self
-    }
-}
-
-/// Serves any map of the PR-3 trait family. Point operations delegate to
-/// [`ConcurrentMap`]; batches apply per op (each op linearizable, the
-/// batch **not** atomic — see [`ShardedServe`] for atomic batches).
-pub struct SnapshotServe<M> {
-    map: M,
-}
-
-impl<M> SnapshotServe<M>
-where
-    M: ConcurrentMap<i64, i64> + Snapshottable + 'static,
-    M::Snapshot: MapSnapshot<i64, i64> + 'static,
-{
-    /// Wraps `map` for serving.
-    pub fn new(map: M) -> Self {
-        SnapshotServe { map }
-    }
-}
-
-impl<M> ServeBackend for SnapshotServe<M>
-where
-    M: ConcurrentMap<i64, i64> + Snapshottable + 'static,
-    M::Snapshot: MapSnapshot<i64, i64> + 'static,
-{
-    fn get(&self, key: i64) -> Option<i64> {
-        self.map.get(&key)
-    }
-
-    fn insert(&self, key: i64, value: i64) -> Option<i64> {
-        self.map.insert(key, value)
-    }
-
-    fn remove(&self, key: i64) -> Option<i64> {
-        self.map.remove(&key)
-    }
-
-    fn cas(&self, key: i64, expected: Option<i64>, new: Option<i64>) -> bool {
-        // `compute` applies its closure atomically; the returned previous
-        // value tells us which branch ran.
-        let prev = self.map.compute(&key, &|cur| {
-            if cur.copied() == expected {
-                new
-            } else {
-                cur.copied()
-            }
-        });
-        prev == expected
-    }
-
-    fn transact(&self, ops: &[BatchOp<i64, i64>]) -> Vec<BatchResult<i64>> {
-        ops.iter()
-            .map(|op| match op {
-                BatchOp::Get(k) => BatchResult::Got(self.get(*k)),
-                BatchOp::Insert(k, v) => BatchResult::Inserted(self.insert(*k, *v)),
-                BatchOp::Remove(k) => BatchResult::Removed(self.remove(*k)),
-                BatchOp::Cas { key, expected, new } => {
-                    BatchResult::Cas(self.cas(*key, *expected, *new))
-                }
-            })
-            .collect()
-    }
-
-    /// Best-effort on this adapter (batches are per-op here): the batch
-    /// is simulated against an overlay first — guards see earlier batch
-    /// writes, matching `transact` semantics — and only applied if every
-    /// guard passes, so a failed guard aborts with zero writes. A
-    /// concurrent writer can still interleave between the check and the
-    /// apply; only [`ShardedServe`] makes the abort linearizable.
-    fn transact_guarded(
-        &self,
-        ops: &[BatchOp<i64, i64>],
-    ) -> Result<Vec<BatchResult<i64>>, Vec<u32>> {
-        let mut overlay: std::collections::HashMap<i64, Option<i64>> = Default::default();
-        let mut failed = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match op {
-                BatchOp::Get(_) => {}
-                BatchOp::Insert(k, v) => {
-                    overlay.insert(*k, Some(*v));
-                }
-                BatchOp::Remove(k) => {
-                    overlay.insert(*k, None);
-                }
-                BatchOp::Cas { key, expected, new } => {
-                    let current = match overlay.get(key) {
-                        Some(&v) => v,
-                        None => self.get(*key),
-                    };
-                    if current == *expected {
-                        overlay.insert(*key, *new);
-                    } else {
-                        failed.push(i as u32);
-                    }
-                }
-            }
-        }
-        if failed.is_empty() {
-            Ok(self.transact(ops))
-        } else {
-            Err(failed)
-        }
-    }
-
-    fn atomic_batches(&self) -> bool {
-        false
-    }
-
-    fn snapshot(&self) -> Arc<dyn ServeSnapshot> {
-        Arc::new(SnapWrap(self.map.snapshot()))
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.map.stats_snapshot()
     }
 }
 
@@ -328,10 +189,6 @@ impl ServeBackend for ShardedServe {
             .map_err(|abort| abort.failed.into_iter().map(|i| i as u32).collect())
     }
 
-    fn atomic_batches(&self) -> bool {
-        true
-    }
-
     fn snapshot(&self) -> Arc<dyn ServeSnapshot> {
         Arc::new(SnapWrap(self.map.snapshot_all()))
     }
@@ -346,9 +203,9 @@ impl ServeBackend for ShardedServe {
 }
 
 /// A shared handle is itself servable: the server and another owner (a
-/// replication engine applying diffs, an in-process inspector) can hold
-/// the **same** backend. This is what lets a replica serve read traffic
-/// from the store its sync loop is catching up.
+/// replica applying pushed diffs, an in-process inspector) can hold the
+/// **same** backend. This is what lets a replica serve read traffic from
+/// the store its pump is keeping up to date.
 impl ServeBackend for Arc<dyn ServeBackend> {
     fn get(&self, key: i64) -> Option<i64> {
         (**self).get(key)
@@ -377,10 +234,6 @@ impl ServeBackend for Arc<dyn ServeBackend> {
         (**self).transact_guarded(ops)
     }
 
-    fn atomic_batches(&self) -> bool {
-        (**self).atomic_batches()
-    }
-
     fn snapshot(&self) -> Arc<dyn ServeSnapshot> {
         (**self).snapshot()
     }
@@ -394,45 +247,10 @@ impl ServeBackend for Arc<dyn ServeBackend> {
     }
 }
 
-/// A named constructor for a servable backend.
-pub struct ServedBackend {
-    /// Stable name, matching the engine registry
-    /// ([`pathcopy_concurrent::registry::map_backends`]) and used by
-    /// `loadgen --backend`.
-    pub name: &'static str,
-    /// Builds a fresh, empty instance.
-    pub make: fn() -> Box<dyn ServeBackend>,
-}
-
-/// Every servable backend — the serving-layer view of the engine's map
-/// registry (same names, same order).
-pub fn backends() -> Vec<ServedBackend> {
-    vec![
-        ServedBackend {
-            name: "treap_map",
-            make: || Box::new(SnapshotServe::new(TreapMap::new())),
-        },
-        ServedBackend {
-            name: "sharded_map_1",
-            make: || Box::new(ShardedServe::with_shards(1)),
-        },
-        ServedBackend {
-            name: "sharded_map_8",
-            make: || Box::new(ShardedServe::with_shards(8)),
-        },
-        ServedBackend {
-            name: "locked_map",
-            make: || Box::new(SnapshotServe::new(LockedMap::new())),
-        },
-    ]
-}
-
-/// Builds the backend registered under `name`, if any.
+/// Builds the backend served under `name`: `"sharded_map_8"` is a fresh
+/// [`ShardedServe`] with 8 shards; any other name is `None`.
 pub fn by_name(name: &str) -> Option<Box<dyn ServeBackend>> {
-    backends()
-        .into_iter()
-        .find(|b| b.name == name)
-        .map(|b| (b.make)())
+    (name == "sharded_map_8").then(|| Box::new(ShardedServe::with_shards(8)) as _)
 }
 
 #[cfg(test)]
@@ -440,117 +258,91 @@ mod tests {
     use super::*;
 
     #[test]
-    fn serving_registry_matches_engine_registry() {
-        let engine: Vec<&str> = pathcopy_concurrent::registry::map_backends()
-            .iter()
-            .map(|b| b.name)
-            .collect();
-        let serving: Vec<&str> = backends().iter().map(|b| b.name).collect();
-        assert_eq!(
-            serving, engine,
-            "servable backends drifted from pathcopy_concurrent::registry::map_backends"
-        );
-    }
+    fn serves_point_ops_and_snapshots() {
+        assert!(by_name("treap_map").is_none(), "one served name");
+        let b = by_name("sharded_map_8").expect("the served engine");
+        assert_eq!(b.insert(1, 10), None);
+        assert_eq!(b.insert(2, 20), None);
+        assert_eq!(b.get(1), Some(10));
+        assert!(b.cas(1, Some(10), Some(11)));
+        assert!(!b.cas(1, Some(10), Some(12)), "stale cas");
+        assert_eq!(b.get(1), Some(11));
+        assert!(b.cas(3, None, Some(30)), "absent-guard cas");
+        assert!(b.cas(3, Some(30), None), "cas-remove");
+        assert_eq!(b.get(3), None);
 
-    #[test]
-    fn every_backend_serves_point_ops_and_snapshots() {
-        for entry in backends() {
-            let b = (entry.make)();
-            let name = entry.name;
-            assert_eq!(b.insert(1, 10), None, "[{name}]");
-            assert_eq!(b.insert(2, 20), None, "[{name}]");
-            assert_eq!(b.get(1), Some(10), "[{name}]");
-            assert!(b.cas(1, Some(10), Some(11)), "[{name}]");
-            assert!(!b.cas(1, Some(10), Some(12)), "[{name}] stale cas");
-            assert_eq!(b.get(1), Some(11), "[{name}]");
-            assert!(b.cas(3, None, Some(30)), "[{name}] absent-guard cas");
-            assert!(b.cas(3, Some(30), None), "[{name}] cas-remove");
-            assert_eq!(b.get(3), None, "[{name}]");
+        let snap = b.snapshot();
+        assert_eq!(snap.len(), 2);
+        b.remove(1);
+        assert_eq!(snap.get(1), Some(11), "snapshot immutable");
+        let (entries, complete) = snap.range(Bound::Unbounded, Bound::Unbounded, 0);
+        assert_eq!(entries, vec![(1, 11), (2, 20)]);
+        assert!(complete);
+        let (first, complete) = snap.range(Bound::Unbounded, Bound::Unbounded, 1);
+        assert_eq!(first, vec![(1, 11)]);
+        assert!(!complete, "limit must report truncation");
 
-            let snap = b.snapshot();
-            assert_eq!(snap.len(), 2, "[{name}]");
-            b.remove(1);
-            assert_eq!(snap.get(1), Some(11), "[{name}] snapshot immutable");
-            let (entries, complete) = snap.range(Bound::Unbounded, Bound::Unbounded, 0);
-            assert_eq!(entries, vec![(1, 11), (2, 20)], "[{name}]");
-            assert!(complete, "[{name}]");
-            let (first, complete) = snap.range(Bound::Unbounded, Bound::Unbounded, 1);
-            assert_eq!(first, vec![(1, 11)], "[{name}]");
-            assert!(!complete, "[{name}] limit must report truncation");
-
-            let newer = b.snapshot();
-            let diff = snap.diff(newer.as_ref()).expect("same backend diffs");
-            assert_eq!(
-                diff,
-                vec![DiffEntry::Removed(1, 11)],
-                "[{name}] diff is the removal"
-            );
-        }
+        let newer = b.snapshot();
+        let diff = snap.diff(newer.as_ref()).expect("same backend diffs");
+        assert_eq!(diff, vec![DiffEntry::Removed(1, 11)], "diff is the removal");
     }
 
     #[test]
     fn batch_results_match_transact_semantics() {
-        for entry in backends() {
-            let b = (entry.make)();
-            let name = entry.name;
-            let r = b.transact(&[
-                BatchOp::Insert(1, 10),
-                BatchOp::Get(1),
-                BatchOp::Cas {
-                    key: 1,
-                    expected: Some(10),
-                    new: Some(11),
-                },
-                BatchOp::Remove(2),
-            ]);
-            assert_eq!(
-                r,
-                vec![
-                    BatchResult::Inserted(None),
-                    BatchResult::Got(Some(10)),
-                    BatchResult::Cas(true),
-                    BatchResult::Removed(None),
-                ],
-                "[{name}]"
-            );
-            assert_eq!(b.get(1), Some(11), "[{name}]");
-        }
+        let b = ShardedServe::with_shards(8);
+        let r = b.transact(&[
+            BatchOp::Insert(1, 10),
+            BatchOp::Get(1),
+            BatchOp::Cas {
+                key: 1,
+                expected: Some(10),
+                new: Some(11),
+            },
+            BatchOp::Remove(2),
+        ]);
+        assert_eq!(
+            r,
+            vec![
+                BatchResult::Inserted(None),
+                BatchResult::Got(Some(10)),
+                BatchResult::Cas(true),
+                BatchResult::Removed(None),
+            ]
+        );
+        assert_eq!(b.get(1), Some(11));
     }
 
     #[test]
-    fn guarded_batches_abort_with_zero_writes_on_every_backend() {
-        for entry in backends() {
-            let b = (entry.make)();
-            let name = entry.name;
-            b.insert(1, 10);
-            let failed = b
-                .transact_guarded(&[
-                    BatchOp::Insert(2, 20),
-                    BatchOp::Cas {
-                        key: 1,
-                        expected: Some(99), // stale guard
-                        new: Some(100),
-                    },
-                ])
-                .unwrap_err();
-            assert_eq!(failed, vec![1], "[{name}]");
-            assert_eq!(b.get(1), Some(10), "[{name}]");
-            assert_eq!(b.get(2), None, "[{name}] aborted batch leaked a write");
+    fn guarded_batches_abort_with_zero_writes() {
+        let b = ShardedServe::with_shards(8);
+        b.insert(1, 10);
+        let failed = b
+            .transact_guarded(&[
+                BatchOp::Insert(2, 20),
+                BatchOp::Cas {
+                    key: 1,
+                    expected: Some(99), // stale guard
+                    new: Some(100),
+                },
+            ])
+            .unwrap_err();
+        assert_eq!(failed, vec![1]);
+        assert_eq!(b.get(1), Some(10));
+        assert_eq!(b.get(2), None, "aborted batch leaked a write");
 
-            // Passing guards commit, and a guard sees earlier batch writes.
-            let r = b
-                .transact_guarded(&[
-                    BatchOp::Insert(2, 20),
-                    BatchOp::Cas {
-                        key: 2,
-                        expected: Some(20),
-                        new: Some(21),
-                    },
-                ])
-                .unwrap_or_else(|e| panic!("[{name}] guards must pass: {e:?}"));
-            assert_eq!(r[1], BatchResult::Cas(true), "[{name}]");
-            assert_eq!(b.get(2), Some(21), "[{name}]");
-        }
+        // Passing guards commit, and a guard sees earlier batch writes.
+        let r = b
+            .transact_guarded(&[
+                BatchOp::Insert(2, 20),
+                BatchOp::Cas {
+                    key: 2,
+                    expected: Some(20),
+                    new: Some(21),
+                },
+            ])
+            .unwrap_or_else(|e| panic!("guards must pass: {e:?}"));
+        assert_eq!(r[1], BatchResult::Cas(true));
+        assert_eq!(b.get(2), Some(21));
     }
 
     #[test]
@@ -564,19 +356,27 @@ mod tests {
     }
 
     #[test]
-    fn sharded_backends_report_atomic_batches() {
-        for entry in backends() {
-            let b = (entry.make)();
-            let expect = entry.name.starts_with("sharded");
-            assert_eq!(b.atomic_batches(), expect, "[{}]", entry.name);
-        }
-    }
-
-    #[test]
     fn mismatched_snapshots_refuse_to_diff() {
-        let a = (backends()[0].make)().snapshot();
-        let sharded = ShardedServe::with_shards(4);
-        let b = sharded.snapshot();
-        assert!(a.diff(b.as_ref()).is_none());
+        /// A snapshot from some other implementation of the trait.
+        struct Foreign;
+        impl ServeSnapshot for Foreign {
+            fn get(&self, _key: i64) -> Option<i64> {
+                None
+            }
+            fn len(&self) -> usize {
+                0
+            }
+            fn range(&self, _: Bound<i64>, _: Bound<i64>, _: usize) -> (Vec<(i64, i64)>, bool) {
+                (Vec::new(), true)
+            }
+            fn diff(&self, _newer: &dyn ServeSnapshot) -> Option<Vec<DiffEntry<i64, i64>>> {
+                None
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+        }
+        let sharded = ShardedServe::with_shards(4).snapshot();
+        assert!(sharded.diff(&Foreign).is_none());
     }
 }

@@ -36,11 +36,10 @@
 //! [`Batch`](proto::Request::Batch)es commit all-or-nothing through
 //! [`ShardedTreapMap::transact`](pathcopy_concurrent::ShardedTreapMap::transact).
 //!
-//! The server is engine-agnostic: it holds a
-//! [`Box<dyn ServeBackend>`](backend::ServeBackend), and
-//! [`backend::backends`] adapts every map of the
-//! `pathcopy_concurrent::registry` — so the treap, the sharded map at
-//! any shard count, and the locked baseline are all servable unchanged.
+//! The server holds its engine as a
+//! [`Box<dyn ServeBackend>`](backend::ServeBackend); the one
+//! implementation shipped is [`backend::ShardedServe`], so every served
+//! batch is one linearizable operation.
 //!
 //! ```
 //! use pathcopy_server::{backend, Client, ServerConfig};

@@ -9,10 +9,9 @@
 //! may block or run long (a publish and its fsync, scans, diffs,
 //! scrapes) run on `workers` threads, so connection count and blocking
 //! capacity are independent knobs — thousands of mostly-idle
-//! connections cost fds and buffers, not threads. The server is
-//! generic over its engine through
-//! `Box<dyn ServeBackend>` — any backend of the registry
-//! ([`crate::backend::backends`]) can be served unchanged.
+//! connections cost fds and buffers, not threads. The server reaches
+//! its engine through `Box<dyn ServeBackend>`
+//! ([`crate::backend::ShardedServe`], or a shared handle to one).
 //!
 //! The **version table** is what makes the serving layer more than a
 //! remote hash map: a [`Request::Snapshot`] pins a coherent snapshot

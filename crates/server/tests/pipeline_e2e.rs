@@ -125,9 +125,6 @@ impl ServeBackend for SlowBackend {
     ) -> Result<Vec<BatchResult<i64>>, Vec<u32>> {
         self.inner.transact_guarded(ops)
     }
-    fn atomic_batches(&self) -> bool {
-        self.inner.atomic_batches()
-    }
     fn snapshot(&self) -> Arc<dyn ServeSnapshot> {
         thread::sleep(self.snapshot_delay);
         self.inner.snapshot()

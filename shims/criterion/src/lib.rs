@@ -28,9 +28,8 @@
 //! ```
 //!
 //! In `--test` mode the single smoke iteration is timed and recorded
-//! with `"mode":"test"` — noisy as an absolute number, but stable
-//! enough for CI to archive as a per-commit perf-trajectory artifact
-//! (see the bench-smoke job's `BENCH_ci.json`).
+//! with `"mode":"test"` — a does-it-run record, too noisy to compare
+//! as a timing.
 //!
 //! Benches can also record **gauges** — point-in-time measured
 //! quantities that are not the timing of a closure (a replication lag,
@@ -40,8 +39,8 @@
 //! {"id":"fanout/replica_lag","median_ns":812345.0,"samples":1,"mode":"gauge","unit":"ns"}
 //! ```
 //!
-//! Gauge lines reuse the `median_ns` key for the value so the CI trend
-//! aggregation treats them like any other series; `unit` names what the
+//! Gauge lines reuse the `median_ns` key for the value so a reader of
+//! the file treats them like any other series; `unit` names what the
 //! number actually is.
 
 use std::fmt::Write as _;

@@ -25,14 +25,15 @@
 //! * [`pathcopy_workloads`] — the §4 Batch/Random workload generators.
 //! * [`pathcopy_server`] — the serving layer: a length-prefixed binary
 //!   wire protocol (v3, correlation ids for pipelining), an
-//!   event-driven nonblocking TCP server generic over the backend
-//!   registry, a pipelined session client with a blocking facade, and
+//!   event-driven nonblocking TCP server over the sharded map, a
+//!   pipelined session client with a blocking facade, and
 //!   the primary-side replication feed (`std::net` plus a hand-rolled
 //!   epoll/poll shim — no async runtime).
-//! * [`pathcopy_replica`] — snapshot-diff replication: replicas that
-//!   bootstrap from a chunked full sync, then follow the primary's
-//!   version feed with pruned diffs; plus the `loadgen` traffic
-//!   generator (`--replicas N` for the read scale-out topology).
+//! * [`pathcopy_replica`] — push replication: replicas that bootstrap
+//!   from a chunked full sync, then apply the pruned diff of every
+//!   epoch the primary pushes, and can relay the feed onward; plus the
+//!   `loadgen` traffic generator (`--replicas N` push replicas for the
+//!   read scale-out topology).
 //! * [`pathcopy_durable`] — durability for the feed: a segmented,
 //!   checksummed epoch log (checkpoints + diff records in the wire
 //!   encoding), crash recovery with torn-tail truncation,
@@ -190,7 +191,7 @@
 //! wants — lock-free point writes racing ahead while scans and diffs run
 //! on frozen versions — so the workspace ships them as a TCP service.
 //! [`pathcopy_server`] speaks a hand-rolled length-prefixed binary
-//! protocol (no serde, no async runtime) and serves any registry backend
+//! protocol (no serde, no async runtime) and serves the sharded map
 //! behind `Box<dyn ServeBackend>`. A `Snapshot` request pins a coherent
 //! version in the server's table for the cost of an `Arc` clone per
 //! shard root; `Range` and `Diff` requests — from any connection — then
@@ -224,8 +225,7 @@
 //! ```
 //!
 //! Drive it: `cargo run --release --bin loadgen -- --threads 8
-//! --ops 100000` (Zipf read/write mix, throughput + latency table,
-//! optional `--json` in the criterion shim's `BENCH_JSON` schema);
+//! --ops 100000` (Zipf read/write mix, throughput + latency table);
 //! `cargo run --release --example kv_server_demo`.
 //!
 //! ## Replication: read scale-out from snapshot diffs
@@ -235,17 +235,21 @@
 //! log-shipping replication wants: instead of streaming full state, a
 //! primary publishes a monotone **version feed** — a capped ring of
 //! recent snapshots keyed by epoch, nearly free to retain because the
-//! versions share all unchanged subtrees — and [`pathcopy_replica`]
-//! replicas catch up by pulling `diff(applied, head)` over the wire.
-//! Bootstrap (and falling too far behind the ring) goes through a
-//! chunked `FullSync` that can never trip the frame cap; every diff is
-//! applied to the replica's local backend as **one atomic batch**, so
-//! replica readers only ever observe published versions. The replica
-//! serves the same backend surface as the primary, so read traffic
-//! points at replicas unchanged (`loadgen --replicas N`):
+//! versions share all unchanged subtrees — and pushes each epoch's
+//! `diff(prev, epoch)` to its subscribers. A
+//! [`PushReplica`](pathcopy_replica::PushReplica) bootstraps through a
+//! chunked `FullSync` that can never trip the frame cap, subscribes,
+//! and applies every pushed diff to its local store as **one atomic
+//! batch**, so replica readers only ever observe published versions; a
+//! lost push is repaired by pulling the diff it missed. The replica
+//! serves the same protocol as the primary, so read traffic points at
+//! replicas unchanged (`loadgen --replicas N`), and a replica can relay
+//! the feed on to more replicas:
 //!
 //! ```
-//! use path_copying::pathcopy_replica::{Replica, SyncOutcome};
+//! use std::time::Duration;
+//!
+//! use path_copying::pathcopy_replica::{PushOutcome, PushReplica};
 //! use pathcopy_server::{backend, Client, ServerConfig};
 //!
 //! let primary = pathcopy_server::spawn(
@@ -257,24 +261,24 @@
 //! writer.insert(1, 10).unwrap();
 //!
 //! // Bootstrap is a chunked full transfer...
-//! let mut replica = Replica::connect(
+//! let mut replica = PushReplica::connect(
 //!     primary.addr(),
 //!     backend::by_name("sharded_map_8").unwrap(),
 //! )
 //! .unwrap();
-//! replica.sync_once().unwrap();
-//! assert_eq!(replica.store().get(1), Some(10));
+//! let store = replica.replica().store();
+//! assert_eq!(store.get(1), Some(10));
 //!
-//! // ...after which each published epoch syncs as a pruned diff:
+//! // ...after which each published epoch arrives as a pushed diff:
 //! // O(changes) bytes, not O(map).
 //! writer.insert(2, 20).unwrap();
-//! writer.publish().unwrap();
-//! assert!(matches!(
-//!     replica.sync_once().unwrap(),
-//!     SyncOutcome::Diff { changes: 1, .. }
-//! ));
-//! assert_eq!(replica.store().get(2), Some(20));
-//! assert_eq!(replica.stats().lag(), 0);
+//! let epoch = writer.publish().unwrap();
+//! assert_eq!(
+//!     replica.pump(Duration::from_secs(10)).unwrap(),
+//!     PushOutcome::Pushed { epoch, changes: 1 }
+//! );
+//! assert_eq!(store.get(2), Some(20));
+//! assert_eq!(replica.pull_stats().diff_pulls, 0); // no request went upstream
 //! primary.shutdown();
 //! ```
 //!
@@ -288,9 +292,12 @@
 //! ([`Client::batch_guarded`](pathcopy_server::Client::batch_guarded),
 //! [`ShardedTreapMap::transact_guarded`](prelude::ShardedTreapMap::transact_guarded)).
 //!
-//! See it run: `cargo run --release --example cluster_demo` (1 primary,
-//! 2 replicas, concurrent writer, replica readers verifying they only
-//! ever see frozen versions).
+//! See it run: `cargo run --release --example fanout_demo` (1 primary,
+//! 2 relays, 4 push replicas, the primary's egress per tier);
+//! `crates/replica/tests/fanout.rs`'s
+//! `a_push_leaf_never_exposes_a_torn_epoch` runs a concurrent writer
+//! against a leaf whose reader verifies it only ever sees frozen
+//! versions.
 //!
 //! ## Durability: the epoch log
 //!

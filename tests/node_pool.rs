@@ -8,7 +8,6 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use path_copying::pathcopy_core::pool;
-use path_copying::pathcopy_trees::hash::splitmix64;
 use path_copying::pathcopy_trees::TreapMap;
 
 fn take_turns() -> MutexGuard<'static, ()> {
@@ -49,6 +48,7 @@ fn flush_epochs_until(what: &str, done: impl Fn() -> bool) {
 fn no_operation_sequence_leaks_or_double_frees_a_node() {
     use path_copying::pathcopy_concurrent::ExternalBstSet as ConcurrentExternalBstSet;
     use path_copying::pathcopy_concurrent::TreapMap as ConcurrentTreapMap;
+    use path_copying::pathcopy_trees::hash::splitmix64;
     use path_copying::pathcopy_trees::ExternalBstSet;
 
     let _turn = take_turns();
