@@ -17,11 +17,12 @@
 //! commits atomically via `transact`.
 //!
 //! `--pipeline n` keeps up to `n` requests in flight per thread through
-//! the proto-v3 session API (`submit` + windowed `wait`) instead of
-//! strict request/response alternation — per-op latency then includes
-//! time queued in the window. The primary's queue depth is sized to fit
-//! the window; replicas keep the default depth (64), so reads may shed
-//! `Busy` if `--pipeline` exceeds it.
+//! the proto-v3 session API (`submit` + windowed `wait`); the default,
+//! 1, is strict request/response alternation. Per-op latency runs from
+//! just before `submit` to the reply, so it includes the request's
+//! `write` and, past 1, time queued in the window. The primary's queue
+//! depth is sized to fit the window; replicas keep the default depth
+//! (64), so reads may shed `Busy` if `--pipeline` exceeds it.
 //!
 //! `--replicas n` stands up the replication subsystem: one primary plus
 //! `n` push replicas (`PushReplica`), each serving on its own port with
@@ -71,10 +72,10 @@
 //! `HistogramSnapshot::delta`), so a long run shows drift over time
 //! instead of one blended end-of-run summary.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
-
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pathcopy_bench::cli::Args;
 use pathcopy_bench::table::{group_thousands, Series};
@@ -84,8 +85,8 @@ use pathcopy_metrics::LatencyHistogram;
 use pathcopy_replica::PushReplica;
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::{
-    render_text, render_trace, trace_ids, Client, FeedSink, Flight, MetricsSource as _, Request,
-    ServerConfig, SpanRecord, Ticket, TraceContext,
+    render_text, render_trace, trace_ids, FeedSink, Flight, MetricsSource as _, Request,
+    ServerConfig, Session, SpanRecord, Ticket, TraceContext,
 };
 use pathcopy_workloads::{KeyDist, MixedStream, Op, OpStream as _};
 
@@ -179,7 +180,7 @@ fn main() {
     // are read back afterwards: the report's `engine:` line is the
     // measured traffic's delta, not prefill's batches.
     let prefill_stats = {
-        let mut c = Client::connect(addr).expect("connect for prefill");
+        let c = Session::connect(addr).expect("connect for prefill");
         let mut rng_key = seed | 1;
         for chunk_start in (0..prefill).step_by(512) {
             let ops: Vec<_> = (chunk_start..(chunk_start + 512).min(prefill))
@@ -274,7 +275,7 @@ fn main() {
         if replicas > 0 || relays > 0 || log_dir.is_some() || trace_on {
             let stop_ref = &stop;
             scope.spawn(move || {
-                let mut publisher = Client::connect(addr).expect("publisher connect");
+                let publisher = Session::connect(addr).expect("publisher connect");
                 // When tracing, every epoch gets its own sampled context
                 // (splitmix-scrambled id, never zero) so each publish's
                 // journey across the tree is one stitchable trace.
@@ -284,8 +285,10 @@ fn main() {
                         trace_seq = trace_seq
                             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                             .rotate_left(31);
+                        let ctx = TraceContext::sampled(trace_seq);
                         publisher
-                            .publish_traced(&TraceContext::sampled(trace_seq))
+                            .submit_traced(&Request::Publish, Some(&ctx))
+                            .and_then(Ticket::wait)
                             .expect("publish epoch");
                     } else {
                         publisher.publish().expect("publish epoch");
@@ -352,14 +355,11 @@ fn main() {
             };
             let hist = &latency_hist;
             handles.push(scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("worker connect");
+                let primary = Session::connect(addr).expect("worker connect");
                 // With replicas, reads go to this thread's replica over a
-                // second connection; without, `reader` is just the primary.
-                let mut reader = if read_addr == addr {
-                    None
-                } else {
-                    Some(Client::connect(read_addr).expect("replica connect"))
-                };
+                // second connection; without, they go to the primary.
+                let reader = (read_addr != addr)
+                    .then(|| Session::connect(read_addr).expect("replica connect"));
                 let mut stream = MixedStream::new(
                     KeyDist::Zipf { n: keys, theta },
                     read_frac,
@@ -367,111 +367,71 @@ fn main() {
                 );
                 let mut ops_run = 0u64;
                 let mut pending: Vec<BatchOp<i64, i64>> = Vec::with_capacity(batch);
-                if pipeline > 1 {
-                    // Windowed mode: keep up to `pipeline` tickets open
-                    // per session; wait only when the window is full.
-                    // Per-op latency spans submit→response, so it
-                    // includes time queued behind the window.
-                    let primary = client.into_session();
-                    let reader = reader.map(Client::into_session);
-                    let mut window: std::collections::VecDeque<(Instant, Ticket, usize)> =
-                        std::collections::VecDeque::with_capacity(pipeline);
-                    let drain_one =
-                        |window: &mut std::collections::VecDeque<(Instant, Ticket, usize)>| {
-                            let (t0, ticket, n) = window.pop_front().expect("non-empty window");
-                            ticket.wait().expect("pipelined response");
-                            let ns = t0.elapsed().as_nanos() as u64;
-                            // One round trip carried `n` ops.
-                            hist.record_n(ns / n as u64, n as u64);
-                        };
-                    while ops_run < per_thread {
-                        let op = stream.next_op();
-                        let (to_reader, req, n_ops) = if batch > 1 && op.is_update() {
-                            pending.push(match op {
-                                Op::Insert(k) => BatchOp::Insert(k, k),
-                                Op::Remove(k) => BatchOp::Remove(k),
-                                Op::Contains(_) => unreachable!("updates only"),
-                            });
-                            ops_run += 1;
-                            if pending.len() < batch {
-                                continue;
-                            }
-                            let n = pending.len();
-                            let req = Request::Batch {
-                                ops: std::mem::take(&mut pending),
-                                guarded: false,
-                            };
-                            pending.reserve(batch);
-                            (false, req, n)
-                        } else {
-                            ops_run += 1;
-                            match op {
-                                Op::Contains(k) => (reader.is_some(), Request::Get { key: k }, 1),
-                                Op::Insert(k) => (false, Request::Insert { key: k, value: k }, 1),
-                                Op::Remove(k) => (false, Request::Remove { key: k }, 1),
-                            }
-                        };
-                        if window.len() == pipeline {
-                            drain_one(&mut window);
-                        }
-                        let session = if to_reader {
-                            reader.as_ref().expect("reader session")
-                        } else {
-                            &primary
-                        };
-                        let ticket = session.submit(&req).expect("pipelined submit");
-                        window.push_back((Instant::now(), ticket, n_ops));
-                    }
-                    if !pending.is_empty() {
-                        let n = pending.len();
-                        let req = Request::Batch {
-                            ops: std::mem::take(&mut pending),
-                            guarded: false,
-                        };
-                        let ticket = primary.submit(&req).expect("final batch submit");
-                        window.push_back((Instant::now(), ticket, n));
-                    }
-                    while !window.is_empty() {
-                        drain_one(&mut window);
-                    }
-                    return ops_run;
-                }
+                // Keep up to `pipeline` tickets open per session; wait
+                // only when the window is full. A window of one is strict
+                // request/response alternation. Per-op latency spans
+                // submit→response, so it includes the request's `write`
+                // and time queued behind the window.
+                let mut window: VecDeque<(Instant, Ticket, usize)> =
+                    VecDeque::with_capacity(pipeline);
+                let drain_one = |window: &mut VecDeque<(Instant, Ticket, usize)>| {
+                    let (t0, ticket, n) = window.pop_front().expect("non-empty window");
+                    ticket.wait().expect("pipelined response");
+                    let ns = t0.elapsed().as_nanos() as u64;
+                    // One round trip carried `n` ops.
+                    hist.record_n(ns / n as u64, n as u64);
+                };
                 while ops_run < per_thread {
                     let op = stream.next_op();
-                    if batch > 1 && op.is_update() {
+                    let (to_reader, req, n_ops) = if batch > 1 && op.is_update() {
                         pending.push(match op {
                             Op::Insert(k) => BatchOp::Insert(k, k),
                             Op::Remove(k) => BatchOp::Remove(k),
                             Op::Contains(_) => unreachable!("updates only"),
                         });
-                        if pending.len() == batch {
-                            let t0 = Instant::now();
-                            client.batch(&pending).expect("batch");
-                            let ns = t0.elapsed().as_nanos() as u64;
-                            // One round trip carried `batch` ops.
-                            hist.record_n(ns / pending.len() as u64, pending.len() as u64);
-                            pending.clear();
-                        }
                         ops_run += 1;
-                        continue;
+                        if pending.len() < batch {
+                            continue;
+                        }
+                        let n = pending.len();
+                        let req = Request::Batch {
+                            ops: std::mem::take(&mut pending),
+                            guarded: false,
+                        };
+                        pending.reserve(batch);
+                        (false, req, n)
+                    } else {
+                        ops_run += 1;
+                        match op {
+                            Op::Contains(k) => (reader.is_some(), Request::Get { key: k }, 1),
+                            Op::Insert(k) => (false, Request::Insert { key: k, value: k }, 1),
+                            Op::Remove(k) => (false, Request::Remove { key: k }, 1),
+                        }
+                    };
+                    if window.len() == pipeline {
+                        drain_one(&mut window);
                     }
+                    let session = if to_reader {
+                        reader.as_ref().expect("reader session")
+                    } else {
+                        &primary
+                    };
                     let t0 = Instant::now();
-                    match op {
-                        Op::Contains(k) => {
-                            reader.as_mut().unwrap_or(&mut client).get(k).expect("get");
-                        }
-                        Op::Insert(k) => {
-                            client.insert(k, k).expect("insert");
-                        }
-                        Op::Remove(k) => {
-                            client.remove(k).expect("remove");
-                        }
-                    }
-                    hist.record(t0.elapsed().as_nanos() as u64);
-                    ops_run += 1;
+                    let ticket = session.submit(&req).expect("pipelined submit");
+                    window.push_back((t0, ticket, n_ops));
                 }
                 if !pending.is_empty() {
-                    client.batch(&pending).expect("final batch");
+                    let n = pending.len();
+                    let req = Request::Batch {
+                        ops: std::mem::take(&mut pending),
+                        guarded: false,
+                    };
+                    let t0 = Instant::now();
+                    let ticket = primary.submit(&req).expect("final batch submit");
+                    window.push_back((t0, ticket, n));
+                }
+                while !window.is_empty() {
+                    drain_one(&mut window);
                 }
                 ops_run
             }));
@@ -496,7 +456,7 @@ fn main() {
     let ops_per_sec = done_ops as f64 / elapsed.as_secs_f64();
 
     let final_stats = {
-        let mut c = Client::connect(addr).expect("stats connect");
+        let c = Session::connect(addr).expect("stats connect");
         c.stats().expect("stats")
     };
 
@@ -586,7 +546,7 @@ fn main() {
     if show_metrics {
         // Scrape the primary the way an external collector would — over
         // the wire — and print the text exposition.
-        let mut c = Client::connect(addr).expect("metrics connect");
+        let c = Session::connect(addr).expect("metrics connect");
         let rows = c.metrics().expect("metrics scrape");
         println!("--- metrics (primary) ---");
         print!("{}", render_text(&rows));
@@ -604,11 +564,11 @@ fn main() {
         // the dumps, and render the worst fully-propagated trace.
         let mut dumps: Vec<(String, Vec<SpanRecord>)> = Vec::new();
         {
-            let mut c = Client::connect(addr).expect("trace connect");
+            let c = Session::connect(addr).expect("trace connect");
             dumps.push(c.trace_dump().expect("primary trace dump"));
         }
         for node_addr in &trace_addrs {
-            let mut c = Client::connect(*node_addr).expect("trace connect");
+            let c = Session::connect(*node_addr).expect("trace connect");
             dumps.push(c.trace_dump().expect("node trace dump"));
         }
         for (node, spans) in &dumps {

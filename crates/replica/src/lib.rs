@@ -36,7 +36,7 @@
 //! use std::time::Duration;
 //!
 //! use pathcopy_replica::{PushOutcome, PushReplica};
-//! use pathcopy_server::{backend, Client, ServerConfig};
+//! use pathcopy_server::{backend, ServerConfig, Session};
 //!
 //! // A primary with some state.
 //! let primary = pathcopy_server::spawn(
@@ -44,7 +44,7 @@
 //!     ServerConfig::default(),
 //! )
 //! .unwrap();
-//! let mut writer = Client::connect(primary.addr()).unwrap();
+//! let writer = Session::connect(primary.addr()).unwrap();
 //! writer.insert(1, 10).unwrap();
 //!
 //! // Bootstrap (a chunked full transfer), subscribe, and serve reads.
@@ -54,7 +54,7 @@
 //! )
 //! .unwrap();
 //! let served = replica.serve_relay(ServerConfig::default()).unwrap();
-//! let mut reader = Client::connect(served).unwrap();
+//! let reader = Session::connect(served).unwrap();
 //! assert_eq!(reader.get(1).unwrap(), Some(10));
 //!
 //! // Each published epoch arrives as a pushed diff: O(changes), not

@@ -177,8 +177,7 @@ impl PushReplica {
         replica.sync_once().map_err(io::Error::from)?;
         let applied = replica.applied_epoch();
         let (_info, sub) = replica
-            .client()
-            .session()
+            .session
             .subscribe(applied)
             .map_err(io::Error::from)?;
         Ok(PushReplica {
@@ -371,7 +370,7 @@ impl PushReplica {
     fn catch_up(&mut self) -> Result<PushOutcome, ClientError> {
         self.replica.sync_once()?;
         let to = self.applied_epoch();
-        let (_info, sub) = self.replica.client().session().subscribe(to)?;
+        let (_info, sub) = self.replica.session.subscribe(to)?;
         self.sub = sub;
         self.stats.resubscribes += 1;
         self.mirror(to, None);

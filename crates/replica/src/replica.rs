@@ -20,8 +20,8 @@
 //!   computes the *local* difference against its own store, and applies
 //!   that reconciliation — again as one atomic batch.
 //!
-//! The engine counts pulls, applied entries, and — via the client's
-//! [`wire_bytes`](Client::wire_bytes) accounting — the exact bytes each
+//! The engine counts pulls, applied entries, and — via the session's
+//! [`wire_bytes`](Session::wire_bytes) accounting — the exact bytes each
 //! path moved ([`ReplicaStatsSnapshot`]). That counter is the
 //! experimental proof of the design's point: diff catch-up transfers
 //! O(changes) bytes while a full sync transfers O(n).
@@ -32,7 +32,7 @@ use std::net::ToSocketAddrs;
 use std::sync::Arc;
 
 use pathcopy_concurrent::{diff_to_ops, BatchOp};
-use pathcopy_server::{Client, ClientError, Epoch, ServeBackend, WireError};
+use pathcopy_server::{ClientError, Epoch, ServeBackend, Session, WireError};
 
 /// What one [`Replica::sync_once`] step did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +85,9 @@ pub struct ReplicaStatsSnapshot {
 
 /// A read replica of a `pathcopy-server` primary; see the module docs.
 pub struct Replica {
-    client: Client,
+    /// The upstream connection; the push subsystem (`push.rs`)
+    /// subscribes on it, the same session the sync engine pulls over.
+    pub(crate) session: Session,
     store: Arc<dyn ServeBackend>,
     stats: ReplicaStatsSnapshot,
 }
@@ -104,7 +106,7 @@ impl Replica {
     /// primary.
     pub fn connect<A: ToSocketAddrs>(addr: A, store: Box<dyn ServeBackend>) -> io::Result<Self> {
         Ok(Replica {
-            client: Client::connect(addr)?,
+            session: Session::connect(addr)?,
             store: Arc::from(store),
             stats: ReplicaStatsSnapshot::default(),
         })
@@ -180,13 +182,13 @@ impl Replica {
         if applied == 0 {
             return self.full_resync();
         }
-        let before = self.client.wire_bytes();
-        match self.client.pull_diff(applied) {
+        let before = self.session.wire_bytes();
+        match self.session.pull_diff(applied) {
             Ok((to, entries)) => {
                 if !entries.is_empty() {
                     self.store.transact(&diff_to_ops(&entries));
                 }
-                let moved = self.client.wire_bytes().since(&before).total();
+                let moved = self.session.wire_bytes().since(&before).total();
                 self.stats.diff_bytes += moved;
                 self.stats.diff_pulls += 1;
                 self.stats.diff_entries += entries.len() as u64;
@@ -221,14 +223,14 @@ impl Replica {
     /// error if every restart attempt lost its pinned epoch.
     pub fn full_resync(&mut self) -> Result<SyncOutcome, ClientError> {
         const MAX_RESTARTS: usize = 8;
-        let before = self.client.wire_bytes();
+        let before = self.session.wire_bytes();
         let mut last_err: Option<ClientError> = None;
         for _ in 0..MAX_RESTARTS {
             match self.try_full_transfer() {
                 Ok((epoch, target)) => {
                     let transferred = target.len();
                     self.reconcile(&target);
-                    let moved = self.client.wire_bytes().since(&before).total();
+                    let moved = self.session.wire_bytes().since(&before).total();
                     self.stats.full_bytes += moved;
                     self.stats.full_syncs += 1;
                     self.stats.full_entries += transferred as u64;
@@ -249,13 +251,13 @@ impl Replica {
 
     /// Pages one pinned epoch fully down. `Err(EpochRetired)` means the
     /// pin died mid-transfer and the caller should restart.
-    fn try_full_transfer(&mut self) -> Result<(Epoch, BTreeMap<i64, i64>), ClientError> {
+    fn try_full_transfer(&self) -> Result<(Epoch, BTreeMap<i64, i64>), ClientError> {
         let mut target = BTreeMap::new();
-        let (epoch, first, mut done) = self.client.full_sync_page(None, None, 0)?;
+        let (epoch, first, mut done) = self.session.full_sync_page(None, None, 0)?;
         let mut after = first.last().map(|(k, _)| *k);
         target.extend(first);
         while !done {
-            let (e, page, page_done) = self.client.full_sync_page(Some(epoch), after, 0)?;
+            let (e, page, page_done) = self.session.full_sync_page(Some(epoch), after, 0)?;
             debug_assert_eq!(e, epoch, "server pages the pinned epoch");
             after = page.last().map(|(k, _)| *k).or(after);
             target.extend(page);
@@ -304,13 +306,7 @@ impl Replica {
     /// [`connect`](Self::connect) time; this is a convenience passthrough
     /// for reporting.
     pub fn primary_wire_bytes(&self) -> pathcopy_core::ByteCountersSnapshot {
-        self.client.wire_bytes()
-    }
-
-    /// The upstream connection, for the push subsystem (`push.rs`) to
-    /// subscribe on the same session the sync engine pulls over.
-    pub(crate) fn client(&self) -> &Client {
-        &self.client
+        self.session.wire_bytes()
     }
 
     /// Stamps the store as equal to `epoch` after the push subsystem

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use pathcopy_replica::{Replica, SyncOutcome};
 use pathcopy_server::backend::ShardedServe;
-use pathcopy_server::{backend, Client, ServerConfig, ServerHandle};
+use pathcopy_server::{backend, ServerConfig, ServerHandle, Session};
 
 #[derive(Debug, Clone)]
 enum PrimaryOp {
@@ -60,7 +60,7 @@ proptest! {
         // Ring of 2: skipping two pulls in a row retires the replica's
         // epoch and forces the full-resync path.
         let server = feed_server(2);
-        let mut writer = Client::connect(server.addr()).unwrap();
+        let writer = Session::connect(server.addr()).unwrap();
         let mut replica = Replica::connect(
             server.addr(),
             backend::by_name("sharded_map_8").unwrap(),
@@ -124,7 +124,7 @@ proptest! {
 #[test]
 fn lagging_past_the_ring_forces_a_full_resync_that_still_converges() {
     let server = feed_server(2);
-    let mut writer = Client::connect(server.addr()).unwrap();
+    let writer = Session::connect(server.addr()).unwrap();
     let mut replica =
         Replica::connect(server.addr(), backend::by_name("sharded_map_8").unwrap()).unwrap();
 
@@ -171,7 +171,7 @@ fn diff_catch_up_applies_atomically_for_replica_readers() {
     // diff as one atomic cross-shard batch.
     let server = feed_server(16);
     let addr = server.addr();
-    let mut writer = Client::connect(addr).unwrap();
+    let writer = Session::connect(addr).unwrap();
     writer.insert(0, 0).unwrap();
     writer.insert(1, 0).unwrap();
     writer.publish().unwrap();
@@ -201,7 +201,7 @@ fn diff_catch_up_applies_atomically_for_replica_readers() {
             replica.sync_once().unwrap();
         });
 
-        let mut reader = Client::connect(replica_addr).unwrap();
+        let reader = Session::connect(replica_addr).unwrap();
         let mut coherent_reads = 0u32;
         while !done.load(std::sync::atomic::Ordering::Acquire) || coherent_reads < 3 {
             let (entries, complete) = reader.range(None, .., 0).unwrap();

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use pathcopy_replica::PushReplica;
 use pathcopy_server::backend::ShardedServe;
-use pathcopy_server::{backend, Client, ServerConfig, ServerHandle};
+use pathcopy_server::{backend, ServerConfig, ServerHandle, Session};
 
 /// The alert threshold OPERATIONS.md tells operators to page on:
 /// steady-state lag is exactly 1 (every epoch arrives as its own
@@ -57,7 +57,7 @@ fn pump_chain(relay: &mut PushReplica, leaf: &mut PushReplica, target: u64) {
 #[test]
 fn epoch_lag_breaches_on_push_loss_and_recovers() {
     let primary = primary_server();
-    let mut writer = Client::connect(primary.addr()).unwrap();
+    let writer = Session::connect(primary.addr()).unwrap();
     writer.insert(0, 0).unwrap();
     writer.publish().unwrap();
 

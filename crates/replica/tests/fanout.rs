@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use pathcopy_concurrent::BatchOp;
 use pathcopy_replica::{PushOutcome, PushReplica};
 use pathcopy_server::backend::ShardedServe;
-use pathcopy_server::{backend, Client, ClientError, ServerConfig, ServerHandle, SessionToken};
+use pathcopy_server::{backend, ClientError, ServerConfig, ServerHandle, Session, SessionToken};
 
 /// Runs `body` on its own thread and fails the test if it has not
 /// finished within `limit`.
@@ -105,7 +105,7 @@ fn state_of(node: &PushReplica) -> Vec<(i64, i64)> {
 #[test]
 fn relay_tree_converges_with_pushes_only() {
     let primary = primary_server();
-    let mut writer = Client::connect(primary.addr()).unwrap();
+    let writer = Session::connect(primary.addr()).unwrap();
     for k in 0..32i64 {
         writer.insert(k, k).unwrap();
     }
@@ -136,7 +136,7 @@ fn relay_tree_converges_with_pushes_only() {
     }
 
     // Every node equals the primary's head state.
-    let mut primary_reader = Client::connect(primary.addr()).unwrap();
+    let primary_reader = Session::connect(primary.addr()).unwrap();
     let (expect, complete) = primary_reader.range(None, .., 0).unwrap();
     assert!(complete);
     for node in [&r1, &r2].into_iter().chain(leaves.iter()) {
@@ -159,7 +159,7 @@ fn relay_tree_converges_with_pushes_only() {
 #[test]
 fn primary_egress_is_independent_of_leaf_count() {
     let primary = primary_server();
-    let mut writer = Client::connect(primary.addr()).unwrap();
+    let writer = Session::connect(primary.addr()).unwrap();
     // Seed the measured keys so every later overwrite produces replies
     // and diffs of identical encoded size (Some(prev) both phases).
     for k in 0..8i64 {
@@ -173,7 +173,7 @@ fn primary_egress_is_independent_of_leaf_count() {
 
     // Identically-shaped write rounds so the egress comparison is exact:
     // same keys, fixed-width values, same diff shape every round.
-    let measure = |writer: &mut Client,
+    let measure = |writer: &Session,
                    r1: &mut PushReplica,
                    r2: &mut PushReplica,
                    leaves: &mut [PushReplica],
@@ -202,7 +202,7 @@ fn primary_egress_is_independent_of_leaf_count() {
 
     // Phase A: two leaves.
     let mut leaves: Vec<PushReplica> = vec![push_node(r1_addr), push_node(r2_addr)];
-    let egress_two_leaves = measure(&mut writer, &mut r1, &mut r2, &mut leaves, 1000);
+    let egress_two_leaves = measure(&writer, &mut r1, &mut r2, &mut leaves, 1000);
 
     // Phase B: six leaves — three times the subscribers, all fed by the
     // relays. Their bootstrap full syncs hit the relays, not the
@@ -213,7 +213,7 @@ fn primary_egress_is_independent_of_leaf_count() {
         push_node(r2_addr),
         push_node(r2_addr),
     ]);
-    let egress_six_leaves = measure(&mut writer, &mut r1, &mut r2, &mut leaves, 2000);
+    let egress_six_leaves = measure(&writer, &mut r1, &mut r2, &mut leaves, 2000);
 
     // Exact equality, not a tolerance: the primary sent the same reply
     // bytes to the writer and the same two push frames per epoch in
@@ -232,7 +232,7 @@ fn primary_egress_is_independent_of_leaf_count() {
 #[test]
 fn session_token_reads_your_writes_through_a_leaf() {
     let primary = primary_server();
-    let mut seed = Client::connect(primary.addr()).unwrap();
+    let seed = Session::connect(primary.addr()).unwrap();
     seed.insert(0, 0).unwrap();
     seed.publish().unwrap();
 
@@ -247,7 +247,7 @@ fn session_token_reads_your_writes_through_a_leaf() {
         let done_ref = &done;
         // Concurrent writers churning other keys and publishing.
         s.spawn(move || {
-            let mut churn = Client::connect(primary_addr).unwrap();
+            let churn = Session::connect(primary_addr).unwrap();
             let mut round = 0i64;
             while !done_ref.load(std::sync::atomic::Ordering::Acquire) {
                 round += 1;
@@ -273,8 +273,8 @@ fn session_token_reads_your_writes_through_a_leaf() {
 
         // The session under test: write to the primary, read through
         // the leaf, threading one token.
-        let mut writer = Client::connect(primary_addr).unwrap();
-        let mut reader = Client::connect(leaf_addr).unwrap();
+        let writer = Session::connect(primary_addr).unwrap();
+        let reader = Session::connect(leaf_addr).unwrap();
         let mut token = SessionToken::default();
         let mut last_served = 0u64;
         for round in 1..=20i64 {
@@ -327,7 +327,7 @@ fn a_push_leaf_never_exposes_a_torn_epoch() {
     within(Duration::from_secs(120), || {
         let primary = primary_server();
         let primary_addr = primary.addr();
-        let mut setup = Client::connect(primary_addr).unwrap();
+        let setup = Session::connect(primary_addr).unwrap();
         let init: Vec<_> = (VERSION_KEY..PAIRS * 2)
             .map(|k| BatchOp::Insert(k, 0))
             .collect();
@@ -346,7 +346,7 @@ fn a_push_leaf_never_exposes_a_torn_epoch() {
         thread::scope(|s| {
             let (last_epoch, leaf_done) = (&last_epoch, &leaf_done);
             s.spawn(move || {
-                let mut writer = Client::connect(primary_addr).unwrap();
+                let writer = Session::connect(primary_addr).unwrap();
                 let mut epoch = 0;
                 for round in 1..=ROUNDS {
                     let pair = (round % PAIRS) * 2;
@@ -383,7 +383,7 @@ fn a_push_leaf_never_exposes_a_torn_epoch() {
             });
 
             // Scan until a scan has started after the leaf caught up.
-            let mut reader = Client::connect(leaf_addr).unwrap();
+            let reader = Session::connect(leaf_addr).unwrap();
             loop {
                 let final_scan = leaf_done.load(Ordering::Acquire);
                 let (entries, complete) = reader.range(None, .., 0).unwrap();
@@ -416,7 +416,7 @@ fn a_push_leaf_never_exposes_a_torn_epoch() {
 #[test]
 fn a_replica_that_stops_pumping_is_demoted_then_repairs() {
     let primary = primary_server();
-    let mut writer = Client::connect(primary.addr()).unwrap();
+    let writer = Session::connect(primary.addr()).unwrap();
     writer.insert(-1, -1).unwrap();
     writer.publish().unwrap();
     let mut stalled = push_node(primary.addr());

@@ -12,7 +12,7 @@ use pathcopy_concurrent::ShardedTreapMap;
 use pathcopy_replica::{Replica, SyncOutcome};
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::proto::SYNC_PAGE_MAX_ENTRIES;
-use pathcopy_server::{backend, Client, ClientError, ServerConfig, WireError, MAX_FRAME_LEN};
+use pathcopy_server::{backend, ClientError, ServerConfig, Session, WireError, MAX_FRAME_LEN};
 
 #[cfg(debug_assertions)]
 const MAP_SIZE: i64 = 200_000;
@@ -31,7 +31,7 @@ fn bootstrap_of_a_map_larger_than_one_frame_never_trips_the_cap() {
         ServerConfig::with_workers(2),
     )
     .expect("bind ephemeral loopback port");
-    let mut c = Client::connect(server.addr()).unwrap();
+    let c = Session::connect(server.addr()).unwrap();
 
     if (MAP_SIZE as u64) * 16 > MAX_FRAME_LEN as u64 {
         // The map really is larger than one frame: the unchunked scan

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
 use pathcopy_replica::{Replica, SyncOutcome};
 use pathcopy_server::backend::{self, ShardedServe};
-use pathcopy_server::{Client, FeedSink, ServerConfig, ServerHandle};
+use pathcopy_server::{FeedSink, ServerConfig, ServerHandle, Session};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pathcopy-logseed-{name}-{}", std::process::id()));
@@ -48,7 +48,7 @@ fn logged_server(dir: &std::path::Path) -> (ServerHandle, Arc<EpochLog>) {
 fn log_seed_moves_zero_wire_bytes_then_converges_via_diffs() {
     let dir = scratch("zero-bytes");
     let (server, log) = logged_server(&dir);
-    let mut writer = Client::connect(server.addr()).unwrap();
+    let writer = Session::connect(server.addr()).unwrap();
     for k in 0..200i64 {
         writer.insert(k, k * 3).unwrap();
     }
@@ -101,7 +101,7 @@ fn log_seed_moves_zero_wire_bytes_then_converges_via_diffs() {
 fn seeding_a_synced_or_dirty_replica_is_refused() {
     let dir = scratch("refused");
     let (server, log) = logged_server(&dir);
-    let mut writer = Client::connect(server.addr()).unwrap();
+    let writer = Session::connect(server.addr()).unwrap();
     writer.insert(1, 1).unwrap();
     writer.publish().unwrap();
 

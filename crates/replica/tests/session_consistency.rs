@@ -21,7 +21,7 @@ use proptest::prelude::*;
 
 use pathcopy_replica::PushReplica;
 use pathcopy_server::backend::ShardedServe;
-use pathcopy_server::{backend, Client, ClientError, ServerConfig, SessionToken, WireError};
+use pathcopy_server::{backend, ClientError, ServerConfig, Session, SessionToken, WireError};
 
 #[derive(Debug, Clone)]
 enum Step {
@@ -88,7 +88,7 @@ proptest! {
         ).expect("bind primary");
         // The tiny feed ring makes injected loss regularly outrun
         // retention, so catch-up exercises the full-resync path too.
-        let mut writer = Client::connect(primary.addr()).unwrap();
+        let writer = Session::connect(primary.addr()).unwrap();
 
         // Epoch-indexed oracle: oracle[e] is the primary state at e.
         let mut live: BTreeMap<i64, i64> = BTreeMap::new();
@@ -110,7 +110,7 @@ proptest! {
             upstream = node.serve_relay(ServerConfig::with_workers(2)).expect("serve relay");
             chain.push(node);
         }
-        let mut reader = Client::connect(upstream).unwrap();
+        let reader = Session::connect(upstream).unwrap();
         let mut token = SessionToken::default();
         let mut last_served = 0u64;
 

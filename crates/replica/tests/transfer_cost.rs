@@ -6,7 +6,7 @@
 use pathcopy_concurrent::ShardedTreapMap;
 use pathcopy_replica::{Replica, SyncOutcome};
 use pathcopy_server::backend::ShardedServe;
-use pathcopy_server::{backend, Client, ServerConfig};
+use pathcopy_server::{backend, ServerConfig, Session};
 
 const MAP_SIZE: i64 = 100_000;
 const LOCAL_WRITES: i64 = 500;
@@ -33,7 +33,7 @@ fn diff_catch_up_moves_asymptotically_fewer_bytes_than_full_sync() {
 
     // Localized write burst: 500 keys inside a 2 000-key window of the
     // 100k key space, then publish.
-    let mut writer = Client::connect(addr).unwrap();
+    let writer = Session::connect(addr).unwrap();
     for i in 0..LOCAL_WRITES {
         let k = (i * 7) % 2_000; // repeated keys: real overwrite locality
         writer.insert(k, -i).unwrap();

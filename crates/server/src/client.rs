@@ -30,13 +30,15 @@
 //! submits forever without waiting ends up blocked in `submit` once
 //! the kernel's buffers are full.
 //!
-//! [`Client`] is the blocking facade over a session: every typed call
-//! is literally `submit + wait`, so serial code pays one round trip per
-//! call exactly as before, while throughput-minded code can hold a
-//! window of tickets open (see `loadgen --pipeline`). The API mirrors
-//! the engine's: [`Client::batch`] takes the same [`BatchOp`] values as
+//! A session is also the blocking client: every typed call
+//! ([`Session::get`], [`Session::insert`], [`Session::batch`], …) is
+//! literally [`Session::call`] — `submit + wait`, one round trip — and
+//! takes `&self` like `submit`, so serial code and a window of tickets
+//! (see `loadgen --pipeline`) share one connection and one type. The
+//! API mirrors the engine's: [`Session::batch`] takes the same
+//! [`BatchOp`] values as
 //! [`ShardedTreapMap::transact`](pathcopy_concurrent::ShardedTreapMap::transact)
-//! and returns the same [`BatchResult`]s, and [`Client::diff`] returns
+//! and returns the same [`BatchResult`]s, and [`Session::diff`] returns
 //! [`DiffEntry`] — code written against the in-process map moves to the
 //! network client by swapping the receiver.
 
@@ -59,7 +61,7 @@ use crate::proto::{
 
 /// Why a client call failed — the single error surface for everything
 /// in this module ([`Session::submit`], [`Ticket::wait`], and every
-/// typed [`Client`] wrapper).
+/// typed call on [`Session`]).
 #[derive(Debug)]
 pub enum ClientError {
     /// The transport failed (connect, write, or read).
@@ -613,16 +615,19 @@ impl SessionShared {
     }
 }
 
-/// A pipelined connection to a `pathcopy-server`.
+/// A pipelined connection to a `pathcopy-server`, and the one client
+/// type: [`submit`](Self::submit) for a window of requests in flight,
+/// typed blocking calls ([`get`](Self::get), [`batch`](Self::batch),
+/// [`publish`](Self::publish), …) for one round trip each.
 ///
 /// Any number of requests may be outstanding at once (the server sheds
 /// with [`WireError::Busy`] beyond its configured queue depth —
-/// surfaced here as [`ClientError::Busy`]). `submit` takes `&self`, so
-/// a session can be shared across threads behind an `Arc` if desired;
-/// each submit is stamped with a unique id and responses are paired by
-/// id, never by order. The session runs no thread: whoever waits reads
-/// the socket, for itself and for everyone parked behind it (see the
-/// [module docs](self)).
+/// surfaced here as [`ClientError::Busy`]). Every method takes `&self`,
+/// so a session can be shared across threads behind an `Arc` if
+/// desired; each submit is stamped with a unique id and responses are
+/// paired by id, never by order. The session runs no thread: whoever
+/// waits reads the socket, for itself and for everyone parked behind it
+/// (see the [module docs](self)).
 pub struct Session {
     shared: Arc<SessionShared>,
 }
@@ -715,11 +720,21 @@ impl Session {
         Ok(ticket)
     }
 
-    /// `submit` + [`Ticket::wait`] in one call: a blocking round trip.
+    /// `submit` + [`Ticket::wait`] in one call: a blocking round trip,
+    /// surfacing server-side errors.
     ///
     /// # Errors
     ///
-    /// The union of [`Session::submit`] and [`Ticket::wait`] failures.
+    /// [`ClientError::Io`] if the transport fails,
+    /// [`ClientError::Proto`] if the reply frame cannot be decoded,
+    /// [`ClientError::Busy`] if the server shed the request at its
+    /// queue-depth bound, and [`ClientError::Server`] if the server
+    /// answers with any other error frame. Every typed call below goes
+    /// through this method and inherits these failure modes; typed
+    /// calls additionally return [`ClientError::Unexpected`] if the
+    /// reply kind does not match the request (a protocol bug, not a
+    /// runtime condition), and their docs note which [`WireError`]s the
+    /// server sends on that request.
     pub fn call(&self, req: &Request) -> Result<Response, ClientError> {
         self.submit(req)?.wait()
     }
@@ -845,8 +860,8 @@ impl Subscription {
 
 /// A session-consistency watermark the client threads through its
 /// calls: the highest epoch this session has written or observed.
-/// [`Client::insert_tracked`] (and [`Client::write_at`]) raise it to
-/// each write's watermark; [`Client::get_at`] sends it as the read's
+/// [`Session::insert_tracked`] (and [`Session::write_at`]) raise it to
+/// each write's watermark; [`Session::get_at`] sends it as the read's
 /// floor and raises it to the epoch the read was served at. The result
 /// is read-your-writes plus monotonic reads through **any** replica,
 /// with no sticky routing — the token, not the route, carries the
@@ -926,70 +941,22 @@ impl Drop for Ticket {
     }
 }
 
-/// A blocking connection to a `pathcopy-server`: the serial facade over
-/// [`Session`]. Every typed call is `submit + wait` — one round trip —
-/// so code that wants strict request/response alternation keeps exactly
-/// the old behavior. Use [`Client::session`] (or [`into_session`](Client::into_session))
-/// to pipeline on the same connection.
-pub struct Client {
-    session: Session,
-}
+/// The name of the client type before the typed calls moved onto
+/// [`Session`]. It exists only because the frozen perf ledger
+/// (`perf/`) still imports it; nothing outside `perf/` may use it, and
+/// ROADMAP item 3 (b) re-points `perf/` at `Session` and deletes it.
+#[doc(hidden)]
+pub type Client = Session;
 
-impl Client {
-    /// Connects (with `TCP_NODELAY`, since the protocol is small framed
-    /// request/response round trips).
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Io`] from resolving `addr`, establishing the TCP
-    /// connection, or configuring the socket.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
-        Ok(Client {
-            session: Session::connect(addr)?,
-        })
-    }
-
-    /// The underlying pipelined session, for submitting concurrent
-    /// requests alongside (or instead of) the typed blocking calls.
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// Unwraps into the underlying [`Session`].
-    pub fn into_session(self) -> Session {
-        self.session
-    }
-
-    /// Bytes this connection has moved so far, both directions. See
-    /// [`Session::wire_bytes`].
-    pub fn wire_bytes(&self) -> ByteCountersSnapshot {
-        self.session.wire_bytes()
-    }
-
-    /// One request/response round trip, surfacing server-side errors.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Io`] if the transport fails,
-    /// [`ClientError::Proto`] if the reply frame cannot be decoded,
-    /// [`ClientError::Busy`] if the server shed the request at its
-    /// queue-depth bound, and [`ClientError::Server`] if the server
-    /// answers with any other error frame. Every typed wrapper below
-    /// goes through this method and inherits these failure modes;
-    /// wrappers additionally return [`ClientError::Unexpected`] if the
-    /// reply kind does not match the request (a protocol bug, not a
-    /// runtime condition), and their docs note which [`WireError`]s the
-    /// server sends on that request.
-    pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.session.call(req)
-    }
-
+/// The typed calls: each is one [`call`](Session::call) — `submit`,
+/// then `wait` — plus a match on the reply kind.
+impl Session {
     /// Looks up `key`.
     ///
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes.
-    pub fn get(&mut self, key: i64) -> Result<Option<i64>, ClientError> {
+    pub fn get(&self, key: i64) -> Result<Option<i64>, ClientError> {
         match self.call(&Request::Get { key })? {
             Response::Got(v) => Ok(v),
             _ => Err(ClientError::Unexpected("Get")),
@@ -1001,7 +968,7 @@ impl Client {
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes.
-    pub fn insert(&mut self, key: i64, value: i64) -> Result<Option<i64>, ClientError> {
+    pub fn insert(&self, key: i64, value: i64) -> Result<Option<i64>, ClientError> {
         match self.call(&Request::Insert { key, value })? {
             Response::Inserted(v) => Ok(v),
             _ => Err(ClientError::Unexpected("Insert")),
@@ -1013,7 +980,7 @@ impl Client {
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes.
-    pub fn remove(&mut self, key: i64) -> Result<Option<i64>, ClientError> {
+    pub fn remove(&self, key: i64) -> Result<Option<i64>, ClientError> {
         match self.call(&Request::Remove { key })? {
             Response::Removed(v) => Ok(v),
             _ => Err(ClientError::Unexpected("Remove")),
@@ -1028,7 +995,7 @@ impl Client {
     /// The shared [`call`](Self::call) failure modes (a non-matching
     /// guard is `Ok(false)`, not an error).
     pub fn cas(
-        &mut self,
+        &self,
         key: i64,
         expected: Option<i64>,
         new: Option<i64>,
@@ -1040,19 +1007,18 @@ impl Client {
     }
 
     /// Applies a batch of operations in one round trip — the same
-    /// [`BatchOp`]s `ShardedTreapMap::transact` takes, with the same
-    /// all-or-nothing guarantee when the served backend supports atomic
-    /// batches.
+    /// [`BatchOp`]s `ShardedTreapMap::transact` takes, committed the
+    /// same way: the served engine is
+    /// [`ShardedServe`](crate::backend::ShardedServe), so every `Batch`
+    /// is one linearizable operation, all-or-nothing, and no reader on
+    /// any connection sees part of it.
     ///
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes, including
     /// [`WireError::TooLarge`] if the reply would exceed the frame cap
     /// (split the batch).
-    pub fn batch(
-        &mut self,
-        ops: &[BatchOp<i64, i64>],
-    ) -> Result<Vec<BatchResult<i64>>, ClientError> {
+    pub fn batch(&self, ops: &[BatchOp<i64, i64>]) -> Result<Vec<BatchResult<i64>>, ClientError> {
         match self.call(&Request::Batch {
             ops: ops.to_vec(),
             guarded: false,
@@ -1075,7 +1041,7 @@ impl Client {
     /// is the `Ok(Err(_))` value, not a [`ClientError`].
     #[allow(clippy::type_complexity)]
     pub fn batch_guarded(
-        &mut self,
+        &self,
         ops: &[BatchOp<i64, i64>],
     ) -> Result<Result<Vec<BatchResult<i64>>, Vec<u32>>, ClientError> {
         match self.call(&Request::Batch {
@@ -1089,37 +1055,18 @@ impl Client {
     }
 
     /// Publishes the primary's current state as the next feed epoch
-    /// (the version replicas will sync to) and returns that epoch.
+    /// (the version replicas will sync to) and returns that epoch. To
+    /// trace the publish's fan-out across every node the epoch reaches,
+    /// send [`Request::Publish`] through
+    /// [`submit_traced`](Self::submit_traced) instead.
     ///
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes.
-    pub fn publish(&mut self) -> Result<Epoch, ClientError> {
+    pub fn publish(&self) -> Result<Epoch, ClientError> {
         match self.call(&Request::Publish)? {
             Response::Published(epoch) => Ok(epoch),
             _ => Err(ClientError::Unexpected("Publish")),
-        }
-    }
-
-    /// [`publish`](Self::publish) with a trace context stamped on the
-    /// request: a tracing server records the publish's whole causal
-    /// fan-out — queue wait, execute, durable append, push delivery,
-    /// relay re-serve — under `ctx.trace_id`, across every node the
-    /// epoch reaches. Collect the spans with
-    /// [`trace_dump`](Self::trace_dump) per node and stitch them with
-    /// [`render_trace`](pathcopy_trace::render_trace).
-    ///
-    /// # Errors
-    ///
-    /// The shared [`call`](Self::call) failure modes.
-    pub fn publish_traced(&mut self, ctx: &TraceContext) -> Result<Epoch, ClientError> {
-        match self
-            .session
-            .submit_traced(&Request::Publish, Some(ctx))?
-            .wait()?
-        {
-            Response::Published(epoch) => Ok(epoch),
-            _ => Err(ClientError::Unexpected("Publish(traced)")),
         }
     }
 
@@ -1131,7 +1078,7 @@ impl Client {
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes.
-    pub fn reset_metrics(&mut self) -> Result<(), ClientError> {
+    pub fn reset_metrics(&self) -> Result<(), ClientError> {
         match self.call(&Request::ResetMetrics)? {
             Response::MetricsReset => Ok(()),
             _ => Err(ClientError::Unexpected("ResetMetrics")),
@@ -1145,7 +1092,7 @@ impl Client {
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes.
-    pub fn trace_dump(&mut self) -> Result<(String, Vec<SpanRecord>), ClientError> {
+    pub fn trace_dump(&self) -> Result<(String, Vec<SpanRecord>), ClientError> {
         match self.call(&Request::TraceDump)? {
             Response::TraceDump { node, spans } => Ok((node, spans)),
             _ => Err(ClientError::Unexpected("TraceDump")),
@@ -1162,7 +1109,7 @@ impl Client {
     ///
     /// The shared [`call`](Self::call) failure modes.
     pub fn write_at(
-        &mut self,
+        &self,
         op: BatchOp<i64, i64>,
     ) -> Result<(BatchResult<i64>, Epoch), ClientError> {
         match self.call(&Request::WriteAt { op })? {
@@ -1178,7 +1125,7 @@ impl Client {
     ///
     /// The shared [`call`](Self::call) failure modes.
     pub fn insert_tracked(
-        &mut self,
+        &self,
         key: i64,
         value: i64,
         token: &mut SessionToken,
@@ -1204,7 +1151,7 @@ impl Client {
     /// it *is* at, so the caller can fall back to the primary or retry;
     /// plus the shared [`call`](Self::call) failure modes.
     pub fn get_at(
-        &mut self,
+        &self,
         key: i64,
         token: &mut SessionToken,
         wait_ms: u32,
@@ -1227,7 +1174,7 @@ impl Client {
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes.
-    pub fn gauges(&mut self) -> Result<ServerGauges, ClientError> {
+    pub fn gauges(&self) -> Result<ServerGauges, ClientError> {
         match self.call(&Request::Gauges)? {
             Response::Gauges(g) => Ok(g),
             _ => Err(ClientError::Unexpected("Gauges")),
@@ -1243,7 +1190,7 @@ impl Client {
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes.
-    pub fn metrics(&mut self) -> Result<Vec<StageSummary>, ClientError> {
+    pub fn metrics(&self) -> Result<Vec<StageSummary>, ClientError> {
         match self.call(&Request::Metrics)? {
             Response::Metrics(rows) => Ok(rows),
             _ => Err(ClientError::Unexpected("Metrics")),
@@ -1256,7 +1203,7 @@ impl Client {
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes.
-    pub fn feed_info(&mut self) -> Result<FeedInfo, ClientError> {
+    pub fn feed_info(&self) -> Result<FeedInfo, ClientError> {
         match self.call(&Request::Subscribe)? {
             Response::FeedInfo(info) => Ok(info),
             _ => Err(ClientError::Unexpected("Subscribe")),
@@ -1274,10 +1221,7 @@ impl Client {
     /// [`WireError::EpochRetired`] as above, and
     /// [`WireError::TooLarge`] if the accumulated diff cannot fit one
     /// frame (sync more often, or full-sync).
-    pub fn pull_diff(
-        &mut self,
-        from: Epoch,
-    ) -> Result<(Epoch, Vec<DiffEntry<i64, i64>>), ClientError> {
+    pub fn pull_diff(&self, from: Epoch) -> Result<(Epoch, Vec<DiffEntry<i64, i64>>), ClientError> {
         match self.call(&Request::PullDiff { from })? {
             Response::EpochDiff { to, entries } => Ok((to, entries)),
             _ => Err(ClientError::Unexpected("PullDiff")),
@@ -1296,7 +1240,7 @@ impl Client {
     /// the feed ring mid-sync (restart with `epoch: None`).
     #[allow(clippy::type_complexity)]
     pub fn full_sync_page(
-        &mut self,
+        &self,
         epoch: Option<Epoch>,
         after: Option<i64>,
         limit: u32,
@@ -1323,7 +1267,7 @@ impl Client {
     ///
     /// The shared [`call`](Self::call) failure modes;
     /// [`WireError::SnapshotLimit`] if the version table is full.
-    pub fn snapshot(&mut self) -> Result<SnapshotId, ClientError> {
+    pub fn snapshot(&self) -> Result<SnapshotId, ClientError> {
         match self.call(&Request::Snapshot)? {
             Response::SnapshotTaken(id) => Ok(id),
             _ => Err(ClientError::Unexpected("Snapshot")),
@@ -1342,7 +1286,7 @@ impl Client {
     /// id, [`WireError::TooLarge`] if an unlimited scan cannot fit one
     /// frame (page with `limit`).
     pub fn range<R: RangeBounds<i64>>(
-        &mut self,
+        &self,
         snapshot: Option<SnapshotId>,
         range: R,
         limit: u32,
@@ -1370,7 +1314,7 @@ impl Client {
     /// backends, [`WireError::TooLarge`] for a diff that cannot fit one
     /// frame (diff nearer snapshots).
     pub fn diff(
-        &mut self,
+        &self,
         from: SnapshotId,
         to: Option<SnapshotId>,
     ) -> Result<Vec<DiffEntry<i64, i64>>, ClientError> {
@@ -1385,7 +1329,7 @@ impl Client {
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes.
-    pub fn release(&mut self, snapshot: SnapshotId) -> Result<bool, ClientError> {
+    pub fn release(&self, snapshot: SnapshotId) -> Result<bool, ClientError> {
         match self.call(&Request::Release { snapshot })? {
             Response::Released(existed) => Ok(existed),
             _ => Err(ClientError::Unexpected("Release")),
@@ -1398,7 +1342,7 @@ impl Client {
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes.
-    pub fn stats(&mut self) -> Result<WireStats, ClientError> {
+    pub fn stats(&self) -> Result<WireStats, ClientError> {
         match self.call(&Request::Stats)? {
             Response::Stats(s) => Ok(s),
             _ => Err(ClientError::Unexpected("Stats")),
@@ -1464,7 +1408,7 @@ mod tests {
     #[test]
     fn blocking_client_is_submit_plus_wait() {
         let server = sharded_server(ServerConfig::default());
-        let mut client = Client::connect(server.addr()).unwrap();
+        let client = Session::connect(server.addr()).unwrap();
         assert_eq!(client.insert(7, 70).unwrap(), None);
         assert_eq!(client.get(7).unwrap(), Some(70));
         assert_eq!(client.remove(7).unwrap(), Some(70));
@@ -1546,7 +1490,7 @@ mod tests {
         let server = sharded_server(ServerConfig::default());
 
         // Seed two epochs before anyone subscribes.
-        let mut writer = Client::connect(server.addr()).unwrap();
+        let writer = Session::connect(server.addr()).unwrap();
         writer.insert(1, 10).unwrap();
         writer.publish().unwrap(); // epoch 1: {1:10}
         writer.insert(2, 20).unwrap();
@@ -1587,7 +1531,7 @@ mod tests {
     #[test]
     fn write_at_watermarks_cover_the_write() {
         let server = sharded_server(ServerConfig::default());
-        let mut client = Client::connect(server.addr()).unwrap();
+        let client = Session::connect(server.addr()).unwrap();
         let mut token = SessionToken::default();
 
         assert_eq!(client.insert_tracked(7, 70, &mut token).unwrap(), None);
@@ -1708,7 +1652,7 @@ mod tests {
         // ~34 KiB of diff per epoch, until the idle connection's kernel
         // buffers are full and the server's bounded push queue behind
         // them overflows.
-        let mut writer = Client::connect(server.addr()).unwrap();
+        let writer = Session::connect(server.addr()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(60);
         let mut round = 0i64;
         while writer.gauges().unwrap().push_demotions == 0 {

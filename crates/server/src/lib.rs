@@ -8,8 +8,9 @@
 //! every connection and executes point requests on the wake that
 //! decoded them; a few worker threads take the requests that may
 //! block),
-//! a pipelined [client] ([`Session::submit`] → [`Ticket::wait`], with
-//! the blocking [`Client`] as the serial facade), and the primary side
+//! one [client] type, [`Session`] ([`Session::submit`] →
+//! [`Ticket::wait`] to pipeline, typed blocking calls such as
+//! [`Session::get`] for one round trip each), and the primary side
 //! of the replication subsystem (the [version feed](feed) replicas sync
 //! from; the replica engine and the `loadgen` traffic generator live in
 //! `pathcopy-replica`). Everything is `std::net` plus two raw syscalls
@@ -42,7 +43,7 @@
 //! batch is one linearizable operation.
 //!
 //! ```
-//! use pathcopy_server::{backend, Client, ServerConfig};
+//! use pathcopy_server::{backend, ServerConfig, Session};
 //!
 //! // An in-process server on an ephemeral loopback port.
 //! let server = pathcopy_server::spawn(
@@ -51,7 +52,7 @@
 //! )
 //! .unwrap();
 //!
-//! let mut client = Client::connect(server.addr()).unwrap();
+//! let client = Session::connect(server.addr()).unwrap();
 //! client.insert(1, 10).unwrap();
 //! let snap = client.snapshot().unwrap(); // pinned, O(1)
 //! client.insert(1, 99).unwrap();

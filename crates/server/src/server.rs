@@ -337,14 +337,14 @@ pub struct ServerHandle {
 /// # Examples
 ///
 /// ```
-/// use pathcopy_server::{backend, Client, ServerConfig};
+/// use pathcopy_server::{backend, ServerConfig, Session};
 ///
 /// let server = pathcopy_server::spawn(
 ///     backend::by_name("sharded_map_8").unwrap(),
 ///     ServerConfig::default(),
 /// )
 /// .unwrap();
-/// let mut client = Client::connect(server.addr()).unwrap();
+/// let client = Session::connect(server.addr()).unwrap();
 /// assert_eq!(client.insert(1, 10).unwrap(), None);
 /// assert_eq!(client.get(1).unwrap(), Some(10));
 /// server.shutdown();
@@ -434,7 +434,7 @@ impl ServerHandle {
 
     /// Server-side wire byte counters: everything written to and read
     /// from all connections. The exact-accounting counterpart of
-    /// [`Client::wire_bytes`](crate::client::Client::wire_bytes) — the
+    /// [`Session::wire_bytes`](crate::client::Session::wire_bytes) — the
     /// fan-out tests prove primary egress independent of leaf count by
     /// comparing these across topologies.
     pub fn wire_bytes(&self) -> ByteCountersSnapshot {
@@ -759,7 +759,7 @@ pub(crate) fn handle_request(
 mod tests {
     use super::*;
     use crate::backend::ShardedServe;
-    use crate::client::Client;
+    use crate::client::Session;
     use pathcopy_concurrent::BatchOp;
     use std::net::TcpStream;
 
@@ -774,7 +774,7 @@ mod tests {
     #[test]
     fn point_ops_roundtrip_over_loopback() {
         let server = sharded_server();
-        let mut c = Client::connect(server.addr()).unwrap();
+        let c = Session::connect(server.addr()).unwrap();
         assert_eq!(c.insert(1, 10).unwrap(), None);
         assert_eq!(c.insert(1, 11).unwrap(), Some(10));
         assert_eq!(c.get(1).unwrap(), Some(11));
@@ -788,8 +788,8 @@ mod tests {
     #[test]
     fn snapshot_table_serves_all_connections() {
         let server = sharded_server();
-        let mut a = Client::connect(server.addr()).unwrap();
-        let mut b = Client::connect(server.addr()).unwrap();
+        let a = Session::connect(server.addr()).unwrap();
+        let b = Session::connect(server.addr()).unwrap();
         for k in 0..32 {
             a.insert(k, k * 10).unwrap();
         }
@@ -812,7 +812,7 @@ mod tests {
     #[test]
     fn range_limit_reports_truncation() {
         let server = sharded_server();
-        let mut c = Client::connect(server.addr()).unwrap();
+        let c = Session::connect(server.addr()).unwrap();
         for k in 0..100 {
             c.insert(k, k).unwrap();
         }
@@ -829,7 +829,7 @@ mod tests {
     #[test]
     fn stats_count_ops_and_snapshots() {
         let server = sharded_server();
-        let mut c = Client::connect(server.addr()).unwrap();
+        let c = Session::connect(server.addr()).unwrap();
         for k in 0..10 {
             c.insert(k, k).unwrap();
         }
@@ -852,7 +852,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut c = Client::connect(server.addr()).unwrap();
+        let c = Session::connect(server.addr()).unwrap();
         let ids: Vec<_> = (0..3).map(|_| c.snapshot().unwrap()).collect();
         let err = c.snapshot().unwrap_err();
         assert!(matches!(
@@ -874,7 +874,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut c = Client::connect(server.addr()).unwrap();
+        let c = Session::connect(server.addr()).unwrap();
 
         let info = c.feed_info().unwrap();
         assert_eq!((info.head, info.oldest, info.capacity), (0, 0, 2));
@@ -909,7 +909,7 @@ mod tests {
     #[test]
     fn full_sync_pages_are_bounded_and_pinned() {
         let server = sharded_server();
-        let mut c = Client::connect(server.addr()).unwrap();
+        let c = Session::connect(server.addr()).unwrap();
         for k in 0..100 {
             c.insert(k, k * 2).unwrap();
         }
@@ -940,7 +940,7 @@ mod tests {
     #[test]
     fn guarded_batch_over_the_wire_aborts_cleanly() {
         let server = sharded_server();
-        let mut c = Client::connect(server.addr()).unwrap();
+        let c = Session::connect(server.addr()).unwrap();
         c.insert(1, 10).unwrap();
         let aborted = c
             .batch_guarded(&[
@@ -975,7 +975,7 @@ mod tests {
     #[test]
     fn client_wire_bytes_count_both_directions() {
         let server = sharded_server();
-        let mut c = Client::connect(server.addr()).unwrap();
+        let c = Session::connect(server.addr()).unwrap();
         let before = c.wire_bytes();
         assert_eq!(before.total(), 0);
         c.insert(1, 10).unwrap();
@@ -1024,7 +1024,7 @@ mod tests {
             assert_eq!(reply.len(), frame_len, "nothing follows the refusal");
         }
         // Other connections are unaffected.
-        let mut c = Client::connect(server.addr()).unwrap();
+        let c = Session::connect(server.addr()).unwrap();
         assert_eq!(c.insert(1, 10).unwrap(), None);
         assert_eq!(c.get(1).unwrap(), Some(10));
         server.shutdown();
@@ -1033,7 +1033,7 @@ mod tests {
     #[test]
     fn shutdown_unblocks_parked_connections() {
         let server = sharded_server();
-        let mut c = Client::connect(server.addr()).unwrap();
+        let c = Session::connect(server.addr()).unwrap();
         c.insert(1, 1).unwrap();
         // `c` stays connected with its worker parked in a read; shutdown
         // must not hang on it.
@@ -1051,10 +1051,10 @@ mod tests {
         // Sequential connect/use/drop cycles: each frees its worker for
         // the next, so 6 connections pass through 2 workers.
         for round in 0..6 {
-            let mut c = Client::connect(server.addr()).unwrap();
+            let c = Session::connect(server.addr()).unwrap();
             assert_eq!(c.insert(round, round).unwrap(), None);
         }
-        let mut c = Client::connect(server.addr()).unwrap();
+        let c = Session::connect(server.addr()).unwrap();
         assert_eq!(c.stats().unwrap().len, 6);
         server.shutdown();
     }

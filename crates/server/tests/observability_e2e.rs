@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 use pathcopy_concurrent::BatchOp;
 use pathcopy_metrics::Stage;
 use pathcopy_server::{
-    backend, render_text, spawn, Client, Flight, MetricsSource, Request, ServerConfig,
-    ServerGauges, ServerHandle, StageSummary, TraceContext,
+    backend, render_text, spawn, Flight, MetricsSource, Request, Response, ServerConfig,
+    ServerGauges, ServerHandle, Session, StageSummary, TraceContext,
 };
 
 fn server_with(metrics: bool) -> ServerHandle {
@@ -25,7 +25,7 @@ fn server_with(metrics: bool) -> ServerHandle {
 }
 
 /// Runs a fixed, known op sequence that touches several request tags.
-fn known_op_sequence(c: &mut Client) {
+fn known_op_sequence(c: &Session) {
     for k in 0..16 {
         c.insert(k, k * 10).unwrap();
     }
@@ -47,8 +47,8 @@ fn known_op_sequence(c: &mut Client) {
 #[test]
 fn wire_gauges_equal_in_process_gauges_field_for_field() {
     let server = server_with(true);
-    let mut c = Client::connect(server.addr()).unwrap();
-    known_op_sequence(&mut c);
+    let c = Session::connect(server.addr()).unwrap();
+    known_op_sequence(&c);
 
     // The wire scrape snapshots gauges while handling the request, so
     // it cannot count its own reply bytes: once the client has read the
@@ -60,7 +60,7 @@ fn wire_gauges_equal_in_process_gauges_field_for_field() {
         use pathcopy_server::proto::response_frame;
         // The client sent request id 1..; ids are fixed-width so any id
         // yields the frame length the server actually wrote.
-        response_frame(&pathcopy_server::Response::Gauges(wire), 0, None).len() as u64
+        response_frame(&Response::Gauges(wire), 0, None).len() as u64
     };
     let expected_sent = wire.wire_sent + self_reply;
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -92,8 +92,8 @@ fn wire_gauges_equal_in_process_gauges_field_for_field() {
 #[test]
 fn metrics_scrape_returns_per_stage_per_tag_histograms() {
     let server = server_with(true);
-    let mut c = Client::connect(server.addr()).unwrap();
-    known_op_sequence(&mut c);
+    let c = Session::connect(server.addr()).unwrap();
+    known_op_sequence(&c);
 
     // Everything answered so far has been flushed (we read each reply),
     // so all three stages must have rows for the tags the sequence
@@ -135,8 +135,8 @@ fn metrics_scrape_returns_per_stage_per_tag_histograms() {
 #[test]
 fn every_event_loop_row_names_the_request_behind_its_max() {
     let server = server_with(true);
-    let mut c = Client::connect(server.addr()).unwrap();
-    known_op_sequence(&mut c);
+    let c = Session::connect(server.addr()).unwrap();
+    known_op_sequence(&c);
     let rows = c.metrics().unwrap();
     for stage in [Stage::QueueWait, Stage::Execute, Stage::WriteFlush] {
         let of_stage: Vec<_> = rows.iter().filter(|r| r.stage == stage as u8).collect();
@@ -160,11 +160,19 @@ fn the_span_is_the_sample() {
             .build(),
     )
     .expect("bind ephemeral port");
-    let mut c = Client::connect(server.addr()).unwrap();
+    let c = Session::connect(server.addr()).unwrap();
     c.insert(1, 10).unwrap();
     c.reset_metrics().unwrap();
     let ctx = TraceContext::sampled(0x5a3e);
-    let epoch = c.publish_traced(&ctx).unwrap();
+    let epoch = match c
+        .submit_traced(&Request::Publish, Some(&ctx))
+        .unwrap()
+        .wait()
+        .unwrap()
+    {
+        Response::Published(epoch) => epoch,
+        other => panic!("unexpected reply to Publish: {other:?}"),
+    };
 
     let rows = c.metrics().unwrap();
     let (node, spans) = c.trace_dump().unwrap();
@@ -196,8 +204,8 @@ fn the_span_is_the_sample() {
 #[test]
 fn disabled_metrics_scrape_is_empty_and_serving_still_works() {
     let server = server_with(false);
-    let mut c = Client::connect(server.addr()).unwrap();
-    known_op_sequence(&mut c);
+    let c = Session::connect(server.addr()).unwrap();
+    known_op_sequence(&c);
     assert_eq!(c.metrics().unwrap(), vec![]);
     assert_eq!(c.get(0).unwrap(), Some(0));
     server.shutdown();
@@ -225,7 +233,7 @@ fn registered_sources_show_up_in_wire_scrapes() {
     }
     let server = server_with(false); // even with loop tracing off
     server.register_metrics_source(Arc::new(Fixed));
-    let mut c = Client::connect(server.addr()).unwrap();
+    let c = Session::connect(server.addr()).unwrap();
     let rows = c.metrics().unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].stage, Stage::AppendFsync as u8);

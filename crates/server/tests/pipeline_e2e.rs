@@ -16,9 +16,7 @@ use proptest::prelude::*;
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::StatsSnapshot;
 use pathcopy_server::proto::{read_request_enveloped, response_frame, Request, Response};
-use pathcopy_server::{
-    backend, Client, ClientError, ServeBackend, ServeSnapshot, ServerConfig, Session,
-};
+use pathcopy_server::{backend, ClientError, ServeBackend, ServeSnapshot, ServerConfig, Session};
 
 /// A mock v3 server: accepts one connection, reads `n` request frames,
 /// then answers them in the order `reply_order` prescribes (indices
@@ -244,8 +242,8 @@ fn idle_connections_are_not_bounded_by_the_worker_count() {
     // Hold 4x workers connections open simultaneously — under the old
     // thread-per-connection pool, connection N > workers would block
     // at accept and this test would deadlock.
-    let mut clients: Vec<Client> = (0..CONNS)
-        .map(|_| Client::connect(server.addr()).expect("connect"))
+    let mut clients: Vec<Session> = (0..CONNS)
+        .map(|_| Session::connect(server.addr()).expect("connect"))
         .collect();
     for (i, client) in clients.iter_mut().enumerate() {
         assert_eq!(

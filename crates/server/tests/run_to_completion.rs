@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_server::proto::{read_response_enveloped, request_frame, response_frame};
 use pathcopy_server::{
-    backend, Client, ClientError, Epoch, FeedSink, Request, Response, ServeSnapshot, ServerConfig,
+    backend, ClientError, Epoch, FeedSink, Request, Response, ServeSnapshot, ServerConfig,
     ServerHandle, Session, WireError,
 };
 
@@ -135,7 +135,7 @@ fn point_reads_are_not_queued_behind_parked_workers() {
     // another connection, are answered by the loop thread itself.
     let same = session.submit(&Request::Get { key: 2 }).expect("submit");
     assert_eq!(same.wait().expect("reply"), Response::Got(Some(14)));
-    let mut other = Client::connect(server.addr()).expect("connect");
+    let other = Session::connect(server.addr()).expect("connect");
     assert_eq!(other.get(3).expect("reply"), Some(21));
     // So is a session read whose epoch the feed already reached.
     assert_eq!(
@@ -273,7 +273,7 @@ fn a_peer_that_does_not_read_its_replies_gets_backpressure_not_memory() {
     // the server produced is either in the kernel (counted as sent) or
     // on the connection's queue. The queue must stay bounded, and a
     // second connection must stay responsive.
-    let mut other = Client::connect(server.addr()).expect("connect");
+    let other = Session::connect(server.addr()).expect("connect");
     let mut probes = 0u64;
     let mut stalled_at = None;
     let deadline = Instant::now() + Duration::from_secs(60);
@@ -365,7 +365,7 @@ fn session_writes_and_reads_do_not_wait_for_a_publish_in_progress() {
             }))
             .build(),
     );
-    let mut client = Client::connect(server.addr()).expect("connect");
+    let client = Session::connect(server.addr()).expect("connect");
     release.send(()).expect("pre-release epoch 1");
     assert_eq!(client.publish().expect("publish"), 1);
     assert_eq!(entered.recv().expect("sink ran"), 1);

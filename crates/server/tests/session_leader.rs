@@ -4,8 +4,10 @@
 //! deadline fires mid-frame, a follower held past its own deadline by a
 //! leader with none, a socket timeout left behind for the next leader,
 //! a ticket that outlives its session, pushes queued without bound behind
-//! a long ticket wait, a thread per connection creeping back — and every one runs under a watchdog, so a lost wake-up is a
-//! failure with a name rather than a hung job.
+//! a long ticket wait, a thread per connection creeping back, typed calls
+//! that cannot share a session across threads — and every one runs under
+//! a watchdog, so a lost wake-up is a failure with a name rather than a
+//! hung job.
 
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -14,13 +16,14 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::DiffEntry;
 use pathcopy_server::proto::{
     read_request_enveloped, response_frame, FeedInfo, RequestId, PUSH_ID_BASE,
 };
 use pathcopy_server::{
-    backend, Client, ClientError, PushFrame, Request, Response, ServerConfig, ServerHandle,
-    Session, WireError,
+    backend, ClientError, PushFrame, Request, Response, ServerConfig, ServerHandle, Session,
+    SessionToken, WireError,
 };
 
 /// Runs `body` on its own thread and fails the test if it has not
@@ -136,6 +139,64 @@ fn shared_session_pairs_every_reply_with_its_key() {
         for load in loads {
             load.join().expect("load thread");
         }
+        drop(session);
+        server.shutdown();
+    });
+}
+
+#[test]
+fn threads_sharing_a_session_make_typed_calls() {
+    const THREADS: i64 = 4;
+    const ROUNDS: i64 = 300;
+
+    within(Duration::from_secs(120), || {
+        let server = server();
+        let session = Arc::new(Session::connect(server.addr()).expect("connect"));
+        let callers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let session = Arc::clone(&session);
+                thread::spawn(move || {
+                    let mut token = SessionToken::default();
+                    for round in 1..=ROUNDS {
+                        // Thread `t` owns the keys congruent to `t`, so
+                        // every result below is known in advance.
+                        let key = round * THREADS + t;
+                        let moved = key + (ROUNDS + 1) * THREADS;
+                        assert_eq!(session.insert(key, round).expect("insert"), None);
+                        assert_eq!(session.get(key).expect("get"), Some(round));
+                        assert!(session.cas(key, Some(round), Some(-round)).expect("cas"));
+                        assert!(!session.cas(key, Some(round), None).expect("stale cas"));
+                        let results = session
+                            .batch(&[
+                                BatchOp::Get(key),
+                                BatchOp::Remove(key),
+                                BatchOp::Insert(moved, -round),
+                            ])
+                            .expect("batch");
+                        assert_eq!(
+                            results,
+                            [
+                                BatchResult::Got(Some(-round)),
+                                BatchResult::Removed(Some(-round)),
+                                BatchResult::Inserted(None),
+                            ]
+                        );
+                        assert_eq!(session.get(key).expect("get"), None);
+                        assert_eq!(
+                            session.get_at(moved, &mut token, 1000).expect("get_at"),
+                            Some(-round)
+                        );
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("caller thread");
+        }
+        assert_eq!(
+            session.stats().expect("stats").len,
+            (THREADS * ROUNDS) as u64
+        );
         drop(session);
         server.shutdown();
     });
@@ -303,7 +364,7 @@ fn a_long_ticket_wait_queues_a_bounded_run_of_pushes() {
 
     within(Duration::from_secs(120), || {
         let server = server();
-        let mut writer = Client::connect(server.addr()).expect("connect");
+        let writer = Session::connect(server.addr()).expect("connect");
         let session = Session::connect(server.addr()).expect("connect");
         let (info, sub) = session.subscribe(0).expect("subscribe");
         assert_eq!(info.head, 0);

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
 use pathcopy_replica::Replica;
-use pathcopy_server::{backend, Client, FeedSink, ServerConfig};
+use pathcopy_server::{backend, FeedSink, ServerConfig, Session};
 
 const ACCOUNTS: i64 = 500;
 const EPOCHS: i64 = 12;
@@ -53,7 +53,7 @@ fn main() {
     )
     .expect("bind ephemeral loopback port");
 
-    let mut writer = Client::connect(server.addr()).expect("writer connect");
+    let writer = Session::connect(server.addr()).expect("writer connect");
     for k in 0..ACCOUNTS {
         writer.insert(k, 0).expect("seed");
     }
@@ -131,7 +131,7 @@ fn main() {
         .expect("replay into engine");
     assert_eq!(replayed, head_before_crash);
     let server = pathcopy_server::spawn(engine, server_config).expect("respawn");
-    let mut writer = Client::connect(server.addr()).expect("reconnect");
+    let writer = Session::connect(server.addr()).expect("reconnect");
     writer.insert(0, 777).expect("post-recovery write");
     let resumed = writer.publish().expect("post-recovery publish");
     assert_eq!(

@@ -24,7 +24,7 @@
 use std::time::Duration;
 
 use pathcopy_replica::PushReplica;
-use pathcopy_server::{backend, Client, ServerConfig, SessionToken};
+use pathcopy_server::{backend, ServerConfig, Session, SessionToken};
 
 const KEYS: i64 = 64;
 const ROUNDS: u64 = 32;
@@ -51,7 +51,7 @@ fn main() {
     .expect("bind ephemeral loopback port");
     println!("primary: sharded_map_8 on {}", primary.addr());
 
-    let mut writer = Client::connect(primary.addr()).expect("writer");
+    let writer = Session::connect(primary.addr()).expect("writer");
     for k in 0..KEYS {
         writer.insert(k, 0).expect("seed");
     }
@@ -84,7 +84,7 @@ fn main() {
             leaf
         })
         .collect();
-    let mut reader = Client::connect(leaves[0].relay_addr().unwrap()).expect("leaf reader");
+    let reader = Session::connect(leaves[0].relay_addr().unwrap()).expect("leaf reader");
     println!("tree:    primary -> {RELAYS} relays -> {LEAVES} leaves");
 
     // Drive epochs through the tree, carrying the writer's session

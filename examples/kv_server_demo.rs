@@ -14,7 +14,7 @@
 //! ```
 
 use path_copying::prelude::BatchOp;
-use pathcopy_server::{backend, Client, ServerConfig};
+use pathcopy_server::{backend, ServerConfig, Session};
 
 const MAP_SIZE: i64 = 50_000;
 
@@ -27,7 +27,7 @@ fn main() {
     println!("serving sharded_map_8 on {}", server.addr());
 
     // Prefill through the wire in batches.
-    let mut auditor = Client::connect(server.addr()).expect("auditor connect");
+    let auditor = Session::connect(server.addr()).expect("auditor connect");
     for chunk in (0..MAP_SIZE).collect::<Vec<_>>().chunks(1000) {
         let ops: Vec<BatchOp<i64, i64>> = chunk.iter().map(|&k| BatchOp::Insert(k, 0)).collect();
         auditor.batch(&ops).expect("prefill");
@@ -47,7 +47,7 @@ fn main() {
         let addr = server.addr();
         std::thread::scope(|s| {
             s.spawn(move || {
-                let mut writer = Client::connect(addr).expect("writer connect");
+                let writer = Session::connect(addr).expect("writer connect");
                 for k in 0..changed.min(MAP_SIZE) {
                     // Spread updates across the key space (and shards).
                     let key = (k * 7919) % MAP_SIZE;

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use pathcopy_metrics::Stage;
 use pathcopy_replica::PushReplica;
-use pathcopy_server::{backend, render_text, Client, ServerConfig};
+use pathcopy_server::{backend, render_text, ServerConfig, Session};
 
 const OPS: i64 = 2_000;
 
@@ -39,7 +39,7 @@ fn main() {
         ServerConfig::default(),
     )
     .expect("bind");
-    let mut c = Client::connect(server.addr()).expect("connect");
+    let c = Session::connect(server.addr()).expect("connect");
 
     // A replica subscribed to the feed: its push-apply and epoch-lag
     // histograms join the primary's scrape via its relay endpoint.

@@ -28,7 +28,8 @@ use std::time::Duration;
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
 use pathcopy_replica::PushReplica;
 use pathcopy_server::{
-    backend, render_trace, trace_ids, Client, FeedSink, Flight, ServerConfig, TraceContext,
+    backend, render_trace, trace_ids, FeedSink, Flight, Request, Response, ServerConfig, Session,
+    Ticket, TraceContext,
 };
 
 fn main() {
@@ -74,7 +75,7 @@ fn main() {
         .expect("bind leaf");
 
     // ── Traced publishes: one sampled context per epoch ─────────────
-    let mut writer = Client::connect(primary.addr()).expect("connect writer");
+    let writer = Session::connect(primary.addr()).expect("connect writer");
     for k in 0..256i64 {
         writer.insert(k, k * 3).expect("seed insert");
     }
@@ -83,7 +84,13 @@ fn main() {
             .insert(round as i64, -(round as i64))
             .expect("insert");
         let ctx = TraceContext::sampled(0x7ace_0000 + round);
-        let epoch = writer.publish_traced(&ctx).expect("traced publish");
+        let reply = writer
+            .submit_traced(&Request::Publish, Some(&ctx))
+            .and_then(Ticket::wait)
+            .expect("traced publish");
+        let Response::Published(epoch) = reply else {
+            panic!("unexpected reply to Publish: {reply:?}");
+        };
         while relay.applied_epoch() < epoch {
             relay.pump(Duration::from_millis(50)).expect("relay pump");
         }
@@ -99,7 +106,7 @@ fn main() {
         relay.relay_addr().expect("relay address"),
         leaf.relay_addr().expect("leaf address"),
     ] {
-        let mut c = Client::connect(addr).expect("trace connect");
+        let c = Session::connect(addr).expect("trace connect");
         dumps.push(c.trace_dump().expect("trace dump"));
     }
     for (node, spans) in &dumps {

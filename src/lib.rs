@@ -182,8 +182,10 @@
 //! assert_eq!(s.insert_batch(&[1, 2, 3]), vec![true, true, true]);
 //! ```
 //!
-//! See `cargo run --release --example batch_txn_demo` and
-//! `cargo bench --bench batch_txn`.
+//! See `cargo run --release --example batch_txn_demo`; the perf
+//! ledger's `engine_read_scan` workload measures batch cost
+//! (`concurrent.transact1_ns` / `transact4_ns`) and the freeze
+//! protocol's retries beside it.
 //!
 //! ## Serving the map over the network
 //!
@@ -200,7 +202,7 @@
 //! cross-shard `transact`:
 //!
 //! ```
-//! use pathcopy_server::{backend, Client, ServerConfig};
+//! use pathcopy_server::{backend, ServerConfig, Session};
 //!
 //! // In-process server over the sharded map, on an ephemeral port.
 //! let server = pathcopy_server::spawn(
@@ -209,7 +211,7 @@
 //! )
 //! .unwrap();
 //!
-//! let mut client = Client::connect(server.addr()).unwrap();
+//! let client = Session::connect(server.addr()).unwrap();
 //! client.insert(1, 10).unwrap();
 //! let pinned = client.snapshot().unwrap(); // O(1), held in the version table
 //! client.insert(1, 99).unwrap();
@@ -250,14 +252,14 @@
 //! use std::time::Duration;
 //!
 //! use path_copying::pathcopy_replica::{PushOutcome, PushReplica};
-//! use pathcopy_server::{backend, Client, ServerConfig};
+//! use pathcopy_server::{backend, ServerConfig, Session};
 //!
 //! let primary = pathcopy_server::spawn(
 //!     backend::by_name("sharded_map_8").unwrap(),
 //!     ServerConfig::default(),
 //! )
 //! .unwrap();
-//! let mut writer = Client::connect(primary.addr()).unwrap();
+//! let writer = Session::connect(primary.addr()).unwrap();
 //! writer.insert(1, 10).unwrap();
 //!
 //! // Bootstrap is a chunked full transfer...
@@ -289,7 +291,7 @@
 //! Guarded mini-transactions ride the same wire: a `Batch` frame with
 //! the `guarded` flag aborts **whole-batch, zero writes** when any `Cas`
 //! guard fails
-//! ([`Client::batch_guarded`](pathcopy_server::Client::batch_guarded),
+//! ([`Session::batch_guarded`](pathcopy_server::Session::batch_guarded),
 //! [`ShardedTreapMap::transact_guarded`](prelude::ShardedTreapMap::transact_guarded)).
 //!
 //! See it run: `cargo run --release --example fanout_demo` (1 primary,

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use path_copying::prelude::{BatchOp, BatchResult, DiffEntry};
-use pathcopy_server::{backend, Client, ServerConfig, ServerHandle};
+use pathcopy_server::{backend, ServerConfig, ServerHandle, Session};
 
 fn sharded_server() -> ServerHandle {
     pathcopy_server::spawn(
@@ -21,7 +21,7 @@ fn sharded_server() -> ServerHandle {
 #[test]
 fn client_sees_its_own_writes() {
     let server = sharded_server();
-    let mut c = Client::connect(server.addr()).unwrap();
+    let c = Session::connect(server.addr()).unwrap();
     for k in 0..100 {
         assert_eq!(c.insert(k, k * 2).unwrap(), None);
     }
@@ -43,7 +43,7 @@ fn client_sees_its_own_writes() {
 fn named_snapshot_is_immutable_under_concurrent_writers() {
     let server = sharded_server();
     let addr = server.addr();
-    let mut auditor = Client::connect(addr).unwrap();
+    let auditor = Session::connect(addr).unwrap();
     for k in 0..512 {
         auditor.insert(k, k).unwrap();
     }
@@ -57,7 +57,7 @@ fn named_snapshot_is_immutable_under_concurrent_writers() {
         let done_ref = &done;
         s.spawn(move || {
             // A rival connection mutating every key the snapshot covers.
-            let mut writer = Client::connect(addr).unwrap();
+            let writer = Session::connect(addr).unwrap();
             for round in 1..=4i64 {
                 for k in 0..512 {
                     writer.insert(k, k + round * 1000).unwrap();
@@ -117,7 +117,7 @@ fn cross_shard_batches_are_all_or_nothing_over_the_wire() {
     // span shards (128 keys over 8 shards), so the writer's batches take
     // the cross-shard freeze/install path.
     const PAIRS: i64 = 64;
-    let mut setup = Client::connect(addr).unwrap();
+    let setup = Session::connect(addr).unwrap();
     let init: Vec<BatchOp<i64, i64>> = (0..PAIRS * 2).map(|k| BatchOp::Insert(k, 0)).collect();
     setup.batch(&init).unwrap();
 
@@ -125,7 +125,7 @@ fn cross_shard_batches_are_all_or_nothing_over_the_wire() {
     std::thread::scope(|s| {
         let done_ref = &done;
         s.spawn(move || {
-            let mut writer = Client::connect(addr).unwrap();
+            let writer = Session::connect(addr).unwrap();
             for round in 1..=300i64 {
                 let pair = (round % PAIRS) * 2;
                 let r = writer
@@ -139,7 +139,7 @@ fn cross_shard_batches_are_all_or_nothing_over_the_wire() {
             done_ref.store(true, Ordering::Release);
         });
 
-        let mut auditor = Client::connect(addr).unwrap();
+        let auditor = Session::connect(addr).unwrap();
         let mut audits = 0u32;
         while !done.load(Ordering::Acquire) || audits < 3 {
             // A fresh coherent snapshot scanned over the wire: every
@@ -177,7 +177,7 @@ fn cross_shard_batches_are_all_or_nothing_over_the_wire() {
 fn failing_cas_guard_in_a_batch_is_observed_atomically() {
     let server = sharded_server();
     let addr = server.addr();
-    let mut c = Client::connect(addr).unwrap();
+    let c = Session::connect(addr).unwrap();
     c.insert(1, 10).unwrap();
 
     // A cross-shard batch whose Cas guard fails: the Cas reports false
@@ -206,7 +206,7 @@ fn failing_cas_guard_in_a_batch_is_observed_atomically() {
     std::thread::scope(|s| {
         let done_ref = &done;
         s.spawn(move || {
-            let mut writer = Client::connect(addr).unwrap();
+            let writer = Session::connect(addr).unwrap();
             let mut guard_val = 10;
             for round in 0..200i64 {
                 let wrong_guard = round % 2 == 1;
@@ -239,7 +239,7 @@ fn failing_cas_guard_in_a_batch_is_observed_atomically() {
             done_ref.store(true, Ordering::Release);
         });
 
-        let mut auditor = Client::connect(addr).unwrap();
+        let auditor = Session::connect(addr).unwrap();
         let mut audits = 0u32;
         while !done.load(Ordering::Acquire) || audits < 3 {
             let r = auditor
@@ -258,7 +258,7 @@ fn failing_cas_guard_in_a_batch_is_observed_atomically() {
 fn guarded_wire_batch_failed_guard_leaves_zero_partial_writes() {
     let server = sharded_server();
     let addr = server.addr();
-    let mut c = Client::connect(addr).unwrap();
+    let c = Session::connect(addr).unwrap();
     c.insert(0, 0).unwrap(); // the guarded counter
 
     // Deterministic: a cross-shard guarded batch with a stale guard in
@@ -289,7 +289,7 @@ fn guarded_wire_batch_failed_guard_leaves_zero_partial_writes() {
         let writers_done = &writers_done;
         for _ in 0..2 {
             s.spawn(move || {
-                let mut writer = Client::connect(addr).unwrap();
+                let writer = Session::connect(addr).unwrap();
                 for _ in 0..150 {
                     let seen = writer.get(0).unwrap().unwrap();
                     let next = seen + 1;
@@ -312,7 +312,7 @@ fn guarded_wire_batch_failed_guard_leaves_zero_partial_writes() {
             });
         }
         s.spawn(move || {
-            let mut auditor = Client::connect(addr).unwrap();
+            let auditor = Session::connect(addr).unwrap();
             let mut audits = 0u32;
             while writers_done.load(Ordering::Acquire) < 2 || audits < 3 {
                 let (entries, complete) = auditor.range(None, .., 0).unwrap();
@@ -344,7 +344,7 @@ fn every_registered_backend_serves_the_same_contract() {
     let engine = backend::by_name("sharded_map_8").expect("the served engine");
     let server = pathcopy_server::spawn(engine, ServerConfig::with_workers(2))
         .expect("bind ephemeral loopback port");
-    let mut c = Client::connect(server.addr()).unwrap();
+    let c = Session::connect(server.addr()).unwrap();
     for k in 0..64 {
         c.insert(k, -k).unwrap();
     }
