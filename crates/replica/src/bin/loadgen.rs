@@ -19,8 +19,10 @@
 //! `--pipeline n` keeps up to `n` requests in flight per thread through
 //! the proto-v3 session API (`submit` + windowed `wait`); the default,
 //! 1, is strict request/response alternation. Per-op latency runs from
-//! just before `submit` to the reply, so it includes the request's
-//! `write` and, past 1, time queued in the window. The primary's queue
+//! just before `submit` to the reply, so it includes, past 1, time
+//! queued in the window — and time corked: `submit` only queues the
+//! frame, which leaves with the rest of the window's burst at the next
+//! wait that blocks. The primary's queue
 //! depth is sized to fit the window; replicas keep the default depth
 //! (64), so reads may shed `Busy` if `--pipeline` exceeds it.
 //!
@@ -370,12 +372,20 @@ fn main() {
                 // Keep up to `pipeline` tickets open per session; wait
                 // only when the window is full. A window of one is strict
                 // request/response alternation. Per-op latency spans
-                // submit→response, so it includes the request's `write`
-                // and time queued behind the window.
-                let mut window: VecDeque<(Instant, Ticket, usize)> =
+                // submit→response, so it includes time corked until the
+                // window's next blocking wait and time queued behind the
+                // window.
+                let mut window: VecDeque<(Instant, Ticket, usize, bool)> =
                     VecDeque::with_capacity(pipeline);
-                let drain_one = |window: &mut VecDeque<(Instant, Ticket, usize)>| {
-                    let (t0, ticket, n) = window.pop_front().expect("non-empty window");
+                let drain_one = |window: &mut VecDeque<(Instant, Ticket, usize, bool)>| {
+                    let (t0, ticket, n, to_reader) = window.pop_front().expect("non-empty window");
+                    // A wait sends only its own session's cork: send the
+                    // other session's first, so its requests are in
+                    // flight while this thread blocks.
+                    if let Some(reader) = &reader {
+                        let other = if to_reader { &primary } else { reader };
+                        other.flush().expect("flush");
+                    }
                     ticket.wait().expect("pipelined response");
                     let ns = t0.elapsed().as_nanos() as u64;
                     // One round trip carried `n` ops.
@@ -418,7 +428,7 @@ fn main() {
                     };
                     let t0 = Instant::now();
                     let ticket = session.submit(&req).expect("pipelined submit");
-                    window.push_back((t0, ticket, n_ops));
+                    window.push_back((t0, ticket, n_ops, to_reader));
                 }
                 if !pending.is_empty() {
                     let n = pending.len();
@@ -428,7 +438,7 @@ fn main() {
                     };
                     let t0 = Instant::now();
                     let ticket = primary.submit(&req).expect("final batch submit");
-                    window.push_back((t0, ticket, n));
+                    window.push_back((t0, ticket, n, false));
                 }
                 while !window.is_empty() {
                     drain_one(&mut window);

@@ -2,9 +2,33 @@
 //!
 //! [`Session`] owns a single connection and lets any number of requests
 //! be **in flight at once**: [`Session::submit`] stamps the request
-//! with a fresh correlation id, writes the proto-v3 frame, and returns
+//! with a fresh correlation id, corks the proto-v3 frame, and returns
 //! a [`Ticket`] immediately. Responses may come back in any order — the
 //! id, not arrival order, pairs them.
+//!
+//! # Who writes the socket
+//!
+//! Whoever is about to block. `submit` makes no syscall: it appends the
+//! encoded frame to the session's pending-write buffer, the *cork*. The
+//! cork goes out whole, in one `write`, when a thread waiting on the
+//! session finds its reply not yet in and is about to read or park — so
+//! a window of tickets submitted back to back leaves together, and a
+//! wait whose reply is already in writes nothing. It also goes out on
+//! [`Session::flush`], when an unredeemed [`Ticket`] or the [`Session`]
+//! is dropped, and from `submit` itself once 16 KiB are pending.
+//!
+//! Only a submitter, `flush` or the session's drop ever blocks in
+//! `write`. A waiter never waits for the write lock — if another thread
+//! holds it, that thread sends the cork before letting go — and sends
+//! only what the socket takes without blocking: a waiter stuck in
+//! `write` could leave nobody reading while the server, its replies
+//! backed up, has stopped reading too. What the socket would not take
+//! stays corked and *owed*: every thread blocked on the session comes
+//! back for it each millisecond until it is out. So a ticket's request
+//! is sent, or being sent by a thread that keeps reading, before any
+//! thread blocks waiting for it — but a request whose effect something
+//! *else* waits for (a `Publish` that another connection reads at, a
+//! scripted peer) needs a `flush`.
 //!
 //! # Who reads the socket
 //!
@@ -46,6 +70,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::ops::{Bound, RangeBounds};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -54,6 +79,7 @@ use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::{ByteCounters, ByteCountersSnapshot, DiffEntry};
 use pathcopy_trace::{SpanRecord, TraceContext};
 
+use crate::poll::send_nowait;
 use crate::proto::{
     body_len, request_frame_into, Epoch, FeedInfo, Framed, ProtoError, Request, RequestId,
     Response, ServerGauges, SnapshotId, StageSummary, WireError, WireStats, PUSH_ID_BASE,
@@ -199,9 +225,18 @@ impl SessionDead {
 /// Size of a session's reassembly buffer while no frame needs more.
 const READ_BUF: usize = 8 << 10;
 
-/// A session buffer (reassembly, request encoding) that a large frame
-/// grew past this is given back once the frame is through.
+/// A session buffer (reassembly, the cork) that a large frame grew past
+/// this is given back once the frame is through.
 const BUF_KEEP: usize = 64 << 10;
+
+/// Pending bytes at which `submit` sends the cork itself: the server's
+/// per-wake read chunk, so one cork is at most one wake's work.
+const CORK_MAX: usize = 16 << 10;
+
+/// While part of the cork is owed (the socket would not take it), a
+/// thread blocked on the session blocks at most this long at a time
+/// before trying to send it again.
+const TAIL_RETRY: Duration = Duration::from_millis(1);
 
 /// Slots a session's ticket ring starts with; it doubles whenever more
 /// than half of it is reserved and never shrinks.
@@ -361,7 +396,10 @@ struct ReadHalf {
     /// `recv_timeout`s with one timeout) issues no `setsockopt` at all.
     timeout: Option<Duration>,
     /// Frames decoded from one read, on their way to being settled
-    /// under one acquisition of the state lock.
+    /// under one acquisition of the state lock. Sized from the start for
+    /// a reply per slot of the ticket ring's first size: a corked window
+    /// comes back as one burst, and a burst bigger than any seen before
+    /// would otherwise grow this in the middle of a warm session.
     decoded: Vec<Framed<Response>>,
 }
 
@@ -371,7 +409,7 @@ impl ReadHalf {
             buf: vec![0; READ_BUF],
             filled: 0,
             timeout: None,
-            decoded: Vec::new(),
+            decoded: Vec::with_capacity(SLOTS_MIN),
         }
     }
 
@@ -450,10 +488,15 @@ struct SessionShared {
     /// The connection. Both directions go through `&TcpStream`, so there
     /// is one descriptor; `writer` and `reader` say who may use which.
     stream: TcpStream,
-    /// Serializes frame writes so concurrent submitters never
-    /// interleave bytes. What it guards is the buffer each request is
-    /// encoded into before its one `write`.
+    /// The cork: frames submitted and not yet written, in the order
+    /// they were encoded. Only its holder writes, always from the front,
+    /// so frames never interleave; it holds no other lock while it does.
     writer: Mutex<Vec<u8>>,
+    /// The cork must go out: a waiter found `writer` held and left
+    /// sending it to the holder, which checks this on the way out
+    /// ([`unlock_writer`](Self::unlock_writer)), or a waiter's send left
+    /// what the socket would not take, which blocked threads retry.
+    flush_owed: AtomicBool,
     state: std::sync::Mutex<State>,
     /// Signalled by a leader that settled something while followers
     /// were parked, or that is giving up the lead.
@@ -490,7 +533,10 @@ impl SessionShared {
     /// Blocks until `ready` yields (`Ok(Some)`), `timeout` passes
     /// (`Ok(None)`; `None` waits forever) or the session is dead. This
     /// is the only way anything is read off the socket: the caller
-    /// leads if nobody is, and follows otherwise.
+    /// leads if nobody is, and follows otherwise. Before it first
+    /// blocks it sends the cork ([`flush_corked`](Self::flush_corked)),
+    /// and while any of it is owed it blocks for at most [`TAIL_RETRY`]
+    /// at a time and sends again.
     ///
     /// `ready` runs under the state lock and takes what it finds — the
     /// caller's reply out of its slot, the oldest queued push — so a
@@ -501,6 +547,7 @@ impl SessionShared {
         mut ready: impl FnMut(&mut State) -> Option<T>,
     ) -> Result<Option<T>, SessionDead> {
         let mut deadline = None;
+        let mut flush_due = true;
         let mut st = self.state();
         loop {
             if let Some(out) = ready(&mut st) {
@@ -508,6 +555,15 @@ impl SessionShared {
             }
             if let Some(dead) = &st.dead {
                 return Err(dead.clone());
+            }
+            if flush_due {
+                // Not under the state lock: submitters keep reserving
+                // slots while the cork is written.
+                flush_due = false;
+                drop(st);
+                self.flush_corked();
+                st = self.state();
+                continue;
             }
             // How long this pass may block. The first pass uses the
             // caller's timeout as given, so a pump loop's reads all ask
@@ -528,7 +584,7 @@ impl SessionShared {
             };
             if st.leading {
                 st.followers += 1;
-                st = match budget {
+                st = match self.owed_cap(budget) {
                     None => self
                         .settled
                         .wait(st)
@@ -550,6 +606,7 @@ impl SessionShared {
                 }
                 st = unlocked;
             }
+            flush_due = self.flush_owed.load(Ordering::SeqCst);
         }
     }
 
@@ -571,11 +628,19 @@ impl SessionShared {
         );
         loop {
             // `SO_RCVTIMEO` cannot be zero (that means "none").
-            let timeout = budget.map(|left| left.max(Duration::from_micros(1)));
+            let timeout = self
+                .owed_cap(budget)
+                .map(|left| left.max(Duration::from_micros(1)));
             let read = rd.fill(&self.stream, timeout).and_then(|n| {
                 self.wire.add_received(n as u64);
                 rd.decode()
             });
+            // What was just read may have made room for an owed tail.
+            // (After a failed read, sending would only replace the
+            // session's cause of death with a write error.)
+            if read.is_ok() && self.flush_owed.load(Ordering::SeqCst) {
+                self.flush_corked();
+            }
             let mut st = self.state();
             let settled = !rd.decoded.is_empty();
             for framed in rd.decoded.drain(..) {
@@ -613,6 +678,115 @@ impl SessionShared {
             self.settled.notify_all();
         }
     }
+
+    /// Writes the cork: with `block`, in one `write_all`, blocking while
+    /// the socket is full; without, only what the socket takes now,
+    /// leaving the rest corked and owed — `Ok(false)`. A failed write
+    /// may have sent part of a frame, so nothing more can be
+    /// multiplexed onto the connection: it kills the session and shuts
+    /// the socket, which also wakes a leader blocked in `read`.
+    fn send(&self, pending: &mut Vec<u8>, block: bool) -> io::Result<bool> {
+        if pending.is_empty() {
+            return Ok(true);
+        }
+        let mut sent = 0;
+        let written = if block {
+            (&self.stream)
+                .write_all(pending)
+                .map(|()| sent = pending.len())
+        } else {
+            loop {
+                match send_nowait(&self.stream, &pending[sent..]) {
+                    Ok(n) => {
+                        sent += n;
+                        if n == 0 || sent == pending.len() {
+                            break Ok(());
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(()),
+                    Err(e) => break Err(e),
+                }
+            }
+        };
+        if let Err(e) = written {
+            self.kill(SessionDead::from_io(&e));
+            let _ = self.stream.shutdown(Shutdown::Both);
+            pending.clear();
+            return Err(e);
+        }
+        self.wire.add_sent(sent as u64);
+        pending.drain(..sent);
+        if pending.is_empty() {
+            return Ok(true);
+        }
+        self.flush_owed.store(true, Ordering::SeqCst);
+        Ok(false)
+    }
+
+    /// Lets go of the writer lock, first sending the cork if `send` is
+    /// set or a waiter left that to this holder; `block` as in
+    /// [`send`](Self::send). A waiter that finds the lock held after
+    /// that check is caught by the one after the release: the lock is
+    /// taken back and the cork sent again, so an owed send is never
+    /// lost. A failed send has killed the session.
+    fn unlock_writer<'a>(
+        &'a self,
+        mut pending: parking_lot::MutexGuard<'a, Vec<u8>>,
+        mut send: bool,
+        block: bool,
+    ) -> io::Result<()> {
+        loop {
+            if (self.flush_owed.swap(false, Ordering::SeqCst) || send)
+                && !self.send(&mut pending, block)?
+            {
+                // The socket is full; threads blocked on the session
+                // retry the rest.
+                return Ok(());
+            }
+            pending.shrink_to(BUF_KEEP);
+            drop(pending);
+            // Pairs with the fence in `flush_corked` (the lock word
+            // itself is only acquire/release): either that waiter's
+            // `try_lock` finds the lock free or this load finds its flag.
+            fence(Ordering::SeqCst);
+            if !self.flush_owed.load(Ordering::SeqCst) {
+                return Ok(());
+            }
+            match self.writer.try_lock() {
+                Some(again) => pending = again,
+                // The new holder makes this same check on its way out.
+                None => return Ok(()),
+            }
+            send = false;
+        }
+    }
+
+    /// What a thread does before it blocks on the session: sends what
+    /// the socket takes of the cork, or leaves that to whoever holds the
+    /// writer lock. It never blocks — neither for the lock, whose holder
+    /// may be a submitter stuck in `write` on a full socket, nor in
+    /// `write` itself: either way only a reader can unstick the socket,
+    /// and the caller may be the only thread that would read.
+    fn flush_corked(&self) {
+        self.flush_owed.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if let Some(pending) = self.writer.try_lock() {
+            // A failed write has killed the session, which the caller
+            // sees next.
+            let _ = self.unlock_writer(pending, false, false);
+        }
+    }
+
+    /// How long a thread with `budget` left may block on the session in
+    /// one go: no longer than [`TAIL_RETRY`] while part of the cork is
+    /// owed.
+    fn owed_cap(&self, budget: Option<Duration>) -> Option<Duration> {
+        if self.flush_owed.load(Ordering::SeqCst) {
+            Some(budget.map_or(TAIL_RETRY, |left| left.min(TAIL_RETRY)))
+        } else {
+            budget
+        }
+    }
 }
 
 /// A pipelined connection to a `pathcopy-server`, and the one client
@@ -626,8 +800,9 @@ impl SessionShared {
 /// so a session can be shared across threads behind an `Arc` if
 /// desired; each submit is stamped with a unique id and responses are
 /// paired by id, never by order. The session runs no thread: whoever
-/// waits reads the socket, for itself and for everyone parked behind it
-/// (see the [module docs](self)).
+/// is about to wait writes what was submitted and reads the socket, for
+/// itself and for everyone parked behind it (see the
+/// [module docs](self)).
 pub struct Session {
     shared: Arc<SessionShared>,
 }
@@ -647,6 +822,7 @@ impl Session {
             shared: Arc::new(SessionShared {
                 stream,
                 writer: Mutex::new(Vec::with_capacity(64)),
+                flush_owed: AtomicBool::new(false),
                 state: std::sync::Mutex::new(State::new()),
                 settled: Condvar::new(),
                 reader: Mutex::new(ReadHalf::new()),
@@ -655,19 +831,23 @@ impl Session {
         })
     }
 
-    /// Sends `req` without waiting for its reply and returns the
-    /// [`Ticket`] that will resolve to it. The frame is handed to the
-    /// socket in one `write` before this returns, so tickets submitted
-    /// back-to-back are all on the wire — that is the whole point: the
-    /// server works on all of them while the client has not blocked
-    /// once.
+    /// Queues `req` without waiting for its reply and returns the
+    /// [`Ticket`] that will resolve to it. The frame is encoded onto the
+    /// session's cork and, below 16 KiB pending, no syscall is made:
+    /// tickets submitted back to back leave together, in one `write`,
+    /// when the first thread to wait on the session is about to block
+    /// (or on [`flush`](Self::flush)) — the server then works on all of
+    /// them while the client has blocked once.
     ///
     /// # Errors
     ///
     /// [`ClientError::Io`] if the session is already dead (a previous
-    /// transport or decode failure) or if writing the frame fails.
-    /// Errors the *server* reports for this request arrive through the
-    /// ticket, not here.
+    /// transport or decode failure), if sending a full cork fails, or —
+    /// with [`io::ErrorKind::InvalidData`], and the session still usable
+    /// — if the request's frame would exceed
+    /// [`MAX_FRAME_LEN`](crate::proto::MAX_FRAME_LEN). Errors the
+    /// *server* reports for this request arrive through the ticket, not
+    /// here.
     pub fn submit(&self, req: &Request) -> Result<Ticket, ClientError> {
         self.submit_traced(req, None)
     }
@@ -695,29 +875,37 @@ impl Session {
             }
             st.reserve()
         };
-        // From here the ticket owns the slot: every early return below
-        // frees it by dropping the ticket.
-        let ticket = Ticket {
-            id,
-            shared: Arc::clone(shared),
-        };
-        let written = {
-            let mut frame = shared.writer.lock();
-            let written = request_frame_into(&mut frame, req, id, trace)
-                .and_then(|()| (&shared.stream).write_all(&frame))
-                .map(|()| shared.wire.add_sent(frame.len() as u64));
-            if frame.capacity() > BUF_KEEP {
-                *frame = Vec::new();
-            }
-            written
-        };
-        if let Err(e) = written {
-            // The frame may be half-written; nothing more can be
-            // multiplexed onto this connection safely.
-            shared.kill(SessionDead::from_io(&e));
+        let mut pending = shared.writer.lock();
+        // A frame too large to send leaves the cork at the boundary
+        // before it: nothing was sent, so the session carries on.
+        let corked = request_frame_into(&mut pending, req, id, trace);
+        let full = corked.is_ok() && pending.len() >= CORK_MAX;
+        let sent = shared.unlock_writer(pending, full, true);
+        if let Err(e) = corked.and(sent) {
+            shared.state().release(id);
             return Err(ClientError::Io(e));
         }
-        Ok(ticket)
+        Ok(Ticket {
+            id,
+            shared: Arc::clone(shared),
+        })
+    }
+
+    /// Sends every request submitted on this session and still corked,
+    /// in one `write`, and returns once the kernel has it. A wait on the
+    /// session does this before it blocks, so call it only when
+    /// something else waits for a request to arrive — another
+    /// connection reading a `Publish`'s epoch, a scripted peer. Like a
+    /// submit, it blocks while the socket is full until some thread
+    /// reads the session.
+    ///
+    /// # Errors
+    ///
+    /// [`ClientError::Io`] if the write fails; the session is dead from
+    /// then on, and every ticket in flight fails with it.
+    pub fn flush(&self) -> Result<(), ClientError> {
+        let pending = self.shared.writer.lock();
+        Ok(self.shared.unlock_writer(pending, true, true)?)
     }
 
     /// `submit` + [`Ticket::wait`] in one call: a blocking round trip,
@@ -725,8 +913,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Io`] if the transport fails,
-    /// [`ClientError::Proto`] if the reply frame cannot be decoded,
+    /// [`ClientError::Io`] if the transport fails — a failed `write`
+    /// included, which surfaces here rather than from `submit` since the
+    /// request leaves when the wait begins — or the request is too
+    /// large to frame, [`ClientError::Proto`] if the reply frame cannot
+    /// be decoded,
     /// [`ClientError::Busy`] if the server shed the request at its
     /// queue-depth bound, and [`ClientError::Server`] if the server
     /// answers with any other error frame. Every typed call below goes
@@ -740,9 +931,10 @@ impl Session {
     }
 
     /// Bytes this connection has moved so far, both directions. The
-    /// counters are exact whenever no request is in flight (every
-    /// submit is one unbuffered write, and responses are counted as
-    /// they are read), which is what the replication layer uses to
+    /// counters are exact whenever no request is in flight (requests
+    /// are counted when the cork is written, which happens at the
+    /// latest when their tickets are waited on or dropped, and responses
+    /// as they are read), which is what the replication layer uses to
     /// prove that diff catch-up transfers O(changes) bytes while a full
     /// sync transfers O(n).
     pub fn wire_bytes(&self) -> ByteCountersSnapshot {
@@ -792,10 +984,14 @@ impl Session {
 
 impl Drop for Session {
     fn drop(&mut self) {
-        // Nothing to join. A leader parked in `read` wakes with EOF and
-        // fails everyone behind it; a ticket or subscription waited on
-        // later reads the EOF itself. Either way nothing outlives its
-        // session hanging.
+        // What is still corked goes out, as `flush` sends it: a request
+        // submitted is a request sent. No submitter can hold the writer
+        // lock now, and a waiter holds it only for a send that does not
+        // block. Then nothing to join. A leader parked in `read` wakes
+        // with EOF and fails everyone behind it; a ticket or
+        // subscription waited on later reads the EOF itself. Either way
+        // nothing outlives its session hanging.
+        let _ = self.flush();
         let _ = self.shared.stream.shutdown(Shutdown::Both);
     }
 }
@@ -889,9 +1085,13 @@ impl SessionToken {
 }
 
 /// A claim on one in-flight request's eventual response. Obtained from
-/// [`Session::submit`]; redeem it with [`wait`](Ticket::wait).
+/// [`Session::submit`]; redeem it with [`wait`](Ticket::wait). Until
+/// some wait on the session blocks, the request may still be corked on
+/// the client; it is written before any thread blocks waiting for it.
 /// Dropping a ticket abandons the request: its slot is freed at once
-/// (the server still executes it; the reply is discarded on arrival).
+/// and the cork is sent — what a full socket would not take goes with
+/// the session's next write, at the latest when it is dropped — so the
+/// server still executes it; the reply is discarded on arrival.
 #[must_use = "a Ticket does nothing until wait()ed on"]
 pub struct Ticket {
     id: RequestId,
@@ -905,9 +1105,9 @@ impl Ticket {
     }
 
     /// Blocks until the response for this ticket's request arrives and
-    /// returns it, surfacing server-side errors. If no other thread is
-    /// reading the session's socket, this one does (see the
-    /// [module docs](self)).
+    /// returns it, surfacing server-side errors. If the reply is not in
+    /// yet, this sends the session's cork, then reads the socket unless
+    /// another thread already is (see the [module docs](self)).
     ///
     /// # Errors
     ///
@@ -937,6 +1137,7 @@ impl Drop for Ticket {
     fn drop(&mut self) {
         if self.id != 0 {
             self.shared.state().release(self.id);
+            self.shared.flush_corked();
         }
     }
 }
@@ -1665,6 +1866,29 @@ mod tests {
         // Nobody waited on the idle session, so nothing was read.
         assert_eq!(idle.shared.state().pushes.len(), 0);
         assert_eq!(idle.wire_bytes().received, received);
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_oversize_request_is_refused_and_the_session_carries_on() {
+        let server = sharded_server(ServerConfig::default());
+        server.backend().insert(4, 40);
+        let session = Session::connect(server.addr()).unwrap();
+        let get = session.submit(&Request::Get { key: 4 }).unwrap();
+        // ~1.9M ops at 9 bytes each overflow the 16 MiB frame cap.
+        let huge = Request::Batch {
+            guarded: false,
+            ops: vec![BatchOp::Get(0); (crate::proto::MAX_FRAME_LEN as usize / 9) + 1],
+        };
+        match session.submit(&huge) {
+            Err(ClientError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+            Err(other) => panic!("expected InvalidData, got {other:?}"),
+            Ok(_) => panic!("an oversize request was accepted"),
+        }
+        assert_eq!(session.shared.state().live, 1, "the refusal keeps no slot");
+        assert!(session.shared.writer.lock().capacity() <= BUF_KEEP);
+        assert_eq!(get.wait().unwrap(), Response::Got(Some(40)));
+        assert_eq!(session.get(4).unwrap(), Some(40));
         server.shutdown();
     }
 

@@ -19,6 +19,51 @@
 //! its registration table; that is O(fds) per wake, which is exactly
 //! what `epoll` exists to fix, but it keeps non-Linux unix hosts
 //! working with identical semantics.
+//!
+//! [`send_nowait`] is the one syscall the *client* needs that `std`
+//! lacks: a write that never blocks on a socket other threads are
+//! blocked on.
+
+use std::io;
+use std::net::TcpStream;
+use std::os::fd::AsRawFd;
+use std::os::raw::{c_int, c_void};
+
+#[cfg(target_os = "linux")]
+const SEND_NOWAIT: c_int = 0x40 /* MSG_DONTWAIT */ | 0x4000 /* MSG_NOSIGNAL */;
+#[cfg(all(unix, not(target_os = "linux")))]
+const SEND_NOWAIT: c_int = 0x80 /* MSG_DONTWAIT */;
+
+extern "C" {
+    fn send(fd: c_int, buf: *const c_void, len: usize, flags: c_int) -> isize;
+}
+
+/// Sends as much of `buf` as `stream`'s socket buffer takes right now:
+/// `send(2)` with `MSG_DONTWAIT`, which applies to this call only, so
+/// the descriptor stays blocking for threads in `read` or `write` on
+/// it. A full buffer is [`io::ErrorKind::WouldBlock`].
+pub(crate) fn send_nowait(stream: &TcpStream, buf: &[u8]) -> io::Result<usize> {
+    loop {
+        // SAFETY: `buf` is a live slice of `buf.len()` bytes for the
+        // call's duration, and the fd is `stream`'s, open while it is
+        // borrowed.
+        let n = unsafe {
+            send(
+                stream.as_raw_fd(),
+                buf.as_ptr().cast(),
+                buf.len(),
+                SEND_NOWAIT,
+            )
+        };
+        if n >= 0 {
+            return Ok(n as usize);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
 
 /// One readiness notification from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -306,7 +351,6 @@ mod imp {
 mod tests {
     use super::*;
     use std::io::{Read as _, Write as _};
-    use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
 
     #[test]
@@ -350,6 +394,24 @@ mod tests {
         // reregister call itself is accepted.
         poller.reregister(a.as_raw_fd(), 1, Interest::READ).unwrap();
         poller.deregister(a.as_raw_fd()).unwrap();
+    }
+
+    #[test]
+    fn send_nowait_stops_at_a_full_socket_instead_of_blocking() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // Accepted and never read.
+        let _peer = listener.accept().unwrap();
+        let chunk = vec![7u8; 64 << 10];
+        let mut sent = 0usize;
+        let err = loop {
+            match send_nowait(&stream, &chunk) {
+                Ok(n) => sent += n,
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
+        assert!(sent > 0);
     }
 
     #[test]

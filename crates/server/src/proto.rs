@@ -1203,23 +1203,25 @@ pub fn request_frame(
     Ok(frame)
 }
 
-/// [`request_frame`] into a buffer the caller reuses: `out` is cleared
-/// and holds exactly the frame on success. What a [`Session`](crate::Session)
-/// encodes with, so a steady stream of requests allocates nothing.
+/// [`request_frame`] appended to a buffer the caller reuses. What a
+/// [`Session`](crate::Session) corks its requests with, so a steady
+/// stream of them allocates nothing.
 ///
 /// # Errors
 ///
-/// As [`request_frame`].
+/// As [`request_frame`]; `out` is left as it was, still ending at a
+/// frame boundary.
 pub(crate) fn request_frame_into(
     out: &mut Vec<u8>,
     req: &Request,
     id: RequestId,
     trace: Option<&TraceContext>,
 ) -> io::Result<()> {
-    out.clear();
+    let start = out.len();
     encode_frame_into(out, req, id, trace);
-    let body = out.len() - 4;
+    let body = out.len() - start - 4;
     if body > MAX_FRAME_LEN as usize {
+        out.truncate(start);
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame body of {body} bytes exceeds MAX_FRAME_LEN"),
@@ -1791,6 +1793,20 @@ mod tests {
         let err = write_request_with_id(&mut buf, 1, &huge).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(buf.is_empty(), "stream must stay at a frame boundary");
+
+        // Appending behind a corked frame rolls back to that frame.
+        let mut corked = request_frame(&Request::Get { key: 1 }, 1, None).unwrap();
+        let before = corked.clone();
+        let err = request_frame_into(&mut corked, &huge, 2, None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(corked, before);
+        request_frame_into(&mut corked, &Request::Get { key: 3 }, 3, None).unwrap();
+        let mut r = &corked[..];
+        for id in [1, 3] {
+            let framed = read_request_enveloped(&mut r).unwrap().unwrap();
+            assert_eq!(framed.request_id, id);
+        }
+        assert!(r.is_empty());
     }
 
     #[test]

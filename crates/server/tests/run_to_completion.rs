@@ -373,6 +373,8 @@ fn session_writes_and_reads_do_not_wait_for_a_publish_in_progress() {
     // Epoch 2 is now stuck in its sink, holding the feed lock.
     let publisher = Session::connect(server.addr()).expect("connect");
     let stuck = publisher.submit(&Request::Publish).expect("submit");
+    // Nothing waits on `publisher` until the end, so send it now.
+    publisher.flush().expect("flush");
     assert_eq!(entered.recv().expect("sink entered"), 2);
 
     // A watermarked write still answers — and names epoch 3, because

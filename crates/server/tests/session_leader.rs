@@ -5,12 +5,15 @@
 //! leader with none, a socket timeout left behind for the next leader,
 //! a ticket that outlives its session, pushes queued without bound behind
 //! a long ticket wait, a thread per connection creeping back, typed calls
-//! that cannot share a session across threads — and every one runs under
-//! a watchdog, so a lost wake-up is a failure with a name rather than a
-//! hung job.
+//! that cannot share a session across threads, a corked request nobody
+//! sends, a waiter stuck behind a submitter's blocked `write` or blocked
+//! in `write` itself while the submitter waits for the lock — and every
+//! one runs under a watchdog, so a lost wake-up is a failure with a name
+//! rather than a hung job.
 
-use std::io::{BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
@@ -19,11 +22,11 @@ use std::time::{Duration, Instant};
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::DiffEntry;
 use pathcopy_server::proto::{
-    read_request_enveloped, response_frame, FeedInfo, RequestId, PUSH_ID_BASE,
+    read_request_enveloped, request_frame, response_frame, FeedInfo, RequestId, PUSH_ID_BASE,
 };
 use pathcopy_server::{
     backend, ClientError, PushFrame, Request, Response, ServerConfig, ServerHandle, Session,
-    SessionToken, WireError,
+    SessionToken, Ticket, WireError,
 };
 
 /// Runs `body` on its own thread and fails the test if it has not
@@ -86,6 +89,20 @@ fn ack_subscribe(reader: &mut BufReader<TcpStream>, stream: &mut TcpStream) {
     stream
         .write_all(&response_frame(&ack, id, None))
         .expect("ack");
+}
+
+/// Waits until `attempts` has held still for 500 ms — the thread
+/// counting them is stuck in its latest one — and returns it.
+fn stalled_at(attempts: &AtomicUsize) -> usize {
+    let mut seen = attempts.load(Ordering::SeqCst);
+    loop {
+        thread::sleep(Duration::from_millis(500));
+        let now = attempts.load(Ordering::SeqCst);
+        if now == seen && now > 0 {
+            return now;
+        }
+        seen = now;
+    }
 }
 
 fn xorshift(x: &mut u64) -> u64 {
@@ -236,6 +253,8 @@ fn deadline_mid_frame_loses_no_bytes() {
         let session = Session::connect(addr).expect("connect");
         let (_info, sub) = session.subscribe(4).expect("subscribe");
         let ticket = session.submit(&Request::Get { key: 6 }).expect("submit");
+        // The peer sends half a push only after it has read the `Get`.
+        session.flush().expect("flush");
         half_sent.recv().expect("peer alive");
         let quiet = sub.recv_timeout(Duration::from_millis(20));
         assert!(
@@ -438,5 +457,185 @@ fn connecting_spawns_no_thread() {
             thread::sleep(Duration::from_millis(10));
         }
         panic!("thread count never held still across 8 connects: {readings:?}");
+    });
+}
+
+#[test]
+fn submits_stay_corked_until_a_flush_sends_them_together() {
+    within(Duration::from_secs(60), || {
+        let (seen_tx, seen) = mpsc::channel();
+        let (addr, peer) = mock_peer(move |mut reader, mut stream| {
+            let requests: Vec<_> = (0..8).map(|_| next_request(&mut reader)).collect();
+            for &(id, _) in &requests {
+                let reply = Response::Got(Some(id as i64));
+                stream
+                    .write_all(&response_frame(&reply, id, None))
+                    .expect("reply");
+            }
+            seen_tx.send(requests).expect("test alive");
+        });
+        let session = Session::connect(addr).expect("connect");
+        let before = session.wire_bytes().sent;
+        let requests: Vec<_> = (0..8).map(|key| Request::Get { key }).collect();
+        let tickets: Vec<_> = requests
+            .iter()
+            .map(|req| session.submit(req).expect("submit"))
+            .collect();
+        assert_eq!(session.wire_bytes().sent, before, "a submit wrote");
+
+        session.flush().expect("flush");
+        let frames: usize = requests
+            .iter()
+            .zip(&tickets)
+            .map(|(req, t)| request_frame(req, t.id(), None).expect("small").len())
+            .sum();
+        assert_eq!(session.wire_bytes().sent - before, frames as u64);
+        let ids: Vec<_> = tickets.iter().map(Ticket::id).collect();
+        let sent: Vec<_> = ids.iter().copied().zip(requests).collect();
+        assert_eq!(seen.recv().expect("peer decoded all 8"), sent);
+        for (id, ticket) in ids.into_iter().zip(tickets) {
+            assert_eq!(
+                ticket.wait().expect("reply"),
+                Response::Got(Some(id as i64))
+            );
+        }
+        peer.join().expect("mock peer");
+    });
+}
+
+#[test]
+fn a_dropped_unredeemed_ticket_still_executes() {
+    within(Duration::from_secs(60), || {
+        let server = server();
+        let session = Session::connect(server.addr()).expect("connect");
+        drop(
+            session
+                .submit(&Request::Insert { key: 9, value: 90 })
+                .expect("submit"),
+        );
+        // `session` stays open and nothing waits on it: only the drop
+        // can have sent the insert.
+        let other = Session::connect(server.addr()).expect("connect");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while other.get(9).expect("get") != Some(90) {
+            assert!(Instant::now() < deadline, "the abandoned insert never ran");
+            thread::sleep(Duration::from_millis(1));
+        }
+        drop((session, other));
+        server.shutdown();
+    });
+}
+
+#[test]
+fn a_waiter_never_waits_for_a_submitter_stuck_in_write() {
+    within(Duration::from_secs(60), || {
+        let (answer_tx, answer) = mpsc::channel::<()>();
+        let (drain_tx, drain) = mpsc::channel::<()>();
+        let (addr, peer) = mock_peer(move |mut reader, mut stream| {
+            let (get_id, _) = next_request(&mut reader);
+            // Reads nothing more until told: the flood behind the `Get`
+            // fills the socket.
+            answer.recv().expect("client alive");
+            stream
+                .write_all(&response_frame(&Response::Got(Some(1)), get_id, None))
+                .expect("reply");
+            drain.recv().expect("client alive");
+            io::copy(&mut reader, &mut io::sink()).expect("drain");
+        });
+        let session = Arc::new(Session::connect(addr).expect("connect"));
+        let ticket = session.submit(&Request::Get { key: 1 }).expect("submit");
+        session.flush().expect("flush");
+
+        // ~1 MB batches until one `write` blocks, holding the writer
+        // lock: the peer reads nothing, so however much the host's
+        // socket buffers hold, some batch fills them — and a reply from
+        // the peer frees too little window to finish it.
+        let attempts = Arc::new(AtomicUsize::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let flood = {
+            let (session, attempts, stop) = (
+                Arc::clone(&session),
+                Arc::clone(&attempts),
+                Arc::clone(&stop),
+            );
+            thread::spawn(move || {
+                let batch = Request::Batch {
+                    ops: (0..60_000).map(|k| BatchOp::Insert(k, k)).collect(),
+                    guarded: false,
+                };
+                while !stop.load(Ordering::SeqCst) {
+                    attempts.fetch_add(1, Ordering::SeqCst);
+                    drop(session.submit(&batch).expect("submit"));
+                }
+            })
+        };
+        stalled_at(&attempts);
+
+        // The flood's thread is in `write` with the lock; the waiter
+        // must read rather than wait for it.
+        answer_tx.send(()).expect("peer alive");
+        assert_eq!(ticket.wait().expect("reply"), Response::Got(Some(1)));
+        stop.store(true, Ordering::SeqCst);
+        drain_tx.send(()).expect("peer alive");
+        flood.join().expect("flood thread");
+        drop(session);
+        peer.join().expect("mock peer");
+    });
+}
+
+#[test]
+fn a_submitter_never_waits_for_a_waiter_stuck_in_write() {
+    within(Duration::from_secs(120), || {
+        // Answers every request with ~1 KiB and reads the next one only
+        // once that answer is written, as a server does: a client that
+        // stops reading soon stops the peer reading too.
+        let (addr, peer) = mock_peer(|mut reader, mut stream| {
+            let answer = Response::Batch(vec![BatchResult::Inserted(Some(0)); 100]);
+            while let Ok(Some(framed)) = read_request_enveloped(&mut reader) {
+                let frame = response_frame(&answer, framed.request_id, None);
+                if stream.write_all(&frame).is_err() {
+                    break;
+                }
+            }
+        });
+        let session = Arc::new(Session::connect(addr).expect("connect"));
+        let attempts = Arc::new(AtomicUsize::new(0));
+        let (limit_tx, limit) = mpsc::channel::<usize>();
+        let (tickets_tx, tickets) = mpsc::channel::<Ticket>();
+        let producer = {
+            let (session, attempts) = (Arc::clone(&session), Arc::clone(&attempts));
+            thread::spawn(move || {
+                let mut last = usize::MAX;
+                while attempts.load(Ordering::SeqCst) < last {
+                    attempts.fetch_add(1, Ordering::SeqCst);
+                    let ticket = session.submit(&Request::Get { key: 1 }).expect("submit");
+                    tickets_tx.send(ticket).expect("consumer alive");
+                    if let Ok(limit) = limit.try_recv() {
+                        last = limit;
+                    }
+                }
+            })
+        };
+        // Nobody reads, so the peer stops reading and a submit blocks
+        // in `write`.
+        let stuck = stalled_at(&attempts);
+
+        // Two socketfuls more, while this thread redeems the tickets
+        // late. Between the producer's writes the writer lock is free
+        // to a waiter — which must not then block in `write` itself,
+        // leaving the producer parked on the lock and nobody reading.
+        limit_tx.send(3 * stuck).expect("producer alive");
+        let mut redeemed = 0;
+        for ticket in tickets {
+            match ticket.wait().expect("reply") {
+                Response::Batch(results) => assert_eq!(results.len(), 100),
+                other => panic!("unexpected {other:?}"),
+            }
+            redeemed += 1;
+        }
+        assert_eq!(redeemed, 3 * stuck);
+        producer.join().expect("producer");
+        drop(session);
+        peer.join().expect("mock peer");
     });
 }

@@ -7,7 +7,11 @@
 //! the micro-optimized parking/word-lock internals are absent, which the
 //! lock-based UC *baselines* do not depend on for correctness.
 
-use std::sync::{MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{PoisonError, RwLockReadGuard, RwLockWriteGuard};
+
+/// The guard [`Mutex::lock`] returns, named at the crate root as in
+/// parking_lot.
+pub use std::sync::MutexGuard;
 
 /// Non-poisoning mutual-exclusion lock (std-backed).
 #[derive(Debug, Default)]
