@@ -14,8 +14,9 @@
 //!   sub-buckets each, a fixed array of relaxed atomic counters, and
 //!   mergeable [`HistogramSnapshot`]s with bounded-relative-error
 //!   percentiles (p50/p90/p99/p999/max via [`Summary`]).
-//! * [`Stage`] — names for the instrumented pipeline stages, shared by
-//!   the wire protocol's `Metrics` frame and the text exposition.
+//! * [`Stage`] — the kinds of row the wire protocol's `Metrics` frame
+//!   and the text exposition share: the instrumented pipeline stages,
+//!   plus the engine and server counters and gauges ([`Kind`]).
 //!
 //! Hot paths do not record into a histogram directly: they hold a
 //! `pathcopy_trace::Probe`, which laps one clock per stage boundary into
@@ -30,76 +31,93 @@ pub use histogram::{
     BUCKET_COUNT, SUB_BUCKETS, SUB_BUCKET_BITS,
 };
 
-/// The instrumented pipeline stages. Discriminants are the `stage` bytes
-/// carried by the wire protocol's `Metrics` response and must never be
-/// reused for a different meaning.
+/// What a row of the `Metrics` scrape carries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum Stage {
-    /// Event loop: decode→dispatch queue wait, per request tag (ns).
-    QueueWait = 1,
-    /// Worker pool: `handle_request` + encode time, per request tag (ns).
-    Execute = 2,
-    /// Event loop: reply-ready→last-byte-written flush time, per request
-    /// tag (ns).
-    WriteFlush = 3,
-    /// Durable feed persister: append + fsync latency per publish (ns).
-    AppendFsync = 4,
-    /// Push replica: apply latency per push frame (ns).
-    PushApply = 5,
-    /// Push replica: published-epoch minus applied-epoch watermark gap at
-    /// apply time (epochs, not ns — 1 means fully caught up).
-    EpochLag = 6,
+pub enum Kind {
+    /// A histogram's percentile summary: every field of the row is used.
+    Summary,
+    /// A monotonic count since the process started, in the row's `count`.
+    Counter,
+    /// A current level, in the row's `count`.
+    Gauge,
 }
 
-impl Stage {
-    /// Every stage, in wire-discriminant order.
-    pub const ALL: [Stage; 6] = [
-        Stage::QueueWait,
-        Stage::Execute,
-        Stage::WriteFlush,
-        Stage::AppendFsync,
-        Stage::PushApply,
-        Stage::EpochLag,
-    ];
+/// Declares the row kinds **once**, one line each — wire byte, variant,
+/// name, unit ([`Stage::unit`]), [`Kind`] and doc — and derives
+/// [`Stage`], [`Stage::ALL`] and every lookup from that one table.
+macro_rules! stages {
+    ($( $byte:literal => $V:ident, $name:literal, $unit:literal, $kind:ident, $doc:literal; )*) => {
+        /// The kinds of row a `Metrics` scrape returns: the instrumented
+        /// pipeline stages, whose rows summarise a latency histogram, and
+        /// the counters and gauges a node keeps as plain atomics.
+        /// Discriminants are the `stage` bytes carried by the wire
+        /// protocol's `Metrics` response and must never be reused for a
+        /// different meaning.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum Stage { $( #[doc = $doc] $V = $byte, )* }
 
-    /// Decodes a wire `stage` byte.
-    #[must_use]
-    pub fn from_u8(byte: u8) -> Option<Stage> {
-        match byte {
-            1 => Some(Stage::QueueWait),
-            2 => Some(Stage::Execute),
-            3 => Some(Stage::WriteFlush),
-            4 => Some(Stage::AppendFsync),
-            5 => Some(Stage::PushApply),
-            6 => Some(Stage::EpochLag),
-            _ => None,
-        }
-    }
+        impl Stage {
+            /// Every row kind, in wire-discriminant order.
+            pub const ALL: [Stage; [$($byte),*].len()] = [$(Stage::$V),*];
 
-    /// Stable snake_case name used as the metric name in the text
-    /// exposition.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Stage::QueueWait => "queue_wait",
-            Stage::Execute => "execute",
-            Stage::WriteFlush => "write_flush",
-            Stage::AppendFsync => "append_fsync",
-            Stage::PushApply => "push_apply",
-            Stage::EpochLag => "epoch_lag",
-        }
-    }
+            /// Decodes a wire `stage` byte.
+            #[must_use]
+            pub fn from_u8(byte: u8) -> Option<Stage> {
+                match byte {
+                    $( $byte => Some(Stage::$V), )*
+                    _ => None,
+                }
+            }
 
-    /// Unit suffix for the text exposition: everything is nanoseconds
-    /// except the epoch-lag watermark gap.
-    #[must_use]
-    pub fn unit(self) -> &'static str {
-        match self {
-            Stage::EpochLag => "epochs",
-            _ => "ns",
+            /// Stable snake_case name used as the metric name in the text
+            /// exposition.
+            #[must_use]
+            pub fn as_str(self) -> &'static str {
+                match self { $( Stage::$V => $name, )* }
+            }
+
+            /// Unit suffix for the text exposition (`""` for a plain
+            /// count, which gets no suffix).
+            #[must_use]
+            pub fn unit(self) -> &'static str {
+                match self { $( Stage::$V => $unit, )* }
+            }
+
+            /// Whether the row is a histogram summary, a counter or a
+            /// gauge.
+            #[must_use]
+            pub fn kind(self) -> Kind {
+                match self { $( Stage::$V => Kind::$kind, )* }
+            }
         }
-    }
+    };
+}
+
+stages! {
+    1 => QueueWait, "queue_wait", "ns", Summary, "Event loop: decode→dispatch queue wait, per request tag.";
+    2 => Execute, "execute", "ns", Summary, "Executing a request and encoding its reply, per request tag.";
+    3 => WriteFlush, "write_flush", "ns", Summary, "Reply ready → last byte written, per request tag.";
+    4 => AppendFsync, "append_fsync", "ns", Summary, "Durable feed persister: append + fsync per publish.";
+    5 => PushApply, "push_apply", "ns", Summary, "Push replica: applying one push frame.";
+    6 => EpochLag, "epoch_lag", "epochs", Summary, "Push replica: published minus applied epoch at apply.";
+    7 => Ops, "ops", "", Counter, "Engine: completed update operations.";
+    8 => Attempts, "attempts", "", Counter, "Engine: CAS-loop attempts across all updates.";
+    9 => CasFailures, "cas_failures", "", Counter, "Engine: failed root CASes.";
+    10 => NoopUpdates, "noop_updates", "", Counter, "Engine: updates that changed nothing.";
+    11 => Reads, "reads", "", Counter, "Engine: read-only operations.";
+    12 => FrozenInstalls, "frozen_installs", "", Counter, "Engine: roots installed by freeze.";
+    13 => FreezeRetries, "freeze_retries", "", Counter, "Engine: backed-out freeze passes.";
+    14 => Requests, "requests", "", Counter, "Server: requests executed, shed ones excluded.";
+    15 => RequestsShed, "requests_shed", "", Counter, "Server: requests refused as `Busy`.";
+    16 => WireSent, "wire_sent", "bytes", Counter, "Server: bytes written to all connections.";
+    17 => WireReceived, "wire_received", "bytes", Counter, "Server: bytes read from all connections.";
+    18 => Pushes, "pushes", "", Counter, "Server: push frames enqueued to subscribers.";
+    19 => PushDemotions, "push_demotions", "", Counter, "Server: subscribers dropped, outbox full.";
+    20 => Len, "len", "", Gauge, "Engine: entry count (weakly consistent across shards).";
+    21 => Snapshots, "snapshots", "", Gauge, "Server: named snapshots pinned.";
+    22 => OpenConns, "open_conns", "", Gauge, "Server: connections open.";
+    23 => Subscribers, "subscribers", "", Gauge, "Server: connections registered for pushes.";
 }
 
 #[cfg(test)]
@@ -112,7 +130,13 @@ mod tests {
             assert_eq!(Stage::from_u8(stage as u8), Some(stage));
         }
         assert_eq!(Stage::from_u8(0), None);
-        assert_eq!(Stage::from_u8(7), None);
+        assert_eq!(Stage::from_u8(Stage::ALL.len() as u8 + 1), None);
+        // Dense from 1, histogram stages first: a scrape appends the
+        // counter rows behind the sorted histogram rows and stays sorted.
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i + 1);
+            assert_eq!(stage.kind() == Kind::Summary, i < 6);
+        }
     }
 
     #[test]

@@ -52,7 +52,8 @@
 //! (`Request::Metrics`) after the run and prints them in Prometheus
 //! text format: decode→dispatch queue wait, worker execute time, and
 //! reply write/flush time per request tag, plus the durable log's
-//! append+fsync distribution when `--log-dir` is active. Reading the
+//! append+fsync distribution when `--log-dir` is active, then one line
+//! per engine and server counter and gauge. Reading the
 //! split tells you *where* a latency regression lives — queue wait
 //! rises when the threads for requests that may block (`--workers`)
 //! are all taken (point requests run on the event loop and have no
@@ -83,11 +84,11 @@ use pathcopy_bench::cli::Args;
 use pathcopy_bench::table::{group_thousands, Series};
 use pathcopy_concurrent::BatchOp;
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
-use pathcopy_metrics::LatencyHistogram;
+use pathcopy_metrics::{LatencyHistogram, Stage};
 use pathcopy_replica::PushReplica;
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::{
-    render_text, render_trace, trace_ids, FeedSink, Flight, MetricsSource as _, Request,
+    render_text, render_trace, trace_ids, value_of, FeedSink, Flight, MetricsSource as _, Request,
     ServerConfig, Session, SpanRecord, Ticket, TraceContext,
 };
 use pathcopy_workloads::{KeyDist, MixedStream, Op, OpStream as _};
@@ -179,9 +180,9 @@ fn main() {
 
     // Prefill through the wire in large batches, so measured traffic
     // starts from a realistically populated map. The engine counters
-    // are read back afterwards: the report's `engine:` line is the
+    // are scraped afterwards: the report's `engine:` line is the
     // measured traffic's delta, not prefill's batches.
-    let prefill_stats = {
+    let prefill_rows = {
         let c = Session::connect(addr).expect("connect for prefill");
         let mut rng_key = seed | 1;
         for chunk_start in (0..prefill).step_by(512) {
@@ -198,7 +199,7 @@ fn main() {
                 c.batch(&ops).expect("prefill batch");
             }
         }
-        c.stats().expect("stats after prefill")
+        c.metrics().expect("scrape after prefill")
     };
     // The server runs in this process, so its node pool is this one;
     // like the engine counters, the traffic's share is a delta.
@@ -465,10 +466,12 @@ fn main() {
     );
     let ops_per_sec = done_ops as f64 / elapsed.as_secs_f64();
 
-    let final_stats = {
-        let c = Session::connect(addr).expect("stats connect");
-        c.stats().expect("stats")
+    let final_rows = {
+        let c = Session::connect(addr).expect("scrape connect");
+        c.metrics().expect("scrape")
     };
+    let value = |rows: &[_], stage| value_of(rows, stage).expect("a counter row");
+    let delta = |stage| value(&final_rows, stage) - value(&prefill_rows, stage);
 
     println!(
         "loadgen: threads={threads} workers={workers} ops={done_ops} \
@@ -506,12 +509,12 @@ fn main() {
     println!(
         "engine: ops={} attempts={} cas_failures={} frozen_installs={} freeze_retries={} len={} \
          pool_nodes={} pool_exchanges={} pool_slabs={} pool_depot_blocks={}",
-        final_stats.ops - prefill_stats.ops,
-        final_stats.attempts - prefill_stats.attempts,
-        final_stats.cas_failures - prefill_stats.cas_failures,
-        final_stats.frozen_installs - prefill_stats.frozen_installs,
-        final_stats.freeze_retries - prefill_stats.freeze_retries,
-        final_stats.len,
+        delta(Stage::Ops),
+        delta(Stage::Attempts),
+        delta(Stage::CasFailures),
+        delta(Stage::FrozenInstalls),
+        delta(Stage::FreezeRetries),
+        value(&final_rows, Stage::Len),
         final_pool.blocks_handed_out - prefill_pool.blocks_handed_out,
         final_pool.depot_exchanges - prefill_pool.depot_exchanges,
         final_pool.slabs_carved,

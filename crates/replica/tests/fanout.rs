@@ -14,9 +14,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use pathcopy_concurrent::BatchOp;
+use pathcopy_metrics::Stage;
 use pathcopy_replica::{PushOutcome, PushReplica};
 use pathcopy_server::backend::ShardedServe;
-use pathcopy_server::{backend, ClientError, ServerConfig, ServerHandle, Session, SessionToken};
+use pathcopy_server::{
+    backend, value_of, ClientError, ServerConfig, ServerHandle, Session, SessionToken,
+};
 
 /// Runs `body` on its own thread and fails the test if it has not
 /// finished within `limit`.
@@ -40,12 +43,13 @@ fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 
     }
 }
 
-fn primary_server() -> ServerHandle {
+fn primary_server(metrics: bool) -> ServerHandle {
     pathcopy_server::spawn(
         Box::new(ShardedServe::with_shards(8)),
         ServerConfig {
             feed_capacity: 32,
             workers: 2,
+            metrics,
             ..ServerConfig::default()
         },
     )
@@ -104,7 +108,7 @@ fn state_of(node: &PushReplica) -> Vec<(i64, i64)> {
 
 #[test]
 fn relay_tree_converges_with_pushes_only() {
-    let primary = primary_server();
+    let primary = primary_server(true);
     let writer = Session::connect(primary.addr()).unwrap();
     for k in 0..32i64 {
         writer.insert(k, k).unwrap();
@@ -158,7 +162,9 @@ fn relay_tree_converges_with_pushes_only() {
 
 #[test]
 fn primary_egress_is_independent_of_leaf_count() {
-    let primary = primary_server();
+    // Histograms off: the primary's scrape reply is then the same 17
+    // counter and gauge rows every time, one fixed size.
+    let primary = primary_server(false);
     let writer = Session::connect(primary.addr()).unwrap();
     // Seed the measured keys so every later overwrite produces replies
     // and diffs of identical encoded size (Some(prev) both phases).
@@ -185,7 +191,8 @@ fn primary_egress_is_independent_of_leaf_count() {
         // request is read by the loop only after it has finished
         // accounting for everything it wrote earlier, and the scrape's
         // own fixed-size reply lands in the same place in both phases.
-        let before = writer.gauges().unwrap().wire_sent;
+        let wire_sent = || value_of(&writer.metrics().unwrap(), Stage::WireSent).unwrap();
+        let before = wire_sent();
         for round in 0..4i64 {
             for k in 0..8i64 {
                 writer.insert(k, base + round * 8 + k).unwrap();
@@ -197,7 +204,7 @@ fn primary_egress_is_independent_of_leaf_count() {
             nodes.extend(leaves.iter_mut());
             pump_until(&mut nodes, epoch);
         }
-        writer.gauges().unwrap().wire_sent - before
+        wire_sent() - before
     };
 
     // Phase A: two leaves.
@@ -231,7 +238,7 @@ fn primary_egress_is_independent_of_leaf_count() {
 
 #[test]
 fn session_token_reads_your_writes_through_a_leaf() {
-    let primary = primary_server();
+    let primary = primary_server(true);
     let seed = Session::connect(primary.addr()).unwrap();
     seed.insert(0, 0).unwrap();
     seed.publish().unwrap();
@@ -325,7 +332,7 @@ fn a_push_leaf_never_exposes_a_torn_epoch() {
     const ROUNDS: i64 = 1000;
 
     within(Duration::from_secs(120), || {
-        let primary = primary_server();
+        let primary = primary_server(true);
         let primary_addr = primary.addr();
         let setup = Session::connect(primary_addr).unwrap();
         let init: Vec<_> = (VERSION_KEY..PAIRS * 2)
@@ -415,7 +422,7 @@ fn a_push_leaf_never_exposes_a_torn_epoch() {
 
 #[test]
 fn a_replica_that_stops_pumping_is_demoted_then_repairs() {
-    let primary = primary_server();
+    let primary = primary_server(true);
     let writer = Session::connect(primary.addr()).unwrap();
     writer.insert(-1, -1).unwrap();
     writer.publish().unwrap();
@@ -427,14 +434,15 @@ fn a_replica_that_stops_pumping_is_demoted_then_repairs() {
     // unregisters the subscriber instead of queueing without bound.
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut round = 0i64;
-    while primary.gauges().push_demotions == 0 {
+    let primary_value = |stage| value_of(&primary.metrics_report(), stage);
+    while primary_value(Stage::PushDemotions) == Some(0) {
         assert!(Instant::now() < deadline, "never demoted");
         round += 1;
         let ops: Vec<_> = (0..2000).map(|k| BatchOp::Insert(k, round)).collect();
         writer.batch(&ops).unwrap();
         writer.publish().unwrap();
     }
-    assert_eq!(primary.gauges().subscribers, 0);
+    assert_eq!(primary_value(Stage::Subscribers), Some(0));
     assert_eq!(stalled.push_stats().pushes_applied, 0);
 
     // Pumping again: the frames that made it into the socket apply in
@@ -442,7 +450,7 @@ fn a_replica_that_stops_pumping_is_demoted_then_repairs() {
     // subscriber is sent nothing more) and the anti-entropy pull closes
     // the rest and resubscribes.
     while stalled.pump(Duration::from_millis(50)).expect("pump") != PushOutcome::Idle {}
-    let head = primary.gauges().feed_head;
+    let head = writer.feed_info().unwrap().head;
     assert!(stalled.applied_epoch() < head, "demotion dropped frames");
     assert_eq!(stalled.sync_now().expect("resync"), head);
     assert_eq!(stalled.push_stats().resubscribes, 1);
@@ -454,6 +462,6 @@ fn a_replica_that_stops_pumping_is_demoted_then_repairs() {
     writer.insert(-2, -2).unwrap();
     let next = writer.publish().unwrap();
     pump_until(&mut [&mut stalled], next);
-    assert_eq!(primary.gauges().subscribers, 1);
+    assert_eq!(primary_value(Stage::Subscribers), Some(1));
     primary.shutdown();
 }

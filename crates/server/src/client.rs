@@ -82,7 +82,7 @@ use pathcopy_trace::{SpanRecord, TraceContext};
 use crate::poll::send_nowait;
 use crate::proto::{
     body_len, request_frame_into, Epoch, FeedInfo, Framed, ProtoError, Request, RequestId,
-    Response, ServerGauges, SnapshotId, StageSummary, WireError, WireStats, PUSH_ID_BASE,
+    Response, SnapshotId, StageSummary, WireError, PUSH_ID_BASE,
 };
 
 /// Why a client call failed — the single error surface for everything
@@ -1273,8 +1273,8 @@ impl Session {
 
     /// Zeroes every since-boot latency histogram on the server — the
     /// per-tag stage recorders and every registered source (durable
-    /// append/fsync, replica apply/lag). Gauges and counters are left
-    /// alone. Idempotent; see `Request::ResetMetrics`.
+    /// append/fsync, replica apply/lag). The scrape's counter and gauge
+    /// rows are left alone. Idempotent; see `Request::ResetMetrics`.
     ///
     /// # Errors
     ///
@@ -1370,22 +1370,11 @@ impl Session {
         }
     }
 
-    /// Reads the server's operational gauges in one round trip.
-    ///
-    /// # Errors
-    ///
-    /// The shared [`call`](Self::call) failure modes.
-    pub fn gauges(&self) -> Result<ServerGauges, ClientError> {
-        match self.call(&Request::Gauges)? {
-            Response::Gauges(g) => Ok(g),
-            _ => Err(ClientError::Unexpected("Gauges")),
-        }
-    }
-
-    /// Scrapes the server's per-stage latency histograms in one round
-    /// trip: one percentile row per (stage, request-tag) pair that has
-    /// recorded samples. Render with
-    /// [`render_text`](crate::metrics::render_text) for the
+    /// Scrapes every number the server exports in one round trip: one
+    /// percentile row per (stage, request-tag) pair that has recorded
+    /// samples, then one row per engine and server counter and gauge
+    /// (read one with [`value_of`](crate::metrics::value_of)). Render
+    /// with [`render_text`](crate::metrics::render_text) for the
     /// Prometheus-style text form.
     ///
     /// # Errors
@@ -1536,19 +1525,6 @@ impl Session {
             _ => Err(ClientError::Unexpected("Release")),
         }
     }
-
-    /// Reads the backend's operation statistics and the server's
-    /// version-table size.
-    ///
-    /// # Errors
-    ///
-    /// The shared [`call`](Self::call) failure modes.
-    pub fn stats(&self) -> Result<WireStats, ClientError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            _ => Err(ClientError::Unexpected("Stats")),
-        }
-    }
 }
 
 fn clone_bound(b: Bound<&i64>) -> Bound<i64> {
@@ -1563,7 +1539,9 @@ fn clone_bound(b: Bound<&i64>) -> Bound<i64> {
 mod tests {
     use super::*;
     use crate::backend::ShardedServe;
+    use crate::metrics::value_of;
     use crate::server::{spawn, ServerConfig};
+    use pathcopy_metrics::Stage;
 
     fn sharded_server(config: ServerConfig) -> crate::server::ServerHandle {
         spawn(Box::new(ShardedServe::with_shards(8)), config).expect("bind ephemeral port")
@@ -1720,12 +1698,13 @@ mod tests {
         assert_eq!((live.from, live.epoch), (2, 3));
         assert_eq!(live.entries, vec![DiffEntry::Added(3, 30)]);
 
-        // The gauges frame sees the subscriber and both pushes.
-        let g = writer.gauges().unwrap();
-        assert_eq!(g.subscribers, 1);
-        assert!(g.pushes >= 2, "pushes gauge: {}", g.pushes);
-        assert_eq!(g.feed_head, 3);
-        assert!(g.wire_sent > 0 && g.wire_received > 0);
+        // The scrape sees the subscriber and both pushes.
+        let rows = writer.metrics().unwrap();
+        let value = |stage| value_of(&rows, stage).unwrap();
+        assert_eq!(value(Stage::Subscribers), 1);
+        assert!(value(Stage::Pushes) >= 2, "{rows:?}");
+        assert!(value(Stage::WireSent) > 0 && value(Stage::WireReceived) > 0);
+        assert_eq!(writer.feed_info().unwrap().head, 3);
         server.shutdown();
     }
 
@@ -1856,7 +1835,7 @@ mod tests {
         let writer = Session::connect(server.addr()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(60);
         let mut round = 0i64;
-        while writer.gauges().unwrap().push_demotions == 0 {
+        while value_of(&writer.metrics().unwrap(), Stage::PushDemotions) == Some(0) {
             assert!(Instant::now() < deadline, "never demoted");
             round += 1;
             let ops: Vec<_> = (0..2000).map(|k| BatchOp::Insert(k, round)).collect();

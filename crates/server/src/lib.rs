@@ -76,13 +76,12 @@ pub mod server;
 pub use backend::{ServeBackend, ServeSnapshot};
 pub use client::{Client, ClientError, PushFrame, Session, SessionToken, Subscription, Ticket};
 pub use feed::{FeedSink, VersionFeed};
-pub use metrics::{render_text, MetricsSource};
+pub use metrics::{render_text, value_of, MetricsSource};
 // Tracing types clients and operators need, re-exported so depending on
 // `pathcopy-trace` directly is optional.
 pub use pathcopy_trace::{render_trace, trace_ids, Flight, SpanRecord, TraceContext};
 pub use proto::{
-    Epoch, FeedInfo, Framed, ProtoError, Request, RequestId, Response, ServerGauges, SnapshotId,
-    StageSummary, WireError, WireStats, MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_VERSION,
-    PUSH_ID_BASE,
+    Epoch, FeedInfo, Framed, ProtoError, Request, RequestId, Response, SnapshotId, StageSummary,
+    WireError, MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_VERSION, PUSH_ID_BASE,
 };
 pub use server::{spawn, ServerConfig, ServerConfigBuilder, ServerHandle};

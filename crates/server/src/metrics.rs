@@ -9,7 +9,9 @@
 //! event loop (the durable feed persister, push replicas relaying a
 //! feed) hold probes of their own, implement [`MetricsSource`] and
 //! register themselves, so one `Metrics` scrape returns the whole
-//! pipeline.
+//! pipeline. The same scrape carries one row per engine and server
+//! counter and gauge, built by the server from atomics it keeps anyway
+//! ([`value_of`] reads one back).
 //!
 //! When the server is configured with metrics disabled the probe holds
 //! no histograms and the per-request cost is a handful of branches — no
@@ -19,7 +21,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pathcopy_metrics::{HistogramSnapshot, Stage};
+use pathcopy_metrics::{HistogramSnapshot, Kind, Stage};
 use pathcopy_trace::Probe;
 
 use crate::proto::{Request, StageSummary, REQUEST_TAGS};
@@ -142,12 +144,33 @@ impl ServerMetrics {
     }
 }
 
+/// The row that carries one counter or gauge: `count` holds the value,
+/// every other field is `0`.
+pub(crate) fn value_row(stage: Stage, count: u64) -> StageSummary {
+    StageSummary {
+        stage: stage as u8,
+        count,
+        ..StageSummary::default()
+    }
+}
+
+/// The value of a counter or gauge in a scrape: the `count` of the
+/// untagged row of kind `stage`, or `None` when `rows` has no such row.
+#[must_use]
+pub fn value_of(rows: &[StageSummary], stage: Stage) -> Option<u64> {
+    rows.iter()
+        .find(|r| r.stage == stage as u8 && r.tag == 0)
+        .map(|r| r.count)
+}
+
 /// Renders `Metrics` rows as Prometheus-style text: one `# TYPE <name>
-/// summary` header per metric, then `quantile`-labelled sample lines
-/// plus `_sum`/`_count`, with the request tag as a `tag` label. Metric
-/// names are `pathcopy_<stage>_<unit>` (`…_ns` for latencies,
-/// `…_epochs` for the watermark gap). Rows with unknown stage bytes are
-/// skipped, matching the wire contract.
+/// <kind>` header per metric. A histogram row is `quantile`-labelled
+/// sample lines plus `_sum`/`_count`, with the request tag as a `tag`
+/// label; a counter or gauge row is one sample line carrying its value.
+/// Metric names are `pathcopy_<stage>_<unit>` (`…_ns` for latencies,
+/// `…_epochs` for the watermark gap, `…_bytes` for wire traffic), or
+/// `pathcopy_<stage>` for a plain count. Rows with unknown stage bytes
+/// are skipped, matching the wire contract.
 #[must_use]
 pub fn render_text(rows: &[StageSummary]) -> String {
     use std::fmt::Write as _;
@@ -158,15 +181,24 @@ pub fn render_text(rows: &[StageSummary]) -> String {
         let Some(stage) = Stage::from_u8(row.stage) else {
             continue;
         };
-        let name = format!("pathcopy_{}_{}", stage.as_str(), stage.unit());
+        let name = match stage.unit() {
+            "" => format!("pathcopy_{}", stage.as_str()),
+            unit => format!("pathcopy_{}_{unit}", stage.as_str()),
+        };
         if last_name.as_deref() != Some(&name) {
-            let _ = writeln!(out, "# TYPE {name} summary");
+            let kind = format!("{:?}", stage.kind()).to_lowercase();
+            let _ = writeln!(out, "# TYPE {name} {kind}");
             last_name = Some(name.clone());
         }
-        let tag_label = match Request::tag_name(row.tag) {
-            Some(tag) => format!("tag=\"{tag}\","),
-            None => String::new(),
-        };
+        let tag = Request::tag_name(row.tag).map(|tag| format!("tag=\"{tag}\""));
+        let tag_label = tag.as_ref().map_or(String::new(), |tag| format!("{tag},"));
+        let braced = tag
+            .as_ref()
+            .map_or(String::new(), |tag| format!("{{{tag}}}"));
+        if stage.kind() != Kind::Summary {
+            let _ = writeln!(out, "{name}{braced} {}", row.count);
+            continue;
+        }
         for (q, v) in [
             ("0.5", row.p50),
             ("0.9", row.p90),
@@ -190,14 +222,8 @@ pub fn render_text(rows: &[StageSummary]) -> String {
             "{name}{{{tag_label}quantile=\"1\"}} {}{exemplar}",
             row.max
         );
-        let bare = tag_label.trim_end_matches(',');
-        if bare.is_empty() {
-            let _ = writeln!(out, "{name}_sum {}", row.sum);
-            let _ = writeln!(out, "{name}_count {}", row.count);
-        } else {
-            let _ = writeln!(out, "{name}_sum{{{bare}}} {}", row.sum);
-            let _ = writeln!(out, "{name}_count{{{bare}}} {}", row.count);
-        }
+        let _ = writeln!(out, "{name}_sum{braced} {}", row.sum);
+        let _ = writeln!(out, "{name}_count{braced} {}", row.count);
     }
     out
 }
@@ -311,12 +337,17 @@ mod tests {
                 exemplar_id: 0,
                 exemplar_trace: 0,
             },
+            // One counter and one gauge; a zero is still a sample.
+            value_row(Stage::Attempts, 12),
+            value_row(Stage::Len, 0),
             StageSummary {
                 stage: 250, // unknown: skipped
                 ..StageSummary::default()
             },
         ];
         let text = render_text(&rows);
+        assert!(text.contains("# TYPE pathcopy_attempts counter\npathcopy_attempts 12\n"));
+        assert!(text.contains("# TYPE pathcopy_len gauge\npathcopy_len 0\n"));
         assert!(text.contains("# TYPE pathcopy_queue_wait_ns summary"));
         assert!(text.contains("pathcopy_queue_wait_ns{tag=\"Get\",quantile=\"0.5\"} 90"));
         assert!(text.contains("pathcopy_queue_wait_ns_count{tag=\"Get\"} 10"));

@@ -283,7 +283,9 @@ macro_rules! wire_struct {
 // ---------------------------------------------------------------------------
 
 wire_enum! {
-    /// A client-to-server message.
+    /// A client-to-server message. Tags 10 (`Stats`) and 18 (`Gauges`)
+    /// are retired — their numbers are rows of [`Request::Metrics`] now —
+    /// and are never reused.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Request, "request", REQUEST_TAGS {
         /// Look up one key.
@@ -354,9 +356,6 @@ wire_enum! {
             /// The snapshot to drop.
             snapshot: SnapshotId,
         },
-        /// Read the backend's operation statistics and the server's
-        /// version-table size.
-        10 => Stats,
         /// Publish the current state as the next epoch of the server's
         /// version feed (a capped ring of recent snapshots replicas sync
         /// from). Replied with [`Response::Published`].
@@ -427,25 +426,20 @@ wire_enum! {
             /// pointless — use [`Request::GetAt`]).
             op: BatchOp<i64, i64>,
         },
-        /// Read the server's process gauges — request/shed/connection
-        /// counters, wire byte counters, and push fan-out counters —
-        /// without touching the backend. Replied with
-        /// [`Response::Gauges`]. The wire twin of
-        /// `ServerHandle::gauges`; in this repository only the tests
-        /// scrape it.
-        18 => Gauges,
-        /// Read the server's latency histograms — per-stage, per-request-tag
-        /// percentile summaries from the event loop's probe plus
-        /// any registered sources (durable persister, push replicas).
-        /// Replied with [`Response::Metrics`]; the reply is empty when the
-        /// server runs with metrics disabled.
+        /// Read every number the node exports, in one reply
+        /// ([`Response::Metrics`]): the latency histograms — per-stage,
+        /// per-request-tag percentile summaries from the event loop's
+        /// probe (only when `ServerConfig::metrics` is on) plus any
+        /// registered sources (durable persister, push replicas) — and
+        /// one row per engine and server counter and gauge, which is
+        /// always there, `0` included.
         19 => Metrics,
         /// Zero every since-boot latency histogram — the event loop's
         /// per-tag stage recorders and every registered source (durable
         /// persister, push replicas) — so the next [`Request::Metrics`]
         /// scrape starts a fresh window. Idempotent: resetting an
-        /// already-empty server is a no-op. Gauges ([`Request::Gauges`])
-        /// are **not** reset — they are lifetime counters. Replied with
+        /// already-empty server is a no-op. Counter and gauge rows are
+        /// **not** reset — counters count since startup. Replied with
         /// [`Response::MetricsReset`].
         20 => ResetMetrics,
         /// Dump this node's trace flight recorder: every span currently in
@@ -458,7 +452,8 @@ wire_enum! {
 
 wire_enum! {
     /// A server-to-client message; variants mirror [`Request`] one-to-one
-    /// plus [`Response::Error`].
+    /// plus [`Response::Error`]. Tags 10 (`Stats`) and 21 (`Gauges`) are
+    /// retired and never reused.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Response, "response", RESPONSE_TAGS {
         /// Reply to [`Request::Get`]: the value, if present.
@@ -486,8 +481,6 @@ wire_enum! {
         8 => Diff(entries: Vec<DiffEntry<i64, i64>>),
         /// Reply to [`Request::Release`]: whether the snapshot existed.
         9 => Released(existed: bool),
-        /// Reply to [`Request::Stats`].
-        10 => Stats(stats: WireStats),
         /// Reply to a guarded [`Request::Batch`] whose guards failed: the
         /// whole batch aborted (zero writes). Carries the batch indices of
         /// the failed [`BatchOp::Cas`] guards, ascending.
@@ -554,11 +547,10 @@ wire_enum! {
             /// feed has reached it.
             watermark: Epoch,
         },
-        /// Reply to [`Request::Gauges`].
-        21 => Gauges(gauges: ServerGauges),
         /// Reply to [`Request::Metrics`]: one percentile summary per
         /// (stage, request-tag) pair that has recorded at least one sample,
-        /// in ascending (stage, tag) order. Empty when metrics are disabled.
+        /// then one row per counter and gauge, in ascending (stage, tag)
+        /// order.
         22 => Metrics(rows: Vec<StageSummary>),
         /// Reply to [`Request::ResetMetrics`]: every histogram was zeroed.
         23 => MetricsReset,
@@ -594,70 +586,16 @@ wire_struct! {
 }
 
 wire_struct! {
-    /// Backend and server statistics carried by [`Response::Stats`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub struct WireStats {
-        /// Completed update operations.
-        pub ops: u64,
-        /// Total CAS-loop attempts across all updates.
-        pub attempts: u64,
-        /// Failed root CASes.
-        pub cas_failures: u64,
-        /// Updates that changed nothing and skipped the CAS.
-        pub noop_updates: u64,
-        /// Read-only operations.
-        pub reads: u64,
-        /// Roots installed through the multi-shard freeze hook.
-        pub frozen_installs: u64,
-        /// Backed-out freeze passes of cross-shard commits.
-        pub freeze_retries: u64,
-        /// Entry count (weakly consistent on sharded backends).
-        pub len: u64,
-        /// Named snapshots currently pinned in the server's version table.
-        pub snapshots: u64,
-    }
-}
-
-wire_struct! {
-    /// Server process gauges carried by [`Response::Gauges`] — scrapeable
-    /// counters about the serving process itself, as opposed to
-    /// [`WireStats`] which describes the backend map.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub struct ServerGauges {
-        /// Requests executed (successful or errored), excluding shed ones.
-        pub requests: u64,
-        /// Requests shed by per-connection admission control
-        /// ([`WireError::Busy`]).
-        pub requests_shed: u64,
-        /// Connections currently open.
-        pub open_conns: u64,
-        /// Bytes the server has written to all connections.
-        pub wire_sent: u64,
-        /// Bytes the server has read from all connections.
-        pub wire_received: u64,
-        /// Connections currently registered for push delivery.
-        pub subscribers: u64,
-        /// Push frames enqueued to subscribers since startup.
-        pub pushes: u64,
-        /// Subscribers demoted (unregistered) because their outbox was
-        /// full when a push arrived; they must catch up via
-        /// [`Request::PullDiff`] and resubscribe.
-        pub push_demotions: u64,
-        /// Newest published epoch of the version feed (`0` = none).
-        pub feed_head: u64,
-    }
-}
-
-wire_struct! {
-    /// One latency-histogram summary carried by [`Response::Metrics`]: the
-    /// fixed percentile set of one pipeline stage, optionally split by the
-    /// request tag that went through it.
+    /// One row of a [`Response::Metrics`] scrape. For a histogram stage
+    /// it is the fixed percentile set of that stage, optionally split by
+    /// the request tag that went through it; for a counter or gauge only
+    /// `count` is used (the value) and every other field is `0`.
     ///
     /// `stage` bytes are the `pathcopy_metrics::Stage` discriminants
-    /// (1 queue_wait, 2 execute, 3 write_flush, 4 append_fsync,
-    /// 5 push_apply, 6 epoch_lag); unknown values must be skipped, not
-    /// rejected, so servers can add stages without breaking old scrapers.
-    /// Values are nanoseconds for every stage except `epoch_lag`, which
+    /// (1–6 histogram stages, 7–19 counters, 20–23 gauges — see
+    /// `Stage::kind`); unknown values must be skipped, not rejected, so
+    /// servers can add kinds without breaking old scrapers. Histogram
+    /// values are nanoseconds for every stage except `epoch_lag`, which
     /// counts epochs.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct StageSummary {
@@ -1376,7 +1314,6 @@ mod tests {
             },
             Request::Diff { from: 3, to: None },
             Request::Release { snapshot: 11 },
-            Request::Stats,
             Request::Publish,
             Request::Subscribe,
             Request::PullDiff { from: 17 },
@@ -1407,7 +1344,6 @@ mod tests {
                     new: None,
                 },
             },
-            Request::Gauges,
             Request::Metrics,
             Request::ResetMetrics,
             Request::TraceDump,
@@ -1426,7 +1362,6 @@ mod tests {
                 guarded: false,
             },
             Request::Publish,
-            Request::Gauges,
             Request::Metrics,
             Request::ResetMetrics,
             Request::TraceDump,
@@ -1437,8 +1372,9 @@ mod tests {
             assert_eq!(body[9], req.tag_byte(), "{req:?}");
             assert!(Request::tag_name(req.tag_byte()).is_some());
         }
-        assert_eq!(Request::tag_name(0), None);
-        assert_eq!(Request::tag_name(22), None);
+        assert!([0, 10, 18, 22]
+            .iter()
+            .all(|t| Request::tag_name(*t).is_none()));
     }
 
     #[test]
@@ -1465,17 +1401,6 @@ mod tests {
                 DiffEntry::Changed(3, 30, 31),
             ]),
             Response::Released(true),
-            Response::Stats(WireStats {
-                ops: 1,
-                attempts: 2,
-                cas_failures: 3,
-                noop_updates: 4,
-                reads: 5,
-                frozen_installs: 6,
-                freeze_retries: 7,
-                len: 8,
-                snapshots: 9,
-            }),
             Response::BatchAborted(vec![0, 3, 7]),
             Response::Published(12),
             Response::FeedInfo(FeedInfo {
@@ -1523,17 +1448,6 @@ mod tests {
                 result: BatchResult::Inserted(None),
                 watermark: 21,
             },
-            Response::Gauges(ServerGauges {
-                requests: 1,
-                requests_shed: 2,
-                open_conns: 3,
-                wire_sent: 4,
-                wire_received: 5,
-                subscribers: 6,
-                pushes: 7,
-                push_demotions: 8,
-                feed_head: 9,
-            }),
             Response::Metrics(vec![]),
             Response::Metrics(vec![
                 StageSummary {
@@ -1615,7 +1529,7 @@ mod tests {
         assert!(matches!(read_request_enveloped(&mut empty), Ok(None)));
 
         let mut buf = Vec::new();
-        write_request_with_id(&mut buf, 0, &Request::Stats).unwrap();
+        write_request_with_id(&mut buf, 0, &Request::Snapshot).unwrap();
         for cut in 1..buf.len() {
             let mut r = &buf[..cut];
             assert!(

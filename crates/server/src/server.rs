@@ -38,15 +38,16 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::{ByteCounters, ByteCountersSnapshot};
+use pathcopy_metrics::Stage;
 use pathcopy_trace::{Flight, TraceContext};
 
 use crate::backend::{ServeBackend, ServeSnapshot};
 use crate::event::{Completions, EventLoop, PushHub, Tunables};
 use crate::feed::{FeedSink, VersionFeed};
-use crate::metrics::{MetricsSource, ServerMetrics};
+use crate::metrics::{value_row, MetricsSource, ServerMetrics};
 use crate::proto::{
-    Epoch, Request, Response, ServerGauges, SnapshotId, StageSummary, WireError, WireStats,
-    MAX_FRAME_LEN, SYNC_PAGE_MAX_ENTRIES,
+    Epoch, Request, Response, SnapshotId, StageSummary, WireError, MAX_FRAME_LEN,
+    SYNC_PAGE_MAX_ENTRIES,
 };
 
 /// Tunables for [`spawn`].
@@ -104,7 +105,8 @@ pub struct ServerConfig {
     /// (queue wait, execute, write/flush — per request tag), scrapeable
     /// via [`Request::Metrics`]. On by default; with `false` the event
     /// loop's probe holds no histograms and the hot path pays a branch,
-    /// not a clock read or an atomic (see `pathcopy_trace::Probe`).
+    /// not a clock read or an atomic (see `pathcopy_trace::Probe`). The
+    /// scrape's counter and gauge rows are reported either way.
     pub metrics: bool,
     /// Optional flight recorder for distributed request tracing
     /// ([`Request::TraceDump`]). When set, requests arriving with a
@@ -299,20 +301,38 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Assembles the scrapeable process gauges ([`Request::Gauges`]).
-    fn gauges(&self) -> ServerGauges {
+    /// Every number this node exports ([`Request::Metrics`]): the
+    /// histogram rows, then one row per engine and server counter and
+    /// gauge. Those come from atomics the server keeps anyway, so they
+    /// are reported whatever [`ServerConfig::metrics`] says, `0`
+    /// included, and [`Request::ResetMetrics`] leaves them alone.
+    fn report(&self) -> Vec<StageSummary> {
+        let engine = self.backend.stats();
         let wire = self.wire.snapshot();
-        ServerGauges {
-            requests: self.requests.load(Ordering::Relaxed),
-            requests_shed: self.shed.load(Ordering::Relaxed),
-            open_conns: self.open_conns.load(Ordering::Relaxed),
-            wire_sent: wire.sent,
-            wire_received: wire.received,
-            subscribers: self.push.subscriber_count(),
-            pushes: self.push.pushes.load(Ordering::Relaxed),
-            push_demotions: self.push.demotions.load(Ordering::Relaxed),
-            feed_head: self.feed.head_epoch(),
-        }
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let mut rows = self.metrics.report();
+        // Counter and gauge bytes sort after every histogram stage's, so
+        // appending them in byte order keeps the reply ascending.
+        rows.extend([
+            value_row(Stage::Ops, engine.ops),
+            value_row(Stage::Attempts, engine.attempts),
+            value_row(Stage::CasFailures, engine.cas_failures),
+            value_row(Stage::NoopUpdates, engine.noop_updates),
+            value_row(Stage::Reads, engine.reads),
+            value_row(Stage::FrozenInstalls, engine.frozen_installs),
+            value_row(Stage::FreezeRetries, engine.freeze_retries),
+            value_row(Stage::Requests, load(&self.requests)),
+            value_row(Stage::RequestsShed, load(&self.shed)),
+            value_row(Stage::WireSent, wire.sent),
+            value_row(Stage::WireReceived, wire.received),
+            value_row(Stage::Pushes, load(&self.push.pushes)),
+            value_row(Stage::PushDemotions, load(&self.push.demotions)),
+            value_row(Stage::Len, self.backend.len() as u64),
+            value_row(Stage::Snapshots, self.snapshots.lock().len() as u64),
+            value_row(Stage::OpenConns, load(&self.open_conns)),
+            value_row(Stage::Subscribers, self.push.subscriber_count()),
+        ]);
+        rows
     }
 }
 
@@ -421,12 +441,6 @@ impl ServerHandle {
         self.shared.shed.load(Ordering::Relaxed)
     }
 
-    /// Currently open connections (a gauge, momentarily stale by one
-    /// event-loop iteration).
-    pub fn open_connections(&self) -> u64 {
-        self.shared.open_conns.load(Ordering::Relaxed)
-    }
-
     /// The served engine, for in-process inspection (demos, tests).
     pub fn backend(&self) -> &dyn ServeBackend {
         self.shared.backend.as_ref()
@@ -441,18 +455,13 @@ impl ServerHandle {
         self.shared.wire.snapshot()
     }
 
-    /// The scrapeable process gauges, identical to what
-    /// [`Request::Gauges`] answers over the wire.
-    pub fn gauges(&self) -> ServerGauges {
-        self.shared.gauges()
-    }
-
-    /// The per-stage latency rows, identical to what
-    /// [`Request::Metrics`] answers over the wire. Empty when the
-    /// server was spawned with [`ServerConfig::metrics`] off and no
-    /// source has been registered.
+    /// Every number this node exports, identical to what
+    /// [`Request::Metrics`] answers over the wire: the per-stage latency
+    /// rows, then one row per counter and gauge. With
+    /// [`ServerConfig::metrics`] off and no source registered, only the
+    /// counter and gauge rows.
     pub fn metrics_report(&self) -> Vec<StageSummary> {
-        self.shared.metrics.report()
+        self.shared.report()
     }
 
     /// Adds an external histogram source (a durable persister, a push
@@ -719,8 +728,7 @@ pub(crate) fn handle_request(
                 watermark: shared.feed.next_epoch(),
             }
         }
-        Request::Gauges => Response::Gauges(shared.gauges()),
-        Request::Metrics => Response::Metrics(shared.metrics.report()),
+        Request::Metrics => Response::Metrics(shared.report()),
         Request::ResetMetrics => {
             shared.metrics.reset_all();
             Response::MetricsReset
@@ -738,20 +746,6 @@ pub(crate) fn handle_request(
                 spans: Vec::new(),
             },
         },
-        Request::Stats => {
-            let s = shared.backend.stats();
-            Response::Stats(WireStats {
-                ops: s.ops,
-                attempts: s.attempts,
-                cas_failures: s.cas_failures,
-                noop_updates: s.noop_updates,
-                reads: s.reads,
-                frozen_installs: s.frozen_installs,
-                freeze_retries: s.freeze_retries,
-                len: shared.backend.len() as u64,
-                snapshots: shared.snapshots.lock().len() as u64,
-            })
-        }
     }
 }
 
@@ -760,6 +754,7 @@ mod tests {
     use super::*;
     use crate::backend::ShardedServe;
     use crate::client::Session;
+    use crate::metrics::value_of;
     use pathcopy_concurrent::BatchOp;
     use std::net::TcpStream;
 
@@ -834,10 +829,11 @@ mod tests {
             c.insert(k, k).unwrap();
         }
         let _snap = c.snapshot().unwrap();
-        let stats = c.stats().unwrap();
-        assert!(stats.ops >= 10);
-        assert_eq!(stats.len, 10);
-        assert_eq!(stats.snapshots, 1);
+        let rows = c.metrics().unwrap();
+        let value = |stage| value_of(&rows, stage).unwrap();
+        assert!(value(Stage::Ops) >= 10);
+        assert_eq!(value(Stage::Len), 10);
+        assert_eq!(value(Stage::Snapshots), 1);
         assert!(server.requests_served() >= 12);
         server.shutdown();
     }
@@ -1000,13 +996,14 @@ mod tests {
     fn malformed_frame_gets_error_then_close() {
         use std::io::{Read as _, Write as _};
         let server = sharded_server();
-        // A body with a bogus request tag, and a well-formed body in the
-        // retired id-less v2 envelope (`[2][tag = Get][key]`): both are
-        // refused the same way.
+        // A body with a bogus request tag, one with the retired `Stats`
+        // tag (10), and a well-formed body in the retired id-less v2
+        // envelope (`[2][tag = Get][key]`): all are refused the same way.
         let bogus_tag = vec![crate::proto::PROTO_VERSION, 0xEE];
+        let retired_stats = [&[crate::proto::PROTO_VERSION][..], &[0; 8], &[10]].concat();
         let mut retired_v2 = vec![2u8, 1];
         retired_v2.extend_from_slice(&7i64.to_le_bytes());
-        for body in [bogus_tag, retired_v2] {
+        for body in [bogus_tag, retired_stats, retired_v2] {
             let mut raw = TcpStream::connect(server.addr()).unwrap();
             raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
             raw.write_all(&body).unwrap();
@@ -1055,7 +1052,7 @@ mod tests {
             assert_eq!(c.insert(round, round).unwrap(), None);
         }
         let c = Session::connect(server.addr()).unwrap();
-        assert_eq!(c.stats().unwrap().len, 6);
+        assert_eq!(value_of(&c.metrics().unwrap(), Stage::Len), Some(6));
         server.shutdown();
     }
 }

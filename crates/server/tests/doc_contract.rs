@@ -8,9 +8,10 @@
 //! re-measured from encoded samples) rather than golden-text — the doc
 //! can be reworded freely as long as the facts stay right.
 
+use pathcopy_metrics::Stage;
 use pathcopy_server::proto::{
-    request_frame, response_frame, Request, Response, ServerGauges, StageSummary, ERROR_TAGS,
-    MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_VERSION, PUSH_ID_BASE, REQUEST_TAGS, RESPONSE_TAGS,
+    request_frame, response_frame, Request, Response, StageSummary, ERROR_TAGS, MAX_FRAME_LEN,
+    PROTO_TRACE_FLAG, PROTO_VERSION, PUSH_ID_BASE, REQUEST_TAGS, RESPONSE_TAGS,
     SYNC_PAGE_MAX_ENTRIES,
 };
 use pathcopy_server::{SpanRecord, TraceContext};
@@ -112,9 +113,7 @@ fn push_id_namespace_matches_the_doc() {
         doc.contains("`request_id = PUSH_ID_BASE | E`"),
         "doc must state how push frames are stamped"
     );
-    // A push frame really carries an id in the reserved namespace, and
-    // the gauges the doc lists really are nine u64s (9 * 8 bytes after
-    // the envelope's version + id + tag).
+    // A push frame really carries an id in the reserved namespace.
     let push = Response::Push {
         from: 1,
         epoch: 2,
@@ -123,9 +122,28 @@ fn push_id_namespace_matches_the_doc() {
     let body = response_frame(&push, PUSH_ID_BASE | 2, None).split_off(4);
     let id = u64::from_le_bytes(body[1..9].try_into().unwrap());
     assert_ne!(id & PUSH_ID_BASE, 0, "push ids live above the top bit");
-    let mut gauges = Vec::new();
-    Response::Gauges(ServerGauges::default()).encode(&mut gauges);
-    assert_eq!(gauges.len(), 1 + 8 + 1 + 9 * 8, "nine u64 gauges");
+}
+
+#[test]
+fn metrics_row_kind_table_is_the_stage_table() {
+    let kinds: Vec<(u8, &str)> = Stage::ALL.iter().map(|s| (*s as u8, s.as_str())).collect();
+    assert_table_is_the_codec_table("### Metrics rows", &kinds);
+    let doc = doc();
+    for s in Stage::ALL {
+        let kind = format!("{:?}", s.kind()).to_lowercase();
+        let row = format!("| {} | `{}` | {kind} |", s as u8, s.as_str());
+        assert!(doc.contains(&row), "the doc's row must start `{row}`");
+    }
+}
+
+#[test]
+fn retired_tags_are_listed_and_gone_from_the_codec() {
+    let doc = doc();
+    assert!(doc.contains("Retired request tags, never reused: 10 (`Stats`), 18 (`Gauges`)."));
+    assert!(doc.contains("Retired response tags, never reused: 10 (`Stats`), 21 (`Gauges`)."));
+    let live =
+        |tags: &[(u8, &str)], retired: [u8; 2]| tags.iter().any(|(t, _)| retired.contains(t));
+    assert!(!live(REQUEST_TAGS, [10, 18]) && !live(RESPONSE_TAGS, [10, 21]));
 }
 
 #[test]

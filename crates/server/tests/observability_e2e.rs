@@ -1,19 +1,22 @@
-//! End-to-end observability contract: the `Gauges` frame a client
-//! scrapes over the wire must equal the in-process
-//! [`ServerHandle::gauges`] snapshot field-for-field (no drift between
-//! the two read paths), and a `Metrics` scrape after real traffic must
-//! return per-stage, per-tag histograms — every row naming the request
-//! behind its worst sample, and, under tracing, each row's sample being
-//! the very measurement the trace's span holds.
+//! End-to-end observability contract: the counter and gauge rows of a
+//! `Metrics` scrape over the wire must equal the in-process
+//! [`ServerHandle::metrics_report`] rows one for one (no drift between
+//! the two read paths), `ResetMetrics` zeroes histograms and never
+//! counters, a server with metrics off still reports every counter, and
+//! a scrape after real traffic must return per-stage, per-tag
+//! histograms — every row naming the request behind its worst sample,
+//! and, under tracing, each row's sample being the very measurement the
+//! trace's span holds.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pathcopy_concurrent::BatchOp;
-use pathcopy_metrics::Stage;
+use pathcopy_metrics::{Kind, Stage};
+use pathcopy_server::proto::response_frame;
 use pathcopy_server::{
-    backend, render_text, spawn, Flight, MetricsSource, Request, Response, ServerConfig,
-    ServerGauges, ServerHandle, Session, StageSummary, TraceContext,
+    backend, render_text, spawn, value_of, Flight, MetricsSource, Request, Response, ServerConfig,
+    ServerHandle, Session, StageSummary, TraceContext,
 };
 
 fn server_with(metrics: bool) -> ServerHandle {
@@ -44,48 +47,91 @@ fn known_op_sequence(c: &Session) {
     c.publish().unwrap();
 }
 
+/// Whether `row` condenses a histogram (not one counter or gauge).
+fn is_summary(row: &StageSummary) -> bool {
+    Stage::from_u8(row.stage).map(Stage::kind) == Some(Kind::Summary)
+}
+
+/// The counter and gauge rows of a scrape, in order.
+fn counter_rows(rows: &[StageSummary]) -> Vec<StageSummary> {
+    rows.iter().filter(|r| !is_summary(r)).copied().collect()
+}
+
 #[test]
-fn wire_gauges_equal_in_process_gauges_field_for_field() {
+fn wire_counter_rows_equal_in_process_counter_rows() {
     let server = server_with(true);
     let c = Session::connect(server.addr()).unwrap();
     known_op_sequence(&c);
 
-    // The wire scrape snapshots gauges while handling the request, so
-    // it cannot count its own reply bytes: once the client has read the
-    // reply, the in-process view must be exactly the scraped view plus
-    // that one reply frame. The loop thread bumps the sent counter just
-    // after writing, so poll briefly rather than racing the scheduler.
-    let wire: ServerGauges = c.gauges().unwrap();
-    let self_reply = {
-        use pathcopy_server::proto::response_frame;
-        // The client sent request id 1..; ids are fixed-width so any id
-        // yields the frame length the server actually wrote.
-        response_frame(&Response::Gauges(wire), 0, None).len() as u64
-    };
-    let expected_sent = wire.wire_sent + self_reply;
+    // The wire scrape cannot count its own reply (ids are fixed-width,
+    // so id 0 measures it), nor the engine reads of its `len` gauge, one
+    // per shard, which only the next scrape sees. The loop thread bumps
+    // the sent counter just after writing, so poll briefly.
+    let scraped = c.metrics().unwrap();
+    let self_reply = response_frame(&Response::Metrics(scraped.clone()), 0, None).len() as u64;
+    let wire = counter_rows(&scraped);
+    let sent = value_of(&wire, Stage::WireSent).unwrap() + self_reply;
     let deadline = Instant::now() + Duration::from_secs(5);
+    let mut scrapes = 0;
     let local = loop {
-        let local = server.gauges();
-        if local.wire_sent == expected_sent || Instant::now() > deadline {
+        scrapes += 1;
+        let local = counter_rows(&server.metrics_report());
+        if value_of(&local, Stage::WireSent) == Some(sent) || Instant::now() > deadline {
             break local;
         }
         std::thread::sleep(Duration::from_millis(5));
     };
 
-    assert_eq!(local.wire_sent, expected_sent, "wire_sent + own reply");
-    assert_eq!(local.requests, wire.requests, "requests");
-    assert_eq!(local.requests_shed, wire.requests_shed, "requests_shed");
-    assert_eq!(local.open_conns, wire.open_conns, "open_conns");
-    assert_eq!(local.wire_received, wire.wire_received, "wire_received");
-    assert_eq!(local.subscribers, wire.subscribers, "subscribers");
-    assert_eq!(local.pushes, wire.pushes, "pushes");
-    assert_eq!(local.push_demotions, wire.push_demotions, "push_demotions");
-    assert_eq!(local.feed_head, wire.feed_head, "feed_head");
+    assert_eq!((local.len(), wire.len()), (17, 17), "{wire:?}");
+    for (local, wire) in local.iter().zip(&wire) {
+        let stage = Stage::from_u8(wire.stage).unwrap();
+        let scraping = match stage {
+            Stage::WireSent => self_reply,
+            Stage::Reads => 8 * scrapes,
+            _ => 0,
+        };
+        assert_eq!(local.stage, wire.stage);
+        assert_eq!(local.count, wire.count + scraping, "{stage:?}");
+        let value_only = StageSummary {
+            stage: wire.stage,
+            count: wire.count,
+            ..StageSummary::default()
+        };
+        assert_eq!(*wire, value_only, "{stage:?}: only `count` is used");
+    }
 
     // Sanity: the sequence actually moved the counters.
-    assert!(wire.requests >= 38, "requests = {}", wire.requests);
-    assert_eq!(wire.open_conns, 1);
-    assert_eq!(wire.feed_head, 1);
+    assert!(value_of(&wire, Stage::Requests).unwrap() >= 38);
+    assert!(value_of(&wire, Stage::Ops).unwrap() >= 16);
+    assert_eq!(value_of(&wire, Stage::OpenConns), Some(1));
+    server.shutdown();
+}
+
+#[test]
+fn reset_metrics_empties_every_summary_row_and_leaves_every_counter_row() {
+    let server = server_with(true);
+    let c = Session::connect(server.addr()).unwrap();
+    known_op_sequence(&c);
+    let before = server.metrics_report();
+    assert!(before.iter().filter(|r| is_summary(r)).count() > 3);
+    c.reset_metrics().unwrap();
+    let after = server.metrics_report();
+
+    // What is left of the histograms is the reset request's own execute
+    // and write samples, taken after it zeroed them.
+    for row in after.iter().filter(|r| is_summary(r)) {
+        assert_eq!((row.tag, row.count), (Request::ResetMetrics.tag_byte(), 1));
+    }
+    // Counters only the reset's own traffic (and the scrapes' engine
+    // reads) can move went forward; every other row held still.
+    for (b, a) in counter_rows(&before).iter().zip(&counter_rows(&after)) {
+        match Stage::from_u8(b.stage).unwrap() {
+            Stage::Requests | Stage::WireReceived | Stage::WireSent | Stage::Reads => {
+                assert!(a.count >= b.count, "{a:?} went back from {b:?}")
+            }
+            stage => assert_eq!(a.count, b.count, "{stage:?}"),
+        }
+    }
     server.shutdown();
 }
 
@@ -202,11 +248,25 @@ fn the_span_is_the_sample() {
 }
 
 #[test]
-fn disabled_metrics_scrape_is_empty_and_serving_still_works() {
+fn disabled_metrics_scrape_has_every_counter_row_and_no_summary_row() {
     let server = server_with(false);
     let c = Session::connect(server.addr()).unwrap();
     known_op_sequence(&c);
-    assert_eq!(c.metrics().unwrap(), vec![]);
+    let rows = c.metrics().unwrap();
+    let stages: Vec<u8> = rows.iter().map(|r| r.stage).collect();
+    let counters: Vec<u8> = Stage::ALL
+        .iter()
+        .filter(|s| s.kind() != Kind::Summary)
+        .map(|s| *s as u8)
+        .collect();
+    assert_eq!(counters.len(), 17);
+    assert_eq!(stages, counters, "{rows:?}");
+    assert_eq!(
+        value_of(&rows, Stage::Subscribers),
+        Some(0),
+        "0 is reported"
+    );
+    assert_eq!(value_of(&rows, Stage::Len), Some(16));
     assert_eq!(c.get(0).unwrap(), Some(0));
     server.shutdown();
 }
@@ -234,7 +294,12 @@ fn registered_sources_show_up_in_wire_scrapes() {
     let server = server_with(false); // even with loop tracing off
     server.register_metrics_source(Arc::new(Fixed));
     let c = Session::connect(server.addr()).unwrap();
-    let rows = c.metrics().unwrap();
+    let rows: Vec<_> = c
+        .metrics()
+        .unwrap()
+        .into_iter()
+        .filter(is_summary)
+        .collect();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].stage, Stage::AppendFsync as u8);
     assert_eq!(rows[0].count, 9);

@@ -15,8 +15,11 @@ use proptest::prelude::*;
 
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::StatsSnapshot;
+use pathcopy_metrics::Stage;
 use pathcopy_server::proto::{read_request_enveloped, response_frame, Request, Response};
-use pathcopy_server::{backend, ClientError, ServeBackend, ServeSnapshot, ServerConfig, Session};
+use pathcopy_server::{
+    backend, value_of, ClientError, ServeBackend, ServeSnapshot, ServerConfig, Session,
+};
 
 /// A mock v3 server: accepts one connection, reads `n` request frames,
 /// then answers them in the order `reply_order` prescribes (indices
@@ -251,10 +254,10 @@ fn idle_connections_are_not_bounded_by_the_worker_count() {
             None
         );
     }
+    let open = value_of(&server.metrics_report(), Stage::OpenConns).unwrap();
     assert!(
-        server.open_connections() >= CONNS as u64,
-        "expected >= {CONNS} multiplexed connections, gauge says {}",
-        server.open_connections()
+        open >= CONNS as u64,
+        "expected >= {CONNS} multiplexed connections, gauge says {open}"
     );
     // Every connection is still live and served while all others stay
     // open and idle.

@@ -12,8 +12,7 @@ use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::DiffEntry;
 use pathcopy_server::proto::{
     read_request_enveloped, read_response_enveloped, request_frame, response_frame, FeedInfo,
-    ProtoError, Request, Response, ServerGauges, StageSummary, WireError, WireStats,
-    PROTO_TRACE_FLAG, PROTO_VERSION,
+    ProtoError, Request, Response, StageSummary, WireError, PROTO_TRACE_FLAG, PROTO_VERSION,
 };
 use pathcopy_server::{SpanRecord, TraceContext};
 
@@ -63,7 +62,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         ),
         (any::<u64>(), arb_opt_u64()).prop_map(|(from, to)| Request::Diff { from, to }),
         any::<u64>().prop_map(|snapshot| Request::Release { snapshot }),
-        Just(Request::Stats),
         Just(Request::Publish),
         Just(Request::Subscribe),
         any::<u64>().prop_map(|from| Request::PullDiff { from }),
@@ -83,7 +81,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
             }
         }),
         arb_batch_op().prop_map(|op| Request::WriteAt { op }),
-        Just(Request::Gauges),
         Just(Request::Metrics),
         Just(Request::ResetMetrics),
         Just(Request::TraceDump),
@@ -175,30 +172,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
             .prop_map(|(entries, complete)| Response::Entries { entries, complete }),
         prop::collection::vec(arb_diff_entry(), 0..33).prop_map(Response::Diff),
         any::<bool>().prop_map(Response::Released),
-        (
-            (any::<u64>(), any::<u64>(), any::<u64>()),
-            (any::<u64>(), any::<u64>(), any::<u64>()),
-            (any::<u64>(), any::<u64>(), any::<u64>())
-        )
-            .prop_map(
-                |(
-                    (ops, attempts, cas_failures),
-                    (noop_updates, reads, frozen_installs),
-                    (freeze_retries, len, snapshots),
-                )| {
-                    Response::Stats(WireStats {
-                        ops,
-                        attempts,
-                        cas_failures,
-                        noop_updates,
-                        reads,
-                        frozen_installs,
-                        freeze_retries,
-                        len,
-                        snapshots,
-                    })
-                }
-            ),
         any::<u64>().prop_map(|id| Response::Error(WireError::UnknownSnapshot(id))),
         Just(Response::Error(WireError::SnapshotMismatch)),
         Just(Response::Error(WireError::Malformed)),
@@ -246,30 +219,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
         (arb_opt_i64(), any::<u64>()).prop_map(|(value, epoch)| Response::GotAt { value, epoch }),
         (arb_batch_result(), any::<u64>())
             .prop_map(|(result, watermark)| Response::WroteAt { result, watermark }),
-        (
-            (any::<u64>(), any::<u64>(), any::<u64>()),
-            (any::<u64>(), any::<u64>(), any::<u64>()),
-            (any::<u64>(), any::<u64>(), any::<u64>())
-        )
-            .prop_map(
-                |(
-                    (requests, requests_shed, open_conns),
-                    (wire_sent, wire_received, subscribers),
-                    (pushes, push_demotions, feed_head),
-                )| {
-                    Response::Gauges(ServerGauges {
-                        requests,
-                        requests_shed,
-                        open_conns,
-                        wire_sent,
-                        wire_received,
-                        subscribers,
-                        pushes,
-                        push_demotions,
-                        feed_head,
-                    })
-                }
-            ),
         any::<u64>().prop_map(|epoch| Response::Error(WireError::Stale(epoch))),
         prop::collection::vec(arb_stage_summary(), 0..9).prop_map(Response::Metrics),
         Just(Response::MetricsReset),
@@ -537,7 +486,6 @@ fn golden_requests() -> Vec<(Request, &'static str)> {
             "1b000000030807060504030201080100000000000000010200000000000000",
         ),
         (Request::Release { snapshot: 11 }, "12000000030807060504030201090b00000000000000"),
-        (Request::Stats, "0a0000000308070605040302010a"),
         (Request::Publish, "0a0000000308070605040302010b"),
         (Request::Subscribe, "0a0000000308070605040302010c"),
         (Request::PullDiff { from: 17 }, "120000000308070605040302010d1100000000000000"),
@@ -568,7 +516,6 @@ fn golden_requests() -> Vec<(Request, &'static str)> {
             },
             "1d0000000308070605040302011103060000000000000001010000000000000000",
         ),
-        (Request::Gauges, "0a00000003080706050403020112"),
         (Request::Metrics, "0a00000003080706050403020113"),
         (Request::ResetMetrics, "0a00000003080706050403020114"),
         (Request::TraceDump, "0a00000003080706050403020115"),
@@ -607,20 +554,6 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
             "4900000003080706050403020108030000000001000000000000000a0000000000000001020000000000000014000000000000000203000000000000001e000000000000001f00000000000000",
         ),
         (Response::Released(true), "0b0000000308070605040302010901"),
-        (
-            Response::Stats(WireStats {
-                ops: 1,
-                attempts: 2,
-                cas_failures: 3,
-                noop_updates: 4,
-                reads: 5,
-                frozen_installs: 6,
-                freeze_retries: 7,
-                len: 8,
-                snapshots: 9,
-            }),
-            "520000000308070605040302010a010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000000900000000000000",
-        ),
         (Response::BatchAborted(vec![0, 3, 7]), "1a0000000308070605040302010c03000000000000000300000007000000"),
         (Response::Published(12), "120000000308070605040302010d0c00000000000000"),
         (
@@ -675,20 +608,6 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
                 watermark: 21,
             },
             "1c00000003080706050403020114010105000000000000001500000000000000",
-        ),
-        (
-            Response::Gauges(ServerGauges {
-                requests: 1,
-                requests_shed: 2,
-                open_conns: 3,
-                wire_sent: 4,
-                wire_received: 5,
-                subscribers: 6,
-                pushes: 7,
-                push_demotions: 8,
-                feed_head: 9,
-            }),
-            "5200000003080706050403020115010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000070000000000000008000000000000000900000000000000",
         ),
         (
             Response::Metrics(vec![StageSummary {

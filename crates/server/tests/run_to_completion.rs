@@ -14,10 +14,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use pathcopy_concurrent::{BatchOp, BatchResult};
+use pathcopy_metrics::Stage;
 use pathcopy_server::proto::{read_response_enveloped, request_frame, response_frame};
 use pathcopy_server::{
-    backend, ClientError, Epoch, FeedSink, Request, Response, ServeSnapshot, ServerConfig,
-    ServerHandle, Session, WireError,
+    backend, value_of, ClientError, Epoch, FeedSink, Request, Response, ServeSnapshot,
+    ServerConfig, ServerHandle, Session, WireError,
 };
 
 fn server(config: ServerConfig) -> ServerHandle {
@@ -379,7 +380,7 @@ fn session_writes_and_reads_do_not_wait_for_a_publish_in_progress() {
 
     // A watermarked write still answers — and names epoch 3, because
     // epoch 2's snapshot was taken before it — as does a session read
-    // at the visible head, a feed-info request and a gauges scrape.
+    // at the visible head, a feed-info request and a metrics scrape.
     let reply = client
         .call(&Request::WriteAt {
             op: BatchOp::Insert(5, 50),
@@ -407,7 +408,8 @@ fn session_writes_and_reads_do_not_wait_for_a_publish_in_progress() {
         }
     );
     assert_eq!(client.feed_info().expect("feed info").head, 1);
-    assert_eq!(client.gauges().expect("gauges").feed_head, 1);
+    let rows = client.metrics().expect("scrape");
+    assert_eq!(value_of(&rows, Stage::OpenConns), Some(2));
 
     release.send(()).expect("release epoch 2");
     assert_eq!(stuck.wait().expect("publish"), Response::Published(2));

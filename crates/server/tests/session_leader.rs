@@ -21,12 +21,13 @@ use std::time::{Duration, Instant};
 
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::DiffEntry;
+use pathcopy_metrics::Stage;
 use pathcopy_server::proto::{
     read_request_enveloped, request_frame, response_frame, FeedInfo, RequestId, PUSH_ID_BASE,
 };
 use pathcopy_server::{
-    backend, ClientError, PushFrame, Request, Response, ServerConfig, ServerHandle, Session,
-    SessionToken, Ticket, WireError,
+    backend, value_of, ClientError, PushFrame, Request, Response, ServerConfig, ServerHandle,
+    Session, SessionToken, Ticket, WireError,
 };
 
 /// Runs `body` on its own thread and fails the test if it has not
@@ -211,8 +212,8 @@ fn threads_sharing_a_session_make_typed_calls() {
             caller.join().expect("caller thread");
         }
         assert_eq!(
-            session.stats().expect("stats").len,
-            (THREADS * ROUNDS) as u64
+            value_of(&session.metrics().expect("scrape"), Stage::Len),
+            Some((THREADS * ROUNDS) as u64)
         );
         drop(session);
         server.shutdown();

@@ -8,8 +8,8 @@
 //!
 //! * the primary's wire egress next to the relays' combined egress —
 //!   the fan-out happened downstream;
-//! * the primary's gauges — two subscribers, one push per epoch each,
-//!   zero demotions;
+//! * the primary's push counters and gauges, from its metrics scrape —
+//!   two subscribers, one push per epoch each, zero demotions;
 //! * per-leaf replication stats — every epoch arrived as a push
 //!   (`repair diff_pulls = 0`);
 //! * a session-consistent read: the writer's `SessionToken` watermark
@@ -23,8 +23,9 @@
 
 use std::time::Duration;
 
+use pathcopy_metrics::Stage;
 use pathcopy_replica::PushReplica;
-use pathcopy_server::{backend, ServerConfig, Session, SessionToken};
+use pathcopy_server::{backend, value_of, ServerConfig, Session, SessionToken};
 
 const KEYS: i64 = 64;
 const ROUNDS: u64 = 32;
@@ -123,13 +124,16 @@ fn main() {
     );
     println!("  relay egress:   {relay_egress} bytes (the fan-out, downstream)");
 
-    let gauges = primary.gauges();
+    let rows = writer.metrics().expect("primary scrape");
+    let value = |stage| value_of(&rows, stage).expect("counter row");
     println!(
-        "  primary gauges: subscribers={} pushes={} demotions={} feed_head={}",
-        gauges.subscribers, gauges.pushes, gauges.push_demotions, gauges.feed_head
+        "  primary scrape: subscribers={} pushes={} push_demotions={} (feed head {head})",
+        value(Stage::Subscribers),
+        value(Stage::Pushes),
+        value(Stage::PushDemotions)
     );
-    assert_eq!(gauges.subscribers as usize, RELAYS);
-    assert_eq!(gauges.push_demotions, 0);
+    assert_eq!(value(Stage::Subscribers) as usize, RELAYS);
+    assert_eq!(value(Stage::PushDemotions), 0);
 
     for (i, node) in relays.iter().chain(leaves.iter()).enumerate() {
         let role = if i < RELAYS { "relay" } else { "leaf " };

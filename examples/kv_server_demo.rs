@@ -14,7 +14,8 @@
 //! ```
 
 use path_copying::prelude::BatchOp;
-use pathcopy_server::{backend, ServerConfig, Session};
+use pathcopy_metrics::Stage;
+use pathcopy_server::{backend, value_of, ServerConfig, Session};
 
 const MAP_SIZE: i64 = 50_000;
 
@@ -57,7 +58,8 @@ fn main() {
         });
 
         let diff = auditor.diff(before, None).expect("diff over the wire");
-        let map_size = auditor.stats().expect("stats").len;
+        let rows = auditor.metrics().expect("scrape");
+        let map_size = value_of(&rows, Stage::Len).expect("len gauge");
         println!(
             "{:>14} {:>12} {:>12} {:>14.4}",
             changed.min(MAP_SIZE),
@@ -72,12 +74,16 @@ fn main() {
         auditor.release(before).expect("release");
     }
 
-    let stats = auditor.stats().expect("final stats");
+    let rows = auditor.metrics().expect("final scrape");
+    let value = |stage| value_of(&rows, stage).expect("counter row");
     println!(
         "\nengine after the run: ops={} attempts={} frozen_installs={} freeze_retries={}",
-        stats.ops, stats.attempts, stats.frozen_installs, stats.freeze_retries
+        value(Stage::Ops),
+        value(Stage::Attempts),
+        value(Stage::FrozenInstalls),
+        value(Stage::FreezeRetries)
     );
-    println!("server handled {} requests total", server.requests_served());
+    println!("server handled {} requests total", value(Stage::Requests));
     server.shutdown();
     println!("server shut down cleanly");
 }

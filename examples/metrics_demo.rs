@@ -17,7 +17,7 @@
 //! hide inside the `Get` noise. The push replica contributes two more
 //! histograms through the same scrape: push-apply nanoseconds and the
 //! end-to-end epoch lag (in epochs) measured from the watermark already
-//! on the wire.
+//! on the wire. Every counter and gauge rides the same reply, one row each.
 //!
 //! ```text
 //! cargo run --release --example metrics_demo
@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use pathcopy_metrics::Stage;
 use pathcopy_replica::PushReplica;
-use pathcopy_server::{backend, render_text, ServerConfig, Session};
+use pathcopy_server::{backend, render_text, value_of, ServerConfig, Session};
 
 const OPS: i64 = 2_000;
 
@@ -89,6 +89,15 @@ fn main() {
             row.p99,
         );
     }
+
+    // The retry counters the paper reads its scaling off, same rows.
+    let value = |stage| value_of(&rows, stage).expect("counter row");
+    println!(
+        "engine: {} updates, {:.3} attempts per update, {} failed root CASes",
+        value(Stage::Ops),
+        value(Stage::Attempts) as f64 / value(Stage::Ops).max(1) as f64,
+        value(Stage::CasFailures),
+    );
 
     // Replica-side histograms, read straight off the shared handle.
     let push = replica.metrics();

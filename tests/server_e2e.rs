@@ -8,7 +8,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use path_copying::prelude::{BatchOp, BatchResult, DiffEntry};
-use pathcopy_server::{backend, ServerConfig, ServerHandle, Session};
+use pathcopy_metrics::Stage;
+use pathcopy_server::{backend, value_of, ServerConfig, ServerHandle, Session};
 
 fn sharded_server() -> ServerHandle {
     pathcopy_server::spawn(
@@ -358,8 +359,8 @@ fn every_registered_backend_serves_the_same_contract() {
         vec![DiffEntry::Removed(0, 0)],
         "pruned diff is exactly the change"
     );
-    let stats = c.stats().unwrap();
-    assert_eq!(stats.len, 63);
-    assert_eq!(stats.snapshots, 1);
+    let rows = c.metrics().unwrap();
+    assert_eq!(value_of(&rows, Stage::Len), Some(63));
+    assert_eq!(value_of(&rows, Stage::Snapshots), Some(1));
     server.shutdown();
 }
