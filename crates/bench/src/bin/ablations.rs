@@ -12,7 +12,7 @@
 //! * `backoff`    — Batch workload under different retry backoff
 //!   policies (the paper retries immediately).
 //! * `structures` — the same UC over treap vs external BST.
-//! * `locks`      — lock-free UC vs global-mutex vs RwLock baselines.
+//! * `locks`      — lock-free UC vs the global-mutex baseline.
 //! * `alloc-rate` — pool nodes and global allocations per operation,
 //!   successful and failed attempts included (the Appendix-B
 //!   allocator-pressure story).
@@ -190,13 +190,12 @@ fn ablate_structures(cfg: &TableConfig) {
     println!();
 }
 
-/// Lock-free UC vs the intro's lock-based UCs.
+/// Lock-free UC vs the intro's global-lock UC.
 fn ablate_locks(cfg: &TableConfig) {
     println!("== ablation: synchronization strategy ==");
     for (label, structure) in [
         ("CAS (lock-free)", StructureKind::Treap),
         ("global mutex", StructureKind::MutexTreap),
-        ("rwlock", StructureKind::RwlockTreap),
     ] {
         let cfg = TableConfig {
             structure,

@@ -5,7 +5,7 @@
 //! ```text
 //! paper_tables [--machine xeon5220|xeon8160|epyc7662|local|all]
 //!              [--millis 300] [--trials 5] [--prefill 1000000]
-//!              [--keys-per-process 100000] [--structure treap|ebst|mutex|rwlock]
+//!              [--keys-per-process 100000] [--structure treap|ebst|mutex]
 //!              [--seed 42] [--csv]
 //! ```
 //!
@@ -36,7 +36,7 @@ fn main() {
     let seed: u64 = args.get_or("seed", 42);
     let csv = args.has_flag("csv");
     let structure = StructureKind::parse(args.get("structure").unwrap_or("treap"))
-        .expect("--structure must be treap|ebst|mutex|rwlock");
+        .expect("--structure must be treap|ebst|mutex");
 
     let machines: Vec<String> = if machine == "all" {
         vec![

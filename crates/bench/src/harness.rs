@@ -14,7 +14,7 @@
 
 use std::time::{Duration, Instant};
 
-use pathcopy_concurrent::{ExternalBstSet, LockedTreapSet, RwLockedTreapSet, TreapSet};
+use pathcopy_concurrent::{ExternalBstSet, LockedTreapSet, TreapSet};
 use pathcopy_core::BackoffPolicy;
 use pathcopy_workloads::{BatchWorkload, OpStream, RandomWorkload};
 
@@ -37,8 +37,6 @@ pub enum StructureKind {
     ExternalBst,
     /// Treap under one global mutex (the intro's "simplest UC").
     MutexTreap,
-    /// Treap under a readers–writer lock.
-    RwlockTreap,
 }
 
 impl StructureKind {
@@ -48,7 +46,6 @@ impl StructureKind {
             "treap" => Some(StructureKind::Treap),
             "ebst" | "external-bst" => Some(StructureKind::ExternalBst),
             "mutex" | "mutex-treap" => Some(StructureKind::MutexTreap),
-            "rwlock" | "rwlock-treap" => Some(StructureKind::RwlockTreap),
             _ => None,
         }
     }
@@ -78,10 +75,6 @@ impl StructureKind {
             StructureKind::MutexTreap => {
                 let prefill = prefill_treap(prefill_keys);
                 Box::new(move || Box::new(LockedTreapSet::from_version(prefill.clone())))
-            }
-            StructureKind::RwlockTreap => {
-                let prefill = prefill_treap(prefill_keys);
-                Box::new(move || Box::new(RwLockedTreapSet::from_version(prefill.clone())))
             }
         }
     }

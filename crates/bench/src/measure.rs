@@ -53,7 +53,7 @@ impl TrialStats {
 /// Runs `streams.len()` worker threads against `set` for `duration`,
 /// returning total completed operations. Workers start together behind a
 /// barrier; a stop flag ends the run. Generic over the core
-/// [`ConcurrentSet`] trait (including `dyn` backends from the registry).
+/// [`ConcurrentSet`] trait (including the harness's `dyn` backends).
 pub fn run_concurrent<S, St>(set: &S, mut streams: Vec<St>, duration: Duration) -> u64
 where
     S: ConcurrentSet<i64> + ?Sized,

@@ -4,7 +4,7 @@
 //! harness is generic over
 //! [`pathcopy_core::ConcurrentSet`] (re-exported below), which every
 //! backend in `pathcopy-concurrent` implements, and backends are
-//! constructed through [`pathcopy_concurrent::registry`] or
+//! constructed through
 //! [`StructureKind::constructor`](crate::harness::StructureKind::constructor)
 //! instead of hand-wired impls. What remains here is the sequential
 //! baseline trait and the shared prefill builders.

@@ -16,8 +16,7 @@
 //! operations and [`Snapshottable`](pathcopy_core::Snapshottable) for
 //! first-class snapshot handles with lazy `range`/`iter` and
 //! shared-subtree-pruned `diff` (see [`snapshot`]). The [`registry`]
-//! wires all backends up once for generic benches, oracle tests, and
-//! examples.
+//! wires all backends up once for the generic oracle tests.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -33,9 +32,9 @@ pub mod treap_set;
 
 pub use batch::{diff_to_ops, BatchOp, BatchResult, GuardAbort};
 pub use ebst_set::ExternalBstSet;
-pub use locked::{LockedMap, LockedTreapSet, RwLockedTreapSet};
+pub use locked::LockedTreapSet;
 pub use sharded::{MergedRange, ShardedSnapshot, ShardedTreapMap};
 pub use snapshot::{EbstSnapshot, SetRange, TreapSetSnapshot, TreapSnapshot};
-pub use treap_set::{MergedKeys, ShardedSetSnapshot, ShardedTreapSet, TreapSet};
+pub use treap_set::TreapSet;
 
 pub use treap_map::TreapMap;

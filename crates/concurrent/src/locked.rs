@@ -1,5 +1,6 @@
-//! Lock-protected baselines with the same API surface as the lock-free
-//! structures — the "simplest UC" from the paper's introduction.
+//! The lock-protected baseline with the same API surface as the
+//! lock-free [`TreapSet`](crate::TreapSet) — the "simplest UC" from the
+//! paper's introduction: one global mutex around the treap.
 //!
 //! Because the protected structure is still the *persistent* treap,
 //! snapshots stay O(1) even under a mutex: the lock is held only long
@@ -8,166 +9,10 @@
 use std::hash::Hash;
 
 use pathcopy_core::api;
-use pathcopy_core::{MutexUc, RwLockUc, Update};
-use pathcopy_trees::{treap, TreapMap as PTreapMap};
+use pathcopy_core::{MutexUc, Update};
+use pathcopy_trees::treap;
 
-use crate::snapshot::{TreapSetSnapshot, TreapSnapshot};
-
-/// Treap map protected by one global mutex (reads and writes serialize)
-/// — the map-shaped "simplest UC" baseline.
-///
-/// # Examples
-///
-/// ```
-/// use pathcopy_concurrent::LockedMap;
-///
-/// let m = LockedMap::new();
-/// m.insert(1, "one");
-/// let snap = m.snapshot(); // O(1) even under the mutex
-/// m.remove(&1);
-/// assert_eq!(snap.get(&1), Some(&"one"));
-/// ```
-pub struct LockedMap<K, V> {
-    uc: MutexUc<PTreapMap<K, V>>,
-}
-
-impl<K, V> Default for LockedMap<K, V>
-where
-    K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K, V> LockedMap<K, V>
-where
-    K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        LockedMap {
-            uc: MutexUc::new(PTreapMap::new()),
-        }
-    }
-
-    /// Creates a map from a prebuilt persistent version.
-    pub fn from_version(initial: PTreapMap<K, V>) -> Self {
-        LockedMap {
-            uc: MutexUc::new(initial),
-        }
-    }
-
-    /// Inserts `key -> value`, returning the previous value if any.
-    pub fn insert(&self, key: K, value: V) -> Option<V> {
-        self.uc.update(move |map| {
-            let (next, old) = map.insert(key, value);
-            Update::Replace(next, old)
-        })
-    }
-
-    /// Removes `key`, returning its value if present.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        self.uc.update(|map| match map.remove(key) {
-            Some((next, v)) => Update::Replace(next, Some(v)),
-            None => Update::Keep(None),
-        })
-    }
-
-    /// Atomically applies `f` to the value at `key` (or `None` if
-    /// absent) and stores its result (`None` removes the key). Returns
-    /// the previous value. Runs under the lock, so `f` executes exactly
-    /// once.
-    pub fn compute(&self, key: &K, f: impl FnOnce(Option<&V>) -> Option<V>) -> Option<V> {
-        self.uc.update(|map| {
-            let old = map.get(key).cloned();
-            match f(old.as_ref()) {
-                Some(new_v) => {
-                    let (next, prev) = map.insert(key.clone(), new_v);
-                    Update::Replace(next, prev)
-                }
-                None => match map.remove(key) {
-                    Some((next, prev)) => Update::Replace(next, Some(prev)),
-                    None => Update::Keep(None),
-                },
-            }
-        })
-    }
-
-    /// Looks up `key`, cloning the value (takes the lock).
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.uc.read(|map| map.get(key).cloned())
-    }
-
-    /// `true` if `key` is present (takes the lock).
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.uc.read(|map| map.contains_key(key))
-    }
-
-    /// Number of entries (takes the lock).
-    pub fn len(&self) -> usize {
-        self.uc.read(|map| map.len())
-    }
-
-    /// `true` if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Point-in-time snapshot (persistent versions make this O(1) even
-    /// under a mutex).
-    pub fn snapshot(&self) -> TreapSnapshot<K, V> {
-        TreapSnapshot::new(self.uc.snapshot())
-    }
-}
-
-impl<K, V> api::ConcurrentMap<K, V> for LockedMap<K, V>
-where
-    K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    fn insert(&self, key: K, value: V) -> Option<V> {
-        LockedMap::insert(self, key, value)
-    }
-
-    fn remove(&self, key: &K) -> Option<V> {
-        LockedMap::remove(self, key)
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        LockedMap::get(self, key)
-    }
-
-    fn contains_key(&self, key: &K) -> bool {
-        LockedMap::contains_key(self, key)
-    }
-
-    fn len(&self) -> usize {
-        LockedMap::len(self)
-    }
-
-    fn compute(&self, key: &K, f: &dyn Fn(Option<&V>) -> Option<V>) -> Option<V> {
-        LockedMap::compute(self, key, f)
-    }
-}
-
-impl<K, V> api::Snapshottable for LockedMap<K, V>
-where
-    K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    /// The same snapshot type as the lock-free
-    /// [`TreapMap`](crate::TreapMap) — both wrap a persistent treap
-    /// version, so snapshots of the two backends can even be `diff`ed
-    /// against each other.
-    type Snapshot = TreapSnapshot<K, V>;
-
-    fn snapshot(&self) -> TreapSnapshot<K, V> {
-        LockedMap::snapshot(self)
-    }
-}
+use crate::snapshot::TreapSetSnapshot;
 
 /// Treap set protected by one global mutex (reads and writes serialize).
 pub struct LockedTreapSet<K> {
@@ -259,96 +104,6 @@ impl<K: Ord + Clone + Hash + Send + Sync> api::Snapshottable for LockedTreapSet<
     }
 }
 
-/// Treap set protected by a readers–writer lock (parallel reads,
-/// exclusive writes).
-pub struct RwLockedTreapSet<K> {
-    uc: RwLockUc<treap::TreapSet<K>>,
-}
-
-impl<K: Ord + Clone + Hash + Send + Sync> Default for RwLockedTreapSet<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Ord + Clone + Hash + Send + Sync> RwLockedTreapSet<K> {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        RwLockedTreapSet {
-            uc: RwLockUc::new(treap::TreapSet::empty()),
-        }
-    }
-
-    /// Creates a set from a prebuilt persistent version.
-    pub fn from_version(initial: treap::TreapSet<K>) -> Self {
-        RwLockedTreapSet {
-            uc: RwLockUc::new(initial),
-        }
-    }
-
-    /// Inserts `key`; `true` if the set changed.
-    pub fn insert(&self, key: K) -> bool {
-        self.uc.update(move |set| match set.insert(key) {
-            Some(next) => Update::Replace(next, true),
-            None => Update::Keep(false),
-        })
-    }
-
-    /// Removes `key`; `true` if the set changed.
-    pub fn remove(&self, key: &K) -> bool {
-        self.uc.update(|set| match set.remove(key) {
-            Some(next) => Update::Replace(next, true),
-            None => Update::Keep(false),
-        })
-    }
-
-    /// `true` if `key` is present (shared lock).
-    pub fn contains(&self, key: &K) -> bool {
-        self.uc.read(|set| set.contains(key))
-    }
-
-    /// Number of keys (shared lock).
-    pub fn len(&self) -> usize {
-        self.uc.read(|set| set.len())
-    }
-
-    /// `true` if empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Point-in-time snapshot.
-    pub fn snapshot(&self) -> TreapSetSnapshot<K> {
-        TreapSetSnapshot::new(self.uc.snapshot())
-    }
-}
-
-impl<K: Ord + Clone + Hash + Send + Sync> api::ConcurrentSet<K> for RwLockedTreapSet<K> {
-    fn insert(&self, key: K) -> bool {
-        RwLockedTreapSet::insert(self, key)
-    }
-
-    fn remove(&self, key: &K) -> bool {
-        RwLockedTreapSet::remove(self, key)
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        RwLockedTreapSet::contains(self, key)
-    }
-
-    fn len(&self) -> usize {
-        RwLockedTreapSet::len(self)
-    }
-}
-
-impl<K: Ord + Clone + Hash + Send + Sync> api::Snapshottable for RwLockedTreapSet<K> {
-    type Snapshot = TreapSetSnapshot<K>;
-
-    fn snapshot(&self) -> TreapSetSnapshot<K> {
-        RwLockedTreapSet::snapshot(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,28 +124,6 @@ mod tests {
         assert_eq!(s.len(), 800);
         assert!(s.contains(&799));
         assert!(!s.contains(&800));
-    }
-
-    #[test]
-    fn rwlock_set_correct_under_threads() {
-        let s = RwLockedTreapSet::new();
-        std::thread::scope(|sc| {
-            for t in 0..4i64 {
-                let s = &s;
-                sc.spawn(move || {
-                    for i in 0..200 {
-                        assert!(s.insert(t * 200 + i));
-                    }
-                });
-            }
-            let s = &s;
-            sc.spawn(move || {
-                for _ in 0..100 {
-                    let _ = s.len();
-                }
-            });
-        });
-        assert_eq!(s.len(), 800);
     }
 
     #[test]

@@ -23,8 +23,7 @@ use pathcopy_trees::TreapMap as PTreapMap;
 /// Owned range type of the treap-backed snapshots.
 pub type TreapRange<'a, K, V> = treap::Range<'a, K, V, (Bound<K>, Bound<K>)>;
 
-/// Immutable point-in-time view of a treap-backed concurrent map
-/// ([`TreapMap`](crate::TreapMap), [`LockedMap`](crate::LockedMap)).
+/// Immutable point-in-time view of a [`TreapMap`](crate::TreapMap).
 ///
 /// Derefs to the persistent [`pathcopy_trees::TreapMap`], so all of its
 /// read operations are available directly.
@@ -126,8 +125,7 @@ impl<'a, K: Ord> Iterator for SetRange<'a, K> {
 }
 
 /// Immutable point-in-time view of a treap-backed concurrent set
-/// ([`TreapSet`](crate::TreapSet), [`LockedTreapSet`](crate::LockedTreapSet),
-/// [`RwLockedTreapSet`](crate::RwLockedTreapSet)).
+/// ([`TreapSet`](crate::TreapSet), [`LockedTreapSet`](crate::LockedTreapSet)).
 ///
 /// Derefs to the persistent [`pathcopy_trees::treap::TreapSet`].
 pub struct TreapSetSnapshot<K> {

@@ -1,28 +1,26 @@
-//! Lock-free concurrent ordered set: the paper's benchmark subject —
-//! plus its sharded, batch-capable big sibling.
+//! Lock-free concurrent ordered set: the paper's benchmark subject.
 //!
 //! [`TreapSet`] applies the path-copying universal construction to the
 //! persistent treap of `pathcopy-trees`. Every operation is linearizable;
 //! updates are lock-free; reads are wait-free and never interfere with
 //! writers.
 //!
-//! [`ShardedTreapSet`] is the set front-end over the sharded map
-//! ([`crate::ShardedTreapMap`]): per-key operations contend only within
-//! one shard, [`ShardedTreapSet::snapshot_all`] yields a coherent cut,
-//! and the `*_batch` operations commit atomically even when the keys
-//! span shards (see [`crate::ShardedTreapMap::transact`]).
+//! A sharded set is a [`ShardedTreapMap<K, ()>`](crate::ShardedTreapMap):
+//! `insert_if_absent` / `remove` / `contains_key` are its point
+//! operations, `snapshot_all` its coherent cut, and a
+//! [`transact`](crate::ShardedTreapMap::transact) of `Insert`, `Remove`
+//! or `Get` ops a multi-key batch that commits (or reads) atomically even
+//! when the keys span shards. The `sharded_set_*` tests below pin that
+//! use.
 
 use std::fmt;
 use std::hash::Hash;
-use std::ops::Bound;
 use std::sync::Arc;
 
-use pathcopy_core::api::{self, SetDiffEntry};
+use pathcopy_core::api;
 use pathcopy_core::{BackoffPolicy, PathCopyUc, StatsSnapshot, UcStats, Update, UpdateReport};
 use pathcopy_trees::treap;
 
-use crate::batch::{BatchOp, BatchResult};
-use crate::sharded::{MergedRange, ShardedIntoIter, ShardedSnapshot, ShardedTreapMap};
 use crate::snapshot::TreapSetSnapshot;
 
 /// A lock-free concurrent ordered set backed by a persistent treap.
@@ -209,334 +207,10 @@ impl<K: Ord + Clone + Hash + Send + Sync> Extend<K> for TreapSet<K> {
     }
 }
 
-/// A sharded lock-free concurrent set with atomic cross-shard batches:
-/// the set front-end of [`ShardedTreapMap`].
-///
-/// Keys are hash-partitioned across `N` independent path-copying UC
-/// roots, so inserts of different shards never contend. On top of the
-/// per-key operations it offers:
-///
-/// * [`snapshot_all`](Self::snapshot_all) — a coherent point-in-time cut
-///   of the whole set;
-/// * [`insert_batch`](Self::insert_batch) /
-///   [`remove_batch`](Self::remove_batch) /
-///   [`contains_batch`](Self::contains_batch) — each batch commits (or
-///   reads) as **one linearizable operation**, even when its keys span
-///   shards; no concurrent observer ever sees it half-applied.
-///
-/// # Examples
-///
-/// ```
-/// use pathcopy_concurrent::ShardedTreapSet;
-///
-/// let s: ShardedTreapSet<u64> = ShardedTreapSet::with_shards(8);
-/// // Insert three keys atomically — all-or-nothing visibility, even
-/// // though they hash to different shards:
-/// assert_eq!(s.insert_batch(&[1, 2, 3]), vec![true, true, true]);
-/// assert!(s.contains(&2));
-///
-/// let snap = s.snapshot_all();
-/// s.remove_batch(&[1, 2, 3]);
-/// assert_eq!(snap.len(), 3); // the cut is immutable
-/// assert!(s.is_empty());
-/// ```
-pub struct ShardedTreapSet<K> {
-    map: ShardedTreapMap<K, ()>,
-}
-
-impl<K: Ord + Clone + Hash + Send + Sync> Default for ShardedTreapSet<K> {
-    /// An 8-shard set; see [`ShardedTreapSet::with_shards`] to choose.
-    fn default() -> Self {
-        Self::with_shards(8)
-    }
-}
-
-impl<K: Ord + Clone + Hash + Send + Sync> ShardedTreapSet<K> {
-    /// Creates an empty set with `shards` partitions (rounded up to a
-    /// power of two, minimum 1).
-    pub fn with_shards(shards: usize) -> Self {
-        ShardedTreapSet {
-            map: ShardedTreapMap::with_shards(shards),
-        }
-    }
-
-    /// Number of shards (a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.map.shard_count()
-    }
-
-    /// Inserts `key`; `true` if the set changed. Lock-free, contends
-    /// only within the owning shard.
-    pub fn insert(&self, key: K) -> bool {
-        self.map.insert_if_absent(key, ())
-    }
-
-    /// Removes `key`; `true` if the set changed.
-    pub fn remove(&self, key: &K) -> bool {
-        self.map.remove(key).is_some()
-    }
-
-    /// `true` if `key` is present. Wait-free, except that it briefly
-    /// spins if a cross-shard batch is mid-install on the owning shard.
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Total number of keys (weakly consistent under concurrent updates,
-    /// like [`ShardedTreapMap::len`]).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` if every shard is empty (weakly consistent).
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Atomically inserts every key, returning for each (in order)
-    /// whether it was newly inserted. The whole batch becomes visible at
-    /// once, even across shards; a duplicate key later in the same batch
-    /// reports `false`.
-    pub fn insert_batch(&self, keys: &[K]) -> Vec<bool> {
-        let ops: Vec<_> = keys
-            .iter()
-            .map(|k| BatchOp::Insert(k.clone(), ()))
-            .collect();
-        self.map
-            .transact(&ops)
-            .into_iter()
-            .map(|r| matches!(r, BatchResult::Inserted(None)))
-            .collect()
-    }
-
-    /// Atomically removes every key, returning for each (in order)
-    /// whether it was present. All-or-nothing visibility across shards.
-    pub fn remove_batch(&self, keys: &[K]) -> Vec<bool> {
-        let ops: Vec<_> = keys.iter().map(|k| BatchOp::Remove(k.clone())).collect();
-        self.map
-            .transact(&ops)
-            .into_iter()
-            .map(|r| matches!(r, BatchResult::Removed(Some(()))))
-            .collect()
-    }
-
-    /// Membership of every key at one single linearization point — a
-    /// consistent multi-key read, unlike `N` separate
-    /// [`contains`](Self::contains) calls.
-    pub fn contains_batch(&self, keys: &[K]) -> Vec<bool> {
-        let ops: Vec<_> = keys.iter().map(|k| BatchOp::Get(k.clone())).collect();
-        self.map
-            .transact(&ops)
-            .into_iter()
-            .map(|r| matches!(r, BatchResult::Got(Some(()))))
-            .collect()
-    }
-
-    /// A coherent point-in-time snapshot of the whole set (see
-    /// [`ShardedTreapMap::snapshot_all`]).
-    pub fn snapshot_all(&self) -> ShardedSetSnapshot<K> {
-        ShardedSetSnapshot {
-            inner: self.map.snapshot_all(),
-        }
-    }
-
-    /// Merged attempt/retry statistics across all shards.
-    pub fn stats_snapshot(&self) -> StatsSnapshot {
-        self.map.stats_snapshot()
-    }
-}
-
-impl<K: Ord + Clone + Hash + Send + Sync> api::ConcurrentSet<K> for ShardedTreapSet<K> {
-    fn insert(&self, key: K) -> bool {
-        ShardedTreapSet::insert(self, key)
-    }
-
-    fn remove(&self, key: &K) -> bool {
-        ShardedTreapSet::remove(self, key)
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        ShardedTreapSet::contains(self, key)
-    }
-
-    /// Weakly consistent per-shard sum — see [`ShardedTreapSet::len`].
-    fn len(&self) -> usize {
-        ShardedTreapSet::len(self)
-    }
-
-    fn stats_snapshot(&self) -> StatsSnapshot {
-        ShardedTreapSet::stats_snapshot(self)
-    }
-}
-
-impl<K: Ord + Clone + Hash + Send + Sync> api::Snapshottable for ShardedTreapSet<K> {
-    type Snapshot = ShardedSetSnapshot<K>;
-
-    /// A coherent cut of all shards — see
-    /// [`ShardedTreapSet::snapshot_all`].
-    fn snapshot(&self) -> ShardedSetSnapshot<K> {
-        self.snapshot_all()
-    }
-}
-
-impl<K: Ord + Clone + Hash + Send + Sync + fmt::Debug> fmt::Debug for ShardedTreapSet<K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let snap = self.snapshot_all();
-        f.debug_set().entries(snap.iter()).finish()
-    }
-}
-
-impl<K: Ord + Clone + Hash + Send + Sync> FromIterator<K> for ShardedTreapSet<K> {
-    /// Builds a set with the default shard count
-    /// ([`ShardedTreapSet::default`]).
-    fn from_iter<I: IntoIterator<Item = K>>(iter: I) -> Self {
-        let set = ShardedTreapSet::default();
-        for k in iter {
-            set.insert(k);
-        }
-        set
-    }
-}
-
-impl<K: Ord + Clone + Hash + Send + Sync> Extend<K> for ShardedTreapSet<K> {
-    fn extend<I: IntoIterator<Item = K>>(&mut self, iter: I) {
-        for k in iter {
-            self.insert(k);
-        }
-    }
-}
-
-/// An immutable, coherent point-in-time view of a [`ShardedTreapSet`].
-///
-/// Implements [`SetSnapshot`](pathcopy_core::SetSnapshot): lazy ordered
-/// iteration (a k-way merge across shards), exact `len`, and
-/// shared-subtree-pruned `diff`.
-pub struct ShardedSetSnapshot<K> {
-    inner: ShardedSnapshot<K, ()>,
-}
-
-impl<K> Clone for ShardedSetSnapshot<K> {
-    fn clone(&self) -> Self {
-        ShardedSetSnapshot {
-            inner: self.inner.clone(),
-        }
-    }
-}
-
-impl<K: Ord + Clone + Hash> ShardedSetSnapshot<K> {
-    /// `true` if `key` was present at snapshot time.
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.contains_key(key)
-    }
-
-    /// Exact number of keys at snapshot time.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// `true` if the set was empty at snapshot time.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Lazy iterator over every key in global order (a k-way merge of
-    /// the per-shard trees; no intermediate `Vec`).
-    pub fn iter(&self) -> MergedKeys<'_, K> {
-        MergedKeys {
-            inner: self.inner.iter(),
-        }
-    }
-
-    /// Collects all keys in global order.
-    pub fn to_sorted_vec(&self) -> Vec<K> {
-        self.iter().cloned().collect()
-    }
-}
-
-impl<K: Ord + Clone + Hash + fmt::Debug> fmt::Debug for ShardedSetSnapshot<K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-/// Lazy ascending key iterator over a [`ShardedSetSnapshot`].
-pub struct MergedKeys<'a, K: Ord> {
-    inner: MergedRange<'a, K, ()>,
-}
-
-impl<'a, K: Ord> Iterator for MergedKeys<'a, K> {
-    type Item = &'a K;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next().map(|(k, ())| k)
-    }
-}
-
-impl<K> api::SetSnapshot<K> for ShardedSetSnapshot<K>
-where
-    K: Ord + Clone + Hash + Send + Sync,
-{
-    type Range<'a>
-        = MergedKeys<'a, K>
-    where
-        Self: 'a,
-        K: 'a;
-
-    fn contains(&self, key: &K) -> bool {
-        ShardedSetSnapshot::contains(self, key)
-    }
-
-    fn len(&self) -> usize {
-        ShardedSetSnapshot::len(self)
-    }
-
-    fn range_by(&self, lo: Bound<&K>, hi: Bound<&K>) -> Self::Range<'_> {
-        MergedKeys {
-            inner: self.inner.range_by(lo, hi),
-        }
-    }
-
-    fn diff(&self, newer: &Self) -> Vec<SetDiffEntry<K>> {
-        SetDiffEntry::from_unit_diff(api::MapSnapshot::diff(&self.inner, &newer.inner))
-    }
-}
-
-/// Owning ascending key iterator over a consumed [`ShardedSetSnapshot`].
-pub struct ShardedSetIntoIter<K> {
-    inner: ShardedIntoIter<K, ()>,
-}
-
-impl<K: Ord + Clone> Iterator for ShardedSetIntoIter<K> {
-    type Item = K;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next().map(|(k, ())| k)
-    }
-}
-
-impl<K: Ord + Clone + Hash> IntoIterator for ShardedSetSnapshot<K> {
-    type Item = K;
-    type IntoIter = ShardedSetIntoIter<K>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        ShardedSetIntoIter {
-            inner: self.inner.into_iter(),
-        }
-    }
-}
-
-impl<'a, K: Ord + Clone + Hash> IntoIterator for &'a ShardedSetSnapshot<K> {
-    type Item = &'a K;
-    type IntoIter = MergedKeys<'a, K>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BatchOp, BatchResult, ShardedTreapMap};
 
     #[test]
     fn sequential_set_semantics() {
@@ -653,57 +327,100 @@ mod tests {
         assert!(r.was_noop);
     }
 
+    /// Applies `op` to every key in one `transact` batch and reports, per
+    /// key, whether it took effect: inserted a new key, removed a present
+    /// one, or found one.
+    fn set_batch(
+        s: &ShardedTreapMap<i64, ()>,
+        keys: &[i64],
+        op: fn(i64) -> BatchOp<i64, ()>,
+    ) -> Vec<bool> {
+        let ops: Vec<_> = keys.iter().map(|&k| op(k)).collect();
+        s.transact(&ops)
+            .into_iter()
+            .map(|r| {
+                matches!(
+                    r,
+                    BatchResult::Inserted(None)
+                        | BatchResult::Removed(Some(()))
+                        | BatchResult::Got(Some(()))
+                )
+            })
+            .collect()
+    }
+
+    fn insert(k: i64) -> BatchOp<i64, ()> {
+        BatchOp::Insert(k, ())
+    }
+
     #[test]
     fn sharded_set_semantics() {
-        let s: ShardedTreapSet<i64> = ShardedTreapSet::with_shards(4);
-        assert!(s.insert(1));
-        assert!(!s.insert(1));
-        assert!(s.contains(&1));
-        assert!(s.remove(&1));
-        assert!(!s.remove(&1));
+        let s: ShardedTreapMap<i64, ()> = ShardedTreapMap::with_shards(4);
+        assert!(s.insert_if_absent(1, ()));
+        assert!(!s.insert_if_absent(1, ()));
+        assert!(s.contains_key(&1));
+        assert!(s.remove(&1).is_some());
+        assert!(s.remove(&1).is_none());
         assert!(s.is_empty());
     }
 
     #[test]
     fn sharded_set_batches_report_per_key_outcomes() {
-        let s: ShardedTreapSet<i64> = ShardedTreapSet::with_shards(8);
-        assert_eq!(s.insert_batch(&[1, 2, 2, 3]), vec![true, true, false, true]);
+        let s: ShardedTreapMap<i64, ()> = ShardedTreapMap::with_shards(8);
+        assert_eq!(
+            set_batch(&s, &[1, 2, 2, 3], insert),
+            vec![true, true, false, true]
+        );
         assert_eq!(s.len(), 3);
         assert_eq!(
-            s.contains_batch(&[1, 2, 3, 4]),
+            set_batch(&s, &[1, 2, 3, 4], BatchOp::Get),
             vec![true, true, true, false]
         );
-        assert_eq!(s.remove_batch(&[2, 4, 3]), vec![true, false, true]);
-        assert_eq!(s.snapshot_all().to_sorted_vec(), vec![1]);
+        assert_eq!(
+            set_batch(&s, &[2, 4, 3], BatchOp::Remove),
+            vec![true, false, true]
+        );
+        assert_eq!(s.snapshot_all().to_sorted_vec(), vec![(1, ())]);
     }
 
     #[test]
     fn sharded_set_snapshot_is_immutable() {
-        let s: ShardedTreapSet<i64> = ShardedTreapSet::with_shards(8);
-        s.insert_batch(&(0..100).collect::<Vec<_>>());
+        let s: ShardedTreapMap<i64, ()> = ShardedTreapMap::with_shards(8);
+        let keys: Vec<i64> = (0..100).collect();
+        set_batch(&s, &keys, insert);
         let snap = s.snapshot_all();
-        s.remove_batch(&(0..100).collect::<Vec<_>>());
+        set_batch(&s, &keys, BatchOp::Remove);
         assert!(s.is_empty());
         assert_eq!(snap.len(), 100);
-        assert!(snap.to_sorted_vec().iter().copied().eq(0..100));
-        assert!(snap.contains(&42));
+        assert!(snap.iter().map(|(k, ())| *k).eq(0..100));
+        assert!(snap.contains_key(&42));
     }
 
     #[test]
     fn sharded_set_concurrent_batches_are_atomic_units() {
         // Each thread inserts then removes its whole disjoint block as
-        // one batch; any torn batch leaves strays behind.
-        let s: ShardedTreapSet<i64> = ShardedTreapSet::with_shards(8);
+        // one batch; any torn batch leaves strays behind, or shows an
+        // observer's cut a block that is partly there.
+        let s: ShardedTreapMap<i64, ()> = ShardedTreapMap::with_shards(8);
+        let writers_left = std::sync::atomic::AtomicUsize::new(4);
         std::thread::scope(|sc| {
             for t in 0..4i64 {
-                let s = &s;
+                let (s, writers_left) = (&s, &writers_left);
                 sc.spawn(move || {
                     let block: Vec<i64> = (t * 64..(t + 1) * 64).collect();
                     for _ in 0..20 {
-                        assert!(s.insert_batch(&block).into_iter().all(|b| b));
-                        assert!(s.remove_batch(&block).into_iter().all(|b| b));
+                        assert!(set_batch(s, &block, insert).into_iter().all(|b| b));
+                        assert!(set_batch(s, &block, BatchOp::Remove).into_iter().all(|b| b));
                     }
+                    writers_left.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
                 });
+            }
+            while writers_left.load(std::sync::atomic::Ordering::Relaxed) > 0 {
+                let snap = s.snapshot_all();
+                for t in 0..4i64 {
+                    let n = snap.range(t * 64..(t + 1) * 64).count();
+                    assert!(n == 0 || n == 64, "cut saw {n} of block {t}'s 64 keys");
+                }
             }
         });
         assert_eq!(s.snapshot_all().len(), 0);

@@ -2,8 +2,7 @@
 //!
 //! The universal construction (UC) from *Unexpected Scaling in Path
 //! Copying Trees* (Kokorin, Fedorov, Brown, Aksenov — PPoPP 2023,
-//! arXiv:2212.00521), plus the lock-based baselines it is compared
-//! against.
+//! arXiv:2212.00521), plus the baselines it is compared against.
 //!
 //! The construction is deliberately simple:
 //!
@@ -26,7 +25,7 @@
 //! * [`uc`] — `PathCopyUc<S>`: the retrying load/copy/CAS loop.
 //! * [`pool`] — `PoolArc<T>`: node memory. One node per cache line from
 //!   per-thread magazines, so the loop above never calls `malloc`.
-//! * [`lock_uc`] — `MutexUc`, `RwLockUc`, `SeqUc` baselines.
+//! * [`lock_uc`] — `MutexUc` (the intro's global lock) and `SeqUc` baselines.
 //! * [`backoff`] — retry backoff policies (ablation; the paper uses none).
 //! * [`stats`] — attempt/retry counters used to validate the model.
 //! * [`api`] — the unified `ConcurrentMap`/`ConcurrentSet`/`Snapshottable`
@@ -47,7 +46,7 @@ pub use api::{
     ConcurrentMap, ConcurrentSet, DiffEntry, MapSnapshot, SetDiffEntry, SetSnapshot, Snapshottable,
 };
 pub use backoff::{Backoff, BackoffPolicy};
-pub use lock_uc::{MutexUc, RwLockUc, SeqUc};
+pub use lock_uc::{MutexUc, SeqUc};
 pub use pool::{PoolArc, PoolStats};
 pub use stats::{
     ByteCounters, ByteCountersSnapshot, IoCounters, IoCountersSnapshot, StatsSnapshot, UcStats,

@@ -1,17 +1,18 @@
-//! Lock-based universal constructions — the baselines from the paper's
-//! introduction ("The simplest approach uses locks that protect a
+//! The baselines the path-copying UC is measured against: the global
+//! lock from the paper's introduction ("The simplest approach uses locks that protect a
 //! sequential data structure and allow only one process to access it at a
 //! time").
 //!
-//! Both wrappers expose the *same* [`Update`]-closure interface as
-//! [`PathCopyUc`](crate::PathCopyUc), and both operate on the same
-//! persistent structures, so benchmark comparisons isolate the
-//! synchronization strategy (global lock vs. root CAS) rather than the
-//! data-structure implementation.
+//! [`MutexUc`] exposes the *same* [`Update`]-closure interface as
+//! [`PathCopyUc`](crate::PathCopyUc) and operates on the same persistent
+//! structures, so benchmark comparisons isolate the synchronization
+//! strategy (global lock vs. root CAS) rather than the data-structure
+//! implementation. [`SeqUc`] is the single-threaded baseline with the
+//! same interface.
 
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::uc::Update;
 
@@ -46,45 +47,6 @@ impl<S: Send + Sync> MutexUc<S> {
     /// serializes writers, so the first attempt always commits.
     pub fn update<R>(&self, f: impl FnOnce(&S) -> Update<S, R>) -> R {
         let mut guard = self.state.lock();
-        match f(&guard) {
-            Update::Keep(r) => r,
-            Update::Replace(next, r) => {
-                *guard = Arc::new(next);
-                r
-            }
-        }
-    }
-}
-
-/// Universal construction with a readers–writer lock: reads share the
-/// lock, writes take it exclusively.
-#[derive(Debug)]
-pub struct RwLockUc<S> {
-    state: RwLock<Arc<S>>,
-}
-
-impl<S: Send + Sync> RwLockUc<S> {
-    /// Wraps an initial version.
-    pub fn new(initial: S) -> Self {
-        RwLockUc {
-            state: RwLock::new(Arc::new(initial)),
-        }
-    }
-
-    /// Runs a read-only operation under a shared lock.
-    pub fn read<R>(&self, f: impl FnOnce(&S) -> R) -> R {
-        let guard = self.state.read();
-        f(&guard)
-    }
-
-    /// Returns a snapshot of the current version.
-    pub fn snapshot(&self) -> Arc<S> {
-        self.state.read().clone()
-    }
-
-    /// Runs a modifying operation under the exclusive lock.
-    pub fn update<R>(&self, f: impl FnOnce(&S) -> Update<S, R>) -> R {
-        let mut guard = self.state.write();
         match f(&guard) {
             Update::Keep(r) => r,
             Update::Replace(next, r) => {
@@ -155,26 +117,6 @@ mod tests {
                     }
                 });
             }
-        });
-        assert_eq!(uc.read(|&n| n), 1000);
-    }
-
-    #[test]
-    fn rwlock_uc_counts_correctly_under_threads() {
-        let uc = RwLockUc::new(0u64);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..250 {
-                        uc.update(incr);
-                    }
-                });
-            }
-            s.spawn(|| {
-                for _ in 0..100 {
-                    let _ = uc.read(|&n| n);
-                }
-            });
         });
         assert_eq!(uc.read(|&n| n), 1000);
     }

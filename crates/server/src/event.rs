@@ -5,9 +5,8 @@
 //!
 //! The loop owns every socket nonblockingly:
 //!
-//! * **accepts** are drained in bursts (at most
-//!   [`Tunables::backlog`] per readiness wake) and refused above
-//!   [`Tunables::max_conns`];
+//! * **accepts** are drained in bursts (at most [`ACCEPT_BURST`] per
+//!   readiness wake) and refused above [`MAX_CONNS`];
 //! * **reads** take one chunk per wake (the poller is level-triggered,
 //!   so a busier socket is simply reported again, after the other
 //!   connections had their turn) and parse it into whole frames;
@@ -27,7 +26,7 @@
 //!   returns to `poll`, so a pipelined burst decoded in one wake is
 //!   answered in one syscall;
 //! * **admission control** sheds any request that would put a
-//!   connection past [`Tunables::queue_depth`] requests on the workers
+//!   connection past `ServerConfig::queue_depth` requests on the workers
 //!   with an immediate [`WireError::Busy`] carrying the bound, and a
 //!   connection whose peer does not read its replies stops being read
 //!   ([`OUTQ_MAX_BYTES`]) — the client sees backpressure instead of
@@ -86,6 +85,15 @@ const INLINE_BATCH_MAX: usize = 16;
 /// chunk's worth of replies (plus whatever the workers still owe).
 const OUTQ_MAX_BYTES: usize = 256 * 1024;
 
+/// Max accepts drained per listener readiness wake: bounds how long an
+/// accept storm can monopolize one loop iteration before established
+/// connections get service again.
+const ACCEPT_BURST: usize = 64;
+
+/// Max simultaneous connections; accepts beyond it are refused (the
+/// socket is closed right after the handshake).
+const MAX_CONNS: usize = 4096;
+
 /// Cap on the number of frames batched into one vectored write.
 const MAX_IOVECS: usize = 64;
 
@@ -95,17 +103,6 @@ const MAX_IOVECS: usize = 64;
 /// bound. A demoted subscriber discovers the gap on its next delivery
 /// (or timeout), catches up via `PullDiff`, and resubscribes.
 const PUSH_OUTQ_MAX: usize = 32;
-
-/// Event-core knobs, split out of `ServerConfig` by `spawn`.
-pub(crate) struct Tunables {
-    /// Max accepts drained per listener readiness wake.
-    pub(crate) backlog: usize,
-    /// Max simultaneous connections; accepts beyond it are refused.
-    pub(crate) max_conns: usize,
-    /// Max requests per connection queued for or running on the
-    /// workers before shedding with [`WireError::Busy`].
-    pub(crate) queue_depth: usize,
-}
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -428,7 +425,9 @@ pub(crate) struct EventLoop {
     poller: Poller,
     shared: Arc<Shared>,
     completions: Arc<Completions>,
-    tunables: Tunables,
+    /// Max requests per connection queued for or running on the
+    /// workers before shedding with [`WireError::Busy`].
+    queue_depth: usize,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     /// Where every socket read lands before it joins a connection's
@@ -443,7 +442,7 @@ impl EventLoop {
         shared: Arc<Shared>,
         completions: Arc<Completions>,
         workers: usize,
-        tunables: Tunables,
+        queue_depth: usize,
     ) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
@@ -457,7 +456,7 @@ impl EventLoop {
             poller,
             shared,
             completions,
-            tunables,
+            queue_depth,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
             chunk: vec![0; READ_CHUNK],
@@ -495,10 +494,10 @@ impl EventLoop {
     }
 
     fn accept_burst(&mut self) {
-        for _ in 0..self.tunables.backlog.max(1) {
+        for _ in 0..ACCEPT_BURST {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    if self.conns.len() >= self.tunables.max_conns {
+                    if self.conns.len() >= MAX_CONNS {
                         // Over the cap: refuse by dropping the socket.
                         // The kernel already completed the handshake,
                         // so the peer sees an immediate close rather
@@ -736,7 +735,7 @@ impl EventLoop {
             _ => false,
         };
         if !inline {
-            let depth = self.tunables.queue_depth.max(1);
+            let depth = self.queue_depth.max(1);
             if conn.in_flight >= depth {
                 self.shared.shed.fetch_add(1, Ordering::Relaxed);
                 conn.queue(OutFrame::reply(

@@ -18,8 +18,8 @@
 //! `libc` crate, in the same spirit as the `shims/` crates.
 //!
 //! Because connections are multiplexed rather than pinned to threads,
-//! idle connections are nearly free ([`ServerConfig::max_conns`]
-//! bounds them, not the worker count), and overload is shed explicitly:
+//! idle connections are nearly free (a fixed cap of 4096 bounds them,
+//! not the worker count), and overload is shed explicitly:
 //! past [`ServerConfig::queue_depth`] worker-bound requests in flight
 //! on one connection the server answers [`WireError::Busy`] instead of
 //! stalling the socket — surfaced client-side as

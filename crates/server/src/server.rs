@@ -42,13 +42,20 @@ use pathcopy_metrics::Stage;
 use pathcopy_trace::{Flight, TraceContext};
 
 use crate::backend::{ServeBackend, ServeSnapshot};
-use crate::event::{Completions, EventLoop, PushHub, Tunables};
+use crate::event::{Completions, EventLoop, PushHub};
 use crate::feed::{FeedSink, VersionFeed};
 use crate::metrics::{value_row, MetricsSource, ServerMetrics};
 use crate::proto::{
     Epoch, Request, Response, SnapshotId, StageSummary, WireError, MAX_FRAME_LEN,
     SYNC_PAGE_MAX_ENTRIES,
 };
+
+/// Capacity of the version table. Every pinned snapshot keeps an entire
+/// map version alive under write churn, and nothing but an explicit
+/// [`Request::Release`] unpins one (snapshots deliberately outlive their
+/// connection), so the table is capped: a [`Request::Snapshot`] beyond
+/// the cap is refused with [`WireError::SnapshotLimit`].
+const MAX_SNAPSHOTS: usize = 1024;
 
 /// Tunables for [`spawn`].
 #[derive(Clone)]
@@ -62,16 +69,9 @@ pub struct ServerConfig {
     /// scans, diffs or scrapes. Point reads and writes and small batches
     /// never queue for one — they execute on the event-loop thread — so
     /// this is **not** the server's read/write parallelism, and
-    /// connections are not bounded by it either (see
-    /// [`ServerConfig::max_conns`]).
+    /// connections are not bounded by it either (the event loop caps
+    /// them at a fixed 4096).
     pub workers: usize,
-    /// Maximum accepts drained per listener readiness wake. Bounds how
-    /// long an accept storm can monopolize one loop iteration before
-    /// established connections get service again.
-    pub backlog: usize,
-    /// Maximum simultaneous connections; accepts beyond the cap are
-    /// refused (the socket is closed immediately after the handshake).
-    pub max_conns: usize,
     /// Per-connection bound on requests queued for or running on the
     /// workers (requests executed on the loop thread never queue, so
     /// they neither count nor shed). A pipelined client pushing past it
@@ -79,13 +79,6 @@ pub struct ServerConfig {
     /// admission control instead of unbounded server-side queueing.
     /// Lock-step clients (at most one request in flight) never trip it.
     pub queue_depth: usize,
-    /// Capacity of the version table. Every pinned snapshot keeps an
-    /// entire map version alive under write churn, and nothing but an
-    /// explicit [`Request::Release`] unpins one (snapshots deliberately
-    /// outlive their connection), so the table is capped: a
-    /// [`Request::Snapshot`] beyond the cap is refused with
-    /// [`WireError::SnapshotLimit`].
-    pub max_snapshots: usize,
     /// How many published epochs the replication feed retains
     /// ([`Request::Publish`]; min 1). A replica whose applied epoch is
     /// retired from the ring must bootstrap again via
@@ -122,10 +115,7 @@ impl std::fmt::Debug for ServerConfig {
         f.debug_struct("ServerConfig")
             .field("addr", &self.addr)
             .field("workers", &self.workers)
-            .field("backlog", &self.backlog)
-            .field("max_conns", &self.max_conns)
             .field("queue_depth", &self.queue_depth)
-            .field("max_snapshots", &self.max_snapshots)
             .field("feed_capacity", &self.feed_capacity)
             .field("feed_start", &self.feed_start)
             .field(
@@ -143,10 +133,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             workers: 4,
-            backlog: 64,
-            max_conns: 4096,
             queue_depth: 64,
-            max_snapshots: 1024,
             feed_capacity: 64,
             feed_start: 1,
             feed_sink: None,
@@ -165,7 +152,6 @@ impl ServerConfig {
     ///
     /// let config = ServerConfig::builder()
     ///     .workers(8)
-    ///     .max_conns(10_000)
     ///     .queue_depth(32)
     ///     .build();
     /// assert_eq!(config.workers, 8);
@@ -204,29 +190,10 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Sets the per-wake accept burst ([`ServerConfig::backlog`]).
-    pub fn backlog(mut self, backlog: usize) -> Self {
-        self.config.backlog = backlog;
-        self
-    }
-
-    /// Sets the simultaneous-connection cap
-    /// ([`ServerConfig::max_conns`]).
-    pub fn max_conns(mut self, max_conns: usize) -> Self {
-        self.config.max_conns = max_conns;
-        self
-    }
-
     /// Sets the per-connection in-flight bound
     /// ([`ServerConfig::queue_depth`]).
     pub fn queue_depth(mut self, queue_depth: usize) -> Self {
         self.config.queue_depth = queue_depth;
-        self
-    }
-
-    /// Sets the version-table cap ([`ServerConfig::max_snapshots`]).
-    pub fn max_snapshots(mut self, max_snapshots: usize) -> Self {
-        self.config.max_snapshots = max_snapshots;
         self
     }
 
@@ -276,7 +243,6 @@ pub(crate) struct Shared {
     /// released.
     snapshots: Mutex<HashMap<SnapshotId, Arc<dyn ServeSnapshot>>>,
     next_snapshot: AtomicU64,
-    max_snapshots: usize,
     /// The replication feed: epoch-keyed recent versions replicas sync
     /// from ([`Request::Publish`]/[`Request::PullDiff`]/
     /// [`Request::FullSync`]).
@@ -387,7 +353,6 @@ pub fn spawn(backend: Box<dyn ServeBackend>, config: ServerConfig) -> io::Result
         backend,
         snapshots: Mutex::new(HashMap::new()),
         next_snapshot: AtomicU64::new(0),
-        max_snapshots: config.max_snapshots,
         feed: VersionFeed::configured(config.feed_capacity, config.feed_start, config.feed_sink),
         requests: AtomicU64::new(0),
         shed: AtomicU64::new(0),
@@ -404,11 +369,7 @@ pub fn spawn(backend: Box<dyn ServeBackend>, config: ServerConfig) -> io::Result
         Arc::clone(&shared),
         completions,
         config.workers,
-        Tunables {
-            backlog: config.backlog,
-            max_conns: config.max_conns,
-            queue_depth: config.queue_depth,
-        },
+        config.queue_depth,
     )?;
     let thread = std::thread::Builder::new()
         .name("pathcopy-server-loop".to_string())
@@ -567,8 +528,8 @@ pub(crate) fn handle_request(
         }
         Request::Snapshot => {
             let mut table = shared.snapshots.lock();
-            if table.len() >= shared.max_snapshots {
-                return Response::Error(WireError::SnapshotLimit(shared.max_snapshots as u64));
+            if table.len() >= MAX_SNAPSHOTS {
+                return Response::Error(WireError::SnapshotLimit(MAX_SNAPSHOTS as u64));
             }
             let snap = shared.backend.snapshot();
             let id = shared.next_snapshot.fetch_add(1, Ordering::Relaxed) + 1;
@@ -840,20 +801,13 @@ mod tests {
 
     #[test]
     fn snapshot_table_is_capped() {
-        let server = spawn(
-            Box::new(ShardedServe::with_shards(2)),
-            ServerConfig {
-                max_snapshots: 3,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
+        let server = sharded_server();
         let c = Session::connect(server.addr()).unwrap();
-        let ids: Vec<_> = (0..3).map(|_| c.snapshot().unwrap()).collect();
+        let ids: Vec<_> = (0..MAX_SNAPSHOTS).map(|_| c.snapshot().unwrap()).collect();
         let err = c.snapshot().unwrap_err();
         assert!(matches!(
             err,
-            crate::client::ClientError::Server(WireError::SnapshotLimit(3))
+            crate::client::ClientError::Server(WireError::SnapshotLimit(1024))
         ));
         assert!(c.release(ids[0]).unwrap(), "release frees a slot");
         c.snapshot().unwrap();

@@ -11,7 +11,7 @@
 //! cargo run --release --example batch_txn_demo
 //! ```
 
-use path_copying::prelude::{BatchOp, BatchResult, ShardedTreapMap, ShardedTreapSet};
+use path_copying::prelude::{BatchOp, BatchResult, ShardedTreapMap};
 
 const ACCOUNTS: u64 = 256;
 const OPENING_BALANCE: i64 = 1_000;
@@ -131,9 +131,14 @@ fn main() {
     assert_eq!(r, vec![BatchResult::Cas(true), BatchResult::Cas(false)]);
     println!("per-op Cas semantics: {r:?}");
 
-    // The set facade in one breath: atomic multi-key membership.
-    let seen: ShardedTreapSet<u64> = ShardedTreapSet::with_shards(8);
-    let fresh = seen.insert_batch(&[1, 2, 3, 2]);
-    println!("set facade: insert_batch [1,2,3,2] -> {fresh:?}");
+    // A sharded set is a map to `()`: one batch inserts several keys
+    // atomically, and a repeated key reports it was already there.
+    let seen: ShardedTreapMap<u64, ()> = ShardedTreapMap::with_shards(8);
+    let fresh: Vec<bool> = seen
+        .transact(&[1, 2, 3, 2].map(|k| BatchOp::Insert(k, ())))
+        .into_iter()
+        .map(|r| r == BatchResult::Inserted(None))
+        .collect();
+    println!("sharded set: insert [1,2,3,2] in one batch -> {fresh:?}");
     assert_eq!(fresh, vec![true, true, true, false]);
 }

@@ -50,10 +50,9 @@
 //! | Backend | Progress guarantee | Snapshot cost | When to use |
 //! |---|---|---|---|
 //! | [`TreapMap`](prelude::TreapMap) / [`TreapSet`](prelude::TreapSet) | lock-free updates, wait-free reads | O(1) | The paper's construction; the default until a single root CAS saturates. Nodes are pooled (`PoolArc`), so an update makes ~2 global allocations, not one per copied node. |
-//! | [`ShardedTreapMap`](prelude::ShardedTreapMap) / [`ShardedTreapSet`](prelude::ShardedTreapSet) | lock-free | O(shards), validated double scan | Write-heavy multi-core workloads; atomic cross-shard batches via `transact`. `len()` is weakly consistent — use the snapshot for exact counts. |
+//! | [`ShardedTreapMap`](prelude::ShardedTreapMap) | lock-free | O(shards), validated double scan | Write-heavy multi-core workloads; atomic cross-shard batches via `transact`; as `ShardedTreapMap<K, ()>`, the sharded set. `len()` is weakly consistent — use the snapshot for exact counts. |
 //! | [`ConcurrentExternalBstSet`](prelude::ConcurrentExternalBstSet) | lock-free | O(1) | The Appendix-A model tree (no rotations); reference subject for path-length measurements. |
-//! | [`LockedMap`](prelude::LockedMap) / [`LockedTreapSet`](prelude::LockedTreapSet) | blocking (global mutex) | O(1) | The intro's "simplest UC" baseline; surprisingly fine at low thread counts. |
-//! | [`RwLockedTreapSet`](prelude::RwLockedTreapSet) | blocking (rwlock) | O(1) | Read-mostly baseline; writers still serialize. |
+//! | [`LockedTreapSet`](prelude::LockedTreapSet) | blocking (global mutex) | O(1) | The intro's "simplest UC" baseline; surprisingly fine at low thread counts. |
 //!
 //! Because every version is persistent, snapshots on *every* backend are
 //! immutable, valid forever, and never block writers; they differ only
@@ -89,10 +88,8 @@
 //!
 //! let treap: TreapMap<i64, i64> = TreapMap::new();
 //! let sharded: ShardedTreapMap<i64, i64> = ShardedTreapMap::with_shards(8);
-//! let locked: LockedMap<i64, i64> = LockedMap::new();
 //! assert_eq!(audit(&treap).len(), 2);
 //! assert_eq!(audit(&sharded).len(), 2);
-//! assert_eq!(audit(&locked).len(), 2);
 //! ```
 //!
 //! ## Quickstart
@@ -161,11 +158,11 @@
 //! ordinary lock-free CAS loop, multi-shard batches through an ordered
 //! two-phase commit that freezes the involved roots so the whole batch
 //! flips atomically — no reader or `snapshot_all()` ever sees it
-//! half-applied. [`ShardedTreapSet`](prelude::ShardedTreapSet) is the
-//! set facade over the same machinery:
+//! half-applied. A sharded set is a `ShardedTreapMap<K, ()>`, batched the
+//! same way:
 //!
 //! ```
-//! use path_copying::prelude::{BatchOp, BatchResult, ShardedTreapMap, ShardedTreapSet};
+//! use path_copying::prelude::{BatchOp, BatchResult, ShardedTreapMap};
 //!
 //! let m: ShardedTreapMap<&str, i64> = ShardedTreapMap::with_shards(8);
 //! m.insert("alice", 100);
@@ -178,8 +175,9 @@
 //! ]);
 //! assert_eq!(r[2], BatchResult::Got(Some(30)));
 //!
-//! let s: ShardedTreapSet<u64> = ShardedTreapSet::with_shards(8);
-//! assert_eq!(s.insert_batch(&[1, 2, 3]), vec![true, true, true]);
+//! let s: ShardedTreapMap<u64, ()> = ShardedTreapMap::with_shards(8);
+//! let r = s.transact(&[1, 2, 3].map(|k| BatchOp::Insert(k, ())));
+//! assert!(r.iter().all(|r| *r == BatchResult::Inserted(None))); // all new
 //! ```
 //!
 //! See `cargo run --release --example batch_txn_demo`; the perf
@@ -227,8 +225,9 @@
 //! ```
 //!
 //! Drive it: `cargo run --release --bin loadgen -- --threads 8
-//! --ops 100000` (Zipf read/write mix, throughput + latency table);
-//! `cargo run --release --example kv_server_demo`.
+//! --ops 100000` (Zipf read/write mix, throughput + latency table).
+//! `tests/server_e2e.rs` asserts the pinned-snapshot `Range` and `Diff`
+//! above against concurrent writers.
 //!
 //! ## Replication: read scale-out from snapshot diffs
 //!
@@ -394,14 +393,12 @@ pub use pathcopy_workloads;
 pub mod prelude {
     pub use pathcopy_concurrent::{
         diff_to_ops, BatchOp, BatchResult, EbstSnapshot,
-        ExternalBstSet as ConcurrentExternalBstSet, GuardAbort, LockedMap, LockedTreapSet,
-        RwLockedTreapSet, ShardedSetSnapshot, ShardedSnapshot, ShardedTreapMap, ShardedTreapSet,
-        TreapMap, TreapSet, TreapSetSnapshot, TreapSnapshot,
+        ExternalBstSet as ConcurrentExternalBstSet, GuardAbort, LockedTreapSet, ShardedSnapshot,
+        ShardedTreapMap, TreapMap, TreapSet, TreapSetSnapshot, TreapSnapshot,
     };
     pub use pathcopy_core::{
         BackoffPolicy, ConcurrentMap, ConcurrentSet, DiffEntry, MapSnapshot, MutexUc, PathCopyUc,
-        RwLockUc, SeqUc, SetDiffEntry, SetSnapshot, Snapshottable, StatsSnapshot, Update,
-        VersionCell,
+        SeqUc, SetDiffEntry, SetSnapshot, Snapshottable, StatsSnapshot, Update, VersionCell,
     };
     pub use pathcopy_replica::{Replica, ReplicaStatsSnapshot, SyncOutcome};
     pub use pathcopy_trees::{

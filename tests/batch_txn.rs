@@ -12,12 +12,12 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use path_copying::prelude::{BatchOp, BatchResult, ShardedTreapMap, ShardedTreapSet};
+use path_copying::prelude::{BatchOp, BatchResult, ShardedTreapMap};
 
 /// The acceptance invariant, full strength: a writer commits "transfer"
 /// batches that keep an invariant (all keys equal) while readers take
-/// `snapshot_all()` cuts and per-key reads. A torn batch shows up as two
-/// keys with different values in one cut.
+/// `snapshot_all()` cuts, per-key reads and multi-key `transact` reads.
+/// A torn batch shows up as two keys with different values in one cut.
 #[test]
 fn snapshot_all_never_observes_a_torn_batch() {
     // 12 keys over 16 shards: the batch spans many shards with
@@ -73,6 +73,19 @@ fn snapshot_all_never_observes_a_torn_batch() {
                 }
             }
         });
+
+        // Reader 3: a read-only batch of the whole block is one
+        // linearizable read, so it sees every key at the same round.
+        s.spawn(move || {
+            let gets: Vec<_> = (0..KEYS).map(BatchOp::Get).collect();
+            while !done_ref.load(Relaxed) {
+                let values = m_ref.transact(&gets);
+                assert!(
+                    values.windows(2).all(|w| w[0] == w[1]),
+                    "torn batch seen by a multi-key transact read: {values:?}"
+                );
+            }
+        });
     });
 
     let snap = m.snapshot_all();
@@ -110,49 +123,6 @@ fn single_shard_batches_stay_on_the_cas_path() {
         sharded.stats_snapshot().frozen_installs >= 2,
         "multi-shard batch must install through the freeze hook"
     );
-}
-
-/// Atomic visibility for the set facade: each batch inserts or removes a
-/// whole block; any observer counting a partial block caught a torn
-/// batch.
-#[test]
-fn set_batches_are_all_or_nothing_under_concurrent_snapshots() {
-    const BLOCK: i64 = 32;
-    const ROUNDS: usize = 400;
-
-    let s: ShardedTreapSet<i64> = ShardedTreapSet::with_shards(16);
-    let block: Vec<i64> = (0..BLOCK).collect();
-
-    let done = AtomicBool::new(false);
-    std::thread::scope(|sc| {
-        let s_ref = &s;
-        let done_ref = &done;
-        let block = &block;
-        sc.spawn(move || {
-            for _ in 0..ROUNDS {
-                assert!(s_ref.insert_batch(block).into_iter().all(|b| b));
-                assert!(s_ref.remove_batch(block).into_iter().all(|b| b));
-            }
-            done_ref.store(true, Relaxed);
-        });
-        sc.spawn(move || {
-            while !done_ref.load(Relaxed) {
-                let n = s_ref.snapshot_all().len() as i64;
-                assert!(
-                    n == 0 || n == BLOCK,
-                    "snapshot saw a torn set batch: {n} of {BLOCK} keys"
-                );
-                // The consistent multi-key read must agree with itself too.
-                let present = s_ref.contains_batch(block);
-                let count = present.iter().filter(|&&p| p).count() as i64;
-                assert!(
-                    count == 0 || count == BLOCK,
-                    "contains_batch saw a torn set batch: {count} of {BLOCK}"
-                );
-            }
-        });
-    });
-    assert!(s.is_empty());
 }
 
 /// An operation against the sequential oracle.
