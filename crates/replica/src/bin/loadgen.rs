@@ -522,17 +522,16 @@ fn main() {
     );
     for (i, node) in pumped_nodes.iter().enumerate() {
         let role = if i < relays { "relay" } else { "push-replica" };
-        let p = node.push_stats();
-        let s = node.pull_stats();
+        let s = node.push_stats();
         println!(
             "{role}[{i}]: applied_epoch={} pushes={} push_entries={} stale={} gaps={} \
              resubscribes={} repair_diff_pulls={} full_syncs={}",
-            s.applied_epoch,
-            p.pushes_applied,
-            p.push_entries,
-            p.stale_pushes,
-            p.push_gaps,
-            p.resubscribes,
+            node.applied_epoch(),
+            s.pushes_applied,
+            s.push_entries,
+            s.stale_pushes,
+            s.push_gaps,
+            s.resubscribes,
             s.diff_pulls,
             s.full_syncs,
         );

@@ -17,16 +17,15 @@
 //!   not `K` map copies;
 //! * each epoch's diff is computed by pointer-equality pruning —
 //!   sublinear in the map size — and *only the change* crosses the wire
-//!   (the pull engine's byte counters prove it for the bootstrap and
-//!   repair paths: [`ReplicaStatsSnapshot::diff_bytes`] vs
-//!   [`ReplicaStatsSnapshot::full_bytes`]);
+//!   (the byte counters prove it for the bootstrap and repair paths:
+//!   [`PushStats::diff_bytes`] vs [`PushStats::full_bytes`]);
 //! * the replica applies each diff as **one atomic batch** through its
 //!   local store's `transact`, so replica readers only ever observe
 //!   published primary versions — frozen epochs, never a torn apply.
 //!
-//! [`Replica`] is the pull engine underneath: the bootstrap full sync,
-//! the `PullDiff` gap repair, log-seeded bootstrap
-//! ([`Replica::seed_from_log`]) and the sync counters.
+//! Underneath the push path sit private pull steps: the bootstrap full
+//! sync, the `PullDiff` gap repair, and log-seeded bootstrap
+//! ([`PushReplica::connect_seeded`]), all counted in [`PushStats`].
 //!
 //! A replica's serving endpoint ([`PushReplica::serve_relay`]) speaks
 //! the same protocol as the primary, so read traffic points at replicas
@@ -75,7 +74,5 @@
 #![warn(rust_2018_idioms)]
 
 mod push;
-mod replica;
 
 pub use push::{PushMetrics, PushOutcome, PushReplica, PushStats};
-pub use replica::{Replica, ReplicaStatsSnapshot, SyncOutcome};

@@ -1,15 +1,19 @@
 //! BTreeMap-oracle convergence: arbitrary op sequences on the primary,
-//! a randomized pull schedule on the replica, and a deliberately tiny
-//! feed ring — after **every** sync the replica's store must equal the
-//! primary state at its applied epoch, whether it got there by an
-//! incremental diff or by the lag-past-ring full-resync path.
+//! a randomized pull schedule on the replica (`sync_now`), and a
+//! deliberately tiny feed ring — after **every** sync the replica's
+//! store must equal the primary state at its applied epoch, whether it
+//! got there by an incremental diff or by the lag-past-ring full-resync
+//! path. The same fallback is driven through `pump` too: a dropped push
+//! lets the applied epoch leave the ring, and the next push reveals the
+//! gap.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
-use pathcopy_replica::{Replica, SyncOutcome};
+use pathcopy_replica::{PushOutcome, PushReplica};
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::{backend, ServerConfig, ServerHandle, Session};
 
@@ -39,7 +43,7 @@ fn feed_server(feed_capacity: usize) -> ServerHandle {
     .expect("bind ephemeral loopback port")
 }
 
-fn replica_state(replica: &Replica) -> Vec<(i64, i64)> {
+fn replica_state(replica: &PushReplica) -> Vec<(i64, i64)> {
     let (entries, complete) =
         replica
             .store()
@@ -61,18 +65,17 @@ proptest! {
         // epoch and forces the full-resync path.
         let server = feed_server(2);
         let writer = Session::connect(server.addr()).unwrap();
-        let mut replica = Replica::connect(
+        let mut oracle: BTreeMap<i64, i64> = BTreeMap::new();
+
+        // Seed + bootstrap: connecting is always a full transfer.
+        writer.insert(7, 70).unwrap();
+        oracle.insert(7, 70);
+        let mut replica = PushReplica::connect(
             server.addr(),
             backend::by_name("sharded_map_8").unwrap(),
         )
         .unwrap();
-        let mut oracle: BTreeMap<i64, i64> = BTreeMap::new();
-
-        // Seed + bootstrap: the first sync is always a full transfer.
-        writer.insert(7, 70).unwrap();
-        oracle.insert(7, 70);
-        let out = replica.sync_once().unwrap();
-        prop_assert!(matches!(out, SyncOutcome::FullSync { .. }));
+        prop_assert_eq!(replica.push_stats().full_syncs, 1);
         prop_assert_eq!(
             replica_state(&replica),
             oracle.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
@@ -93,14 +96,19 @@ proptest! {
             }
             let epoch = writer.publish().unwrap();
             if pulls[i % pulls.len()] {
-                let out = replica.sync_once().unwrap();
+                let before = replica.push_stats();
+                let to = replica.sync_now().unwrap();
+                let after = replica.push_stats();
                 // Whichever path it took, the replica must now equal the
                 // primary state at its applied epoch. Both paths land on
                 // the feed head, which (no concurrent writers here) is
                 // exactly the oracle.
-                match out {
-                    SyncOutcome::Diff { to, .. } => prop_assert_eq!(to, epoch),
-                    SyncOutcome::FullSync { to, .. } => prop_assert!(to >= epoch),
+                if after.full_syncs == before.full_syncs {
+                    prop_assert_eq!(after.diff_pulls, before.diff_pulls + 1);
+                    prop_assert_eq!(to, epoch);
+                } else {
+                    prop_assert_eq!(after.ring_fallbacks, before.ring_fallbacks + 1);
+                    prop_assert!(to >= epoch);
                 }
                 prop_assert_eq!(
                     replica_state(&replica),
@@ -112,7 +120,7 @@ proptest! {
         }
 
         // Final catch-up always converges.
-        replica.sync_once().unwrap();
+        replica.sync_now().unwrap();
         prop_assert_eq!(
             replica_state(&replica),
             oracle.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
@@ -125,41 +133,42 @@ proptest! {
 fn lagging_past_the_ring_forces_a_full_resync_that_still_converges() {
     let server = feed_server(2);
     let writer = Session::connect(server.addr()).unwrap();
-    let mut replica =
-        Replica::connect(server.addr(), backend::by_name("sharded_map_8").unwrap()).unwrap();
-
     for k in 0..64 {
         writer.insert(k, k).unwrap();
     }
-    assert!(matches!(
-        replica.sync_once().unwrap(),
-        SyncOutcome::FullSync { .. }
-    ));
-    let bootstrapped_at = replica.applied_epoch();
+    let mut replica =
+        PushReplica::connect(server.addr(), backend::by_name("sharded_map_8").unwrap()).unwrap();
+    let before = replica.push_stats();
+    assert_eq!((before.full_syncs, before.ring_fallbacks), (1, 0));
 
-    // Three publishes against a capacity-2 ring retire the replica's
-    // epoch for sure.
-    for round in 1..=3i64 {
+    // The first epoch's push is lost, then two more publishes against a
+    // capacity-2 ring retire the replica's applied epoch for sure.
+    writer.insert(1, -1).unwrap();
+    writer.publish().unwrap();
+    let timeout = Duration::from_secs(10);
+    assert!(replica.drop_one_push(timeout).unwrap().is_some());
+    let mut head = 0;
+    for round in 2..=3i64 {
         writer.insert(round, -round).unwrap();
-        writer.publish().unwrap();
+        head = writer.publish().unwrap();
     }
-    let before = replica.stats();
-    assert_eq!(before.ring_fallbacks, 0);
-    let out = replica.sync_once().unwrap();
-    assert!(
-        matches!(out, SyncOutcome::FullSync { .. }),
-        "retired epoch must fall back to full sync, got {out:?}"
-    );
-    let after = replica.stats();
-    assert_eq!(after.ring_fallbacks, 1, "the fallback was counted");
-    assert!(after.applied_epoch > bootstrapped_at);
 
-    // And the state is right.
-    let entries = replica_state(&replica);
-    assert_eq!(entries.len(), 64);
-    for round in 1..=3i64 {
-        assert!(entries.contains(&(round, -round)));
-    }
+    // The next push reveals the gap; its `PullDiff` finds the epoch
+    // retired and falls back to a full sync of the head.
+    assert_eq!(
+        replica.pump(timeout).unwrap(),
+        PushOutcome::CaughtUp { to: head }
+    );
+    let after = replica.push_stats();
+    assert_eq!(after.ring_fallbacks, before.ring_fallbacks + 1);
+    assert_eq!(after.full_syncs, 2, "the bootstrap and the fallback");
+    assert_eq!((after.push_gaps, after.diff_pulls), (1, 0));
+
+    // And the state is the primary's.
+    let (expect, complete) = writer.range(None, .., 0).unwrap();
+    assert!(complete);
+    assert_eq!(expect.len(), 64);
+    assert_eq!(replica_state(&replica), expect);
     server.shutdown();
 }
 
@@ -176,8 +185,8 @@ fn diff_catch_up_applies_atomically_for_replica_readers() {
     writer.insert(1, 0).unwrap();
     writer.publish().unwrap();
 
-    let mut replica = Replica::connect(addr, backend::by_name("sharded_map_8").unwrap()).unwrap();
-    replica.sync_once().unwrap();
+    let mut replica =
+        PushReplica::connect(addr, backend::by_name("sharded_map_8").unwrap()).unwrap();
     let replica_server =
         pathcopy_server::spawn(Box::new(replica.store()), ServerConfig::with_workers(2)).unwrap();
     let replica_addr = replica_server.addr();
@@ -196,9 +205,9 @@ fn diff_catch_up_applies_atomically_for_replica_readers() {
         s.spawn(move || {
             // The sync loop, racing the writer.
             while !done_ref.load(std::sync::atomic::Ordering::Acquire) {
-                replica.sync_once().unwrap();
+                replica.sync_now().unwrap();
             }
-            replica.sync_once().unwrap();
+            replica.sync_now().unwrap();
         });
 
         let reader = Session::connect(replica_addr).unwrap();

@@ -97,11 +97,10 @@ fn pump_or_resync(node: &mut PushReplica) {
 }
 
 fn state_of(node: &PushReplica) -> Vec<(i64, i64)> {
-    let (entries, complete) =
-        node.replica()
-            .store()
-            .snapshot()
-            .range(Bound::Unbounded, Bound::Unbounded, 0);
+    let (entries, complete) = node
+        .store()
+        .snapshot()
+        .range(Bound::Unbounded, Bound::Unbounded, 0);
     assert!(complete);
     entries
 }
@@ -150,12 +149,11 @@ fn relay_tree_converges_with_pushes_only() {
     // The whole convergence was push-driven: after the bootstrap full
     // sync, no node ever issued a PullDiff and no gap was repaired.
     for node in [&r1, &r2].into_iter().chain(leaves.iter()) {
-        let pull = node.pull_stats();
-        let push = node.push_stats();
-        assert_eq!(pull.diff_pulls, 0, "steady state must not pull diffs");
-        assert_eq!(pull.full_syncs, 1, "exactly the bootstrap transfer");
-        assert_eq!(push.push_gaps, 0, "no gaps in a pumped tree");
-        assert_eq!(push.pushes_applied, 8, "one push per published epoch");
+        let stats = node.push_stats();
+        assert_eq!(stats.diff_pulls, 0, "steady state must not pull diffs");
+        assert_eq!(stats.full_syncs, 1, "exactly the bootstrap transfer");
+        assert_eq!(stats.push_gaps, 0, "no gaps in a pumped tree");
+        assert_eq!(stats.pushes_applied, 8, "one push per published epoch");
     }
     primary.shutdown();
 }
@@ -230,7 +228,7 @@ fn primary_egress_is_independent_of_leaf_count() {
         "primary egress must not scale with the leaf count"
     );
     for leaf in &leaves {
-        assert_eq!(leaf.pull_stats().diff_pulls, 0);
+        assert_eq!(leaf.push_stats().diff_pulls, 0);
         assert!(leaf.relay_addr().is_none());
     }
     primary.shutdown();

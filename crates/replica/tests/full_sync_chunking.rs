@@ -9,7 +9,7 @@
 //! machinery is identical) to keep `cargo test` quick.
 
 use pathcopy_concurrent::ShardedTreapMap;
-use pathcopy_replica::{Replica, SyncOutcome};
+use pathcopy_replica::PushReplica;
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::proto::SYNC_PAGE_MAX_ENTRIES;
 use pathcopy_server::{backend, ClientError, ServerConfig, Session, WireError, MAX_FRAME_LEN};
@@ -50,20 +50,17 @@ fn bootstrap_of_a_map_larger_than_one_frame_never_trips_the_cap() {
     assert_eq!(first_page.len(), SYNC_PAGE_MAX_ENTRIES as usize);
 
     // The replica bootstraps the whole thing through bounded segments.
-    let mut replica =
-        Replica::connect(server.addr(), backend::by_name("sharded_map_8").unwrap()).unwrap();
-    let out = replica.sync_once().unwrap();
-    let SyncOutcome::FullSync { entries, .. } = out else {
-        panic!("bootstrap must be a full sync, got {out:?}")
-    };
-    assert_eq!(entries, MAP_SIZE as usize);
+    let replica =
+        PushReplica::connect(server.addr(), backend::by_name("sharded_map_8").unwrap()).unwrap();
+    let stats = replica.push_stats();
+    assert_eq!(stats.full_syncs, 1, "bootstrap must be a full sync");
+    assert_eq!(stats.full_entries, MAP_SIZE as u64);
     assert_eq!(replica.store().len(), MAP_SIZE as usize);
     assert_eq!(replica.store().get(MAP_SIZE - 1), Some(MAP_SIZE - 1));
 
     // And it took more than one page to get there.
     let pages_needed = (MAP_SIZE as u64).div_ceil(SYNC_PAGE_MAX_ENTRIES as u64);
     assert!(pages_needed > 1, "test must exercise chunking");
-    let stats = replica.stats();
     assert!(
         stats.full_bytes >= MAP_SIZE as u64 * 16,
         "full sync moved the whole map ({} bytes)",

@@ -172,7 +172,6 @@ proptest! {
             let applied = node.applied_epoch();
             prop_assert!(applied >= head);
             let (entries, complete) = node
-                .replica()
                 .store()
                 .snapshot()
                 .range(Bound::Unbounded, Bound::Unbounded, 0);

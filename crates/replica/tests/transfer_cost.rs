@@ -3,8 +3,10 @@
 //! bytes** than a full sync — O(changes) vs O(n) — measured with the
 //! client's exact wire-byte counters.
 
+use std::time::Duration;
+
 use pathcopy_concurrent::ShardedTreapMap;
-use pathcopy_replica::{Replica, SyncOutcome};
+use pathcopy_replica::PushReplica;
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::{backend, ServerConfig, Session};
 
@@ -25,11 +27,9 @@ fn diff_catch_up_moves_asymptotically_fewer_bytes_than_full_sync() {
     let addr = server.addr();
 
     // Bootstrap a replica: this is the O(n) full transfer.
-    let mut replica = Replica::connect(addr, backend::by_name("sharded_map_8").unwrap()).unwrap();
-    assert!(matches!(
-        replica.sync_once().unwrap(),
-        SyncOutcome::FullSync { .. }
-    ));
+    let mut replica =
+        PushReplica::connect(addr, backend::by_name("sharded_map_8").unwrap()).unwrap();
+    assert_eq!(replica.push_stats().full_syncs, 1);
 
     // Localized write burst: 500 keys inside a 2 000-key window of the
     // 100k key space, then publish.
@@ -40,18 +40,24 @@ fn diff_catch_up_moves_asymptotically_fewer_bytes_than_full_sync() {
     }
     writer.publish().unwrap();
 
-    // Catch up via the diff path.
-    let out = replica.sync_once().unwrap();
-    let SyncOutcome::Diff { changes, .. } = out else {
-        panic!("catch-up must be incremental, got {out:?}")
-    };
+    // Lose the epoch's push, so the catch-up must pull the diff; its
+    // bytes are then the pull's alone.
+    let timeout = Duration::from_secs(10);
+    assert!(replica.drop_one_push(timeout).unwrap().is_some());
+    replica.sync_now().unwrap();
+    let stats = replica.push_stats();
+    assert_eq!(
+        (stats.diff_pulls, stats.full_syncs),
+        (1, 1),
+        "catch-up must be incremental"
+    );
+    let changes = stats.diff_entries;
     assert!(
-        changes <= LOCAL_WRITES as usize,
+        changes <= LOCAL_WRITES as u64,
         "diff is bounded by touched keys"
     );
     assert!(changes > 0);
 
-    let stats = replica.stats();
     assert!(
         stats.full_bytes >= (MAP_SIZE as u64) * 16,
         "full sync carried the whole map: {} bytes",

@@ -60,8 +60,8 @@ use crate::backend::ServeSnapshot;
 use crate::feed::EpochFanout;
 use crate::poll::{Interest, PollEvent, Poller};
 use crate::proto::{
-    peek_request_id, response_frame, Epoch, Request, RequestId, Response, WireError, MAX_FRAME_LEN,
-    PUSH_ID_BASE,
+    diff_fits_frame, peek_request_id, response_frame, Epoch, Request, RequestId, Response,
+    WireError, MAX_FRAME_LEN, PUSH_ID_BASE,
 };
 use crate::server::{handle_request, Shared};
 
@@ -323,7 +323,7 @@ impl EpochFanout for PushHub {
         // Same precheck PullDiff applies: an epoch too fat for one frame
         // is not pushed at all — subscribers catch up by pulling, which
         // can fall back to a chunked FullSync.
-        if entries.len() as u64 * 17 > MAX_FRAME_LEN as u64 {
+        if !diff_fits_frame(entries.len()) {
             return;
         }
         let resp = Response::Push {
@@ -796,7 +796,7 @@ impl EventLoop {
             return;
         };
         if let Some(entries) = from_snap.diff(head_snap.as_ref()) {
-            if entries.len() as u64 * 17 <= MAX_FRAME_LEN as u64 {
+            if diff_fits_frame(entries.len()) {
                 self.shared.push.pushes.fetch_add(1, Ordering::Relaxed);
                 conn.queue(OutFrame::reply(
                     &Response::Push {

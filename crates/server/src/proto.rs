@@ -1018,6 +1018,15 @@ fn decode_body<M: Wire>(body: &[u8]) -> Result<Framed<M>, ProtoError> {
     })
 }
 
+/// Whether a diff of `entries` entries can fit one frame at all: each
+/// [`DiffEntry`] encodes to at least its codec's smallest size, so a
+/// longer diff is refused ([`WireError::TooLarge`]) or not pushed
+/// before a multi-megabyte body is encoded just to be discarded.
+pub(crate) fn diff_fits_frame(entries: usize) -> bool {
+    let min_bytes = <DiffEntry<i64, i64> as Wire>::MIN_BYTES as u64;
+    entries as u64 * min_bytes <= MAX_FRAME_LEN as u64
+}
+
 /// Best-effort request id of a body that failed to decode, so the
 /// `Malformed` reply can still echo it: the id field when the version
 /// byte is one this build speaks and the field is whole, else `0`.

@@ -46,7 +46,7 @@ use crate::event::{Completions, EventLoop, PushHub};
 use crate::feed::{FeedSink, VersionFeed};
 use crate::metrics::{value_row, MetricsSource, ServerMetrics};
 use crate::proto::{
-    Epoch, Request, Response, SnapshotId, StageSummary, WireError, MAX_FRAME_LEN,
+    diff_fits_frame, Epoch, Request, Response, SnapshotId, StageSummary, WireError,
     SYNC_PAGE_MAX_ENTRIES,
 };
 
@@ -588,11 +588,10 @@ pub(crate) fn handle_request(
                 };
             }
             match from_snap.diff(head.as_ref()) {
-                // A diff entry encodes to at least 17 bytes, so a reply
-                // that cannot possibly fit the frame cap is refused here,
-                // before encoding a multi-megabyte body just to discard
-                // it (the client falls back to a chunked FullSync).
-                Some(entries) if entries.len() as u64 * 17 > MAX_FRAME_LEN as u64 => {
+                // A reply that cannot possibly fit the frame cap is
+                // refused here (the client falls back to a chunked
+                // FullSync).
+                Some(entries) if !diff_fits_frame(entries.len()) => {
                     Response::Error(WireError::TooLarge)
                 }
                 Some(entries) => Response::EpochDiff { to, entries },

@@ -3,7 +3,7 @@
 //! with a **torn tail** (a half-written record at the end of the newest
 //! segment), recovery that truncates the tear and continues the epoch
 //! sequence, a point-in-time restore of an old epoch, and a replica
-//! that bootstraps from the log with **zero wire bytes**.
+//! that bootstraps from the log with **zero full-sync bytes**.
 //!
 //! The log reuses the proto-v3 wire encoding for its records (untraced
 //! bodies with request id `0`): a
@@ -19,7 +19,7 @@ use std::io::Write as _;
 use std::sync::Arc;
 
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
-use pathcopy_replica::Replica;
+use pathcopy_replica::PushReplica;
 use pathcopy_server::{backend, FeedSink, ServerConfig, Session};
 
 const ACCOUNTS: i64 = 500;
@@ -141,26 +141,29 @@ fn main() {
     );
     println!("resume: first post-recovery publish is epoch {resumed}");
 
-    // ── Replica bootstrap from the log: zero wire bytes ─────────────
-    let mut replica = Replica::connect(
+    // ── Replica bootstrap from the log: zero full-sync bytes ────────
+    let replica = PushReplica::connect_seeded(
         server.addr(),
         backend::by_name("sharded_map_8").expect("registered backend"),
+        &log,
     )
     .expect("replica connect");
-    let seeded = replica.seed_from_log(&log).expect("seed from log");
-    let wire = replica.primary_wire_bytes();
+    let stats = replica.push_stats();
+    assert_eq!(stats.log_seeds, 1, "the store came from the log");
     assert_eq!(
-        (wire.sent, wire.received),
+        (stats.full_syncs, stats.full_bytes),
         (0, 0),
-        "the log replaced the wire"
+        "the log replaced the full-sync transfer"
     );
+    let wire = replica.primary_wire_bytes();
     println!(
-        "seed: replica at epoch {seeded} with {} keys — {} wire bytes moved",
-        replica.store().len(),
-        wire.sent + wire.received
+        "seed: replica at epoch {} with {} keys from the log — 0 full-sync bytes, \
+         {} wire bytes for {} diff pull(s) and the subscribe",
+        replica.applied_epoch(),
+        stats.log_seed_entries,
+        wire.total(),
+        stats.diff_pulls,
     );
-    let outcome = replica.sync_once().expect("converge");
-    println!("converge: one incremental sync → {outcome:?}");
     assert_eq!(
         replica.store().get(0),
         Some(777),

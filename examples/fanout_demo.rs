@@ -137,16 +137,15 @@ fn main() {
 
     for (i, node) in relays.iter().chain(leaves.iter()).enumerate() {
         let role = if i < RELAYS { "relay" } else { "leaf " };
-        let push = node.push_stats();
-        let pull = node.pull_stats();
+        let stats = node.push_stats();
         println!(
             "  {role}[{i}]: applied={} pushes_applied={} repair_diff_pulls={} full_syncs={}",
             node.applied_epoch(),
-            push.pushes_applied,
-            pull.diff_pulls,
-            pull.full_syncs
+            stats.pushes_applied,
+            stats.diff_pulls,
+            stats.full_syncs
         );
-        assert_eq!(pull.diff_pulls, 0, "every epoch must arrive as a push");
+        assert_eq!(stats.diff_pulls, 0, "every epoch must arrive as a push");
     }
     println!(
         "\nsession token ended at epoch {} — every round's write was read \

@@ -267,7 +267,7 @@
 //!     backend::by_name("sharded_map_8").unwrap(),
 //! )
 //! .unwrap();
-//! let store = replica.replica().store();
+//! let store = replica.store();
 //! assert_eq!(store.get(1), Some(10));
 //!
 //! // ...after which each published epoch arrives as a pushed diff:
@@ -279,7 +279,7 @@
 //!     PushOutcome::Pushed { epoch, changes: 1 }
 //! );
 //! assert_eq!(store.get(2), Some(20));
-//! assert_eq!(replica.pull_stats().diff_pulls, 0); // no request went upstream
+//! assert_eq!(replica.push_stats().diff_pulls, 0); // no request went upstream
 //! primary.shutdown();
 //! ```
 //!
@@ -341,8 +341,8 @@
 //! whole once the log exceeds its byte cap, so
 //! [`restore_epoch`](pathcopy_durable::EpochLog::restore_epoch) offers
 //! point-in-time recovery over a bounded window. A cold replica can
-//! [seed from the log](pathcopy_replica::Replica::seed_from_log) with
-//! **zero** wire bytes and then converge via diffs.
+//! [seed from the log](pathcopy_replica::PushReplica::connect_seeded)
+//! with **zero** full-sync bytes and then converge via diffs.
 //!
 //! See it run: `cargo run --release --example durable_demo` (durable
 //! primary, simulated crash with a torn tail, recovery, point-in-time
@@ -400,7 +400,7 @@ pub mod prelude {
         BackoffPolicy, ConcurrentMap, ConcurrentSet, DiffEntry, MapSnapshot, MutexUc, PathCopyUc,
         SeqUc, SetDiffEntry, SetSnapshot, Snapshottable, StatsSnapshot, Update, VersionCell,
     };
-    pub use pathcopy_replica::{Replica, ReplicaStatsSnapshot, SyncOutcome};
+    pub use pathcopy_replica::{PushOutcome, PushReplica, PushStats};
     pub use pathcopy_trees::{
         ExternalBstSet, TreapMap as PersistentTreapMap, TreapSet as PersistentTreapSet,
     };
