@@ -52,7 +52,7 @@ macro_rules! stages {
         /// the counters and gauges a node keeps as plain atomics.
         /// Discriminants are the `stage` bytes carried by the wire
         /// protocol's `Metrics` response and must never be reused for a
-        /// different meaning.
+        /// different meaning: byte 21 (`snapshots`) is retired.
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         #[repr(u8)]
         pub enum Stage { $( #[doc = $doc] $V = $byte, )* }
@@ -115,7 +115,6 @@ stages! {
     18 => Pushes, "pushes", "", Counter, "Server: push frames enqueued to subscribers.";
     19 => PushDemotions, "push_demotions", "", Counter, "Server: subscribers dropped, outbox full.";
     20 => Len, "len", "", Gauge, "Engine: entry count (weakly consistent across shards).";
-    21 => Snapshots, "snapshots", "", Gauge, "Server: named snapshots pinned.";
     22 => OpenConns, "open_conns", "", Gauge, "Server: connections open.";
     23 => Subscribers, "subscribers", "", Gauge, "Server: connections registered for pushes.";
 }
@@ -124,17 +123,23 @@ stages! {
 mod tests {
     use super::*;
 
+    /// The retired `snapshots` gauge's byte, never reused.
+    const RETIRED: u8 = 21;
+
     #[test]
     fn stage_bytes_roundtrip() {
         for stage in Stage::ALL {
             assert_eq!(Stage::from_u8(stage as u8), Some(stage));
         }
         assert_eq!(Stage::from_u8(0), None);
-        assert_eq!(Stage::from_u8(Stage::ALL.len() as u8 + 1), None);
-        // Dense from 1, histogram stages first: a scrape appends the
-        // counter rows behind the sorted histogram rows and stays sorted.
-        for (i, stage) in Stage::ALL.into_iter().enumerate() {
-            assert_eq!(stage as usize, i + 1);
+        assert_eq!(Stage::from_u8(RETIRED), None);
+        assert_eq!(Stage::from_u8(Stage::ALL.len() as u8 + 2), None);
+        // Dense from 1 except the retired byte, histogram stages first: a
+        // scrape appends the counter rows behind the sorted histogram rows
+        // and stays sorted.
+        let dense = (1..).filter(|byte| *byte != RETIRED);
+        for ((i, stage), byte) in Stage::ALL.into_iter().enumerate().zip(dense) {
+            assert_eq!(stage as u8, byte);
             assert_eq!(stage.kind() == Kind::Summary, i < 6);
         }
     }

@@ -25,7 +25,7 @@ use pathcopy_core::api::MapSnapshot;
 use pathcopy_core::{DiffEntry, StatsSnapshot};
 
 /// An immutable, coherent point-in-time view a server can pin in its
-/// version table and scan or diff on demand.
+/// version feed and scan or diff on demand.
 pub trait ServeSnapshot: Send + Sync + 'static {
     /// Looks up `key` at snapshot time.
     fn get(&self, key: i64) -> Option<i64>;

@@ -62,9 +62,9 @@
 //! API mirrors the engine's: [`Session::batch`] takes the same
 //! [`BatchOp`] values as
 //! [`ShardedTreapMap::transact`](pathcopy_concurrent::ShardedTreapMap::transact)
-//! and returns the same [`BatchResult`]s, and [`Session::diff`] returns
-//! [`DiffEntry`] — code written against the in-process map moves to the
-//! network client by swapping the receiver.
+//! and returns the same [`BatchResult`]s, and [`Session::pull_diff`]
+//! returns [`DiffEntry`]s — code written against the in-process map
+//! moves to the network client by swapping the receiver.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -82,7 +82,7 @@ use pathcopy_trace::{SpanRecord, TraceContext};
 use crate::poll::send_nowait;
 use crate::proto::{
     body_len, request_frame_into, Epoch, FeedInfo, Framed, ProtoError, Request, RequestId,
-    Response, SnapshotId, StageSummary, WireError, PUSH_ID_BASE,
+    Response, StageSummary, WireError, PUSH_ID_BASE,
 };
 
 /// Why a client call failed — the single error surface for everything
@@ -1449,40 +1449,26 @@ impl Session {
         }
     }
 
-    /// Pins a coherent snapshot in the server's version table and
-    /// returns its id (readable from any connection until
-    /// [`release`](Self::release)d).
+    /// Ordered scan of `range` on a retained feed epoch (`Some(epoch)`,
+    /// pinned by [`publish`](Self::publish)) or on a fresh coherent
+    /// snapshot (`None`). At most `limit` entries come back (`0` =
+    /// unlimited); the second component is `false` when the scan was
+    /// truncated.
     ///
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes;
-    /// [`WireError::SnapshotLimit`] if the version table is full.
-    pub fn snapshot(&self) -> Result<SnapshotId, ClientError> {
-        match self.call(&Request::Snapshot)? {
-            Response::SnapshotTaken(id) => Ok(id),
-            _ => Err(ClientError::Unexpected("Snapshot")),
-        }
-    }
-
-    /// Ordered scan of `range` on a pinned snapshot (`Some(id)`) or on a
-    /// fresh coherent snapshot (`None`). At most `limit` entries come
-    /// back (`0` = unlimited); the second component is `false` when the
-    /// scan was truncated.
-    ///
-    /// # Errors
-    ///
-    /// The shared [`call`](Self::call) failure modes;
-    /// [`WireError::UnknownSnapshot`] for a released or never-issued
-    /// id, [`WireError::TooLarge`] if an unlimited scan cannot fit one
-    /// frame (page with `limit`).
+    /// [`WireError::EpochRetired`] for an epoch the feed no longer
+    /// retains, [`WireError::TooLarge`] if an unlimited scan cannot fit
+    /// one frame (page with `limit`).
     pub fn range<R: RangeBounds<i64>>(
         &self,
-        snapshot: Option<SnapshotId>,
+        epoch: Option<Epoch>,
         range: R,
         limit: u32,
     ) -> Result<(Vec<(i64, i64)>, bool), ClientError> {
         let req = Request::Range {
-            snapshot,
+            epoch,
             lo: clone_bound(range.start_bound()),
             hi: clone_bound(range.end_bound()),
             limit,
@@ -1490,39 +1476,6 @@ impl Session {
         match self.call(&req)? {
             Response::Entries { entries, complete } => Ok((entries, complete)),
             _ => Err(ClientError::Unexpected("Range")),
-        }
-    }
-
-    /// What changed between the pinned snapshot `from` and `to`
-    /// (`None` = a fresh snapshot taken now), in ascending key order.
-    ///
-    /// # Errors
-    ///
-    /// The shared [`call`](Self::call) failure modes;
-    /// [`WireError::UnknownSnapshot`],
-    /// [`WireError::SnapshotMismatch`] for snapshots from incompatible
-    /// backends, [`WireError::TooLarge`] for a diff that cannot fit one
-    /// frame (diff nearer snapshots).
-    pub fn diff(
-        &self,
-        from: SnapshotId,
-        to: Option<SnapshotId>,
-    ) -> Result<Vec<DiffEntry<i64, i64>>, ClientError> {
-        match self.call(&Request::Diff { from, to })? {
-            Response::Diff(entries) => Ok(entries),
-            _ => Err(ClientError::Unexpected("Diff")),
-        }
-    }
-
-    /// Drops a pinned snapshot; `Ok(true)` if it existed.
-    ///
-    /// # Errors
-    ///
-    /// The shared [`call`](Self::call) failure modes.
-    pub fn release(&self, snapshot: SnapshotId) -> Result<bool, ClientError> {
-        match self.call(&Request::Release { snapshot })? {
-            Response::Released(existed) => Ok(existed),
-            _ => Err(ClientError::Unexpected("Release")),
         }
     }
 }

@@ -17,11 +17,11 @@
 //!   atomics — execute right there on the loop thread, and their
 //!   replies join the connection's write queue in request order;
 //! * **requests that may block or run long** — `Publish` (holds the feed
-//!   lock across the sink's fsync), anything that takes the feed lock or
-//!   the snapshot table, scans, diffs, scrapes, a `GetAt` that must
-//!   wait — go to the workers; their **completions** return through a
-//!   queue + self-wake pipe (a `UnixStream` pair — `std` has no portable
-//!   pipe) and are appended to the connection's write queue;
+//!   lock across the sink's fsync), anything that takes the feed lock,
+//!   scans, diffs, scrapes, a `GetAt` that must wait — go to the
+//!   workers; their **completions** return through a queue + self-wake
+//!   pipe (a `UnixStream` pair — `std` has no portable pipe) and are
+//!   appended to the connection's write queue;
 //! * **writes** drain the queue with vectored writes before the loop
 //!   returns to `poll`, so a pipelined burst decoded in one wake is
 //!   answered in one syscall;

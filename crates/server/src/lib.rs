@@ -29,11 +29,12 @@
 //! Why a server is the natural front-end for this engine: the paper's
 //! construction gives lock-free point writes *plus* O(1) coherent
 //! snapshots, which is exactly the split a read-heavy serving system
-//! wants. A [`proto::Request::Snapshot`] pins a
-//! frozen version in the server's table for pennies; later
-//! [`Range`](proto::Request::Range) scans and
-//! [`Diff`](proto::Request::Diff)s — from any connection — read that
-//! version undisturbed while writers race ahead, and cross-shard
+//! wants. A [`proto::Request::Publish`] pins a
+//! frozen version in the feed under the next epoch for pennies; later
+//! [`Range`](proto::Request::Range) scans of that epoch and
+//! [`PullDiff`](proto::Request::PullDiff)s from it — from any
+//! connection — read that version undisturbed while writers race ahead,
+//! until the feed's ring retires it, and cross-shard
 //! [`Batch`](proto::Request::Batch)es commit all-or-nothing through
 //! [`ShardedTreapMap::transact`](pathcopy_concurrent::ShardedTreapMap::transact).
 //!
@@ -54,9 +55,9 @@
 //!
 //! let client = Session::connect(server.addr()).unwrap();
 //! client.insert(1, 10).unwrap();
-//! let snap = client.snapshot().unwrap(); // pinned, O(1)
+//! let epoch = client.publish().unwrap(); // pinned, O(1)
 //! client.insert(1, 99).unwrap();
-//! let (entries, _) = client.range(Some(snap), .., 0).unwrap();
+//! let (entries, _) = client.range(Some(epoch), .., 0).unwrap();
 //! assert_eq!(entries, vec![(1, 10)]); // the pinned version is immutable
 //! server.shutdown();
 //! ```
@@ -81,7 +82,7 @@ pub use metrics::{render_text, value_of, MetricsSource};
 // `pathcopy-trace` directly is optional.
 pub use pathcopy_trace::{render_trace, trace_ids, Flight, SpanRecord, TraceContext};
 pub use proto::{
-    Epoch, FeedInfo, Framed, ProtoError, Request, RequestId, Response, SnapshotId, StageSummary,
-    WireError, MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_VERSION, PUSH_ID_BASE,
+    Epoch, FeedInfo, Framed, ProtoError, Request, RequestId, Response, StageSummary, WireError,
+    MAX_FRAME_LEN, PROTO_TRACE_FLAG, PROTO_VERSION, PUSH_ID_BASE,
 };
 pub use server::{spawn, ServerConfig, ServerConfigBuilder, ServerHandle};

@@ -101,9 +101,6 @@ pub struct Framed<T> {
 /// multi-gigabyte read buffer.
 pub const MAX_FRAME_LEN: u32 = 16 << 20;
 
-/// Identifier of a named snapshot held in the server's version table.
-pub type SnapshotId = u64;
-
 /// Position in the primary's monotone version feed. Epoch `0` is never
 /// issued — it means "nothing published yet" (or, replica-side, "nothing
 /// applied yet").
@@ -285,7 +282,8 @@ macro_rules! wire_struct {
 wire_enum! {
     /// A client-to-server message. Tags 10 (`Stats`) and 18 (`Gauges`)
     /// are retired — their numbers are rows of [`Request::Metrics`] now —
-    /// and are never reused.
+    /// as are 6 (`Snapshot`), 8 (`Diff`) and 9 (`Release`), whose
+    /// versions are feed epochs now; none is ever reused.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Request, "request", REQUEST_TAGS {
         /// Look up one key.
@@ -327,34 +325,20 @@ wire_enum! {
             /// The operations, applied in order.
             ops: Vec<BatchOp<i64, i64>>,
         },
-        /// Take a coherent snapshot and pin it in the server's version table;
-        /// the reply names it with a [`SnapshotId`] for later [`Request::Range`]
-        /// and [`Request::Diff`] calls.
-        6 => Snapshot,
-        /// Ordered key-range scan.
+        /// Ordered key-range scan. A consistent paged scan pins a version
+        /// with [`Request::Publish`] and pages it by epoch.
         7 => Range {
-            /// Named snapshot to scan, or `None` to scan a fresh coherent
-            /// snapshot taken just for this request.
-            snapshot: Option<SnapshotId>,
+            /// Retained feed epoch to scan, or `None` to scan a fresh
+            /// coherent snapshot taken just for this request. An epoch
+            /// retired from the ring is answered with
+            /// [`WireError::EpochRetired`].
+            epoch: Option<Epoch>,
             /// Lower key bound.
             lo: Bound<i64>,
             /// Upper key bound.
             hi: Bound<i64>,
             /// Maximum number of entries to return (`0` = unlimited).
             limit: u32,
-        },
-        /// Difference between two snapshots, in ascending key order.
-        8 => Diff {
-            /// The older named snapshot.
-            from: SnapshotId,
-            /// The newer named snapshot, or `None` for a fresh snapshot taken
-            /// now — "what changed since `from`".
-            to: Option<SnapshotId>,
-        },
-        /// Drop a named snapshot from the version table.
-        9 => Release {
-            /// The snapshot to drop.
-            snapshot: SnapshotId,
         },
         /// Publish the current state as the next epoch of the server's
         /// version feed (a capped ring of recent snapshots replicas sync
@@ -452,8 +436,9 @@ wire_enum! {
 
 wire_enum! {
     /// A server-to-client message; variants mirror [`Request`] one-to-one
-    /// plus [`Response::Error`]. Tags 10 (`Stats`) and 21 (`Gauges`) are
-    /// retired and never reused.
+    /// plus [`Response::Error`]. Tags 6 (`SnapshotTaken`), 8 (`Diff`),
+    /// 9 (`Released`), 10 (`Stats`) and 21 (`Gauges`) are retired and
+    /// never reused.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Response, "response", RESPONSE_TAGS {
         /// Reply to [`Request::Get`]: the value, if present.
@@ -467,8 +452,6 @@ wire_enum! {
         4 => CasApplied(applied: bool),
         /// Reply to [`Request::Batch`]: one result per op, in batch order.
         5 => Batch(results: Vec<BatchResult<i64>>),
-        /// Reply to [`Request::Snapshot`]: the new snapshot's id.
-        6 => SnapshotTaken(id: SnapshotId),
         /// Reply to [`Request::Range`].
         7 => Entries {
             /// The entries, in ascending key order.
@@ -477,10 +460,6 @@ wire_enum! {
             /// entries remaining.
             complete: bool,
         },
-        /// Reply to [`Request::Diff`].
-        8 => Diff(entries: Vec<DiffEntry<i64, i64>>),
-        /// Reply to [`Request::Release`]: whether the snapshot existed.
-        9 => Released(existed: bool),
         /// Reply to a guarded [`Request::Batch`] whose guards failed: the
         /// whole batch aborted (zero writes). Carries the batch indices of
         /// the failed [`BatchOp::Cas`] guards, ascending.
@@ -592,11 +571,11 @@ wire_struct! {
     /// `count` is used (the value) and every other field is `0`.
     ///
     /// `stage` bytes are the `pathcopy_metrics::Stage` discriminants
-    /// (1–6 histogram stages, 7–19 counters, 20–23 gauges — see
-    /// `Stage::kind`); unknown values must be skipped, not rejected, so
-    /// servers can add kinds without breaking old scrapers. Histogram
-    /// values are nanoseconds for every stage except `epoch_lag`, which
-    /// counts epochs.
+    /// (1–6 histogram stages, 7–19 counters, 20 and 22–23 gauges, 21
+    /// retired — see `Stage::kind`); unknown values must be skipped, not
+    /// rejected, so servers can add kinds without breaking old scrapers.
+    /// Histogram values are nanoseconds for every stage except
+    /// `epoch_lag`, which counts epochs.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct StageSummary {
         /// Which pipeline stage this summarises.
@@ -628,29 +607,25 @@ wire_struct! {
 }
 
 wire_enum! {
-    /// Error replies a server can send.
+    /// Error replies a server can send. Sub-tags 0 (`UnknownSnapshot`)
+    /// and 4 (`SnapshotLimit`) are retired and never reused.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum WireError, "error", ERROR_TAGS {
-        /// A [`Request::Range`]/[`Request::Diff`]/[`Request::Release`] named
-        /// a snapshot id that is not in the version table (never issued, or
-        /// already released).
-        0 => UnknownSnapshot(id: SnapshotId),
-        /// The two snapshots of a [`Request::Diff`] come from incompatible
-        /// backends and cannot be diffed.
+        /// The two snapshots of a [`Request::PullDiff`] come from
+        /// incompatible backends and cannot be diffed.
         1 => SnapshotMismatch,
         /// The server could not decode the request frame.
         2 => Malformed,
         /// The reply would exceed [`MAX_FRAME_LEN`] and was not sent; nothing
         /// was written, so the connection stays usable — page with
-        /// [`Request::Range`]'s `limit`, or diff nearer snapshots.
+        /// [`Request::Range`]'s `limit`, or full-sync instead of a
+        /// [`Request::PullDiff`] that lags too far.
         3 => TooLarge,
-        /// The server's version table is full (the payload is the cap);
-        /// [`Request::Release`] unused snapshots to free slots.
-        4 => SnapshotLimit(cap: u64),
-        /// A [`Request::PullDiff`]/[`Request::FullSync`] named an epoch no
-        /// longer retained in the feed ring (the payload is the oldest epoch
-        /// still available; `0` = the feed is empty). The replica lagged
-        /// past the ring and must fall back to a fresh [`Request::FullSync`].
+        /// A [`Request::Range`]/[`Request::PullDiff`]/[`Request::FullSync`]
+        /// named an epoch no longer retained in the feed ring (the payload
+        /// is the oldest epoch still available; `0` = the feed is empty). A
+        /// replica that lagged past the ring falls back to a fresh
+        /// [`Request::FullSync`]; a paged scan restarts at a newer epoch.
         5 => EpochRetired(oldest: Epoch),
         /// The connection already has `queue_depth` requests in flight (the
         /// payload is the bound) and this one was shed without being
@@ -680,16 +655,12 @@ impl Request {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::UnknownSnapshot(id) => write!(f, "unknown snapshot id {id}"),
             WireError::SnapshotMismatch => write!(f, "snapshots are not diffable"),
             WireError::Malformed => write!(f, "malformed request frame"),
             WireError::TooLarge => write!(
                 f,
                 "reply would exceed the {MAX_FRAME_LEN}-byte frame cap; page the request"
             ),
-            WireError::SnapshotLimit(cap) => {
-                write!(f, "version table full ({cap} snapshots); release some")
-            }
             WireError::EpochRetired(oldest) => {
                 write!(
                     f,
@@ -1304,25 +1275,18 @@ mod tests {
                 }],
                 guarded: true,
             },
-            Request::Snapshot,
             Request::Range {
-                snapshot: Some(9),
+                epoch: Some(9),
                 lo: Bound::Included(-5),
                 hi: Bound::Excluded(5),
                 limit: 128,
             },
             Request::Range {
-                snapshot: None,
+                epoch: None,
                 lo: Bound::Unbounded,
                 hi: Bound::Unbounded,
                 limit: 0,
             },
-            Request::Diff {
-                from: 1,
-                to: Some(2),
-            },
-            Request::Diff { from: 3, to: None },
-            Request::Release { snapshot: 11 },
             Request::Publish,
             Request::Subscribe,
             Request::PullDiff { from: 17 },
@@ -1381,7 +1345,7 @@ mod tests {
             assert_eq!(body[9], req.tag_byte(), "{req:?}");
             assert!(Request::tag_name(req.tag_byte()).is_some());
         }
-        assert!([0, 10, 18, 22]
+        assert!([0, 6, 8, 9, 10, 18, 22]
             .iter()
             .all(|t| Request::tag_name(*t).is_none()));
     }
@@ -1399,17 +1363,10 @@ mod tests {
                 BatchResult::Removed(None),
                 BatchResult::Cas(false),
             ]),
-            Response::SnapshotTaken(42),
             Response::Entries {
                 entries: vec![(1, 10), (2, 20)],
                 complete: false,
             },
-            Response::Diff(vec![
-                DiffEntry::Added(1, 10),
-                DiffEntry::Removed(2, 20),
-                DiffEntry::Changed(3, 30, 31),
-            ]),
-            Response::Released(true),
             Response::BatchAborted(vec![0, 3, 7]),
             Response::Published(12),
             Response::FeedInfo(FeedInfo {
@@ -1518,11 +1475,9 @@ mod tests {
                     },
                 ],
             },
-            Response::Error(WireError::UnknownSnapshot(77)),
             Response::Error(WireError::SnapshotMismatch),
             Response::Error(WireError::Malformed),
             Response::Error(WireError::TooLarge),
-            Response::Error(WireError::SnapshotLimit(512)),
             Response::Error(WireError::EpochRetired(4)),
             Response::Error(WireError::Busy(64)),
             Response::Error(WireError::Stale(13)),
@@ -1538,7 +1493,7 @@ mod tests {
         assert!(matches!(read_request_enveloped(&mut empty), Ok(None)));
 
         let mut buf = Vec::new();
-        write_request_with_id(&mut buf, 0, &Request::Snapshot).unwrap();
+        write_request_with_id(&mut buf, 0, &Request::Publish).unwrap();
         for cut in 1..buf.len() {
             let mut r = &buf[..cut];
             assert!(

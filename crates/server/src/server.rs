@@ -1,5 +1,5 @@
-//! The TCP server: an event-driven core, a few worker threads for
-//! requests that may block, and the named-snapshot version table.
+//! The TCP server: an event-driven core and a few worker threads for
+//! requests that may block.
 //!
 //! [`spawn`] binds a listener (an ephemeral loopback port by default)
 //! and starts one event-loop thread (the private `event` module) that
@@ -13,21 +13,20 @@
 //! its engine through `Box<dyn ServeBackend>`
 //! ([`crate::backend::ShardedServe`], or a shared handle to one).
 //!
-//! The **version table** is what makes the serving layer more than a
-//! remote hash map: a [`Request::Snapshot`] pins a coherent snapshot
-//! under a fresh [`SnapshotId`], and later [`Request::Range`] /
-//! [`Request::Diff`] calls — from *any* connection — read that frozen
-//! version while writers race ahead. This is the paper's O(1)-snapshot
-//! property exposed over the network: pinning a version costs an `Arc`
-//! clone per shard root, never a copy of the data, and holding one never
-//! blocks a writer.
+//! The **version feed** is what makes the serving layer more than a
+//! remote hash map: a [`Request::Publish`] pins a coherent snapshot
+//! under the next [`Epoch`], and later [`Request::Range`] /
+//! [`Request::PullDiff`] calls — from *any* connection — read that
+//! frozen version while writers race ahead, until the ring retires it.
+//! This is the paper's O(1)-snapshot property exposed over the network:
+//! pinning a version costs an `Arc` clone per shard root, never a copy
+//! of the data, and holding one never blocks a writer.
 //!
 //! Shutdown ([`ServerHandle::shutdown`], also run on drop) is
 //! deterministic: the stop flag is raised, a byte on the self-wake pipe
 //! returns the event loop from its poll, and the loop's teardown closes
 //! every connection socket and joins the workers.
 
-use std::collections::HashMap;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
@@ -35,7 +34,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
 use pathcopy_concurrent::{BatchOp, BatchResult};
 use pathcopy_core::{ByteCounters, ByteCountersSnapshot};
 use pathcopy_metrics::Stage;
@@ -46,16 +44,8 @@ use crate::event::{Completions, EventLoop, PushHub};
 use crate::feed::{FeedSink, VersionFeed};
 use crate::metrics::{value_row, MetricsSource, ServerMetrics};
 use crate::proto::{
-    diff_fits_frame, Epoch, Request, Response, SnapshotId, StageSummary, WireError,
-    SYNC_PAGE_MAX_ENTRIES,
+    diff_fits_frame, Epoch, Request, Response, StageSummary, WireError, SYNC_PAGE_MAX_ENTRIES,
 };
-
-/// Capacity of the version table. Every pinned snapshot keeps an entire
-/// map version alive under write churn, and nothing but an explicit
-/// [`Request::Release`] unpins one (snapshots deliberately outlive their
-/// connection), so the table is capped: a [`Request::Snapshot`] beyond
-/// the cap is refused with [`WireError::SnapshotLimit`].
-const MAX_SNAPSHOTS: usize = 1024;
 
 /// Tunables for [`spawn`].
 #[derive(Clone)]
@@ -238,14 +228,10 @@ impl ServerConfigBuilder {
 /// State shared by the event loop and every worker.
 pub(crate) struct Shared {
     backend: Box<dyn ServeBackend>,
-    /// The version table: named snapshot handles pinned by
-    /// [`Request::Snapshot`], readable from any connection until
-    /// released.
-    snapshots: Mutex<HashMap<SnapshotId, Arc<dyn ServeSnapshot>>>,
-    next_snapshot: AtomicU64,
-    /// The replication feed: epoch-keyed recent versions replicas sync
-    /// from ([`Request::Publish`]/[`Request::PullDiff`]/
-    /// [`Request::FullSync`]).
+    /// The version feed: the only way a version is named on the wire.
+    /// Epoch-keyed recent versions that replicas sync from and
+    /// [`Request::Range`] scans by epoch ([`Request::Publish`]/
+    /// [`Request::PullDiff`]/[`Request::FullSync`]).
     pub(crate) feed: VersionFeed,
     pub(crate) requests: AtomicU64,
     /// Requests refused at admission control with [`WireError::Busy`].
@@ -294,7 +280,6 @@ impl Shared {
             value_row(Stage::Pushes, load(&self.push.pushes)),
             value_row(Stage::PushDemotions, load(&self.push.demotions)),
             value_row(Stage::Len, self.backend.len() as u64),
-            value_row(Stage::Snapshots, self.snapshots.lock().len() as u64),
             value_row(Stage::OpenConns, load(&self.open_conns)),
             value_row(Stage::Subscribers, self.push.subscriber_count()),
         ]);
@@ -351,8 +336,6 @@ pub fn spawn(backend: Box<dyn ServeBackend>, config: ServerConfig) -> io::Result
     }
     let shared = Arc::new(Shared {
         backend,
-        snapshots: Mutex::new(HashMap::new()),
-        next_snapshot: AtomicU64::new(0),
         feed: VersionFeed::configured(config.feed_capacity, config.feed_start, config.feed_sink),
         requests: AtomicU64::new(0),
         shed: AtomicU64::new(0),
@@ -476,21 +459,13 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Resolves an optional snapshot id: `None` takes a fresh coherent
-/// snapshot, `Some` looks up the version table.
-fn resolve_snapshot(
-    shared: &Shared,
-    id: Option<SnapshotId>,
-) -> Result<Arc<dyn ServeSnapshot>, WireError> {
-    match id {
-        None => Ok(shared.backend.snapshot()),
-        Some(id) => shared
-            .snapshots
-            .lock()
-            .get(&id)
-            .cloned()
-            .ok_or(WireError::UnknownSnapshot(id)),
-    }
+/// The snapshot the feed retains for `epoch`, or
+/// [`WireError::EpochRetired`] naming the oldest epoch it still has.
+fn retained(shared: &Shared, epoch: Epoch) -> Result<Arc<dyn ServeSnapshot>, WireError> {
+    shared
+        .feed
+        .get(epoch)
+        .ok_or_else(|| WireError::EpochRetired(shared.feed.info().oldest))
 }
 
 /// Executes one request against the shared state, on whichever thread
@@ -526,45 +501,18 @@ pub(crate) fn handle_request(
                 Response::Batch(shared.backend.transact(&ops))
             }
         }
-        Request::Snapshot => {
-            let mut table = shared.snapshots.lock();
-            if table.len() >= MAX_SNAPSHOTS {
-                return Response::Error(WireError::SnapshotLimit(MAX_SNAPSHOTS as u64));
-            }
-            let snap = shared.backend.snapshot();
-            let id = shared.next_snapshot.fetch_add(1, Ordering::Relaxed) + 1;
-            table.insert(id, snap);
-            Response::SnapshotTaken(id)
-        }
         Request::Range {
-            snapshot,
+            epoch,
             lo,
             hi,
             limit,
-        } => match resolve_snapshot(shared, snapshot) {
+        } => match epoch.map_or_else(|| Ok(shared.backend.snapshot()), |e| retained(shared, e)) {
             Err(e) => Response::Error(e),
             Ok(snap) => {
                 let (entries, complete) = snap.range(lo, hi, limit as usize);
                 Response::Entries { entries, complete }
             }
         },
-        Request::Diff { from, to } => {
-            let old = match resolve_snapshot(shared, Some(from)) {
-                Ok(s) => s,
-                Err(e) => return Response::Error(e),
-            };
-            let new = match resolve_snapshot(shared, to) {
-                Ok(s) => s,
-                Err(e) => return Response::Error(e),
-            };
-            match old.diff(new.as_ref()) {
-                Some(diff) => Response::Diff(diff),
-                None => Response::Error(WireError::SnapshotMismatch),
-            }
-        }
-        Request::Release { snapshot } => {
-            Response::Released(shared.snapshots.lock().remove(&snapshot).is_some())
-        }
         // The snapshot is taken under the feed lock (`publish_with`),
         // not before it: an epoch number observed after a write
         // completes must name a snapshot containing that write, or
@@ -576,8 +524,9 @@ pub(crate) fn handle_request(
         ),
         Request::Subscribe => Response::FeedInfo(shared.feed.info()),
         Request::PullDiff { from } => {
-            let Some(from_snap) = shared.feed.get(from) else {
-                return Response::Error(WireError::EpochRetired(shared.feed.info().oldest));
+            let from_snap = match retained(shared, from) {
+                Ok(snap) => snap,
+                Err(e) => return Response::Error(e),
             };
             // `from` is retained, so the feed is non-empty and has a head.
             let (to, head) = shared.feed.head().expect("non-empty feed");
@@ -612,17 +561,18 @@ pub(crate) fn handle_request(
                 // replica lands exactly on a feed version either way,
                 // catching up to later writes with diffs.
                 None => match shared.feed.head() {
-                    Some((e, snap)) => (e, snap),
+                    Some(head) => head,
                     None => {
-                        let snap = shared.backend.snapshot();
-                        (shared.feed.publish(Arc::clone(&snap)), snap)
+                        // Snapshot under the feed lock, as `Publish` does,
+                        // or a `WriteAt` could read this epoch as its
+                        // watermark and be missing from it.
+                        shared.feed.publish_with(|| shared.backend.snapshot(), None);
+                        shared.feed.head().expect("the feed has just published")
                     }
                 },
-                Some(e) => match shared.feed.get(e) {
-                    Some(snap) => (e, snap),
-                    None => {
-                        return Response::Error(WireError::EpochRetired(shared.feed.info().oldest))
-                    }
+                Some(e) => match retained(shared, e) {
+                    Ok(snap) => (e, snap),
+                    Err(e) => return Response::Error(e),
                 },
             };
             let page = if limit == 0 {
@@ -741,26 +691,42 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_table_serves_all_connections() {
+    fn published_epoch_is_scannable_from_any_connection() {
         let server = sharded_server();
         let a = Session::connect(server.addr()).unwrap();
         let b = Session::connect(server.addr()).unwrap();
         for k in 0..32 {
             a.insert(k, k * 10).unwrap();
         }
-        let snap = a.snapshot().unwrap();
-        // The other connection can read the pinned version by id.
-        let (entries, complete) = b.range(Some(snap), .., 0).unwrap();
-        assert_eq!(entries.len(), 32);
+        let epoch = a.publish().unwrap();
+        a.insert(99, 0).unwrap();
+        // The other connection reads the pinned version by its epoch.
+        let (entries, complete) = b.range(Some(epoch), .., 0).unwrap();
+        assert_eq!(entries, (0..32).map(|k| (k, k * 10)).collect::<Vec<_>>());
         assert!(complete);
-        // Release from the second connection, too.
-        assert!(b.release(snap).unwrap());
-        assert!(!a.release(snap).unwrap(), "double release reports absence");
-        let err = a.range(Some(snap), .., 0).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::client::ClientError::Server(WireError::UnknownSnapshot(_))
-        ));
+        server.shutdown();
+    }
+
+    #[test]
+    fn range_at_a_retired_epoch_gets_epoch_retired() {
+        let server = spawn(
+            Box::new(ShardedServe::with_shards(8)),
+            ServerConfig::builder().feed_capacity(2).build(),
+        )
+        .unwrap();
+        let c = Session::connect(server.addr()).unwrap();
+        let retired = |epoch| match c.range(Some(epoch), .., 0).unwrap_err() {
+            crate::client::ClientError::Server(WireError::EpochRetired(oldest)) => oldest,
+            other => panic!("epoch {epoch}: {other:?}"),
+        };
+        assert_eq!(retired(1), 0, "nothing published yet");
+        c.insert(1, 10).unwrap();
+        let e1 = c.publish().unwrap();
+        c.publish().unwrap();
+        let e3 = c.publish().unwrap();
+        // Capacity 2: the third publish retired the first.
+        assert_eq!(retired(e1), e1 + 1);
+        assert_eq!(c.range(Some(e3), .., 0).unwrap(), (vec![(1, 10)], true));
         server.shutdown();
     }
 
@@ -788,28 +754,13 @@ mod tests {
         for k in 0..10 {
             c.insert(k, k).unwrap();
         }
-        let _snap = c.snapshot().unwrap();
+        let epoch = c.publish().unwrap();
+        assert_eq!(c.range(Some(epoch), .., 0).unwrap().0.len(), 10);
         let rows = c.metrics().unwrap();
         let value = |stage| value_of(&rows, stage).unwrap();
         assert!(value(Stage::Ops) >= 10);
         assert_eq!(value(Stage::Len), 10);
-        assert_eq!(value(Stage::Snapshots), 1);
-        assert!(server.requests_served() >= 12);
-        server.shutdown();
-    }
-
-    #[test]
-    fn snapshot_table_is_capped() {
-        let server = sharded_server();
-        let c = Session::connect(server.addr()).unwrap();
-        let ids: Vec<_> = (0..MAX_SNAPSHOTS).map(|_| c.snapshot().unwrap()).collect();
-        let err = c.snapshot().unwrap_err();
-        assert!(matches!(
-            err,
-            crate::client::ClientError::Server(WireError::SnapshotLimit(1024))
-        ));
-        assert!(c.release(ids[0]).unwrap(), "release frees a slot");
-        c.snapshot().unwrap();
+        assert!(server.requests_served() >= 13);
         server.shutdown();
     }
 
@@ -886,6 +837,65 @@ mod tests {
         server.shutdown();
     }
 
+    /// A `WriteAt` racing the publish that a bootstrap `FullSync` makes
+    /// on an empty feed: every write whose watermark is at or before the
+    /// served epoch must be in that epoch's pages. The window is the
+    /// time between snapshot and epoch number; a publish that took its
+    /// snapshot before the feed lock lost a write in about 1 round in
+    /// 100, hence 400 fresh servers.
+    #[test]
+    fn bootstrap_epoch_holds_every_write_watermarked_at_or_before_it() {
+        use std::collections::BTreeSet;
+        for round in 0..400 {
+            let server = sharded_server();
+            let stop = AtomicBool::new(false);
+            let (epoch, synced, acked) = std::thread::scope(|s| {
+                let writer = s.spawn(|| {
+                    let w = Session::connect(server.addr()).unwrap();
+                    let mut acked = Vec::new();
+                    let mut key = 0;
+                    while !stop.load(Ordering::Acquire) {
+                        let window: Vec<_> = (0..16)
+                            .map(|_| {
+                                key += 1;
+                                let op = BatchOp::Insert(key, key);
+                                (key, w.submit(&Request::WriteAt { op }).unwrap())
+                            })
+                            .collect();
+                        for (key, ticket) in window {
+                            match ticket.wait().unwrap() {
+                                Response::WroteAt { watermark, .. } => acked.push((key, watermark)),
+                                other => panic!("WriteAt answered {other:?}"),
+                            }
+                        }
+                    }
+                    acked
+                });
+                while server.requests_served() < 64 {
+                    std::thread::yield_now();
+                }
+                let c = Session::connect(server.addr()).unwrap();
+                let (epoch, mut synced, mut done) = c.full_sync_page(None, None, 0).unwrap();
+                while !done {
+                    let after = synced.last().map(|&(k, _)| k);
+                    let (_, page, last) = c.full_sync_page(Some(epoch), after, 0).unwrap();
+                    synced.extend(page);
+                    done = last;
+                }
+                stop.store(true, Ordering::Release);
+                (epoch, synced, writer.join().unwrap())
+            });
+            let synced: BTreeSet<i64> = synced.into_iter().map(|(k, _)| k).collect();
+            for (key, watermark) in acked {
+                assert!(
+                    watermark > epoch || synced.contains(&key),
+                    "round {round}: key {key} watermarked {watermark} is missing from epoch {epoch}"
+                );
+            }
+            server.shutdown();
+        }
+    }
+
     #[test]
     fn guarded_batch_over_the_wire_aborts_cleanly() {
         let server = sharded_server();
@@ -949,14 +959,15 @@ mod tests {
     fn malformed_frame_gets_error_then_close() {
         use std::io::{Read as _, Write as _};
         let server = sharded_server();
-        // A body with a bogus request tag, one with the retired `Stats`
-        // tag (10), and a well-formed body in the retired id-less v2
-        // envelope (`[2][tag = Get][key]`): all are refused the same way.
+        // A body with a bogus request tag, ones with the retired `Stats`
+        // (10) and `Snapshot` (6) tags, and a well-formed body in the
+        // retired id-less v2 envelope (`[2][tag = Get][key]`): all are
+        // refused the same way.
         let bogus_tag = vec![crate::proto::PROTO_VERSION, 0xEE];
-        let retired_stats = [&[crate::proto::PROTO_VERSION][..], &[0; 8], &[10]].concat();
+        let retired = |tag: u8| [&[crate::proto::PROTO_VERSION][..], &[0; 8], &[tag]].concat();
         let mut retired_v2 = vec![2u8, 1];
         retired_v2.extend_from_slice(&7i64.to_le_bytes());
-        for body in [bogus_tag, retired_stats, retired_v2] {
+        for body in [bogus_tag, retired(10), retired(6), retired_v2] {
             let mut raw = TcpStream::connect(server.addr()).unwrap();
             raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
             raw.write_all(&body).unwrap();

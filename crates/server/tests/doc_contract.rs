@@ -139,11 +139,21 @@ fn metrics_row_kind_table_is_the_stage_table() {
 #[test]
 fn retired_tags_are_listed_and_gone_from_the_codec() {
     let doc = doc();
-    assert!(doc.contains("Retired request tags, never reused: 10 (`Stats`), 18 (`Gauges`)."));
-    assert!(doc.contains("Retired response tags, never reused: 10 (`Stats`), 21 (`Gauges`)."));
-    let live =
-        |tags: &[(u8, &str)], retired: [u8; 2]| tags.iter().any(|(t, _)| retired.contains(t));
-    assert!(!live(REQUEST_TAGS, [10, 18]) && !live(RESPONSE_TAGS, [10, 21]));
+    for line in [
+        "Retired request tags, never reused: 6 (`Snapshot`), 8 (`Diff`), 9 (`Release`), \
+         10 (`Stats`), 18 (`Gauges`).",
+        "Retired response tags, never reused: 6 (`SnapshotTaken`), 8 (`Diff`), \
+         9 (`Released`), 10 (`Stats`), 21 (`Gauges`).",
+        "Retired error sub-tags, never reused: 0 (`UnknownSnapshot`), 4 (`SnapshotLimit`).",
+        "Retired metrics row bytes, never reused: 21 (`snapshots`).",
+    ] {
+        assert!(doc.contains(line), "doc must say `{line}`");
+    }
+    let live = |tags: &[(u8, &str)], retired: &[u8]| tags.iter().any(|(t, _)| retired.contains(t));
+    assert!(!live(REQUEST_TAGS, &[6, 8, 9, 10, 18]));
+    assert!(!live(RESPONSE_TAGS, &[6, 8, 9, 10, 21]));
+    assert!(!live(ERROR_TAGS, &[0, 4]));
+    assert_eq!(Stage::from_u8(21), None);
 }
 
 #[test]

@@ -141,7 +141,7 @@ impl ServeBackend for SlowBackend {
 /// A one-key scan of a fresh snapshot: `Get`'s worker-bound cousin.
 fn scan_one(key: i64) -> Request {
     Request::Range {
-        snapshot: None,
+        epoch: None,
         lo: Bound::Included(key),
         hi: Bound::Included(key),
         limit: 0,

@@ -51,17 +51,14 @@ fn arb_request() -> impl Strategy<Value = Request> {
             .prop_map(|(key, expected, new)| Request::Cas { key, expected, new }),
         (prop::collection::vec(arb_batch_op(), 0..17), any::<bool>())
             .prop_map(|(ops, guarded)| Request::Batch { ops, guarded }),
-        Just(Request::Snapshot),
         (arb_opt_u64(), arb_bound(), (arb_bound(), any::<u32>())).prop_map(
-            |(snapshot, lo, (hi, limit))| Request::Range {
-                snapshot,
+            |(epoch, lo, (hi, limit))| Request::Range {
+                epoch,
                 lo,
                 hi,
                 limit
             }
         ),
-        (any::<u64>(), arb_opt_u64()).prop_map(|(from, to)| Request::Diff { from, to }),
-        any::<u64>().prop_map(|snapshot| Request::Release { snapshot }),
         Just(Request::Publish),
         Just(Request::Subscribe),
         any::<u64>().prop_map(|from| Request::PullDiff { from }),
@@ -164,19 +161,14 @@ fn arb_response() -> impl Strategy<Value = Response> {
         arb_opt_i64().prop_map(Response::Removed),
         any::<bool>().prop_map(Response::CasApplied),
         prop::collection::vec(arb_batch_result(), 0..17).prop_map(Response::Batch),
-        any::<u64>().prop_map(Response::SnapshotTaken),
         (
             prop::collection::vec((any::<i64>(), any::<i64>()), 0..33),
             any::<bool>()
         )
             .prop_map(|(entries, complete)| Response::Entries { entries, complete }),
-        prop::collection::vec(arb_diff_entry(), 0..33).prop_map(Response::Diff),
-        any::<bool>().prop_map(Response::Released),
-        any::<u64>().prop_map(|id| Response::Error(WireError::UnknownSnapshot(id))),
         Just(Response::Error(WireError::SnapshotMismatch)),
         Just(Response::Error(WireError::Malformed)),
         Just(Response::Error(WireError::TooLarge)),
-        any::<u64>().prop_map(|cap| Response::Error(WireError::SnapshotLimit(cap))),
         any::<u64>().prop_map(|oldest| Response::Error(WireError::EpochRetired(oldest))),
         prop::collection::vec(any::<u32>(), 0..9).prop_map(Response::BatchAborted),
         any::<u64>().prop_map(Response::Published),
@@ -374,14 +366,10 @@ fn truncated_request_strict_prefixes_all_fail() {
             limit: 16,
         },
         Request::Range {
-            snapshot: Some(1),
+            epoch: Some(1),
             lo: Bound::Included(0),
             hi: Bound::Excluded(10),
             limit: 5,
-        },
-        Request::Diff {
-            from: 7,
-            to: Some(8),
         },
     ];
     for req in reqs {
@@ -468,24 +456,15 @@ fn golden_requests() -> Vec<(Request, &'static str)> {
             },
             "45000000030807060504030201050104000000000100000000000000010200000000000000140000000000000002030000000000000003040000000000000000012800000000000000",
         ),
-        (Request::Snapshot, "0a00000003080706050403020106"),
         (
             Request::Range {
-                snapshot: Some(9),
+                epoch: Some(9),
                 lo: Bound::Included(-5),
                 hi: Bound::Excluded(5),
                 limit: 128,
             },
             "290000000308070605040302010701090000000000000001fbffffffffffffff02050000000000000080000000",
         ),
-        (
-            Request::Diff {
-                from: 1,
-                to: Some(2),
-            },
-            "1b000000030807060504030201080100000000000000010200000000000000",
-        ),
-        (Request::Release { snapshot: 11 }, "12000000030807060504030201090b00000000000000"),
         (Request::Publish, "0a0000000308070605040302010b"),
         (Request::Subscribe, "0a0000000308070605040302010c"),
         (Request::PullDiff { from: 17 }, "120000000308070605040302010d1100000000000000"),
@@ -537,7 +516,6 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
             ]),
             "1e000000030807060504030201050400000000000101010000000000000002000301",
         ),
-        (Response::SnapshotTaken(42), "12000000030807060504030201062a00000000000000"),
         (
             Response::Entries {
                 entries: vec![(1, 10), (-2, 20)],
@@ -545,15 +523,6 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
             },
             "2f000000030807060504030201070200000001000000000000000a00000000000000feffffffffffffff140000000000000000",
         ),
-        (
-            Response::Diff(vec![
-                DiffEntry::Added(1, 10),
-                DiffEntry::Removed(2, 20),
-                DiffEntry::Changed(3, 30, 31),
-            ]),
-            "4900000003080706050403020108030000000001000000000000000a0000000000000001020000000000000014000000000000000203000000000000001e000000000000001f00000000000000",
-        ),
-        (Response::Released(true), "0b0000000308070605040302010901"),
         (Response::BatchAborted(vec![0, 3, 7]), "1a0000000308070605040302010c03000000000000000300000007000000"),
         (Response::Published(12), "120000000308070605040302010d0c00000000000000"),
         (
@@ -643,11 +612,9 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
             },
             "51000000030807060504030201180700000072656c61792d3101000000090000000000000002000000000000000100000000000000020b0100000000002800000000000000e803000000000000fa00000000000000",
         ),
-        (Response::Error(WireError::UnknownSnapshot(77)), "130000000308070605040302010b004d00000000000000"),
         (Response::Error(WireError::SnapshotMismatch), "0b0000000308070605040302010b01"),
         (Response::Error(WireError::Malformed), "0b0000000308070605040302010b02"),
         (Response::Error(WireError::TooLarge), "0b0000000308070605040302010b03"),
-        (Response::Error(WireError::SnapshotLimit(512)), "130000000308070605040302010b040002000000000000"),
         (Response::Error(WireError::EpochRetired(4)), "130000000308070605040302010b050400000000000000"),
         (Response::Error(WireError::Busy(64)), "130000000308070605040302010b064000000000000000"),
         (Response::Error(WireError::Stale(13)), "130000000308070605040302010b070d00000000000000"),

@@ -59,7 +59,7 @@ fn mixed_inline_and_worker_requests_resolve_by_id() {
                 value: i,
             },
             Request::Range {
-                snapshot: None,
+                epoch: None,
                 lo: Bound::Included(i),
                 hi: Bound::Included(i),
                 limit: 0,

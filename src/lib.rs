@@ -192,10 +192,11 @@
 //! on frozen versions — so the workspace ships them as a TCP service.
 //! [`pathcopy_server`] speaks a hand-rolled length-prefixed binary
 //! protocol (no serde, no async runtime) and serves the sharded map
-//! behind `Box<dyn ServeBackend>`. A `Snapshot` request pins a coherent
-//! version in the server's table for the cost of an `Arc` clone per
-//! shard root; `Range` and `Diff` requests — from any connection — then
-//! read that immutable version while writers keep committing, and
+//! behind `Box<dyn ServeBackend>`. A `Publish` request pins a coherent
+//! version in the server's feed, under the next epoch, for the cost of
+//! an `Arc` clone per shard root; `Range` and `PullDiff` requests — from
+//! any connection — then read that immutable version while writers keep
+//! committing, until the feed's ring retires it, and
 //! `Batch` frames commit all-or-nothing through the sharded map's
 //! cross-shard `transact`:
 //!
@@ -211,22 +212,23 @@
 //!
 //! let client = Session::connect(server.addr()).unwrap();
 //! client.insert(1, 10).unwrap();
-//! let pinned = client.snapshot().unwrap(); // O(1), held in the version table
+//! let pinned = client.publish().unwrap(); // O(1), held in the version feed
 //! client.insert(1, 99).unwrap();
 //! client.insert(2, 20).unwrap();
 //!
 //! // The pinned version is immutable under the writes above...
 //! let (entries, _) = client.range(Some(pinned), .., 0).unwrap();
 //! assert_eq!(entries, vec![(1, 10)]);
-//! // ...and the wire diff is the change, not the map.
-//! let diff = client.diff(pinned, None).unwrap();
+//! // ...and the wire diff to the next epoch is the change, not the map.
+//! client.publish().unwrap();
+//! let (_, diff) = client.pull_diff(pinned).unwrap();
 //! assert_eq!(diff.len(), 2);
 //! server.shutdown();
 //! ```
 //!
 //! Drive it: `cargo run --release --bin loadgen -- --threads 8
 //! --ops 100000` (Zipf read/write mix, throughput + latency table).
-//! `tests/server_e2e.rs` asserts the pinned-snapshot `Range` and `Diff`
+//! `tests/server_e2e.rs` asserts the pinned-epoch `Range` and `PullDiff`
 //! above against concurrent writers.
 //!
 //! ## Replication: read scale-out from snapshot diffs

@@ -1,5 +1,5 @@
 //! End-to-end serving-layer tests over real loopback sockets: a client
-//! sees its own writes, named snapshots are immutable under concurrent
+//! sees its own writes, published epochs are immutable under concurrent
 //! writers, diffs match a sequential oracle, and cross-shard batches —
 //! including ones with failing `Cas` guards — are observed atomically
 //! over the wire.
@@ -48,8 +48,8 @@ fn named_snapshot_is_immutable_under_concurrent_writers() {
     for k in 0..512 {
         auditor.insert(k, k).unwrap();
     }
-    let snap = auditor.snapshot().unwrap();
-    let (baseline, complete) = auditor.range(Some(snap), .., 0).unwrap();
+    let epoch = auditor.publish().unwrap();
+    let (baseline, complete) = auditor.range(Some(epoch), .., 0).unwrap();
     assert!(complete);
     assert_eq!(baseline.len(), 512);
 
@@ -73,18 +73,19 @@ fn named_snapshot_is_immutable_under_concurrent_writers() {
         // While the writer churns, the pinned version must never move.
         let mut reads = 0u32;
         while !done.load(Ordering::Acquire) || reads < 3 {
-            let (now, complete) = auditor.range(Some(snap), .., 0).unwrap();
+            let (now, complete) = auditor.range(Some(epoch), .., 0).unwrap();
             assert!(complete);
             assert_eq!(now, baseline, "pinned snapshot changed under writers");
             reads += 1;
         }
     });
 
-    // After the writer finishes, a snapshot-to-now diff must match the
-    // sequential oracle exactly.
+    // After the writer finishes, the diff from the pinned epoch to a
+    // fresh one must match the sequential oracle exactly.
+    let head = auditor.publish().unwrap();
     let old_state: BTreeMap<i64, i64> = baseline.iter().copied().collect();
     let new_state: BTreeMap<i64, i64> = {
-        let (entries, complete) = auditor.range(None, .., 0).unwrap();
+        let (entries, complete) = auditor.range(Some(head), .., 0).unwrap();
         assert!(complete);
         entries.into_iter().collect()
     };
@@ -102,10 +103,9 @@ fn named_snapshot_is_immutable_under_concurrent_writers() {
         }
     }
     expected.sort_by_key(|e| *e.key());
-    let diff = auditor.diff(snap, None).unwrap();
+    let (to, diff) = auditor.pull_diff(epoch).unwrap();
+    assert_eq!(to, head);
     assert_eq!(diff, expected, "wire diff must match the oracle");
-
-    assert!(auditor.release(snap).unwrap());
     server.shutdown();
 }
 
@@ -349,11 +349,12 @@ fn every_registered_backend_serves_the_same_contract() {
     for k in 0..64 {
         c.insert(k, -k).unwrap();
     }
-    let snap = c.snapshot().unwrap();
+    let epoch = c.publish().unwrap();
     c.remove(0).unwrap();
-    let (entries, _) = c.range(Some(snap), .., 0).unwrap();
-    assert_eq!(entries.len(), 64, "snapshot immutable");
-    let diff = c.diff(snap, None).unwrap();
+    let (entries, _) = c.range(Some(epoch), .., 0).unwrap();
+    assert_eq!(entries.len(), 64, "published epoch immutable");
+    c.publish().unwrap();
+    let (_, diff) = c.pull_diff(epoch).unwrap();
     assert_eq!(
         diff,
         vec![DiffEntry::Removed(0, 0)],
@@ -361,6 +362,5 @@ fn every_registered_backend_serves_the_same_contract() {
     );
     let rows = c.metrics().unwrap();
     assert_eq!(value_of(&rows, Stage::Len), Some(63));
-    assert_eq!(value_of(&rows, Stage::Snapshots), Some(1));
     server.shutdown();
 }
