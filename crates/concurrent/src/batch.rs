@@ -161,61 +161,49 @@ fn failed_guards<V>(idxs: &[usize], results: &[BatchResult<V>]) -> Vec<usize> {
 }
 
 /// Applies a shard's slice of the batch (op indices `idxs`, in batch
-/// order) to `map`, returning the new version, the per-op results, and
-/// whether anything structurally changed.
+/// order) to `map`, returning the new version — `None` if no op changed
+/// anything, so the shard needs no CAS — and the per-op results.
 fn apply_shard_ops<K, V>(
     map: &PTreapMap<K, V>,
     batch: &[BatchOp<K, V>],
     idxs: &[usize],
-) -> (PTreapMap<K, V>, Vec<BatchResult<V>>, bool)
+) -> (Option<PTreapMap<K, V>>, Vec<BatchResult<V>>)
 where
     K: Ord + Clone + Hash,
     V: Clone + PartialEq,
 {
-    let mut cur = map.clone();
-    let mut changed = false;
+    let mut next: Option<PTreapMap<K, V>> = None;
     let mut results = Vec::with_capacity(idxs.len());
     for &i in idxs {
-        let result = match &batch[i] {
-            BatchOp::Get(k) => BatchResult::Got(cur.get(k).cloned()),
+        let cur = next.as_ref().unwrap_or(map);
+        let (version, result) = match &batch[i] {
+            BatchOp::Get(k) => (None, BatchResult::Got(cur.get(k).cloned())),
             BatchOp::Insert(k, v) => {
-                let (next, prev) = cur.insert(k.clone(), v.clone());
-                cur = next;
-                changed = true;
-                BatchResult::Inserted(prev)
+                let (version, prev) = cur.upsert(k.clone(), v.clone());
+                (version, BatchResult::Inserted(prev))
             }
             BatchOp::Remove(k) => match cur.remove(k) {
-                Some((next, v)) => {
-                    cur = next;
-                    changed = true;
-                    BatchResult::Removed(Some(v))
-                }
-                None => BatchResult::Removed(None),
+                Some((version, v)) => (Some(version), BatchResult::Removed(Some(v))),
+                None => (None, BatchResult::Removed(None)),
             },
             BatchOp::Cas { key, expected, new } => {
                 if cur.get(key) == expected.as_ref() {
-                    match new {
-                        Some(v) => {
-                            let (next, _) = cur.insert(key.clone(), v.clone());
-                            cur = next;
-                            changed = true;
-                        }
-                        None => {
-                            if let Some((next, _)) = cur.remove(key) {
-                                cur = next;
-                                changed = true;
-                            }
-                        }
-                    }
-                    BatchResult::Cas(true)
+                    let version = match new {
+                        Some(v) => cur.upsert(key.clone(), v.clone()).0,
+                        None => cur.remove(key).map(|(version, _)| version),
+                    };
+                    (version, BatchResult::Cas(true))
                 } else {
-                    BatchResult::Cas(false)
+                    (None, BatchResult::Cas(false))
                 }
             }
         };
+        if version.is_some() {
+            next = version;
+        }
         results.push(result);
     }
-    (cur, results, changed)
+    (next, results)
 }
 
 impl<K, V> ShardedTreapMap<K, V>
@@ -344,17 +332,16 @@ where
             // guards, and nothing is written.
             let (&shard, idxs) = groups.iter().next().unwrap();
             return self.shards[shard].update(|map| {
-                let (next, results, changed) = apply_shard_ops(map, batch, idxs);
+                let (next, results) = apply_shard_ops(map, batch, idxs);
                 if guarded {
                     let failed = failed_guards(idxs, &results);
                     if !failed.is_empty() {
                         return Update::Keep(Err(GuardAbort { failed }));
                     }
                 }
-                if changed {
-                    Update::Replace(next, Ok(results))
-                } else {
-                    Update::Keep(Ok(results))
+                match next {
+                    Some(next) => Update::Replace(next, Ok(results)),
+                    None => Update::Keep(Ok(results)),
                 }
             });
         }
@@ -383,7 +370,7 @@ where
             }
             let mut out: Vec<Option<BatchResult<V>>> = vec![None; batch.len()];
             for (j, idxs) in groups.values().enumerate() {
-                let (_, results, _) = apply_shard_ops(&pass[j], batch, idxs);
+                let (_, results) = apply_shard_ops(&pass[j], batch, idxs);
                 for (&i, r) in idxs.iter().zip(results) {
                     out[i] = Some(r);
                 }
@@ -409,14 +396,13 @@ where
             .iter()
             .map(|(&shard, idxs)| {
                 let base = self.shards[shard].snapshot();
-                let (next, results, changed) = apply_shard_ops(&base, batch, idxs);
+                let (next, results) = apply_shard_ops(&base, batch, idxs);
                 ShardStage {
                     shard,
                     idxs,
                     base,
                     next,
                     results,
-                    changed,
                 }
             })
             .collect();
@@ -452,12 +438,11 @@ where
                         self.shards[prior.shard].unfreeze_root();
                     }
                     self.shards[staged[j].shard].stats().record_freeze_retry();
-                    let (next, results, changed) = apply_shard_ops(&current, batch, staged[j].idxs);
+                    let (next, results) = apply_shard_ops(&current, batch, staged[j].idxs);
                     let stage = &mut staged[j];
                     stage.base = current;
                     stage.next = next;
                     stage.results = results;
-                    stage.changed = changed;
                     backoff.wait();
                     continue 'freeze;
                 }
@@ -490,10 +475,9 @@ where
         let mut out: Vec<Option<BatchResult<V>>> = (0..batch.len()).map(|_| None).collect();
         for stage in staged {
             let uc = &self.shards[stage.shard];
-            if stage.changed {
-                uc.install_frozen_root(stage.next);
-            } else {
-                uc.unfreeze_root();
+            match stage.next {
+                Some(next) => uc.install_frozen_root(next),
+                None => uc.unfreeze_root(),
             }
             for (&i, r) in stage.idxs.iter().zip(stage.results) {
                 out[i] = Some(r);
@@ -513,9 +497,9 @@ struct ShardStage<'a, K, V> {
     /// The version the new root was copied from; must still be current
     /// at freeze time.
     base: Arc<PTreapMap<K, V>>,
-    next: PTreapMap<K, V>,
+    /// The copied root; `None` if the shard's ops change nothing.
+    next: Option<PTreapMap<K, V>>,
     results: Vec<BatchResult<V>>,
-    changed: bool,
 }
 
 #[cfg(test)]

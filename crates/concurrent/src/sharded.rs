@@ -98,7 +98,7 @@ pub(crate) fn shard_index<K: Hash + ?Sized>(key: &K, mask: u64) -> usize {
 impl<K, V> Default for ShardedTreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     /// An 8-shard map; see [`ShardedTreapMap::with_shards`] to choose.
     fn default() -> Self {
@@ -109,7 +109,7 @@ where
 impl<K, V> ShardedTreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     /// Creates an empty map with `shards` partitions (rounded up to a
     /// power of two, minimum 1). With 1 shard this is exactly the paper's
@@ -146,13 +146,15 @@ where
         &self.shards[shard_index(key, self.mask)]
     }
 
-    /// Inserts `key -> value`, returning the previous value if any.
+    /// Inserts `key -> value`, returning the previous value if any (no
+    /// allocation and no CAS when `key` already maps to an equal value).
     /// Lock-free; contends only with updates that hash to the same shard.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        self.shard_for(&key).update(move |map| {
-            let (next, old) = map.insert(key.clone(), value.clone());
-            Update::Replace(next, old)
-        })
+        self.shard_for(&key)
+            .update(move |map| match map.upsert(key.clone(), value.clone()) {
+                (Some(next), old) => Update::Replace(next, old),
+                (None, old) => Update::Keep(old),
+            })
     }
 
     /// Inserts only if `key` is absent; returns `true` on success. When
@@ -176,7 +178,8 @@ where
 
     /// Atomically applies `f` to the value at `key` (or `None` if absent)
     /// and stores its result (`None` removes the key). Returns the
-    /// previous value. Linearized at the owning shard's root CAS.
+    /// previous value. Linearized at the owning shard's root CAS — or,
+    /// when `f` changes nothing, at the root load.
     ///
     /// Like [`PathCopyUc::update`], `f` may run several times (once per
     /// CAS attempt under contention), so it must be a pure function of
@@ -185,10 +188,10 @@ where
         self.shard_for(key).update(|map| {
             let old = map.get(key).cloned();
             match f(old.as_ref()) {
-                Some(new_v) => {
-                    let (next, prev) = map.insert(key.clone(), new_v);
-                    Update::Replace(next, prev)
-                }
+                Some(new_v) => match map.upsert(key.clone(), new_v) {
+                    (Some(next), prev) => Update::Replace(next, prev),
+                    (None, prev) => Update::Keep(prev),
+                },
                 None => match map.remove(key) {
                     Some((next, prev)) => Update::Replace(next, Some(prev)),
                     None => Update::Keep(None),
@@ -577,7 +580,7 @@ where
 impl<K, V> api::ConcurrentMap<K, V> for ShardedTreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     fn insert(&self, key: K, value: V) -> Option<V> {
         ShardedTreapMap::insert(self, key, value)
@@ -612,7 +615,7 @@ where
 impl<K, V> api::Snapshottable for ShardedTreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     type Snapshot = ShardedSnapshot<K, V>;
 
@@ -627,7 +630,7 @@ where
 impl<K, V> fmt::Debug for ShardedTreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync + fmt::Debug,
-    V: Clone + Send + Sync + fmt::Debug,
+    V: Clone + PartialEq + Send + Sync + fmt::Debug,
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let snap = self.snapshot_all();
@@ -638,7 +641,7 @@ where
 impl<K, V> FromIterator<(K, V)> for ShardedTreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     /// Builds a map with the default shard count
     /// ([`ShardedTreapMap::default`]).
@@ -654,7 +657,7 @@ where
 impl<K, V> Extend<(K, V)> for ShardedTreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
         for (k, v) in iter {

@@ -39,7 +39,7 @@ pub struct TreapMap<K, V> {
 impl<K, V> Default for TreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     fn default() -> Self {
         Self::new()
@@ -49,7 +49,7 @@ where
 impl<K, V> TreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     /// Creates an empty map.
     pub fn new() -> Self {
@@ -72,17 +72,19 @@ where
         }
     }
 
-    /// Inserts `key -> value`, returning the previous value if any.
+    /// Inserts `key -> value`, returning the previous value if any (no
+    /// allocation and no CAS when `key` already maps to an equal value).
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         self.insert_reported(key, value).result
     }
 
     /// [`insert`](Self::insert) with attempt-count instrumentation.
     pub fn insert_reported(&self, key: K, value: V) -> UpdateReport<Option<V>> {
-        self.uc.update_reported(move |map| {
-            let (next, old) = map.insert(key.clone(), value.clone());
-            Update::Replace(next, old)
-        })
+        self.uc
+            .update_reported(move |map| match map.upsert(key.clone(), value.clone()) {
+                (Some(next), old) => Update::Replace(next, old),
+                (None, old) => Update::Keep(old),
+            })
     }
 
     /// Inserts only if `key` is absent; returns `true` on success. When
@@ -114,15 +116,15 @@ where
     /// Atomically applies `f` to the value at `key` (or `None` if absent)
     /// and stores its result (`None` result removes the key). Returns the
     /// previous value. This is a general read-modify-write linearized at
-    /// the root CAS.
+    /// the root CAS — or, when `f` changes nothing, at the root load.
     pub fn compute(&self, key: &K, f: impl Fn(Option<&V>) -> Option<V>) -> Option<V> {
         self.uc.update(|map| {
             let old = map.get(key).cloned();
             match f(old.as_ref()) {
-                Some(new_v) => {
-                    let (next, prev) = map.insert(key.clone(), new_v);
-                    Update::Replace(next, prev)
-                }
+                Some(new_v) => match map.upsert(key.clone(), new_v) {
+                    (Some(next), prev) => Update::Replace(next, prev),
+                    (None, prev) => Update::Keep(prev),
+                },
                 None => match map.remove(key) {
                     Some((next, prev)) => Update::Replace(next, Some(prev)),
                     None => Update::Keep(None),
@@ -185,7 +187,7 @@ where
 impl<K, V> api::ConcurrentMap<K, V> for TreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     fn insert(&self, key: K, value: V) -> Option<V> {
         TreapMap::insert(self, key, value)
@@ -219,7 +221,7 @@ where
 impl<K, V> api::Snapshottable for TreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     type Snapshot = TreapSnapshot<K, V>;
 
@@ -243,7 +245,7 @@ where
 impl<K, V> FromIterator<(K, V)> for TreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     /// Builds the persistent prefill off-line, then wraps it — no CAS
     /// traffic during construction.
@@ -255,7 +257,7 @@ where
 impl<K, V> Extend<(K, V)> for TreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + Send + Sync,
+    V: Clone + PartialEq + Send + Sync,
 {
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
         for (k, v) in iter {

@@ -17,9 +17,10 @@
 //! expectation) no more than 2 nodes on any other process's search path.
 //!
 //! An update closure may also report that the operation does not change
-//! the structure (e.g. inserting a key that is already present) by
-//! returning [`Update::Keep`]; such operations complete **without a CAS**,
-//! which is why the paper's Random workload (§4.2) behaves partly like a
+//! the structure (e.g. inserting a key that is already mapped to an equal
+//! value) by returning [`Update::Keep`]; such operations complete
+//! **without a CAS** (they linearize at the load that saw the unchanged
+//! state), which is why the paper's Random workload (§4.2) behaves partly like a
 //! read-only workload and scales better than Batch.
 
 use std::sync::Arc;

@@ -507,11 +507,13 @@ fn main() {
     print!("{}", table.render());
     let final_pool = pathcopy_core::pool::stats();
     println!(
-        "engine: ops={} attempts={} cas_failures={} frozen_installs={} freeze_retries={} len={} \
-         pool_nodes={} pool_exchanges={} pool_slabs={} pool_depot_blocks={}",
+        "engine: ops={} attempts={} cas_failures={} noop_updates={} frozen_installs={} \
+         freeze_retries={} len={} pool_nodes={} pool_exchanges={} pool_slabs={} \
+         pool_depot_blocks={}",
         delta(Stage::Ops),
         delta(Stage::Attempts),
         delta(Stage::CasFailures),
+        delta(Stage::NoopUpdates),
         delta(Stage::FrozenInstalls),
         delta(Stage::FreezeRetries),
         value(&final_rows, Stage::Len),

@@ -161,12 +161,25 @@ impl<K, V> TreapMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone + Hash, V: Clone> TreapMap<K, V> {
+impl<K: Ord + Clone + Hash, V: Clone + PartialEq> TreapMap<K, V> {
     /// Inserts `key -> value` with the canonical hashed priority,
-    /// returning the new version and the previous value, if any.
+    /// returning the new version and the previous value, if any. If the
+    /// key already maps to an equal value the "new" version is a clone
+    /// of `self`: nothing is allocated (see [`upsert`](Self::upsert)).
     pub fn insert(&self, key: K, value: V) -> (Self, Option<V>) {
         let priority = priority_of(&key);
         self.insert_with_priority(key, value, priority)
+    }
+
+    /// [`insert`](Self::insert) that reports whether a version was built:
+    /// `None` means the key already maps to an equal value, so the
+    /// operation changes nothing — **no node is allocated or cloned**,
+    /// letting the universal construction skip its CAS. The second field
+    /// is the previous value, if any.
+    pub fn upsert(&self, key: K, value: V) -> (Option<Self>, Option<V>) {
+        let priority = priority_of(&key);
+        let (root, old) = insert_rec(&self.root, key, value, priority, Present::Replace);
+        (root.map(|root| TreapMap { root: Some(root) }), old)
     }
 
     /// Inserts `key -> value` only if absent; `None` means the key was
@@ -177,17 +190,27 @@ impl<K: Ord + Clone + Hash, V: Clone> TreapMap<K, V> {
     /// no-op costs no allocation.
     pub fn insert_if_absent(&self, key: K, value: V) -> Option<Self> {
         let priority = priority_of(&key);
-        insert_new_rec(&self.root, key, value, priority).map(|root| TreapMap { root: Some(root) })
+        insert_rec(&self.root, key, value, priority, Present::Keep)
+            .0
+            .map(|root| TreapMap { root: Some(root) })
+    }
+}
+
+impl<K: Ord + Clone, V: Clone + PartialEq> TreapMap<K, V> {
+    /// Inserts with an explicit priority (classical randomized treap use).
+    ///
+    /// A present key whose node ranks at or above `priority` keeps its
+    /// node's priority; if it also maps to an equal value the result is a
+    /// clone of `self` and nothing is allocated. A present key ranked
+    /// below `priority` is moved up to it.
+    pub fn insert_with_priority(&self, key: K, value: V, priority: u64) -> (Self, Option<V>) {
+        let (root, old) = insert_rec(&self.root, key, value, priority, Present::Replace);
+        let next = root.map_or_else(|| self.clone(), |root| TreapMap { root: Some(root) });
+        (next, old)
     }
 }
 
 impl<K: Ord + Clone, V: Clone> TreapMap<K, V> {
-    /// Inserts with an explicit priority (classical randomized treap use).
-    pub fn insert_with_priority(&self, key: K, value: V, priority: u64) -> (Self, Option<V>) {
-        let (root, old) = insert_rec(&self.root, key, value, priority);
-        (TreapMap { root: Some(root) }, old)
-    }
-
     /// Removes `key`, returning the new version and the removed value;
     /// `None` means the key was absent (no new version created).
     pub fn remove<Q>(&self, key: &Q) -> Option<(Self, V)>
@@ -580,7 +603,7 @@ impl<'a, K, V> DiffWalk<'a, K, V> {
     }
 }
 
-impl<K: Ord + Clone + Hash, V: Clone> FromIterator<(K, V)> for TreapMap<K, V> {
+impl<K: Ord + Clone + Hash, V: Clone + PartialEq> FromIterator<(K, V)> for TreapMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let mut map = TreapMap::new();
         for (k, v) in iter {
@@ -618,75 +641,65 @@ fn with_children<K: Clone, V: Clone>(
     mk(n.key.clone(), n.value.clone(), n.priority, left, right)
 }
 
-fn insert_rec<K: Ord + Clone, V: Clone>(
+/// What [`insert_rec`] does with a key that is already present.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Present {
+    /// Leave the entry as it is (insert-if-absent).
+    Keep,
+    /// Replace the value, unless it is equal to the one given.
+    Replace,
+}
+
+/// The one insert descent. Returns the new subtree, or `None` when the
+/// insert changes nothing (per `present`) — in which case nothing has
+/// been allocated or cloned on the way down — plus the previous value.
+fn insert_rec<K: Ord + Clone, V: Clone + PartialEq>(
     link: &Link<K, V>,
     key: K,
     value: V,
     priority: u64,
-) -> (PoolArc<Node<K, V>>, Option<V>) {
+    present: Present,
+) -> (Link<K, V>, Option<V>) {
     match link {
-        None => (mk(key, value, priority, None, None), None),
+        None => (Some(mk(key, value, priority, None, None)), None),
         Some(n) => {
             if priority > n.priority {
                 // The new node belongs above this subtree: split the
                 // subtree around the key and put the new node on top.
+                // With hashed priorities a present key has our exact
+                // priority and we could not be above it, so `m` is `None`
+                // except under explicit priorities or hash ties; a present
+                // key moves up to the new priority unless `Keep`.
                 let (l, m, r) = split_rec(link, &key);
                 let old = m.map(|mid| mid.value.clone());
-                (mk(key, value, priority, l, r), old)
+                if old.is_some() && present == Present::Keep {
+                    return (None, old);
+                }
+                (Some(mk(key, value, priority, l, r)), old)
             } else {
                 match key.cmp(&n.key) {
-                    Equal => (
+                    Equal => {
+                        let old = Some(n.value.clone());
+                        if present == Present::Keep || n.value == value {
+                            return (None, old);
+                        }
                         // Same key: replace the value, keep shape.
-                        mk(key, value, n.priority, n.left.clone(), n.right.clone()),
-                        Some(n.value.clone()),
-                    ),
+                        let node = mk(key, value, n.priority, n.left.clone(), n.right.clone());
+                        (Some(node), old)
+                    }
                     Less => {
-                        let (nl, old) = insert_rec(&n.left, key, value, priority);
+                        let (nl, old) = insert_rec(&n.left, key, value, priority, present);
                         // `nl.priority <= n.priority` (the new node either
                         // stayed below or had priority <= ours), so the
                         // heap property holds without rotations here.
-                        (with_children(n, Some(nl), n.right.clone()), old)
+                        (
+                            nl.map(|nl| with_children(n, Some(nl), n.right.clone())),
+                            old,
+                        )
                     }
                     Greater => {
-                        let (nr, old) = insert_rec(&n.right, key, value, priority);
-                        (with_children(n, n.left.clone(), Some(nr)), old)
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Insert-if-absent in one pass: returns `None` (no allocation beyond the
-/// already-built spine) when the key is found.
-fn insert_new_rec<K: Ord + Clone, V: Clone>(
-    link: &Link<K, V>,
-    key: K,
-    value: V,
-    priority: u64,
-) -> Option<PoolArc<Node<K, V>>> {
-    match link {
-        None => Some(mk(key, value, priority, None, None)),
-        Some(n) => {
-            if priority > n.priority {
-                // With hashed priorities an existing key would have our
-                // exact priority and we could not be above it, so `m` is
-                // None except under explicit priorities or hash ties.
-                let (l, m, r) = split_rec(link, &key);
-                if m.is_some() {
-                    return None;
-                }
-                Some(mk(key, value, priority, l, r))
-            } else {
-                match key.cmp(&n.key) {
-                    Equal => None,
-                    Less => {
-                        let nl = insert_new_rec(&n.left, key, value, priority)?;
-                        Some(with_children(n, Some(nl), n.right.clone()))
-                    }
-                    Greater => {
-                        let nr = insert_new_rec(&n.right, key, value, priority)?;
-                        Some(with_children(n, n.left.clone(), Some(nr)))
+                        let (nr, old) = insert_rec(&n.right, key, value, priority, present);
+                        (nr.map(|nr| with_children(n, n.left.clone(), Some(nr))), old)
                     }
                 }
             }
@@ -1287,6 +1300,21 @@ mod tests {
         assert!(s.contains(&1), "old version untouched");
         assert!(!s2.contains(&1));
         assert_eq!(s2.len(), 0);
+    }
+
+    #[test]
+    fn upsert_of_the_value_already_held_builds_no_version() {
+        let m: TreapMap<i64, i64> = (0..100).map(|k| (k, k)).collect();
+        assert!(
+            matches!(m.upsert(7, 7), (None, Some(7))),
+            "same value: no-op"
+        );
+        let (next, old) = m.upsert(7, 70);
+        assert_eq!((next.unwrap().get(&7), old), (Some(&70), Some(7)));
+        let (next, old) = m.upsert(500, 5);
+        assert_eq!((next.unwrap().len(), old), (101, None));
+        assert!(m.insert_if_absent(7, 70).is_none(), "present: no-op");
+        assert_eq!(m.get(&7), Some(&7), "old version untouched");
     }
 
     #[test]

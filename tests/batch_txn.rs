@@ -135,11 +135,14 @@ enum TxOp {
 }
 
 fn tx_batches() -> impl Strategy<Value = Vec<Vec<TxOp>>> {
+    // Half the written values come from a 3-value range, so `Insert` and
+    // `Cas` often store the value a key already holds (a no-op write).
+    let value = || prop_oneof![any::<u16>(), 0u16..3];
     let op = prop_oneof![
-        (any::<u8>(), any::<u16>()).prop_map(|(k, v)| TxOp::Insert(k % 48, v)),
+        (any::<u8>(), value()).prop_map(|(k, v)| TxOp::Insert(k % 48, v)),
         any::<u8>().prop_map(|k| TxOp::Remove(k % 48)),
         any::<u8>().prop_map(|k| TxOp::Get(k % 48)),
-        (any::<u8>(), any::<(bool, u16)>(), any::<(bool, u16)>()).prop_map(|(k, e, n)| {
+        (any::<u8>(), any::<(bool, u16)>(), (any::<bool>(), value())).prop_map(|(k, e, n)| {
             TxOp::Cas(k % 48, e.0.then_some(e.1 % 4), n.0.then_some(n.1))
         }),
     ];

@@ -5,9 +5,12 @@
 //!
 //! The tests read process-wide counters, so they take turns.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use path_copying::pathcopy_core::pool;
+use path_copying::pathcopy_concurrent::{
+    BatchOp, BatchResult, ShardedTreapMap, TreapMap as ConcurrentTreapMap,
+};
+use path_copying::pathcopy_core::{pool, StatsSnapshot};
 use path_copying::pathcopy_trees::TreapMap;
 
 fn take_turns() -> MutexGuard<'static, ()> {
@@ -191,4 +194,175 @@ fn short_lived_threads_reuse_one_threads_memory() {
         churn(seed);
     }
     assert_eq!(pool::stats().slabs_carved, one_thread);
+}
+
+/// Pool blocks handed out so far; exact for the calling thread, and no
+/// other thread allocates while a test holds its turn.
+fn blocks() -> u64 {
+    pool::stats().blocks_handed_out
+}
+
+/// Writes per path in [`an_equal_value_write_allocates_nothing_and_installs_nothing`].
+const NOOP_WRITES: u64 = 1_000;
+/// Keys prefilled as `k -> k`, so writing `(k, k)` changes nothing.
+const NOOP_KEYS: i64 = 1_024;
+
+fn noop_key(i: u64) -> i64 {
+    (i as i64 * 7_919) % NOOP_KEYS
+}
+
+/// Drives one concurrent write path: `write(k, v)` must leave the map
+/// untouched when `k` already holds `v` — no pool block, no CAS, the
+/// same version, one no-op per write — and must copy exactly the search
+/// path, in one attempt, when `v` differs.
+fn assert_noop_writes_are_free(
+    what: &str,
+    write: impl Fn(i64, i64),
+    version: impl Fn() -> Arc<TreapMap<i64, i64>>,
+    stats: impl Fn() -> StatsSnapshot,
+) {
+    let (v0, s0, b0) = (version(), stats(), blocks());
+    for i in 0..NOOP_WRITES {
+        let k = noop_key(i);
+        write(k, k);
+    }
+    let s1 = stats();
+    assert_eq!(
+        blocks() - b0,
+        0,
+        "{what}: an equal-value write took pool blocks"
+    );
+    assert_eq!(s1.ops - s0.ops, NOOP_WRITES, "{what}: ops");
+    assert_eq!(s1.attempts - s0.attempts, NOOP_WRITES, "{what}: attempts");
+    assert_eq!(
+        s1.noop_updates - s0.noop_updates,
+        NOOP_WRITES,
+        "{what}: no-ops"
+    );
+    assert!(
+        Arc::ptr_eq(&v0, &version()),
+        "{what}: an equal-value write installed a version"
+    );
+
+    let (b1, path) = (blocks(), v0.path_len(&7) as u64);
+    write(7, -7);
+    let s2 = stats();
+    assert_eq!(
+        blocks() - b1,
+        path,
+        "{what}: a changed value must copy the search path"
+    );
+    assert_eq!(
+        s2.noop_updates, s1.noop_updates,
+        "{what}: a change counted as a no-op"
+    );
+    assert_eq!(
+        version().get(&7),
+        Some(&-7),
+        "{what}: the change did not land"
+    );
+}
+
+/// A write that stores the value its key already holds changes nothing,
+/// so on every write path it costs a descent and nothing more: no node
+/// is copied and no root is CASed (the paper's Random workload counts on
+/// this for half its inserts). A different value still copies the path.
+#[test]
+fn an_equal_value_write_allocates_nothing_and_installs_nothing() {
+    let _turn = take_turns();
+
+    let base: TreapMap<i64, i64> = (0..NOOP_KEYS).map(|k| (k, k)).collect();
+    let b0 = blocks();
+    for i in 0..NOOP_WRITES {
+        let k = noop_key(i);
+        let (next, old) = base.insert(k, k);
+        assert_eq!(old, Some(k));
+        let (a, b) = (next.root().unwrap(), base.root().unwrap());
+        assert!(pool::PoolArc::ptr_eq(a, b), "trees: not the same version");
+    }
+    assert_eq!(
+        blocks() - b0,
+        0,
+        "trees: an equal-value insert took pool blocks"
+    );
+    let (b1, path) = (blocks(), base.path_len(&7) as u64);
+    let (next, old) = base.insert(7, -7);
+    assert_eq!((old, next.get(&7)), (Some(7), Some(&-7)));
+    assert_eq!(
+        blocks() - b1,
+        path,
+        "trees: a changed value must copy the search path"
+    );
+
+    let single = || ConcurrentTreapMap::from_version(base.clone());
+    let m = single();
+    assert_noop_writes_are_free(
+        "TreapMap::insert",
+        |k, v| {
+            m.insert(k, v);
+        },
+        || m.snapshot().as_inner().clone(),
+        || m.stats().snapshot(),
+    );
+    let m = single();
+    assert_noop_writes_are_free(
+        "TreapMap::compute",
+        |k, v| {
+            m.compute(&k, |_| Some(v));
+        },
+        || m.snapshot().as_inner().clone(),
+        || m.stats().snapshot(),
+    );
+
+    // One shard, so every batch below takes the lock-free single-shard
+    // path and `snapshot_shard(0)` is the whole map.
+    let sharded = || {
+        let m = ShardedTreapMap::with_shards(1);
+        for k in 0..NOOP_KEYS {
+            m.insert(k, k);
+        }
+        m
+    };
+    let m = sharded();
+    assert_noop_writes_are_free(
+        "ShardedTreapMap::insert",
+        |k, v| {
+            m.insert(k, v);
+        },
+        || m.snapshot_shard(0),
+        || m.stats_snapshot(),
+    );
+    let m = sharded();
+    assert_noop_writes_are_free(
+        "ShardedTreapMap::compute",
+        |k, v| {
+            m.compute(&k, |_| Some(v));
+        },
+        || m.snapshot_shard(0),
+        || m.stats_snapshot(),
+    );
+    let m = sharded();
+    assert_noop_writes_are_free(
+        "transact([Insert])",
+        |k, v| {
+            let r = m.transact(&[BatchOp::Insert(k, v)]);
+            assert!(matches!(r[..], [BatchResult::Inserted(Some(_))]));
+        },
+        || m.snapshot_shard(0),
+        || m.stats_snapshot(),
+    );
+    let m = sharded();
+    assert_noop_writes_are_free(
+        "transact([Cas])",
+        |k, v| {
+            let cas = BatchOp::Cas {
+                key: k,
+                expected: Some(k),
+                new: Some(v),
+            };
+            assert_eq!(m.transact(&[cas]), vec![BatchResult::Cas(true)]);
+        },
+        || m.snapshot_shard(0),
+        || m.stats_snapshot(),
+    );
 }
