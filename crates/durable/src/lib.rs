@@ -27,7 +27,7 @@
 //!   [`FeedSink`](pathcopy_server::FeedSink): every `Publish` becomes
 //!   durable before the client sees its epoch number.
 //! * **Replica seeding**: [`EpochLog::replay_into`] loads a replica's
-//!   store from the log so it can skip the `FullSync` transfer and join
+//!   store from the log so it can skip the wire's full transfer and join
 //!   the diff stream immediately (`PushReplica::connect_seeded` in
 //!   `pathcopy-replica`).
 //!

@@ -498,7 +498,7 @@ impl EpochLog {
 
     /// Appends a checkpoint: epoch `epoch`'s *complete* state, read
     /// from `snap` in bounded pages (the same [`SYNC_PAGE_MAX_ENTRIES`]
-    /// paging `FullSync` uses on the wire). A checkpoint always starts
+    /// paging a `Range` reply obeys on the wire). A checkpoint always starts
     /// a fresh segment, and completing one triggers retirement of the
     /// oldest chains beyond [`LogConfig::max_total_bytes`].
     ///

@@ -22,11 +22,12 @@
 //!   published primary versions — never a half-applied epoch.
 //! * **Full sync** — the bootstrap, and the fallback when the replica's
 //!   epoch has been retired from the feed ring (it lagged too far) or
-//!   the diff overflows the frame cap: the replica pages the whole
-//!   pinned head version down in bounded
-//!   [`SyncPage`](pathcopy_server::Response::SyncPage) segments,
-//!   computes the *local* difference against its own store, and applies
-//!   that reconciliation — again as one atomic batch.
+//!   the diff overflows the frame cap: the replica reads the feed head
+//!   (publishing first only if the feed is empty), pages that pinned
+//!   version down with bounded
+//!   [`Range`](pathcopy_server::Request::Range) scans, computes the
+//!   *local* difference against its own store, and applies that
+//!   reconciliation — again as one atomic batch.
 //!
 //! The session's [`wire_bytes`](Session::wire_bytes) accounting splits
 //! the bytes each pull path moved ([`PushStats::diff_bytes`] vs
@@ -66,12 +67,12 @@
 //!   ([`PushOutcome::Stale`]), and applying it twice would corrupt the
 //!   store;
 //! * mirror into the relay feed **after** the store mutation, so a
-//!   downstream `FullSync` pinning the mirrored epoch always sees a
+//!   downstream bootstrap pinning the mirrored epoch always sees a
 //!   store at least that new.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
+use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -235,7 +236,7 @@ impl PushReplica {
     }
 
     /// [`connect`](Self::connect), but bootstraps `store` from a durable
-    /// epoch log instead of a `FullSync` over the wire: replays the
+    /// epoch log instead of a full sync over the wire: replays the
     /// log's newest checkpoint plus its diff tail (each epoch applied as
     /// one atomic batch) and adopts the log's head as the applied epoch.
     /// While the head is still retained in the primary's feed ring, the
@@ -573,35 +574,44 @@ impl PushReplica {
         Err(last_err.expect("restarts only on EpochRetired"))
     }
 
-    /// Pages one pinned epoch fully down. `Err(EpochRetired)` means the
-    /// pin died mid-transfer and the caller should restart.
-    fn try_full_transfer(&self) -> Result<(Epoch, BTreeMap<i64, i64>), ClientError> {
-        let mut target = BTreeMap::new();
-        let (epoch, first, mut done) = self.session.full_sync_page(None, None, 0)?;
-        let mut after = first.last().map(|(k, _)| *k);
-        target.extend(first);
-        while !done {
-            let (e, page, page_done) = self.session.full_sync_page(Some(epoch), after, 0)?;
-            debug_assert_eq!(e, epoch, "server pages the pinned epoch");
-            after = page.last().map(|(k, _)| *k).or(after);
+    /// Pages one pinned epoch fully down, in ascending key order: the
+    /// feed head, or a fresh publish if the feed is empty.
+    /// `Err(EpochRetired)` means the pin died mid-transfer and the
+    /// caller should restart.
+    fn try_full_transfer(&self) -> Result<(Epoch, Vec<(i64, i64)>), ClientError> {
+        // Reusing the head keeps concurrent bootstraps on one shared pin
+        // — publishing per bootstrap would retire rival pins and could
+        // livelock restarts on a tiny ring. An empty feed's `Publish`
+        // snapshots under the feed lock, so no write watermarked at or
+        // before the pinned epoch is missing from it.
+        let epoch = match self.session.feed_info()?.head {
+            0 => self.session.publish()?,
+            head => head,
+        };
+        let mut target: Vec<(i64, i64)> = Vec::new();
+        loop {
+            let lo = target
+                .last()
+                .map_or(Bound::Unbounded, |&(k, _)| Bound::Excluded(k));
+            let (page, complete) = self.session.range(Some(epoch), (lo, Bound::Unbounded), 0)?;
             target.extend(page);
-            done = page_done;
+            if complete {
+                return Ok((epoch, target));
+            }
         }
-        Ok((epoch, target))
     }
 
     /// Applies `local → target` as one batch: inserts/overwrites for
     /// entries that differ, removals for local keys the target lacks.
     /// Both sides are sorted, so this is a single two-pointer merge.
-    fn reconcile(&self, target: &BTreeMap<i64, i64>) {
+    fn reconcile(&self, target: &[(i64, i64)]) {
         let snap = self.store.snapshot();
-        let (local, complete) =
-            snap.range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded, 0);
+        let (local, complete) = snap.range(Bound::Unbounded, Bound::Unbounded, 0);
         debug_assert!(complete, "unlimited range scans to completion");
         let mut ops: Vec<BatchOp<i64, i64>> = Vec::new();
         let mut incoming = target.iter().peekable();
         for (k, v) in &local {
-            while let Some(&(&tk, &tv)) = incoming.peek() {
+            while let Some(&&(tk, tv)) = incoming.peek() {
                 if tk >= *k {
                     break;
                 }
@@ -609,7 +619,7 @@ impl PushReplica {
                 incoming.next();
             }
             match incoming.peek() {
-                Some(&(&tk, &tv)) if tk == *k => {
+                Some(&&(tk, tv)) if tk == *k => {
                     if tv != *v {
                         ops.push(BatchOp::Insert(tk, tv));
                     }
@@ -618,7 +628,7 @@ impl PushReplica {
                 _ => ops.push(BatchOp::Remove(*k)), // local-only
             }
         }
-        for (&tk, &tv) in incoming {
+        for &(tk, tv) in incoming {
             ops.push(BatchOp::Insert(tk, tv)); // target-only tail
         }
         if !ops.is_empty() {

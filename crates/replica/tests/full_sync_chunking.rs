@@ -1,23 +1,27 @@
 //! Regression for the `FrameTooLarge` bootstrap failure: a replica
 //! bootstrapping a map whose full state exceeds one wire frame must
-//! succeed, because `FullSync` replies are chunked into bounded pages.
+//! succeed, because the server clamps every `Range` reply to a bounded
+//! page and the replica pages the pinned epoch until it is complete.
 //!
 //! In release the map is genuinely **larger than one frame** (entries
-//! encode past `MAX_FRAME_LEN`), and the test proves it by showing that
-//! the *unchunked* scan path refuses exactly where the chunked sync
-//! sails through. The debug profile uses a smaller map (the page
-//! machinery is identical) to keep `cargo test` quick.
+//! encode past `MAX_FRAME_LEN`), so a scan asking for everything at once
+//! would be refused if the server did not clamp it. The debug profile
+//! uses a smaller map (the page machinery is identical) to keep
+//! `cargo test` quick.
 
 use pathcopy_concurrent::ShardedTreapMap;
 use pathcopy_replica::PushReplica;
 use pathcopy_server::backend::ShardedServe;
 use pathcopy_server::proto::SYNC_PAGE_MAX_ENTRIES;
-use pathcopy_server::{backend, ClientError, ServerConfig, Session, WireError, MAX_FRAME_LEN};
+use pathcopy_server::{backend, ServerConfig, Session};
 
 #[cfg(debug_assertions)]
 const MAP_SIZE: i64 = 200_000;
 #[cfg(not(debug_assertions))]
 const MAP_SIZE: i64 = 1_100_000; // 16 bytes/entry => ~16.8 MB > MAX_FRAME_LEN
+
+#[cfg(not(debug_assertions))]
+const _: () = assert!(MAP_SIZE as u64 * 16 > pathcopy_server::MAX_FRAME_LEN as u64);
 
 #[test]
 fn bootstrap_of_a_map_larger_than_one_frame_never_trips_the_cap() {
@@ -33,21 +37,14 @@ fn bootstrap_of_a_map_larger_than_one_frame_never_trips_the_cap() {
     .expect("bind ephemeral loopback port");
     let c = Session::connect(server.addr()).unwrap();
 
-    if (MAP_SIZE as u64) * 16 > MAX_FRAME_LEN as u64 {
-        // The map really is larger than one frame: the unchunked scan
-        // path refuses (politely — the connection survives).
-        let err = c.range(None, .., 0).unwrap_err();
-        assert!(
-            matches!(err, ClientError::Server(WireError::TooLarge)),
-            "unlimited range of a >frame map must refuse, got {err:?}"
-        );
+    // Raw page check: asking for an absurd page size, or for the
+    // server's own (`0`), comes back clamped to the server's bound —
+    // a page, never a refusal.
+    for limit in [u32::MAX, 0] {
+        let (page, complete) = c.range(None, .., limit).unwrap();
+        assert!(!complete, "limit {limit}: the map is more than one page");
+        assert_eq!(page.len(), SYNC_PAGE_MAX_ENTRIES as usize, "limit {limit}");
     }
-
-    // Raw page check: even asking for an absurd page size comes back
-    // clamped to the server's bound.
-    let (epoch, first_page, done) = c.full_sync_page(None, None, u32::MAX).unwrap();
-    assert!(!done);
-    assert_eq!(first_page.len(), SYNC_PAGE_MAX_ENTRIES as usize);
 
     // The replica bootstraps the whole thing through bounded segments.
     let replica =
@@ -67,6 +64,5 @@ fn bootstrap_of_a_map_larger_than_one_frame_never_trips_the_cap() {
         stats.full_bytes
     );
     drop(c);
-    let _ = epoch;
     server.shutdown();
 }

@@ -1403,14 +1403,15 @@ impl Session {
     /// Pulls everything that changed between published epoch `from` and
     /// the feed head: `(head_epoch, changes)`. Fails with
     /// [`WireError::EpochRetired`] when `from` fell out of the feed ring
-    /// (lagged too far — fall back to [`full_sync_page`](Self::full_sync_page)).
+    /// (lagged too far — bootstrap again with [`range`](Self::range)
+    /// pages of the feed head).
     ///
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes;
     /// [`WireError::EpochRetired`] as above, and
     /// [`WireError::TooLarge`] if the accumulated diff cannot fit one
-    /// frame (sync more often, or full-sync).
+    /// frame (sync more often, or bootstrap again).
     pub fn pull_diff(&self, from: Epoch) -> Result<(Epoch, Vec<DiffEntry<i64, i64>>), ClientError> {
         match self.call(&Request::PullDiff { from })? {
             Response::EpochDiff { to, entries } => Ok((to, entries)),
@@ -1418,49 +1419,21 @@ impl Session {
         }
     }
 
-    /// One bounded page of a full-state sync: `(epoch, entries, done)`.
-    /// Start with `epoch: None` (the server pins a fresh epoch), then
-    /// pass the returned epoch and the last key of each page until
-    /// `done`. `limit = 0` asks for the server's largest page.
-    ///
-    /// # Errors
-    ///
-    /// The shared [`call`](Self::call) failure modes;
-    /// [`WireError::EpochRetired`] if the epoch being paged fell out of
-    /// the feed ring mid-sync (restart with `epoch: None`).
-    #[allow(clippy::type_complexity)]
-    pub fn full_sync_page(
-        &self,
-        epoch: Option<Epoch>,
-        after: Option<i64>,
-        limit: u32,
-    ) -> Result<(Epoch, Vec<(i64, i64)>, bool), ClientError> {
-        match self.call(&Request::FullSync {
-            epoch,
-            after,
-            limit,
-        })? {
-            Response::SyncPage {
-                epoch,
-                entries,
-                done,
-            } => Ok((epoch, entries, done)),
-            _ => Err(ClientError::Unexpected("FullSync")),
-        }
-    }
-
     /// Ordered scan of `range` on a retained feed epoch (`Some(epoch)`,
     /// pinned by [`publish`](Self::publish)) or on a fresh coherent
-    /// snapshot (`None`). At most `limit` entries come back (`0` =
-    /// unlimited); the second component is `false` when the scan was
-    /// truncated.
+    /// snapshot (`None`). At most `limit` entries come back, and never
+    /// more than the server's page size,
+    /// [`SYNC_PAGE_MAX_ENTRIES`](crate::proto::SYNC_PAGE_MAX_ENTRIES)
+    /// (`0` = that page size); the second component is `false` when the
+    /// scan was truncated. Paging one epoch to completion — each page's
+    /// lower bound excluding the last key received — reads a whole
+    /// pinned version, which is how a replica bootstraps.
     ///
     /// # Errors
     ///
     /// The shared [`call`](Self::call) failure modes;
     /// [`WireError::EpochRetired`] for an epoch the feed no longer
-    /// retains, [`WireError::TooLarge`] if an unlimited scan cannot fit
-    /// one frame (page with `limit`).
+    /// retains (restart the paging at a newer epoch).
     pub fn range<R: RangeBounds<i64>>(
         &self,
         epoch: Option<Epoch>,

@@ -322,7 +322,7 @@ impl EpochFanout for PushHub {
         };
         // Same precheck PullDiff applies: an epoch too fat for one frame
         // is not pushed at all — subscribers catch up by pulling, which
-        // can fall back to a chunked FullSync.
+        // can fall back to a `Range`-paged bootstrap.
         if !diff_fits_frame(entries.len()) {
             return;
         }

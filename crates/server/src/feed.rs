@@ -14,8 +14,10 @@
 //! capped: publishing beyond [`VersionFeed::capacity`] retires the
 //! oldest epoch, and a replica that lagged past the ring is told
 //! [`WireError::EpochRetired`](crate::proto::WireError::EpochRetired)
-//! and bootstraps again via a chunked
-//! [`FullSync`](crate::proto::Request::FullSync).
+//! and bootstraps again: it reads the head with
+//! [`Subscribe`](crate::proto::Request::Subscribe) (publishing first if
+//! the feed is empty) and pages that epoch with
+//! [`Range`](crate::proto::Request::Range).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicU64, Ordering};

@@ -52,9 +52,9 @@ use pathcopy_trace::{SpanRecord, TraceContext};
 /// Version 3 added the `request_id` correlation field to the envelope
 /// (pipelining) and the [`WireError::Busy`] admission-control error.
 /// Version 2 added the replication feed frames
-/// ([`Request::Publish`]/[`Request::Subscribe`]/[`Request::PullDiff`]/
-/// [`Request::FullSync`]) and the guarded flag on [`Request::Batch`];
-/// its id-less envelope is no longer accepted.
+/// ([`Request::Publish`]/[`Request::Subscribe`]/[`Request::PullDiff`])
+/// and the guarded flag on [`Request::Batch`]; its id-less envelope is
+/// no longer accepted.
 pub const PROTO_VERSION: u8 = 3;
 
 /// Version-byte flag marking a frame that carries a 17-byte
@@ -107,10 +107,10 @@ pub const MAX_FRAME_LEN: u32 = 16 << 20;
 pub type Epoch = u64;
 
 /// Maximum number of entries the server packs into one
-/// [`Response::SyncPage`]. At 16 bytes per entry a page stays around
-/// 1 MiB — far below [`MAX_FRAME_LEN`] — so a [`Request::FullSync`]
-/// bootstrap of an arbitrarily large map never trips the frame cap; the
-/// replica just pulls more pages.
+/// [`Request::Range`] reply or one [`Response::SyncPage`] checkpoint
+/// page. At 16 bytes per entry a page stays around 1 MiB — far below
+/// [`MAX_FRAME_LEN`] — so a replica's bootstrap of an arbitrarily large
+/// map never trips the frame cap; it just pulls more pages.
 pub const SYNC_PAGE_MAX_ENTRIES: u32 = 65_536;
 
 // ---------------------------------------------------------------------------
@@ -283,7 +283,8 @@ wire_enum! {
     /// A client-to-server message. Tags 10 (`Stats`) and 18 (`Gauges`)
     /// are retired — their numbers are rows of [`Request::Metrics`] now —
     /// as are 6 (`Snapshot`), 8 (`Diff`) and 9 (`Release`), whose
-    /// versions are feed epochs now; none is ever reused.
+    /// versions are feed epochs now, and 14 (`FullSync`), which is
+    /// [`Request::Range`] at a feed epoch; none is ever reused.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Request, "request", REQUEST_TAGS {
         /// Look up one key.
@@ -337,7 +338,10 @@ wire_enum! {
             lo: Bound<i64>,
             /// Upper key bound.
             hi: Bound<i64>,
-            /// Maximum number of entries to return (`0` = unlimited).
+            /// Maximum number of entries to return (`0` = the server's
+            /// page size). The server clamps every page to
+            /// [`SYNC_PAGE_MAX_ENTRIES`], so a `Range` reply always fits
+            /// a frame.
             limit: u32,
         },
         /// Publish the current state as the next epoch of the server's
@@ -352,27 +356,11 @@ wire_enum! {
         /// and the feed head, as one pruned snapshot-to-snapshot diff.
         /// Replied with [`Response::EpochDiff`], or
         /// [`WireError::EpochRetired`] if `from` has fallen out of the ring
-        /// (the replica lags too far and must [`Request::FullSync`]).
+        /// (the replica lags too far and must bootstrap again with
+        /// [`Request::Range`] pages of a retained epoch).
         13 => PullDiff {
             /// The epoch the replica has applied.
             from: Epoch,
-        },
-        /// One page of a full-state bootstrap. The first call passes
-        /// `epoch: None` — the server serves the current feed head
-        /// (publishing a fresh epoch only when the feed is empty, so
-        /// concurrent bootstraps share one pin) — and follow-up calls pass
-        /// the returned epoch plus the last key received, so the whole map
-        /// streams out of **one** frozen version in bounded segments (never
-        /// more than [`SYNC_PAGE_MAX_ENTRIES`] entries each, so no page can
-        /// trip [`MAX_FRAME_LEN`]).
-        14 => FullSync {
-            /// The epoch being paged, or `None` to start a fresh sync.
-            epoch: Option<Epoch>,
-            /// Resume strictly after this key (`None` = from the start).
-            after: Option<i64>,
-            /// Client's page-size preference (`0` = server default); the
-            /// server clamps it to [`SYNC_PAGE_MAX_ENTRIES`].
-            limit: u32,
         },
         /// Register this connection for push delivery: from now on the
         /// server sends every published epoch's diff as an unsolicited
@@ -436,7 +424,8 @@ wire_enum! {
 
 wire_enum! {
     /// A server-to-client message; variants mirror [`Request`] one-to-one
-    /// plus [`Response::Error`]. Tags 6 (`SnapshotTaken`), 8 (`Diff`),
+    /// plus [`Response::Error`], and [`Response::SyncPage`] is the epoch
+    /// log's checkpoint record. Tags 6 (`SnapshotTaken`), 8 (`Diff`),
     /// 9 (`Released`), 10 (`Stats`) and 21 (`Gauges`) are retired and
     /// never reused.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -477,10 +466,11 @@ wire_enum! {
             /// The changes, in ascending key order.
             entries: Vec<DiffEntry<i64, i64>>,
         },
-        /// Reply to [`Request::FullSync`]: one bounded page of the pinned
-        /// epoch's entries.
+        /// A checkpoint page of the epoch log; the server never sends it.
+        /// The durable log writes a checkpoint as a run of these, one
+        /// epoch in bounded, ascending pages.
         16 => SyncPage {
-            /// The epoch being paged (pass it back for the next page).
+            /// The epoch being checkpointed.
             epoch: Epoch,
             /// The page's entries, in ascending key order.
             entries: Vec<(i64, i64)>,
@@ -617,15 +607,16 @@ wire_enum! {
         /// The server could not decode the request frame.
         2 => Malformed,
         /// The reply would exceed [`MAX_FRAME_LEN`] and was not sent; nothing
-        /// was written, so the connection stays usable — page with
-        /// [`Request::Range`]'s `limit`, or full-sync instead of a
-        /// [`Request::PullDiff`] that lags too far.
+        /// was written, so the connection stays usable — split the
+        /// [`Request::Batch`], or bootstrap with [`Request::Range`] pages
+        /// instead of a [`Request::PullDiff`] that lags too far. A
+        /// `Range` reply is clamped to a page and never gets this.
         3 => TooLarge,
-        /// A [`Request::Range`]/[`Request::PullDiff`]/[`Request::FullSync`]
-        /// named an epoch no longer retained in the feed ring (the payload
-        /// is the oldest epoch still available; `0` = the feed is empty). A
-        /// replica that lagged past the ring falls back to a fresh
-        /// [`Request::FullSync`]; a paged scan restarts at a newer epoch.
+        /// A [`Request::Range`]/[`Request::PullDiff`] named an epoch no
+        /// longer retained in the feed ring (the payload is the oldest
+        /// epoch still available; `0` = the feed is empty). A replica that
+        /// lagged past the ring bootstraps again from the feed head; a
+        /// paged scan restarts at a newer epoch.
         5 => EpochRetired(oldest: Epoch),
         /// The connection already has `queue_depth` requests in flight (the
         /// payload is the bound) and this one was shed without being
@@ -1290,16 +1281,6 @@ mod tests {
             Request::Publish,
             Request::Subscribe,
             Request::PullDiff { from: 17 },
-            Request::FullSync {
-                epoch: None,
-                after: None,
-                limit: 0,
-            },
-            Request::FullSync {
-                epoch: Some(9),
-                after: Some(-3),
-                limit: 4096,
-            },
             Request::SubscribePush { from: 0 },
             Request::SubscribePush { from: 41 },
             Request::GetAt {
@@ -1701,20 +1682,29 @@ mod tests {
 
     #[test]
     fn sync_page_cap_fits_the_frame_cap_with_room() {
-        // The chunking invariant: a maximal SyncPage must encode well
-        // under MAX_FRAME_LEN (satellite: FullSync bootstrap can never
-        // trip the frame cap, however big the map).
-        let page = Response::SyncPage {
-            epoch: u64::MAX,
-            entries: vec![(i64::MIN, i64::MAX); SYNC_PAGE_MAX_ENTRIES as usize],
-            done: false,
-        };
-        let mut body = Vec::new();
-        page.encode(&mut body);
-        assert!(
-            (body.len() as u32) < MAX_FRAME_LEN / 4,
-            "maximal sync page ({} bytes) too close to the frame cap",
-            body.len()
-        );
+        // The chunking invariant: a maximal checkpoint page and a
+        // maximal `Range` reply must encode well under MAX_FRAME_LEN, so
+        // neither a checkpoint nor a paged bootstrap can trip the frame
+        // cap, however big the map.
+        let entries = vec![(i64::MIN, i64::MAX); SYNC_PAGE_MAX_ENTRIES as usize];
+        for page in [
+            Response::SyncPage {
+                epoch: u64::MAX,
+                entries: entries.clone(),
+                done: false,
+            },
+            Response::Entries {
+                entries,
+                complete: false,
+            },
+        ] {
+            let mut body = Vec::new();
+            page.encode(&mut body);
+            assert!(
+                (body.len() as u32) < MAX_FRAME_LEN / 4,
+                "maximal page ({} bytes) too close to the frame cap",
+                body.len()
+            );
+        }
     }
 }

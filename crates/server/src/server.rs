@@ -71,8 +71,8 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// How many published epochs the replication feed retains
     /// ([`Request::Publish`]; min 1). A replica whose applied epoch is
-    /// retired from the ring must bootstrap again via
-    /// [`Request::FullSync`], so this bounds how far a replica may lag
+    /// retired from the ring must bootstrap again with [`Request::Range`]
+    /// pages of the feed head, so this bounds how far a replica may lag
     /// while still catching up with cheap diffs.
     pub feed_capacity: usize,
     /// First epoch the feed will assign (min 1; the default). A primary
@@ -231,7 +231,7 @@ pub(crate) struct Shared {
     /// The version feed: the only way a version is named on the wire.
     /// Epoch-keyed recent versions that replicas sync from and
     /// [`Request::Range`] scans by epoch ([`Request::Publish`]/
-    /// [`Request::PullDiff`]/[`Request::FullSync`]).
+    /// [`Request::PullDiff`]).
     pub(crate) feed: VersionFeed,
     pub(crate) requests: AtomicU64,
     /// Requests refused at admission control with [`WireError::Busy`].
@@ -509,7 +509,13 @@ pub(crate) fn handle_request(
         } => match epoch.map_or_else(|| Ok(shared.backend.snapshot()), |e| retained(shared, e)) {
             Err(e) => Response::Error(e),
             Ok(snap) => {
-                let (entries, complete) = snap.range(lo, hi, limit as usize);
+                // Every page is clamped, so no reply can trip the frame
+                // cap; `0` asks for the server's page size.
+                let page = match limit {
+                    0 => SYNC_PAGE_MAX_ENTRIES,
+                    n => n.min(SYNC_PAGE_MAX_ENTRIES),
+                };
+                let (entries, complete) = snap.range(lo, hi, page as usize);
                 Response::Entries { entries, complete }
             }
         },
@@ -538,57 +544,13 @@ pub(crate) fn handle_request(
             }
             match from_snap.diff(head.as_ref()) {
                 // A reply that cannot possibly fit the frame cap is
-                // refused here (the client falls back to a chunked
-                // FullSync).
+                // refused here (the client bootstraps again with `Range`
+                // pages).
                 Some(entries) if !diff_fits_frame(entries.len()) => {
                     Response::Error(WireError::TooLarge)
                 }
                 Some(entries) => Response::EpochDiff { to, entries },
                 None => Response::Error(WireError::SnapshotMismatch),
-            }
-        }
-        Request::FullSync {
-            epoch,
-            after,
-            limit,
-        } => {
-            let (epoch, snap) = match epoch {
-                // A fresh sync serves the current head, publishing a new
-                // epoch only when the feed is empty. Reusing the head
-                // keeps concurrent bootstraps on one shared pin —
-                // publishing per bootstrap would retire rival pins and
-                // could livelock restarts on a tiny ring — and the
-                // replica lands exactly on a feed version either way,
-                // catching up to later writes with diffs.
-                None => match shared.feed.head() {
-                    Some(head) => head,
-                    None => {
-                        // Snapshot under the feed lock, as `Publish` does,
-                        // or a `WriteAt` could read this epoch as its
-                        // watermark and be missing from it.
-                        shared.feed.publish_with(|| shared.backend.snapshot(), None);
-                        shared.feed.head().expect("the feed has just published")
-                    }
-                },
-                Some(e) => match retained(shared, e) {
-                    Ok(snap) => (e, snap),
-                    Err(e) => return Response::Error(e),
-                },
-            };
-            let page = if limit == 0 {
-                SYNC_PAGE_MAX_ENTRIES
-            } else {
-                limit.min(SYNC_PAGE_MAX_ENTRIES)
-            };
-            let lo = match after {
-                None => std::ops::Bound::Unbounded,
-                Some(k) => std::ops::Bound::Excluded(k),
-            };
-            let (entries, complete) = snap.range(lo, std::ops::Bound::Unbounded, page as usize);
-            Response::SyncPage {
-                epoch,
-                entries,
-                done: complete,
             }
         }
         // Registration is connection state, so SubscribePush is handled
@@ -667,6 +629,7 @@ mod tests {
     use crate::metrics::value_of;
     use pathcopy_concurrent::BatchOp;
     use std::net::TcpStream;
+    use std::ops::Bound;
 
     fn sharded_server() -> ServerHandle {
         spawn(
@@ -813,32 +776,35 @@ mod tests {
         for k in 0..100 {
             c.insert(k, k * 2).unwrap();
         }
-        // First page pins a fresh epoch.
-        let (epoch, page1, done) = c.full_sync_page(None, None, 32).unwrap();
+        // A published epoch is the pin; `Range` pages it.
+        let epoch = c.publish().unwrap();
+        let (page1, complete) = c.range(Some(epoch), .., 32).unwrap();
         assert_eq!(page1.len(), 32);
-        assert!(!done);
+        assert!(!complete);
         // Writes after the pin must not leak into later pages.
         c.insert(1000, 1).unwrap();
         c.remove(page1.last().unwrap().0 + 1).unwrap();
-        let mut all = page1.clone();
-        let mut after = Some(page1.last().unwrap().0);
+        let mut all = page1;
         loop {
-            let (e, page, done) = c.full_sync_page(Some(epoch), after, 32).unwrap();
-            assert_eq!(e, epoch);
+            let after = Bound::Excluded(all.last().unwrap().0);
+            let (page, complete) = c.range(Some(epoch), (after, Bound::Unbounded), 32).unwrap();
+            assert!(page.len() <= 32, "a page never exceeds its limit");
             all.extend_from_slice(&page);
-            if done {
+            if complete {
                 break;
             }
-            after = Some(page.last().unwrap().0);
         }
         assert_eq!(all.len(), 100, "exactly the pinned version's entries");
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "ordered pages");
         assert_eq!(all, (0..100).map(|k| (k, k * 2)).collect::<Vec<_>>());
+        // `limit: 0` asks for the server's page size, which holds it all.
+        assert_eq!(c.range(Some(epoch), .., 0).unwrap(), (all, true));
         server.shutdown();
     }
 
-    /// A `WriteAt` racing the publish that a bootstrap `FullSync` makes
-    /// on an empty feed: every write whose watermark is at or before the
+    /// A `WriteAt` racing the publish a bootstrap makes on an empty feed
+    /// (`feed_info`, then `publish` since the head is 0, then `Range`
+    /// pages of that epoch): every write whose watermark is at or before the
     /// served epoch must be in that epoch's pages. The window is the
     /// time between snapshot and epoch number; a publish that took its
     /// snapshot before the feed lock lost a write in about 1 round in
@@ -875,12 +841,20 @@ mod tests {
                     std::thread::yield_now();
                 }
                 let c = Session::connect(server.addr()).unwrap();
-                let (epoch, mut synced, mut done) = c.full_sync_page(None, None, 0).unwrap();
-                while !done {
-                    let after = synced.last().map(|&(k, _)| k);
-                    let (_, page, last) = c.full_sync_page(Some(epoch), after, 0).unwrap();
+                let epoch = match c.feed_info().unwrap().head {
+                    0 => c.publish().unwrap(),
+                    head => head,
+                };
+                let mut synced: Vec<(i64, i64)> = Vec::new();
+                loop {
+                    let lo = synced
+                        .last()
+                        .map_or(Bound::Unbounded, |&(k, _)| Bound::Excluded(k));
+                    let (page, complete) = c.range(Some(epoch), (lo, Bound::Unbounded), 0).unwrap();
                     synced.extend(page);
-                    done = last;
+                    if complete {
+                        break;
+                    }
                 }
                 stop.store(true, Ordering::Release);
                 (epoch, synced, writer.join().unwrap())
@@ -960,14 +934,15 @@ mod tests {
         use std::io::{Read as _, Write as _};
         let server = sharded_server();
         // A body with a bogus request tag, ones with the retired `Stats`
-        // (10) and `Snapshot` (6) tags, and a well-formed body in the
+        // (10), `Snapshot` (6) and `FullSync` (14) tags, and a well-formed
+        // body in the
         // retired id-less v2 envelope (`[2][tag = Get][key]`): all are
         // refused the same way.
         let bogus_tag = vec![crate::proto::PROTO_VERSION, 0xEE];
         let retired = |tag: u8| [&[crate::proto::PROTO_VERSION][..], &[0; 8], &[tag]].concat();
         let mut retired_v2 = vec![2u8, 1];
         retired_v2.extend_from_slice(&7i64.to_le_bytes());
-        for body in [bogus_tag, retired(10), retired(6), retired_v2] {
+        for body in [bogus_tag, retired(10), retired(6), retired(14), retired_v2] {
             let mut raw = TcpStream::connect(server.addr()).unwrap();
             raw.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
             raw.write_all(&body).unwrap();

@@ -141,7 +141,7 @@ fn retired_tags_are_listed_and_gone_from_the_codec() {
     let doc = doc();
     for line in [
         "Retired request tags, never reused: 6 (`Snapshot`), 8 (`Diff`), 9 (`Release`), \
-         10 (`Stats`), 18 (`Gauges`).",
+         10 (`Stats`), 14 (`FullSync`), 18 (`Gauges`).",
         "Retired response tags, never reused: 6 (`SnapshotTaken`), 8 (`Diff`), \
          9 (`Released`), 10 (`Stats`), 21 (`Gauges`).",
         "Retired error sub-tags, never reused: 0 (`UnknownSnapshot`), 4 (`SnapshotLimit`).",
@@ -150,7 +150,7 @@ fn retired_tags_are_listed_and_gone_from_the_codec() {
         assert!(doc.contains(line), "doc must say `{line}`");
     }
     let live = |tags: &[(u8, &str)], retired: &[u8]| tags.iter().any(|(t, _)| retired.contains(t));
-    assert!(!live(REQUEST_TAGS, &[6, 8, 9, 10, 18]));
+    assert!(!live(REQUEST_TAGS, &[6, 8, 9, 10, 14, 18]));
     assert!(!live(RESPONSE_TAGS, &[6, 8, 9, 10, 21]));
     assert!(!live(ERROR_TAGS, &[0, 4]));
     assert_eq!(Stage::from_u8(21), None);

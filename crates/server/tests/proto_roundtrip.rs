@@ -62,13 +62,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         Just(Request::Publish),
         Just(Request::Subscribe),
         any::<u64>().prop_map(|from| Request::PullDiff { from }),
-        (arb_opt_u64(), arb_opt_i64(), any::<u32>()).prop_map(|(epoch, after, limit)| {
-            Request::FullSync {
-                epoch,
-                after,
-                limit,
-            }
-        }),
         any::<u64>().prop_map(|from| Request::SubscribePush { from }),
         (any::<i64>(), any::<u64>(), any::<u32>()).prop_map(|(key, min_epoch, wait_ms)| {
             Request::GetAt {
@@ -360,11 +353,6 @@ fn truncated_request_strict_prefixes_all_fail() {
             ],
             guarded: true,
         },
-        Request::FullSync {
-            epoch: Some(3),
-            after: Some(9),
-            limit: 16,
-        },
         Request::Range {
             epoch: Some(1),
             lo: Bound::Included(0),
@@ -468,14 +456,6 @@ fn golden_requests() -> Vec<(Request, &'static str)> {
         (Request::Publish, "0a0000000308070605040302010b"),
         (Request::Subscribe, "0a0000000308070605040302010c"),
         (Request::PullDiff { from: 17 }, "120000000308070605040302010d1100000000000000"),
-        (
-            Request::FullSync {
-                epoch: Some(9),
-                after: Some(-3),
-                limit: 4096,
-            },
-            "200000000308070605040302010e01090000000000000001fdffffffffffffff00100000",
-        ),
         (Request::SubscribePush { from: 41 }, "120000000308070605040302010f2900000000000000"),
         (
             Request::GetAt {

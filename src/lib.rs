@@ -240,11 +240,12 @@
 //! recent snapshots keyed by epoch, nearly free to retain because the
 //! versions share all unchanged subtrees — and pushes each epoch's
 //! `diff(prev, epoch)` to its subscribers. A
-//! [`PushReplica`](pathcopy_replica::PushReplica) bootstraps through a
-//! chunked `FullSync` that can never trip the frame cap, subscribes,
-//! and applies every pushed diff to its local store as **one atomic
-//! batch**, so replica readers only ever observe published versions; a
-//! lost push is repaired by pulling the diff it missed. The replica
+//! [`PushReplica`](pathcopy_replica::PushReplica) bootstraps by paging
+//! the feed head with `Range` (no page can trip the frame cap),
+//! subscribes, and applies every pushed diff to its local store as
+//! **one atomic batch**, so replica readers only ever observe
+//! published versions; a lost push is repaired by pulling the diff it
+//! missed. The replica
 //! serves the same protocol as the primary, so read traffic points at
 //! replicas unchanged (`loadgen --replicas N`), and a replica can relay
 //! the feed on to more replicas:

@@ -271,98 +271,110 @@ fn assert_noop_writes_are_free(
 fn an_equal_value_write_allocates_nothing_and_installs_nothing() {
     let _turn = take_turns();
 
-    let base: TreapMap<i64, i64> = (0..NOOP_KEYS).map(|k| (k, k)).collect();
-    let b0 = blocks();
-    for i in 0..NOOP_WRITES {
-        let k = noop_key(i);
-        let (next, old) = base.insert(k, k);
-        assert_eq!(old, Some(k));
-        let (a, b) = (next.root().unwrap(), base.root().unwrap());
-        assert!(pool::PoolArc::ptr_eq(a, b), "trees: not the same version");
-    }
-    assert_eq!(
-        blocks() - b0,
-        0,
-        "trees: an equal-value insert took pool blocks"
-    );
-    let (b1, path) = (blocks(), base.path_len(&7) as u64);
-    let (next, old) = base.insert(7, -7);
-    assert_eq!((old, next.get(&7)), (Some(7), Some(&-7)));
-    assert_eq!(
-        blocks() - b1,
-        path,
-        "trees: a changed value must copy the search path"
-    );
-
-    let single = || ConcurrentTreapMap::from_version(base.clone());
-    let m = single();
-    assert_noop_writes_are_free(
-        "TreapMap::insert",
-        |k, v| {
-            m.insert(k, v);
-        },
-        || m.snapshot().as_inner().clone(),
-        || m.stats().snapshot(),
-    );
-    let m = single();
-    assert_noop_writes_are_free(
-        "TreapMap::compute",
-        |k, v| {
-            m.compute(&k, |_| Some(v));
-        },
-        || m.snapshot().as_inner().clone(),
-        || m.stats().snapshot(),
-    );
-
-    // One shard, so every batch below takes the lock-free single-shard
-    // path and `snapshot_shard(0)` is the whole map.
-    let sharded = || {
-        let m = ShardedTreapMap::with_shards(1);
-        for k in 0..NOOP_KEYS {
-            m.insert(k, k);
+    #[cfg(debug_assertions)]
+    let start = pool::live_blocks();
+    {
+        let base: TreapMap<i64, i64> = (0..NOOP_KEYS).map(|k| (k, k)).collect();
+        let b0 = blocks();
+        for i in 0..NOOP_WRITES {
+            let k = noop_key(i);
+            let (next, old) = base.insert(k, k);
+            assert_eq!(old, Some(k));
+            let (a, b) = (next.root().unwrap(), base.root().unwrap());
+            assert!(pool::PoolArc::ptr_eq(a, b), "trees: not the same version");
         }
-        m
-    };
-    let m = sharded();
-    assert_noop_writes_are_free(
-        "ShardedTreapMap::insert",
-        |k, v| {
-            m.insert(k, v);
-        },
-        || m.snapshot_shard(0),
-        || m.stats_snapshot(),
-    );
-    let m = sharded();
-    assert_noop_writes_are_free(
-        "ShardedTreapMap::compute",
-        |k, v| {
-            m.compute(&k, |_| Some(v));
-        },
-        || m.snapshot_shard(0),
-        || m.stats_snapshot(),
-    );
-    let m = sharded();
-    assert_noop_writes_are_free(
-        "transact([Insert])",
-        |k, v| {
-            let r = m.transact(&[BatchOp::Insert(k, v)]);
-            assert!(matches!(r[..], [BatchResult::Inserted(Some(_))]));
-        },
-        || m.snapshot_shard(0),
-        || m.stats_snapshot(),
-    );
-    let m = sharded();
-    assert_noop_writes_are_free(
-        "transact([Cas])",
-        |k, v| {
-            let cas = BatchOp::Cas {
-                key: k,
-                expected: Some(k),
-                new: Some(v),
-            };
-            assert_eq!(m.transact(&[cas]), vec![BatchResult::Cas(true)]);
-        },
-        || m.snapshot_shard(0),
-        || m.stats_snapshot(),
+        assert_eq!(
+            blocks() - b0,
+            0,
+            "trees: an equal-value insert took pool blocks"
+        );
+        let (b1, path) = (blocks(), base.path_len(&7) as u64);
+        let (next, old) = base.insert(7, -7);
+        assert_eq!((old, next.get(&7)), (Some(7), Some(&-7)));
+        assert_eq!(
+            blocks() - b1,
+            path,
+            "trees: a changed value must copy the search path"
+        );
+
+        let single = || ConcurrentTreapMap::from_version(base.clone());
+        let m = single();
+        assert_noop_writes_are_free(
+            "TreapMap::insert",
+            |k, v| {
+                m.insert(k, v);
+            },
+            || m.snapshot().as_inner().clone(),
+            || m.stats().snapshot(),
+        );
+        let m = single();
+        assert_noop_writes_are_free(
+            "TreapMap::compute",
+            |k, v| {
+                m.compute(&k, |_| Some(v));
+            },
+            || m.snapshot().as_inner().clone(),
+            || m.stats().snapshot(),
+        );
+
+        // One shard, so every batch below takes the lock-free single-shard
+        // path and `snapshot_shard(0)` is the whole map.
+        let sharded = || {
+            let m = ShardedTreapMap::with_shards(1);
+            for k in 0..NOOP_KEYS {
+                m.insert(k, k);
+            }
+            m
+        };
+        let m = sharded();
+        assert_noop_writes_are_free(
+            "ShardedTreapMap::insert",
+            |k, v| {
+                m.insert(k, v);
+            },
+            || m.snapshot_shard(0),
+            || m.stats_snapshot(),
+        );
+        let m = sharded();
+        assert_noop_writes_are_free(
+            "ShardedTreapMap::compute",
+            |k, v| {
+                m.compute(&k, |_| Some(v));
+            },
+            || m.snapshot_shard(0),
+            || m.stats_snapshot(),
+        );
+        let m = sharded();
+        assert_noop_writes_are_free(
+            "transact([Insert])",
+            |k, v| {
+                let r = m.transact(&[BatchOp::Insert(k, v)]);
+                assert!(matches!(r[..], [BatchResult::Inserted(Some(_))]));
+            },
+            || m.snapshot_shard(0),
+            || m.stats_snapshot(),
+        );
+        let m = sharded();
+        assert_noop_writes_are_free(
+            "transact([Cas])",
+            |k, v| {
+                let cas = BatchOp::Cas {
+                    key: k,
+                    expected: Some(k),
+                    new: Some(v),
+                };
+                assert_eq!(m.transact(&[cas]), vec![BatchResult::Cas(true)]);
+            },
+            || m.snapshot_shard(0),
+            || m.stats_snapshot(),
+        );
+    }
+    // Dropping a concurrent map hands its version to the epoch
+    // collector. Free those nodes before yielding the turn, or the next
+    // test's live-block baseline counts nodes that are freed under it.
+    #[cfg(debug_assertions)]
+    flush_epochs_until(
+        "the dropped maps' deferred versions were never freed",
+        || pool::live_blocks() == start,
     );
 }
