@@ -22,17 +22,25 @@ fn take_turns() -> MutexGuard<'static, ()> {
 /// One thread only allocates, one only frees. Every block the consumer
 /// frees has to find its way back to the producer through the depot;
 /// with a plain per-thread free list the consumer would keep all ten
-/// million and the producer would carve ~2 400 slabs.
+/// million blocks, 640 MB.
 #[test]
 fn asymmetric_alloc_and_free_reuses_memory() {
     const BLOCKS: usize = 10_000_000;
     const BATCH: usize = 1_000;
     /// Batches in flight between the two threads.
     const IN_FLIGHT: usize = 4;
-    /// In flight (channel + one batch being built + one being dropped)
-    /// is 6 000 blocks; each thread adds at most two magazines. That is
-    /// under two slabs of 4 096 blocks; a third allows for slab rounding.
-    const MAX_NEW_SLABS: u64 = 3;
+    /// The pool's geometry: blocks per magazine, bytes per slab.
+    const MAGAZINE_BLOCKS: usize = 256;
+    const SLAB_BYTES: u64 = 2 << 20;
+    /// Blocks in flight: the channel, one batch being built and one
+    /// being dropped.
+    const MAX_IN_FLIGHT: usize = (IN_FLIGHT + 2) * BATCH;
+    /// What the pool may carve: the blocks in flight, two magazines for
+    /// each of the two threads, and one slab for rounding up to whole
+    /// slabs.
+    const MAX_NEW_BYTES: u64 = ((MAX_IN_FLIGHT + 2 * 2 * MAGAZINE_BLOCKS)
+        * PoolArc::<Line>::BLOCK_BYTES) as u64
+        + SLAB_BYTES;
 
     let _turn = take_turns();
     let before = pool::stats();
@@ -59,11 +67,10 @@ fn asymmetric_alloc_and_free_reuses_memory() {
     });
     let after = pool::stats();
     assert!(after.blocks_handed_out - before.blocks_handed_out >= BLOCKS as u64);
-    let carved = after.slabs_carved - before.slabs_carved;
+    let carved = after.slab_bytes - before.slab_bytes;
     assert!(
-        carved <= MAX_NEW_SLABS,
-        "{carved} slabs carved for {BLOCKS} blocks with at most {} in flight",
-        (IN_FLIGHT + 2) * BATCH
+        carved <= MAX_NEW_BYTES,
+        "{carved} bytes carved for {BLOCKS} blocks with at most {MAX_IN_FLIGHT} in flight"
     );
     assert!(
         after.depot_exchanges > before.depot_exchanges,

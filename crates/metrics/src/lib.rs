@@ -117,6 +117,8 @@ stages! {
     20 => Len, "len", "", Gauge, "Engine: entry count (weakly consistent across shards).";
     22 => OpenConns, "open_conns", "", Gauge, "Server: connections open.";
     23 => Subscribers, "subscribers", "", Gauge, "Server: connections registered for pushes.";
+    24 => PoolSlab, "pool_slab", "bytes", Gauge, "Process: bytes the node pool has carved into slabs.";
+    25 => PoolDepotBlocks, "pool_depot_blocks", "", Gauge, "Process: free node-pool blocks parked in the shared depot.";
 }
 
 #[cfg(test)]

@@ -257,9 +257,12 @@ impl Shared {
     /// histogram rows, then one row per engine and server counter and
     /// gauge. Those come from atomics the server keeps anyway, so they
     /// are reported whatever [`ServerConfig::metrics`] says, `0`
-    /// included, and [`Request::ResetMetrics`] leaves them alone.
+    /// included, and [`Request::ResetMetrics`] leaves them alone. The
+    /// two node-pool gauges are process-wide: every server, relay and
+    /// replica in one process reads the same pool.
     fn report(&self) -> Vec<StageSummary> {
         let engine = self.backend.stats();
+        let pool = pathcopy_core::pool::stats();
         let wire = self.wire.snapshot();
         let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         let mut rows = self.metrics.report();
@@ -282,6 +285,8 @@ impl Shared {
             value_row(Stage::Len, self.backend.len() as u64),
             value_row(Stage::OpenConns, load(&self.open_conns)),
             value_row(Stage::Subscribers, self.push.subscriber_count()),
+            value_row(Stage::PoolSlab, pool.slab_bytes),
+            value_row(Stage::PoolDepotBlocks, pool.depot_blocks),
         ]);
         rows
     }
