@@ -4,11 +4,15 @@
 //! contain (`00000000000000000042.seg`). Appends go to the newest
 //! segment; a segment that outgrows [`LogConfig::segment_bytes`] is
 //! closed and a new one started; a **checkpoint** always starts a fresh
-//! segment. Retirement works on *chains* — a checkpoint-opening segment
-//! plus the diff segments that follow it — dropping whole chains oldest
-//! first while the log exceeds [`LogConfig::max_total_bytes`], and
-//! never dropping the newest chain, so the log always retains at least
-//! one complete restore path.
+//! segment. The log keeps its own cadence: a checkpoint falls due once
+//! the diff bytes appended since the newest one reach that checkpoint's
+//! size ([`EpochLog::checkpoint_due`]), so replaying the head reads at
+//! most about two checkpoints' bytes and checkpoints stay about half of
+//! what is written. Retirement works on *chains* — a
+//! checkpoint-opening segment plus the diff segments that follow it —
+//! dropping whole chains oldest first while the log exceeds
+//! [`LogConfig::max_total_bytes`], and never dropping the newest chain,
+//! so the log always retains at least one complete restore path.
 //!
 //! Recovery ([`EpochLog::open`]) scans every segment, truncates a torn
 //! tail in the newest segment (a crash mid-append), and rejects
@@ -30,6 +34,11 @@ use pathcopy_server::proto::{Epoch, Response, MAX_FRAME_LEN, SYNC_PAGE_MAX_ENTRI
 use crate::record::{encode_record, scan_segment, Scan, Tail, Unit, UnitKind};
 
 /// Tunables for [`EpochLog::open`].
+///
+/// The checkpoint cadence is not one of them: the log cuts a checkpoint
+/// once the diff bytes since its newest one reach that checkpoint's
+/// size ([`EpochLog::checkpoint_due`]), which bounds both replay work
+/// and the share of the log that checkpoints take, at any map size.
 #[derive(Debug, Clone)]
 pub struct LogConfig {
     /// Rotate to a new segment once the current one reaches this many
@@ -40,11 +49,6 @@ pub struct LogConfig {
     /// exceeds this. The newest chain is never retired, so the log can
     /// transiently exceed the cap by one chain.
     pub max_total_bytes: u64,
-    /// The persister cuts a checkpoint every this many epochs (min 1);
-    /// between checkpoints it appends pruned diff records. Smaller
-    /// values bound replay work, larger values bound log growth on
-    /// write-heavy feeds.
-    pub checkpoint_every: u64,
     /// `fsync` after every appended epoch (and on segment create /
     /// retire). Turning this off trades crash durability of the last
     /// few epochs for append latency; the record checksums still keep
@@ -57,7 +61,6 @@ impl Default for LogConfig {
         LogConfig {
             segment_bytes: 4 << 20,
             max_total_bytes: 64 << 20,
-            checkpoint_every: 64,
             fsync: true,
         }
     }
@@ -189,6 +192,10 @@ struct LogState {
     writer: Option<File>,
     head: Epoch,
     last_checkpoint: Epoch,
+    /// Bytes of the newest checkpoint's records.
+    checkpoint_bytes: u64,
+    /// Bytes of the diff records appended since the newest checkpoint.
+    diff_bytes: u64,
     poisoned: bool,
 }
 
@@ -288,6 +295,7 @@ impl EpochLog {
         let mut truncated = 0u64;
         let mut head = 0u64;
         let mut last_checkpoint = 0u64;
+        let (mut checkpoint_bytes, mut diff_bytes) = (0u64, 0u64);
         let mut seen_checkpoint = false;
         let last_index = paths.len().saturating_sub(1);
         for (i, (_, path)) in paths.iter().enumerate() {
@@ -328,6 +336,7 @@ impl EpochLog {
                         }
                         seen_checkpoint = true;
                         last_checkpoint = unit.epoch;
+                        (checkpoint_bytes, diff_bytes) = (unit.bytes, 0);
                     }
                     UnitKind::Diff(_) => {
                         if !seen_checkpoint {
@@ -354,6 +363,7 @@ impl EpochLog {
                                 ),
                             });
                         }
+                        diff_bytes += unit.bytes;
                     }
                 }
                 head = unit.epoch;
@@ -393,6 +403,8 @@ impl EpochLog {
                     writer,
                     head,
                     last_checkpoint,
+                    checkpoint_bytes,
+                    diff_bytes,
                     poisoned: false,
                 }),
             },
@@ -405,11 +417,6 @@ impl EpochLog {
         &self.dir
     }
 
-    /// The configuration the log was opened with.
-    pub fn config(&self) -> &LogConfig {
-        &self.config
-    }
-
     /// The last durable epoch (`0` = empty log).
     pub fn head(&self) -> Epoch {
         self.state.lock().head
@@ -418,6 +425,20 @@ impl EpochLog {
     /// The newest complete checkpoint's epoch (`0` = none).
     pub fn last_checkpoint(&self) -> Epoch {
         self.state.lock().last_checkpoint
+    }
+
+    /// Whether the next epoch should be a checkpoint rather than a
+    /// diff: the log has none yet, or the diff bytes appended since the
+    /// newest one have reached that checkpoint's own size.
+    ///
+    /// Cutting at that point keeps a replay chain under about two
+    /// checkpoints' bytes, and checkpoints under about half the bytes
+    /// written: every checkpoint but the newest is paid for by at
+    /// least as many diff bytes. [`open`](Self::open) rebuilds the count
+    /// from the segments, so a reopened log keeps its cadence.
+    pub fn checkpoint_due(&self) -> bool {
+        let state = self.state.lock();
+        state.last_checkpoint == 0 || state.diff_bytes >= state.checkpoint_bytes
     }
 
     /// The restorable `(oldest, head)` epoch range, or `None` while the
@@ -488,7 +509,7 @@ impl EpochLog {
         if full {
             self.rotate_to_locked(&mut state, epoch)?;
         }
-        self.write_record_locked(&mut state, &body)?;
+        state.diff_bytes += self.write_record_locked(&mut state, &body)?;
         state.head = epoch;
         if self.config.fsync {
             self.sync_data_locked(&mut state)?;
@@ -528,10 +549,13 @@ impl EpochLog {
             });
         }
         self.rotate_to_locked(&mut state, epoch)?;
-        if let Err(e) = self.write_checkpoint_pages_locked(&mut state, epoch, snap) {
-            self.abort_newest_segment_locked(&mut state);
-            return Err(e);
-        }
+        let bytes = match self.write_checkpoint_pages_locked(&mut state, epoch, snap) {
+            Ok(bytes) => bytes,
+            Err(e) => {
+                self.abort_newest_segment_locked(&mut state);
+                return Err(e);
+            }
+        };
         state
             .segments
             .last_mut()
@@ -539,6 +563,7 @@ impl EpochLog {
             .checkpoint = Some(epoch);
         state.head = epoch;
         state.last_checkpoint = epoch;
+        (state.checkpoint_bytes, state.diff_bytes) = (bytes, 0);
         if self.config.fsync {
             self.sync_data_locked(&mut state)?;
         }
@@ -709,8 +734,9 @@ impl EpochLog {
     }
 
     /// Appends one framed record to the newest segment, rolling the
-    /// file length back if the write fails partway.
-    fn write_record_locked(&self, state: &mut LogState, body: &[u8]) -> Result<(), LogError> {
+    /// file length back if the write fails partway. Returns the bytes
+    /// written.
+    fn write_record_locked(&self, state: &mut LogState, body: &[u8]) -> Result<u64, LogError> {
         use std::io::Write as _;
         let rec = encode_record(body);
         let seg = state.segments.last_mut().expect("append targets a segment");
@@ -720,7 +746,7 @@ impl EpochLog {
                 seg.bytes += rec.len() as u64;
                 self.io.record_append();
                 self.io.add_written(rec.len() as u64);
-                Ok(())
+                Ok(rec.len() as u64)
             }
             Err(e) => {
                 // A short write left a torn tail; cut it off so the next
@@ -735,13 +761,15 @@ impl EpochLog {
 
     /// Writes a complete checkpoint (a run of `SyncPage` records, last
     /// one `done`) into the current — freshly rotated — segment.
+    /// Returns the bytes written.
     fn write_checkpoint_pages_locked(
         &self,
         state: &mut LogState,
         epoch: Epoch,
         snap: &dyn ServeSnapshot,
-    ) -> Result<(), LogError> {
+    ) -> Result<u64, LogError> {
         let mut after: Option<i64> = None;
+        let mut bytes = 0;
         loop {
             let lo = after.map_or(Bound::Unbounded, Bound::Excluded);
             let (entries, complete) =
@@ -754,9 +782,9 @@ impl EpochLog {
                 done: complete,
             }
             .encode(&mut body);
-            self.write_record_locked(state, &body)?;
+            bytes += self.write_record_locked(state, &body)?;
             if complete {
-                return Ok(());
+                return Ok(bytes);
             }
             if next_after.is_none() || next_after == after {
                 return Err(LogError::Io(io::Error::other(

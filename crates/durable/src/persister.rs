@@ -23,10 +23,12 @@ use crate::log::{EpochLog, LogError};
 /// durable before `publish` returns:
 ///
 /// * normally, the epoch's **pruned diff** against its predecessor —
-///   the identical `prev.diff(snap)` the server would send a replica,
-///   sublinear in map size thanks to path copying;
-/// * a full **checkpoint** when one is due
-///   ([`LogConfig::checkpoint_every`](crate::LogConfig)), when there is
+///   the identical `prev.diff(snap)` the server pushes to subscribers,
+///   sublinear in map size thanks to path copying, and computed once:
+///   the served snapshot remembers it, so the push reuses this walk;
+/// * a full **checkpoint** when the log says one is due
+///   ([`EpochLog::checkpoint_due`]: the diff bytes since its newest
+///   checkpoint have reached that checkpoint's size), when there is
 ///   no predecessor snapshot (the first publish after recovery), when
 ///   the snapshots cannot be diffed, or when a diff append fails —
 ///   checkpoints re-base the log, so any failure self-heals at the next
@@ -122,11 +124,8 @@ impl FeedSink for FeedPersister {
             return; // already durable (recovered primary republishing)
         }
         let started = self.probe.begin(trace);
-        let every = self.log.config().checkpoint_every.max(1);
-        let last = self.log.last_checkpoint();
-        let checkpoint_due = last == 0 || epoch - last >= every;
         let result = match prev {
-            Some(prev) if !checkpoint_due => match prev.diff(snap.as_ref()) {
+            Some(prev) if !self.log.checkpoint_due() => match prev.diff(snap.as_ref()) {
                 Some(entries) => self
                     .log
                     .append_diff(epoch, &entries)

@@ -83,6 +83,8 @@ pub(crate) enum UnitKind {
 pub(crate) struct Unit {
     pub(crate) epoch: Epoch,
     pub(crate) kind: UnitKind,
+    /// Bytes the unit's records take in the segment, headers included.
+    pub(crate) bytes: u64,
 }
 
 /// How a segment's byte stream ended.
@@ -196,6 +198,7 @@ pub(crate) fn scan_segment(buf: &[u8], keep_payloads: bool) -> Scan {
                 units.push(Unit {
                     epoch: to,
                     kind: UnitKind::Diff(entries),
+                    bytes: (pos - clean) as u64,
                 });
                 clean = pos;
             }
@@ -224,6 +227,7 @@ pub(crate) fn scan_segment(buf: &[u8], keep_payloads: bool) -> Scan {
                     units.push(Unit {
                         epoch,
                         kind: UnitKind::Checkpoint(entries),
+                        bytes: (pos - clean) as u64,
                     });
                     clean = pos;
                 }

@@ -18,11 +18,14 @@
 
 use std::any::Any;
 use std::ops::Bound;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use pathcopy_concurrent::{BatchOp, BatchResult, ShardedSnapshot, ShardedTreapMap};
 use pathcopy_core::api::MapSnapshot;
 use pathcopy_core::{DiffEntry, StatsSnapshot};
+
+use crate::proto::diff_fits_frame;
 
 /// An immutable, coherent point-in-time view a server can pin in its
 /// version feed and scan or diff on demand.
@@ -96,20 +99,46 @@ pub trait ServeBackend: Send + Sync + 'static {
     fn stats(&self) -> StatsSnapshot;
 }
 
-/// A [`ShardedSnapshot`] as a [`ServeSnapshot`].
-struct SnapWrap(ShardedSnapshot<i64, i64>);
+/// A [`ShardedSnapshot`] as a [`ServeSnapshot`], remembering its diff
+/// from the first predecessor it is diffed against.
+///
+/// A primary diffs each published epoch against the one before it
+/// several times — the durable log's record, the subscribers' `Push`,
+/// a `PullDiff` from `head - 1` — and the memo makes those one walk.
+struct SnapWrap {
+    snap: ShardedSnapshot<i64, i64>,
+    /// Process-unique, never reused. The memo is keyed by it and not by
+    /// address: the node pool hands freed blocks out again, so a
+    /// dropped predecessor's successor can live at its old address.
+    id: u64,
+    /// `(predecessor id, diff from it)`, set by the first diff into
+    /// this snapshot that fits one frame.
+    memo: OnceLock<(u64, Vec<DiffEntry<i64, i64>>)>,
+}
+
+static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(1);
+
+impl SnapWrap {
+    fn new(snap: ShardedSnapshot<i64, i64>) -> Self {
+        SnapWrap {
+            snap,
+            id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
+            memo: OnceLock::new(),
+        }
+    }
+}
 
 impl ServeSnapshot for SnapWrap {
     fn get(&self, key: i64) -> Option<i64> {
-        self.0.get(&key).copied()
+        self.snap.get(&key).copied()
     }
 
     fn len(&self) -> usize {
-        self.0.len()
+        self.snap.len()
     }
 
     fn range(&self, lo: Bound<i64>, hi: Bound<i64>, limit: usize) -> (Vec<(i64, i64)>, bool) {
-        let mut iter = self.0.range_by(lo.as_ref(), hi.as_ref());
+        let mut iter = self.snap.range_by(lo.as_ref(), hi.as_ref());
         if limit == 0 {
             return (iter.map(|(k, v)| (*k, *v)).collect(), true);
         }
@@ -125,7 +154,18 @@ impl ServeSnapshot for SnapWrap {
 
     fn diff(&self, newer: &dyn ServeSnapshot) -> Option<Vec<DiffEntry<i64, i64>>> {
         let newer = newer.as_any().downcast_ref::<SnapWrap>()?;
-        Some(self.0.diff(&newer.0))
+        if let Some((from, entries)) = newer.memo.get() {
+            if *from == self.id {
+                return Some(entries.clone());
+            }
+        }
+        let entries = self.snap.diff(&newer.snap);
+        // A diff too fat for one frame is neither pushed nor logged, so
+        // it is not worth holding.
+        if diff_fits_frame(entries.len()) {
+            let _ = newer.memo.set((self.id, entries.clone()));
+        }
+        Some(entries)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -190,7 +230,7 @@ impl ServeBackend for ShardedServe {
     }
 
     fn snapshot(&self) -> Arc<dyn ServeSnapshot> {
-        Arc::new(SnapWrap(self.map.snapshot_all()))
+        Arc::new(SnapWrap::new(self.map.snapshot_all()))
     }
 
     fn len(&self) -> usize {
@@ -285,6 +325,58 @@ mod tests {
         let newer = b.snapshot();
         let diff = snap.diff(newer.as_ref()).expect("same backend diffs");
         assert_eq!(diff, vec![DiffEntry::Removed(1, 11)], "diff is the removal");
+    }
+
+    #[test]
+    fn a_snapshot_remembers_only_its_first_predecessors_diff() {
+        let b = ShardedServe::with_shards(4);
+        b.insert(1, 10);
+        let s1 = b.snapshot();
+        b.insert(2, 20);
+        let s2 = b.snapshot();
+        b.insert(1, 11);
+        let s3 = b.snapshot();
+        let from_s2 = vec![DiffEntry::Changed(1, 10, 11)];
+        assert_eq!(
+            s2.diff(s3.as_ref()),
+            Some(from_s2.clone()),
+            "fills s3's memo"
+        );
+        assert_eq!(
+            s1.diff(s3.as_ref()),
+            Some(vec![DiffEntry::Changed(1, 10, 11), DiffEntry::Added(2, 20)]),
+            "another predecessor must not read s2's memo"
+        );
+        assert_eq!(s2.diff(s3.as_ref()), Some(from_s2), "the memo survives");
+        assert_eq!(s3.diff(s1.as_ref()).map(|d| d.len()), Some(2));
+    }
+
+    #[test]
+    fn a_predecessor_recreated_at_a_recycled_address_misses_the_memo() {
+        let b = ShardedServe::with_shards(4);
+        b.insert(1, 10);
+        let old = b.snapshot();
+        b.insert(2, 20);
+        let newer = b.snapshot();
+        assert_eq!(old.diff(newer.as_ref()).map(|d| d.len()), Some(1));
+        let addr = Arc::as_ptr(&old) as *const u8;
+        drop(old);
+        // A different state, allocated until it lands where `old` was.
+        b.insert(3, 30);
+        let mut held = Vec::new();
+        let recycled = loop {
+            let s = b.snapshot();
+            if Arc::as_ptr(&s) as *const u8 == addr {
+                break s;
+            }
+            assert!(held.len() < 4096, "the allocator never reused the address");
+            held.push(s);
+        };
+        assert_eq!(
+            recycled.diff(newer.as_ref()),
+            Some(vec![DiffEntry::Removed(3, 30)]),
+            "keyed by address, the memo would answer with the old diff"
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("pathcopy-durable-demo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = LogConfig {
-        checkpoint_every: 4, // dense checkpoints so the demo shows rotation
+        segment_bytes: 256, // small segments so the demo shows rotation
         ..LogConfig::default()
     };
 

@@ -307,9 +307,11 @@
 //!
 //! The feed's pruned diffs are also the natural unit of *persistence*:
 //! [`pathcopy_durable`] appends each published epoch to a segmented,
-//! CRC-checksummed log — a full checkpoint every `checkpoint_every`
-//! epochs, a small diff record otherwise, both in the wire encoding,
-//! so disk and network speak the same bytes. Hook a
+//! CRC-checksummed log — a small diff record per epoch, and a full
+//! checkpoint once the diff bytes since the last one reach that
+//! checkpoint's size, both in the wire encoding, so disk and network
+//! speak the same bytes (the record and the subscribers' push are one
+//! diff, computed once). Hook a
 //! [`FeedPersister`](pathcopy_durable::FeedPersister) into the server
 //! via [`ServerConfig`](pathcopy_server::ServerConfig)'s `feed_sink`
 //! and every `publish` is durable before its reply; reopen the log
