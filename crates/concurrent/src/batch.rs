@@ -1,18 +1,17 @@
-//! Atomic multi-key batch transactions over the sharded UC map.
+//! Atomic multi-key batch transactions.
 //!
 //! The paper's point is that path copying makes composite operations
 //! cheap: a batch of updates is just another sequential function from one
-//! persistent version to the next, installed with a single root CAS. On
-//! the sharded map ([`ShardedTreapMap`]) a batch may span *several*
+//! persistent version to the next, installed with a single root CAS —
+//! which is all [`TreapMap::transact`](crate::TreapMap::transact) does.
+//! On the sharded map ([`ShardedTreapMap`]) a batch may span *several*
 //! roots, so [`ShardedTreapMap::transact`] runs a two-phase commit:
 //!
 //! 1. **Group** the batch by shard (keys hash to shards exactly as the
 //!    per-key operations do).
 //! 2. **Single-shard fast path** — if every key lands in one shard, the
-//!    batch is applied through that shard's ordinary lock-free
-//!    load/path-copy/CAS loop ([`pathcopy_core::PathCopyUc::update`]);
-//!    no locks, no freezing. This keeps the common case exactly as cheap
-//!    as the paper's construction.
+//!    batch is that shard's own `TreapMap::transact`: one lock-free CAS
+//!    loop, no locks, no freezing.
 //! 3. **Multi-shard commit** — acquire the involved shards' commit locks
 //!    in ascending shard-index order (deadlock-free; these locks only
 //!    exclude *rival multi-shard commits* — per-key operations never
@@ -54,7 +53,7 @@ use std::collections::BTreeMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
-use pathcopy_core::{BackoffPolicy, DiffEntry, Update};
+use pathcopy_core::{BackoffPolicy, DiffEntry};
 use pathcopy_trees::TreapMap as PTreapMap;
 
 use crate::sharded::{shard_index, ShardedTreapMap};
@@ -152,7 +151,7 @@ pub struct GuardAbort {
 
 /// Collects the batch indices of failed `Cas` guards in one shard's
 /// speculative results.
-fn failed_guards<V>(idxs: &[usize], results: &[BatchResult<V>]) -> Vec<usize> {
+pub(crate) fn failed_guards<V>(idxs: &[usize], results: &[BatchResult<V>]) -> Vec<usize> {
     idxs.iter()
         .zip(results)
         .filter(|(_, r)| matches!(r, BatchResult::Cas(false)))
@@ -163,7 +162,7 @@ fn failed_guards<V>(idxs: &[usize], results: &[BatchResult<V>]) -> Vec<usize> {
 /// Applies a shard's slice of the batch (op indices `idxs`, in batch
 /// order) to `map`, returning the new version — `None` if no op changed
 /// anything, so the shard needs no CAS — and the per-op results.
-fn apply_shard_ops<K, V>(
+pub(crate) fn apply_shard_ops<K, V>(
     map: &PTreapMap<K, V>,
     batch: &[BatchOp<K, V>],
     idxs: &[usize],
@@ -256,10 +255,8 @@ where
     /// );
     /// ```
     pub fn transact(&self, batch: &[BatchOp<K, V>]) -> Vec<BatchResult<V>> {
-        match self.transact_impl(batch, false) {
-            Ok(results) => results,
-            Err(_) => unreachable!("unguarded batches never abort"),
-        }
+        self.transact_impl(batch, false)
+            .expect("unguarded batches never abort")
     }
 
     /// Sinfonia-style guarded mini-transaction: like
@@ -325,25 +322,11 @@ where
         }
 
         if groups.len() == 1 {
-            // Fast path: the batch lives in one shard, so it is just one
-            // sequential composite update — plain lock-free CAS loop. A
-            // guarded abort returns through `Update::Keep`, i.e. without
-            // a CAS: it linearizes at the root load that evaluated the
-            // guards, and nothing is written.
+            // Fast path: the batch lives in one shard, so it is that
+            // shard's own `TreapMap` batch — one lock-free CAS loop, and
+            // a guarded abort returns without a CAS.
             let (&shard, idxs) = groups.iter().next().unwrap();
-            return self.shards[shard].update(|map| {
-                let (next, results) = apply_shard_ops(map, batch, idxs);
-                if guarded {
-                    let failed = failed_guards(idxs, &results);
-                    if !failed.is_empty() {
-                        return Update::Keep(Err(GuardAbort { failed }));
-                    }
-                }
-                match next {
-                    Some(next) => Update::Replace(next, Ok(results)),
-                    None => Update::Keep(Ok(results)),
-                }
-            });
+            return self.shards[shard].transact_ops(batch, idxs, guarded);
         }
 
         // Read-only multi-shard batch: no roots change, so consistency
@@ -354,13 +337,13 @@ where
             let involved: Vec<usize> = groups.keys().copied().collect();
             let mut pass: Vec<Arc<PTreapMap<K, V>>> = involved
                 .iter()
-                .map(|&i| self.shards[i].snapshot())
+                .map(|&i| self.shards[i].uc.snapshot())
                 .collect();
             loop {
                 let mut stable = true;
                 for (j, &i) in involved.iter().enumerate() {
-                    if !self.shards[i].is_current_version(&pass[j]) {
-                        pass[j] = self.shards[i].snapshot();
+                    if !self.shards[i].uc.is_current_version(&pass[j]) {
+                        pass[j] = self.shards[i].uc.snapshot();
                         stable = false;
                     }
                 }
@@ -395,7 +378,7 @@ where
         let mut staged: Vec<ShardStage<'_, K, V>> = groups
             .iter()
             .map(|(&shard, idxs)| {
-                let base = self.shards[shard].snapshot();
+                let base = self.shards[shard].uc.snapshot();
                 let (next, results) = apply_shard_ops(&base, batch, idxs);
                 ShardStage {
                     shard,
@@ -432,10 +415,12 @@ where
         let mut backoff = BackoffPolicy::exponential().start();
         'freeze: loop {
             for j in 0..staged.len() {
-                if let Err(current) = self.shards[staged[j].shard].try_freeze_root(&staged[j].base)
+                if let Err(current) = self.shards[staged[j].shard]
+                    .uc
+                    .try_freeze_root(&staged[j].base)
                 {
                     for prior in &staged[..j] {
-                        self.shards[prior.shard].unfreeze_root();
+                        self.shards[prior.shard].uc.unfreeze_root();
                     }
                     self.shards[staged[j].shard].stats().record_freeze_retry();
                     let (next, results) = apply_shard_ops(&current, batch, staged[j].idxs);
@@ -462,7 +447,7 @@ where
                 .collect();
             if !failed.is_empty() {
                 for stage in &staged {
-                    self.shards[stage.shard].unfreeze_root();
+                    self.shards[stage.shard].uc.unfreeze_root();
                 }
                 failed.sort_unstable();
                 return Err(GuardAbort { failed });
@@ -474,7 +459,7 @@ where
         // becomes visible everywhere at once.
         let mut out: Vec<Option<BatchResult<V>>> = (0..batch.len()).map(|_| None).collect();
         for stage in staged {
-            let uc = &self.shards[stage.shard];
+            let uc = &self.shards[stage.shard].uc;
             match stage.next {
                 Some(next) => uc.install_frozen_root(next),
                 None => uc.unfreeze_root(),

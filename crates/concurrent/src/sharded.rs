@@ -7,9 +7,9 @@
 //! work no longer dominates the root CAS — the single register becomes
 //! the ceiling. [`ShardedTreapMap`] pushes past that ceiling the way
 //! production stores do: keys are hash-partitioned across `N` independent
-//! [`PathCopyUc`] roots, so updates to different shards never contend,
-//! while every per-shard operation keeps the UC's lock-freedom and
-//! linearizability.
+//! [`TreapMap`]s, each one root, so updates to different shards never
+//! contend, while every per-shard operation is that shard's own
+//! `TreapMap` operation, lock-free and linearizable.
 //!
 //! What is preserved and what is traded:
 //!
@@ -43,11 +43,12 @@ use std::sync::Arc;
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use pathcopy_core::api::{self, DiffEntry};
-use pathcopy_core::{BackoffPolicy, PathCopyUc, StatsSnapshot, Update};
+use pathcopy_core::StatsSnapshot;
 use pathcopy_trees::hash::splitmix64;
 use pathcopy_trees::{treap, TreapMap as PTreapMap};
 
 use crate::snapshot::TreapRange;
+use crate::TreapMap;
 
 /// A lock-free concurrent ordered-per-shard map: keys are hash-partitioned
 /// across `N` independent path-copying universal constructions.
@@ -80,10 +81,10 @@ pub struct ShardedTreapMap<K, V> {
     pub(crate) commit_locks: Box<[CachePadded<Mutex<()>>]>,
 }
 
-/// One shard: a cache-padded single-root UC, so neighbouring `Root_Ptr`
-/// registers never share a line (the whole point is independent CAS
-/// targets).
-pub(crate) type Shard<K, V> = CachePadded<PathCopyUc<PTreapMap<K, V>>>;
+/// One shard: a cache-padded single-root [`TreapMap`], so neighbouring
+/// `Root_Ptr` registers never share a line (the whole point is
+/// independent CAS targets).
+pub(crate) type Shard<K, V> = CachePadded<TreapMap<K, V>>;
 
 /// Salt folded into the shard hash so shard choice is decorrelated from
 /// the treap priority (which is also derived from the key's hash).
@@ -115,15 +116,9 @@ where
     /// power of two, minimum 1). With 1 shard this is exactly the paper's
     /// single-root construction.
     pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_and_backoff(shards, BackoffPolicy::None)
-    }
-
-    /// [`with_shards`](Self::with_shards) with an explicit per-shard CAS
-    /// retry backoff policy.
-    pub fn with_shards_and_backoff(shards: usize, backoff: BackoffPolicy) -> Self {
         let n = shards.max(1).next_power_of_two();
         let shards = (0..n)
-            .map(|_| CachePadded::new(PathCopyUc::with_backoff(PTreapMap::new(), backoff)))
+            .map(|_| CachePadded::new(TreapMap::new()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let commit_locks = (0..n)
@@ -142,7 +137,7 @@ where
         self.shards.len()
     }
 
-    fn shard_for<Q: Hash + ?Sized>(&self, key: &Q) -> &PathCopyUc<PTreapMap<K, V>> {
+    fn shard_for<Q: Hash + ?Sized>(&self, key: &Q) -> &TreapMap<K, V> {
         &self.shards[shard_index(key, self.mask)]
     }
 
@@ -150,67 +145,39 @@ where
     /// allocation and no CAS when `key` already maps to an equal value).
     /// Lock-free; contends only with updates that hash to the same shard.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        self.shard_for(&key)
-            .update(move |map| match map.upsert(key.clone(), value.clone()) {
-                (Some(next), old) => Update::Replace(next, old),
-                (None, old) => Update::Keep(old),
-            })
+        self.shard_for(&key).insert(key, value)
     }
 
     /// Inserts only if `key` is absent; returns `true` on success. When
     /// the key exists, no CAS is performed.
     pub fn insert_if_absent(&self, key: K, value: V) -> bool {
-        self.shard_for(&key).update(move |map| {
-            match map.insert_if_absent(key.clone(), value.clone()) {
-                Some(next) => Update::Replace(next, true),
-                None => Update::Keep(false),
-            }
-        })
+        self.shard_for(&key).insert_if_absent(key, value)
     }
 
     /// Removes `key`, returning its value if present (no CAS when absent).
     pub fn remove(&self, key: &K) -> Option<V> {
-        self.shard_for(key).update(|map| match map.remove(key) {
-            Some((next, v)) => Update::Replace(next, Some(v)),
-            None => Update::Keep(None),
-        })
+        self.shard_for(key).remove(key)
     }
 
-    /// Atomically applies `f` to the value at `key` (or `None` if absent)
-    /// and stores its result (`None` removes the key). Returns the
-    /// previous value. Linearized at the owning shard's root CAS — or,
-    /// when `f` changes nothing, at the root load.
-    ///
-    /// Like [`PathCopyUc::update`], `f` may run several times (once per
-    /// CAS attempt under contention), so it must be a pure function of
-    /// the value it is given — side effects would fire once per attempt.
+    /// The owning shard's [`TreapMap::compute`]: linearized at that
+    /// shard's root CAS — or, when `f` changes nothing, at the root
+    /// load. `f` may run once per CAS attempt, so it must be a pure
+    /// function of the value it is given.
     pub fn compute(&self, key: &K, f: impl Fn(Option<&V>) -> Option<V>) -> Option<V> {
-        self.shard_for(key).update(|map| {
-            let old = map.get(key).cloned();
-            match f(old.as_ref()) {
-                Some(new_v) => match map.upsert(key.clone(), new_v) {
-                    (Some(next), prev) => Update::Replace(next, prev),
-                    (None, prev) => Update::Keep(prev),
-                },
-                None => match map.remove(key) {
-                    Some((next, prev)) => Update::Replace(next, Some(prev)),
-                    None => Update::Keep(None),
-                },
-            }
-        })
+        self.shard_for(key).compute(key, f)
     }
 
     /// Looks up `key`, cloning the value. Wait-free, except that it
     /// briefly spins if a cross-shard [`transact`](Self::transact) is
     /// mid-install on the owning shard.
     pub fn get(&self, key: &K) -> Option<V> {
-        self.shard_for(key).read(|map| map.get(key).cloned())
+        self.shard_for(key).get(key)
     }
 
     /// `true` if `key` is present. Wait-free, with the same
     /// mid-install caveat as [`get`](Self::get).
     pub fn contains_key(&self, key: &K) -> bool {
-        self.shard_for(key).read(|map| map.contains_key(key))
+        self.shard_for(key).contains_key(key)
     }
 
     /// Total number of entries, summed shard by shard.
@@ -227,22 +194,13 @@ where
     /// [`Snapshottable::snapshot`](pathcopy_core::Snapshottable::snapshot)
     /// + [`MapSnapshot::len`](pathcopy_core::MapSnapshot::len)).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read(|m| m.len())).sum()
+        self.shards.iter().map(|s| s.len()).sum()
     }
 
     /// `true` if every shard is empty (weakly consistent, like
     /// [`len`](Self::len)).
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read(|m| m.is_empty()))
-    }
-
-    /// O(1) snapshot of the single shard owning `key` (wait-free, with
-    /// the mid-install caveat of [`get`](Self::get)).
-    ///
-    /// All operations on keys that hash to this shard are linearizable
-    /// against the returned version; keys of other shards are absent.
-    pub fn snapshot_shard_of(&self, key: &K) -> Arc<PTreapMap<K, V>> {
-        self.shard_for(key).snapshot()
+        self.shards.iter().all(|s| s.is_empty())
     }
 
     /// O(1) snapshot of shard `index` (wait-free, with the mid-install
@@ -252,7 +210,7 @@ where
     ///
     /// Panics if `index >= self.shard_count()`.
     pub fn snapshot_shard(&self, index: usize) -> Arc<PTreapMap<K, V>> {
-        self.shards[index].snapshot()
+        self.shards[index].uc.snapshot()
     }
 
     /// A coherent point-in-time snapshot of **all** shards.
@@ -268,12 +226,12 @@ where
     /// every shard can force retries.
     pub fn snapshot_all(&self) -> ShardedSnapshot<K, V> {
         let mut pass: Vec<Arc<PTreapMap<K, V>>> =
-            self.shards.iter().map(|s| s.snapshot()).collect();
+            self.shards.iter().map(|s| s.uc.snapshot()).collect();
         loop {
             let mut stable = true;
             for (i, shard) in self.shards.iter().enumerate() {
-                if !shard.is_current_version(&pass[i]) {
-                    pass[i] = shard.snapshot();
+                if !shard.uc.is_current_version(&pass[i]) {
+                    pass[i] = shard.uc.snapshot();
                     stable = false;
                 }
             }
@@ -427,53 +385,24 @@ where
         ShardedSnapshot::range_by(self, lo, hi)
     }
 
+    /// Keys never move between shards, so the diff decomposes per
+    /// shard; unchanged shard roots (and shared subtrees below changed
+    /// roots) are pruned by pointer equality inside the per-shard diff.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two cuts have different shard counts: two cuts of
+    /// one map always share it.
     fn diff(&self, newer: &Self) -> Vec<DiffEntry<K, V>> {
+        assert_eq!(
+            self.mask, newer.mask,
+            "diff of cuts with different shard counts"
+        );
         let mut out = Vec::new();
-        if self.mask == newer.mask {
-            // Keys never move between shards while the count is fixed,
-            // so the diff decomposes per shard; unchanged shard roots
-            // (and shared subtrees below changed roots) are pruned by
-            // pointer equality inside the per-shard diff.
-            for (a, b) in self.shards.iter().zip(&newer.shards) {
-                out.extend(a.diff(b));
-            }
-            out.sort_by(|x, y| x.key().cmp(y.key()));
-        } else {
-            // Different shard counts (e.g. across a future re-sharding):
-            // fall back to a linear merge of the ordered iterations.
-            let mut a = self.iter().peekable();
-            let mut b = newer.iter().peekable();
-            loop {
-                match (a.peek(), b.peek()) {
-                    (None, None) => break,
-                    (Some(_), None) => {
-                        let (k, v) = a.next().expect("peeked");
-                        out.push(DiffEntry::Removed(k.clone(), v.clone()));
-                    }
-                    (None, Some(_)) => {
-                        let (k, v) = b.next().expect("peeked");
-                        out.push(DiffEntry::Added(k.clone(), v.clone()));
-                    }
-                    (Some(&(ka, _)), Some(&(kb, _))) => match ka.cmp(kb) {
-                        std::cmp::Ordering::Less => {
-                            let (k, v) = a.next().expect("peeked");
-                            out.push(DiffEntry::Removed(k.clone(), v.clone()));
-                        }
-                        std::cmp::Ordering::Greater => {
-                            let (k, v) = b.next().expect("peeked");
-                            out.push(DiffEntry::Added(k.clone(), v.clone()));
-                        }
-                        std::cmp::Ordering::Equal => {
-                            let (k, va) = a.next().expect("peeked");
-                            let (_, vb) = b.next().expect("peeked");
-                            if va != vb {
-                                out.push(DiffEntry::Changed(k.clone(), va.clone(), vb.clone()));
-                            }
-                        }
-                    },
-                }
-            }
+        for (a, b) in self.shards.iter().zip(&newer.shards) {
+            out.extend(a.diff(b));
         }
+        out.sort_by(|x, y| x.key().cmp(y.key()));
         out
     }
 }
@@ -508,8 +437,6 @@ impl<'a, K: Ord, V> Iterator for MergedRange<'a, K, V> {
     }
 }
 
-/// Owning form of [`MergedRange`]: consumes a [`ShardedSnapshot`],
-/// yielding `(K, V)` clones in global key order.
 /// One arm of [`ShardedIntoIter`]: the buffered head entry plus the rest
 /// of that shard's stream.
 type IntoArm<K, V> = (Option<(K, V)>, treap::IntoIter<K, V>);

@@ -9,6 +9,7 @@ use pathcopy_core::api;
 use pathcopy_core::{BackoffPolicy, PathCopyUc, StatsSnapshot, UcStats, Update, UpdateReport};
 use pathcopy_trees::TreapMap as PTreapMap;
 
+use crate::batch::{apply_shard_ops, failed_guards, BatchOp, BatchResult, GuardAbort};
 use crate::snapshot::TreapSnapshot;
 
 /// A lock-free concurrent ordered map backed by a persistent treap.
@@ -33,7 +34,7 @@ use crate::snapshot::TreapSnapshot;
 /// assert_eq!(snap.get(&2), Some(&"two"));
 /// ```
 pub struct TreapMap<K, V> {
-    uc: PathCopyUc<PTreapMap<K, V>>,
+    pub(crate) uc: PathCopyUc<PTreapMap<K, V>>,
 }
 
 impl<K, V> Default for TreapMap<K, V>
@@ -129,6 +130,62 @@ where
                     Some((next, prev)) => Update::Replace(next, Some(prev)),
                     None => Update::Keep(None),
                 },
+            }
+        })
+    }
+
+    /// Atomically applies a batch of operations, returning one
+    /// [`BatchResult`] per op, in batch order.
+    ///
+    /// The batch is one sequential function from one version to the
+    /// next, so it commits with one root CAS like any point update — or
+    /// with none when it changes nothing, linearizing at the root load.
+    /// Ops apply in order: later ops (a [`BatchOp::Get`], a
+    /// [`BatchOp::Cas`] guard) see earlier writes of the same batch. A
+    /// failed `Cas` reports `Cas(false)` and the rest of the batch
+    /// commits. An empty batch touches nothing.
+    pub fn transact(&self, batch: &[BatchOp<K, V>]) -> Vec<BatchResult<V>> {
+        let all: Vec<usize> = (0..batch.len()).collect();
+        self.transact_ops(batch, &all, false)
+            .expect("unguarded batches never abort")
+    }
+
+    /// Sinfonia-style guarded form of [`transact`](Self::transact): if
+    /// **any** [`BatchOp::Cas`] guard fails, the whole batch aborts with
+    /// zero writes and the failed guard indices come back as a
+    /// [`GuardAbort`]. The abort returns without a CAS, so it linearizes
+    /// at the root load that evaluated the guards.
+    pub fn transact_guarded(
+        &self,
+        batch: &[BatchOp<K, V>],
+    ) -> Result<Vec<BatchResult<V>>, GuardAbort> {
+        let all: Vec<usize> = (0..batch.len()).collect();
+        self.transact_ops(batch, &all, true)
+    }
+
+    /// The ops of `batch` at `idxs` (in batch order) as one
+    /// load/path-copy/CAS loop, results in `idxs` order. Shared with
+    /// the sharded map's single-shard batches.
+    pub(crate) fn transact_ops(
+        &self,
+        batch: &[BatchOp<K, V>],
+        idxs: &[usize],
+        guarded: bool,
+    ) -> Result<Vec<BatchResult<V>>, GuardAbort> {
+        if idxs.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.uc.update(|map| {
+            let (next, results) = apply_shard_ops(map, batch, idxs);
+            if guarded {
+                let failed = failed_guards(idxs, &results);
+                if !failed.is_empty() {
+                    return Update::Keep(Err(GuardAbort { failed }));
+                }
+            }
+            match next {
+                Some(next) => Update::Replace(next, Ok(results)),
+                None => Update::Keep(Ok(results)),
             }
         })
     }
@@ -326,6 +383,60 @@ mod tests {
         // Removing an absent key via compute is a no-op.
         let prev = m.compute(&1, |_| None);
         assert_eq!(prev, None);
+    }
+
+    #[test]
+    fn a_batch_is_one_update_and_sees_its_own_writes() {
+        let m: TreapMap<i64, i64> = TreapMap::new();
+        m.insert(1, 10);
+        let r = m.transact(&[
+            BatchOp::Insert(2, 20),
+            BatchOp::Get(2),
+            BatchOp::Cas {
+                key: 1,
+                expected: Some(10),
+                new: None,
+            },
+            BatchOp::Remove(3),
+        ]);
+        assert_eq!(
+            r,
+            vec![
+                BatchResult::Inserted(None),
+                BatchResult::Got(Some(20)),
+                BatchResult::Cas(true),
+                BatchResult::Removed(None),
+            ]
+        );
+        assert_eq!((m.get(&1), m.get(&2)), (None, Some(20)));
+        let stats = m.stats().snapshot();
+        assert_eq!((stats.ops, stats.attempts), (2, 2), "insert + one batch");
+
+        // A batch that changes nothing is a no-op update, not a CAS.
+        m.transact(&[BatchOp::Get(2), BatchOp::Insert(2, 20)]);
+        assert_eq!(m.stats().snapshot().noop_updates, 1);
+    }
+
+    #[test]
+    fn a_guarded_abort_writes_nothing_and_an_empty_batch_touches_nothing() {
+        let m: TreapMap<i64, i64> = TreapMap::new();
+        m.insert(1, 10);
+        let err = m
+            .transact_guarded(&[
+                BatchOp::Insert(2, 20),
+                BatchOp::Cas {
+                    key: 1,
+                    expected: Some(99),
+                    new: Some(100),
+                },
+            ])
+            .unwrap_err();
+        assert_eq!(err, GuardAbort { failed: vec![1] });
+        assert_eq!((m.get(&1), m.get(&2)), (Some(10), None));
+        let before = m.stats().snapshot();
+        assert!(m.transact(&[]).is_empty());
+        assert_eq!(m.transact_guarded(&[]), Ok(Vec::new()));
+        assert_eq!(m.stats().snapshot(), before);
     }
 
     #[test]

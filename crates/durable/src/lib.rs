@@ -34,14 +34,14 @@
 //! ```
 //! use pathcopy_core::DiffEntry;
 //! use pathcopy_durable::{EpochLog, LogConfig};
-//! use pathcopy_server::backend::{ServeBackend, ShardedServe};
+//! use pathcopy_server::backend::{ServeBackend, TreapServe};
 //!
 //! let dir = std::env::temp_dir().join(format!("pc-durable-doc-lib-{}", std::process::id()));
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! // A session: checkpoint, two diffs, "crash".
 //! {
 //!     let (log, _) = EpochLog::open(&dir, LogConfig::default()).unwrap();
-//!     let map = ShardedServe::with_shards(4);
+//!     let map = TreapServe::default();
 //!     map.insert(1, 10);
 //!     log.append_checkpoint(1, map.snapshot().as_ref()).unwrap();
 //!     log.append_diff(2, &[DiffEntry::Added(2, 20)]).unwrap();

@@ -213,7 +213,7 @@ struct LogState {
 /// ```
 /// use pathcopy_core::DiffEntry;
 /// use pathcopy_durable::{EpochLog, LogConfig};
-/// use pathcopy_server::backend::{ServeBackend, ShardedServe};
+/// use pathcopy_server::backend::{ServeBackend, TreapServe};
 ///
 /// let dir = std::env::temp_dir().join(format!("pc-durable-doc-log-{}", std::process::id()));
 /// # let _ = std::fs::remove_dir_all(&dir);
@@ -221,7 +221,7 @@ struct LogState {
 /// assert_eq!(recovered.head, 0, "fresh log");
 ///
 /// // Epoch 1: a checkpoint of the full state; epoch 2: a pruned diff.
-/// let map = ShardedServe::with_shards(2);
+/// let map = TreapServe::default();
 /// map.insert(1, 10);
 /// log.append_checkpoint(1, map.snapshot().as_ref()).unwrap();
 /// map.insert(2, 20);
@@ -637,12 +637,12 @@ impl EpochLog {
     ///
     /// ```
     /// use pathcopy_durable::{EpochLog, LogConfig, LogError};
-    /// use pathcopy_server::backend::{ServeBackend, ShardedServe};
+    /// use pathcopy_server::backend::{ServeBackend, TreapServe};
     ///
     /// let dir = std::env::temp_dir().join(format!("pc-durable-doc-pitr-{}", std::process::id()));
     /// # let _ = std::fs::remove_dir_all(&dir);
     /// let (log, _) = EpochLog::open(&dir, LogConfig::default()).unwrap();
-    /// let map = ShardedServe::with_shards(2);
+    /// let map = TreapServe::default();
     /// for epoch in 1..=5 {
     ///     map.insert(epoch as i64, epoch as i64 * 10);
     ///     log.append_checkpoint(epoch, map.snapshot().as_ref()).unwrap();

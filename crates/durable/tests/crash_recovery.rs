@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use pathcopy_concurrent::ShardedTreapMap;
 use pathcopy_core::DiffEntry;
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig, LogError};
-use pathcopy_server::backend::{ServeBackend, ShardedServe};
+use pathcopy_server::backend::{ServeBackend, TreapServe};
 use pathcopy_server::{FeedSink, VersionFeed};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -62,7 +62,7 @@ fn assert_matches_oracle(map: &ShardedTreapMap<i64, i64>, oracle: &BTreeMap<i64,
 
 /// A primary whose publishes go through the real `FeedSink` path.
 struct LoggedPrimary {
-    backend: ShardedServe,
+    backend: TreapServe,
     feed: VersionFeed,
     log: Arc<EpochLog>,
     persister: Arc<FeedPersister>,
@@ -78,7 +78,7 @@ fn logged_primary(dir: &Path, config: LogConfig, feed_capacity: usize) -> Logged
         Some(Arc::clone(&persister) as Arc<dyn FeedSink>),
     );
     LoggedPrimary {
-        backend: ShardedServe::with_shards(4),
+        backend: TreapServe::default(),
         feed,
         log,
         persister,
@@ -392,7 +392,7 @@ fn a_reopened_log_keeps_its_checkpoint_cadence() {
         fsync: false,
         ..LogConfig::default()
     };
-    let backend = ShardedServe::with_shards(4);
+    let backend = TreapServe::default();
     for k in 0..64i64 {
         backend.insert(k, k);
     }
@@ -505,7 +505,7 @@ fn recovered_primary_continues_the_epoch_sequence() {
     let (log, recovered) = EpochLog::open(&dir, config.clone()).unwrap();
     assert_eq!(recovered.head, 3);
     let (map, head) = log.replay().unwrap();
-    let backend = ShardedServe::new(map);
+    let backend = TreapServe::new(map.snapshot_all().into_iter().collect());
     let log = Arc::new(log);
     let persister = FeedPersister::new(Arc::clone(&log));
     let feed = VersionFeed::configured(
@@ -532,7 +532,7 @@ fn recovered_primary_continues_the_epoch_sequence() {
 fn io_counters_track_appends_fsyncs_and_recovery_reads() {
     let dir = scratch("iostats");
     let (log, _) = EpochLog::open(&dir, LogConfig::default()).unwrap();
-    let backend = ShardedServe::with_shards(2);
+    let backend = TreapServe::default();
     backend.insert(1, 1);
     log.append_checkpoint(1, backend.snapshot().as_ref())
         .unwrap();

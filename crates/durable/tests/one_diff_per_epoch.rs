@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use pathcopy_core::DiffEntry;
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
-use pathcopy_server::backend::ShardedServe;
+use pathcopy_server::backend::TreapServe;
 use pathcopy_server::proto::{Epoch, Response};
 use pathcopy_server::{FeedSink, ServerConfig, Session};
 
@@ -56,7 +56,7 @@ fn every_logged_diff_is_the_pushed_diff() {
     let log = Arc::new(log);
     let persister = FeedPersister::new(Arc::clone(&log));
     let server = pathcopy_server::spawn(
-        Box::new(ShardedServe::with_shards(8)),
+        Box::new(TreapServe::default()),
         ServerConfig {
             feed_sink: Some(Arc::clone(&persister) as Arc<dyn FeedSink>),
             ..ServerConfig::default()

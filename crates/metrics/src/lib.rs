@@ -52,7 +52,8 @@ macro_rules! stages {
         /// the counters and gauges a node keeps as plain atomics.
         /// Discriminants are the `stage` bytes carried by the wire
         /// protocol's `Metrics` response and must never be reused for a
-        /// different meaning: byte 21 (`snapshots`) is retired.
+        /// different meaning: bytes 12 (`frozen_installs`), 13
+        /// (`freeze_retries`) and 21 (`snapshots`) are retired.
         #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
         #[repr(u8)]
         pub enum Stage { $( #[doc = $doc] $V = $byte, )* }
@@ -106,15 +107,13 @@ stages! {
     9 => CasFailures, "cas_failures", "", Counter, "Engine: failed root CASes.";
     10 => NoopUpdates, "noop_updates", "", Counter, "Engine: updates that changed nothing.";
     11 => Reads, "reads", "", Counter, "Engine: read-only operations.";
-    12 => FrozenInstalls, "frozen_installs", "", Counter, "Engine: roots installed by freeze.";
-    13 => FreezeRetries, "freeze_retries", "", Counter, "Engine: backed-out freeze passes.";
     14 => Requests, "requests", "", Counter, "Server: requests executed, shed ones excluded.";
     15 => RequestsShed, "requests_shed", "", Counter, "Server: requests refused as `Busy`.";
     16 => WireSent, "wire_sent", "bytes", Counter, "Server: bytes written to all connections.";
     17 => WireReceived, "wire_received", "bytes", Counter, "Server: bytes read from all connections.";
     18 => Pushes, "pushes", "", Counter, "Server: push frames enqueued to subscribers.";
     19 => PushDemotions, "push_demotions", "", Counter, "Server: subscribers dropped, outbox full.";
-    20 => Len, "len", "", Gauge, "Engine: entry count (weakly consistent across shards).";
+    20 => Len, "len", "", Gauge, "Engine: entry count.";
     22 => OpenConns, "open_conns", "", Gauge, "Server: connections open.";
     23 => Subscribers, "subscribers", "", Gauge, "Server: connections registered for pushes.";
     24 => PoolSlab, "pool_slab", "bytes", Gauge, "Process: bytes the node pool has carved into slabs.";
@@ -125,8 +124,9 @@ stages! {
 mod tests {
     use super::*;
 
-    /// The retired `snapshots` gauge's byte, never reused.
-    const RETIRED: u8 = 21;
+    /// The retired rows' bytes (`frozen_installs`, `freeze_retries`,
+    /// `snapshots`), never reused.
+    const RETIRED: [u8; 3] = [12, 13, 21];
 
     #[test]
     fn stage_bytes_roundtrip() {
@@ -134,12 +134,15 @@ mod tests {
             assert_eq!(Stage::from_u8(stage as u8), Some(stage));
         }
         assert_eq!(Stage::from_u8(0), None);
-        assert_eq!(Stage::from_u8(RETIRED), None);
-        assert_eq!(Stage::from_u8(Stage::ALL.len() as u8 + 2), None);
-        // Dense from 1 except the retired byte, histogram stages first: a
+        for byte in RETIRED {
+            assert_eq!(Stage::from_u8(byte), None);
+        }
+        let past_last = Stage::ALL.len() + RETIRED.len() + 1;
+        assert_eq!(Stage::from_u8(past_last as u8), None);
+        // Dense from 1 except the retired bytes, histogram stages first: a
         // scrape appends the counter rows behind the sorted histogram rows
         // and stays sorted.
-        let dense = (1..).filter(|byte| *byte != RETIRED);
+        let dense = (1..).filter(|byte| !RETIRED.contains(byte));
         for ((i, stage), byte) in Stage::ALL.into_iter().enumerate().zip(dense) {
             assert_eq!(stage as u8, byte);
             assert_eq!(stage.kind() == Kind::Summary, i < 6);

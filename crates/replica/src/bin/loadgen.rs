@@ -12,9 +12,9 @@
 //!     [--metrics] [--trace [--slow-ms t]] [--metrics-interval n]
 //! ```
 //!
-//! Every node serves the 8-shard map (`ShardedServe`). `--batch n`
+//! Every node serves one path-copying treap (`TreapServe`). `--batch n`
 //! groups updates into n-op `Batch` frames, each of which the primary
-//! commits atomically via `transact`.
+//! commits with one root CAS via `transact`.
 //!
 //! `--pipeline n` keeps up to `n` requests in flight per thread through
 //! the proto-v3 session API (`submit` + windowed `wait`); the default,
@@ -86,15 +86,12 @@ use pathcopy_concurrent::BatchOp;
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
 use pathcopy_metrics::{LatencyHistogram, Stage};
 use pathcopy_replica::PushReplica;
-use pathcopy_server::backend::ShardedServe;
+use pathcopy_server::backend::TreapServe;
 use pathcopy_server::{
     render_text, render_trace, trace_ids, value_of, FeedSink, Flight, MetricsSource as _, Request,
     ServerConfig, Session, SpanRecord, Ticket, TraceContext,
 };
 use pathcopy_workloads::{KeyDist, MixedStream, Op, OpStream as _};
-
-/// Shards of every node's map (`sharded_map_8`, the served engine).
-const SHARDS: usize = 8;
 
 fn main() {
     let args = Args::from_env();
@@ -169,7 +166,7 @@ fn main() {
         config.feed_sink = Some(Arc::clone(&persister) as Arc<dyn FeedSink>);
         durable = Some((log, persister));
     }
-    let server = pathcopy_server::spawn(Box::new(ShardedServe::with_shards(SHARDS)), config)
+    let server = pathcopy_server::spawn(Box::<TreapServe>::default(), config)
         .expect("bind ephemeral loopback port");
     if let Some((_, persister)) = &durable {
         // The log's append+fsync histogram joins `Request::Metrics`
@@ -222,7 +219,7 @@ fn main() {
     let mut trace_addrs: Vec<std::net::SocketAddr> = Vec::new();
     let mut relay_addrs = Vec::new();
     for r in 0..relays {
-        let store = Box::new(ShardedServe::with_shards(SHARDS));
+        let store = Box::<TreapServe>::default();
         let mut relay = PushReplica::connect(addr, store).expect("stand up relay");
         if trace_on {
             relay.set_trace(new_flight(&format!("relay{r}")));
@@ -240,7 +237,7 @@ fn main() {
         } else {
             relay_addrs[i % relay_addrs.len()]
         };
-        let store = Box::new(ShardedServe::with_shards(SHARDS));
+        let store = Box::<TreapServe>::default();
         let mut leaf = PushReplica::connect(upstream, store).expect("stand up push replica");
         if trace_on {
             leaf.set_trace(new_flight(&format!("leaf{i}")));
@@ -507,15 +504,12 @@ fn main() {
     print!("{}", table.render());
     let final_pool = pathcopy_core::pool::stats();
     println!(
-        "engine: ops={} attempts={} cas_failures={} noop_updates={} frozen_installs={} \
-         freeze_retries={} len={} pool_nodes={} pool_exchanges={} pool_slabs={} \
-         pool_depot_blocks={}",
+        "engine: ops={} attempts={} cas_failures={} noop_updates={} len={} pool_nodes={} \
+         pool_exchanges={} pool_slabs={} pool_depot_blocks={}",
         delta(Stage::Ops),
         delta(Stage::Attempts),
         delta(Stage::CasFailures),
         delta(Stage::NoopUpdates),
-        delta(Stage::FrozenInstalls),
-        delta(Stage::FreezeRetries),
         value(&final_rows, Stage::Len),
         final_pool.blocks_handed_out - prefill_pool.blocks_handed_out,
         final_pool.depot_exchanges - prefill_pool.depot_exchanges,

@@ -16,10 +16,10 @@ use std::ops::Bound;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
-use pathcopy_concurrent::{BatchOp, BatchResult, ShardedTreapMap};
+use pathcopy_concurrent::{BatchOp, BatchResult, TreapMap};
 use pathcopy_core::{DiffEntry, StatsSnapshot};
 use pathcopy_replica::PushReplica;
-use pathcopy_server::backend::ShardedServe;
+use pathcopy_server::backend::TreapServe;
 use pathcopy_server::proto::SYNC_PAGE_MAX_ENTRIES;
 use pathcopy_server::{
     backend, ClientError, Epoch, ServeBackend, ServeSnapshot, ServerConfig, Session, WireError,
@@ -71,9 +71,9 @@ impl Gate {
     }
 }
 
-/// A sharded map whose snapshots pass through the [`Gate`] in `range`.
+/// The served treap, its snapshots passing through the [`Gate`] in `range`.
 struct ParkingServe {
-    inner: ShardedServe,
+    inner: TreapServe,
     gate: Arc<Gate>,
 }
 
@@ -166,14 +166,11 @@ fn a_pin_retired_mid_bootstrap_restarts_and_converges() {
     // More than one page, so the transfer needs a second `Range` at
     // the pin after the first one parks.
     let keys = SYNC_PAGE_MAX_ENTRIES as i64 + 1_000;
-    let map: ShardedTreapMap<i64, i64> = ShardedTreapMap::with_shards(8);
-    for k in 0..keys {
-        map.insert(k, k);
-    }
+    let map: TreapMap<i64, i64> = (0..keys).map(|k| (k, k)).collect();
     let gate = Arc::new(Gate::default());
     let server = pathcopy_server::spawn(
         Box::new(ParkingServe {
-            inner: ShardedServe::new(map),
+            inner: TreapServe::new(map),
             gate: Arc::clone(&gate),
         }),
         // Two workers: one parks in the bootstrap's first page while
@@ -233,7 +230,7 @@ fn a_pin_retired_mid_bootstrap_restarts_and_converges() {
 #[test]
 fn concurrent_bootstraps_on_a_non_empty_feed_publish_nothing() {
     let server = pathcopy_server::spawn(
-        Box::new(ShardedServe::with_shards(8)),
+        Box::new(TreapServe::default()),
         ServerConfig::with_workers(2),
     )
     .expect("bind ephemeral loopback port");
@@ -264,7 +261,7 @@ fn concurrent_bootstraps_on_a_non_empty_feed_publish_nothing() {
     // On an empty feed there is nothing to pin: one bootstrap publishes
     // exactly once.
     let server = pathcopy_server::spawn(
-        Box::new(ShardedServe::with_shards(8)),
+        Box::new(TreapServe::default()),
         ServerConfig::with_workers(2),
     )
     .expect("bind ephemeral loopback port");

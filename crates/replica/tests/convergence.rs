@@ -14,7 +14,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use pathcopy_replica::{PushOutcome, PushReplica};
-use pathcopy_server::backend::ShardedServe;
+use pathcopy_server::backend::TreapServe;
 use pathcopy_server::{backend, ServerConfig, ServerHandle, Session};
 
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ fn arb_op() -> impl Strategy<Value = PrimaryOp> {
 
 fn feed_server(feed_capacity: usize) -> ServerHandle {
     pathcopy_server::spawn(
-        Box::new(ShardedServe::with_shards(8)),
+        Box::new(TreapServe::default()),
         ServerConfig {
             feed_capacity,
             workers: 2,
@@ -177,7 +177,7 @@ fn diff_catch_up_applies_atomically_for_replica_readers() {
     // A reader on the replica's own served endpoint must only ever see
     // published versions: pairs (k, -k) written and published together
     // can never be observed torn, because the replica applies each epoch
-    // diff as one atomic cross-shard batch.
+    // diff as one atomic batch.
     let server = feed_server(16);
     let addr = server.addr();
     let writer = Session::connect(addr).unwrap();

@@ -8,7 +8,7 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use pathcopy_replica::PushReplica;
-use pathcopy_server::backend::ShardedServe;
+use pathcopy_server::backend::TreapServe;
 use pathcopy_server::{backend, ServerConfig, ServerHandle, Session};
 
 /// The alert threshold OPERATIONS.md tells operators to page on:
@@ -18,7 +18,7 @@ const LAG_ALERT: u64 = 1;
 
 fn primary_server() -> ServerHandle {
     pathcopy_server::spawn(
-        Box::new(ShardedServe::with_shards(8)),
+        Box::new(TreapServe::default()),
         ServerConfig {
             feed_capacity: 32,
             workers: 2,

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use pathcopy_concurrent::BatchOp;
 use pathcopy_metrics::Stage;
 use pathcopy_replica::{PushOutcome, PushReplica};
-use pathcopy_server::backend::ShardedServe;
+use pathcopy_server::backend::TreapServe;
 use pathcopy_server::{
     backend, value_of, ClientError, ServerConfig, ServerHandle, Session, SessionToken,
 };
@@ -45,7 +45,7 @@ fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 
 
 fn primary_server(metrics: bool) -> ServerHandle {
     pathcopy_server::spawn(
-        Box::new(ShardedServe::with_shards(8)),
+        Box::new(TreapServe::default()),
         ServerConfig {
             feed_capacity: 32,
             workers: 2,
@@ -321,10 +321,10 @@ fn session_token_reads_your_writes_through_a_leaf() {
 #[test]
 fn a_push_leaf_never_exposes_a_torn_epoch() {
     // Accounts (2i, 2i+1) always sum to 0 on the primary: each round
-    // moves one pair and bumps the version key in one `Batch`, which
-    // spans shards. A leaf applies every pushed epoch diff as one atomic
-    // batch, so a reader scanning its endpoint must see only published
-    // epochs: every pair balanced, the version key never going back.
+    // moves one pair and bumps the version key in one `Batch`. A leaf
+    // applies every pushed epoch diff as one atomic batch, so a reader
+    // scanning its endpoint must see only published epochs: every pair
+    // balanced, the version key never going back.
     const PAIRS: i64 = 64;
     const VERSION_KEY: i64 = -1;
     const ROUNDS: i64 = 1000;

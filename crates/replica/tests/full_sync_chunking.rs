@@ -9,9 +9,9 @@
 //! uses a smaller map (the page machinery is identical) to keep
 //! `cargo test` quick.
 
-use pathcopy_concurrent::ShardedTreapMap;
+use pathcopy_concurrent::TreapMap;
 use pathcopy_replica::PushReplica;
-use pathcopy_server::backend::ShardedServe;
+use pathcopy_server::backend::TreapServe;
 use pathcopy_server::proto::SYNC_PAGE_MAX_ENTRIES;
 use pathcopy_server::{backend, ServerConfig, Session};
 
@@ -26,12 +26,9 @@ const _: () = assert!(MAP_SIZE as u64 * 16 > pathcopy_server::MAX_FRAME_LEN as u
 #[test]
 fn bootstrap_of_a_map_larger_than_one_frame_never_trips_the_cap() {
     // Engine-side prefill (the wire would make the test about prefill).
-    let map: ShardedTreapMap<i64, i64> = ShardedTreapMap::with_shards(8);
-    for k in 0..MAP_SIZE {
-        map.insert(k, k);
-    }
+    let map: TreapMap<i64, i64> = (0..MAP_SIZE).map(|k| (k, k)).collect();
     let server = pathcopy_server::spawn(
-        Box::new(ShardedServe::new(map)),
+        Box::new(TreapServe::new(map)),
         ServerConfig::with_workers(2),
     )
     .expect("bind ephemeral loopback port");

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig};
 use pathcopy_replica::{PushOutcome, PushReplica};
-use pathcopy_server::backend::{self, ShardedServe};
+use pathcopy_server::backend::{self, TreapServe};
 use pathcopy_server::{FeedSink, ServerConfig, ServerHandle, Session};
 
 fn scratch(name: &str) -> PathBuf {
@@ -31,7 +31,7 @@ fn logged_server(dir: &std::path::Path) -> (ServerHandle, Arc<EpochLog>) {
     let log = Arc::new(log);
     let persister = FeedPersister::new(Arc::clone(&log));
     let server = pathcopy_server::spawn(
-        Box::new(ShardedServe::with_shards(8)),
+        Box::new(TreapServe::default()),
         ServerConfig {
             feed_sink: Some(persister as Arc<dyn FeedSink>),
             ..ServerConfig::default()

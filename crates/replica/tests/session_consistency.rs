@@ -20,7 +20,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use pathcopy_replica::PushReplica;
-use pathcopy_server::backend::ShardedServe;
+use pathcopy_server::backend::TreapServe;
 use pathcopy_server::{backend, ClientError, ServerConfig, Session, SessionToken, WireError};
 
 #[derive(Debug, Clone)]
@@ -83,7 +83,7 @@ proptest! {
         steps in prop::collection::vec(arb_step(), 8..40),
     ) {
         let primary = pathcopy_server::spawn(
-            Box::new(ShardedServe::with_shards(8)),
+            Box::new(TreapServe::default()),
             ServerConfig { feed_capacity: 4, workers: 2, ..ServerConfig::default() },
         ).expect("bind primary");
         // The tiny feed ring makes injected loss regularly outrun

@@ -5,9 +5,9 @@
 
 use std::time::Duration;
 
-use pathcopy_concurrent::ShardedTreapMap;
+use pathcopy_concurrent::TreapMap;
 use pathcopy_replica::PushReplica;
-use pathcopy_server::backend::ShardedServe;
+use pathcopy_server::backend::TreapServe;
 use pathcopy_server::{backend, ServerConfig, Session};
 
 const MAP_SIZE: i64 = 100_000;
@@ -15,12 +15,9 @@ const LOCAL_WRITES: i64 = 500;
 
 #[test]
 fn diff_catch_up_moves_asymptotically_fewer_bytes_than_full_sync() {
-    let map: ShardedTreapMap<i64, i64> = ShardedTreapMap::with_shards(8);
-    for k in 0..MAP_SIZE {
-        map.insert(k, k);
-    }
+    let map: TreapMap<i64, i64> = (0..MAP_SIZE).map(|k| (k, k)).collect();
     let server = pathcopy_server::spawn(
-        Box::new(ShardedServe::new(map)),
+        Box::new(TreapServe::new(map)),
         ServerConfig::with_workers(2),
     )
     .expect("bind ephemeral loopback port");

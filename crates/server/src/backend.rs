@@ -7,21 +7,23 @@
 //! whose snapshots are associated types with lazy iterators that `dyn`
 //! cannot carry.
 //!
-//! One implementation ships: [`ShardedServe`] over [`ShardedTreapMap`],
-//! mapping [`Request::Batch`](crate::proto::Request::Batch) onto
-//! [`ShardedTreapMap::transact`] — the cross-shard two-phase commit — so
-//! every served batch, guarded or not, is one linearizable operation.
-//! The traits stay a seam for two other holders: a shared
+//! One implementation ships: [`TreapServe`] over one path-copying
+//! [`TreapMap`] — the paper's single root. A point write and a whole
+//! [`Request::Batch`](crate::proto::Request::Batch), guarded or not, are
+//! each one load, one path copy and one root CAS; a snapshot is one
+//! `Arc` load, a `Range` page one in-order walk, a diff one size-guided
+//! walk. The traits stay a seam for two other holders: a shared
 //! `Arc<dyn ServeBackend>` is itself servable (a replica serves the
 //! store its pump applies to), and a test can wrap a backend to inject
-//! delays. [`by_name`] resolves the one served name, `"sharded_map_8"`.
+//! delays. [`by_name`] resolves the one served name, `"sharded_map_8"`
+//! — kept for the tools that name it; it serves one root.
 
 use std::any::Any;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use pathcopy_concurrent::{BatchOp, BatchResult, ShardedSnapshot, ShardedTreapMap};
+use pathcopy_concurrent::{BatchOp, BatchResult, TreapMap, TreapSnapshot};
 use pathcopy_core::api::MapSnapshot;
 use pathcopy_core::{DiffEntry, StatsSnapshot};
 
@@ -87,10 +89,10 @@ pub trait ServeBackend: Send + Sync + 'static {
     /// Takes a coherent snapshot.
     fn snapshot(&self) -> Arc<dyn ServeSnapshot>;
 
-    /// Number of entries (weakly consistent on sharded backends).
+    /// Number of entries.
     fn len(&self) -> usize;
 
-    /// `true` if the map has no entries (same caveat as [`len`](Self::len)).
+    /// `true` if the map has no entries.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -99,14 +101,14 @@ pub trait ServeBackend: Send + Sync + 'static {
     fn stats(&self) -> StatsSnapshot;
 }
 
-/// A [`ShardedSnapshot`] as a [`ServeSnapshot`], remembering its diff
+/// A [`TreapSnapshot`] as a [`ServeSnapshot`], remembering its diff
 /// from the first predecessor it is diffed against.
 ///
 /// A primary diffs each published epoch against the one before it
 /// several times — the durable log's record, the subscribers' `Push`,
 /// a `PullDiff` from `head - 1` — and the memo makes those one walk.
 struct SnapWrap {
-    snap: ShardedSnapshot<i64, i64>,
+    snap: TreapSnapshot<i64, i64>,
     /// Process-unique, never reused. The memo is keyed by it and not by
     /// address: the node pool hands freed blocks out again, so a
     /// dropped predecessor's successor can live at its old address.
@@ -119,7 +121,7 @@ struct SnapWrap {
 static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(1);
 
 impl SnapWrap {
-    fn new(snap: ShardedSnapshot<i64, i64>) -> Self {
+    fn new(snap: TreapSnapshot<i64, i64>) -> Self {
         SnapWrap {
             snap,
             id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
@@ -173,30 +175,33 @@ impl ServeSnapshot for SnapWrap {
     }
 }
 
-/// Serves a [`ShardedTreapMap`] natively: batches go through
-/// [`ShardedTreapMap::transact`] (single-shard batches stay on the
-/// lock-free CAS path, cross-shard batches use the freeze/install
-/// two-phase commit), so a batch is one linearizable operation even when
-/// it spans shards.
-pub struct ShardedServe {
-    map: ShardedTreapMap<i64, i64>,
+/// Serves one [`TreapMap`]: every write and every batch, guarded or
+/// not, commits with one root CAS ([`TreapMap::transact`]), so a batch
+/// is one linearizable operation by construction.
+#[derive(Default)]
+pub struct TreapServe {
+    map: TreapMap<i64, i64>,
 }
 
-impl ShardedServe {
-    /// A fresh sharded map with `shards` partitions.
-    pub fn with_shards(shards: usize) -> Self {
-        ShardedServe {
-            map: ShardedTreapMap::with_shards(shards),
-        }
+impl TreapServe {
+    /// Wraps an existing map — a prefilled one, say — for serving.
+    pub fn new(map: TreapMap<i64, i64>) -> Self {
+        TreapServe { map }
     }
 
-    /// Wraps an existing sharded map for serving.
-    pub fn new(map: ShardedTreapMap<i64, i64>) -> Self {
-        ShardedServe { map }
+    /// An empty map, as [`Default`]; `_shards` is ignored: the served
+    /// engine is one root. Kept because `perf/src/probes.rs` calls it.
+    #[doc(hidden)]
+    pub fn with_shards(_shards: usize) -> Self {
+        TreapServe::default()
     }
 }
 
-impl ServeBackend for ShardedServe {
+/// [`TreapServe`]'s former name, still used by `perf/src/probes.rs`.
+#[doc(hidden)]
+pub type ShardedServe = TreapServe;
+
+impl ServeBackend for TreapServe {
     fn get(&self, key: i64) -> Option<i64> {
         self.map.get(&key)
     }
@@ -230,7 +235,7 @@ impl ServeBackend for ShardedServe {
     }
 
     fn snapshot(&self) -> Arc<dyn ServeSnapshot> {
-        Arc::new(SnapWrap::new(self.map.snapshot_all()))
+        Arc::new(SnapWrap::new(self.map.snapshot()))
     }
 
     fn len(&self) -> usize {
@@ -238,7 +243,7 @@ impl ServeBackend for ShardedServe {
     }
 
     fn stats(&self) -> StatsSnapshot {
-        self.map.stats_snapshot()
+        self.map.stats().snapshot()
     }
 }
 
@@ -288,9 +293,10 @@ impl ServeBackend for Arc<dyn ServeBackend> {
 }
 
 /// Builds the backend served under `name`: `"sharded_map_8"` is a fresh
-/// [`ShardedServe`] with 8 shards; any other name is `None`.
+/// [`TreapServe`] — one root, whatever the name says; any other name is
+/// `None`.
 pub fn by_name(name: &str) -> Option<Box<dyn ServeBackend>> {
-    (name == "sharded_map_8").then(|| Box::new(ShardedServe::with_shards(8)) as _)
+    (name == "sharded_map_8").then(|| Box::new(TreapServe::default()) as _)
 }
 
 #[cfg(test)]
@@ -328,8 +334,39 @@ mod tests {
     }
 
     #[test]
+    fn a_served_batch_is_one_root_cas() {
+        let b = by_name("sharded_map_8").expect("the served engine");
+        let before = b.stats();
+        let batch: Vec<_> = (0..16).map(|k| BatchOp::Insert(k, k)).collect();
+        b.transact(&batch);
+        let after = b.stats();
+        assert_eq!(after.ops - before.ops, 1, "the batch is one update");
+        assert_eq!(after.attempts - before.attempts, 1, "one root CAS");
+        assert_eq!(after.frozen_installs, before.frozen_installs, "no freeze");
+
+        let stale = [
+            BatchOp::Insert(100, 100),
+            BatchOp::Cas {
+                key: 0,
+                expected: Some(99),
+                new: Some(1),
+            },
+        ];
+        assert_eq!(b.transact_guarded(&stale), Err(vec![1]));
+        let aborted = b.stats();
+        assert_eq!(aborted.noop_updates - after.noop_updates, 1);
+        assert_eq!(b.get(100), None, "an aborted batch leaves no key visible");
+        assert_eq!(b.get(0), Some(0));
+
+        let before_empty = b.stats();
+        assert!(b.transact(&[]).is_empty());
+        assert_eq!(b.transact_guarded(&[]), Ok(Vec::new()));
+        assert_eq!(b.stats(), before_empty, "an empty batch moves no counter");
+    }
+
+    #[test]
     fn a_snapshot_remembers_only_its_first_predecessors_diff() {
-        let b = ShardedServe::with_shards(4);
+        let b = TreapServe::default();
         b.insert(1, 10);
         let s1 = b.snapshot();
         b.insert(2, 20);
@@ -353,7 +390,7 @@ mod tests {
 
     #[test]
     fn a_predecessor_recreated_at_a_recycled_address_misses_the_memo() {
-        let b = ShardedServe::with_shards(4);
+        let b = TreapServe::default();
         b.insert(1, 10);
         let old = b.snapshot();
         b.insert(2, 20);
@@ -381,7 +418,7 @@ mod tests {
 
     #[test]
     fn batch_results_match_transact_semantics() {
-        let b = ShardedServe::with_shards(8);
+        let b = TreapServe::default();
         let r = b.transact(&[
             BatchOp::Insert(1, 10),
             BatchOp::Get(1),
@@ -406,7 +443,7 @@ mod tests {
 
     #[test]
     fn guarded_batches_abort_with_zero_writes() {
-        let b = ShardedServe::with_shards(8);
+        let b = TreapServe::default();
         b.insert(1, 10);
         let failed = b
             .transact_guarded(&[
@@ -439,7 +476,7 @@ mod tests {
 
     #[test]
     fn shared_backend_handle_serves_and_aliases() {
-        let inner: Arc<dyn ServeBackend> = Arc::new(ShardedServe::with_shards(4));
+        let inner: Arc<dyn ServeBackend> = Arc::new(TreapServe::default());
         let alias = Arc::clone(&inner);
         inner.insert(1, 10);
         assert_eq!(alias.get(1), Some(10), "both handles see the same map");
@@ -468,7 +505,7 @@ mod tests {
                 self
             }
         }
-        let sharded = ShardedServe::with_shards(4).snapshot();
-        assert!(sharded.diff(&Foreign).is_none());
+        let ours = TreapServe::default().snapshot();
+        assert!(ours.diff(&Foreign).is_none());
     }
 }

@@ -61,7 +61,7 @@
 //! (see `loadgen --pipeline`) share one connection and one type. The
 //! API mirrors the engine's: [`Session::batch`] takes the same
 //! [`BatchOp`] values as
-//! [`ShardedTreapMap::transact`](pathcopy_concurrent::ShardedTreapMap::transact)
+//! [`TreapMap::transact`](pathcopy_concurrent::TreapMap::transact)
 //! and returns the same [`BatchResult`]s, and [`Session::pull_diff`]
 //! returns [`DiffEntry`]s — code written against the in-process map
 //! moves to the network client by swapping the receiver.
@@ -1208,11 +1208,11 @@ impl Session {
     }
 
     /// Applies a batch of operations in one round trip — the same
-    /// [`BatchOp`]s `ShardedTreapMap::transact` takes, committed the
-    /// same way: the served engine is
-    /// [`ShardedServe`](crate::backend::ShardedServe), so every `Batch`
-    /// is one linearizable operation, all-or-nothing, and no reader on
-    /// any connection sees part of it.
+    /// [`BatchOp`]s `TreapMap::transact` takes, committed the same
+    /// way: the served engine is
+    /// [`TreapServe`](crate::backend::TreapServe), so every `Batch` is
+    /// one root CAS, all-or-nothing, and no reader on any connection
+    /// sees part of it.
     ///
     /// # Errors
     ///
@@ -1464,18 +1464,18 @@ fn clone_bound(b: Bound<&i64>) -> Bound<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::ShardedServe;
+    use crate::backend::TreapServe;
     use crate::metrics::value_of;
     use crate::server::{spawn, ServerConfig};
     use pathcopy_metrics::Stage;
 
-    fn sharded_server(config: ServerConfig) -> crate::server::ServerHandle {
-        spawn(Box::new(ShardedServe::with_shards(8)), config).expect("bind ephemeral port")
+    fn treap_server(config: ServerConfig) -> crate::server::ServerHandle {
+        spawn(Box::new(TreapServe::default()), config).expect("bind ephemeral port")
     }
 
     #[test]
     fn pipelined_tickets_resolve_by_id_not_order() {
-        let server = sharded_server(ServerConfig::default());
+        let server = treap_server(ServerConfig::default());
         let session = Session::connect(server.addr()).unwrap();
 
         // Submit a window of writes without waiting, then redeem the
@@ -1512,7 +1512,7 @@ mod tests {
 
     #[test]
     fn blocking_client_is_submit_plus_wait() {
-        let server = sharded_server(ServerConfig::default());
+        let server = treap_server(ServerConfig::default());
         let client = Session::connect(server.addr()).unwrap();
         assert_eq!(client.insert(7, 70).unwrap(), None);
         assert_eq!(client.get(7).unwrap(), Some(70));
@@ -1522,7 +1522,7 @@ mod tests {
 
     #[test]
     fn pending_tickets_fail_cleanly_when_the_server_goes_away() {
-        let server = sharded_server(ServerConfig::default());
+        let server = treap_server(ServerConfig::default());
         let session = Session::connect(server.addr()).unwrap();
         // Prove the session is live first.
         session
@@ -1592,7 +1592,7 @@ mod tests {
 
     #[test]
     fn subscribers_receive_live_pushes_and_catch_up() {
-        let server = sharded_server(ServerConfig::default());
+        let server = treap_server(ServerConfig::default());
 
         // Seed two epochs before anyone subscribes.
         let writer = Session::connect(server.addr()).unwrap();
@@ -1636,7 +1636,7 @@ mod tests {
 
     #[test]
     fn write_at_watermarks_cover_the_write() {
-        let server = sharded_server(ServerConfig::default());
+        let server = treap_server(ServerConfig::default());
         let client = Session::connect(server.addr()).unwrap();
         let mut token = SessionToken::default();
 
@@ -1724,7 +1724,7 @@ mod tests {
 
     #[test]
     fn dropped_tickets_free_their_slots_and_late_replies_are_discarded() {
-        let server = sharded_server(ServerConfig::default());
+        let server = treap_server(ServerConfig::default());
         server.backend().insert(5, 50);
         let session = Session::connect(server.addr()).unwrap();
         for _ in 0..1000 {
@@ -1750,7 +1750,7 @@ mod tests {
 
     #[test]
     fn an_idle_subscriber_is_demoted_by_the_server_not_buffered_here() {
-        let server = sharded_server(ServerConfig::default());
+        let server = treap_server(ServerConfig::default());
         let idle = Session::connect(server.addr()).unwrap();
         let (_info, _sub) = idle.subscribe(0).unwrap();
         let received = idle.wire_bytes().received;
@@ -1776,7 +1776,7 @@ mod tests {
 
     #[test]
     fn an_oversize_request_is_refused_and_the_session_carries_on() {
-        let server = sharded_server(ServerConfig::default());
+        let server = treap_server(ServerConfig::default());
         server.backend().insert(4, 40);
         let session = Session::connect(server.addr()).unwrap();
         let get = session.submit(&Request::Get { key: 4 }).unwrap();

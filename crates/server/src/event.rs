@@ -75,7 +75,10 @@ const FIRST_CONN_TOKEN: u64 = 2;
 const READ_CHUNK: usize = 16 * 1024;
 
 /// Largest `Batch` the loop thread executes itself; a bigger one is a
-/// long-running request and goes to a worker.
+/// long-running request and goes to a worker. There it races the
+/// loop's writes and the other workers' batches for the one root, and
+/// a lost CAS re-runs the whole batch. Running every batch here instead
+/// would end the race but stall each connection behind the batch.
 const INLINE_BATCH_MAX: usize = 16;
 
 /// Reply backlog past which a connection stops being read: a peer that

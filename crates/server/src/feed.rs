@@ -326,15 +326,15 @@ impl VersionFeed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{ServeBackend, ShardedServe};
+    use crate::backend::{ServeBackend, TreapServe};
 
-    fn snap_of(b: &ShardedServe) -> Arc<dyn ServeSnapshot> {
+    fn snap_of(b: &TreapServe) -> Arc<dyn ServeSnapshot> {
         b.snapshot()
     }
 
     #[test]
     fn epochs_are_monotone_and_capped() {
-        let b = ShardedServe::with_shards(2);
+        let b = TreapServe::default();
         let feed = VersionFeed::new(3);
         assert_eq!(
             feed.info(),
@@ -372,7 +372,7 @@ mod tests {
             }
         }
         let recorder = Arc::new(Recorder(Mutex::new(Vec::new())));
-        let b = ShardedServe::with_shards(2);
+        let b = TreapServe::default();
         // Capacity 1: the ring retires `prev` immediately, yet the sink
         // must still see it. Start at epoch 7 (a recovered primary).
         let feed = VersionFeed::configured(1, 7, Some(Arc::clone(&recorder) as Arc<dyn FeedSink>));
@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn publish_at_mirrors_foreign_epochs_and_rejects_stale_ones() {
-        let b = ShardedServe::with_shards(2);
+        let b = TreapServe::default();
         let feed = VersionFeed::new(4);
         assert_eq!(feed.next_epoch(), 1);
         b.insert(1, 10);
@@ -405,7 +405,7 @@ mod tests {
 
     #[test]
     fn publish_with_snapshots_under_the_lock() {
-        let b = ShardedServe::with_shards(2);
+        let b = TreapServe::default();
         let feed = VersionFeed::new(4);
         b.insert(7, 70);
         let epoch = feed.publish_with(|| b.snapshot(), None);
@@ -415,7 +415,7 @@ mod tests {
 
     #[test]
     fn retained_epochs_are_frozen_versions() {
-        let b = ShardedServe::with_shards(2);
+        let b = TreapServe::default();
         b.insert(1, 10);
         let feed = VersionFeed::new(4);
         let e1 = feed.publish(snap_of(&b));

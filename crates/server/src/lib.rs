@@ -34,14 +34,14 @@
 //! [`Range`](proto::Request::Range) scans of that epoch and
 //! [`PullDiff`](proto::Request::PullDiff)s from it — from any
 //! connection — read that version undisturbed while writers race ahead,
-//! until the feed's ring retires it, and cross-shard
+//! until the feed's ring retires it, and
 //! [`Batch`](proto::Request::Batch)es commit all-or-nothing through
-//! [`ShardedTreapMap::transact`](pathcopy_concurrent::ShardedTreapMap::transact).
+//! [`TreapMap::transact`](pathcopy_concurrent::TreapMap::transact).
 //!
 //! The server holds its engine as a
 //! [`Box<dyn ServeBackend>`](backend::ServeBackend); the one
-//! implementation shipped is [`backend::ShardedServe`], so every served
-//! batch is one linearizable operation.
+//! implementation shipped is [`backend::TreapServe`], one path-copying
+//! treap behind one root, so every served batch is one root CAS.
 //!
 //! ```
 //! use pathcopy_server::{backend, ServerConfig, Session};

@@ -36,7 +36,7 @@
 //! Batch operations and results are the engine's own
 //! [`BatchOp`]/[`BatchResult`] and map diffs are
 //! [`DiffEntry`] — the protocol serializes the
-//! same types [`ShardedTreapMap::transact`](pathcopy_concurrent::ShardedTreapMap::transact)
+//! same types [`TreapMap::transact`](pathcopy_concurrent::TreapMap::transact)
 //! and [`MapSnapshot::diff`](pathcopy_core::MapSnapshot::diff) speak, so
 //! the client API maps onto the engine API without translation layers.
 
@@ -314,8 +314,8 @@ wire_enum! {
             new: Option<i64>,
         },
         /// An atomic multi-key batch, applied through the backend's
-        /// transaction machinery (cross-shard two-phase commit on the
-        /// sharded map).
+        /// `transact`: on the served treap, one path copy and one root
+        /// CAS for the whole batch.
         5 => Batch {
             /// Sinfonia-style guarded mini-transaction flag: when set, a
             /// failing [`BatchOp::Cas`] guard aborts the **whole batch**

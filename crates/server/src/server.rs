@@ -11,7 +11,7 @@
 //! capacity are independent knobs — thousands of mostly-idle
 //! connections cost fds and buffers, not threads. The server reaches
 //! its engine through `Box<dyn ServeBackend>`
-//! ([`crate::backend::ShardedServe`], or a shared handle to one).
+//! ([`crate::backend::TreapServe`], or a shared handle to one).
 //!
 //! The **version feed** is what makes the serving layer more than a
 //! remote hash map: a [`Request::Publish`] pins a coherent snapshot
@@ -19,7 +19,7 @@
 //! [`Request::PullDiff`] calls — from *any* connection — read that
 //! frozen version while writers race ahead, until the ring retires it.
 //! This is the paper's O(1)-snapshot property exposed over the network:
-//! pinning a version costs an `Arc` clone per shard root, never a copy
+//! pinning a version costs one `Arc` clone of the root, never a copy
 //! of the data, and holding one never blocks a writer.
 //!
 //! Shutdown ([`ServerHandle::shutdown`], also run on drop) is
@@ -274,8 +274,6 @@ impl Shared {
             value_row(Stage::CasFailures, engine.cas_failures),
             value_row(Stage::NoopUpdates, engine.noop_updates),
             value_row(Stage::Reads, engine.reads),
-            value_row(Stage::FrozenInstalls, engine.frozen_installs),
-            value_row(Stage::FreezeRetries, engine.freeze_retries),
             value_row(Stage::Requests, load(&self.requests)),
             value_row(Stage::RequestsShed, load(&self.shed)),
             value_row(Stage::WireSent, wire.sent),
@@ -629,24 +627,21 @@ pub(crate) fn handle_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::ShardedServe;
+    use crate::backend::TreapServe;
     use crate::client::Session;
     use crate::metrics::value_of;
     use pathcopy_concurrent::BatchOp;
     use std::net::TcpStream;
     use std::ops::Bound;
 
-    fn sharded_server() -> ServerHandle {
-        spawn(
-            Box::new(ShardedServe::with_shards(8)),
-            ServerConfig::default(),
-        )
-        .expect("bind ephemeral port")
+    fn treap_server() -> ServerHandle {
+        spawn(Box::new(TreapServe::default()), ServerConfig::default())
+            .expect("bind ephemeral port")
     }
 
     #[test]
     fn point_ops_roundtrip_over_loopback() {
-        let server = sharded_server();
+        let server = treap_server();
         let c = Session::connect(server.addr()).unwrap();
         assert_eq!(c.insert(1, 10).unwrap(), None);
         assert_eq!(c.insert(1, 11).unwrap(), Some(10));
@@ -660,7 +655,7 @@ mod tests {
 
     #[test]
     fn published_epoch_is_scannable_from_any_connection() {
-        let server = sharded_server();
+        let server = treap_server();
         let a = Session::connect(server.addr()).unwrap();
         let b = Session::connect(server.addr()).unwrap();
         for k in 0..32 {
@@ -678,7 +673,7 @@ mod tests {
     #[test]
     fn range_at_a_retired_epoch_gets_epoch_retired() {
         let server = spawn(
-            Box::new(ShardedServe::with_shards(8)),
+            Box::new(TreapServe::default()),
             ServerConfig::builder().feed_capacity(2).build(),
         )
         .unwrap();
@@ -700,7 +695,7 @@ mod tests {
 
     #[test]
     fn range_limit_reports_truncation() {
-        let server = sharded_server();
+        let server = treap_server();
         let c = Session::connect(server.addr()).unwrap();
         for k in 0..100 {
             c.insert(k, k).unwrap();
@@ -717,7 +712,7 @@ mod tests {
 
     #[test]
     fn stats_count_ops_and_snapshots() {
-        let server = sharded_server();
+        let server = treap_server();
         let c = Session::connect(server.addr()).unwrap();
         for k in 0..10 {
             c.insert(k, k).unwrap();
@@ -735,7 +730,7 @@ mod tests {
     #[test]
     fn feed_publish_pull_diff_and_retirement_over_the_wire() {
         let server = spawn(
-            Box::new(ShardedServe::with_shards(8)),
+            Box::new(TreapServe::default()),
             ServerConfig {
                 feed_capacity: 2,
                 ..ServerConfig::default()
@@ -776,7 +771,7 @@ mod tests {
 
     #[test]
     fn full_sync_pages_are_bounded_and_pinned() {
-        let server = sharded_server();
+        let server = treap_server();
         let c = Session::connect(server.addr()).unwrap();
         for k in 0..100 {
             c.insert(k, k * 2).unwrap();
@@ -818,7 +813,7 @@ mod tests {
     fn bootstrap_epoch_holds_every_write_watermarked_at_or_before_it() {
         use std::collections::BTreeSet;
         for round in 0..400 {
-            let server = sharded_server();
+            let server = treap_server();
             let stop = AtomicBool::new(false);
             let (epoch, synced, acked) = std::thread::scope(|s| {
                 let writer = s.spawn(|| {
@@ -877,7 +872,7 @@ mod tests {
 
     #[test]
     fn guarded_batch_over_the_wire_aborts_cleanly() {
-        let server = sharded_server();
+        let server = treap_server();
         let c = Session::connect(server.addr()).unwrap();
         c.insert(1, 10).unwrap();
         let aborted = c
@@ -912,7 +907,7 @@ mod tests {
 
     #[test]
     fn client_wire_bytes_count_both_directions() {
-        let server = sharded_server();
+        let server = treap_server();
         let c = Session::connect(server.addr()).unwrap();
         let before = c.wire_bytes();
         assert_eq!(before.total(), 0);
@@ -937,7 +932,7 @@ mod tests {
     #[test]
     fn malformed_frame_gets_error_then_close() {
         use std::io::{Read as _, Write as _};
-        let server = sharded_server();
+        let server = treap_server();
         // A body with a bogus request tag, ones with the retired `Stats`
         // (10), `Snapshot` (6) and `FullSync` (14) tags, and a well-formed
         // body in the
@@ -973,7 +968,7 @@ mod tests {
 
     #[test]
     fn shutdown_unblocks_parked_connections() {
-        let server = sharded_server();
+        let server = treap_server();
         let c = Session::connect(server.addr()).unwrap();
         c.insert(1, 1).unwrap();
         // `c` stays connected with its worker parked in a read; shutdown
@@ -985,7 +980,7 @@ mod tests {
     #[test]
     fn more_connections_than_workers_are_served_in_turn() {
         let server = spawn(
-            Box::new(ShardedServe::with_shards(4)),
+            Box::new(TreapServe::default()),
             ServerConfig::with_workers(2),
         )
         .unwrap();

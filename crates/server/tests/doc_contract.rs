@@ -145,7 +145,8 @@ fn retired_tags_are_listed_and_gone_from_the_codec() {
         "Retired response tags, never reused: 6 (`SnapshotTaken`), 8 (`Diff`), \
          9 (`Released`), 10 (`Stats`), 21 (`Gauges`).",
         "Retired error sub-tags, never reused: 0 (`UnknownSnapshot`), 4 (`SnapshotLimit`).",
-        "Retired metrics row bytes, never reused: 21 (`snapshots`).",
+        "Retired metrics row bytes, never reused: 12 (`frozen_installs`), \
+         13 (`freeze_retries`), 21 (`snapshots`).",
     ] {
         assert!(doc.contains(line), "doc must say `{line}`");
     }
@@ -153,7 +154,9 @@ fn retired_tags_are_listed_and_gone_from_the_codec() {
     assert!(!live(REQUEST_TAGS, &[6, 8, 9, 10, 14, 18]));
     assert!(!live(RESPONSE_TAGS, &[6, 8, 9, 10, 21]));
     assert!(!live(ERROR_TAGS, &[0, 4]));
-    assert_eq!(Stage::from_u8(21), None);
+    for byte in [12, 13, 21] {
+        assert_eq!(Stage::from_u8(byte), None);
+    }
 }
 
 #[test]

@@ -62,8 +62,8 @@ fn wire_counter_rows_equal_in_process_counter_rows() {
     known_op_sequence(&c);
 
     // The wire scrape cannot count its own reply (ids are fixed-width,
-    // so id 0 measures it), nor the engine reads of its `len` gauge, one
-    // per shard, which only the next scrape sees. The loop thread bumps
+    // so id 0 measures it), nor the engine read of its `len` gauge,
+    // which only the next scrape sees. The loop thread bumps
     // the sent counter just after writing, so poll briefly.
     let scraped = c.metrics().unwrap();
     let self_reply = response_frame(&Response::Metrics(scraped.clone()), 0, None).len() as u64;
@@ -80,12 +80,12 @@ fn wire_counter_rows_equal_in_process_counter_rows() {
         std::thread::sleep(Duration::from_millis(5));
     };
 
-    assert_eq!((local.len(), wire.len()), (18, 18), "{wire:?}");
+    assert_eq!((local.len(), wire.len()), (16, 16), "{wire:?}");
     for (local, wire) in local.iter().zip(&wire) {
         let stage = Stage::from_u8(wire.stage).unwrap();
         let scraping = match stage {
             Stage::WireSent => self_reply,
-            Stage::Reads => 8 * scrapes,
+            Stage::Reads => scrapes,
             _ => 0,
         };
         assert_eq!(local.stage, wire.stage);
@@ -271,7 +271,7 @@ fn disabled_metrics_scrape_has_every_counter_row_and_no_summary_row() {
         .filter(|s| s.kind() != Kind::Summary)
         .map(|s| *s as u8)
         .collect();
-    assert_eq!(counters.len(), 18);
+    assert_eq!(counters.len(), 16);
     assert_eq!(stages, counters, "{rows:?}");
     assert_eq!(
         value_of(&rows, Stage::Subscribers),

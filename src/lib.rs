@@ -25,7 +25,7 @@
 //! * [`pathcopy_workloads`] — the §4 Batch/Random workload generators.
 //! * [`pathcopy_server`] — the serving layer: a length-prefixed binary
 //!   wire protocol (v3, correlation ids for pipelining), an
-//!   event-driven nonblocking TCP server over the sharded map, a
+//!   event-driven nonblocking TCP server over one path-copying treap, a
 //!   pipelined session client with a blocking facade, and
 //!   the primary-side replication feed (`std::net` plus a hand-rolled
 //!   epoll/poll shim — no async runtime).
@@ -152,9 +152,11 @@
 //! ## Atomic cross-shard batch transactions
 //!
 //! Path copying makes a *batch* of updates just another sequential
-//! function from one persistent version to the next.
-//! [`transact`](prelude::ShardedTreapMap::transact) extends that to
-//! batches spanning shards: single-shard batches commit through the
+//! function from one persistent version to the next: on one root,
+//! [`TreapMap::transact`](prelude::TreapMap::transact) commits a whole
+//! batch with one CAS.
+//! [`ShardedTreapMap::transact`](prelude::ShardedTreapMap::transact)
+//! extends that to batches spanning shards: single-shard batches commit through the
 //! ordinary lock-free CAS loop, multi-shard batches through an ordered
 //! two-phase commit that freezes the involved roots so the whole batch
 //! flips atomically — no reader or `snapshot_all()` ever sees it
@@ -191,19 +193,21 @@
 //! wants — lock-free point writes racing ahead while scans and diffs run
 //! on frozen versions — so the workspace ships them as a TCP service.
 //! [`pathcopy_server`] speaks a hand-rolled length-prefixed binary
-//! protocol (no serde, no async runtime) and serves the sharded map
-//! behind `Box<dyn ServeBackend>`. A `Publish` request pins a coherent
-//! version in the server's feed, under the next epoch, for the cost of
-//! an `Arc` clone per shard root; `Range` and `PullDiff` requests — from
-//! any connection — then read that immutable version while writers keep
-//! committing, until the feed's ring retires it, and
-//! `Batch` frames commit all-or-nothing through the sharded map's
-//! cross-shard `transact`:
+//! protocol (no serde, no async runtime) and serves one
+//! [`TreapMap`](prelude::TreapMap) — the paper's single root — behind
+//! `Box<dyn ServeBackend>`. A `Publish` request pins a coherent version
+//! in the server's feed, under the next epoch, for the cost of one
+//! `Arc` clone of the root; `Range` and `PullDiff` requests — from any
+//! connection — then read that immutable version while writers keep
+//! committing, until the feed's ring retires it, and `Batch` frames
+//! commit all-or-nothing through
+//! [`TreapMap::transact`](prelude::TreapMap::transact), one root CAS
+//! per batch:
 //!
 //! ```
 //! use pathcopy_server::{backend, ServerConfig, Session};
 //!
-//! // In-process server over the sharded map, on an ephemeral port.
+//! // In-process server over one treap, on an ephemeral port.
 //! let server = pathcopy_server::spawn(
 //!     backend::by_name("sharded_map_8").unwrap(),
 //!     ServerConfig::default(),
@@ -294,7 +298,7 @@
 //! the `guarded` flag aborts **whole-batch, zero writes** when any `Cas`
 //! guard fails
 //! ([`Session::batch_guarded`](pathcopy_server::Session::batch_guarded),
-//! [`ShardedTreapMap::transact_guarded`](prelude::ShardedTreapMap::transact_guarded)).
+//! [`TreapMap::transact_guarded`](prelude::TreapMap::transact_guarded)).
 //!
 //! See it run: `cargo run --release --example fanout_demo` (1 primary,
 //! 2 relays, 4 push replicas, the primary's egress per tier);
@@ -320,7 +324,7 @@
 //!
 //! ```
 //! use pathcopy_durable::{EpochLog, LogConfig};
-//! use pathcopy_server::backend::{ServeBackend, ShardedServe};
+//! use pathcopy_server::backend::{ServeBackend, TreapServe};
 //! use path_copying::prelude::DiffEntry;
 //!
 //! let dir = std::env::temp_dir().join(format!("pc-facade-log-{}", std::process::id()));
@@ -329,7 +333,7 @@
 //! assert_eq!(recovered.head, 0);
 //!
 //! // Epoch 1 checkpoints the state; epoch 2 is just its diff.
-//! let map = ShardedServe::with_shards(4);
+//! let map = TreapServe::default();
 //! map.insert(1, 10);
 //! log.append_checkpoint(1, map.snapshot().as_ref()).unwrap();
 //! log.append_diff(2, &[DiffEntry::Added(2, 20)]).unwrap();

@@ -1,6 +1,6 @@
 //! End-to-end serving-layer tests over real loopback sockets: a client
 //! sees its own writes, published epochs are immutable under concurrent
-//! writers, diffs match a sequential oracle, and cross-shard batches —
+//! writers, diffs match a sequential oracle, and multi-key batches —
 //! including ones with failing `Cas` guards — are observed atomically
 //! over the wire.
 
@@ -11,7 +11,7 @@ use path_copying::prelude::{BatchOp, BatchResult, DiffEntry};
 use pathcopy_metrics::Stage;
 use pathcopy_server::{backend, value_of, ServerConfig, ServerHandle, Session};
 
-fn sharded_server() -> ServerHandle {
+fn served() -> ServerHandle {
     pathcopy_server::spawn(
         backend::by_name("sharded_map_8").expect("registered backend"),
         ServerConfig::with_workers(4),
@@ -21,7 +21,7 @@ fn sharded_server() -> ServerHandle {
 
 #[test]
 fn client_sees_its_own_writes() {
-    let server = sharded_server();
+    let server = served();
     let c = Session::connect(server.addr()).unwrap();
     for k in 0..100 {
         assert_eq!(c.insert(k, k * 2).unwrap(), None);
@@ -42,7 +42,7 @@ fn client_sees_its_own_writes() {
 
 #[test]
 fn named_snapshot_is_immutable_under_concurrent_writers() {
-    let server = sharded_server();
+    let server = served();
     let addr = server.addr();
     let auditor = Session::connect(addr).unwrap();
     for k in 0..512 {
@@ -111,12 +111,14 @@ fn named_snapshot_is_immutable_under_concurrent_writers() {
 
 #[test]
 fn cross_shard_batches_are_all_or_nothing_over_the_wire() {
-    let server = sharded_server();
+    let server = served();
     let addr = server.addr();
 
-    // 64 account pairs: (2k, 2k+1) always sum to zero. Pairs certainly
-    // span shards (128 keys over 8 shards), so the writer's batches take
-    // the cross-shard freeze/install path.
+    // 64 account pairs: (2k, 2k+1) always sum to zero. The served
+    // engine is one root, so each of the writer's batches is one root
+    // CAS and takes no freeze path; the name keeps the test's history.
+    // The sharded map's freeze/install commit is covered in process by
+    // tests/batch_txn.rs and pathcopy-concurrent's batch.rs tests.
     const PAIRS: i64 = 64;
     let setup = Session::connect(addr).unwrap();
     let init: Vec<BatchOp<i64, i64>> = (0..PAIRS * 2).map(|k| BatchOp::Insert(k, 0)).collect();
@@ -176,12 +178,12 @@ fn cross_shard_batches_are_all_or_nothing_over_the_wire() {
 
 #[test]
 fn failing_cas_guard_in_a_batch_is_observed_atomically() {
-    let server = sharded_server();
+    let server = served();
     let addr = server.addr();
     let c = Session::connect(addr).unwrap();
     c.insert(1, 10).unwrap();
 
-    // A cross-shard batch whose Cas guard fails: the Cas reports false
+    // A multi-key batch whose Cas guard fails: the Cas reports false
     // and writes nothing, while the rest of the batch still commits as
     // one atomic flip (transact semantics: a failed Cas does not abort).
     let keys: Vec<i64> = (100..132).collect();
@@ -257,12 +259,12 @@ fn failing_cas_guard_in_a_batch_is_observed_atomically() {
 
 #[test]
 fn guarded_wire_batch_failed_guard_leaves_zero_partial_writes() {
-    let server = sharded_server();
+    let server = served();
     let addr = server.addr();
     let c = Session::connect(addr).unwrap();
     c.insert(0, 0).unwrap(); // the guarded counter
 
-    // Deterministic: a cross-shard guarded batch with a stale guard in
+    // Deterministic: a multi-key guarded batch with a stale guard in
     // the middle aborts with no trace of the 32 rider inserts.
     let mut batch: Vec<BatchOp<i64, i64>> = (500..532).map(|k| BatchOp::Insert(k, k)).collect();
     batch.insert(
