@@ -29,7 +29,11 @@
 //!
 //! Within a batch, operations apply in order: a [`BatchOp::Get`] after a
 //! [`BatchOp::Insert`] of the same key sees the inserted value. Across
-//! threads the whole batch is one linearizable operation.
+//! threads the whole batch is one linearizable operation. A shard's ops
+//! are applied as one key-sorted run
+//! ([`apply_sorted`](pathcopy_trees::TreapMap::apply_sorted)), so the
+//! batch copies the union of its ops' paths once rather than one whole
+//! path per op.
 //!
 //! ```
 //! use pathcopy_concurrent::{BatchOp, BatchResult, ShardedTreapMap};
@@ -54,6 +58,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use pathcopy_core::{BackoffPolicy, DiffEntry};
+use pathcopy_trees::treap::RunOp;
 use pathcopy_trees::TreapMap as PTreapMap;
 
 use crate::sharded::{shard_index, ShardedTreapMap};
@@ -85,6 +90,29 @@ impl<K, V> BatchOp<K, V> {
         match self {
             BatchOp::Get(k) | BatchOp::Remove(k) | BatchOp::Insert(k, _) => k,
             BatchOp::Cas { key, .. } => key,
+        }
+    }
+}
+
+impl<K, V: Clone + PartialEq> RunOp<K, V> for BatchOp<K, V> {
+    type Out = BatchResult<V>;
+
+    fn key(&self) -> &K {
+        BatchOp::key(self)
+    }
+
+    fn apply(&self, cur: &mut Option<V>) -> BatchResult<V> {
+        match self {
+            BatchOp::Get(_) => BatchResult::Got(cur.clone()),
+            BatchOp::Insert(_, v) => BatchResult::Inserted(cur.replace(v.clone())),
+            BatchOp::Remove(_) => BatchResult::Removed(cur.take()),
+            BatchOp::Cas { expected, new, .. } => {
+                let hit = cur == expected;
+                if hit {
+                    cur.clone_from(new);
+                }
+                BatchResult::Cas(hit)
+            }
         }
     }
 }
@@ -161,7 +189,13 @@ pub(crate) fn failed_guards<V>(idxs: &[usize], results: &[BatchResult<V>]) -> Ve
 
 /// Applies a shard's slice of the batch (op indices `idxs`, in batch
 /// order) to `map`, returning the new version — `None` if no op changed
-/// anything, so the shard needs no CAS — and the per-op results.
+/// anything, so the shard needs no CAS — and the per-op results, in
+/// `idxs` order.
+///
+/// One descent: the ops are sorted by key (stably, so ops on one key
+/// keep batch order) and applied as one
+/// [`apply_sorted`](PTreapMap::apply_sorted) run, which copies the union
+/// of their paths once.
 pub(crate) fn apply_shard_ops<K, V>(
     map: &PTreapMap<K, V>,
     batch: &[BatchOp<K, V>],
@@ -171,37 +205,18 @@ where
     K: Ord + Clone + Hash,
     V: Clone + PartialEq,
 {
-    let mut next: Option<PTreapMap<K, V>> = None;
-    let mut results = Vec::with_capacity(idxs.len());
-    for &i in idxs {
-        let cur = next.as_ref().unwrap_or(map);
-        let (version, result) = match &batch[i] {
-            BatchOp::Get(k) => (None, BatchResult::Got(cur.get(k).cloned())),
-            BatchOp::Insert(k, v) => {
-                let (version, prev) = cur.upsert(k.clone(), v.clone());
-                (version, BatchResult::Inserted(prev))
-            }
-            BatchOp::Remove(k) => match cur.remove(k) {
-                Some((version, v)) => (Some(version), BatchResult::Removed(Some(v))),
-                None => (None, BatchResult::Removed(None)),
-            },
-            BatchOp::Cas { key, expected, new } => {
-                if cur.get(key) == expected.as_ref() {
-                    let version = match new {
-                        Some(v) => cur.upsert(key.clone(), v.clone()).0,
-                        None => cur.remove(key).map(|(version, _)| version),
-                    };
-                    (version, BatchResult::Cas(true))
-                } else {
-                    (None, BatchResult::Cas(false))
-                }
-            }
-        };
-        if version.is_some() {
-            next = version;
-        }
-        results.push(result);
+    let mut order: Vec<usize> = (0..idxs.len()).collect();
+    order.sort_by(|&a, &b| batch[idxs[a]].key().cmp(batch[idxs[b]].key()));
+    let run: Vec<&BatchOp<K, V>> = order.iter().map(|&j| &batch[idxs[j]]).collect();
+    let (next, outs) = map.apply_sorted(&run);
+    let mut results: Vec<Option<BatchResult<V>>> = vec![None; idxs.len()];
+    for (j, result) in order.into_iter().zip(outs) {
+        results[j] = Some(result);
     }
+    let results = results
+        .into_iter()
+        .map(|r| r.expect("every op resolved"))
+        .collect();
     (next, results)
 }
 
@@ -487,9 +502,130 @@ struct ShardStage<'a, K, V> {
     results: Vec<BatchResult<V>>,
 }
 
+/// The op-by-op form [`apply_shard_ops`] replaced, kept as its oracle:
+/// each op copies its path from the version the previous op built.
+#[cfg(test)]
+fn apply_ops_one_by_one<K, V>(
+    map: &PTreapMap<K, V>,
+    batch: &[BatchOp<K, V>],
+    idxs: &[usize],
+) -> (Option<PTreapMap<K, V>>, Vec<BatchResult<V>>)
+where
+    K: Ord + Clone + Hash,
+    V: Clone + PartialEq,
+{
+    let mut next: Option<PTreapMap<K, V>> = None;
+    let mut results = Vec::with_capacity(idxs.len());
+    for &i in idxs {
+        let cur = next.as_ref().unwrap_or(map);
+        let (version, result) = match &batch[i] {
+            BatchOp::Get(k) => (None, BatchResult::Got(cur.get(k).cloned())),
+            BatchOp::Insert(k, v) => {
+                let (version, prev) = cur.upsert(k.clone(), v.clone());
+                (version, BatchResult::Inserted(prev))
+            }
+            BatchOp::Remove(k) => match cur.remove(k) {
+                Some((version, v)) => (Some(version), BatchResult::Removed(Some(v))),
+                None => (None, BatchResult::Removed(None)),
+            },
+            BatchOp::Cas { key, expected, new } => {
+                if cur.get(key) == expected.as_ref() {
+                    let version = match new {
+                        Some(v) => cur.upsert(key.clone(), v.clone()).0,
+                        None => cur.remove(key).map(|(version, _)| version),
+                    };
+                    (version, BatchResult::Cas(true))
+                } else {
+                    (None, BatchResult::Cas(false))
+                }
+            }
+        };
+        if version.is_some() {
+            next = version;
+        }
+        results.push(result);
+    }
+    (next, results)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TreapMap;
+    use proptest::prelude::*;
+
+    /// One drawn op: (kind, key selector, value, second value).
+    type RawOp = (u8, u16, u16, u16);
+
+    /// Turns drawn ops into a batch over a map holding the even keys
+    /// `0, 2, .., 2 * size - 2` (each `k -> k % 4`). A quarter of the ops
+    /// hit one of three hot keys, so one key often carries a chain of
+    /// ops; values come from `0..4`, so many writes store the value a
+    /// key already holds.
+    fn to_batch(raw: &[RawOp], size: usize) -> Vec<BatchOp<u32, u16>> {
+        let domain = 2 * size as u32 + 16;
+        raw.iter()
+            .map(|&(kind, sel, v, w)| {
+                let key = if sel % 4 == 0 {
+                    u32::from(sel >> 2) % 3 * 2
+                } else {
+                    u32::from(sel) % domain
+                };
+                match kind {
+                    0 => BatchOp::Get(key),
+                    1 => BatchOp::Insert(key, v),
+                    2 => BatchOp::Remove(key),
+                    _ => BatchOp::Cas {
+                        key,
+                        expected: (w % 4 != 0).then_some(w % 4),
+                        new: (sel % 3 != 0).then_some(v),
+                    },
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// One descent agrees with applying the ops one at a time: the
+        /// same results in batch order, the same final map, valid treap
+        /// invariants, and a new version exactly when the contents
+        /// changed. Guarded, the batch aborts exactly when a guard of
+        /// the oracle's run fails, and then writes nothing.
+        #[test]
+        fn apply_shard_ops_matches_the_op_by_op_oracle(
+            size in 0usize..4096,
+            raw in prop::collection::vec((0u8..4, any::<u16>(), 0u16..4, 0u16..5), 0..160),
+        ) {
+            let map: PTreapMap<u32, u16> =
+                (0..size as u32).map(|k| (2 * k, (2 * k % 4) as u16)).collect();
+            let batch = to_batch(&raw, size);
+            let idxs: Vec<usize> = (0..batch.len()).collect();
+            let (want_next, want) = apply_ops_one_by_one(&map, &batch, &idxs);
+            let (got_next, got) = apply_shard_ops(&map, &batch, &idxs);
+            prop_assert_eq!(&got, &want);
+            let want_map = want_next.unwrap_or_else(|| map.clone());
+            prop_assert_eq!(got_next.is_some(), want_map != map, "a version iff the contents changed");
+            let got_map = got_next.unwrap_or_else(|| map.clone());
+            prop_assert_eq!(&got_map, &want_map);
+            prop_assert_eq!(got_map.check_invariants(), want_map.len());
+
+            let shared = TreapMap::from_version(map.clone());
+            let failed = failed_guards(&idxs, &want);
+            match shared.transact_guarded(&batch) {
+                Ok(results) => {
+                    prop_assert!(failed.is_empty());
+                    prop_assert_eq!(results, want);
+                    prop_assert_eq!(&*shared.snapshot(), &want_map);
+                }
+                Err(abort) => {
+                    prop_assert_eq!(abort.failed, failed);
+                    prop_assert_eq!(&*shared.snapshot(), &map, "an abort writes nothing");
+                }
+            }
+        }
+    }
 
     #[test]
     fn empty_batch_is_a_noop() {

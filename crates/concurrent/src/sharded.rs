@@ -48,7 +48,8 @@ use pathcopy_trees::hash::splitmix64;
 use pathcopy_trees::{treap, TreapMap as PTreapMap};
 
 use crate::snapshot::TreapRange;
-use crate::TreapMap;
+use crate::treap_map::EXTEND_CHUNK;
+use crate::{BatchOp, TreapMap};
 
 /// A lock-free concurrent ordered-per-shard map: keys are hash-partitioned
 /// across `N` independent path-copying universal constructions.
@@ -573,10 +574,8 @@ where
     /// Builds a map with the default shard count
     /// ([`ShardedTreapMap::default`]).
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let map = ShardedTreapMap::default();
-        for (k, v) in iter {
-            map.insert(k, v);
-        }
+        let mut map = ShardedTreapMap::default();
+        map.extend(iter);
         map
     }
 }
@@ -586,9 +585,23 @@ where
     K: Ord + Clone + Hash + Send + Sync,
     V: Clone + PartialEq + Send + Sync,
 {
+    /// Buffers the entries per shard and inserts each shard's buffer as
+    /// one [`TreapMap::transact`] whenever it fills (a few hundred
+    /// entries) and at the end: one descent and one CAS per chunk, not
+    /// one per key, and never a buffer of the whole input.
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
+        let mut chunks: Vec<Vec<BatchOp<K, V>>> = self.shards.iter().map(|_| Vec::new()).collect();
         for (k, v) in iter {
-            self.insert(k, v);
+            let shard = shard_index(&k, self.mask);
+            let chunk = &mut chunks[shard];
+            chunk.push(BatchOp::Insert(k, v));
+            if chunk.len() == EXTEND_CHUNK {
+                self.shards[shard].transact(chunk);
+                chunk.clear();
+            }
+        }
+        for (shard, chunk) in self.shards.iter().zip(&chunks) {
+            shard.transact(chunk);
         }
     }
 }

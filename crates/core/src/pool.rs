@@ -666,6 +666,35 @@ impl<T> PoolArc<T> {
         unsafe { ptr::addr_of!((*this.ptr.as_ptr()).value) }
     }
 
+    /// A mutable reference to the value if `this` is its only
+    /// reference, as [`Arc::get_mut`](std::sync::Arc::get_mut): a block
+    /// nobody else can reach may be changed in place instead of copied.
+    ///
+    /// ```
+    /// use pathcopy_core::pool::PoolArc;
+    ///
+    /// let mut a = PoolArc::new(1u64);
+    /// *PoolArc::get_mut(&mut a).unwrap() = 2;
+    /// let b = PoolArc::clone(&a);
+    /// assert!(PoolArc::get_mut(&mut a).is_none());
+    /// drop(b);
+    /// assert_eq!(*a, 2);
+    /// ```
+    #[inline]
+    pub fn get_mut(this: &mut Self) -> Option<&mut T> {
+        // Acquire pairs with the Release decrement of every other
+        // reference that was dropped, so their uses of the value happen
+        // before ours.
+        if this.inner().strong.load(Ordering::Acquire) == 1 {
+            // SAFETY: the count is one and `this` is borrowed mutably, so
+            // no other `PoolArc` to the block exists and none can be made
+            // while the returned borrow lives.
+            Some(unsafe { &mut (*this.ptr.as_ptr()).value })
+        } else {
+            None
+        }
+    }
+
     #[inline]
     fn inner(&self) -> &Inner<T> {
         // SAFETY: the count this pointer owns keeps the block alive and

@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 
-use pathcopy_concurrent::{diff_to_ops, ShardedTreapMap};
+use pathcopy_concurrent::{diff_to_ops, BatchOp, ShardedTreapMap};
 use pathcopy_core::{DiffEntry, IoCounters, IoCountersSnapshot};
 use pathcopy_server::backend::{ServeBackend, ServeSnapshot};
 use pathcopy_server::proto::{Epoch, Response, MAX_FRAME_LEN, SYNC_PAGE_MAX_ENTRIES};
@@ -597,16 +597,18 @@ impl EpochLog {
             return Ok((map, 0));
         }
         let head = state.head;
-        self.replay_to_locked(&state, head, &mut |unit| apply_to_map(&map, unit))?;
+        self.replay_to_locked(&state, head, &mut |unit| {
+            map.transact(&unit_ops(unit));
+        })?;
         Ok((map, head))
     }
 
     /// Replays the head state into an existing (empty) backend — the
-    /// replica bootstrap path. Checkpoint pages are applied as inserts
-    /// and each diff as one atomic
-    /// [`transact`](ServeBackend::transact), so a reader of `store`
-    /// never observes a state between epochs. Returns the head epoch
-    /// reached (`0` for an empty log).
+    /// replica bootstrap path. Each checkpoint page and each diff is one
+    /// atomic [`transact`](ServeBackend::transact), so once the
+    /// checkpoint is in, a reader of `store` never observes a state
+    /// between epochs. Returns the head epoch reached (`0` for an empty
+    /// log).
     ///
     /// # Errors
     ///
@@ -619,7 +621,9 @@ impl EpochLog {
             return Ok(0);
         }
         let head = state.head;
-        self.replay_to_locked(&state, head, &mut |unit| apply_to_backend(store, unit))?;
+        self.replay_to_locked(&state, head, &mut |unit| {
+            store.transact(&unit_ops(unit));
+        })?;
         Ok(head)
     }
 
@@ -660,7 +664,9 @@ impl EpochLog {
     pub fn restore_epoch(&self, epoch: Epoch) -> Result<ShardedTreapMap<i64, i64>, LogError> {
         let map = ShardedTreapMap::with_shards(8);
         let state = self.state.lock();
-        self.replay_to_locked(&state, epoch, &mut |unit| apply_to_map(&map, unit))?;
+        self.replay_to_locked(&state, epoch, &mut |unit| {
+            map.transact(&unit_ops(unit));
+        })?;
         Ok(map)
     }
 
@@ -874,37 +880,16 @@ fn retained_locked(state: &LogState) -> Option<(Epoch, Epoch)> {
     Some((oldest, state.head))
 }
 
-fn apply_to_map(map: &ShardedTreapMap<i64, i64>, unit: Unit) {
+/// A unit as one batch: a checkpoint page's entries as inserts, a diff
+/// as [`diff_to_ops`] replays it. Both are key-sorted runs, so applied
+/// with one `transact` each is one descent per page or diff (per shard
+/// of a sharded map) instead of one path copy and one CAS per entry.
+fn unit_ops(unit: Unit) -> Vec<BatchOp<i64, i64>> {
     match unit.kind {
-        UnitKind::Checkpoint(entries) => {
-            for (k, v) in entries {
-                map.insert(k, v);
-            }
-        }
-        UnitKind::Diff(entries) => {
-            for e in entries {
-                match e {
-                    DiffEntry::Added(k, v) | DiffEntry::Changed(k, _, v) => {
-                        map.insert(k, v);
-                    }
-                    DiffEntry::Removed(k, _) => {
-                        map.remove(&k);
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn apply_to_backend(store: &dyn ServeBackend, unit: Unit) {
-    match unit.kind {
-        UnitKind::Checkpoint(entries) => {
-            for (k, v) in entries {
-                store.insert(k, v);
-            }
-        }
-        UnitKind::Diff(entries) => {
-            store.transact(&diff_to_ops(&entries));
-        }
+        UnitKind::Checkpoint(entries) => entries
+            .into_iter()
+            .map(|(k, v)| BatchOp::Insert(k, v))
+            .collect(),
+        UnitKind::Diff(entries) => diff_to_ops(&entries),
     }
 }

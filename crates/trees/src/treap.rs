@@ -311,15 +311,7 @@ impl<K: Ord, V> TreapMap<K, V> {
         K: Borrow<Q>,
         Q: Ord + ?Sized,
     {
-        let mut cur = self.root.as_deref();
-        while let Some(n) = cur {
-            match key.cmp(n.key.borrow()) {
-                Less => cur = n.left.as_deref(),
-                Equal => return Some(&n.value),
-                Greater => cur = n.right.as_deref(),
-            }
-        }
-        None
+        find(&self.root, key)
     }
 
     /// `true` if the key is present.
@@ -608,13 +600,247 @@ impl<'a, K, V> DiffWalk<'a, K, V> {
     }
 }
 
-impl<K: Ord + Clone + Hash, V: Clone + PartialEq> FromIterator<(K, V)> for TreapMap<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut map = TreapMap::new();
-        for (k, v) in iter {
-            map = map.insert(k, v).0;
+/// One operation of a key-sorted run handed to
+/// [`TreapMap::apply_sorted`].
+pub trait RunOp<K, V> {
+    /// What applying the op reports (a previous value, a hit or miss).
+    type Out;
+    /// The key the op acts on.
+    fn key(&self) -> &K;
+    /// Applies the op to the key's current value (`None` = absent) and
+    /// reports the outcome. Must depend on nothing but `cur`: the run
+    /// may first be folded from `None` to learn whether the key ends up
+    /// present, and that trial's outcomes are discarded.
+    fn apply(&self, cur: &mut Option<V>) -> Self::Out;
+}
+
+impl<K, V, O: RunOp<K, V> + ?Sized> RunOp<K, V> for &O {
+    type Out = O::Out;
+    fn key(&self) -> &K {
+        (**self).key()
+    }
+    fn apply(&self, cur: &mut Option<V>) -> Self::Out {
+        (**self).apply(cur)
+    }
+}
+
+/// The write [`FromIterator`] applies to keys past the sorted prefix.
+struct Put<K, V>(K, V);
+
+impl<K, V: Clone> RunOp<K, V> for Put<K, V> {
+    type Out = ();
+    fn key(&self) -> &K {
+        &self.0
+    }
+    fn apply(&self, cur: &mut Option<V>) {
+        *cur = Some(self.1.clone());
+    }
+}
+
+/// Entries [`FromIterator`] buffers past the sorted prefix before it
+/// applies them as one run: enough that a run shares most of its upper
+/// path copies, few enough that the buffer stays small beside the tree.
+const UNSORTED_CHUNK: usize = 4096;
+
+impl<K: Ord + Clone + Hash, V: Clone + PartialEq> TreapMap<K, V> {
+    /// Builds the longest sorted prefix of `iter` and returns it with the
+    /// first entry whose key is smaller than its predecessor's, if any.
+    /// Of equal keys the last wins.
+    ///
+    /// A Cartesian-tree build over the treap's priorities, O(n) with one
+    /// allocation per key and no copies: the pending right spine is a
+    /// stack of entries whose right subtrees are not known yet. A new
+    /// key takes the entries of strictly lower priority off the stack as
+    /// its left subtree (each becomes a node then, once), so a hash tie
+    /// stays above, as in [`insert_rec`], and the tree is the one
+    /// inserting the keys one by one would build.
+    fn sorted_prefix(iter: &mut impl Iterator<Item = (K, V)>) -> (Self, Option<(K, V)>) {
+        let mut spine = Spine::default();
+        let mut rest = None;
+        for (key, value) in iter.by_ref() {
+            match spine.stack.last_mut() {
+                Some(top) if key < top.key => {
+                    rest = Some((key, value));
+                    break;
+                }
+                Some(top) if key == top.key => top.value = value,
+                _ => {
+                    let priority = priority_of(&key);
+                    spine.push(key, value, priority);
+                }
+            }
         }
+        let root = spine.finish();
+        (TreapMap { root }, rest)
+    }
+
+    /// Sorts `chunk` by key (stably, so the last of equal keys wins),
+    /// applies it as one run and empties it.
+    fn put_chunk(&mut self, chunk: &mut Vec<Put<K, V>>) {
+        chunk.sort_by(|a, b| a.0.cmp(&b.0));
+        if let (Some(next), _) = self.apply_sorted(chunk) {
+            *self = next;
+        }
+        chunk.clear();
+    }
+
+    /// Applies a run of ops sorted by key (ops on one key in arrival
+    /// order) in one descent, returning the new version — `None` if no
+    /// op changed anything, and then nothing was allocated — and each
+    /// op's outcome, in run order.
+    ///
+    /// Each op reports what it would have reported applied alone, op
+    /// after op. But where applying them one at a time copies each op's
+    /// whole root-to-key path from the previous op's version, this
+    /// copies the union of the run's paths once: the descent binary
+    /// searches the run for each node's key, recurses into the two
+    /// halves, and copies the node only if a child or its own entry
+    /// changed; a node built by this descent is never copied again. An
+    /// absent key whose priority outranks a node becomes that subtree's
+    /// root, its two sides cut from the subtree on the way down, as the
+    /// split branch of [`insert`](Self::insert) does; a key an empty
+    /// subtree receives is built in place. So the call allocates exactly
+    /// the nodes of the new version that the old one does not hold.
+    ///
+    /// The bulk insert of Blelloch, Ferizovic and Sun (*Just Join for
+    /// Parallel Ordered Sets*, SPAA 2016) is the reference; this is its
+    /// sequential, path-copying form.
+    ///
+    /// ```
+    /// use pathcopy_trees::treap::RunOp;
+    /// use pathcopy_trees::TreapMap;
+    ///
+    /// /// Adds to a counter, reporting the count before.
+    /// struct Add(u32, u64);
+    /// impl RunOp<u32, u64> for Add {
+    ///     type Out = Option<u64>;
+    ///     fn key(&self) -> &u32 { &self.0 }
+    ///     fn apply(&self, cur: &mut Option<u64>) -> Option<u64> {
+    ///         let old = *cur;
+    ///         *cur = Some(old.unwrap_or(0) + self.1);
+    ///         old
+    ///     }
+    /// }
+    ///
+    /// let m: TreapMap<u32, u64> = [(1, 10), (3, 30)].into_iter().collect();
+    /// let (next, outs) = m.apply_sorted(&[Add(1, 1), Add(2, 5), Add(2, 5)]);
+    /// assert_eq!(outs, vec![Some(10), None, Some(5)]);
+    /// let next = next.unwrap();
+    /// assert_eq!((next.get(&1), next.get(&2)), (Some(&11), Some(&10)));
+    /// ```
+    pub fn apply_sorted<O: RunOp<K, V>>(&self, run: &[O]) -> (Option<Self>, Vec<O::Out>) {
+        debug_assert!(
+            run.windows(2).all(|w| w[0].key() <= w[1].key()),
+            "apply_sorted needs a run sorted by key"
+        );
+        let mut groups = Vec::new();
+        let mut start = 0;
+        while start < run.len() {
+            let key = run[start].key();
+            let end = start + run[start..].partition_point(|op| op.key() == key);
+            let mut trial = None;
+            for op in &run[start..end] {
+                op.apply(&mut trial);
+            }
+            groups.push(KeyRun {
+                key,
+                start,
+                end,
+                priority: priority_of(key),
+                grows: trial.is_some(),
+            });
+            start = end;
+        }
+        let mut out: Vec<Option<O::Out>> = run.iter().map(|_| None).collect();
+        let root = apply_rec(&self.root, None, None, &mut groups, run, &mut out);
+        let out = out
+            .into_iter()
+            .map(|o| o.expect("every op of the run was applied"))
+            .collect();
+        (root.map(|root| TreapMap { root }), out)
+    }
+}
+
+impl<K: Ord + Clone + Hash, V: Clone + PartialEq> FromIterator<(K, V)> for TreapMap<K, V> {
+    /// Builds the sorted prefix of the input as a Cartesian tree, in
+    /// O(n) with one allocation per key; the rest goes in through
+    /// [`apply_sorted`](TreapMap::apply_sorted), a few thousand entries
+    /// per run. Of equal keys the last wins, as with
+    /// [`insert`](TreapMap::insert).
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
+        let mut iter = iter.into_iter();
+        let (mut map, first) = Self::sorted_prefix(&mut iter);
+        let mut chunk = Vec::new();
+        for (key, value) in first.into_iter().chain(iter) {
+            chunk.push(Put(key, value));
+            if chunk.len() == UNSORTED_CHUNK {
+                map.put_chunk(&mut chunk);
+            }
+        }
+        map.put_chunk(&mut chunk);
         map
+    }
+}
+
+/// The ops of one key in a run given to [`TreapMap::apply_sorted`].
+struct KeyRun<'r, K> {
+    key: &'r K,
+    /// The ops are `run[start..end]`.
+    start: usize,
+    end: usize,
+    /// The key's hashed priority.
+    priority: u64,
+    /// Folded from an absent key, the ops leave it present.
+    grows: bool,
+}
+
+/// An entry of [`Spine`] whose right subtree is still being built.
+struct Pending<K, V> {
+    key: K,
+    value: V,
+    priority: u64,
+    left: Link<K, V>,
+}
+
+/// The pending right spine of a treap built from ascending keys.
+struct Spine<K, V> {
+    stack: Vec<Pending<K, V>>,
+}
+
+impl<K, V> Default for Spine<K, V> {
+    fn default() -> Self {
+        Spine { stack: Vec::new() }
+    }
+}
+
+impl<K, V> Spine<K, V> {
+    /// Appends a key greater than every key pushed so far.
+    fn push(&mut self, key: K, value: V, priority: u64) {
+        let mut left = None;
+        while self.stack.last().is_some_and(|top| top.priority < priority) {
+            left = self.pop_into(left);
+        }
+        self.stack.push(Pending {
+            key,
+            value,
+            priority,
+            left,
+        });
+    }
+
+    /// Makes the top entry a node with right subtree `right`.
+    fn pop_into(&mut self, right: Link<K, V>) -> Link<K, V> {
+        let top = self.stack.pop().expect("a pending entry");
+        Some(mk(top.key, top.value, top.priority, top.left, right))
+    }
+
+    /// Closes the spine into the finished tree.
+    fn finish(mut self) -> Link<K, V> {
+        let mut root = None;
+        while !self.stack.is_empty() {
+            root = self.pop_into(root);
+        }
+        root
     }
 }
 
@@ -777,6 +1003,183 @@ fn merge<K: Ord + Clone, V: Clone>(l: &Link<K, V>, r: &Link<K, V>) -> Link<K, V>
             }
         }
     }
+}
+
+/// [`merge`] of two subtrees the caller owns: a node nobody else
+/// references (one this descent just built) is relinked in place, a
+/// shared one is copied.
+fn merge_owned<K: Clone, V: Clone>(l: Link<K, V>, r: Link<K, V>) -> Link<K, V> {
+    match (l, r) {
+        (None, r) => r,
+        (l, None) => l,
+        (Some(mut a), Some(mut b)) => {
+            let size = a.size + b.size;
+            if a.priority >= b.priority {
+                if let Some(node) = PoolArc::get_mut(&mut a) {
+                    node.right = merge_owned(node.right.take(), Some(b));
+                    node.size = size;
+                    return Some(a);
+                }
+                let right = merge_owned(a.right.clone(), Some(b));
+                Some(with_children(&a, a.left.clone(), right))
+            } else {
+                if let Some(node) = PoolArc::get_mut(&mut b) {
+                    node.left = merge_owned(Some(a), node.left.take());
+                    node.size = size;
+                    return Some(b);
+                }
+                let left = merge_owned(Some(a), b.left.clone());
+                Some(with_children(&b, left, b.right.clone()))
+            }
+        }
+    }
+}
+
+/// The value at `key` in the subtree at `link`.
+fn find<'a, K, V, Q>(link: &'a Link<K, V>, key: &Q) -> Option<&'a V>
+where
+    K: Borrow<Q>,
+    Q: Ord + ?Sized,
+{
+    let mut cur = link.as_deref();
+    while let Some(n) = cur {
+        match key.cmp(n.key.borrow()) {
+            Less => cur = n.left.as_deref(),
+            Equal => return Some(&n.value),
+            Greater => cur = n.right.as_deref(),
+        }
+    }
+    None
+}
+
+/// Folds one key's ops over its prior value, recording each outcome.
+fn fold<K, V: Clone, O: RunOp<K, V>>(
+    run: &[O],
+    group: &KeyRun<'_, K>,
+    prior: Option<&V>,
+    out: &mut [Option<O::Out>],
+) -> Option<V> {
+    let mut cur = prior.cloned();
+    let ops = group.start..group.end;
+    for (op, slot) in run[ops.clone()].iter().zip(&mut out[ops]) {
+        *slot = Some(op.apply(&mut cur));
+    }
+    cur
+}
+
+/// The descent of [`TreapMap::apply_sorted`] over one *piece*: the
+/// entries of the subtree at `link` with keys strictly between the clips
+/// `lo` and `hi` (`None`: the side needs no cut). `groups` are the run's
+/// keys inside the piece. Returns the piece with the run applied, or
+/// `None` if that is exactly `link` — nothing cut, nothing changed, and
+/// nothing allocated.
+fn apply_rec<'r, K, V, O>(
+    link: &Link<K, V>,
+    lo: Option<&'r K>,
+    hi: Option<&'r K>,
+    groups: &mut [KeyRun<'r, K>],
+    run: &'r [O],
+    out: &mut [Option<O::Out>],
+) -> Option<Link<K, V>>
+where
+    K: Ord + Clone,
+    V: Clone + PartialEq,
+    O: RunOp<K, V>,
+{
+    if groups.is_empty() && lo.is_none() && hi.is_none() {
+        return None;
+    }
+    let Some(n) = link else {
+        // Every key of the run is absent: fold each from nothing and
+        // build what is left, one node per key.
+        let mut spine = Spine::default();
+        for group in groups.iter() {
+            if let Some(value) = fold(run, group, None, out) {
+                spine.push(group.key.clone(), value, group.priority);
+            }
+        }
+        return spine.finish().map(Some);
+    };
+    // A node cut off by a clip: the piece lies in one of its subtrees.
+    if lo.is_some_and(|lo| n.key <= *lo) {
+        let right = apply_rec(&n.right, lo, hi, groups, run, out);
+        return Some(right.unwrap_or_else(|| n.right.clone()));
+    }
+    if hi.is_some_and(|hi| n.key >= *hi) {
+        let left = apply_rec(&n.left, lo, hi, groups, run, out);
+        return Some(left.unwrap_or_else(|| n.left.clone()));
+    }
+    // The highest-ranked new key that outranks `n` is the piece's root,
+    // with the piece cut around it into its two subtrees.
+    loop {
+        let mut top = None;
+        let mut rank = n.priority;
+        for (i, g) in groups.iter().enumerate() {
+            if g.grows && g.priority > rank {
+                (top, rank) = (Some(i), g.priority);
+            }
+        }
+        let Some(t) = top else { break };
+        let key = groups[t].key;
+        if find(link, key).is_some() {
+            // Present below a lower priority, which only an explicit
+            // priority can do: update it where it is.
+            groups[t].grows = false;
+            continue;
+        }
+        let (left_groups, rest) = groups.split_at_mut(t);
+        let (group, right_groups) = rest.split_first_mut().expect("t indexes groups");
+        let value = fold(run, group, None, out).expect("a growing key ends present");
+        let left = apply_rec(link, lo, Some(key), left_groups, run, out);
+        let right = apply_rec(link, Some(key), hi, right_groups, run, out);
+        return Some(Some(mk(
+            key.clone(),
+            value,
+            group.priority,
+            left.unwrap_or_else(|| link.clone()),
+            right.unwrap_or_else(|| link.clone()),
+        )));
+    }
+    // `n` stays the piece's root.
+    let split = groups.partition_point(|g| *g.key < n.key);
+    let (left_groups, rest) = groups.split_at_mut(split);
+    let (own, right_groups) = match rest.split_first_mut() {
+        Some((g, right)) if *g.key == n.key => (Some(&*g), right),
+        _ => (None, rest),
+    };
+    let value = own.map(|g| fold(run, g, Some(&n.value), out));
+    // A side the run does not reach and no clip cuts is kept whole:
+    // start loading the line its clone will touch while the other side
+    // descends.
+    let left = if left_groups.is_empty() && lo.is_none() {
+        prefetch(&n.left);
+        None
+    } else {
+        apply_rec(&n.left, lo, None, left_groups, run, out)
+    };
+    let right = if right_groups.is_empty() && hi.is_none() {
+        prefetch(&n.right);
+        None
+    } else {
+        apply_rec(&n.right, None, hi, right_groups, run, out)
+    };
+    let value = match value {
+        Some(None) => {
+            let left = left.unwrap_or_else(|| n.left.clone());
+            let right = right.unwrap_or_else(|| n.right.clone());
+            return Some(merge_owned(left, right));
+        }
+        Some(Some(v)) if v != n.value => v,
+        _ if left.is_none() && right.is_none() => return None,
+        _ => n.value.clone(),
+    };
+    Some(Some(mk(
+        n.key.clone(),
+        value,
+        n.priority,
+        left.unwrap_or_else(|| n.left.clone()),
+        right.unwrap_or_else(|| n.right.clone()),
+    )))
 }
 
 /// Splits around `key` into (`< key`, the node with `key` if present,
@@ -1471,6 +1874,137 @@ mod tests {
         assert_eq!(owned, borrowed);
         let set: TreapSet<i64> = (0..100).collect();
         assert!(set.clone().into_iter().eq(0..100));
+    }
+
+    fn same_shape<K: Ord, V>(a: &Link<K, V>, b: &Link<K, V>) -> bool {
+        match (a, b) {
+            (None, None) => true,
+            (Some(x), Some(y)) => {
+                x.key == y.key && same_shape(&x.left, &y.left) && same_shape(&x.right, &y.right)
+            }
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn from_iter_equals_a_btreemap_collect_on_any_input_order() {
+        let mut x = 7u64;
+        let mut shuffled: Vec<(i64, i64)> = (0..3000).map(|k| (k, -k)).collect();
+        for i in (1..shuffled.len()).rev() {
+            x = crate::hash::splitmix64(x);
+            shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let dups: Vec<(i64, i64)> = (0..9000).map(|i| ((i * 7919) % 1000, i)).collect();
+        let sorted_dups: Vec<(i64, i64)> = (0..2000).map(|i| (i / 3, i)).collect();
+        let inputs: [Vec<(i64, i64)>; 6] = [
+            Vec::new(),
+            (0..5000).map(|k| (k, k)).collect(),
+            (0..5000).rev().map(|k| (k, k)).collect(),
+            shuffled,
+            dups,
+            sorted_dups,
+        ];
+        for input in inputs {
+            let want: BTreeMap<i64, i64> = input.iter().copied().collect();
+            let got: TreapMap<i64, i64> = input.iter().copied().collect();
+            assert_eq!(got.check_invariants(), want.len());
+            assert!(got
+                .iter()
+                .map(|(k, v)| (*k, *v))
+                .eq(want.iter().map(|(k, v)| (*k, *v))));
+            let one_by_one = input
+                .iter()
+                .fold(TreapMap::new(), |m, &(k, v)| m.insert(k, v).0);
+            assert!(
+                same_shape(&got.root, &one_by_one.root),
+                "a build is the tree the inserts make"
+            );
+        }
+    }
+
+    /// A write-or-delete op, for driving `apply_sorted` directly.
+    struct Set(i64, Option<i64>);
+
+    impl RunOp<i64, i64> for Set {
+        type Out = Option<i64>;
+        fn key(&self) -> &i64 {
+            &self.0
+        }
+        fn apply(&self, cur: &mut Option<i64>) -> Option<i64> {
+            std::mem::replace(cur, self.1)
+        }
+    }
+
+    fn one_at_a_time(
+        map: &TreapMap<i64, i64>,
+        run: &[Set],
+    ) -> (TreapMap<i64, i64>, Vec<Option<i64>>) {
+        let mut map = map.clone();
+        let mut outs = Vec::new();
+        for Set(k, v) in run {
+            let old = match v {
+                Some(v) => {
+                    let (next, old) = map.insert(*k, *v);
+                    map = next;
+                    old
+                }
+                None => map.remove(k).map(|(next, old)| {
+                    map = next;
+                    old
+                }),
+            };
+            outs.push(old);
+        }
+        (map, outs)
+    }
+
+    #[test]
+    fn apply_sorted_matches_applying_the_run_op_by_op() {
+        let mut x = 99u64;
+        let mut next = |m: u64| {
+            x = crate::hash::splitmix64(x);
+            x % m
+        };
+        for size in [0usize, 1, 5, 64, 1000] {
+            let base: TreapMap<i64, i64> = (0..size as i64).map(|k| (2 * k, k)).collect();
+            for len in [0usize, 1, 2, 16, 100, 700] {
+                let mut run: Vec<Set> = (0..len)
+                    .map(|_| {
+                        let k = next(2 * size as u64 + 8) as i64 - 4;
+                        let v = (next(3) != 0).then(|| next(4) as i64);
+                        Set(k, v)
+                    })
+                    .collect();
+                run.sort_by_key(|s| s.0);
+                let (want, want_outs) = one_at_a_time(&base, &run);
+                let (got, outs) = base.apply_sorted(&run);
+                assert_eq!(outs, want_outs, "size {size}, run {len}");
+                let got = got.unwrap_or_else(|| base.clone());
+                assert_eq!(got, want);
+                got.check_invariants();
+                assert!(same_shape(&got.root, &want.root), "canonical shape");
+            }
+        }
+    }
+
+    #[test]
+    fn apply_sorted_keeps_the_invariants_under_explicit_priorities() {
+        // Priorities that are not the keys' hashes: present keys can sit
+        // below keys that outrank their nodes.
+        let mut m: TreapMap<i64, i64> = TreapMap::new();
+        for k in 0..200 {
+            m = m.insert_with_priority(k, k, (k as u64 * 37) % 101).0;
+        }
+        let run: Vec<Set> = (-5..210)
+            .step_by(3)
+            .map(|k| Set(k, (k % 2 == 0).then_some(-k)))
+            .collect();
+        let (want, want_outs) = one_at_a_time(&m, &run);
+        let (got, outs) = m.apply_sorted(&run);
+        assert_eq!(outs, want_outs);
+        let got = got.expect("the run changes the map");
+        assert_eq!(got, want);
+        got.check_invariants();
     }
 
     #[test]
