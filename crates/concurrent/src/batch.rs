@@ -4,45 +4,23 @@
 //! cheap: a batch of updates is just another sequential function from one
 //! persistent version to the next, installed with a single root CAS —
 //! which is all [`TreapMap::transact`](crate::TreapMap::transact) does.
-//! On the sharded map ([`ShardedTreapMap`]) a batch may span *several*
-//! roots, so [`ShardedTreapMap::transact`] runs a two-phase commit:
-//!
-//! 1. **Group** the batch by shard (keys hash to shards exactly as the
-//!    per-key operations do).
-//! 2. **Single-shard fast path** — if every key lands in one shard, the
-//!    batch is that shard's own `TreapMap::transact`: one lock-free CAS
-//!    loop, no locks, no freezing.
-//! 3. **Multi-shard commit** — acquire the involved shards' commit locks
-//!    in ascending shard-index order (deadlock-free; these locks only
-//!    exclude *rival multi-shard commits* — per-key operations never
-//!    take them), speculatively build every involved shard's new
-//!    persistent root by path copying, then **freeze** each shard root
-//!    in ascending order — backing the window out and re-copying if a
-//!    concurrent per-key update moved a root — and finally install all
-//!    new roots. Freezing (see
-//!    [`pathcopy_core::VersionCell::try_freeze`]) makes concurrent reads
-//!    of the involved shards spin for the handful of CASes the install
-//!    window lasts, which is precisely what makes the whole batch flip
-//!    atomically: no reader, per-key writer, or
-//!    [`ShardedTreapMap::snapshot_all`] can observe some shards
-//!    post-batch and others pre-batch.
 //!
 //! Within a batch, operations apply in order: a [`BatchOp::Get`] after a
 //! [`BatchOp::Insert`] of the same key sees the inserted value. Across
-//! threads the whole batch is one linearizable operation. A shard's ops
-//! are applied as one key-sorted run
+//! threads the whole batch is one linearizable operation. The ops are
+//! applied as one key-sorted run
 //! ([`apply_sorted`](pathcopy_trees::TreapMap::apply_sorted)), so the
 //! batch copies the union of its ops' paths once rather than one whole
 //! path per op.
 //!
 //! ```
-//! use pathcopy_concurrent::{BatchOp, BatchResult, ShardedTreapMap};
+//! use pathcopy_concurrent::{BatchOp, BatchResult, TreapMap};
 //!
-//! let m: ShardedTreapMap<&'static str, i64> = ShardedTreapMap::with_shards(8);
+//! let m: TreapMap<&'static str, i64> = TreapMap::new();
 //! m.insert("alice", 100);
 //! m.insert("bob", 0);
 //!
-//! // Move 30 from alice to bob atomically, whatever shards they hash to.
+//! // Move 30 from alice to bob atomically: one root CAS.
 //! let results = m.transact(&[
 //!     BatchOp::Insert("alice", 70),
 //!     BatchOp::Insert("bob", 30),
@@ -53,17 +31,14 @@
 //! assert_eq!(results[2], BatchResult::Got(Some(70))); // sees the batch's own write
 //! ```
 
-use std::collections::BTreeMap;
 use std::hash::Hash;
-use std::sync::Arc;
 
-use pathcopy_core::{BackoffPolicy, DiffEntry};
+use pathcopy_core::DiffEntry;
 use pathcopy_trees::treap::RunOp;
 use pathcopy_trees::TreapMap as PTreapMap;
 
-use crate::sharded::{shard_index, ShardedTreapMap};
-
-/// One operation inside a [`ShardedTreapMap::transact`] batch.
+/// One operation inside a
+/// [`TreapMap::transact`](crate::TreapMap::transact) batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchOp<K, V> {
     /// Read the value at a key (at the batch's linearization point,
@@ -117,8 +92,8 @@ impl<K, V: Clone + PartialEq> RunOp<K, V> for BatchOp<K, V> {
     }
 }
 
-/// Per-operation outcome of a [`ShardedTreapMap::transact`] batch, in
-/// batch order.
+/// Per-operation outcome of a [`TreapMap::transact`](crate::TreapMap::transact)
+/// batch, in batch order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchResult<V> {
     /// Result of a [`BatchOp::Get`]: the value, if present.
@@ -136,27 +111,28 @@ pub enum BatchResult<V> {
 /// `Added`/`Changed` become [`BatchOp::Insert`] of the new value,
 /// `Removed` becomes [`BatchOp::Remove`].
 ///
-/// Applying the result through [`ShardedTreapMap::transact`] moves a map
-/// holding the older version to the newer one **atomically** — the
+/// Applying the result through
+/// [`TreapMap::transact`](crate::TreapMap::transact) moves a map holding
+/// the older version to the newer one **atomically** — the
 /// replication layer's catch-up step: a replica at version `a` receives
 /// `a.diff(&b)` and flips to `b` in one linearizable operation, so its
 /// readers only ever observe published versions.
 ///
 /// ```
-/// use pathcopy_concurrent::{diff_to_ops, ShardedTreapMap};
-/// use pathcopy_core::{MapSnapshot as _, Snapshottable as _};
+/// use pathcopy_concurrent::{diff_to_ops, TreapMap};
+/// use pathcopy_core::MapSnapshot as _;
 ///
-/// let primary: ShardedTreapMap<i64, i64> = ShardedTreapMap::with_shards(4);
+/// let primary: TreapMap<i64, i64> = TreapMap::new();
 /// primary.insert(1, 10);
 /// let old = primary.snapshot();
 /// primary.insert(2, 20);
 /// primary.remove(&1);
 /// let new = primary.snapshot();
 ///
-/// let replica: ShardedTreapMap<i64, i64> = ShardedTreapMap::with_shards(4);
+/// let replica: TreapMap<i64, i64> = TreapMap::new();
 /// replica.insert(1, 10); // replica holds the old version
 /// replica.transact(&diff_to_ops(&old.diff(&new)));
-/// assert_eq!(replica.snapshot().to_sorted_vec(), vec![(2, 20)]);
+/// assert_eq!(replica.snapshot().iter().collect::<Vec<_>>(), [(&2, &20)]);
 /// ```
 pub fn diff_to_ops<K: Clone, V: Clone>(diff: &[DiffEntry<K, V>]) -> Vec<BatchOp<K, V>> {
     diff.iter()
@@ -169,28 +145,27 @@ pub fn diff_to_ops<K: Clone, V: Clone>(diff: &[DiffEntry<K, V>]) -> Vec<BatchOp<
 }
 
 /// Which [`BatchOp::Cas`] guards of a guarded batch failed — the payload
-/// of a [`ShardedTreapMap::transact_guarded`] abort, as op indices into
-/// the submitted batch, in batch order.
+/// of a [`TreapMap::transact_guarded`](crate::TreapMap::transact_guarded)
+/// abort, as op indices into the submitted batch, in batch order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuardAbort {
     /// Indices (into the batch) of the `Cas` ops whose guards failed.
     pub failed: Vec<usize>,
 }
 
-/// Collects the batch indices of failed `Cas` guards in one shard's
-/// speculative results.
-pub(crate) fn failed_guards<V>(idxs: &[usize], results: &[BatchResult<V>]) -> Vec<usize> {
-    idxs.iter()
-        .zip(results)
+/// The batch indices of the failed `Cas` guards in a batch's results.
+pub(crate) fn failed_guards<V>(results: &[BatchResult<V>]) -> Vec<usize> {
+    results
+        .iter()
+        .enumerate()
         .filter(|(_, r)| matches!(r, BatchResult::Cas(false)))
-        .map(|(&i, _)| i)
+        .map(|(i, _)| i)
         .collect()
 }
 
-/// Applies a shard's slice of the batch (op indices `idxs`, in batch
-/// order) to `map`, returning the new version — `None` if no op changed
-/// anything, so the shard needs no CAS — and the per-op results, in
-/// `idxs` order.
+/// Applies `batch` to `map`, returning the new version — `None` if no op
+/// changed anything, so the update needs no CAS — and the per-op
+/// results, in batch order.
 ///
 /// One descent: the ops are sorted by key (stably, so ops on one key
 /// keep batch order) and applied as one
@@ -199,19 +174,18 @@ pub(crate) fn failed_guards<V>(idxs: &[usize], results: &[BatchResult<V>]) -> Ve
 pub(crate) fn apply_shard_ops<K, V>(
     map: &PTreapMap<K, V>,
     batch: &[BatchOp<K, V>],
-    idxs: &[usize],
 ) -> (Option<PTreapMap<K, V>>, Vec<BatchResult<V>>)
 where
     K: Ord + Clone + Hash,
     V: Clone + PartialEq,
 {
-    let mut order: Vec<usize> = (0..idxs.len()).collect();
-    order.sort_by(|&a, &b| batch[idxs[a]].key().cmp(batch[idxs[b]].key()));
-    let run: Vec<&BatchOp<K, V>> = order.iter().map(|&j| &batch[idxs[j]]).collect();
+    let mut order: Vec<usize> = (0..batch.len()).collect();
+    order.sort_by(|&a, &b| batch[a].key().cmp(batch[b].key()));
+    let run: Vec<&BatchOp<K, V>> = order.iter().map(|&i| &batch[i]).collect();
     let (next, outs) = map.apply_sorted(&run);
-    let mut results: Vec<Option<BatchResult<V>>> = vec![None; idxs.len()];
-    for (j, result) in order.into_iter().zip(outs) {
-        results[j] = Some(result);
+    let mut results: Vec<Option<BatchResult<V>>> = vec![None; batch.len()];
+    for (i, result) in order.into_iter().zip(outs) {
+        results[i] = Some(result);
     }
     let results = results
         .into_iter()
@@ -220,305 +194,22 @@ where
     (next, results)
 }
 
-impl<K, V> ShardedTreapMap<K, V>
-where
-    K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + PartialEq + Send + Sync,
-{
-    /// Atomically applies a batch of operations that may span shards,
-    /// returning one [`BatchResult`] per op, in batch order.
-    ///
-    /// The whole batch is a single linearizable operation: no concurrent
-    /// reader, per-key writer, or [`snapshot_all`](Self::snapshot_all)
-    /// ever observes it partially applied. Operations inside the batch
-    /// apply in order, so later ops see earlier ops' writes (including
-    /// across a [`BatchOp::Cas`] on the same key).
-    ///
-    /// Cost model (the regime the paper predicts path copying wins):
-    ///
-    /// * batch touching **one shard** — the ordinary lock-free CAS loop,
-    ///   a single root install for the whole batch;
-    /// * batch touching **`k` shards** — ascending-order acquisition of
-    ///   `k` commit locks (contended only by other multi-shard batches),
-    ///   speculative path-copying of `k` new roots, then a freeze +
-    ///   install window of `2k` atomic operations during which reads of
-    ///   the involved shards briefly spin.
-    ///
-    /// A failed [`BatchOp::Cas`] does not abort the batch; it simply
-    /// reports `Cas(false)` while the rest of the batch commits.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pathcopy_concurrent::{BatchOp, BatchResult, ShardedTreapMap};
-    ///
-    /// let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(4);
-    /// let r = m.transact(&[
-    ///     BatchOp::Insert(1, 10),
-    ///     BatchOp::Insert(2, 20),
-    ///     BatchOp::Cas { key: 1, expected: Some(10), new: Some(11) },
-    ///     BatchOp::Remove(3),
-    /// ]);
-    /// assert_eq!(
-    ///     r,
-    ///     vec![
-    ///         BatchResult::Inserted(None),
-    ///         BatchResult::Inserted(None),
-    ///         BatchResult::Cas(true),
-    ///         BatchResult::Removed(None),
-    ///     ]
-    /// );
-    /// ```
-    pub fn transact(&self, batch: &[BatchOp<K, V>]) -> Vec<BatchResult<V>> {
-        self.transact_impl(batch, false)
-            .expect("unguarded batches never abort")
-    }
-
-    /// Sinfonia-style guarded mini-transaction: like
-    /// [`transact`](Self::transact), except that if **any**
-    /// [`BatchOp::Cas`] guard fails, the *whole batch aborts* — zero
-    /// writes land, and the failed guard indices come back as a
-    /// [`GuardAbort`].
-    ///
-    /// The abort is linearizable: on the single-shard path the guards are
-    /// evaluated against the root the no-CAS return linearizes at, and on
-    /// the multi-shard path they are evaluated against the validated
-    /// bases of a successful freeze pass — every involved shard is frozen
-    /// at the moment the abort decision is made, so no interleaving can
-    /// make a concurrent observer disagree about whether the batch
-    /// happened.
-    ///
-    /// Within a committing batch, semantics match `transact`: ops apply
-    /// in order and later ops (including guards) see earlier writes of
-    /// the same batch.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use pathcopy_concurrent::{BatchOp, GuardAbort, ShardedTreapMap};
-    ///
-    /// let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(4);
-    /// m.insert(1, 10);
-    /// // The guard is stale, so the inserts must not land either.
-    /// let err = m
-    ///     .transact_guarded(&[
-    ///         BatchOp::Cas { key: 1, expected: Some(99), new: Some(100) },
-    ///         BatchOp::Insert(2, 20),
-    ///     ])
-    ///     .unwrap_err();
-    /// assert_eq!(err, GuardAbort { failed: vec![0] });
-    /// assert_eq!(m.get(&2), None, "aborted batch wrote nothing");
-    /// ```
-    pub fn transact_guarded(
-        &self,
-        batch: &[BatchOp<K, V>],
-    ) -> Result<Vec<BatchResult<V>>, GuardAbort> {
-        self.transact_impl(batch, true)
-    }
-
-    fn transact_impl(
-        &self,
-        batch: &[BatchOp<K, V>],
-        guarded: bool,
-    ) -> Result<Vec<BatchResult<V>>, GuardAbort> {
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        // Phase 0: group op indices by shard, preserving batch order
-        // within each shard. BTreeMap iteration gives ascending shard
-        // indices, which is the global lock/freeze order.
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, op) in batch.iter().enumerate() {
-            groups
-                .entry(shard_index(op.key(), self.mask))
-                .or_default()
-                .push(i);
-        }
-
-        if groups.len() == 1 {
-            // Fast path: the batch lives in one shard, so it is that
-            // shard's own `TreapMap` batch — one lock-free CAS loop, and
-            // a guarded abort returns without a CAS.
-            let (&shard, idxs) = groups.iter().next().unwrap();
-            return self.shards[shard].transact_ops(batch, idxs, guarded);
-        }
-
-        // Read-only multi-shard batch: no roots change, so consistency
-        // needs no locks and no freezing — a validated double scan over
-        // just the involved shards (the `snapshot_all` idiom, sharded.rs)
-        // yields a stable cut without blocking anyone.
-        if batch.iter().all(|op| matches!(op, BatchOp::Get(_))) {
-            let involved: Vec<usize> = groups.keys().copied().collect();
-            let mut pass: Vec<Arc<PTreapMap<K, V>>> = involved
-                .iter()
-                .map(|&i| self.shards[i].uc.snapshot())
-                .collect();
-            loop {
-                let mut stable = true;
-                for (j, &i) in involved.iter().enumerate() {
-                    if !self.shards[i].uc.is_current_version(&pass[j]) {
-                        pass[j] = self.shards[i].uc.snapshot();
-                        stable = false;
-                    }
-                }
-                if stable {
-                    break;
-                }
-            }
-            let mut out: Vec<Option<BatchResult<V>>> = vec![None; batch.len()];
-            for (j, idxs) in groups.values().enumerate() {
-                let (_, results) = apply_shard_ops(&pass[j], batch, idxs);
-                for (&i, r) in idxs.iter().zip(results) {
-                    out[i] = Some(r);
-                }
-            }
-            // A Get-only batch carries no guards, so `guarded` is moot.
-            return Ok(out
-                .into_iter()
-                .map(|r| r.expect("every op resolved"))
-                .collect());
-        }
-
-        // Phase 1: exclude rival multi-shard commits on any overlapping
-        // shard, in ascending order (deadlock-free).
-        let _guards: Vec<_> = groups
-            .keys()
-            .map(|&shard| self.commit_locks[shard].lock())
-            .collect();
-
-        // Phase 2: speculatively path-copy each involved shard's new root
-        // from its current version. Per-key updates may still move a root
-        // under us; that is caught and repaired at freeze time.
-        let mut staged: Vec<ShardStage<'_, K, V>> = groups
-            .iter()
-            .map(|(&shard, idxs)| {
-                let base = self.shards[shard].uc.snapshot();
-                let (next, results) = apply_shard_ops(&base, batch, idxs);
-                ShardStage {
-                    shard,
-                    idxs,
-                    base,
-                    next,
-                    results,
-                }
-            })
-            .collect();
-
-        // Phase 3: freeze every involved root in ascending order. A
-        // freeze fails only if a per-key update moved that root since we
-        // copied it; when that happens, back the whole window out
-        // (unfreeze everything frozen so far), rebuild that shard's
-        // stage, and start the pass over. Two invariants fall out:
-        //
-        // * the frozen window is always exactly one freeze+install pass
-        //   (2k atomic operations) — readers never spin while a rebuild
-        //   runs, however contended the shards are;
-        // * no user code (`K`/`V` `Ord`/`Clone`/`PartialEq`) ever runs
-        //   while any root is frozen, so a panic in user code can unwind
-        //   through `transact` without wedging the map behind a leaked
-        //   freeze tag.
-        //
-        // Each restart is caused by a per-key update that committed, so
-        // the system as a whole stays lock-free. Between restarts we back
-        // off adaptively (exponential spin, capped): the freeze window
-        // competes with the per-key CAS loops for the same roots, and an
-        // immediate retry under sustained per-key traffic mostly loses the
-        // race again — unlike the paper's single-root CAS retry, a restart
-        // here repeats a multi-root copy pass, so losing is expensive.
-        // Backed-out passes are counted per shard as `freeze_retries`.
-        let mut backoff = BackoffPolicy::exponential().start();
-        'freeze: loop {
-            for j in 0..staged.len() {
-                if let Err(current) = self.shards[staged[j].shard]
-                    .uc
-                    .try_freeze_root(&staged[j].base)
-                {
-                    for prior in &staged[..j] {
-                        self.shards[prior.shard].uc.unfreeze_root();
-                    }
-                    self.shards[staged[j].shard].stats().record_freeze_retry();
-                    let (next, results) = apply_shard_ops(&current, batch, staged[j].idxs);
-                    let stage = &mut staged[j];
-                    stage.base = current;
-                    stage.next = next;
-                    stage.results = results;
-                    backoff.wait();
-                    continue 'freeze;
-                }
-            }
-            break;
-        }
-
-        // Guard check, inside the frozen window: the freeze pass proved
-        // every staged base simultaneously current, so the speculative
-        // results are a consistent evaluation of all guards. Any failed
-        // guard aborts the whole batch by unfreezing without installing —
-        // zero writes, and the abort linearizes in the window.
-        if guarded {
-            let mut failed: Vec<usize> = staged
-                .iter()
-                .flat_map(|stage| failed_guards(stage.idxs, &stage.results))
-                .collect();
-            if !failed.is_empty() {
-                for stage in &staged {
-                    self.shards[stage.shard].uc.unfreeze_root();
-                }
-                failed.sort_unstable();
-                return Err(GuardAbort { failed });
-            }
-        }
-
-        // Phase 4: install. All involved roots are frozen, so no read of
-        // any of them completes until its install below — the batch
-        // becomes visible everywhere at once.
-        let mut out: Vec<Option<BatchResult<V>>> = (0..batch.len()).map(|_| None).collect();
-        for stage in staged {
-            let uc = &self.shards[stage.shard].uc;
-            match stage.next {
-                Some(next) => uc.install_frozen_root(next),
-                None => uc.unfreeze_root(),
-            }
-            for (&i, r) in stage.idxs.iter().zip(stage.results) {
-                out[i] = Some(r);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("every op resolved"))
-            .collect())
-    }
-}
-
-/// Per-shard staging area for a multi-shard commit.
-struct ShardStage<'a, K, V> {
-    shard: usize,
-    idxs: &'a [usize],
-    /// The version the new root was copied from; must still be current
-    /// at freeze time.
-    base: Arc<PTreapMap<K, V>>,
-    /// The copied root; `None` if the shard's ops change nothing.
-    next: Option<PTreapMap<K, V>>,
-    results: Vec<BatchResult<V>>,
-}
-
 /// The op-by-op form [`apply_shard_ops`] replaced, kept as its oracle:
 /// each op copies its path from the version the previous op built.
 #[cfg(test)]
 fn apply_ops_one_by_one<K, V>(
     map: &PTreapMap<K, V>,
     batch: &[BatchOp<K, V>],
-    idxs: &[usize],
 ) -> (Option<PTreapMap<K, V>>, Vec<BatchResult<V>>)
 where
     K: Ord + Clone + Hash,
     V: Clone + PartialEq,
 {
     let mut next: Option<PTreapMap<K, V>> = None;
-    let mut results = Vec::with_capacity(idxs.len());
-    for &i in idxs {
+    let mut results = Vec::with_capacity(batch.len());
+    for op in batch {
         let cur = next.as_ref().unwrap_or(map);
-        let (version, result) = match &batch[i] {
+        let (version, result) = match op {
             BatchOp::Get(k) => (None, BatchResult::Got(cur.get(k).cloned())),
             BatchOp::Insert(k, v) => {
                 let (version, prev) = cur.upsert(k.clone(), v.clone());
@@ -553,6 +244,7 @@ mod tests {
     use super::*;
     use crate::TreapMap;
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// One drawn op: (kind, key selector, value, second value).
     type RawOp = (u8, u16, u16, u16);
@@ -601,9 +293,8 @@ mod tests {
             let map: PTreapMap<u32, u16> =
                 (0..size as u32).map(|k| (2 * k, (2 * k % 4) as u16)).collect();
             let batch = to_batch(&raw, size);
-            let idxs: Vec<usize> = (0..batch.len()).collect();
-            let (want_next, want) = apply_ops_one_by_one(&map, &batch, &idxs);
-            let (got_next, got) = apply_shard_ops(&map, &batch, &idxs);
+            let (want_next, want) = apply_ops_one_by_one(&map, &batch);
+            let (got_next, got) = apply_shard_ops(&map, &batch);
             prop_assert_eq!(&got, &want);
             let want_map = want_next.unwrap_or_else(|| map.clone());
             prop_assert_eq!(got_next.is_some(), want_map != map, "a version iff the contents changed");
@@ -612,7 +303,7 @@ mod tests {
             prop_assert_eq!(got_map.check_invariants(), want_map.len());
 
             let shared = TreapMap::from_version(map.clone());
-            let failed = failed_guards(&idxs, &want);
+            let failed = failed_guards(&want);
             match shared.transact_guarded(&batch) {
                 Ok(results) => {
                     prop_assert!(failed.is_empty());
@@ -629,14 +320,15 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(4);
+        let m: TreapMap<u64, u64> = TreapMap::new();
         assert!(m.transact(&[]).is_empty());
-        assert_eq!(m.stats_snapshot().ops, 0);
+        assert_eq!(m.stats().snapshot().ops, 0);
     }
 
+    // The name is kept from the sharded map; the batch now spans one root.
     #[test]
     fn batch_ops_apply_in_order_within_and_across_shards() {
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(8);
+        let m: TreapMap<u64, u64> = TreapMap::new();
         let r = m.transact(&[
             BatchOp::Insert(1, 10),
             BatchOp::Get(1),
@@ -664,7 +356,7 @@ mod tests {
 
     #[test]
     fn cas_applies_only_on_match_and_sees_batch_writes() {
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(8);
+        let m: TreapMap<u64, u64> = TreapMap::new();
         m.insert(7, 70);
         let r = m.transact(&[
             BatchOp::Cas {
@@ -701,67 +393,50 @@ mod tests {
         assert_eq!(m.get(&8), Some(80));
     }
 
+    // The name is kept from the sharded map; a Get-only batch of any
+    // size is one no-op update.
     #[test]
     fn read_only_multi_shard_batch_installs_nothing() {
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(8);
+        let m: TreapMap<u64, u64> = TreapMap::new();
         for k in 0..64 {
             m.insert(k, k);
         }
-        let before = m.stats_snapshot();
+        let root = m.snapshot();
+        let before = m.stats().snapshot();
         let r = m.transact(&(0..64).map(BatchOp::Get).collect::<Vec<_>>());
         for (k, res) in r.into_iter().enumerate() {
             assert_eq!(res, BatchResult::Got(Some(k as u64)));
         }
-        let after = m.stats_snapshot();
+        let after = m.stats().snapshot();
+        assert_eq!(after.ops - before.ops, 1, "the batch is one update");
         assert_eq!(
-            after.frozen_installs, before.frozen_installs,
-            "pure-read batch must not install any root"
+            after.noop_updates - before.noop_updates,
+            1,
+            "a pure-read batch skips the CAS"
+        );
+        assert!(
+            Arc::ptr_eq(root.as_inner(), m.snapshot().as_inner()),
+            "a pure-read batch installs no root"
         );
     }
 
     #[test]
     fn single_shard_batch_takes_the_lock_free_cas_path() {
-        // One shard: every batch is single-shard by construction, so the
-        // freeze hook must never fire and the plain CAS loop must count
-        // the op.
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(1);
+        let m: TreapMap<u64, u64> = TreapMap::new();
         let r = m.transact(&[
             BatchOp::Insert(1, 1),
             BatchOp::Insert(2, 2),
             BatchOp::Get(1),
         ]);
         assert_eq!(r[2], BatchResult::Got(Some(1)));
-        let stats = m.stats_snapshot();
-        assert_eq!(stats.frozen_installs, 0, "single-shard batch froze a root");
+        let stats = m.stats().snapshot();
         assert_eq!(stats.ops, 1, "the batch is one CAS-loop op");
-        assert_eq!(stats.freeze_retries, 0, "nothing to back out");
-    }
-
-    #[test]
-    fn multi_shard_batch_goes_through_the_freeze_hook() {
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(16);
-        // 64 spread-out keys certainly span >= 2 shards.
-        let batch: Vec<_> = (0..64).map(|k| BatchOp::Insert(k, k)).collect();
-        m.transact(&batch);
-        let stats = m.stats_snapshot();
-        assert!(
-            stats.frozen_installs >= 2,
-            "cross-shard batch must install via the freeze hook (got {})",
-            stats.frozen_installs
-        );
-        assert_eq!(
-            stats.freeze_retries, 0,
-            "no concurrent writers, so the first freeze pass must stick"
-        );
-        for k in 0..64 {
-            assert_eq!(m.get(&k), Some(k));
-        }
+        assert_eq!(stats.attempts, 1, "one root CAS, uncontended");
     }
 
     #[test]
     fn guarded_single_shard_abort_writes_nothing() {
-        // One shard forces the lock-free fast path.
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(1);
+        let m: TreapMap<u64, u64> = TreapMap::new();
         m.insert(1, 10);
         let err = m
             .transact_guarded(&[
@@ -778,19 +453,18 @@ mod tests {
         assert_eq!(m.get(&1), Some(10));
         assert_eq!(m.get(&2), None, "write before the failed guard aborted");
         assert_eq!(m.get(&3), None, "write after the failed guard aborted");
-        let stats = m.stats_snapshot();
-        assert_eq!(stats.frozen_installs, 0);
-        // The abort itself is a no-CAS op on the fast path.
-        assert_eq!(stats.noop_updates, 1);
+        // The abort itself is a no-CAS op.
+        assert_eq!(m.stats().snapshot().noop_updates, 1);
     }
 
+    // The name is kept from the sharded map; the batch's 64 inserts and
+    // three guards now share one root.
     #[test]
     fn guarded_multi_shard_abort_writes_nothing_and_reports_all_failures() {
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(16);
+        let m: TreapMap<u64, u64> = TreapMap::new();
         m.insert(1, 10);
         m.insert(2, 20);
-        let installs_before = m.stats_snapshot().frozen_installs;
-        // 64 spread-out inserts span many shards; two stale guards.
+        let root = m.snapshot();
         let mut batch: Vec<BatchOp<u64, u64>> = (100..164).map(|k| BatchOp::Insert(k, k)).collect();
         batch.push(BatchOp::Cas {
             key: 1,
@@ -814,16 +488,15 @@ mod tests {
         }
         assert_eq!(m.get(&1), Some(10));
         assert_eq!(m.get(&2), Some(20), "matching guard's write aborted too");
-        assert_eq!(
-            m.stats_snapshot().frozen_installs,
-            installs_before,
-            "abort must not install any root"
+        assert!(
+            Arc::ptr_eq(root.as_inner(), m.snapshot().as_inner()),
+            "abort must not install a root"
         );
     }
 
     #[test]
     fn guarded_batch_with_passing_guards_commits_like_transact() {
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(8);
+        let m: TreapMap<u64, u64> = TreapMap::new();
         m.insert(1, 10);
         let r = m
             .transact_guarded(&[
@@ -858,7 +531,7 @@ mod tests {
         // observed; rivals make guards fail, and a failed guard must
         // abort the rider keys too, so the riders always mirror the
         // number of *successful* increments.
-        let m: ShardedTreapMap<u64, i64> = ShardedTreapMap::with_shards(8);
+        let m: TreapMap<u64, i64> = TreapMap::new();
         m.insert(0, 0);
         const THREADS: usize = 4;
         const TRIES: usize = 200;
@@ -893,15 +566,14 @@ mod tests {
         });
         let commits = committed.load(std::sync::atomic::Ordering::Relaxed) as i64;
         assert_eq!(m.get(&0), Some(commits), "counter equals commits");
-        let riders = m.snapshot_all().len() - 1;
+        let riders = m.snapshot().len() - 1;
         assert_eq!(riders as i64, commits, "one rider per committed batch");
     }
 
     #[test]
     fn diff_to_ops_replays_a_diff() {
         use pathcopy_core::api::MapSnapshot as _;
-        use pathcopy_core::Snapshottable as _;
-        let primary: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(4);
+        let primary: TreapMap<u64, u64> = TreapMap::new();
         for k in 0..50 {
             primary.insert(k, k);
         }
@@ -911,21 +583,21 @@ mod tests {
         primary.insert(100, 100);
         let new = primary.snapshot();
 
-        let replica: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(4);
+        let replica: TreapMap<u64, u64> = TreapMap::new();
         for k in 0..50 {
             replica.insert(k, k);
         }
         replica.transact(&diff_to_ops(&old.diff(&new)));
         assert_eq!(
-            replica.snapshot().to_sorted_vec(),
-            new.to_sorted_vec(),
+            *replica.snapshot(),
+            *new,
             "replaying the diff reconstructs the newer version"
         );
     }
 
     #[test]
     fn concurrent_disjoint_batches_all_commit() {
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(8);
+        let m: TreapMap<u64, u64> = TreapMap::new();
         const THREADS: u64 = 8;
         const BATCHES: u64 = 50;
         const SPAN: u64 = 16;
@@ -944,15 +616,14 @@ mod tests {
                 });
             }
         });
-        let snap = m.snapshot_all();
-        assert_eq!(snap.len(), (THREADS * BATCHES * SPAN) as usize);
+        assert_eq!(m.snapshot().len(), (THREADS * BATCHES * SPAN) as usize);
     }
 
     #[test]
     fn batches_interleaved_with_per_key_ops_lose_nothing() {
-        // Writers hammer per-key inserts on even keys while a transactor
-        // commits cross-shard batches on odd keys; both must fully land.
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(8);
+        // A writer hammers per-key inserts on even keys while a
+        // transactor commits batches on odd keys; both must fully land.
+        let m: TreapMap<u64, u64> = TreapMap::new();
         const N: u64 = 4_000;
         std::thread::scope(|s| {
             let m_ref = &m;
@@ -968,8 +639,8 @@ mod tests {
                 }
             });
         });
-        let snap = m.snapshot_all();
+        let snap = m.snapshot();
         assert_eq!(snap.len(), N as usize);
-        assert!(snap.to_sorted_vec().iter().map(|(k, _)| *k).eq(0..N));
+        assert!(snap.iter().map(|(k, _)| *k).eq(0..N));
     }
 }

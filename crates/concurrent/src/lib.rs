@@ -6,9 +6,9 @@
 //!
 //! All structures are linearizable; updates are lock-free, reads are
 //! wait-free, and `snapshot()` returns an immutable point-in-time view in
-//! O(1) that never blocks writers. (On the *sharded* structures, reads of
-//! a shard briefly spin while a cross-shard batch is mid-install there —
-//! see [`batch`] — so the batch becomes visible everywhere at once.)
+//! O(1) that never blocks writers. Each map or set is one `Root_Ptr`
+//! register, as in the paper: a multi-key batch ([`batch`]) is one more
+//! update of that root.
 //!
 //! Every backend implements the unified trait family of
 //! [`pathcopy_core::api`] — [`ConcurrentMap`](pathcopy_core::ConcurrentMap)
@@ -25,7 +25,7 @@ pub mod batch;
 pub mod ebst_set;
 pub mod locked;
 pub mod registry;
-pub mod sharded;
+mod sharded;
 pub mod snapshot;
 pub mod treap_map;
 pub mod treap_set;
@@ -33,7 +33,8 @@ pub mod treap_set;
 pub use batch::{diff_to_ops, BatchOp, BatchResult, GuardAbort};
 pub use ebst_set::ExternalBstSet;
 pub use locked::LockedTreapSet;
-pub use sharded::{MergedRange, ShardedSnapshot, ShardedTreapMap};
+#[doc(hidden)]
+pub use sharded::ShardedTreapMap;
 pub use snapshot::{EbstSnapshot, SetRange, TreapSetSnapshot, TreapSnapshot};
 pub use treap_set::TreapSet;
 

@@ -11,7 +11,7 @@
 
 use pathcopy_core::api::{ConcurrentMap, ConcurrentSet, MapSnapshot, SetSnapshot, Snapshottable};
 
-use crate::{ExternalBstSet, LockedTreapSet, ShardedTreapMap, TreapMap, TreapSet};
+use crate::{ExternalBstSet, LockedTreapSet, TreapMap, TreapSet};
 
 /// Visitor instantiated once per map backend with the concrete type —
 /// write the generic logic once in [`drive`](Self::drive), then run it
@@ -24,12 +24,9 @@ pub trait MapBackendDriver {
         M::Snapshot: MapSnapshot<i64, i64>;
 }
 
-/// Runs `driver` over every map backend (lock-free single-root and
-/// sharded at two shard counts).
+/// Runs `driver` over every map backend: the lock-free one-root treap.
 pub fn for_each_map_backend<D: MapBackendDriver>(driver: &mut D) {
     driver.drive("treap_map", TreapMap::new);
-    driver.drive("sharded_map_1", || ShardedTreapMap::with_shards(1));
-    driver.drive("sharded_map_8", || ShardedTreapMap::with_shards(8));
 }
 
 /// Visitor instantiated once per set backend; the set counterpart of
@@ -73,7 +70,7 @@ mod tests {
         }
         let mut d = Count(Vec::new());
         for_each_map_backend(&mut d);
-        assert_eq!(d.0, ["treap_map", "sharded_map_1", "sharded_map_8"]);
+        assert_eq!(d.0, ["treap_map"]);
 
         struct SetCount(Vec<String>);
         impl SetBackendDriver for SetCount {

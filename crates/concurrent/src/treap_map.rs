@@ -144,9 +144,31 @@ where
     /// [`BatchOp::Cas`] guard) see earlier writes of the same batch. A
     /// failed `Cas` reports `Cas(false)` and the rest of the batch
     /// commits. An empty batch touches nothing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pathcopy_concurrent::{BatchOp, BatchResult, TreapMap};
+    ///
+    /// let m: TreapMap<u64, u64> = TreapMap::new();
+    /// let r = m.transact(&[
+    ///     BatchOp::Insert(1, 10),
+    ///     BatchOp::Insert(2, 20),
+    ///     BatchOp::Cas { key: 1, expected: Some(10), new: Some(11) },
+    ///     BatchOp::Remove(3),
+    /// ]);
+    /// assert_eq!(
+    ///     r,
+    ///     vec![
+    ///         BatchResult::Inserted(None),
+    ///         BatchResult::Inserted(None),
+    ///         BatchResult::Cas(true),
+    ///         BatchResult::Removed(None),
+    ///     ]
+    /// );
+    /// ```
     pub fn transact(&self, batch: &[BatchOp<K, V>]) -> Vec<BatchResult<V>> {
-        let all: Vec<usize> = (0..batch.len()).collect();
-        self.transact_ops(batch, &all, false)
+        self.transact_ops(batch, false)
             .expect("unguarded batches never abort")
     }
 
@@ -155,30 +177,44 @@ where
     /// zero writes and the failed guard indices come back as a
     /// [`GuardAbort`]. The abort returns without a CAS, so it linearizes
     /// at the root load that evaluated the guards.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pathcopy_concurrent::{BatchOp, GuardAbort, TreapMap};
+    ///
+    /// let m: TreapMap<u64, u64> = TreapMap::new();
+    /// m.insert(1, 10);
+    /// // The guard is stale, so the insert must not land either.
+    /// let err = m
+    ///     .transact_guarded(&[
+    ///         BatchOp::Cas { key: 1, expected: Some(99), new: Some(100) },
+    ///         BatchOp::Insert(2, 20),
+    ///     ])
+    ///     .unwrap_err();
+    /// assert_eq!(err, GuardAbort { failed: vec![0] });
+    /// assert_eq!(m.get(&2), None, "aborted batch wrote nothing");
+    /// ```
     pub fn transact_guarded(
         &self,
         batch: &[BatchOp<K, V>],
     ) -> Result<Vec<BatchResult<V>>, GuardAbort> {
-        let all: Vec<usize> = (0..batch.len()).collect();
-        self.transact_ops(batch, &all, true)
+        self.transact_ops(batch, true)
     }
 
-    /// The ops of `batch` at `idxs` (in batch order) as one
-    /// load/path-copy/CAS loop, results in `idxs` order. Shared with
-    /// the sharded map's single-shard batches.
-    pub(crate) fn transact_ops(
+    /// `batch` as one load/path-copy/CAS loop.
+    fn transact_ops(
         &self,
         batch: &[BatchOp<K, V>],
-        idxs: &[usize],
         guarded: bool,
     ) -> Result<Vec<BatchResult<V>>, GuardAbort> {
-        if idxs.is_empty() {
+        if batch.is_empty() {
             return Ok(Vec::new());
         }
         self.uc.update(|map| {
-            let (next, results) = apply_shard_ops(map, batch, idxs);
+            let (next, results) = apply_shard_ops(map, batch);
             if guarded {
-                let failed = failed_guards(idxs, &results);
+                let failed = failed_guards(&results);
                 if !failed.is_empty() {
                     return Update::Keep(Err(GuardAbort { failed }));
                 }
@@ -315,10 +351,10 @@ where
 /// one descent and one root CAS instead of one per key, and the buffer
 /// stays small however long the input is. Larger chunks build no faster
 /// (the spine a chunk re-copies is ~20 nodes) but their buffers and the
-/// batch's bookkeeping raise the peak heap: filling 8 shards with 2^19
-/// keys read +2 MiB peak RSS at 1 024, +3.5–6.5 MiB at 4 096 and none
-/// at 256.
-pub(crate) const EXTEND_CHUNK: usize = 256;
+/// batch's bookkeeping raise the peak heap: filling eight 2^16-key maps
+/// read +2 MiB peak RSS at 1 024, +3.5–6.5 MiB at 4 096 and none at
+/// 256.
+const EXTEND_CHUNK: usize = 256;
 
 impl<K, V> Extend<(K, V)> for TreapMap<K, V>
 where

@@ -5,13 +5,13 @@
 //! updates are lock-free; reads are wait-free and never interfere with
 //! writers.
 //!
-//! A sharded set is a [`ShardedTreapMap<K, ()>`](crate::ShardedTreapMap):
-//! `insert_if_absent` / `remove` / `contains_key` are its point
-//! operations, `snapshot_all` its coherent cut, and a
-//! [`transact`](crate::ShardedTreapMap::transact) of `Insert`, `Remove`
-//! or `Get` ops a multi-key batch that commits (or reads) atomically even
-//! when the keys span shards. The `sharded_set_*` tests below pin that
-//! use.
+//! A set with atomic multi-key batches is a
+//! [`TreapMap<K, ()>`](crate::TreapMap): `insert_if_absent` / `remove` /
+//! `contains_key` are its point operations, `snapshot` its coherent cut,
+//! and a [`transact`](crate::TreapMap::transact) of `Insert`, `Remove` or
+//! `Get` ops a multi-key batch that commits (or reads) atomically. The
+//! `sharded_set_*` tests below pin that use; their names are kept from
+//! the sharded map that served it before.
 
 use std::fmt;
 use std::hash::Hash;
@@ -210,7 +210,7 @@ impl<K: Ord + Clone + Hash + Send + Sync> Extend<K> for TreapSet<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchOp, BatchResult, ShardedTreapMap};
+    use crate::{BatchOp, BatchResult, TreapMap};
 
     #[test]
     fn sequential_set_semantics() {
@@ -331,7 +331,7 @@ mod tests {
     /// key, whether it took effect: inserted a new key, removed a present
     /// one, or found one.
     fn set_batch(
-        s: &ShardedTreapMap<i64, ()>,
+        s: &TreapMap<i64, ()>,
         keys: &[i64],
         op: fn(i64) -> BatchOp<i64, ()>,
     ) -> Vec<bool> {
@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn sharded_set_semantics() {
-        let s: ShardedTreapMap<i64, ()> = ShardedTreapMap::with_shards(4);
+        let s: TreapMap<i64, ()> = TreapMap::new();
         assert!(s.insert_if_absent(1, ()));
         assert!(!s.insert_if_absent(1, ()));
         assert!(s.contains_key(&1));
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn sharded_set_batches_report_per_key_outcomes() {
-        let s: ShardedTreapMap<i64, ()> = ShardedTreapMap::with_shards(8);
+        let s: TreapMap<i64, ()> = TreapMap::new();
         assert_eq!(
             set_batch(&s, &[1, 2, 2, 3], insert),
             vec![true, true, false, true]
@@ -380,15 +380,15 @@ mod tests {
             set_batch(&s, &[2, 4, 3], BatchOp::Remove),
             vec![true, false, true]
         );
-        assert_eq!(s.snapshot_all().to_sorted_vec(), vec![(1, ())]);
+        assert!(s.snapshot().iter().eq([(&1, &())]));
     }
 
     #[test]
     fn sharded_set_snapshot_is_immutable() {
-        let s: ShardedTreapMap<i64, ()> = ShardedTreapMap::with_shards(8);
+        let s: TreapMap<i64, ()> = TreapMap::new();
         let keys: Vec<i64> = (0..100).collect();
         set_batch(&s, &keys, insert);
-        let snap = s.snapshot_all();
+        let snap = s.snapshot();
         set_batch(&s, &keys, BatchOp::Remove);
         assert!(s.is_empty());
         assert_eq!(snap.len(), 100);
@@ -401,7 +401,7 @@ mod tests {
         // Each thread inserts then removes its whole disjoint block as
         // one batch; any torn batch leaves strays behind, or shows an
         // observer's cut a block that is partly there.
-        let s: ShardedTreapMap<i64, ()> = ShardedTreapMap::with_shards(8);
+        let s: TreapMap<i64, ()> = TreapMap::new();
         let writers_left = std::sync::atomic::AtomicUsize::new(4);
         std::thread::scope(|sc| {
             for t in 0..4i64 {
@@ -416,13 +416,13 @@ mod tests {
                 });
             }
             while writers_left.load(std::sync::atomic::Ordering::Relaxed) > 0 {
-                let snap = s.snapshot_all();
+                let snap = s.snapshot();
                 for t in 0..4i64 {
                     let n = snap.range(t * 64..(t + 1) * 64).count();
                     assert!(n == 0 || n == 64, "cut saw {n} of block {t}'s 64 keys");
                 }
             }
         });
-        assert_eq!(s.snapshot_all().len(), 0);
+        assert_eq!(s.snapshot().len(), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The unified concurrent-collection trait family.
 //!
-//! Every backend in `pathcopy-concurrent` — the single-root UC trees, the
-//! sharded map/set, and the lock-based baselines — exposes the same
+//! Every backend in `pathcopy-concurrent` — the single-root UC trees and
+//! the lock-based baselines — exposes the same
 //! divergent-looking inherent API; these traits are the one stable
 //! abstraction boundary over all of them, so benchmarks, oracle tests,
 //! and applications are written once and run against every backend.
@@ -11,8 +11,8 @@
 //!   Both traits are object safe, so backends can live behind
 //!   `Box<dyn ConcurrentSet<i64>>` in registries and harnesses.
 //! * [`Snapshottable`] — the paper's headline capability as a
-//!   first-class handle: `snapshot()` returns a cheap (`O(1)` on
-//!   single-root backends), immutable, `Send + Sync` view.
+//!   first-class handle: `snapshot()` returns a cheap (`O(1)`),
+//!   immutable, `Send + Sync` view.
 //! * [`MapSnapshot`] / [`SetSnapshot`] — what a snapshot can do:
 //!   **lazy** in-order iteration ([`iter`](MapSnapshot::iter),
 //!   [`range`](MapSnapshot::range) return real iterators over the
@@ -97,13 +97,10 @@ pub trait ConcurrentMap<K, V>: Send + Sync {
     /// `true` if `key` is present.
     fn contains_key(&self, key: &K) -> bool;
 
-    /// Number of entries. On sharded backends this is a weakly
-    /// consistent per-shard sum — see the backend's documentation; use a
-    /// snapshot's [`MapSnapshot::len`] for an exact count.
+    /// Number of entries.
     fn len(&self) -> usize;
 
-    /// `true` if the map has no entries (same caveat as
-    /// [`len`](Self::len)).
+    /// `true` if the map has no entries.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -135,11 +132,10 @@ pub trait ConcurrentSet<K>: Send + Sync {
     /// `true` if `key` is present.
     fn contains(&self, key: &K) -> bool;
 
-    /// Number of keys (weakly consistent on sharded backends; use a
-    /// snapshot's [`SetSnapshot::len`] for an exact count).
+    /// Number of keys.
     fn len(&self) -> usize;
 
-    /// `true` if the set has no keys (same caveat as [`len`](Self::len)).
+    /// `true` if the set has no keys.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -154,9 +150,8 @@ pub trait ConcurrentSet<K>: Send + Sync {
 /// A structure that can hand out cheap immutable point-in-time views.
 ///
 /// The snapshot is a first-class handle: `Clone + Send + Sync`, valid
-/// forever, and never blocks (or is blocked by) writers. On single-root
-/// backends taking it is O(1); on the sharded backends it is a validated
-/// double scan over the shard roots (lock-free, coherent).
+/// forever, and never blocks (or is blocked by) writers. Taking it is
+/// O(1).
 pub trait Snapshottable {
     /// The snapshot handle type. See [`MapSnapshot`] / [`SetSnapshot`]
     /// for what it supports.

@@ -25,8 +25,6 @@ pub struct UcStats {
     cas_failures: CachePadded<AtomicU64>,
     noop_updates: CachePadded<AtomicU64>,
     reads: CachePadded<AtomicU64>,
-    frozen_installs: CachePadded<AtomicU64>,
-    freeze_retries: CachePadded<AtomicU64>,
     /// `attempt_hist[k]` counts operations that needed exactly `k + 1`
     /// attempts (last bucket: `>= MAX_TRACKED_ATTEMPTS`).
     attempt_hist: Box<[AtomicU64]>,
@@ -51,8 +49,6 @@ impl UcStats {
             cas_failures: CachePadded::new(AtomicU64::new(0)),
             noop_updates: CachePadded::new(AtomicU64::new(0)),
             reads: CachePadded::new(AtomicU64::new(0)),
-            frozen_installs: CachePadded::new(AtomicU64::new(0)),
-            freeze_retries: CachePadded::new(AtomicU64::new(0)),
             attempt_hist: hist,
         }
     }
@@ -76,19 +72,6 @@ impl UcStats {
         self.reads.fetch_add(1, Relaxed);
     }
 
-    /// Records one root installed through the freeze hook (a
-    /// multi-object commit), as opposed to the plain CAS loop.
-    pub fn record_frozen_install(&self) {
-        self.frozen_installs.fetch_add(1, Relaxed);
-    }
-
-    /// Records one backed-out freeze pass: a multi-object commit found
-    /// this root moved by a concurrent update between copying and
-    /// freezing, unfroze everything, and had to rebuild and retry.
-    pub fn record_freeze_retry(&self) {
-        self.freeze_retries.fetch_add(1, Relaxed);
-    }
-
     /// Takes a consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -97,8 +80,8 @@ impl UcStats {
             cas_failures: self.cas_failures.load(Relaxed),
             noop_updates: self.noop_updates.load(Relaxed),
             reads: self.reads.load(Relaxed),
-            frozen_installs: self.frozen_installs.load(Relaxed),
-            freeze_retries: self.freeze_retries.load(Relaxed),
+            frozen_installs: 0,
+            freeze_retries: 0,
             attempt_hist: self.attempt_hist.iter().map(|c| c.load(Relaxed)).collect(),
         }
     }
@@ -110,8 +93,6 @@ impl UcStats {
         self.cas_failures.store(0, Relaxed);
         self.noop_updates.store(0, Relaxed);
         self.reads.store(0, Relaxed);
-        self.frozen_installs.store(0, Relaxed);
-        self.freeze_retries.store(0, Relaxed);
         for c in self.attempt_hist.iter() {
             c.store(0, Relaxed);
         }
@@ -131,13 +112,12 @@ pub struct StatsSnapshot {
     pub noop_updates: u64,
     /// Read-only operations.
     pub reads: u64,
-    /// Roots installed through the freeze hook (multi-object commits);
-    /// `0` means every update went through the plain lock-free CAS loop.
+    /// Always 0: nothing installs a root outside the CAS loop. Kept
+    /// for the perf ledger, which still reads it.
+    #[doc(hidden)]
     pub frozen_installs: u64,
-    /// Backed-out freeze passes: a multi-object commit lost the race to a
-    /// concurrent per-key update on one of its roots and had to unfreeze,
-    /// rebuild, and retry. High values mean heavy contention on the
-    /// multi-shard freeze window.
+    /// Always 0, like `frozen_installs`.
+    #[doc(hidden)]
     pub freeze_retries: u64,
     /// `attempt_hist[k]` = operations that took exactly `k + 1` attempts.
     pub attempt_hist: Vec<u64>,
@@ -408,29 +388,12 @@ mod tests {
         let s = UcStats::new();
         s.record_update(2, false);
         s.record_read();
-        s.record_frozen_install();
-        s.record_freeze_retry();
         s.reset();
         let snap = s.snapshot();
         assert_eq!(snap.ops, 0);
         assert_eq!(snap.attempts, 0);
         assert_eq!(snap.reads, 0);
-        assert_eq!(snap.frozen_installs, 0);
-        assert_eq!(snap.freeze_retries, 0);
         assert!(snap.attempt_hist.iter().all(|&c| c == 0));
-    }
-
-    #[test]
-    fn freeze_retries_accumulate() {
-        let s = UcStats::new();
-        s.record_freeze_retry();
-        s.record_freeze_retry();
-        let snap = s.snapshot();
-        assert_eq!(snap.freeze_retries, 2);
-        // Freeze retries are not CAS-loop ops and must not leak into the
-        // attempt accounting.
-        assert_eq!(snap.ops, 0);
-        assert_eq!(snap.attempts, 0);
     }
 
     #[test]

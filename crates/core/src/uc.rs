@@ -183,50 +183,6 @@ impl<S: Send + Sync> PathCopyUc<S> {
         }
     }
 
-    /// Freezes the root at version `expected` for a coordinated
-    /// multi-object install (e.g. a cross-shard batch transaction that
-    /// must flip several UC roots atomically).
-    ///
-    /// While frozen, concurrent reads of this object briefly spin,
-    /// concurrent updates stall in their CAS retry, and
-    /// [`is_current_version`](Self::is_current_version) reports `false`
-    /// — so no observer can see any root of the commit between its first
-    /// freeze and its last install. On failure (the root moved since
-    /// `expected` was loaded) returns a snapshot of the actual current
-    /// version so the caller can rebuild and retry.
-    ///
-    /// Callers freezing several objects must acquire them in a global
-    /// order and exclude rival freezers (e.g. via per-object commit
-    /// locks); see [`VersionCell::try_freeze`](crate::VersionCell::try_freeze).
-    pub fn try_freeze_root(&self, expected: &Arc<S>) -> Result<(), Arc<S>> {
-        self.root.try_freeze(expected)
-    }
-
-    /// Publishes `new` as the current version and releases the freeze in
-    /// one atomic step. Must only be called after a successful
-    /// [`try_freeze_root`](Self::try_freeze_root). Counted in
-    /// [`stats`](Self::stats) as a frozen install, not as a CAS-loop op.
-    pub fn install_frozen_root(&self, new: S) {
-        self.root.install_and_unfreeze(Arc::new(new));
-        self.stats.record_frozen_install();
-    }
-
-    /// Releases a freeze without installing anything (the commit turned
-    /// out not to modify this object, or is backing out).
-    pub fn unfreeze_root(&self) {
-        self.root.unfreeze();
-    }
-
-    /// `true` if `version` is (pointer-)identical to the current version.
-    ///
-    /// Because committed updates always install freshly allocated
-    /// versions, a held snapshot that is still current was never replaced
-    /// in between — the basis for optimistic multi-object validation
-    /// (see `pathcopy_concurrent`'s sharded snapshots).
-    pub fn is_current_version(&self, version: &Arc<S>) -> bool {
-        self.root.is_current(version)
-    }
-
     /// Unconditionally replaces the current version (not linearizable with
     /// respect to concurrent updates; intended for setup/reset phases).
     pub fn replace_version(&self, new_version: S) {

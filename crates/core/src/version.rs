@@ -16,9 +16,7 @@
 //!
 //! This is the classic epoch-protected atomic-`Arc` idiom. All operations
 //! are lock-free; `load` is additionally wait-free (a single atomic load,
-//! an increment, and an epoch pin) — except while a multi-register
-//! [freeze](#freezing-multi-register-atomic-installs) window is open on
-//! the cell, when it briefly spins.
+//! an increment, and an epoch pin).
 //!
 //! # ABA
 //!
@@ -26,58 +24,12 @@
 //! `&Arc<T>`. Because the caller *holds* that `Arc`, its strong count is
 //! nonzero, so the allocation cannot be freed and its address cannot be
 //! recycled while the CAS is in flight — the ABA problem cannot arise.
-//!
-//! # Freezing (multi-register atomic installs)
-//!
-//! A single cell's CAS linearizes updates to *one* register. Composite
-//! operations that must install new versions into *several* cells
-//! atomically (e.g. a cross-shard batch transaction over sharded UC
-//! roots) use the cell's **freeze** protocol: the committer tags the
-//! current pointer's low bit ([`VersionCell::try_freeze`]), which
-//!
-//! * makes every concurrent [`load`](VersionCell::load) spin until the
-//!   tag clears, so no reader can observe any frozen register between
-//!   the first freeze and the last install — the whole install window
-//!   is invisible, which is what makes the multi-register write appear
-//!   atomic;
-//! * makes every concurrent [`compare_exchange`](VersionCell::compare_exchange)
-//!   fail (the expected
-//!   pointer is always untagged), so rival single-register writers
-//!   cannot slip a version in mid-commit;
-//! * makes [`is_current`](VersionCell::is_current) report `false`, so
-//!   optimistic multi-register validation never accepts an in-flight
-//!   commit as a stable cut.
-//!
-//! The committer then either publishes a new version and clears the tag
-//! in one atomic swap ([`VersionCell::install_and_unfreeze`]) or backs
-//! out ([`VersionCell::unfreeze`]). The tag bit is available because an
-//! `Arc`'s data pointer follows a two-word header and is therefore
-//! always even. Freezing is cooperative: callers that freeze several
-//! cells must agree on an acquisition order (and typically hold a
-//! commit lock) so that two committers never freeze against each other.
 
 use std::fmt;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 use crossbeam_epoch as epoch;
-
-/// Low pointer bit marking a cell frozen by an in-flight multi-register
-/// commit. `Arc`'s data pointer sits after a two-`usize` header inside an
-/// allocation aligned to at least `usize`, so bit 0 is always free.
-const FREEZE_TAG: usize = 1;
-
-fn is_tagged<T>(raw: *mut T) -> bool {
-    raw as usize & FREEZE_TAG != 0
-}
-
-fn tag<T>(raw: *mut T) -> *mut T {
-    (raw as usize | FREEZE_TAG) as *mut T
-}
-
-fn untag<T>(raw: *mut T) -> *mut T {
-    (raw as usize & !FREEZE_TAG) as *mut T
-}
 
 /// An atomic, lock-free cell holding an `Arc<T>` — the `Root_Ptr` register.
 ///
@@ -140,32 +92,18 @@ impl<T: Send + Sync> VersionCell<T> {
     /// The returned `Arc` stays valid (and immutable) forever, no matter
     /// how many updates are installed afterwards — this is what makes
     /// read-only operations "trivially atomic" in the paper's words.
-    ///
-    /// While the cell is [frozen](Self::try_freeze) by an in-flight
-    /// multi-register commit, `load` briefly spins until the commit
-    /// finishes — so a load never observes the pre-commit version after
-    /// any register of the commit has been installed.
     pub fn load(&self) -> Arc<T> {
-        loop {
-            let guard = epoch::pin();
-            let raw = self.ptr.load(Ordering::Acquire);
-            if is_tagged(raw) {
-                // An install window is open; its registers must flip
-                // together. Wait it out (it is a handful of CASes long).
-                drop(guard);
-                std::hint::spin_loop();
-                continue;
-            }
-            // SAFETY: `raw` was produced by `Arc::into_raw`. A writer that
-            // displaced it defers the strong-count decrement until after
-            // every pin concurrent with its CAS is released; our pin
-            // predates any such reclamation, so the allocation is alive
-            // and its count >= 1.
-            unsafe { Arc::increment_strong_count(raw) };
-            drop(guard);
-            // SAFETY: we just minted a strong reference for ourselves.
-            return unsafe { Arc::from_raw(raw) };
-        }
+        let guard = epoch::pin();
+        let raw = self.ptr.load(Ordering::Acquire);
+        // SAFETY: `raw` was produced by `Arc::into_raw`. A writer that
+        // displaced it defers the strong-count decrement until after
+        // every pin concurrent with its CAS is released; our pin
+        // predates any such reclamation, so the allocation is alive
+        // and its count >= 1.
+        unsafe { Arc::increment_strong_count(raw) };
+        drop(guard);
+        // SAFETY: we just minted a strong reference for ourselves.
+        unsafe { Arc::from_raw(raw) }
     }
 
     /// Atomically replaces `expected` with `new`.
@@ -197,120 +135,35 @@ impl<T: Send + Sync> VersionCell<T> {
                 // SAFETY: we produced `new_raw` above and the CAS did not
                 // consume it.
                 let proposed = unsafe { Arc::from_raw(new_raw) };
-                let current = if is_tagged(actual) {
-                    // A multi-register commit is mid-install; retrying
-                    // against the frozen version would just fail again, so
-                    // wait for the commit and hand back the post-commit
-                    // version.
-                    drop(guard);
-                    self.load()
-                } else {
-                    // SAFETY: same argument as in `load`; we are still
-                    // pinned, so `actual` cannot have been reclaimed.
-                    unsafe { Arc::increment_strong_count(actual) };
-                    // SAFETY: we just minted a strong reference for
-                    // ourselves.
-                    unsafe { Arc::from_raw(actual) }
-                };
+                // SAFETY: same argument as in `load`; we are still pinned,
+                // so `actual` cannot have been reclaimed.
+                unsafe { Arc::increment_strong_count(actual) };
+                // SAFETY: we just minted a strong reference for ourselves.
+                let current = unsafe { Arc::from_raw(actual) };
                 Err(CasError { proposed, current })
             }
         }
     }
 
-    /// Freezes the cell at version `expected` for a multi-register
-    /// atomic install: tags the pointer so concurrent [`load`](Self::load)s
-    /// wait, CASes fail, and [`is_current`](Self::is_current) reports
-    /// `false` until [`install_and_unfreeze`](Self::install_and_unfreeze)
-    /// or [`unfreeze`](Self::unfreeze) closes the window.
-    ///
-    /// Fails (returning a snapshot of the actual current version) if the
-    /// cell no longer holds `expected`. Callers freezing several cells
-    /// must order their acquisitions and exclude rival freezers (e.g. via
-    /// commit locks) — see the [module docs](self).
-    pub fn try_freeze(&self, expected: &Arc<T>) -> Result<(), Arc<T>> {
-        let expected_raw = Arc::as_ptr(expected) as *mut T;
-        match self.ptr.compare_exchange(
-            expected_raw,
-            tag(expected_raw),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => Ok(()),
-            // `load` spins past any tag, so this also waits out a rival
-            // freezer (which ordered-acquisition callers never produce).
-            Err(_) => Err(self.load()),
-        }
-    }
-
-    /// Publishes `new` and clears the freeze tag in one atomic swap.
-    ///
-    /// Must only be called by the committer that froze the cell; the
-    /// displaced (frozen) version's strong count is decremented once the
-    /// epoch allows, exactly as for a successful CAS.
-    pub fn install_and_unfreeze(&self, new: Arc<T>) {
+    /// Unconditionally installs `new`, returning a snapshot of the
+    /// displaced version.
+    pub fn swap(&self, new: Arc<T>) -> Arc<T> {
         let new_raw = Arc::into_raw(new) as *mut T;
         let guard = epoch::pin();
         let displaced = self.ptr.swap(new_raw, Ordering::AcqRel);
-        debug_assert!(
-            is_tagged(displaced),
-            "install_and_unfreeze on unfrozen cell"
-        );
-        let displaced = untag(displaced);
-        // SAFETY: `displaced` (untagged) carries the strong reference the
-        // cell owned; readers still holding the raw pointer do so only
-        // under pins concurrent with this guard.
+        // Hand one strong reference to the caller...
+        // SAFETY: pinned, so `displaced` is alive (see `load`).
+        unsafe { Arc::increment_strong_count(displaced) };
+        // SAFETY: we just minted a strong reference for ourselves.
+        let snapshot = unsafe { Arc::from_raw(displaced) };
+        // ...and defer releasing the reference the cell owned.
+        // SAFETY: readers still holding the raw pointer do so only under
+        // pins concurrent with this guard; the deferred drop runs after
+        // all of them unpin.
         unsafe {
             guard.defer_unchecked(move || drop(Arc::from_raw(displaced)));
         }
-    }
-
-    /// Clears the freeze tag without changing the version (a committer
-    /// backing out, or one whose batch turned out to be read-only on this
-    /// register). Must only be called by the committer that froze the cell.
-    pub fn unfreeze(&self) {
-        let raw = self.ptr.load(Ordering::Relaxed);
-        debug_assert!(is_tagged(raw), "unfreeze on unfrozen cell");
-        // While frozen, the committer is the only possible writer (CASes
-        // fail, rival freezers are excluded by protocol), so a plain store
-        // is race-free. No strong counts change: same allocation.
-        self.ptr.store(untag(raw), Ordering::Release);
-    }
-
-    /// Unconditionally installs `new`, returning a snapshot of the
-    /// displaced version. Waits out an in-flight freeze, so it never
-    /// tears a multi-register commit.
-    pub fn swap(&self, new: Arc<T>) -> Arc<T> {
-        let new_raw = Arc::into_raw(new) as *mut T;
-        loop {
-            let guard = epoch::pin();
-            let expected = self.ptr.load(Ordering::Acquire);
-            if is_tagged(expected) {
-                drop(guard);
-                std::hint::spin_loop();
-                continue;
-            }
-            if self
-                .ptr
-                .compare_exchange_weak(expected, new_raw, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
-                continue;
-            }
-            let displaced = expected;
-            // Hand one strong reference to the caller...
-            // SAFETY: pinned, so `displaced` is alive (see `load`).
-            unsafe { Arc::increment_strong_count(displaced) };
-            // SAFETY: we just minted a strong reference for ourselves.
-            let snapshot = unsafe { Arc::from_raw(displaced) };
-            // ...and defer releasing the reference the cell owned.
-            // SAFETY: readers still holding the raw pointer do so only
-            // under pins concurrent with this guard; the deferred drop
-            // runs after all of them unpin.
-            unsafe {
-                guard.defer_unchecked(move || drop(Arc::from_raw(displaced)));
-            }
-            return snapshot;
-        }
+        snapshot
     }
 
     /// Unconditionally installs `new`.
@@ -320,10 +173,6 @@ impl<T: Send + Sync> VersionCell<T> {
 
     /// Returns `true` if `version` is (pointer-)identical to the current
     /// version. Useful for optimistic validation.
-    ///
-    /// A [frozen](Self::try_freeze) cell is never "current": an install
-    /// window is open, so optimistic validators must not accept its
-    /// (about-to-be-replaced) version as part of a stable cut.
     pub fn is_current(&self, version: &Arc<T>) -> bool {
         std::ptr::eq(self.ptr.load(Ordering::Acquire), Arc::as_ptr(version))
     }
@@ -332,10 +181,8 @@ impl<T: Send + Sync> VersionCell<T> {
 impl<T> Drop for VersionCell<T> {
     fn drop(&mut self) {
         // `&mut self`: no concurrent readers or writers exist, so the
-        // cell's strong reference can be released immediately. (A leaked
-        // freeze tag, impossible outside a panicking committer, is masked
-        // so the Arc is still released.)
-        let raw = untag(*self.ptr.get_mut());
+        // cell's strong reference can be released immediately.
+        let raw = *self.ptr.get_mut();
         // SAFETY: the cell owned one strong reference to `raw`.
         drop(unsafe { Arc::from_raw(raw) });
     }
@@ -474,95 +321,6 @@ mod tests {
         // equals the number of successful CASes, i.e. no lost updates.
         assert_eq!(*cell.load(), successes.load(Relaxed));
         assert_eq!(*cell.load(), (THREADS as u64) * OPS);
-    }
-
-    #[test]
-    fn freeze_blocks_cas_and_install_publishes() {
-        let cell = VersionCell::new(1u32);
-        let frozen = cell.load();
-        cell.try_freeze(&frozen).unwrap();
-        // While frozen: not current, and rival CASes must fail.
-        assert!(!cell.is_current(&frozen));
-        // (CAS against the frozen version: expected pointer is untagged,
-        // cell holds the tagged pointer, so the exchange fails. The error
-        // path waits for the unfreeze, so run the committer concurrently.)
-        std::thread::scope(|s| {
-            let committer = s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                cell.install_and_unfreeze(Arc::new(2));
-            });
-            let err = cell
-                .compare_exchange(&frozen, Arc::new(99))
-                .expect_err("CAS during freeze window must fail");
-            // The error surfaced only after the install: it carries the
-            // post-commit version, never the frozen one.
-            assert_eq!(*err.current, 2);
-            committer.join().unwrap();
-        });
-        assert_eq!(*cell.load(), 2);
-        let now = cell.load();
-        assert!(cell.is_current(&now));
-    }
-
-    #[test]
-    fn try_freeze_fails_on_stale_version() {
-        let cell = VersionCell::new(1u32);
-        let stale = cell.load();
-        cell.store(Arc::new(2));
-        let current = cell
-            .try_freeze(&stale)
-            .expect_err("freeze on stale version must fail");
-        assert_eq!(*current, 2);
-        // The failed freeze left no tag behind.
-        let now = cell.load();
-        assert!(cell.is_current(&now));
-    }
-
-    #[test]
-    fn unfreeze_backs_out_without_changing_version() {
-        let cell = VersionCell::new(7u32);
-        let frozen = cell.load();
-        cell.try_freeze(&frozen).unwrap();
-        cell.unfreeze();
-        assert!(cell.is_current(&frozen));
-        assert_eq!(*cell.load(), 7);
-    }
-
-    #[test]
-    fn loads_never_observe_pre_install_values_after_unfreeze_of_any_peer() {
-        // Two cells committed together: freeze both, install both. A
-        // reader that sees the new value in one cell must never then see
-        // the old value in the other — loads spin during the window.
-        let a = VersionCell::new(0u64);
-        let b = VersionCell::new(0u64);
-        let rounds = 2_000u64;
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for r in 1..=rounds {
-                    let fa = a.load();
-                    let fb = b.load();
-                    a.try_freeze(&fa).unwrap();
-                    b.try_freeze(&fb).unwrap();
-                    a.install_and_unfreeze(Arc::new(r));
-                    b.install_and_unfreeze(Arc::new(r));
-                }
-            });
-            s.spawn(|| {
-                loop {
-                    // Load in install order: a first, then b. With plain
-                    // staggered stores this observes a ahead of b (a is
-                    // installed first); with the freeze window, the load
-                    // of b spins until b's install lands, so b can never
-                    // be behind a value of a we already saw.
-                    let va = *a.load();
-                    let vb = *b.load();
-                    assert!(vb >= va, "torn multi-cell commit observed: a={va} > b={vb}");
-                    if va == rounds {
-                        break;
-                    }
-                }
-            });
-        });
     }
 
     #[test]

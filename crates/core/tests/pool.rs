@@ -46,7 +46,7 @@ fn asymmetric_alloc_and_free_reuses_memory() {
     let before = pool::stats();
     let (tx, rx) = sync_channel::<Vec<PoolArc<Line>>>(IN_FLIGHT);
     std::thread::scope(|s| {
-        s.spawn(move || {
+        let producer = s.spawn(move || {
             for batch in 0..BLOCKS / BATCH {
                 let blocks = (0..BATCH)
                     .map(|i| PoolArc::new([(batch * BATCH + i) as u64; 7]))
@@ -54,7 +54,7 @@ fn asymmetric_alloc_and_free_reuses_memory() {
                 tx.send(blocks).expect("consumer hung up");
             }
         });
-        s.spawn(move || {
+        let consumer = s.spawn(move || {
             let mut seen = 0usize;
             for blocks in rx {
                 for (i, block) in blocks.iter().enumerate() {
@@ -64,6 +64,13 @@ fn asymmetric_alloc_and_free_reuses_memory() {
             }
             assert_eq!(seen, BLOCKS);
         });
+        // Join explicitly: the scope's own wait ends when each closure
+        // returns, which can be before the thread's exit runs the pool's
+        // thread-local destructor; that destructor folds the thread's
+        // last unfolded allocation count into the shared counters that
+        // `pool::stats` reads. A join waits for the whole thread exit.
+        producer.join().expect("producer panicked");
+        consumer.join().expect("consumer panicked");
     });
     let after = pool::stats();
     assert!(after.blocks_handed_out - before.blocks_handed_out >= BLOCKS as u64);

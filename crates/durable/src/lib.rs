@@ -20,7 +20,8 @@
 //!   always keeps at least one complete restore path ([`EpochLog`]).
 //! * **Recovery** ([`EpochLog::open`]) truncates a torn tail record
 //!   (crash mid-append) instead of failing, then [`EpochLog::replay`]
-//!   rebuilds the head state into a fresh `ShardedTreapMap`.
+//!   rebuilds the head state into a fresh one-root `TreapMap`, ready to
+//!   serve as it is (`TreapServe::new(map)`).
 //! * **Point-in-time restore** ([`EpochLog::restore_epoch`]) rebuilds
 //!   *any* retained epoch for historical reads.
 //! * **The persister** ([`FeedPersister`]) plugs into the server as a

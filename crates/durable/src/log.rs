@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 
-use pathcopy_concurrent::{diff_to_ops, BatchOp, ShardedTreapMap};
+use pathcopy_concurrent::{diff_to_ops, BatchOp, TreapMap};
 use pathcopy_core::{DiffEntry, IoCounters, IoCountersSnapshot};
 use pathcopy_server::backend::{ServeBackend, ServeSnapshot};
 use pathcopy_server::proto::{Epoch, Response, MAX_FRAME_LEN, SYNC_PAGE_MAX_ENTRIES};
@@ -590,8 +590,8 @@ impl EpochLog {
     /// [`LogError::Io`] / [`LogError::Corrupt`] if the segments cannot
     /// be read back, [`LogError::UnknownEpoch`] if the head is
     /// unreachable (should not happen on a log that just opened).
-    pub fn replay(&self) -> Result<(ShardedTreapMap<i64, i64>, Epoch), LogError> {
-        let map = ShardedTreapMap::with_shards(8);
+    pub fn replay(&self) -> Result<(TreapMap<i64, i64>, Epoch), LogError> {
+        let map = TreapMap::new();
         let state = self.state.lock();
         if state.head == 0 {
             return Ok((map, 0));
@@ -661,8 +661,8 @@ impl EpochLog {
     /// # drop(log);
     /// # std::fs::remove_dir_all(&dir).unwrap();
     /// ```
-    pub fn restore_epoch(&self, epoch: Epoch) -> Result<ShardedTreapMap<i64, i64>, LogError> {
-        let map = ShardedTreapMap::with_shards(8);
+    pub fn restore_epoch(&self, epoch: Epoch) -> Result<TreapMap<i64, i64>, LogError> {
+        let map = TreapMap::new();
         let state = self.state.lock();
         self.replay_to_locked(&state, epoch, &mut |unit| {
             map.transact(&unit_ops(unit));
@@ -882,8 +882,8 @@ fn retained_locked(state: &LogState) -> Option<(Epoch, Epoch)> {
 
 /// A unit as one batch: a checkpoint page's entries as inserts, a diff
 /// as [`diff_to_ops`] replays it. Both are key-sorted runs, so applied
-/// with one `transact` each is one descent per page or diff (per shard
-/// of a sharded map) instead of one path copy and one CAS per entry.
+/// with one `transact` each is one descent per page or diff instead of
+/// one path copy and one CAS per entry.
 fn unit_ops(unit: Unit) -> Vec<BatchOp<i64, i64>> {
     match unit.kind {
         UnitKind::Checkpoint(entries) => entries

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pathcopy_concurrent::ShardedTreapMap;
+use pathcopy_concurrent::TreapMap;
 use pathcopy_core::DiffEntry;
 use pathcopy_durable::{EpochLog, FeedPersister, LogConfig, LogError};
 use pathcopy_server::backend::{ServeBackend, TreapServe};
@@ -53,7 +53,7 @@ fn newest_segment(dir: &Path) -> Option<PathBuf> {
     segs.pop()
 }
 
-fn assert_matches_oracle(map: &ShardedTreapMap<i64, i64>, oracle: &BTreeMap<i64, i64>, what: &str) {
+fn assert_matches_oracle(map: &TreapMap<i64, i64>, oracle: &BTreeMap<i64, i64>, what: &str) {
     assert_eq!(map.len(), oracle.len(), "{what}: len diverged");
     for k in 0..48i64 {
         assert_eq!(map.get(&k), oracle.get(&k).copied(), "{what}: key {k}");
@@ -505,7 +505,7 @@ fn recovered_primary_continues_the_epoch_sequence() {
     let (log, recovered) = EpochLog::open(&dir, config.clone()).unwrap();
     assert_eq!(recovered.head, 3);
     let (map, head) = log.replay().unwrap();
-    let backend = TreapServe::new(map.snapshot_all().into_iter().collect());
+    let backend = TreapServe::new(map);
     let log = Arc::new(log);
     let persister = FeedPersister::new(Arc::clone(&log));
     let feed = VersionFeed::configured(

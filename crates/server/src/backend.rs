@@ -342,7 +342,6 @@ mod tests {
         let after = b.stats();
         assert_eq!(after.ops - before.ops, 1, "the batch is one update");
         assert_eq!(after.attempts - before.attempts, 1, "one root CAS");
-        assert_eq!(after.frozen_installs, before.frozen_installs, "no freeze");
 
         let stale = [
             BatchOp::Insert(100, 100),

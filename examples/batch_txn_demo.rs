@@ -1,17 +1,18 @@
-//! Atomic cross-shard batch transactions in action: a miniature bank.
+//! Atomic batch transactions in action: a miniature bank.
 //!
-//! Accounts are hash-partitioned across 16 shards. Transfer threads move
-//! money between random account pairs with a single `transact` batch —
-//! debit and credit land in different shards, yet commit as one
-//! linearizable unit. An auditor thread takes coherent `snapshot_all()`
-//! cuts the whole time; because batches are atomic, every cut balances
-//! to the initial total, down to the cent.
+//! Every account lives in one path-copying map, under one root.
+//! Transfer threads move money between random account pairs with a
+//! single `transact` batch — debit and credit are one new version and
+//! one root CAS, so they commit as one linearizable unit. An auditor
+//! thread takes O(1) snapshots the whole time; because batches are
+//! atomic, every snapshot balances to the initial total, down to the
+//! cent.
 //!
 //! ```text
 //! cargo run --release --example batch_txn_demo
 //! ```
 
-use path_copying::prelude::{BatchOp, BatchResult, ShardedTreapMap};
+use path_copying::prelude::{BatchOp, BatchResult, TreapMap};
 
 const ACCOUNTS: u64 = 256;
 const OPENING_BALANCE: i64 = 1_000;
@@ -19,7 +20,7 @@ const TRANSFER_THREADS: u64 = 4;
 const TRANSFERS_PER_THREAD: u64 = 5_000;
 
 fn main() {
-    let bank: ShardedTreapMap<u64, i64> = ShardedTreapMap::with_shards(16);
+    let bank: TreapMap<u64, i64> = TreapMap::new();
 
     // Open every account in one atomic batch.
     let opening: Vec<_> = (0..ACCOUNTS)
@@ -39,9 +40,8 @@ fn main() {
                 let bank = &bank;
                 s.spawn(move || {
                     // Each thread owns a disjoint slice of accounts (the
-                    // point here is atomicity across *shards*, which
-                    // hashing gives us for free; contended ownership is
-                    // the Cas example further down).
+                    // point here is atomicity of the pair; contended
+                    // ownership is the Cas example further down).
                     let per = ACCOUNTS / TRANSFER_THREADS;
                     let base = t * per;
                     let mut balances = vec![OPENING_BALANCE; per as usize];
@@ -56,9 +56,9 @@ fn main() {
                         let amount = (x % 97) as i64 + 1;
                         balances[from] -= amount;
                         balances[to] += amount;
-                        // Debit and credit land in different shards with
-                        // 15/16 probability, yet flip as one atomic unit:
-                        // no auditor cut can ever see the money in flight.
+                        // Debit and credit flip as one atomic unit: no
+                        // auditor snapshot can ever see the money in
+                        // flight.
                         bank.transact(&[
                             BatchOp::Insert(base + from as u64, balances[from]),
                             BatchOp::Insert(base + to as u64, balances[to]),
@@ -68,13 +68,13 @@ fn main() {
             })
             .collect();
 
-        // Auditor: coherent cuts must always balance.
+        // Auditor: every snapshot must balance.
         let bank = &bank;
         let done_ref = &done;
         let audits_ref = &audits;
         let auditor = s.spawn(move || {
             while !done_ref.load(std::sync::atomic::Ordering::Relaxed) {
-                let cut = bank.snapshot_all();
+                let cut = bank.snapshot();
                 let sum: i64 = cut.iter().map(|(_, v)| *v).sum();
                 assert_eq!(
                     sum,
@@ -93,20 +93,20 @@ fn main() {
         auditor.join().expect("auditor panicked");
     });
 
-    let final_cut = bank.snapshot_all();
+    let final_cut = bank.snapshot();
     let sum: i64 = final_cut.iter().map(|(_, v)| *v).sum();
     println!(
-        "after {} transfers: total balance {sum} (audited {} coherent cuts)",
+        "after {} transfers: total balance {sum} (audited {} snapshots)",
         TRANSFER_THREADS * TRANSFERS_PER_THREAD,
         audits.load(std::sync::atomic::Ordering::Relaxed)
     );
     assert_eq!(sum, total);
 
-    let stats = bank.stats_snapshot();
+    let stats = bank.stats().snapshot();
     println!(
-        "UC stats: {} CAS-loop ops, {} frozen installs (cross-shard commits), mean attempts {:.2}",
+        "UC stats: {} CAS-loop ops (one per batch), {} failed CASes, mean attempts {:.2}",
         stats.ops,
-        stats.frozen_installs,
+        stats.cas_failures,
         stats.mean_attempts()
     );
 
@@ -131,14 +131,14 @@ fn main() {
     assert_eq!(r, vec![BatchResult::Cas(true), BatchResult::Cas(false)]);
     println!("per-op Cas semantics: {r:?}");
 
-    // A sharded set is a map to `()`: one batch inserts several keys
-    // atomically, and a repeated key reports it was already there.
-    let seen: ShardedTreapMap<u64, ()> = ShardedTreapMap::with_shards(8);
+    // A set with batches is a map to `()`: one batch inserts several
+    // keys atomically, and a repeated key reports it was already there.
+    let seen: TreapMap<u64, ()> = TreapMap::new();
     let fresh: Vec<bool> = seen
         .transact(&[1, 2, 3, 2].map(|k| BatchOp::Insert(k, ())))
         .into_iter()
         .map(|r| r == BatchResult::Inserted(None))
         .collect();
-    println!("sharded set: insert [1,2,3,2] in one batch -> {fresh:?}");
+    println!("set: insert [1,2,3,2] in one batch -> {fresh:?}");
     assert_eq!(fresh, vec![true, true, true, false]);
 }

@@ -49,8 +49,7 @@
 //!
 //! | Backend | Progress guarantee | Snapshot cost | When to use |
 //! |---|---|---|---|
-//! | [`TreapMap`](prelude::TreapMap) / [`TreapSet`](prelude::TreapSet) | lock-free updates, wait-free reads | O(1) | The paper's construction; the default until a single root CAS saturates. Nodes are pooled (`PoolArc`), so an update makes ~2 global allocations, not one per copied node. |
-//! | [`ShardedTreapMap`](prelude::ShardedTreapMap) | lock-free | O(shards), validated double scan | Write-heavy multi-core workloads; atomic cross-shard batches via `transact`; as `ShardedTreapMap<K, ()>`, the sharded set. `len()` is weakly consistent — use the snapshot for exact counts. |
+//! | [`TreapMap`](prelude::TreapMap) / [`TreapSet`](prelude::TreapSet) | lock-free updates, wait-free reads | O(1) | The paper's construction, one root. Atomic multi-key batches via `TreapMap::transact`; as `TreapMap<K, ()>`, a set with batches. Nodes are pooled (`PoolArc`), so an update makes ~2 global allocations, not one per copied node. |
 //! | [`ConcurrentExternalBstSet`](prelude::ConcurrentExternalBstSet) | lock-free | O(1) | The Appendix-A model tree (no rotations); reference subject for path-length measurements. |
 //! | [`LockedTreapSet`](prelude::LockedTreapSet) | blocking (global mutex) | O(1) | The intro's "simplest UC" baseline; surprisingly fine at low thread counts. |
 //!
@@ -87,9 +86,7 @@
 //! }
 //!
 //! let treap: TreapMap<i64, i64> = TreapMap::new();
-//! let sharded: ShardedTreapMap<i64, i64> = ShardedTreapMap::with_shards(8);
 //! assert_eq!(audit(&treap).len(), 2);
-//! assert_eq!(audit(&sharded).len(), 2);
 //! ```
 //!
 //! ## Quickstart
@@ -116,60 +113,22 @@
 //! assert!(snap.contains(&0));
 //! ```
 //!
-//! ## Scaling past the single root: the sharded map
-//!
-//! The paper's construction serializes every update through one
-//! `Root_Ptr` CAS. [`ShardedTreapMap`](prelude::ShardedTreapMap)
-//! hash-partitions keys across `N` independent UC roots: per-key
-//! operations keep the UC's lock-freedom and linearizability, updates to
-//! different shards never contend, and `snapshot_all()` still yields a
-//! coherent cut of the whole map via a validated double scan:
-//!
-//! ```
-//! use path_copying::prelude::ShardedTreapMap;
-//!
-//! let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(16);
-//! std::thread::scope(|s| {
-//!     for t in 0..8u64 {
-//!         let m = &m;
-//!         s.spawn(move || {
-//!             for i in 0..500 {
-//!                 m.insert(t * 500 + i, i); // contends only within one shard
-//!             }
-//!         });
-//!     }
-//! });
-//!
-//! let snap = m.snapshot_all(); // consistent across all 16 shards
-//! assert_eq!(snap.len(), 4000);
-//! m.remove(&0);
-//! assert!(snap.contains_key(&0)); // the cut is immutable
-//! ```
-//!
-//! Compare the two yourself: `cargo bench --bench sharded_scaling` (or
-//! `cargo run --release --example sharded_demo`).
-//!
-//! ## Atomic cross-shard batch transactions
+//! ## Atomic batch transactions
 //!
 //! Path copying makes a *batch* of updates just another sequential
-//! function from one persistent version to the next: on one root,
-//! [`TreapMap::transact`](prelude::TreapMap::transact) commits a whole
-//! batch with one CAS.
-//! [`ShardedTreapMap::transact`](prelude::ShardedTreapMap::transact)
-//! extends that to batches spanning shards: single-shard batches commit through the
-//! ordinary lock-free CAS loop, multi-shard batches through an ordered
-//! two-phase commit that freezes the involved roots so the whole batch
-//! flips atomically — no reader or `snapshot_all()` ever sees it
-//! half-applied. A sharded set is a `ShardedTreapMap<K, ()>`, batched the
-//! same way:
+//! function from one persistent version to the next:
+//! [`TreapMap::transact`](prelude::TreapMap::transact) applies a whole
+//! batch as one key-sorted descent and commits it with one root CAS, so
+//! no reader or snapshot ever sees it half-applied. A set with batches
+//! is a `TreapMap<K, ()>`:
 //!
 //! ```
-//! use path_copying::prelude::{BatchOp, BatchResult, ShardedTreapMap};
+//! use path_copying::prelude::{BatchOp, BatchResult, TreapMap};
 //!
-//! let m: ShardedTreapMap<&str, i64> = ShardedTreapMap::with_shards(8);
+//! let m: TreapMap<&str, i64> = TreapMap::new();
 //! m.insert("alice", 100);
 //! m.insert("bob", 0);
-//! // Atomic transfer across shards; the Get sees the batch's own writes.
+//! // Atomic transfer; the Get sees the batch's own writes.
 //! let r = m.transact(&[
 //!     BatchOp::Insert("alice", 70),
 //!     BatchOp::Insert("bob", 30),
@@ -177,15 +136,14 @@
 //! ]);
 //! assert_eq!(r[2], BatchResult::Got(Some(30)));
 //!
-//! let s: ShardedTreapMap<u64, ()> = ShardedTreapMap::with_shards(8);
+//! let s: TreapMap<u64, ()> = TreapMap::new();
 //! let r = s.transact(&[1, 2, 3].map(|k| BatchOp::Insert(k, ())));
 //! assert!(r.iter().all(|r| *r == BatchResult::Inserted(None))); // all new
 //! ```
 //!
 //! See `cargo run --release --example batch_txn_demo`; the perf
 //! ledger's `engine_read_scan` workload measures batch cost
-//! (`concurrent.transact1_ns` / `transact4_ns`) and the freeze
-//! protocol's retries beside it.
+//! (`concurrent.transact1_ns` / `transact4_ns`).
 //!
 //! ## Serving the map over the network
 //!
@@ -402,8 +360,8 @@ pub use pathcopy_workloads;
 pub mod prelude {
     pub use pathcopy_concurrent::{
         diff_to_ops, BatchOp, BatchResult, EbstSnapshot,
-        ExternalBstSet as ConcurrentExternalBstSet, GuardAbort, LockedTreapSet, ShardedSnapshot,
-        ShardedTreapMap, TreapMap, TreapSet, TreapSetSnapshot, TreapSnapshot,
+        ExternalBstSet as ConcurrentExternalBstSet, GuardAbort, LockedTreapSet, TreapMap, TreapSet,
+        TreapSetSnapshot, TreapSnapshot,
     };
     pub use pathcopy_core::{
         BackoffPolicy, ConcurrentMap, ConcurrentSet, DiffEntry, MapSnapshot, MutexUc, PathCopyUc,

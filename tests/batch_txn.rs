@@ -1,10 +1,9 @@
-//! Linearizability of cross-shard batch transactions.
+//! Linearizability of batch transactions on the one-root map.
 //!
-//! The contract under test: a `transact` batch is ONE atomic operation,
-//! however many shards it spans. No concurrent reader, per-key writer,
-//! or `snapshot_all()` may ever observe a partially applied batch; and
-//! single-shard batches must commit through the plain lock-free CAS
-//! loop (observable via the UC stats counters), never the freeze hook.
+//! The contract under test: a `transact` batch is ONE atomic operation
+//! (one root CAS, or none when it changes nothing). No concurrent
+//! reader, per-key writer, or snapshot may ever observe a partially
+//! applied batch; a guarded batch whose guard fails writes nothing.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -12,20 +11,19 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use path_copying::prelude::{BatchOp, BatchResult, ShardedTreapMap};
+use path_copying::prelude::{BatchOp, BatchResult, TreapMap};
 
 /// The acceptance invariant, full strength: a writer commits "transfer"
 /// batches that keep an invariant (all keys equal) while readers take
-/// `snapshot_all()` cuts, per-key reads and multi-key `transact` reads.
-/// A torn batch shows up as two keys with different values in one cut.
+/// snapshots, per-key reads and multi-key `transact` reads. A torn batch
+/// shows up as two keys with different values in one cut. (The name is
+/// kept from the sharded map's whole-map snapshot.)
 #[test]
 fn snapshot_all_never_observes_a_torn_batch() {
-    // 12 keys over 16 shards: the batch spans many shards with
-    // overwhelming probability.
     const KEYS: u64 = 12;
     const ROUNDS: u64 = 3_000;
 
-    let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(16);
+    let m: TreapMap<u64, u64> = TreapMap::new();
     m.transact(&(0..KEYS).map(|k| BatchOp::Insert(k, 0)).collect::<Vec<_>>());
 
     let done = AtomicBool::new(false);
@@ -40,16 +38,15 @@ fn snapshot_all_never_observes_a_torn_batch() {
             done_ref.store(true, Relaxed);
         });
 
-        // Reader 1: coherent cuts must always see all keys at the same
-        // round.
+        // Reader 1: snapshots must always see all keys at the same round.
         s.spawn(move || {
             let mut cuts = 0u64;
             while !done_ref.load(Relaxed) {
-                let snap = m_ref.snapshot_all();
+                let snap = m_ref.snapshot();
                 let values: Vec<u64> = (0..KEYS).map(|k| *snap.get(&k).unwrap()).collect();
                 assert!(
                     values.windows(2).all(|w| w[0] == w[1]),
-                    "torn batch in snapshot_all: {values:?}"
+                    "torn batch in a snapshot: {values:?}"
                 );
                 cuts += 1;
             }
@@ -88,41 +85,28 @@ fn snapshot_all_never_observes_a_torn_batch() {
         });
     });
 
-    let snap = m.snapshot_all();
+    let snap = m.snapshot();
     for k in 0..KEYS {
         assert_eq!(*snap.get(&k).unwrap(), ROUNDS);
     }
 }
 
-/// Single-shard batches must take the lock-free CAS-on-root path: no
-/// frozen installs, exactly one CAS-loop op per batch. Multi-shard
-/// batches must go through the freeze hook.
+/// Every batch takes the lock-free CAS-on-root path: exactly one
+/// CAS-loop op per batch, and one attempt when nothing contends.
 #[test]
 fn single_shard_batches_stay_on_the_cas_path() {
-    // A 1-shard map makes every batch single-shard by construction.
-    let single: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(1);
+    let m: TreapMap<u64, u64> = TreapMap::new();
     for b in 0..10u64 {
-        single.transact(&[
+        m.transact(&[
             BatchOp::Insert(b, b),
             BatchOp::Get(b),
             BatchOp::Remove(b + 100),
         ]);
     }
-    let stats = single.stats_snapshot();
-    assert_eq!(
-        stats.frozen_installs, 0,
-        "single-shard batch used the freeze hook"
-    );
-    assert_eq!(stats.ops, 10, "each single-shard batch is one CAS-loop op");
-
-    // The same batches on a 16-shard map span shards and must freeze.
-    let sharded: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(16);
-    let batch: Vec<_> = (0..32).map(|k| BatchOp::Insert(k, k)).collect();
-    sharded.transact(&batch);
-    assert!(
-        sharded.stats_snapshot().frozen_installs >= 2,
-        "multi-shard batch must install through the freeze hook"
-    );
+    let stats = m.stats().snapshot();
+    assert_eq!(stats.ops, 10, "each batch is one CAS-loop op");
+    assert_eq!(stats.attempts, 10, "one root CAS per uncontended batch");
+    assert_eq!(stats.noop_updates, 0, "every batch wrote a key");
 }
 
 /// An operation against the sequential oracle.
@@ -195,27 +179,54 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Sequentially, `transact` must agree op-for-op with a `BTreeMap`
-    /// oracle, including in-batch ordering and Cas semantics, across
-    /// shard counts (1 shard = pure CAS path, 16 = mostly freeze path).
+    /// oracle, including in-batch ordering and Cas semantics; and
+    /// `transact_guarded` of the same batch on a twin map commits the
+    /// same results when every guard holds, or else aborts, naming the
+    /// failed guards, and writes nothing.
     #[test]
-    fn transact_matches_btreemap_oracle(batches in tx_batches(), shards in prop_oneof![Just(1usize), Just(4), Just(16)]) {
-        let m: ShardedTreapMap<u8, u16> = ShardedTreapMap::with_shards(shards);
+    fn transact_matches_btreemap_oracle(batches in tx_batches()) {
+        let m: TreapMap<u8, u16> = TreapMap::new();
+        let guarded: TreapMap<u8, u16> = TreapMap::new();
         let mut model = BTreeMap::new();
+        let mut guarded_model = BTreeMap::new();
         for ops in &batches {
-            let got = m.transact(&to_batch(ops));
+            let batch = to_batch(ops);
+            let got = m.transact(&batch);
             let want = oracle_apply(&mut model, ops);
             prop_assert_eq!(got, want);
+
+            let mut trial = guarded_model.clone();
+            let want = oracle_apply(&mut trial, ops);
+            let failed: Vec<usize> = want
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| **r == BatchResult::Cas(false))
+                .map(|(i, _)| i)
+                .collect();
+            match guarded.transact_guarded(&batch) {
+                Ok(got) => {
+                    prop_assert!(failed.is_empty(), "committed past failed guards {:?}", failed);
+                    prop_assert_eq!(got, want);
+                    guarded_model = trial;
+                }
+                Err(abort) => prop_assert_eq!(abort.failed, failed),
+            }
+            let snap = guarded.snapshot();
+            prop_assert_eq!(snap.len(), guarded_model.len(), "an abort wrote");
+            for (k, v) in &guarded_model {
+                prop_assert_eq!(snap.get(k), Some(v));
+            }
         }
         // Final contents agree exactly.
-        let snap = m.snapshot_all();
+        let snap = m.snapshot();
         prop_assert_eq!(snap.len(), model.len());
         for (k, v) in &model {
             prop_assert_eq!(snap.get(k), Some(v));
         }
     }
 
-    /// Concurrently, batches interleaved with per-key ops and
-    /// `snapshot_all` must produce a history where (a) every batch is
+    /// Concurrently, batches interleaved with per-key ops and snapshots
+    /// must produce a history where (a) every batch is
     /// atomic against every snapshot and (b) the committed final state
     /// replays against the locked oracle in commit order.
     #[test]
@@ -227,7 +238,7 @@ proptest! {
         const KEYS_PER_THREAD: u64 = 8;
         const ROUNDS: u64 = 150;
 
-        let m: ShardedTreapMap<u64, u64> = ShardedTreapMap::with_shards(8);
+        let m: TreapMap<u64, u64> = TreapMap::new();
         let oracle: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
         let done = AtomicBool::new(false);
 
@@ -271,7 +282,7 @@ proptest! {
                 // final iteration runs against the quiesced map.
                 loop {
                     let finished = done_ref.load(Relaxed);
-                    let snap = m.snapshot_all();
+                    let snap = m.snapshot();
                     for t in 0..THREADS {
                         let base = t * 1000;
                         let vals: Vec<Option<u64>> = (0..KEYS_PER_THREAD)
@@ -299,7 +310,7 @@ proptest! {
 
         // Quiescent: the map must equal the oracle (writers' key ranges
         // are disjoint, so last-writer-per-range is deterministic).
-        let snap = m.snapshot_all();
+        let snap = m.snapshot();
         let model = oracle.into_inner().unwrap();
         prop_assert_eq!(snap.len(), model.len());
         for (k, v) in &model {

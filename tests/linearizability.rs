@@ -13,7 +13,7 @@ use std::sync::Mutex;
 use path_copying::pathcopy_concurrent::registry::{self, SetBackendDriver};
 use path_copying::pathcopy_trees::TreapSet;
 use path_copying::prelude::{
-    ConcurrentSet, PathCopyUc, SetSnapshot, ShardedTreapMap, Snapshottable, Update,
+    ConcurrentSet, PathCopyUc, SetSnapshot, Snapshottable, TreapMap, Update,
 };
 
 /// Versioned state: the set plus a commit sequence number.
@@ -213,17 +213,16 @@ fn disjoint_batch_runs_have_exact_counts() {
 
 #[test]
 fn sharded_snapshot_all_is_a_consistent_cut() {
-    // Coherence check for the sharded map's validated double scan. One
-    // writer increments a chain of counter keys in a fixed order; the
-    // keys are spread across the 16 shards by hashing. At any single
-    // instant the counts along the chain are non-increasing, and head
-    // and tail differ by at most one (the writer is mid-sweep). Any
-    // snapshot assembled from per-shard reads at *different* times
-    // violates this quickly; `snapshot_all` must never.
+    // Coherence check for the one-root snapshot (the name is kept from
+    // the sharded map it covered before). One writer increments a chain
+    // of counter keys in a fixed order. At any single instant the counts
+    // along the chain are non-increasing, and head and tail differ by at
+    // most one (the writer is mid-sweep). A snapshot assembled from reads
+    // at *different* times violates this quickly; `snapshot` must never.
     const CHAIN: [u32; 6] = [0, 1, 2, 3, 4, 5];
     const SWEEPS: i64 = 30_000;
 
-    let m: ShardedTreapMap<u32, i64> = ShardedTreapMap::with_shards(16);
+    let m: TreapMap<u32, i64> = TreapMap::new();
     for k in CHAIN {
         m.insert(k, 0);
     }
@@ -243,7 +242,7 @@ fn sharded_snapshot_all_is_a_consistent_cut() {
 
         let mut cuts = 0u64;
         while !done.load(std::sync::atomic::Ordering::Relaxed) {
-            let snap = m.snapshot_all();
+            let snap = m.snapshot();
             let counts: Vec<i64> = CHAIN.iter().map(|k| *snap.get(k).unwrap()).collect();
             for w in counts.windows(2) {
                 assert!(
@@ -261,7 +260,7 @@ fn sharded_snapshot_all_is_a_consistent_cut() {
     });
 
     // After the writer finishes, every counter saw every sweep.
-    let final_snap = m.snapshot_all();
+    let final_snap = m.snapshot();
     for k in CHAIN {
         assert_eq!(*final_snap.get(&k).unwrap(), SWEEPS);
     }
@@ -321,10 +320,11 @@ fn every_backend_linearizes_disjoint_inserts() {
 
 #[test]
 fn sharded_per_key_updates_linearize_within_their_shard() {
-    // Per-key linearizability smoke test across shards: disjoint keys
-    // from many threads must all land exactly once, and per-shard
-    // wait-free snapshots must agree with the coherent global cut.
-    let m: ShardedTreapMap<i64, i64> = ShardedTreapMap::with_shards(8);
+    // Per-key linearizability smoke test (the name is kept from the
+    // sharded map it covered before): disjoint keys from many threads
+    // must all land exactly once, and the snapshot must hold exactly
+    // them, in order.
+    let m: TreapMap<i64, i64> = TreapMap::new();
     const THREADS: i64 = 8;
     const PER: i64 = 1_000;
     std::thread::scope(|scope| {
@@ -339,18 +339,9 @@ fn sharded_per_key_updates_linearize_within_their_shard() {
         }
     });
 
-    let snap = m.snapshot_all();
+    let snap = m.snapshot();
     assert_eq!(snap.len(), (THREADS * PER) as usize);
-    // The union of per-shard snapshots equals the coherent cut now that
-    // writers are quiescent.
-    let mut union = 0usize;
-    for s in 0..m.shard_count() {
-        union += m.snapshot_shard(s).len();
-    }
-    assert_eq!(union, snap.len());
-    assert!(snap
-        .to_sorted_vec()
-        .iter()
-        .map(|(k, _)| *k)
-        .eq(0..THREADS * PER));
+    assert_eq!(m.len(), snap.len());
+    assert!(snap.iter().map(|(k, _)| *k).eq(0..THREADS * PER));
+    assert!(snap.iter().all(|(k, v)| *v == -*k));
 }

@@ -7,9 +7,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use path_copying::pathcopy_concurrent::{
-    BatchOp, BatchResult, ShardedTreapMap, TreapMap as ConcurrentTreapMap,
-};
+use path_copying::pathcopy_concurrent::{BatchOp, BatchResult, TreapMap as ConcurrentTreapMap};
 use path_copying::pathcopy_core::{pool, StatsSnapshot};
 use path_copying::pathcopy_trees::TreapMap;
 
@@ -317,44 +315,17 @@ fn an_equal_value_write_allocates_nothing_and_installs_nothing() {
             || m.stats().snapshot(),
         );
 
-        // One shard, so every batch below takes the lock-free single-shard
-        // path and `snapshot_shard(0)` is the whole map.
-        let sharded = || {
-            let m = ShardedTreapMap::with_shards(1);
-            for k in 0..NOOP_KEYS {
-                m.insert(k, k);
-            }
-            m
-        };
-        let m = sharded();
-        assert_noop_writes_are_free(
-            "ShardedTreapMap::insert",
-            |k, v| {
-                m.insert(k, v);
-            },
-            || m.snapshot_shard(0),
-            || m.stats_snapshot(),
-        );
-        let m = sharded();
-        assert_noop_writes_are_free(
-            "ShardedTreapMap::compute",
-            |k, v| {
-                m.compute(&k, |_| Some(v));
-            },
-            || m.snapshot_shard(0),
-            || m.stats_snapshot(),
-        );
-        let m = sharded();
+        let m = single();
         assert_noop_writes_are_free(
             "transact([Insert])",
             |k, v| {
                 let r = m.transact(&[BatchOp::Insert(k, v)]);
                 assert!(matches!(r[..], [BatchResult::Inserted(Some(_))]));
             },
-            || m.snapshot_shard(0),
-            || m.stats_snapshot(),
+            || m.snapshot().as_inner().clone(),
+            || m.stats().snapshot(),
         );
-        let m = sharded();
+        let m = single();
         assert_noop_writes_are_free(
             "transact([Cas])",
             |k, v| {
@@ -365,8 +336,8 @@ fn an_equal_value_write_allocates_nothing_and_installs_nothing() {
                 };
                 assert_eq!(m.transact(&[cas]), vec![BatchResult::Cas(true)]);
             },
-            || m.snapshot_shard(0),
-            || m.stats_snapshot(),
+            || m.snapshot().as_inner().clone(),
+            || m.stats().snapshot(),
         );
     }
     // Dropping a concurrent map hands its version to the epoch

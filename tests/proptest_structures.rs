@@ -2,15 +2,15 @@
 //! external BST — must behave exactly like their std reference models
 //! under arbitrary operation sequences, keep old versions intact
 //! (persistence), and respect their structural invariants and the
-//! path-copying sharing bound; the sharded map must behave like one big
-//! map.
+//! path-copying sharing bound; the concurrent map must behave like its
+//! reference model too.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
 use path_copying::pathcopy_trees::{sharing, ExternalBstSet, TreapMap};
-use path_copying::prelude::ShardedTreapMap;
+use path_copying::prelude::TreapMap as ConcurrentTreapMap;
 
 /// An operation on a keyed map/set.
 #[derive(Debug, Clone)]
@@ -146,11 +146,11 @@ proptest! {
     }
 
     #[test]
-    fn sharded_treap_map_matches_btreemap(ops in map_ops(), shards_log2 in 0u32..6) {
-        // The sharded front-end must behave exactly like one big map, for
-        // every shard count (1 shard = the paper's single-root UC).
+    fn sharded_treap_map_matches_btreemap(ops in map_ops()) {
+        // The concurrent one-root map must behave exactly like a
+        // `BTreeMap` (the name is kept from the sharded map it covered).
         let mut reference = BTreeMap::new();
-        let m: ShardedTreapMap<i16, i16> = ShardedTreapMap::with_shards(1 << shards_log2);
+        let m: ConcurrentTreapMap<i16, i16> = ConcurrentTreapMap::new();
         for op in ops {
             match op {
                 MapOp::Insert(k, v) => {
@@ -166,22 +166,22 @@ proptest! {
             }
             prop_assert_eq!(m.len(), reference.len());
         }
-        let snap = m.snapshot_all();
+        let snap = m.snapshot();
         prop_assert_eq!(snap.len(), reference.len());
-        prop_assert!(snap.to_sorted_vec().into_iter().eq(reference.into_iter()));
+        prop_assert!(snap.iter().eq(reference.iter()));
     }
 
     #[test]
     fn sharded_snapshot_is_immutable(ops in map_ops(), cut in 0usize..120) {
-        // snapshot_all() taken mid-stream must be bit-for-bit identical
-        // after arbitrary further updates (persistence across shards).
-        let m: ShardedTreapMap<i16, i16> = ShardedTreapMap::with_shards(8);
+        // A snapshot taken mid-stream must be bit-for-bit identical
+        // after arbitrary further updates (persistence).
+        let m: ConcurrentTreapMap<i16, i16> = ConcurrentTreapMap::new();
         let mut snapshot = None;
         let mut snapshot_contents = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             if i == cut {
-                let snap = m.snapshot_all();
-                snapshot_contents = snap.to_sorted_vec();
+                let snap = m.snapshot();
+                snapshot_contents = snap.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>();
                 snapshot = Some(snap);
             }
             match op {
@@ -195,7 +195,7 @@ proptest! {
             }
         }
         if let Some(snap) = snapshot {
-            prop_assert_eq!(snap.to_sorted_vec(), snapshot_contents);
+            prop_assert!(snap.iter().map(|(k, v)| (*k, *v)).eq(snapshot_contents));
         }
     }
 

@@ -116,9 +116,8 @@ fn cross_shard_batches_are_all_or_nothing_over_the_wire() {
 
     // 64 account pairs: (2k, 2k+1) always sum to zero. The served
     // engine is one root, so each of the writer's batches is one root
-    // CAS and takes no freeze path; the name keeps the test's history.
-    // The sharded map's freeze/install commit is covered in process by
-    // tests/batch_txn.rs and pathcopy-concurrent's batch.rs tests.
+    // CAS; the name keeps the test's history. The in-process form of
+    // this check is tests/batch_txn.rs.
     const PAIRS: i64 = 64;
     let setup = Session::connect(addr).unwrap();
     let init: Vec<BatchOp<i64, i64>> = (0..PAIRS * 2).map(|k| BatchOp::Insert(k, 0)).collect();

@@ -6,8 +6,8 @@
 //! (`BTreeMap`/`BTreeSet`) on point ops, snapshot `iter()`, lazy
 //! `range(..)`, and snapshot-to-snapshot `diff()`. Also asserts the
 //! structural guarantees behind `diff`: the walk short-circuits on
-//! shared subtrees (node-visit counter), and the sharded `len()` is a
-//! weak estimate while the snapshot count is exact.
+//! shared subtrees (node-visit counter), and the one-root map's live
+//! `len()` is exact even while batches swap keys.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -214,10 +214,6 @@ fn std_trait_parity_for_concurrent_structures() {
     assert_eq!(format!("{m:?}"), "{0: 0, 1: 10, 2: 20, 3: 30, 4: 40}");
     assert!(TreapMap::<i64, i64>::default().is_empty());
 
-    let sm: ShardedTreapMap<i64, i64> = (0..5).map(|k| (k, k)).collect();
-    assert_eq!(format!("{sm:?}"), "{0: 0, 1: 1, 2: 2, 3: 3, 4: 4}");
-    assert!(ShardedTreapMap::<i64, i64>::default().is_empty());
-
     let ts: TreapSet<i64> = (0..4).collect();
     assert_eq!(format!("{ts:?}"), "{0, 1, 2, 3}");
 
@@ -226,9 +222,6 @@ fn std_trait_parity_for_concurrent_structures() {
     m2.extend([(9, 90), (0, -1)]);
     assert_eq!(m2.get(&9), Some(90));
     assert_eq!(m2.get(&0), Some(-1));
-    let mut sm = sm;
-    sm.extend([(9, 9), (10, 10)]);
-    assert_eq!(sm.len(), 7);
 
     // IntoIterator on snapshots: by-ref borrows lazily, owned clones out.
     let snap = m2.snapshot();
@@ -236,15 +229,6 @@ fn std_trait_parity_for_concurrent_structures() {
     let owned: Vec<(i64, i64)> = snap.clone().into_iter().collect();
     assert_eq!(by_ref, owned);
     assert!(owned.iter().map(|(k, _)| *k).eq([0, 1, 2, 3, 4, 9]));
-
-    let sm_snap = sm.snapshot_all();
-    let by_ref: Vec<(i64, i64)> = (&sm_snap).into_iter().map(|(k, v)| (*k, *v)).collect();
-    let owned: Vec<(i64, i64)> = sm_snap.into_iter().collect();
-    assert_eq!(
-        by_ref, owned,
-        "sharded snapshot iteration is merged in order"
-    );
-    assert!(owned.iter().map(|(k, _)| *k).eq([0, 1, 2, 3, 4, 9, 10]));
 
     // `for` loops work directly (the whole point of IntoIterator).
     let mut n = 0;
@@ -325,18 +309,15 @@ fn diff_short_circuits_on_shared_subtrees() {
     );
 }
 
-/// `ShardedTreapMap::len()` is a per-shard sum — a weakly consistent
-/// estimate under churn — while the snapshot count is exact. This pins
-/// the documented distinction: with one writer atomically swapping keys
-/// (constant true size), every coherent cut must count exactly `N`,
-/// whereas the live sum is only required to stay near `N` and to be
-/// exact at quiescence.
+/// On one root, `len()` reads one version, so it is as exact as a
+/// snapshot's count: with one writer atomically swapping keys (constant
+/// true size), every live `len()` and every snapshot counts exactly `N`.
 #[test]
-fn sharded_len_is_weak_but_snapshot_len_is_exact() {
+fn len_is_exact_while_batches_swap_keys() {
     const N: i64 = 256;
     const SWAPS: i64 = 4_000;
 
-    let m: ShardedTreapMap<i64, ()> = ShardedTreapMap::with_shards(16);
+    let m: TreapMap<i64, ()> = TreapMap::new();
     for k in 0..N {
         m.insert(k, ());
     }
@@ -347,9 +328,7 @@ fn sharded_len_is_weak_but_snapshot_len_is_exact() {
         let done_ref = &done;
         scope.spawn(move || {
             // Each transaction atomically removes one key and inserts a
-            // fresh one (usually in a different shard): the true size
-            // never changes, but a torn per-shard sum can see the pair
-            // half-applied.
+            // fresh one: the true size never changes.
             for i in 0..SWAPS {
                 let old = i % N;
                 let new = N + i;
@@ -361,32 +340,11 @@ fn sharded_len_is_weak_but_snapshot_len_is_exact() {
 
         let mut cuts = 0u64;
         while !done.load(std::sync::atomic::Ordering::Relaxed) {
-            // Exact: the coherent cut always counts the true size.
-            assert_eq!(
-                m.snapshot_all().len(),
-                N as usize,
-                "snapshot len must be exact"
-            );
-            // Weak: the live sum may tear, but its drift is provably
-            // bounded by the shard count. Between a swap-out and its
-            // swap-back the state differs from the initial one only in
-            // that single key pair, and those windows are disjoint in
-            // time (one writer). Each of the 16 per-shard reads happens
-            // at one instant, which lands in at most one window and
-            // contributes at most ±1 to the sum — so however the reader
-            // is preempted, |live − N| ≤ shard_count.
-            let live = m.len() as i64;
-            let slack = m.shard_count() as i64;
-            assert!(
-                (N - slack..=N + slack).contains(&live),
-                "live len {live} drifted beyond the provable ±{slack} bound around {N}"
-            );
+            assert_eq!(m.snapshot().len(), N as usize, "snapshot len must be exact");
+            assert_eq!(m.len(), N as usize, "live len must be exact");
             cuts += 1;
         }
         assert!(cuts > 0, "reader never observed a cut");
     });
-
-    // At quiescence the weak sum is exact again.
     assert_eq!(m.len(), N as usize);
-    assert_eq!(m.snapshot_all().len(), m.len());
 }
