@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pathcopy_bench::measure::run_concurrent;
 use pathcopy_bench::sets::prefill_treap;
-use pathcopy_concurrent::TreapSet;
+use pathcopy_concurrent::TreapMap;
 use pathcopy_workloads::BatchWorkload;
 
 fn bench_batch(c: &mut Criterion) {
@@ -25,7 +25,7 @@ fn bench_batch(c: &mut Criterion) {
             b.iter_custom(|iters| {
                 let mut total = Duration::ZERO;
                 for _ in 0..iters {
-                    let set = TreapSet::from_version(prefill.clone());
+                    let set = TreapMap::from_version(prefill.clone());
                     let mut streams = workload.streams();
                     streams.truncate(threads);
                     let start = Instant::now();

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pathcopy_bench::measure::run_concurrent;
 use pathcopy_bench::sets::prefill_treap;
-use pathcopy_concurrent::TreapSet;
+use pathcopy_concurrent::TreapMap;
 use pathcopy_workloads::{RandomStream, RandomWorkload};
 
 fn bench_random(c: &mut Criterion) {
@@ -22,7 +22,7 @@ fn bench_random(c: &mut Criterion) {
             b.iter_custom(|iters| {
                 let mut total = Duration::ZERO;
                 for i in 0..iters {
-                    let set = TreapSet::from_version(prefill.clone());
+                    let set = TreapMap::from_version(prefill.clone());
                     let streams: Vec<RandomStream> = (0..threads)
                         .map(|t| RandomStream::new(50_000, 1000 + i * 17 + t as u64))
                         .collect();

@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pathcopy_trees::mutable::MutTreapSet;
-use pathcopy_trees::{ExternalBstSet, TreapSet};
+use pathcopy_trees::{ExternalBstSet, TreapMap};
 
 const N: i64 = 10_000;
 
@@ -26,9 +26,9 @@ fn bench_inserts(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("persistent_treap", N), |b| {
         b.iter(|| {
-            let mut s = TreapSet::empty();
+            let mut s = TreapMap::new();
             for k in 0..N {
-                if let Some(next) = s.insert(black_box(k)) {
+                if let Some(next) = s.insert_if_absent(black_box(k), ()) {
                     s = next;
                 }
             }
@@ -54,13 +54,13 @@ fn bench_lookups(c: &mut Criterion) {
     group.sample_size(20);
     group.measurement_time(std::time::Duration::from_millis(1500));
     group.warm_up_time(std::time::Duration::from_millis(300));
-    let treap: TreapSet<i64> = (0..N).collect();
+    let treap: TreapMap<i64, ()> = (0..N).map(|k| (k, ())).collect();
     let mutable: MutTreapSet<i64> = (0..N).collect();
     group.bench_function("persistent_treap", |b| {
         let mut k = 0;
         b.iter(|| {
             k = (k + 7919) % N;
-            black_box(treap.contains(&k))
+            black_box(treap.contains_key(&k))
         })
     });
     group.bench_function("mutable_treap", |b| {
@@ -79,13 +79,13 @@ fn bench_remove_insert_cycle(c: &mut Criterion) {
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_millis(2000));
     group.warm_up_time(std::time::Duration::from_millis(400));
-    let base: TreapSet<i64> = (0..N).collect();
+    let base: TreapMap<i64, ()> = (0..N).map(|k| (k, ())).collect();
     group.bench_function("persistent_treap", |b| {
         let mut k = 0;
         b.iter(|| {
             k = (k + 7919) % N;
-            let removed = base.remove(&k).expect("present");
-            black_box(removed.insert(k).expect("absent"))
+            let (removed, ()) = base.remove(&k).expect("present");
+            black_box(removed.insert_if_absent(k, ()).expect("absent"))
         })
     });
     group.finish();

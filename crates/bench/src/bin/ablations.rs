@@ -25,7 +25,7 @@ use pathcopy_bench::cli::Args;
 use pathcopy_bench::harness::{run_paper_table, StructureKind, TableConfig};
 use pathcopy_bench::measure::run_concurrent;
 use pathcopy_bench::sets::{prefill_treap, ConcurrentSet};
-use pathcopy_concurrent::TreapSet;
+use pathcopy_concurrent::TreapMap;
 use pathcopy_core::{pool, BackoffPolicy, PathCopyUc, Update};
 use pathcopy_workloads::{BatchWorkload, RandomWorkload};
 
@@ -81,10 +81,9 @@ fn ablate_noop_skip(cfg: &TableConfig, threads: usize) {
     let workload = RandomWorkload::generate(threads, cfg.prefill_size, cfg.key_range, cfg.seed);
     let prefill = prefill_treap(&workload.prefill);
 
-    // Skipping variant: the shipped TreapSet.
+    // Skipping variant: the shipped set, `TreapMap<i64, ()>`.
     let skipping = pathcopy_bench::measure::trials(cfg.trials, |_| {
-        let set = TreapSet::new();
-        set.reset_to(prefill.clone());
+        let set = TreapMap::from_version(prefill.clone());
         let started = std::time::Instant::now();
         let ops = run_concurrent(&set, workload.streams(), cfg.trial);
         (ops, started.elapsed())
@@ -93,23 +92,23 @@ fn ablate_noop_skip(cfg: &TableConfig, threads: usize) {
     // Always-CAS variant: wraps the raw UC and re-installs the unchanged
     // version on no-ops (what a naive UC port would do).
     struct AlwaysCasSet {
-        uc: PathCopyUc<pathcopy_trees::treap::TreapSet<i64>>,
+        uc: PathCopyUc<pathcopy_trees::TreapMap<i64, ()>>,
     }
     impl ConcurrentSet<i64> for AlwaysCasSet {
         fn insert(&self, key: i64) -> bool {
-            self.uc.update(|s| match s.insert(key) {
+            self.uc.update(|s| match s.upsert(key, ()).0 {
                 Some(next) => Update::Replace(next, true),
                 None => Update::Replace(s.clone(), false), // pointless CAS
             })
         }
         fn remove(&self, key: &i64) -> bool {
             self.uc.update(|s| match s.remove(key) {
-                Some(next) => Update::Replace(next, true),
+                Some((next, ())) => Update::Replace(next, true),
                 None => Update::Replace(s.clone(), false),
             })
         }
         fn contains(&self, key: &i64) -> bool {
-            self.uc.read(|s| s.contains(key))
+            self.uc.read(|s| s.contains_key(key))
         }
         fn len(&self) -> usize {
             self.uc.read(|s| s.len())
@@ -221,8 +220,7 @@ fn ablate_alloc_rate(cfg: &TableConfig, threads: usize) {
     let prefill = prefill_treap(&workload.prefill);
 
     for p in [1, threads] {
-        let set = TreapSet::new();
-        set.reset_to(prefill.clone());
+        let set = TreapMap::from_version(prefill.clone());
         let mut streams = workload.streams();
         streams.truncate(p);
         alloc_counter::reset();

@@ -16,8 +16,9 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
 use pathcopy_bench::cli::Args;
+use pathcopy_bench::sets::prefill_treap;
 use pathcopy_core::{PathCopyUc, Update};
-use pathcopy_trees::{sharing, treap::TreapSet};
+use pathcopy_trees::sharing;
 use pathcopy_workloads::{BatchWorkload, OpStream};
 
 fn main() {
@@ -28,13 +29,7 @@ fn main() {
     let seed: u64 = args.get_or("seed", 42);
 
     let workload = BatchWorkload::generate(threads, prefill, 10_000, seed);
-    let mut initial = TreapSet::empty();
-    for &k in &workload.prefill {
-        if let Some(next) = initial.insert(k) {
-            initial = next;
-        }
-    }
-    let uc = PathCopyUc::new(initial);
+    let uc = PathCopyUc::new(prefill_treap(&workload.prefill));
 
     const HIST_BUCKETS: usize = 64;
     let hist: Vec<AtomicU64> = (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect();
@@ -57,8 +52,10 @@ fn main() {
                     loop {
                         let attempt = uc.try_update_once(&current, |set| {
                             let next = match op {
-                                pathcopy_workloads::Op::Insert(k) => set.insert(k),
-                                pathcopy_workloads::Op::Remove(k) => set.remove(&k),
+                                pathcopy_workloads::Op::Insert(k) => set.insert_if_absent(k, ()),
+                                pathcopy_workloads::Op::Remove(k) => {
+                                    set.remove(&k).map(|(next, ())| next)
+                                }
                                 pathcopy_workloads::Op::Contains(_) => None,
                             };
                             match next {
@@ -73,11 +70,7 @@ fn main() {
                                 // `current` is (conceptually) cached; count
                                 // the path nodes in `fresh` we have not seen.
                                 let key = op.key();
-                                let uncached = sharing::uncached_on_retry(
-                                    current.as_map(),
-                                    fresh.as_map(),
-                                    &key,
-                                );
+                                let uncached = sharing::uncached_on_retry(&*current, &*fresh, &key);
                                 hist[uncached.min(HIST_BUCKETS - 1)].fetch_add(1, Relaxed);
                                 retries.fetch_add(1, Relaxed);
                                 uncached_total.fetch_add(uncached as u64, Relaxed);

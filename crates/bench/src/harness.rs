@@ -14,7 +14,7 @@
 
 use std::time::{Duration, Instant};
 
-use pathcopy_concurrent::{ExternalBstSet, LockedTreapSet, TreapSet};
+use pathcopy_concurrent::{ExternalBstSet, LockedTreapSet, TreapMap};
 use pathcopy_core::BackoffPolicy;
 use pathcopy_workloads::{BatchWorkload, OpStream, RandomWorkload};
 
@@ -59,7 +59,7 @@ impl StructureKind {
             StructureKind::Treap => {
                 let prefill = prefill_treap(prefill_keys);
                 Box::new(move || {
-                    let set = TreapSet::with_backoff(backoff);
+                    let set = TreapMap::with_backoff(backoff);
                     set.reset_to(prefill.clone());
                     Box::new(set)
                 })

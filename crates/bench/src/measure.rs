@@ -142,7 +142,7 @@ pub fn trials_with_warmup(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathcopy_concurrent::TreapSet;
+    use pathcopy_concurrent::TreapMap;
     use pathcopy_workloads::RandomStream;
 
     #[test]
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn concurrent_run_counts_ops() {
-        let set = TreapSet::new();
+        let set: TreapMap<i64, ()> = TreapMap::new();
         let streams: Vec<RandomStream> =
             (0..2).map(|i| RandomStream::new(1000, i as u64)).collect();
         let ops = run_concurrent(&set, streams, Duration::from_millis(30));

@@ -10,7 +10,7 @@
 //! baseline trait and the shared prefill builders.
 
 use pathcopy_trees::mutable::MutTreapSet;
-use pathcopy_trees::{treap, ExternalBstSet as PExternalBstSet};
+use pathcopy_trees::{ExternalBstSet as PExternalBstSet, TreapMap as PTreapMap};
 use pathcopy_workloads::Op;
 
 pub use pathcopy_core::ConcurrentSet;
@@ -49,15 +49,12 @@ impl SequentialSet for MutTreapSet<i64> {
 }
 
 /// Builds the persistent prefill treap once; cloning it per trial is O(1)
-/// thanks to persistence.
-pub fn prefill_treap(keys: &[i64]) -> treap::TreapSet<i64> {
-    let mut set = treap::TreapSet::empty();
-    for &k in keys {
-        if let Some(next) = set.insert(k) {
-            set = next;
-        }
-    }
-    set
+/// thanks to persistence. The keys are sorted first, so the build is one
+/// allocation per key and no path copies.
+pub fn prefill_treap(keys: &[i64]) -> PTreapMap<i64, ()> {
+    let mut sorted = keys.to_vec();
+    sorted.sort_unstable();
+    sorted.into_iter().map(|k| (k, ())).collect()
 }
 
 /// Builds the persistent prefill external BST.
@@ -79,11 +76,11 @@ pub fn prefill_mutable(keys: &[i64]) -> MutTreapSet<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathcopy_concurrent::TreapSet;
+    use pathcopy_concurrent::TreapMap;
 
     #[test]
     fn core_trait_dispatches_correctly() {
-        let s = TreapSet::new();
+        let s: TreapMap<i64, ()> = TreapMap::new();
         assert!(ConcurrentSet::insert(&s, 1));
         assert!(ConcurrentSet::contains(&s, &1));
         assert!(Op::Remove(1).apply_to(&s));

@@ -171,7 +171,7 @@ pub(crate) fn failed_guards<V>(results: &[BatchResult<V>]) -> Vec<usize> {
 /// keep batch order) and applied as one
 /// [`apply_sorted`](PTreapMap::apply_sorted) run, which copies the union
 /// of their paths once.
-pub(crate) fn apply_shard_ops<K, V>(
+pub(crate) fn apply_batch<K, V>(
     map: &PTreapMap<K, V>,
     batch: &[BatchOp<K, V>],
 ) -> (Option<PTreapMap<K, V>>, Vec<BatchResult<V>>)
@@ -194,7 +194,7 @@ where
     (next, results)
 }
 
-/// The op-by-op form [`apply_shard_ops`] replaced, kept as its oracle:
+/// The op-by-op form [`apply_batch`] replaced, kept as its oracle:
 /// each op copies its path from the version the previous op built.
 #[cfg(test)]
 fn apply_ops_one_by_one<K, V>(
@@ -286,7 +286,7 @@ mod tests {
         /// changed. Guarded, the batch aborts exactly when a guard of
         /// the oracle's run fails, and then writes nothing.
         #[test]
-        fn apply_shard_ops_matches_the_op_by_op_oracle(
+        fn apply_batch_matches_the_op_by_op_oracle(
             size in 0usize..4096,
             raw in prop::collection::vec((0u8..4, any::<u16>(), 0u16..4, 0u16..5), 0..160),
         ) {
@@ -294,7 +294,7 @@ mod tests {
                 (0..size as u32).map(|k| (2 * k, (2 * k % 4) as u16)).collect();
             let batch = to_batch(&raw, size);
             let (want_next, want) = apply_ops_one_by_one(&map, &batch);
-            let (got_next, got) = apply_shard_ops(&map, &batch);
+            let (got_next, got) = apply_batch(&map, &batch);
             prop_assert_eq!(&got, &want);
             let want_map = want_next.unwrap_or_else(|| map.clone());
             prop_assert_eq!(got_next.is_some(), want_map != map, "a version iff the contents changed");
@@ -325,9 +325,8 @@ mod tests {
         assert_eq!(m.stats().snapshot().ops, 0);
     }
 
-    // The name is kept from the sharded map; the batch now spans one root.
     #[test]
-    fn batch_ops_apply_in_order_within_and_across_shards() {
+    fn batch_ops_apply_in_order() {
         let m: TreapMap<u64, u64> = TreapMap::new();
         let r = m.transact(&[
             BatchOp::Insert(1, 10),
@@ -393,10 +392,9 @@ mod tests {
         assert_eq!(m.get(&8), Some(80));
     }
 
-    // The name is kept from the sharded map; a Get-only batch of any
-    // size is one no-op update.
+    /// A Get-only batch of any size is one no-op update.
     #[test]
-    fn read_only_multi_shard_batch_installs_nothing() {
+    fn read_only_batch_installs_nothing() {
         let m: TreapMap<u64, u64> = TreapMap::new();
         for k in 0..64 {
             m.insert(k, k);
@@ -421,7 +419,7 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_batch_takes_the_lock_free_cas_path() {
+    fn batch_takes_the_lock_free_cas_path() {
         let m: TreapMap<u64, u64> = TreapMap::new();
         let r = m.transact(&[
             BatchOp::Insert(1, 1),
@@ -435,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn guarded_single_shard_abort_writes_nothing() {
+    fn guarded_abort_writes_nothing() {
         let m: TreapMap<u64, u64> = TreapMap::new();
         m.insert(1, 10);
         let err = m
@@ -457,10 +455,8 @@ mod tests {
         assert_eq!(m.stats().snapshot().noop_updates, 1);
     }
 
-    // The name is kept from the sharded map; the batch's 64 inserts and
-    // three guards now share one root.
     #[test]
-    fn guarded_multi_shard_abort_writes_nothing_and_reports_all_failures() {
+    fn guarded_abort_reports_all_failures_and_installs_no_root() {
         let m: TreapMap<u64, u64> = TreapMap::new();
         m.insert(1, 10);
         m.insert(2, 20);

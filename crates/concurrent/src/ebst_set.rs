@@ -12,8 +12,8 @@ use crate::snapshot::EbstSnapshot;
 
 /// A lock-free concurrent ordered set backed by a persistent external BST.
 ///
-/// Functionally equivalent to
-/// [`TreapSet`](crate::TreapSet); structurally it matches the paper's
+/// Functionally equivalent to the treap set
+/// [`TreapMap<K, ()>`](crate::TreapMap); structurally it matches the paper's
 /// model exactly, which makes it the reference subject for the
 /// modified-nodes-on-path measurements (Fig. 5).
 pub struct ExternalBstSet<K> {

@@ -35,7 +35,6 @@ pub use ebst_set::ExternalBstSet;
 pub use locked::LockedTreapSet;
 #[doc(hidden)]
 pub use sharded::ShardedTreapMap;
-pub use snapshot::{EbstSnapshot, SetRange, TreapSetSnapshot, TreapSnapshot};
-pub use treap_set::TreapSet;
+pub use snapshot::{EbstSnapshot, SetRange, TreapSnapshot};
 
 pub use treap_map::TreapMap;

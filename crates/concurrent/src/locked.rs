@@ -1,5 +1,5 @@
-//! The lock-protected baseline with the same API surface as the
-//! lock-free [`TreapSet`](crate::TreapSet) — the "simplest UC" from the
+//! The lock-protected baseline with the same set API as the lock-free
+//! [`TreapMap<K, ()>`](crate::TreapMap) — the "simplest UC" from the
 //! paper's introduction: one global mutex around the treap.
 //!
 //! Because the protected structure is still the *persistent* treap,
@@ -10,13 +10,13 @@ use std::hash::Hash;
 
 use pathcopy_core::api;
 use pathcopy_core::{MutexUc, Update};
-use pathcopy_trees::treap;
+use pathcopy_trees::TreapMap as PTreapMap;
 
-use crate::snapshot::TreapSetSnapshot;
+use crate::snapshot::TreapSnapshot;
 
 /// Treap set protected by one global mutex (reads and writes serialize).
 pub struct LockedTreapSet<K> {
-    uc: MutexUc<treap::TreapSet<K>>,
+    uc: MutexUc<PTreapMap<K, ()>>,
 }
 
 impl<K: Ord + Clone + Hash + Send + Sync> Default for LockedTreapSet<K> {
@@ -29,12 +29,12 @@ impl<K: Ord + Clone + Hash + Send + Sync> LockedTreapSet<K> {
     /// Creates an empty set.
     pub fn new() -> Self {
         LockedTreapSet {
-            uc: MutexUc::new(treap::TreapSet::empty()),
+            uc: MutexUc::new(PTreapMap::new()),
         }
     }
 
     /// Creates a set from a prebuilt persistent version.
-    pub fn from_version(initial: treap::TreapSet<K>) -> Self {
+    pub fn from_version(initial: PTreapMap<K, ()>) -> Self {
         LockedTreapSet {
             uc: MutexUc::new(initial),
         }
@@ -42,23 +42,24 @@ impl<K: Ord + Clone + Hash + Send + Sync> LockedTreapSet<K> {
 
     /// Inserts `key`; `true` if the set changed.
     pub fn insert(&self, key: K) -> bool {
-        self.uc.update(move |set| match set.insert(key) {
-            Some(next) => Update::Replace(next, true),
-            None => Update::Keep(false),
-        })
+        self.uc
+            .update(move |set| match set.insert_if_absent(key, ()) {
+                Some(next) => Update::Replace(next, true),
+                None => Update::Keep(false),
+            })
     }
 
     /// Removes `key`; `true` if the set changed.
     pub fn remove(&self, key: &K) -> bool {
         self.uc.update(|set| match set.remove(key) {
-            Some(next) => Update::Replace(next, true),
+            Some((next, ())) => Update::Replace(next, true),
             None => Update::Keep(false),
         })
     }
 
     /// `true` if `key` is present.
     pub fn contains(&self, key: &K) -> bool {
-        self.uc.read(|set| set.contains(key))
+        self.uc.read(|set| set.contains_key(key))
     }
 
     /// Number of keys.
@@ -73,8 +74,8 @@ impl<K: Ord + Clone + Hash + Send + Sync> LockedTreapSet<K> {
 
     /// Point-in-time snapshot (persistent versions make this O(1) even
     /// under a mutex).
-    pub fn snapshot(&self) -> TreapSetSnapshot<K> {
-        TreapSetSnapshot::new(self.uc.snapshot())
+    pub fn snapshot(&self) -> TreapSnapshot<K, ()> {
+        TreapSnapshot::new(self.uc.snapshot())
     }
 }
 
@@ -97,9 +98,9 @@ impl<K: Ord + Clone + Hash + Send + Sync> api::ConcurrentSet<K> for LockedTreapS
 }
 
 impl<K: Ord + Clone + Hash + Send + Sync> api::Snapshottable for LockedTreapSet<K> {
-    type Snapshot = TreapSetSnapshot<K>;
+    type Snapshot = TreapSnapshot<K, ()>;
 
-    fn snapshot(&self) -> TreapSetSnapshot<K> {
+    fn snapshot(&self) -> TreapSnapshot<K, ()> {
         LockedTreapSet::snapshot(self)
     }
 }
@@ -132,7 +133,7 @@ mod tests {
         s.insert(1);
         let snap = s.snapshot();
         s.remove(&1);
-        assert!(snap.contains(&1));
+        assert!(snap.contains_key(&1));
         assert!(!s.contains(&1));
     }
 }

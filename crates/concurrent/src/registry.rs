@@ -11,7 +11,7 @@
 
 use pathcopy_core::api::{ConcurrentMap, ConcurrentSet, MapSnapshot, SetSnapshot, Snapshottable};
 
-use crate::{ExternalBstSet, LockedTreapSet, TreapMap, TreapSet};
+use crate::{ExternalBstSet, LockedTreapSet, TreapMap};
 
 /// Visitor instantiated once per map backend with the concrete type —
 /// write the generic logic once in [`drive`](Self::drive), then run it
@@ -39,10 +39,10 @@ pub trait SetBackendDriver {
         S::Snapshot: SetSnapshot<i64>;
 }
 
-/// Runs `driver` over every set backend (the lock-free treap and external
-/// BST, and the mutex baseline).
+/// Runs `driver` over every set backend (the lock-free treap — the map of
+/// units — and external BST, and the mutex baseline).
 pub fn for_each_set_backend<D: SetBackendDriver>(driver: &mut D) {
-    driver.drive("treap_set", TreapSet::new);
+    driver.drive("treap_set", TreapMap::<i64, ()>::new);
     driver.drive("ebst_set", ExternalBstSet::new);
     driver.drive("mutex_treap_set", LockedTreapSet::new);
 }

@@ -111,7 +111,7 @@ impl<'a, K, V> IntoIterator for &'a TreapSnapshot<K, V> {
     }
 }
 
-/// Lazy ascending key iterator over a treap-backed set snapshot.
+/// Lazy ascending key iterator over a set's [`TreapSnapshot<K, ()>`].
 pub struct SetRange<'a, K> {
     inner: TreapRange<'a, K, ()>,
 }
@@ -124,48 +124,8 @@ impl<'a, K: Ord> Iterator for SetRange<'a, K> {
     }
 }
 
-/// Immutable point-in-time view of a treap-backed concurrent set
-/// ([`TreapSet`](crate::TreapSet), [`LockedTreapSet`](crate::LockedTreapSet)).
-///
-/// Derefs to the persistent [`pathcopy_trees::treap::TreapSet`].
-pub struct TreapSetSnapshot<K> {
-    inner: Arc<treap::TreapSet<K>>,
-}
-
-impl<K> TreapSetSnapshot<K> {
-    pub(crate) fn new(inner: Arc<treap::TreapSet<K>>) -> Self {
-        TreapSetSnapshot { inner }
-    }
-
-    /// The underlying persistent version.
-    pub fn as_inner(&self) -> &Arc<treap::TreapSet<K>> {
-        &self.inner
-    }
-}
-
-impl<K> Clone for TreapSetSnapshot<K> {
-    fn clone(&self) -> Self {
-        TreapSetSnapshot {
-            inner: self.inner.clone(),
-        }
-    }
-}
-
-impl<K> Deref for TreapSetSnapshot<K> {
-    type Target = treap::TreapSet<K>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.inner
-    }
-}
-
-impl<K: fmt::Debug + Ord> fmt::Debug for TreapSetSnapshot<K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-impl<K> SetSnapshot<K> for TreapSetSnapshot<K>
+/// A set is a map of units: its snapshot is the map's, read as keys.
+impl<K> SetSnapshot<K> for TreapSnapshot<K, ()>
 where
     K: Ord + Clone + Send + Sync,
 {
@@ -176,7 +136,7 @@ where
         K: 'a;
 
     fn contains(&self, key: &K) -> bool {
-        self.inner.contains(key)
+        self.inner.contains_key(key)
     }
 
     fn len(&self) -> usize {
@@ -185,21 +145,12 @@ where
 
     fn range_by(&self, lo: Bound<&K>, hi: Bound<&K>) -> Self::Range<'_> {
         SetRange {
-            inner: self.inner.as_map().range((lo.cloned(), hi.cloned())),
+            inner: self.inner.range((lo.cloned(), hi.cloned())),
         }
     }
 
     fn diff(&self, newer: &Self) -> Vec<SetDiffEntry<K>> {
-        SetDiffEntry::from_unit_diff(self.inner.as_map().diff(newer.inner.as_map()))
-    }
-}
-
-impl<K: Clone> IntoIterator for TreapSetSnapshot<K> {
-    type Item = K;
-    type IntoIter = treap::SetIntoIter<K>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        treap::TreapSet::clone(&self.inner).into_iter()
+        SetDiffEntry::from_unit_diff(self.inner.diff(&newer.inner))
     }
 }
 

@@ -9,7 +9,7 @@ use pathcopy_core::api;
 use pathcopy_core::{BackoffPolicy, PathCopyUc, StatsSnapshot, UcStats, Update, UpdateReport};
 use pathcopy_trees::TreapMap as PTreapMap;
 
-use crate::batch::{apply_shard_ops, failed_guards, BatchOp, BatchResult, GuardAbort};
+use crate::batch::{apply_batch, failed_guards, BatchOp, BatchResult, GuardAbort};
 use crate::snapshot::TreapSnapshot;
 
 /// A lock-free concurrent ordered map backed by a persistent treap.
@@ -212,7 +212,7 @@ where
             return Ok(Vec::new());
         }
         self.uc.update(|map| {
-            let (next, results) = apply_shard_ops(map, batch);
+            let (next, results) = apply_batch(map, batch);
             if guarded {
                 let failed = failed_guards(&results);
                 if !failed.is_empty() {

@@ -1,16 +1,17 @@
 //! Count gates for the bulk writes: a batch allocates exactly the nodes
 //! its new version does not share with the old one, a sorted build
 //! allocates one node per key, and a batch that changes nothing
-//! allocates nothing and installs nothing.
+//! allocates nothing and installs nothing. The set, `TreapMap<K, ()>`
+//! through `ConcurrentSet`, is held to the same counts one key at a time.
 //!
 //! Counts, not timings: `pool::stats().blocks_handed_out` is exact for
 //! the calling thread, and the tests take turns so no other test's
 //! allocations land between two readings.
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pathcopy_concurrent::{BatchOp, TreapMap};
-use pathcopy_core::pool;
+use pathcopy_core::{pool, ConcurrentSet};
 use pathcopy_trees::hash::splitmix64;
 use pathcopy_trees::{sharing_stats, TreapMap as PTreapMap};
 
@@ -95,4 +96,55 @@ fn a_batch_of_equal_value_inserts_hands_out_nothing_and_installs_nothing() {
         "the root was replaced"
     );
     assert_eq!(map.stats().snapshot().noop_updates, noops + 1);
+}
+
+/// A set of the odd keys `1, 3, .., 2^16 - 1`.
+fn prefilled_set() -> TreapMap<i64, ()> {
+    (0..1i64 << 15).map(|k| (2 * k + 1, ())).collect()
+}
+
+#[test]
+fn a_set_noop_hands_out_nothing_and_keeps_the_root() {
+    let _turn = take_turns();
+    let set = prefilled_set();
+    for (what, insert, key) in [
+        ("a present-key insert", true, 4097),
+        ("an absent-key remove", false, 4096),
+    ] {
+        let old = set.snapshot();
+        let noops = set.stats().snapshot().noop_updates;
+        let (changed, handed_out) = blocks_handed_out(|| {
+            if insert {
+                ConcurrentSet::insert(&set, key)
+            } else {
+                ConcurrentSet::remove(&set, &key)
+            }
+        });
+        assert!(!changed, "{what} changed the set");
+        assert_eq!(handed_out, 0, "{what} handed out blocks");
+        assert!(
+            Arc::ptr_eq(old.as_inner(), set.snapshot().as_inner()),
+            "{what} replaced the root"
+        );
+        assert_eq!(set.stats().snapshot().noop_updates, noops + 1, "{what}");
+    }
+}
+
+#[test]
+fn a_set_insert_hands_out_exactly_its_fresh_nodes() {
+    let _turn = take_turns();
+    let set = prefilled_set();
+    // Absent keys: inside the range, past both ends, and next to the
+    // keys the earlier inserts added.
+    for key in [4096, 0, -7, 1 << 16, 4098, 30_000] {
+        let old = set.snapshot();
+        let (inserted, handed_out) = blocks_handed_out(|| ConcurrentSet::insert(&set, key));
+        assert!(inserted, "{key} was present");
+        let fresh = sharing_stats::<PTreapMap<i64, ()>>(&old, &set.snapshot()).fresh;
+        assert!(fresh > 0);
+        assert_eq!(
+            handed_out, fresh as u64,
+            "inserting {key} handed out {handed_out} blocks for {fresh} fresh nodes"
+        );
+    }
 }

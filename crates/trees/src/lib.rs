@@ -23,4 +23,4 @@ pub mod treap;
 pub use external_bst::ExternalBstSet;
 pub use mutable::MutTreapSet;
 pub use sharing::{node_count, sharing_stats, uncached_on_retry, SearchTree, SharingStats};
-pub use treap::{TreapMap, TreapSet};
+pub use treap::TreapMap;

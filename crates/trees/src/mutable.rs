@@ -270,9 +270,9 @@ mod tests {
         // give the same sorted contents and identical heights.
         let keys: Vec<i64> = (0..512).map(|k| k * 3 % 512).collect();
         let mutable: MutTreapSet<i64> = keys.iter().copied().collect();
-        let persistent: crate::TreapSet<i64> = keys.iter().copied().collect();
+        let persistent: crate::TreapMap<i64, ()> = keys.iter().map(|&k| (k, ())).collect();
         let a: Vec<i64> = mutable.to_vec().into_iter().copied().collect();
-        let b: Vec<i64> = persistent.iter().copied().collect();
+        let b: Vec<i64> = persistent.keys().copied().collect();
         assert_eq!(a, b);
     }
 

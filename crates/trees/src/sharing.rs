@@ -99,7 +99,7 @@ pub fn node_count<T: SearchTree>(tree: &T) -> usize {
 
 // --- implementations for the crate's trees ------------------------------
 
-use crate::treap::{TreapMap, TreapSet};
+use crate::treap::TreapMap;
 use pathcopy_core::pool::PoolArc;
 
 impl<K: Ord, V> SearchTree for TreapMap<K, V> {
@@ -129,18 +129,6 @@ impl<K: Ord, V> SearchTree for TreapMap<K, V> {
             }
         }
         walk(self.root(), visit);
-    }
-}
-
-impl<K: Ord> SearchTree for TreapSet<K> {
-    type Key = K;
-
-    fn visit_path(&self, key: &K, visit: &mut dyn FnMut(usize)) {
-        self.as_map().visit_path(key, visit);
-    }
-
-    fn visit_all(&self, visit: &mut dyn FnMut(usize)) {
-        self.as_map().visit_all(visit);
     }
 }
 

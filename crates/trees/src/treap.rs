@@ -220,88 +220,6 @@ impl<K: Ord + Clone, V: Clone> TreapMap<K, V> {
     {
         remove_rec(&self.root, key).map(|(root, v)| (TreapMap { root }, v))
     }
-
-    /// Splits into (`< key`, value at `key`, `> key`).
-    pub fn split<Q>(&self, key: &Q) -> (Self, Option<V>, Self)
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let (l, m, r) = split_rec(&self.root, key);
-        (
-            TreapMap { root: l },
-            m.map(|n| n.value.clone()),
-            TreapMap { root: r },
-        )
-    }
-
-    /// Joins two maps; every key of `self` must be strictly less than
-    /// every key of `right`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the key ranges overlap.
-    pub fn join(&self, right: &Self) -> Self {
-        debug_assert!(
-            match (self.max_entry(), right.min_entry()) {
-                (Some((a, _)), Some((b, _))) => a < b,
-                _ => true,
-            },
-            "join requires disjoint, ordered key ranges"
-        );
-        TreapMap {
-            root: merge(&self.root, &right.root),
-        }
-    }
-
-    /// Set-union of two maps; on key collisions values from `self` win.
-    pub fn union(&self, other: &Self) -> Self {
-        TreapMap {
-            root: union_rec(&self.root, &other.root),
-        }
-    }
-
-    /// Returns the entry with the smallest key ≥ `key`.
-    pub fn ceiling<Q>(&self, key: &Q) -> Option<(&K, &V)>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let mut best = None;
-        let mut cur = self.root.as_deref();
-        while let Some(n) = cur {
-            match key.cmp(n.key.borrow()) {
-                Less => {
-                    best = Some((&n.key, &n.value));
-                    cur = n.left.as_deref();
-                }
-                Equal => return Some((&n.key, &n.value)),
-                Greater => cur = n.right.as_deref(),
-            }
-        }
-        best
-    }
-
-    /// Returns the entry with the largest key ≤ `key`.
-    pub fn floor<Q>(&self, key: &Q) -> Option<(&K, &V)>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let mut best = None;
-        let mut cur = self.root.as_deref();
-        while let Some(n) = cur {
-            match key.cmp(n.key.borrow()) {
-                Greater => {
-                    best = Some((&n.key, &n.value));
-                    cur = n.right.as_deref();
-                }
-                Equal => return Some((&n.key, &n.value)),
-                Less => cur = n.left.as_deref(),
-            }
-        }
-        best
-    }
 }
 
 impl<K: Ord, V> TreapMap<K, V> {
@@ -1212,31 +1130,6 @@ where
     }
 }
 
-/// Union by split-and-recurse; `a`'s values win on collisions. The root
-/// of the result is whichever input root has the higher priority, which
-/// keeps the heap order intact.
-fn union_rec<K: Ord + Clone, V: Clone>(a: &Link<K, V>, b: &Link<K, V>) -> Link<K, V> {
-    match (a, b) {
-        (None, _) => b.clone(),
-        (_, None) => a.clone(),
-        (Some(an), Some(bn)) => {
-            if an.priority >= bn.priority {
-                let (bl, _bm, br) = split_rec(b, an.key.borrow());
-                let left = union_rec(&an.left, &bl);
-                let right = union_rec(&an.right, &br);
-                Some(with_children(an, left, right))
-            } else {
-                let (al, am, ar) = split_rec(a, bn.key.borrow());
-                let left = union_rec(&al, &bn.left);
-                let right = union_rec(&ar, &bn.right);
-                // `a`'s value wins if both trees carry `bn.key`.
-                let value = am.map_or_else(|| bn.value.clone(), |m| m.value.clone());
-                Some(mk(bn.key.clone(), value, bn.priority, left, right))
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Iterators
 // ---------------------------------------------------------------------------
@@ -1377,136 +1270,6 @@ impl<'a, K: Ord, V, R: RangeBounds<K>> Iterator for Range<'a, K, V, R> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Set façade
-// ---------------------------------------------------------------------------
-
-/// A persistent ordered set backed by [`TreapMap<K, ()>`].
-///
-/// `insert`/`remove` return `None` when the operation would not change the
-/// set, so the universal construction can skip its CAS (paper §4.2: "some
-/// operations do not modify the data structure").
-#[derive(Clone, Default)]
-pub struct TreapSet<K> {
-    map: TreapMap<K, ()>,
-}
-
-impl<K: Ord + Clone + Hash> TreapSet<K> {
-    /// Creates an empty set.
-    pub fn new() -> Self
-    where
-        K: Default,
-    {
-        TreapSet {
-            map: TreapMap::new(),
-        }
-    }
-
-    /// Creates an empty set (no `Default` bound).
-    pub fn empty() -> Self {
-        TreapSet {
-            map: TreapMap::new(),
-        }
-    }
-
-    /// Inserts `key`; `None` means it was already present.
-    pub fn insert(&self, key: K) -> Option<Self> {
-        self.map
-            .insert_if_absent(key, ())
-            .map(|map| TreapSet { map })
-    }
-
-    /// Removes `key`; `None` means it was absent.
-    pub fn remove<Q>(&self, key: &Q) -> Option<Self>
-    where
-        K: Borrow<Q>,
-        Q: Ord + Hash + ?Sized,
-    {
-        self.map.remove(key).map(|(map, ())| TreapSet { map })
-    }
-
-    /// Set union.
-    pub fn union(&self, other: &Self) -> Self {
-        TreapSet {
-            map: self.map.union(&other.map),
-        }
-    }
-}
-
-impl<K: Ord> TreapSet<K> {
-    /// `true` if `key` is present.
-    pub fn contains<Q>(&self, key: &Q) -> bool
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.map.contains_key(key)
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` if empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Iterator over keys in order.
-    pub fn iter(&self) -> impl Iterator<Item = &K> {
-        self.map.keys()
-    }
-
-    /// The underlying map (for structural inspection).
-    pub fn as_map(&self) -> &TreapMap<K, ()> {
-        &self.map
-    }
-
-    /// Validates treap invariants; returns the node count.
-    pub fn check_invariants(&self) -> usize {
-        self.map.check_invariants()
-    }
-}
-
-/// Owning ascending key iterator over a [`TreapSet`] version.
-pub struct SetIntoIter<K> {
-    inner: IntoIter<K, ()>,
-}
-
-impl<K: Clone> Iterator for SetIntoIter<K> {
-    type Item = K;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next().map(|(k, ())| k)
-    }
-}
-
-impl<K: Clone> IntoIterator for TreapSet<K> {
-    type Item = K;
-    type IntoIter = SetIntoIter<K>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        SetIntoIter {
-            inner: self.map.into_iter(),
-        }
-    }
-}
-
-impl<K: fmt::Debug + Ord> fmt::Debug for TreapSet<K> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter()).finish()
-    }
-}
-
-impl<K: Ord + Clone + Hash> FromIterator<K> for TreapSet<K> {
-    fn from_iter<I: IntoIterator<Item = K>>(iter: I) -> Self {
-        TreapSet {
-            map: iter.into_iter().map(|k| (k, ())).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1635,7 +1398,7 @@ mod tests {
     }
 
     #[test]
-    fn rank_select_floor_ceiling() {
+    fn rank_select_min_max() {
         let m: TreapMap<i64, i64> = (0..100).map(|k| (k * 2, k)).collect(); // evens 0..198
         assert_eq!(m.select(0).unwrap().0, &0);
         assert_eq!(m.select(99).unwrap().0, &198);
@@ -1643,38 +1406,27 @@ mod tests {
         assert_eq!(m.rank(&0), 0);
         assert_eq!(m.rank(&7), 4); // 0,2,4,6
         assert_eq!(m.rank(&500), 100);
-        assert_eq!(m.floor(&7).unwrap().0, &6);
-        assert_eq!(m.ceiling(&7).unwrap().0, &8);
-        assert_eq!(m.floor(&-1), None);
-        assert_eq!(m.ceiling(&199), None);
         assert_eq!(m.min_entry().unwrap().0, &0);
         assert_eq!(m.max_entry().unwrap().0, &198);
     }
 
     #[test]
     fn split_and_join() {
+        // The split and the merge that insert and remove are built from.
         let m: TreapMap<i64, i64> = (0..100).map(|k| (k, k)).collect();
-        let (l, mid, r) = m.split(&50);
-        assert_eq!(mid, Some(50));
-        assert_eq!(l.len(), 50);
-        assert_eq!(r.len(), 49);
+        let (l, mid, r) = split_rec(&m.root, &50);
+        assert_eq!(mid.map(|n| n.value), Some(50));
+        let (l, r) = (TreapMap { root: l }, TreapMap { root: r });
+        assert!(l.keys().copied().eq(0..50));
+        assert!(r.keys().copied().eq(51..100));
         l.check_invariants();
         r.check_invariants();
-        let joined = l.join(&r);
+        let joined = TreapMap {
+            root: merge(&l.root, &r.root),
+        };
         assert_eq!(joined.len(), 99);
         assert!(!joined.contains_key(&50));
         joined.check_invariants();
-    }
-
-    #[test]
-    fn union_prefers_left_values() {
-        let a: TreapMap<i64, &str> = [(1, "a1"), (2, "a2")].into_iter().collect();
-        let b: TreapMap<i64, &str> = [(2, "b2"), (3, "b3")].into_iter().collect();
-        let u = a.union(&b);
-        assert_eq!(u.len(), 3);
-        assert_eq!(u.get(&2), Some(&"a2"));
-        assert_eq!(u.get(&3), Some(&"b3"));
-        u.check_invariants();
     }
 
     #[test]
@@ -1734,13 +1486,15 @@ mod tests {
 
     #[test]
     fn set_facade_noop_semantics() {
-        let s: TreapSet<i64> = TreapSet::empty();
-        let s = s.insert(1).unwrap();
-        assert!(s.insert(1).is_none(), "duplicate insert is a no-op");
+        // A set is a map of units: a present-key insert and an absent-key
+        // remove build no version.
+        let s: TreapMap<i64, ()> = TreapMap::new();
+        let s = s.upsert(1, ()).0.unwrap();
+        assert!(s.upsert(1, ()).0.is_none(), "duplicate insert is a no-op");
         assert!(s.remove(&2).is_none(), "absent remove is a no-op");
-        let s2 = s.remove(&1).unwrap();
-        assert!(s.contains(&1), "old version untouched");
-        assert!(!s2.contains(&1));
+        let (s2, ()) = s.remove(&1).unwrap();
+        assert!(s.contains_key(&1), "old version untouched");
+        assert!(!s2.contains_key(&1));
         assert_eq!(s2.len(), 0);
     }
 
@@ -1872,8 +1626,6 @@ mod tests {
         let borrowed: Vec<(i64, i64)> = m.iter().map(|(k, v)| (*k, *v)).collect();
         let owned: Vec<(i64, i64)> = m.clone().into_iter().collect();
         assert_eq!(owned, borrowed);
-        let set: TreapSet<i64> = (0..100).collect();
-        assert!(set.clone().into_iter().eq(0..100));
     }
 
     fn same_shape<K: Ord, V>(a: &Link<K, V>, b: &Link<K, V>) -> bool {

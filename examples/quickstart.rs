@@ -8,8 +8,8 @@ use path_copying::prelude::*;
 
 fn main() {
     // A lock-free, linearizable ordered set built from a persistent treap
-    // by the paper's universal construction.
-    let set = TreapSet::new();
+    // by the paper's universal construction: a map whose values are `()`.
+    let set: TreapMap<i64, ()> = TreapMap::new();
 
     // Writers: each thread inserts a disjoint block (the paper's Batch
     // workload in miniature). Updates are lock-free; failed CASes retry.
@@ -18,7 +18,7 @@ fn main() {
             let set = &set;
             s.spawn(move || {
                 for i in 0..10_000 {
-                    set.insert(t * 10_000 + i);
+                    set.insert(t * 10_000 + i, ());
                 }
             });
         }
@@ -30,7 +30,7 @@ fn main() {
                 let snap = set.snapshot();
                 // The snapshot is a full persistent treap: iterate, range
                 // query, rank-select — all consistent, never blocking.
-                let below_100 = snap.as_map().range(..100).count();
+                let below_100 = SetSnapshot::range(&snap, ..100).count();
                 assert!(below_100 <= 100);
             }
         });
@@ -47,9 +47,9 @@ fn main() {
     println!(
         "after removing 10k keys: live set = {}, old snapshot still = {}",
         set.len(),
-        before.len()
+        SetSnapshot::len(&before)
     );
-    assert_eq!(before.len(), 40_000);
+    assert_eq!(SetSnapshot::len(&before), 40_000);
 
     // The UC records contention statistics (the paper's Fig-4 quantity).
     let stats = set.stats().snapshot();

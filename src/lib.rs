@@ -49,7 +49,7 @@
 //!
 //! | Backend | Progress guarantee | Snapshot cost | When to use |
 //! |---|---|---|---|
-//! | [`TreapMap`](prelude::TreapMap) / [`TreapSet`](prelude::TreapSet) | lock-free updates, wait-free reads | O(1) | The paper's construction, one root. Atomic multi-key batches via `TreapMap::transact`; as `TreapMap<K, ()>`, a set with batches. Nodes are pooled (`PoolArc`), so an update makes ~2 global allocations, not one per copied node. |
+//! | [`TreapMap`](prelude::TreapMap) | lock-free updates, wait-free reads | O(1) | The paper's construction, one root. A set is `TreapMap<K, ()>` (a [`ConcurrentSet`](prelude::ConcurrentSet), its snapshot a [`SetSnapshot`](prelude::SetSnapshot)). Atomic multi-key batches via `TreapMap::transact`. Nodes are pooled (`PoolArc`), so an update makes ~2 global allocations, not one per copied node. |
 //! | [`ConcurrentExternalBstSet`](prelude::ConcurrentExternalBstSet) | lock-free | O(1) | The Appendix-A model tree (no rotations); reference subject for path-length measurements. |
 //! | [`LockedTreapSet`](prelude::LockedTreapSet) | blocking (global mutex) | O(1) | The intro's "simplest UC" baseline; surprisingly fine at low thread counts. |
 //!
@@ -94,23 +94,26 @@
 //! ```
 //! use path_copying::prelude::*;
 //!
-//! let set = TreapSet::new();
+//! // A set is a map of units.
+//! let set: TreapMap<i64, ()> = TreapMap::new();
 //! std::thread::scope(|s| {
 //!     for t in 0..4i64 {
 //!         let set = &set;
 //!         s.spawn(move || {
 //!             for i in 0..1000 {
-//!                 set.insert(t * 1000 + i); // lock-free, linearizable
+//!                 set.insert(t * 1000 + i, ()); // lock-free, linearizable
 //!             }
 //!         });
 //!     }
 //! });
 //! assert_eq!(set.len(), 4000);
 //!
-//! // O(1) immutable snapshot: reads never block writers.
+//! // O(1) immutable snapshot: reads never block writers. It is a map
+//! // snapshot and a set snapshot, so name the trait.
 //! let snap = set.snapshot();
 //! set.remove(&0);
-//! assert!(snap.contains(&0));
+//! assert!(SetSnapshot::contains(&snap, &0));
+//! assert!(!set.contains(&0));
 //! ```
 //!
 //! ## Atomic batch transactions
@@ -360,15 +363,13 @@ pub use pathcopy_workloads;
 pub mod prelude {
     pub use pathcopy_concurrent::{
         diff_to_ops, BatchOp, BatchResult, EbstSnapshot,
-        ExternalBstSet as ConcurrentExternalBstSet, GuardAbort, LockedTreapSet, TreapMap, TreapSet,
-        TreapSetSnapshot, TreapSnapshot,
+        ExternalBstSet as ConcurrentExternalBstSet, GuardAbort, LockedTreapSet, TreapMap,
+        TreapSnapshot,
     };
     pub use pathcopy_core::{
         BackoffPolicy, ConcurrentMap, ConcurrentSet, DiffEntry, MapSnapshot, MutexUc, PathCopyUc,
         SeqUc, SetDiffEntry, SetSnapshot, Snapshottable, StatsSnapshot, Update, VersionCell,
     };
     pub use pathcopy_replica::{PushOutcome, PushReplica, PushStats};
-    pub use pathcopy_trees::{
-        ExternalBstSet, TreapMap as PersistentTreapMap, TreapSet as PersistentTreapSet,
-    };
+    pub use pathcopy_trees::{ExternalBstSet, TreapMap as PersistentTreapMap};
 }

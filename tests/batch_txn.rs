@@ -94,7 +94,7 @@ fn snapshot_all_never_observes_a_torn_batch() {
 /// Every batch takes the lock-free CAS-on-root path: exactly one
 /// CAS-loop op per batch, and one attempt when nothing contends.
 #[test]
-fn single_shard_batches_stay_on_the_cas_path() {
+fn batches_stay_on_the_cas_path() {
     let m: TreapMap<u64, u64> = TreapMap::new();
     for b in 0..10u64 {
         m.transact(&[

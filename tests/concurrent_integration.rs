@@ -34,16 +34,16 @@ fn treap_and_external_bst_agree_on_the_same_random_stream() {
     // The same deterministic op stream applied to the paper's treap and
     // to the Appendix-A external BST (single-threaded here — agreement
     // is about semantics).
-    let treap = TreapSet::new();
+    let treap: TreapMap<i64, ()> = TreapMap::new();
     let ebst = ConcurrentExternalBstSet::new();
 
     let mk = || pathcopy_workloads::RandomStream::new(300, 99);
     drive(
         mk(),
         5_000,
-        |k| treap.insert(k),
-        |k| treap.remove(&k),
-        |k| treap.contains(&k),
+        |k| treap.insert(k, ()).is_none(),
+        |k| treap.remove(&k).is_some(),
+        |k| treap.contains_key(&k),
     );
     drive(
         mk(),
@@ -53,7 +53,7 @@ fn treap_and_external_bst_agree_on_the_same_random_stream() {
         |k| ebst.contains(&k),
     );
 
-    let a: Vec<i64> = treap.snapshot().iter().copied().collect();
+    let a: Vec<i64> = treap.snapshot().keys().copied().collect();
     let b: Vec<i64> = ebst.snapshot().iter().copied().collect();
     assert_eq!(a, b, "treap vs external bst disagree");
 }
@@ -64,11 +64,11 @@ fn lock_free_and_mutex_sets_reach_the_same_final_state() {
     // the mutex baseline acts as an oracle for the lock-free set.
     const THREADS: i64 = 4;
     const PER: i64 = 500;
-    let lock_free = TreapSet::new();
+    let lock_free: TreapMap<i64, ()> = TreapMap::new();
     let locked = LockedTreapSet::new();
 
     for set_insert in [
-        &(|k| lock_free.insert(k)) as &(dyn Fn(i64) -> bool + Sync),
+        &(|k| lock_free.insert(k, ()).is_none()) as &(dyn Fn(i64) -> bool + Sync),
         &(|k| locked.insert(k)) as &(dyn Fn(i64) -> bool + Sync),
     ] {
         std::thread::scope(|s| {
@@ -82,8 +82,8 @@ fn lock_free_and_mutex_sets_reach_the_same_final_state() {
         });
     }
 
-    let a: Vec<i64> = lock_free.snapshot().iter().copied().collect();
-    let b: Vec<i64> = locked.snapshot().iter().copied().collect();
+    let a: Vec<i64> = lock_free.snapshot().keys().copied().collect();
+    let b: Vec<i64> = locked.snapshot().keys().copied().collect();
     assert_eq!(a, b);
     assert_eq!(a.len() as i64, THREADS * PER);
 }
@@ -148,9 +148,9 @@ fn snapshot_isolation_under_heavy_churn() {
 fn batch_and_random_workloads_run_end_to_end() {
     // A miniature of the paper's two workloads through the public API.
     let workload = pathcopy_workloads::BatchWorkload::generate(3, 2_000, 300, 5);
-    let set = TreapSet::new();
+    let set: TreapMap<i64, ()> = TreapMap::new();
     for &k in &workload.prefill {
-        set.insert(k);
+        Op::Insert(k).apply_to(&set);
     }
     let before = set.len();
     std::thread::scope(|s| {
@@ -160,8 +160,7 @@ fn batch_and_random_workloads_run_end_to_end() {
                 // Full cycles leave the set unchanged; every op succeeds.
                 for _ in 0..600 {
                     match stream.next_op() {
-                        Op::Insert(k) => assert!(set.insert(k)),
-                        Op::Remove(k) => assert!(set.remove(&k)),
+                        op @ (Op::Insert(_) | Op::Remove(_)) => assert!(op.apply_to(set)),
                         Op::Contains(_) => unreachable!(),
                     }
                 }
@@ -173,16 +172,16 @@ fn batch_and_random_workloads_run_end_to_end() {
     assert_eq!(stats.noop_updates, 0);
 
     let random = pathcopy_workloads::RandomWorkload::generate(3, 2_000, 500, 6);
-    let set2 = TreapSet::new();
+    let set2: TreapMap<i64, ()> = TreapMap::new();
     for &k in &random.prefill {
-        set2.insert(k);
+        Op::Insert(k).apply_to(&set2);
     }
     std::thread::scope(|s| {
         for mut stream in random.streams() {
             let set2 = &set2;
             s.spawn(move || {
                 for _ in 0..2_000 {
-                    set2.apply_op(stream.next_op());
+                    stream.next_op().apply_to(set2);
                 }
             });
         }
@@ -190,24 +189,9 @@ fn batch_and_random_workloads_run_end_to_end() {
     // Keys stay within the configured range and the structure is valid.
     let snap = set2.snapshot();
     snap.check_invariants();
-    assert!(snap.iter().all(|k| (-500..=500).contains(k)));
+    assert!(snap.keys().all(|k| (-500..=500).contains(k)));
     // Random workload must have produced some no-ops (that's its point).
     assert!(set2.stats().snapshot().noop_updates > 0);
-}
-
-/// Extension trait so the test can apply `Op`s through the public API.
-trait ApplyOp {
-    fn apply_op(&self, op: Op) -> bool;
-}
-
-impl ApplyOp for TreapSet<i64> {
-    fn apply_op(&self, op: Op) -> bool {
-        match op {
-            Op::Insert(k) => self.insert(k),
-            Op::Remove(k) => self.remove(&k),
-            Op::Contains(k) => self.contains(&k),
-        }
-    }
 }
 
 #[test]

@@ -11,14 +11,13 @@
 use std::sync::Mutex;
 
 use path_copying::pathcopy_concurrent::registry::{self, SetBackendDriver};
-use path_copying::pathcopy_trees::TreapSet;
 use path_copying::prelude::{
-    ConcurrentSet, PathCopyUc, SetSnapshot, Snapshottable, TreapMap, Update,
+    ConcurrentSet, PathCopyUc, PersistentTreapMap, SetSnapshot, Snapshottable, TreapMap, Update,
 };
 
 /// Versioned state: the set plus a commit sequence number.
 struct Versioned {
-    set: TreapSet<i64>,
+    set: PersistentTreapMap<i64, ()>,
     seq: u64,
 }
 
@@ -33,7 +32,7 @@ fn run_logged_workload(
     ops_per_thread: i64,
 ) -> (Vec<(u64, LoggedOp, bool)>, Vec<i64>) {
     let uc = PathCopyUc::new(Versioned {
-        set: TreapSet::empty(),
+        set: PersistentTreapMap::new(),
         seq: 0,
     });
     let log: Mutex<Vec<(u64, LoggedOp, bool)>> = Mutex::new(Vec::new());
@@ -55,8 +54,8 @@ fn run_logged_workload(
                     };
                     let (seq, changed) = uc.update(|state| {
                         let outcome = match op {
-                            LoggedOp::Insert(k) => state.set.insert(k),
-                            LoggedOp::Remove(k) => state.set.remove(&k),
+                            LoggedOp::Insert(k) => state.set.insert_if_absent(k, ()),
+                            LoggedOp::Remove(k) => state.set.remove(&k).map(|(next, ())| next),
                         };
                         match outcome {
                             Some(next) => {
@@ -76,7 +75,7 @@ fn run_logged_workload(
         }
     });
 
-    let final_contents: Vec<i64> = uc.read(|s| s.set.iter().copied().collect());
+    let final_contents: Vec<i64> = uc.read(|s| s.set.keys().copied().collect());
     (log.into_inner().unwrap(), final_contents)
 }
 
@@ -168,7 +167,7 @@ fn disjoint_batch_runs_have_exact_counts() {
     // must succeed, final set must be exactly the inserted-but-not-removed
     // keys.
     let uc = PathCopyUc::new(Versioned {
-        set: TreapSet::empty(),
+        set: PersistentTreapMap::new(),
         seq: 0,
     });
     const THREADS: i64 = 4;
@@ -180,7 +179,7 @@ fn disjoint_batch_runs_have_exact_counts() {
                 let base = t * PER;
                 for i in 0..PER {
                     let k = base + i;
-                    let (_, changed) = uc.update(|state| match state.set.insert(k) {
+                    let (_, changed) = uc.update(|state| match state.set.insert_if_absent(k, ()) {
                         Some(next) => {
                             let seq = state.seq + 1;
                             Update::Replace(Versioned { set: next, seq }, (seq, true))
@@ -193,7 +192,7 @@ fn disjoint_batch_runs_have_exact_counts() {
                 for i in (1..PER).step_by(2) {
                     let k = base + i;
                     let (_, changed) = uc.update(|state| match state.set.remove(&k) {
-                        Some(next) => {
+                        Some((next, ())) => {
                             let seq = state.seq + 1;
                             Update::Replace(Versioned { set: next, seq }, (seq, true))
                         }
@@ -208,13 +207,12 @@ fn disjoint_batch_runs_have_exact_counts() {
     assert_eq!(snapshot.set.len() as i64, THREADS * PER / 2);
     assert_eq!(snapshot.seq, (THREADS * PER + THREADS * PER / 2) as u64);
     snapshot.set.check_invariants();
-    assert!(snapshot.set.iter().all(|k| k % 2 == 0));
+    assert!(snapshot.set.keys().all(|k| k % 2 == 0));
 }
 
 #[test]
-fn sharded_snapshot_all_is_a_consistent_cut() {
-    // Coherence check for the one-root snapshot (the name is kept from
-    // the sharded map it covered before). One writer increments a chain
+fn snapshot_is_a_consistent_cut() {
+    // Coherence check for the one-root snapshot. One writer increments a chain
     // of counter keys in a fixed order. At any single instant the counts
     // along the chain are non-increasing, and head and tail differ by at
     // most one (the writer is mid-sweep). A snapshot assembled from reads
@@ -319,9 +317,8 @@ fn every_backend_linearizes_disjoint_inserts() {
 }
 
 #[test]
-fn sharded_per_key_updates_linearize_within_their_shard() {
-    // Per-key linearizability smoke test (the name is kept from the
-    // sharded map it covered before): disjoint keys from many threads
+fn per_key_updates_linearize() {
+    // Per-key linearizability smoke test: disjoint keys from many threads
     // must all land exactly once, and the snapshot must hold exactly
     // them, in order.
     let m: TreapMap<i64, i64> = TreapMap::new();

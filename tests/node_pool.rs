@@ -68,14 +68,15 @@ fn no_operation_sequence_leaks_or_double_frees_a_node() {
             let made = match next() % 6 {
                 0 | 1 => a.insert(key, key).0,
                 2 => a.remove(&key).map_or(a, |(v, _)| v),
-                3 => {
-                    let (low, _, high) = a.split(&key);
-                    // Keep one half, rejoin the other with a split of `b`.
-                    let (b_low, _, _) = b.split(&key);
-                    versions.push(b_low.join(&high));
-                    low
-                }
-                4 => a.union(&b),
+                // An explicit priority splits a subtree under the new
+                // node, or moves a present key up.
+                3 => a.insert_with_priority(key, key, next()).0,
+                // A sorted rebuild of `b` without `key`.
+                4 => b
+                    .iter()
+                    .filter(|(k, _)| **k != key)
+                    .map(|(k, v)| (*k, *v))
+                    .collect(),
                 _ => a.insert_if_absent(key, -key).unwrap_or(b),
             };
             made.check_invariants();

@@ -146,9 +146,9 @@ proptest! {
     }
 
     #[test]
-    fn sharded_treap_map_matches_btreemap(ops in map_ops()) {
+    fn concurrent_treap_map_matches_btreemap(ops in map_ops()) {
         // The concurrent one-root map must behave exactly like a
-        // `BTreeMap` (the name is kept from the sharded map it covered).
+        // `BTreeMap`.
         let mut reference = BTreeMap::new();
         let m: ConcurrentTreapMap<i16, i16> = ConcurrentTreapMap::new();
         for op in ops {
@@ -172,7 +172,7 @@ proptest! {
     }
 
     #[test]
-    fn sharded_snapshot_is_immutable(ops in map_ops(), cut in 0usize..120) {
+    fn concurrent_snapshot_is_immutable(ops in map_ops(), cut in 0usize..120) {
         // A snapshot taken mid-stream must be bit-for-bit identical
         // after arbitrary further updates (persistence).
         let m: ConcurrentTreapMap<i16, i16> = ConcurrentTreapMap::new();
@@ -197,21 +197,5 @@ proptest! {
         if let Some(snap) = snapshot {
             prop_assert!(snap.iter().map(|(k, v)| (*k, *v)).eq(snapshot_contents));
         }
-    }
-
-    #[test]
-    fn treap_split_join_roundtrip(keys in prop::collection::btree_set(any::<i16>(), 0..100), pivot in any::<i16>()) {
-        let m: TreapMap<i16, i16> = keys.iter().map(|&k| (k, k)).collect();
-        let (l, mid, r) = m.split(&pivot);
-        l.check_invariants();
-        r.check_invariants();
-        prop_assert_eq!(mid.is_some(), keys.contains(&pivot));
-        prop_assert!(l.keys().all(|k| *k < pivot));
-        prop_assert!(r.keys().all(|k| *k > pivot));
-        let joined = l.join(&r);
-        joined.check_invariants();
-        let mut expect = keys.clone();
-        expect.remove(&pivot);
-        prop_assert!(joined.keys().copied().eq(expect.into_iter()));
     }
 }

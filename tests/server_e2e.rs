@@ -110,14 +110,13 @@ fn named_snapshot_is_immutable_under_concurrent_writers() {
 }
 
 #[test]
-fn cross_shard_batches_are_all_or_nothing_over_the_wire() {
+fn batches_are_all_or_nothing_over_the_wire() {
     let server = served();
     let addr = server.addr();
 
     // 64 account pairs: (2k, 2k+1) always sum to zero. The served
     // engine is one root, so each of the writer's batches is one root
-    // CAS; the name keeps the test's history. The in-process form of
-    // this check is tests/batch_txn.rs.
+    // CAS. The in-process form of this check is tests/batch_txn.rs.
     const PAIRS: i64 = 64;
     let setup = Session::connect(addr).unwrap();
     let init: Vec<BatchOp<i64, i64>> = (0..PAIRS * 2).map(|k| BatchOp::Insert(k, 0)).collect();

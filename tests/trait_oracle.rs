@@ -214,8 +214,8 @@ fn std_trait_parity_for_concurrent_structures() {
     assert_eq!(format!("{m:?}"), "{0: 0, 1: 10, 2: 20, 3: 30, 4: 40}");
     assert!(TreapMap::<i64, i64>::default().is_empty());
 
-    let ts: TreapSet<i64> = (0..4).collect();
-    assert_eq!(format!("{ts:?}"), "{0, 1, 2, 3}");
+    let ts: TreapMap<i64, ()> = (0..4).map(|k| (k, ())).collect();
+    assert_eq!(format!("{ts:?}"), "{0: (), 1: (), 2: (), 3: ()}");
 
     // Extend.
     let mut m2 = m;
@@ -340,7 +340,12 @@ fn len_is_exact_while_batches_swap_keys() {
 
         let mut cuts = 0u64;
         while !done.load(std::sync::atomic::Ordering::Relaxed) {
-            assert_eq!(m.snapshot().len(), N as usize, "snapshot len must be exact");
+            let snap = m.snapshot();
+            assert_eq!(
+                SetSnapshot::len(&snap),
+                N as usize,
+                "snapshot len must be exact"
+            );
             assert_eq!(m.len(), N as usize, "live len must be exact");
             cuts += 1;
         }
