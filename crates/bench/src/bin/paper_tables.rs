@@ -15,16 +15,16 @@
 //! isolates needs real cores, so treat oversubscribed columns as
 //! correctness/stress data and see `model_figures` for the scaling shape
 //! at the paper's process counts.
+//!
+//! The tables report throughput only, timed under the system allocator.
+//! Appendix B's allocation pressure per operation (pool nodes and global
+//! allocations, the prefill build not counted) comes from
+//! `ablations --which alloc-rate`.
 
 use std::time::Duration;
 
-use pathcopy_bench::alloc_counter;
 use pathcopy_bench::cli::Args;
 use pathcopy_bench::harness::{machine_profile, run_paper_table, StructureKind, TableConfig};
-use pathcopy_core::pool;
-
-#[global_allocator]
-static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator;
 
 fn main() {
     let args = Args::from_env();
@@ -83,8 +83,6 @@ fn main() {
             structure,
             backoff: pathcopy_core::BackoffPolicy::None,
         };
-        alloc_counter::reset();
-        let nodes_before = pool::stats().blocks_handed_out;
         let table = run_paper_table(&cfg);
         println!();
         if csv {
@@ -92,18 +90,6 @@ fn main() {
         } else {
             print!("{}", table.render());
         }
-        // Appendix B's quantity is nodes allocated; treap nodes come from
-        // the pool, so the global allocator's count alone would read ~0.
-        println!(
-            "# allocation pressure during this table: {} nodes from the pool, \
-             {} global allocations, {} MiB\n",
-            pool::stats().blocks_handed_out - nodes_before,
-            table_allocs(),
-            alloc_counter::allocated_bytes() / (1024 * 1024)
-        );
+        println!();
     }
-}
-
-fn table_allocs() -> u64 {
-    alloc_counter::allocations()
 }

@@ -2,7 +2,6 @@
 
 use std::fmt;
 use std::hash::Hash;
-use std::ops::RangeBounds;
 use std::sync::Arc;
 
 use pathcopy_core::api;
@@ -254,18 +253,6 @@ where
         TreapSnapshot::new(self.uc.snapshot())
     }
 
-    /// Collects the entries in `range` from a consistent snapshot into a
-    /// `Vec`. Eager; prefer `self.snapshot().range(..)` (see
-    /// [`MapSnapshot`](pathcopy_core::MapSnapshot)) to iterate lazily
-    /// without materializing.
-    pub fn range_to_vec<R: RangeBounds<K>>(&self, range: R) -> Vec<(K, V)> {
-        self.uc.read(|map| {
-            map.range(range)
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect()
-        })
-    }
-
     /// Attempt/retry statistics.
     pub fn stats(&self) -> &Arc<UcStats> {
         self.uc.stats()
@@ -491,16 +478,6 @@ mod tests {
         assert!(m.transact(&[]).is_empty());
         assert_eq!(m.transact_guarded(&[]), Ok(Vec::new()));
         assert_eq!(m.stats().snapshot(), before);
-    }
-
-    #[test]
-    fn range_reads_are_consistent() {
-        let m: TreapMap<i64, i64> = TreapMap::new();
-        for i in 0..100 {
-            m.insert(i, i * 2);
-        }
-        let v = m.range_to_vec(10..15);
-        assert_eq!(v, (10..15).map(|k| (k, k * 2)).collect::<Vec<_>>());
     }
 
     #[test]

@@ -193,11 +193,6 @@ impl<S: Send + Sync> PathCopyUc<S> {
     pub fn stats(&self) -> &Arc<UcStats> {
         &self.stats
     }
-
-    /// The backoff policy updates use between failed attempts.
-    pub fn backoff_policy(&self) -> BackoffPolicy {
-        self.backoff
-    }
 }
 
 #[cfg(test)]

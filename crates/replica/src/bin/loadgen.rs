@@ -106,12 +106,12 @@ fn main() {
     let relays: usize = args.get_or("relays", 0);
     // `--workers` is the server's threads for requests that may block
     // (`Publish`, scans, diffs, sync pages, a `GetAt` waiting for its
-    // epoch, scrapes). Point reads and writes execute on the event
-    // loop, which also multiplexes every connection, so neither the
-    // driving threads' traffic nor standing connections (publisher,
-    // replica upstream sessions, idle sessions) use one. The default leaves
-    // room for every driving thread to have a batch or a waiting read
-    // in progress at once.
+    // epoch, scrapes). Point reads and every write, batches included,
+    // execute on the event loop, which also multiplexes every
+    // connection, so neither the driving threads' traffic nor standing
+    // connections (publisher, replica upstream sessions, idle sessions)
+    // use one. The default leaves room for every driving thread to have
+    // a waiting read in progress at once.
     let workers: usize = args.get_or("workers", threads.max(4));
     let prefill: u64 = args.get_or("prefill", keys / 2);
     let seed: u64 = args.get_or("seed", 42);

@@ -1,7 +1,7 @@
 //! The readiness-driven server core: one event-loop thread multiplexing
 //! every connection and running each one **to completion** per
 //! readiness wake — read, decode, execute, reply — with a few worker
-//! threads on the side for the requests that may block.
+//! threads on the side for the requests that may block or scan.
 //!
 //! The loop owns every socket nonblockingly:
 //!
@@ -10,18 +10,20 @@
 //! * **reads** take one chunk per wake (the poller is level-triggered,
 //!   so a busier socket is simply reported again, after the other
 //!   connections had their turn) and parse it into whole frames;
-//! * **requests that cannot block** — `Get`, `Insert`, `Remove`, `Cas`,
-//!   `WriteAt`, a `GetAt` whose epoch the feed already reached, a
-//!   `Batch` of at most [`INLINE_BATCH_MAX`] ops: the arms of
-//!   `handle_request` that touch only the backend and the feed's
-//!   atomics — execute right there on the loop thread, and their
-//!   replies join the connection's write queue in request order;
-//! * **requests that may block or run long** — `Publish` (holds the feed
-//!   lock across the sink's fsync), anything that takes the feed lock,
-//!   scans, diffs, scrapes, a `GetAt` that must wait — go to the
-//!   workers; their **completions** return through a queue + self-wake
-//!   pipe (a `UnixStream` pair — `std` has no portable pipe) and are
-//!   appended to the connection's write queue;
+//! * **every write** — `Insert`, `Remove`, `Cas`, `WriteAt` and a
+//!   `Batch` of any size, guarded or not — and the reads that cannot
+//!   block (`Get`, a `GetAt` whose epoch the feed already reached)
+//!   execute right there on the loop thread, and their replies join the
+//!   connection's write queue in request order. The loop is the served
+//!   root's only writer, so a served root CAS cannot fail and a batch
+//!   cannot starve;
+//! * **requests that may block or scan** — `Publish` (holds the feed
+//!   lock across the sink's fsync), anything else that takes the feed
+//!   lock, scans, diffs, scrapes, a `GetAt` that must wait — go to the
+//!   workers, which mutate nothing; their **completions** return
+//!   through a queue + self-wake pipe (a `UnixStream` pair — `std` has
+//!   no portable pipe) and are appended to the connection's write
+//!   queue;
 //! * **writes** drain the queue with vectored writes before the loop
 //!   returns to `poll`, so a pipelined burst decoded in one wake is
 //!   answered in one syscall;
@@ -71,15 +73,9 @@ const FIRST_CONN_TOKEN: u64 = 2;
 
 /// Read chunk size; the loop owns one such buffer. Also the bound on
 /// what one connection may have executed per readiness wake: one
-/// chunk's worth of frames, then the others get their turn.
+/// chunk's worth of frames (a longer frame runs on the wake that
+/// completes it), then the others get their turn.
 const READ_CHUNK: usize = 16 * 1024;
-
-/// Largest `Batch` the loop thread executes itself; a bigger one is a
-/// long-running request and goes to a worker. There it races the
-/// loop's writes and the other workers' batches for the one root, and
-/// a lost CAS re-runs the whole batch. Running every batch here instead
-/// would end the race but stall each connection behind the batch.
-const INLINE_BATCH_MAX: usize = 16;
 
 /// Reply backlog past which a connection stops being read: a peer that
 /// pipelines requests without reading the answers gets TCP backpressure
@@ -706,13 +702,13 @@ impl EventLoop {
         }
     }
 
-    /// Decides where a decoded request runs. A request that cannot
-    /// block — it touches only the backend and the feed's atomics, and
-    /// does a bounded amount of work — runs here, on the wake that
-    /// decoded it, and its reply is on the write queue before the next
-    /// frame is parsed. Everything else is admitted (or shed) and handed
-    /// to a worker, which returns the encoded reply through the
-    /// completion queue.
+    /// Decides where a decoded request runs. Every write and every read
+    /// that cannot block runs here, on the wake that decoded it, so the
+    /// loop is the served root's one writer and the reply is on the
+    /// write queue before the next frame is parsed. Everything that may
+    /// block or scan is admitted (or shed) and handed to a worker, which
+    /// only reads and returns the encoded reply through the completion
+    /// queue. The match names every kind, so a new one must pick a side.
     fn dispatch(
         &mut self,
         token: u64,
@@ -729,13 +725,19 @@ impl EventLoop {
             | Request::Insert { .. }
             | Request::Remove { .. }
             | Request::Cas { .. }
-            | Request::WriteAt { .. } => true,
-            Request::Batch { ops, .. } => ops.len() <= INLINE_BATCH_MAX,
+            | Request::WriteAt { .. }
+            | Request::Batch { .. } => true,
             // The head only moves forward, so a read that is satisfied
             // now is still satisfied when `handle_request` looks; one
             // that is not would sleep, and sleeping is a worker's job.
             Request::GetAt { min_epoch, .. } => *min_epoch <= self.shared.feed.head_epoch(),
-            _ => false,
+            Request::Range { .. }
+            | Request::Publish
+            | Request::Subscribe
+            | Request::PullDiff { .. }
+            | Request::Metrics
+            | Request::ResetMetrics
+            | Request::TraceDump => false,
         };
         if !inline {
             let depth = self.queue_depth.max(1);

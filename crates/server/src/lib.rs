@@ -5,9 +5,11 @@
 //! carries a correlation id so multiple requests can be in flight per
 //! connection, an event-driven nonblocking TCP [server] (a single
 //! readiness loop over a hand-rolled `epoll`/`poll(2)` shim multiplexes
-//! every connection and executes point requests on the wake that
-//! decoded them; a few worker threads take the requests that may
-//! block),
+//! every connection and executes every write — point ops and batches
+//! of any size — and every point read that need not wait on the wake
+//! that decoded it, so the loop is the served root's one writer; a few
+//! worker threads take the requests that may block or scan, and
+//! mutate nothing),
 //! one [client] type, [`Session`] ([`Session::submit`] →
 //! [`Ticket::wait`] to pipeline, typed blocking calls such as
 //! [`Session::get`] for one round trip each), and the primary side
@@ -41,7 +43,9 @@
 //! The server holds its engine as a
 //! [`Box<dyn ServeBackend>`](backend::ServeBackend); the one
 //! implementation shipped is [`backend::TreapServe`], one path-copying
-//! treap behind one root, so every served batch is one root CAS.
+//! treap behind one root, so every served batch is one root CAS; on a
+//! primary the event loop is that root's only writer, so the CAS
+//! cannot fail.
 //!
 //! ```
 //! use pathcopy_server::{backend, ServerConfig, Session};

@@ -4,10 +4,11 @@
 //! [`spawn`] binds a listener (an ephemeral loopback port by default)
 //! and starts one event-loop thread (the private `event` module) that
 //! owns every connection nonblockingly. Requests that touch only the
-//! backend — point reads and writes, small batches — execute on the
-//! loop thread, on the readiness wake that decoded them; requests that
-//! may block or run long (a publish and its fsync, scans, diffs,
-//! scrapes) run on `workers` threads, so connection count and blocking
+//! backend — point reads and every write, batches of any size — execute
+//! on the loop thread, on the readiness wake that decoded them, so the
+//! loop is the served root's only writer; requests that may block or
+//! scan (a publish and its fsync, ranges, diffs, scrapes) run on
+//! `workers` threads and only read, so connection count and blocking
 //! capacity are independent knobs — thousands of mostly-idle
 //! connections cost fds and buffers, not threads. The server reaches
 //! its engine through `Box<dyn ServeBackend>`
@@ -56,11 +57,11 @@ pub struct ServerConfig {
     /// Threads for requests that may block: [`Request::Publish`] (holds
     /// the feed lock across the sink's fsync), an unsatisfied
     /// [`Request::GetAt`] (waits for its epoch), and everything that
-    /// scans, diffs or scrapes. Point reads and writes and small batches
-    /// never queue for one — they execute on the event-loop thread — so
-    /// this is **not** the server's read/write parallelism, and
-    /// connections are not bounded by it either (the event loop caps
-    /// them at a fixed 4096).
+    /// scans, diffs or scrapes. Point reads and every write, batches of
+    /// any size included, never queue for one — they execute on the
+    /// event-loop thread — so this is **not** the server's read/write
+    /// parallelism, and connections are not bounded by it either (the
+    /// event loop caps them at a fixed 4096).
     pub workers: usize,
     /// Per-connection bound on requests queued for or running on the
     /// workers (requests executed on the loop thread never queue, so
@@ -474,9 +475,11 @@ fn retained(shared: &Shared, epoch: Epoch) -> Result<Arc<dyn ServeSnapshot>, Wir
 /// Executes one request against the shared state, on whichever thread
 /// the event loop chose for it. Pure request→response; framing,
 /// ordering, and admission control all live in the event loop. Which
-/// arms may run on the loop thread is decided by `event.rs::dispatch`:
-/// an arm that starts taking a lock or doing more than O(log n) work
-/// must leave that list. `trace` is the
+/// arms run on the loop thread is decided by `event.rs::dispatch`:
+/// every arm that writes the backend does, so the loop is the served
+/// root's one writer, and the arms a worker runs only read. A writing
+/// arm must not take a lock or wait; a read arm that starts to must
+/// leave the loop's list. `trace` is the
 /// context to propagate into downstream stages (the durable sink and
 /// the push fan-out) — for a traced request the event loop passes the
 /// child of its own execute span, so downstream spans parent

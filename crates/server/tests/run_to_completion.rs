@@ -1,6 +1,7 @@
-//! End-to-end tests of the run-to-completion event loop: requests that
-//! cannot block execute on the readiness wake that decoded them and
-//! leave in one write, requests that may block go to the workers, the
+//! End-to-end tests of the run-to-completion event loop: every write and
+//! every request that cannot block execute on the readiness wake that
+//! decoded them and leave in one write, so the loop is the served
+//! root's one writer; requests that may block go to the workers, the
 //! two paths share a connection without mixing up replies, and a peer
 //! that does not read its replies is held back by TCP, not buffered.
 
@@ -8,6 +9,7 @@ use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
@@ -50,7 +52,8 @@ fn mixed_inline_and_worker_requests_resolve_by_id() {
     let mut tickets = Vec::new();
     for i in 0..ROUNDS {
         let small: Vec<_> = (i..i + 3).map(BatchOp::Get).collect();
-        // Over the loop's private batch cap: runs on a worker.
+        // A bigger batch runs on the loop too, like every write; the
+        // `Range` and `Publish` below are what goes to the workers.
         let large: Vec<_> = (i..i + 32).map(BatchOp::Get).collect();
         for req in [
             Request::Get { key: i },
@@ -109,6 +112,151 @@ fn mixed_inline_and_worker_requests_resolve_by_id() {
     assert_eq!(server.requests_shed(), 0);
     drop(session);
     server.shutdown();
+}
+
+/// Runs `body` on its own thread and fails the test if it has not
+/// finished within `limit`.
+fn within<T: Send + 'static>(limit: Duration, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done_tx, done_rx) = mpsc::channel();
+    let runner = thread::spawn(move || {
+        let _ = done_tx.send(body());
+    });
+    match done_rx.recv_timeout(limit) {
+        Ok(out) => {
+            runner.join().expect("test body");
+            out
+        }
+        // The body panicked: surface its message, not a timeout.
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("sender dropped without a value"))
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!("not finished after {limit:?}"),
+    }
+}
+
+#[test]
+fn a_pipelined_batch_is_visible_to_the_gets_sent_after_it() {
+    const OPS: i64 = 64;
+    const ROUNDS: i64 = 8;
+    let server = server(ServerConfig::with_workers(2));
+    let session = Session::connect(server.addr()).expect("connect");
+    for round in 0..ROUNDS {
+        let keys = round * OPS..(round + 1) * OPS;
+        // Submitted together, so the server decodes the batch and the
+        // reads from one read chunk.
+        let batch = session
+            .submit(&Request::Batch {
+                ops: keys.clone().map(|k| BatchOp::Insert(k, k * 7)).collect(),
+                guarded: false,
+            })
+            .expect("submit");
+        let gets: Vec<_> = keys
+            .clone()
+            .map(|key| session.submit(&Request::Get { key }).expect("submit"))
+            .collect();
+        assert_eq!(
+            batch.wait().expect("reply"),
+            Response::Batch(vec![BatchResult::Inserted(None); OPS as usize])
+        );
+        for (key, ticket) in keys.zip(gets) {
+            assert_eq!(
+                ticket.wait().expect("reply"),
+                Response::Got(Some(key * 7)),
+                "a Get sent after the batch missed its write to {key}"
+            );
+        }
+    }
+    drop(session);
+    server.shutdown();
+}
+
+#[test]
+fn a_big_batch_commits_beside_pipelined_point_writers_without_a_failed_cas() {
+    const BATCH: i64 = 4096;
+    const BATCHES: i64 = 8;
+    const WRITERS: usize = 2;
+    const WINDOW: usize = 8;
+    const POINT_KEYS: i64 = 1 << 15;
+    // Under a watchdog: a batch that had to win the root from the point
+    // writes would lose its CAS, re-run its whole descent, and could
+    // keep doing so without end.
+    within(Duration::from_secs(60), || {
+        let server = server(ServerConfig::with_workers(2));
+        // The point writers own the even keys and the batches the odd
+        // ones, so every batch descends through the whole prefilled tree.
+        for k in 0..POINT_KEYS {
+            server.backend().insert(2 * k, k);
+        }
+        let scraper = Session::connect(server.addr()).expect("connect");
+        let cas_failures =
+            || value_of(&scraper.metrics().expect("scrape"), Stage::CasFailures).expect("row");
+        let stop = Arc::new(AtomicBool::new(false));
+        let written = Arc::new(AtomicU64::new(0));
+        // Each writer keeps `WINDOW` inserts in flight until told to stop.
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (addr, stop, written) =
+                    (server.addr(), Arc::clone(&stop), Arc::clone(&written));
+                thread::spawn(move || {
+                    let session = Session::connect(addr).expect("connect");
+                    let mut round = w as i64;
+                    let mut window = std::collections::VecDeque::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        while window.len() < WINDOW {
+                            // A fresh value every time: an insert of the
+                            // value a key holds stores no root.
+                            round += WRITERS as i64;
+                            let key = 2 * (round * 7 % POINT_KEYS);
+                            let req = Request::Insert { key, value: round };
+                            window.push_back(session.submit(&req).expect("submit"));
+                        }
+                        let reply = window.pop_front().expect("in flight").wait();
+                        assert!(matches!(reply, Ok(Response::Inserted(_))), "{reply:?}");
+                        written.fetch_add(1, Ordering::Relaxed);
+                    }
+                    for ticket in window {
+                        ticket.wait().expect("drain");
+                    }
+                })
+            })
+            .collect();
+        // Each batch is sent only once the point writers have gone on
+        // writing since the last one, so every batch meets their writes.
+        let wait_for_writes = |n: u64| {
+            while written.load(Ordering::Relaxed) < n {
+                thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let mut target = 1000;
+        wait_for_writes(target);
+        let failures_before = cas_failures();
+
+        let session = Session::connect(server.addr()).expect("connect");
+        for b in 0..BATCHES {
+            target += 100;
+            wait_for_writes(target);
+            let ops: Vec<_> = (0..BATCH)
+                .map(|i| BatchOp::Insert(2 * (i * BATCHES + b) + 1, i))
+                .collect();
+            let results = session.batch(&ops).expect("the batch commits");
+            assert_eq!(results, vec![BatchResult::Inserted(None); BATCH as usize]);
+        }
+        stop.store(true, Ordering::Relaxed);
+        for writer in writers {
+            writer.join().expect("point writer");
+        }
+        assert_eq!(
+            server.backend().len(),
+            (POINT_KEYS + BATCHES * BATCH) as usize
+        );
+        assert_eq!(
+            cas_failures(),
+            failures_before,
+            "a served write lost the root: the loop is not its only writer"
+        );
+        drop((scraper, session));
+        server.shutdown();
+    });
 }
 
 #[test]

@@ -85,12 +85,6 @@ impl TraceContext {
         }
     }
 
-    /// True when the sampled bit is set.
-    #[must_use]
-    pub fn is_sampled(&self) -> bool {
-        self.flags & Self::SAMPLED != 0
-    }
-
     /// True when the force-capture bit is set.
     #[must_use]
     pub fn is_slow(&self) -> bool {
@@ -257,12 +251,6 @@ impl Flight {
     pub fn set_slow_threshold(&self, threshold: Option<Duration>) {
         let ns = threshold.map_or(0, |d| d.as_nanos().min(u128::from(u64::MAX)) as u64);
         self.slow_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// The armed slow threshold in nanoseconds (`0` = disarmed).
-    #[must_use]
-    pub fn slow_threshold_ns(&self) -> u64 {
-        self.slow_ns.load(Ordering::Relaxed)
     }
 
     /// Nanoseconds from this recorder's creation to `t` (saturating;
