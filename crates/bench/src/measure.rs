@@ -6,9 +6,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use pathcopy_workloads::OpStream;
+use pathcopy_trees::mutable::MutTreapSet;
+use pathcopy_workloads::{Op, OpStream};
 
-use crate::sets::{ConcurrentSet, SequentialSet};
+use crate::sets::ConcurrentSet;
 
 /// Summary over a set of trial throughputs (ops/sec).
 #[derive(Debug, Clone)]
@@ -94,18 +95,21 @@ where
     total
 }
 
-/// Runs the single-threaded baseline for `duration`, returning completed
-/// operations.
-pub fn run_sequential<S, St>(set: &mut S, stream: &mut St, duration: Duration) -> u64
+/// Runs the single-threaded baseline, the mutable treap, for `duration`,
+/// returning completed operations.
+pub fn run_sequential<St>(set: &mut MutTreapSet<i64>, stream: &mut St, duration: Duration) -> u64
 where
-    S: SequentialSet,
     St: OpStream,
 {
     let start = Instant::now();
     let mut ops = 0u64;
     loop {
         for _ in 0..64 {
-            set.apply(stream.next_op());
+            let _ = match stream.next_op() {
+                Op::Insert(k) => set.insert(k),
+                Op::Remove(k) => set.remove(&k),
+                Op::Contains(k) => set.contains(&k),
+            };
             ops += 1;
         }
         if start.elapsed() >= duration {
@@ -170,7 +174,7 @@ mod tests {
 
     #[test]
     fn sequential_run_counts_ops() {
-        let mut set = pathcopy_trees::mutable::MutTreapSet::new();
+        let mut set = MutTreapSet::new();
         let mut stream = RandomStream::new(1000, 7);
         let ops = run_sequential(&mut set, &mut stream, Duration::from_millis(20));
         assert!(ops > 0);

@@ -3,50 +3,16 @@
 //! The per-backend façade trait that used to live here is gone: the
 //! harness is generic over
 //! [`pathcopy_core::ConcurrentSet`] (re-exported below), which every
-//! backend in `pathcopy-concurrent` implements, and backends are
+//! set backend in `pathcopy-concurrent` implements, and backends are
 //! constructed through
 //! [`StructureKind::constructor`](crate::harness::StructureKind::constructor)
-//! instead of hand-wired impls. What remains here is the sequential
-//! baseline trait and the shared prefill builders.
+//! instead of hand-wired impls. What remains here are the shared prefill
+//! builders; the sequential baseline is the mutable treap, by name.
 
 use pathcopy_trees::mutable::MutTreapSet;
 use pathcopy_trees::{ExternalBstSet as PExternalBstSet, TreapMap as PTreapMap};
-use pathcopy_workloads::Op;
 
 pub use pathcopy_core::ConcurrentSet;
-
-/// Single-threaded set interface for the "Seq Treap" baseline.
-pub trait SequentialSet {
-    /// Inserts `key`; `true` if the set changed.
-    fn insert(&mut self, key: i64) -> bool;
-    /// Removes `key`; `true` if the set changed.
-    fn remove(&mut self, key: i64) -> bool;
-    /// Membership test.
-    fn contains(&self, key: i64) -> bool;
-    /// Applies one workload operation.
-    fn apply(&mut self, op: Op) -> bool {
-        match op {
-            Op::Insert(k) => self.insert(k),
-            Op::Remove(k) => self.remove(k),
-            Op::Contains(k) => {
-                let _ = self.contains(k);
-                false
-            }
-        }
-    }
-}
-
-impl SequentialSet for MutTreapSet<i64> {
-    fn insert(&mut self, key: i64) -> bool {
-        MutTreapSet::insert(self, key)
-    }
-    fn remove(&mut self, key: i64) -> bool {
-        MutTreapSet::remove(self, &key)
-    }
-    fn contains(&self, key: i64) -> bool {
-        MutTreapSet::contains(self, &key)
-    }
-}
 
 /// Builds the persistent prefill treap once; cloning it per trial is O(1)
 /// thanks to persistence. The keys are sorted first, so the build is one
@@ -77,6 +43,7 @@ pub fn prefill_mutable(keys: &[i64]) -> MutTreapSet<i64> {
 mod tests {
     use super::*;
     use pathcopy_concurrent::TreapMap;
+    use pathcopy_workloads::Op;
 
     #[test]
     fn core_trait_dispatches_correctly() {
@@ -102,9 +69,9 @@ mod tests {
     #[test]
     fn sequential_facade_works() {
         let mut s = MutTreapSet::new();
-        assert!(SequentialSet::insert(&mut s, 2));
-        assert!(s.apply(Op::Insert(3)));
-        assert!(!s.apply(Op::Insert(3)));
-        assert!(s.apply(Op::Remove(2)));
+        assert!(s.insert(2));
+        assert!(s.insert(3));
+        assert!(!s.insert(3));
+        assert!(s.remove(&2));
     }
 }

@@ -10,13 +10,16 @@
 //! register, as in the paper: a multi-key batch ([`batch`]) is one more
 //! update of that root.
 //!
-//! Every backend implements the unified trait family of
-//! [`pathcopy_core::api`] — [`ConcurrentMap`](pathcopy_core::ConcurrentMap)
-//! / [`ConcurrentSet`](pathcopy_core::ConcurrentSet) for point
-//! operations and [`Snapshottable`](pathcopy_core::Snapshottable) for
-//! first-class snapshot handles with lazy `range`/`iter` and
-//! shared-subtree-pruned `diff` (see [`snapshot`]). The [`registry`]
-//! wires all backends up once for the generic oracle tests.
+//! Every set backend — [`TreapMap<K, ()>`](TreapMap), [`ExternalBstSet`]
+//! and [`LockedTreapSet`] — implements the trait family of
+//! [`pathcopy_core::api`]: [`ConcurrentSet`](pathcopy_core::ConcurrentSet)
+//! for point operations and
+//! [`Snapshottable`](pathcopy_core::Snapshottable) for first-class
+//! snapshot handles with lazy `range`/`iter` and shared-subtree-pruned
+//! `diff` (see [`snapshot`]). [`TreapMap`] is the one map and is used
+//! by name; its snapshot is a [`MapSnapshot`](pathcopy_core::MapSnapshot).
+//! The [`registry`] wires the set backends up once for the generic
+//! oracle tests.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

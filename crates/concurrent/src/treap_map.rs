@@ -5,7 +5,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use pathcopy_core::api;
-use pathcopy_core::{BackoffPolicy, PathCopyUc, StatsSnapshot, UcStats, Update, UpdateReport};
+use pathcopy_core::{BackoffPolicy, PathCopyUc, UcStats, Update, UpdateReport};
 use pathcopy_trees::TreapMap as PTreapMap;
 
 use crate::batch::{apply_batch, failed_guards, BatchOp, BatchResult, GuardAbort};
@@ -261,40 +261,6 @@ where
     /// Unconditionally replaces the contents (benchmark setup/reset).
     pub fn reset_to(&self, version: PTreapMap<K, V>) {
         self.uc.replace_version(version);
-    }
-}
-
-impl<K, V> api::ConcurrentMap<K, V> for TreapMap<K, V>
-where
-    K: Ord + Clone + Hash + Send + Sync,
-    V: Clone + PartialEq + Send + Sync,
-{
-    fn insert(&self, key: K, value: V) -> Option<V> {
-        TreapMap::insert(self, key, value)
-    }
-
-    fn remove(&self, key: &K) -> Option<V> {
-        TreapMap::remove(self, key)
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        TreapMap::get(self, key)
-    }
-
-    fn contains_key(&self, key: &K) -> bool {
-        TreapMap::contains_key(self, key)
-    }
-
-    fn len(&self) -> usize {
-        TreapMap::len(self)
-    }
-
-    fn compute(&self, key: &K, f: &dyn Fn(Option<&V>) -> Option<V>) -> Option<V> {
-        TreapMap::compute(self, key, f)
-    }
-
-    fn stats_snapshot(&self) -> StatsSnapshot {
-        self.uc.stats().snapshot()
     }
 }
 

@@ -1,14 +1,15 @@
-//! The unified concurrent-collection trait family.
+//! The concurrent-collection trait family.
 //!
-//! Every backend in `pathcopy-concurrent` — the single-root UC trees and
-//! the lock-based baselines — exposes the same
-//! divergent-looking inherent API; these traits are the one stable
-//! abstraction boundary over all of them, so benchmarks, oracle tests,
-//! and applications are written once and run against every backend.
+//! The set backends in `pathcopy-concurrent` — the one-root treap as
+//! `TreapMap<K, ()>`, the external BST and the lock-based baseline —
+//! expose the same divergent-looking inherent API; these traits are the
+//! one abstraction boundary over them, so benchmarks, oracle tests and
+//! applications are written once and run against every set backend. The
+//! one map backend, `TreapMap`, is named directly; its snapshot
+//! implements [`MapSnapshot`].
 //!
-//! * [`ConcurrentMap`] / [`ConcurrentSet`] — linearizable point
-//!   operations plus [`compute`](ConcurrentMap::compute) and statistics.
-//!   Both traits are object safe, so backends can live behind
+//! * [`ConcurrentSet`] — linearizable point operations plus statistics.
+//!   Object safe, so backends can live behind
 //!   `Box<dyn ConcurrentSet<i64>>` in registries and harnesses.
 //! * [`Snapshottable`] — the paper's headline capability as a
 //!   first-class handle: `snapshot()` returns a cheap (`O(1)`),
@@ -77,44 +78,6 @@ impl<K> SetDiffEntry<K> {
                 DiffEntry::Changed(..) => unreachable!("unit values never change"),
             })
             .collect()
-    }
-}
-
-/// A linearizable concurrent ordered map.
-///
-/// Object safe: registries and harnesses may hold backends as
-/// `Box<dyn ConcurrentMap<K, V>>`.
-pub trait ConcurrentMap<K, V>: Send + Sync {
-    /// Inserts `key -> value`, returning the previous value if any.
-    fn insert(&self, key: K, value: V) -> Option<V>;
-
-    /// Removes `key`, returning its value if present.
-    fn remove(&self, key: &K) -> Option<V>;
-
-    /// Looks up `key`, cloning the value out.
-    fn get(&self, key: &K) -> Option<V>;
-
-    /// `true` if `key` is present.
-    fn contains_key(&self, key: &K) -> bool;
-
-    /// Number of entries.
-    fn len(&self) -> usize;
-
-    /// `true` if the map has no entries.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Atomically applies `f` to the value at `key` (`None` if absent)
-    /// and stores its result (`None` removes the key). Returns the
-    /// previous value. `f` may run several times under contention and
-    /// must be a pure function of the value it is given.
-    fn compute(&self, key: &K, f: &dyn Fn(Option<&V>) -> Option<V>) -> Option<V>;
-
-    /// Attempt/retry statistics accumulated by this backend. Lock-based
-    /// backends without counters return an empty snapshot.
-    fn stats_snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot::empty()
     }
 }
 

@@ -28,8 +28,9 @@
 //! * [`lock_uc`] — `MutexUc` (the intro's global lock) and `SeqUc` baselines.
 //! * [`backoff`] — retry backoff policies (ablation; the paper uses none).
 //! * [`stats`] — attempt/retry counters used to validate the model.
-//! * [`api`] — the unified `ConcurrentMap`/`ConcurrentSet`/`Snapshottable`
-//!   trait family every front-end implements.
+//! * [`api`] — the `ConcurrentSet`/`Snapshottable` trait family every set
+//!   front-end implements, and the `MapSnapshot`/`SetSnapshot` reads of
+//!   their snapshots.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -42,9 +43,7 @@ pub mod stats;
 pub mod uc;
 pub mod version;
 
-pub use api::{
-    ConcurrentMap, ConcurrentSet, DiffEntry, MapSnapshot, SetDiffEntry, SetSnapshot, Snapshottable,
-};
+pub use api::{ConcurrentSet, DiffEntry, MapSnapshot, SetDiffEntry, SetSnapshot, Snapshottable};
 pub use backoff::{Backoff, BackoffPolicy};
 pub use lock_uc::{MutexUc, SeqUc};
 pub use pool::{PoolArc, PoolStats};

@@ -132,7 +132,7 @@ impl Default for StatsSnapshot {
 impl StatsSnapshot {
     /// An all-zero snapshot — what backends without counters (the
     /// lock-based baselines) report through
-    /// [`crate::api::ConcurrentMap::stats_snapshot`].
+    /// [`crate::api::ConcurrentSet::stats_snapshot`].
     pub fn empty() -> Self {
         StatsSnapshot {
             ops: 0,

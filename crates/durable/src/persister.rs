@@ -29,8 +29,8 @@ use crate::log::{EpochLog, LogError};
 /// * a full **checkpoint** when the log says one is due
 ///   ([`EpochLog::checkpoint_due`]: the diff bytes since its newest
 ///   checkpoint have reached that checkpoint's size), when there is
-///   no predecessor snapshot (the first publish after recovery), when
-///   the snapshots cannot be diffed, or when a diff append fails —
+///   no predecessor snapshot (the first publish after recovery), or
+///   when a diff append fails —
 ///   checkpoints re-base the log, so any failure self-heals at the next
 ///   epoch at the cost of one full-state write.
 ///
@@ -125,15 +125,12 @@ impl FeedSink for FeedPersister {
         }
         let started = self.probe.begin(trace);
         let result = match prev {
-            Some(prev) if !self.log.checkpoint_due() => match prev.diff(snap.as_ref()) {
-                Some(entries) => self
-                    .log
-                    .append_diff(epoch, &entries)
-                    // Oversized diff, sequence gap after an earlier
-                    // failure, …: re-base with a checkpoint.
-                    .or_else(|_| self.log.append_checkpoint(epoch, snap.as_ref())),
-                None => self.log.append_checkpoint(epoch, snap.as_ref()),
-            },
+            Some(prev) if !self.log.checkpoint_due() => self
+                .log
+                .append_diff(epoch, &prev.diff(snap.as_ref()))
+                // Oversized diff, sequence gap after an earlier failure,
+                // …: re-base with a checkpoint.
+                .or_else(|_| self.log.append_checkpoint(epoch, snap.as_ref())),
             _ => self.log.append_checkpoint(epoch, snap.as_ref()),
         };
         // One clock reading closes both the histogram sample and, for a

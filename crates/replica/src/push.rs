@@ -341,6 +341,12 @@ impl PushReplica {
     /// currently applied epoch so a subscriber arriving before the
     /// next push still finds a head to sync against.
     ///
+    /// Send writes to the primary, as `loadgen` does. The endpoint is a
+    /// full server over this replica's store, so an `Insert`, `Remove`,
+    /// `Cas`, `WriteAt` or `Batch` sent to it commits here, and no push
+    /// undoes it: a push names only the keys the primary changed. Only
+    /// a ring-fallback full resync removes such a write.
+    ///
     /// # Errors
     ///
     /// Any [`io::Error`] from binding the relay's listener.

@@ -131,7 +131,7 @@ impl ServeSnapshot for ParkingSnap {
     }
     // Both forward to the wrapped snapshot, so a diff between two
     // parking snapshots downcasts to the backend's own type.
-    fn diff(&self, newer: &dyn ServeSnapshot) -> Option<Vec<DiffEntry<i64, i64>>> {
+    fn diff(&self, newer: &dyn ServeSnapshot) -> Vec<DiffEntry<i64, i64>> {
         self.inner.diff(newer)
     }
     fn as_any(&self) -> &dyn Any {

@@ -49,11 +49,16 @@ pub trait ServeSnapshot: Send + Sync + 'static {
     fn range(&self, lo: Bound<i64>, hi: Bound<i64>, limit: usize) -> (Vec<(i64, i64)>, bool);
 
     /// Difference between this (older) snapshot and `newer`, pruning
-    /// pointer-shared subtrees. `None` if `newer` comes from an
-    /// incompatible backend.
-    fn diff(&self, newer: &dyn ServeSnapshot) -> Option<Vec<DiffEntry<i64, i64>>>;
+    /// pointer-shared subtrees.
+    ///
+    /// Both snapshots come from the same backend: a feed only retains
+    /// snapshots of the one backend it serves, so two of them always
+    /// diff. A diff across backends is a bug and panics.
+    fn diff(&self, newer: &dyn ServeSnapshot) -> Vec<DiffEntry<i64, i64>>;
 
-    /// Downcast support for [`diff`](Self::diff).
+    /// The concrete snapshot, for [`diff`](Self::diff) to downcast
+    /// `newer` to its own type. A wrapper returns the wrapped
+    /// snapshot's.
     fn as_any(&self) -> &dyn Any;
 }
 
@@ -154,11 +159,14 @@ impl ServeSnapshot for SnapWrap {
         (out, true)
     }
 
-    fn diff(&self, newer: &dyn ServeSnapshot) -> Option<Vec<DiffEntry<i64, i64>>> {
-        let newer = newer.as_any().downcast_ref::<SnapWrap>()?;
+    fn diff(&self, newer: &dyn ServeSnapshot) -> Vec<DiffEntry<i64, i64>> {
+        let newer = newer
+            .as_any()
+            .downcast_ref::<SnapWrap>()
+            .expect("a feed holds snapshots of its one backend, so both sides are `SnapWrap`s");
         if let Some((from, entries)) = newer.memo.get() {
             if *from == self.id {
-                return Some(entries.clone());
+                return entries.clone();
             }
         }
         let entries = self.snap.diff(&newer.snap);
@@ -167,7 +175,7 @@ impl ServeSnapshot for SnapWrap {
         if diff_fits_frame(entries.len()) {
             let _ = newer.memo.set((self.id, entries.clone()));
         }
-        Some(entries)
+        entries
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -329,7 +337,7 @@ mod tests {
         assert!(!complete, "limit must report truncation");
 
         let newer = b.snapshot();
-        let diff = snap.diff(newer.as_ref()).expect("same backend diffs");
+        let diff = snap.diff(newer.as_ref());
         assert_eq!(diff, vec![DiffEntry::Removed(1, 11)], "diff is the removal");
     }
 
@@ -373,18 +381,14 @@ mod tests {
         b.insert(1, 11);
         let s3 = b.snapshot();
         let from_s2 = vec![DiffEntry::Changed(1, 10, 11)];
-        assert_eq!(
-            s2.diff(s3.as_ref()),
-            Some(from_s2.clone()),
-            "fills s3's memo"
-        );
+        assert_eq!(s2.diff(s3.as_ref()), from_s2, "fills s3's memo");
         assert_eq!(
             s1.diff(s3.as_ref()),
-            Some(vec![DiffEntry::Changed(1, 10, 11), DiffEntry::Added(2, 20)]),
+            vec![DiffEntry::Changed(1, 10, 11), DiffEntry::Added(2, 20)],
             "another predecessor must not read s2's memo"
         );
-        assert_eq!(s2.diff(s3.as_ref()), Some(from_s2), "the memo survives");
-        assert_eq!(s3.diff(s1.as_ref()).map(|d| d.len()), Some(2));
+        assert_eq!(s2.diff(s3.as_ref()), from_s2, "the memo survives");
+        assert_eq!(s3.diff(s1.as_ref()).len(), 2);
     }
 
     #[test]
@@ -394,7 +398,7 @@ mod tests {
         let old = b.snapshot();
         b.insert(2, 20);
         let newer = b.snapshot();
-        assert_eq!(old.diff(newer.as_ref()).map(|d| d.len()), Some(1));
+        assert_eq!(old.diff(newer.as_ref()).len(), 1);
         let addr = Arc::as_ptr(&old) as *const u8;
         drop(old);
         // A different state, allocated until it lands where `old` was.
@@ -410,7 +414,7 @@ mod tests {
         };
         assert_eq!(
             recycled.diff(newer.as_ref()),
-            Some(vec![DiffEntry::Removed(3, 30)]),
+            vec![DiffEntry::Removed(3, 30)],
             "keyed by address, the memo would answer with the old diff"
         );
     }
@@ -481,30 +485,5 @@ mod tests {
         assert_eq!(alias.get(1), Some(10), "both handles see the same map");
         let snap = ServeBackend::snapshot(&alias);
         assert_eq!(snap.len(), 1);
-    }
-
-    #[test]
-    fn mismatched_snapshots_refuse_to_diff() {
-        /// A snapshot from some other implementation of the trait.
-        struct Foreign;
-        impl ServeSnapshot for Foreign {
-            fn get(&self, _key: i64) -> Option<i64> {
-                None
-            }
-            fn len(&self) -> usize {
-                0
-            }
-            fn range(&self, _: Bound<i64>, _: Bound<i64>, _: usize) -> (Vec<(i64, i64)>, bool) {
-                (Vec::new(), true)
-            }
-            fn diff(&self, _newer: &dyn ServeSnapshot) -> Option<Vec<DiffEntry<i64, i64>>> {
-                None
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
-        let ours = TreapServe::default().snapshot();
-        assert!(ours.diff(&Foreign).is_none());
     }
 }

@@ -59,7 +59,6 @@ use pathcopy_metrics::Stage;
 use pathcopy_trace::TraceContext;
 
 use crate::backend::ServeSnapshot;
-use crate::feed::EpochFanout;
 use crate::poll::{Interest, PollEvent, Poller};
 use crate::proto::{
     diff_fits_frame, peek_request_id, response_frame, Epoch, Request, RequestId, Response,
@@ -246,7 +245,7 @@ impl Completions {
 }
 
 /// The push fan-out: the set of connections registered with
-/// `SubscribePush`, fed by the feed's [`EpochFanout`] hook. Each
+/// `SubscribePush`, fed by the feed on every epoch it lands. Each
 /// published epoch's diff is encoded **once** and a clone of the frame
 /// is enqueued per subscriber through the normal completion path, so
 /// pushes ride the same queue + self-wake machinery replies do and the
@@ -288,10 +287,12 @@ impl PushHub {
             self.demotions.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
 
-impl EpochFanout for PushHub {
-    fn on_epoch(
+    /// Called by the feed once per epoch that lands in it, under the
+    /// feed lock. `from` is the epoch `prev` belongs to (`0` when `prev`
+    /// is `None`); `trace` is the context of the publish that produced
+    /// the epoch, when that publish was traced.
+    pub(crate) fn on_epoch(
         &self,
         from: Epoch,
         prev: Option<&Arc<dyn ServeSnapshot>>,
@@ -304,12 +305,7 @@ impl EpochFanout for PushHub {
             return;
         }
         let entries: Vec<DiffEntry<i64, i64>> = match prev {
-            Some(prev) => match prev.diff(snap.as_ref()) {
-                Some(entries) => entries,
-                // Undiffable neighbours (backend swapped?): subscribers
-                // will see the gap and pull.
-                None => return,
-            },
+            Some(prev) => prev.diff(snap.as_ref()),
             // First epoch this feed ever held: the whole state is the
             // diff from the empty map.
             None => snap
@@ -800,18 +796,17 @@ impl EventLoop {
         else {
             return;
         };
-        if let Some(entries) = from_snap.diff(head_snap.as_ref()) {
-            if diff_fits_frame(entries.len()) {
-                self.shared.push.pushes.fetch_add(1, Ordering::Relaxed);
-                conn.queue(OutFrame::reply(
-                    &Response::Push {
-                        from,
-                        epoch: head,
-                        entries,
-                    },
-                    PUSH_ID_BASE | head,
-                ));
-            }
+        let entries = from_snap.diff(head_snap.as_ref());
+        if diff_fits_frame(entries.len()) {
+            self.shared.push.pushes.fetch_add(1, Ordering::Relaxed);
+            conn.queue(OutFrame::reply(
+                &Response::Push {
+                    from,
+                    epoch: head,
+                    entries,
+                },
+                PUSH_ID_BASE | head,
+            ));
         }
     }
 

@@ -27,27 +27,8 @@ use parking_lot::Mutex;
 use pathcopy_trace::TraceContext;
 
 use crate::backend::ServeSnapshot;
+use crate::event::PushHub;
 use crate::proto::{Epoch, FeedInfo};
-
-/// The push subsystem's internal publication hook. Unlike [`FeedSink`]
-/// it also receives the **epoch number** the diff starts from, and it
-/// tolerates gaps in the epoch sequence (a relay feed mirrored with
-/// [`VersionFeed::publish_at`] skips epochs its upstream pushed past
-/// it). Fired under the feed lock, after the sink.
-pub(crate) trait EpochFanout: Send + Sync + 'static {
-    /// Called once per epoch that lands in the feed. `from` is the
-    /// epoch `prev` belongs to (`0` when `prev` is `None`); `trace` is
-    /// the context of the publish that produced the epoch, when that
-    /// publish was traced.
-    fn on_epoch(
-        &self,
-        from: Epoch,
-        prev: Option<&Arc<dyn ServeSnapshot>>,
-        epoch: Epoch,
-        snap: &Arc<dyn ServeSnapshot>,
-        trace: Option<&TraceContext>,
-    );
-}
 
 /// An observer of epoch publication, called by [`VersionFeed::publish`]
 /// for every new epoch — the primary's durability hook.
@@ -116,7 +97,12 @@ pub struct VersionFeed {
     oldest: AtomicU64,
     capacity: usize,
     sink: Option<Arc<dyn FeedSink>>,
-    fanout: OnceLock<Arc<dyn EpochFanout>>,
+    /// The server's push fan-out, fired under the feed lock after the
+    /// sink. Unlike the sink it is told the epoch its `prev` belongs to,
+    /// so it tolerates gaps in the sequence (a relay feed mirrored with
+    /// [`publish_at`](Self::publish_at) skips epochs its upstream pushed
+    /// past it).
+    fanout: OnceLock<Arc<PushHub>>,
 }
 
 struct FeedState {
@@ -213,7 +199,7 @@ impl VersionFeed {
 
     /// Installs the push subsystem's fan-out hook. One shot: a second
     /// call is ignored. Set during server spawn, before any publish.
-    pub(crate) fn set_fanout(&self, fanout: Arc<dyn EpochFanout>) {
+    pub(crate) fn set_fanout(&self, fanout: Arc<PushHub>) {
         let _ = self.fanout.set(fanout);
     }
 
@@ -425,6 +411,6 @@ mod tests {
         assert_eq!(feed.get(e1).unwrap().get(1), Some(10), "epoch 1 frozen");
         assert_eq!(feed.get(e2).unwrap().get(1), Some(99));
         let diff = feed.get(e1).unwrap().diff(feed.get(e2).unwrap().as_ref());
-        assert_eq!(diff.expect("same backend").len(), 2);
+        assert_eq!(diff.len(), 2);
     }
 }

@@ -597,13 +597,10 @@ wire_struct! {
 }
 
 wire_enum! {
-    /// Error replies a server can send. Sub-tags 0 (`UnknownSnapshot`)
-    /// and 4 (`SnapshotLimit`) are retired and never reused.
+    /// Error replies a server can send. Sub-tags 0, 1 and 4 are retired
+    /// and never reused (`docs/WIRE_PROTOCOL.md` names them).
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum WireError, "error", ERROR_TAGS {
-        /// The two snapshots of a [`Request::PullDiff`] come from
-        /// incompatible backends and cannot be diffed.
-        1 => SnapshotMismatch,
         /// The server could not decode the request frame.
         2 => Malformed,
         /// The reply would exceed [`MAX_FRAME_LEN`] and was not sent; nothing
@@ -646,7 +643,6 @@ impl Request {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::SnapshotMismatch => write!(f, "snapshots are not diffable"),
             WireError::Malformed => write!(f, "malformed request frame"),
             WireError::TooLarge => write!(
                 f,
@@ -1456,7 +1452,6 @@ mod tests {
                     },
                 ],
             },
-            Response::Error(WireError::SnapshotMismatch),
             Response::Error(WireError::Malformed),
             Response::Error(WireError::TooLarge),
             Response::Error(WireError::EpochRetired(4)),

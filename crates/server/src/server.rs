@@ -242,8 +242,7 @@ pub(crate) struct Shared {
     /// Server-side wire byte counters, maintained by the loop on every
     /// socket read and write.
     pub(crate) wire: ByteCounters,
-    /// The push fan-out registry; also the feed's [`EpochFanout`](
-    /// crate::feed) hook.
+    /// The push fan-out registry; also the feed's fan-out hook.
     pub(crate) push: Arc<PushHub>,
     /// The event loop's probe and the registered metrics sources
     /// ([`Request::Metrics`], [`Request::TraceDump`]): histograms are
@@ -548,15 +547,13 @@ pub(crate) fn handle_request(
                     entries: Vec::new(),
                 };
             }
-            match from_snap.diff(head.as_ref()) {
-                // A reply that cannot possibly fit the frame cap is
-                // refused here (the client bootstraps again with `Range`
-                // pages).
-                Some(entries) if !diff_fits_frame(entries.len()) => {
-                    Response::Error(WireError::TooLarge)
-                }
-                Some(entries) => Response::EpochDiff { to, entries },
-                None => Response::Error(WireError::SnapshotMismatch),
+            let entries = from_snap.diff(head.as_ref());
+            // A reply that cannot possibly fit the frame cap is refused
+            // here (the client bootstraps again with `Range` pages).
+            if diff_fits_frame(entries.len()) {
+                Response::EpochDiff { to, entries }
+            } else {
+                Response::Error(WireError::TooLarge)
             }
         }
         // Registration is connection state, so SubscribePush is handled

@@ -144,7 +144,8 @@ fn retired_tags_are_listed_and_gone_from_the_codec() {
          10 (`Stats`), 14 (`FullSync`), 18 (`Gauges`).",
         "Retired response tags, never reused: 6 (`SnapshotTaken`), 8 (`Diff`), \
          9 (`Released`), 10 (`Stats`), 21 (`Gauges`).",
-        "Retired error sub-tags, never reused: 0 (`UnknownSnapshot`), 4 (`SnapshotLimit`).",
+        "Retired error sub-tags, never reused: 0 (`UnknownSnapshot`), \
+         1 (`SnapshotMismatch`), 4 (`SnapshotLimit`).",
         "Retired metrics row bytes, never reused: 12 (`frozen_installs`), \
          13 (`freeze_retries`), 21 (`snapshots`).",
     ] {
@@ -153,7 +154,7 @@ fn retired_tags_are_listed_and_gone_from_the_codec() {
     let live = |tags: &[(u8, &str)], retired: &[u8]| tags.iter().any(|(t, _)| retired.contains(t));
     assert!(!live(REQUEST_TAGS, &[6, 8, 9, 10, 14, 18]));
     assert!(!live(RESPONSE_TAGS, &[6, 8, 9, 10, 21]));
-    assert!(!live(ERROR_TAGS, &[0, 4]));
+    assert!(!live(ERROR_TAGS, &[0, 1, 4]));
     for byte in [12, 13, 21] {
         assert_eq!(Stage::from_u8(byte), None);
     }

@@ -159,7 +159,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
             any::<bool>()
         )
             .prop_map(|(entries, complete)| Response::Entries { entries, complete }),
-        Just(Response::Error(WireError::SnapshotMismatch)),
         Just(Response::Error(WireError::Malformed)),
         Just(Response::Error(WireError::TooLarge)),
         any::<u64>().prop_map(|oldest| Response::Error(WireError::EpochRetired(oldest))),
@@ -592,7 +591,6 @@ fn golden_responses() -> Vec<(Response, &'static str)> {
             },
             "51000000030807060504030201180700000072656c61792d3101000000090000000000000002000000000000000100000000000000020b0100000000002800000000000000e803000000000000fa00000000000000",
         ),
-        (Response::Error(WireError::SnapshotMismatch), "0b0000000308070605040302010b01"),
         (Response::Error(WireError::Malformed), "0b0000000308070605040302010b02"),
         (Response::Error(WireError::TooLarge), "0b0000000308070605040302010b03"),
         (Response::Error(WireError::EpochRetired(4)), "130000000308070605040302010b050400000000000000"),

@@ -41,9 +41,8 @@
 //!
 //! ## Choosing a backend
 //!
-//! Every backend implements the same trait family
-//! ([`ConcurrentMap`](prelude::ConcurrentMap) /
-//! [`ConcurrentSet`](prelude::ConcurrentSet) +
+//! Every set backend implements the same trait family
+//! ([`ConcurrentSet`](prelude::ConcurrentSet) +
 //! [`Snapshottable`](prelude::Snapshottable)), so the choice is a
 //! one-line swap:
 //!
@@ -70,23 +69,26 @@
 //! ```
 //! use path_copying::prelude::*;
 //!
-//! /// Generic over any snapshottable map backend.
-//! fn audit<M>(m: &M) -> Vec<DiffEntry<i64, i64>>
+//! /// Generic over any snapshottable set backend.
+//! fn audit<S>(s: &S) -> Vec<SetDiffEntry<i64>>
 //! where
-//!     M: ConcurrentMap<i64, i64> + Snapshottable,
-//!     M::Snapshot: MapSnapshot<i64, i64>,
+//!     S: ConcurrentSet<i64> + Snapshottable,
+//!     S::Snapshot: SetSnapshot<i64>,
 //! {
-//!     let before = m.snapshot();
-//!     m.insert(1, 100);
-//!     m.compute(&2, &|v| Some(v.copied().unwrap_or(0) + 1));
-//!     let after = m.snapshot();
+//!     s.insert(1);
+//!     let before = s.snapshot();
+//!     s.insert(2);
+//!     s.remove(&1);
+//!     let after = s.snapshot();
 //!     // Lazy range scan over the immutable view:
-//!     let _first = after.range(..10).next();
+//!     assert_eq!(after.range(..10).next(), Some(&2));
 //!     before.diff(&after) // what changed, in key order
 //! }
 //!
-//! let treap: TreapMap<i64, i64> = TreapMap::new();
-//! assert_eq!(audit(&treap).len(), 2);
+//! let want = [SetDiffEntry::Removed(1), SetDiffEntry::Added(2)];
+//! assert_eq!(audit(&TreapMap::<i64, ()>::new()), want);
+//! assert_eq!(audit(&ConcurrentExternalBstSet::new()), want);
+//! assert_eq!(audit(&LockedTreapSet::new()), want);
 //! ```
 //!
 //! ## Quickstart
@@ -367,8 +369,8 @@ pub mod prelude {
         TreapSnapshot,
     };
     pub use pathcopy_core::{
-        BackoffPolicy, ConcurrentMap, ConcurrentSet, DiffEntry, MapSnapshot, MutexUc, PathCopyUc,
-        SeqUc, SetDiffEntry, SetSnapshot, Snapshottable, StatsSnapshot, Update, VersionCell,
+        BackoffPolicy, ConcurrentSet, DiffEntry, MapSnapshot, MutexUc, PathCopyUc, SeqUc,
+        SetDiffEntry, SetSnapshot, Snapshottable, StatsSnapshot, Update, VersionCell,
     };
     pub use pathcopy_replica::{PushOutcome, PushReplica, PushStats};
     pub use pathcopy_trees::{ExternalBstSet, TreapMap as PersistentTreapMap};

@@ -2,7 +2,8 @@
 //!
 //! One proptest body, `N` backends: the registry
 //! ([`pathcopy_concurrent::registry`]) instantiates the generic driver
-//! for every map and set backend, and each must match the `std` oracle
+//! for every set backend, and the one map backend, `TreapMap`, runs the
+//! map body directly; each must match the `std` oracle
 //! (`BTreeMap`/`BTreeSet`) on point ops, snapshot `iter()`, lazy
 //! `range(..)`, and snapshot-to-snapshot `diff()`. Also asserts the
 //! structural guarantees behind `diff`: the walk short-circuits on
@@ -13,9 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use path_copying::pathcopy_concurrent::registry::{
-    for_each_map_backend, for_each_set_backend, MapBackendDriver, SetBackendDriver,
-};
+use path_copying::pathcopy_concurrent::registry::{for_each_set_backend, SetBackendDriver};
 use path_copying::prelude::*;
 
 /// `(insert?, key, value)` triples over a small key space so removes and
@@ -41,80 +40,70 @@ fn btree_diff(old: &BTreeMap<i64, i64>, new: &BTreeMap<i64, i64>) -> Vec<DiffEnt
     out
 }
 
-struct MapOracle {
-    ops: Vec<(bool, i64, i64)>,
-    cut: usize,
-    lo: i64,
-    hi: i64,
-}
-
-impl MapBackendDriver for MapOracle {
-    fn drive<M>(&mut self, name: &str, make: fn() -> M)
-    where
-        M: ConcurrentMap<i64, i64> + Snapshottable,
-        M::Snapshot: MapSnapshot<i64, i64>,
-    {
-        let m = make();
-        let mut reference = BTreeMap::new();
-        let mut at_cut = None;
-        for (i, &(ins, k, v)) in self.ops.iter().enumerate() {
-            if i == self.cut {
-                at_cut = Some((Snapshottable::snapshot(&m), reference.clone()));
-            }
-            if ins {
-                assert_eq!(
-                    m.insert(k, v),
-                    reference.insert(k, v),
-                    "[{name}] insert({k})"
-                );
-            } else {
-                assert_eq!(m.remove(&k), reference.remove(&k), "[{name}] remove({k})");
-            }
+/// The one map backend against `BTreeMap`: point ops, snapshot `iter()`,
+/// lazy `range(..)`, point reads and snapshot-to-snapshot `diff()`.
+fn treap_map_matches(ops: &[(bool, i64, i64)], cut: usize, lo: i64, hi: i64) {
+    let name = "treap_map";
+    let m: TreapMap<i64, i64> = TreapMap::new();
+    let mut reference = BTreeMap::new();
+    let mut at_cut = None;
+    for (i, &(ins, k, v)) in ops.iter().enumerate() {
+        if i == cut {
+            at_cut = Some((Snapshottable::snapshot(&m), reference.clone()));
         }
-        assert_eq!(m.len(), reference.len(), "[{name}] len at quiescence");
-
-        let snap = Snapshottable::snapshot(&m);
-        assert_eq!(
-            MapSnapshot::len(&snap),
-            reference.len(),
-            "[{name}] snap len"
-        );
-
-        // Lazy full iteration matches the oracle, in order.
-        let got: Vec<(i64, i64)> = snap.iter().map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<(i64, i64)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(got, want, "[{name}] snapshot iter");
-
-        // Lazy range iteration matches the oracle over an arbitrary window.
-        let (lo, hi) = (self.lo.min(self.hi), self.lo.max(self.hi));
-        let got: Vec<(i64, i64)> = snap.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
-        let want: Vec<(i64, i64)> = reference.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(got, want, "[{name}] snapshot range({lo}..={hi})");
-        let got: Vec<i64> = snap.range(lo..hi).map(|(k, _)| *k).collect();
-        let want: Vec<i64> = reference.range(lo..hi).map(|(k, _)| *k).collect();
-        assert_eq!(got, want, "[{name}] snapshot half-open range");
-
-        // Point reads on the snapshot.
-        for k in [lo, hi, 0, 63] {
-            assert_eq!(snap.get(&k), reference.get(&k), "[{name}] snap get({k})");
+        if ins {
             assert_eq!(
-                snap.contains_key(&k),
-                reference.contains_key(&k),
-                "[{name}] snap contains({k})"
+                m.insert(k, v),
+                reference.insert(k, v),
+                "[{name}] insert({k})"
             );
+        } else {
+            assert_eq!(m.remove(&k), reference.remove(&k), "[{name}] remove({k})");
         }
-
-        // Diff between the mid-stream snapshot and the final one.
-        if let Some((before, before_ref)) = at_cut {
-            assert_eq!(
-                before.diff(&snap),
-                btree_diff(&before_ref, &reference),
-                "[{name}] snapshot diff"
-            );
-        }
-        // A snapshot diffed against itself is empty.
-        assert!(snap.diff(&snap).is_empty(), "[{name}] self diff");
     }
+    assert_eq!(m.len(), reference.len(), "[{name}] len at quiescence");
+
+    let snap = Snapshottable::snapshot(&m);
+    assert_eq!(
+        MapSnapshot::len(&snap),
+        reference.len(),
+        "[{name}] snap len"
+    );
+
+    // Lazy full iteration matches the oracle, in order.
+    let got: Vec<(i64, i64)> = snap.iter().map(|(k, v)| (*k, *v)).collect();
+    let want: Vec<(i64, i64)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
+    assert_eq!(got, want, "[{name}] snapshot iter");
+
+    // Lazy range iteration matches the oracle over an arbitrary window.
+    let (lo, hi) = (lo.min(hi), lo.max(hi));
+    let got: Vec<(i64, i64)> = snap.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
+    let want: Vec<(i64, i64)> = reference.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
+    assert_eq!(got, want, "[{name}] snapshot range({lo}..={hi})");
+    let got: Vec<i64> = snap.range(lo..hi).map(|(k, _)| *k).collect();
+    let want: Vec<i64> = reference.range(lo..hi).map(|(k, _)| *k).collect();
+    assert_eq!(got, want, "[{name}] snapshot half-open range");
+
+    // Point reads on the snapshot.
+    for k in [lo, hi, 0, 63] {
+        assert_eq!(snap.get(&k), reference.get(&k), "[{name}] snap get({k})");
+        assert_eq!(
+            snap.contains_key(&k),
+            reference.contains_key(&k),
+            "[{name}] snap contains({k})"
+        );
+    }
+
+    // Diff between the mid-stream snapshot and the final one.
+    if let Some((before, before_ref)) = at_cut {
+        assert_eq!(
+            before.diff(&snap),
+            btree_diff(&before_ref, &reference),
+            "[{name}] snapshot diff"
+        );
+    }
+    // A snapshot diffed against itself is empty.
+    assert!(snap.diff(&snap).is_empty(), "[{name}] self diff");
 }
 
 struct SetOracle {
@@ -184,13 +173,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn every_map_backend_matches_btreemap(
+    fn treap_map_matches_btreemap(
         ops in ops_strategy(),
         cut in 0usize..80,
         lo in 0i64..64,
         hi in 0i64..64,
     ) {
-        for_each_map_backend(&mut MapOracle { ops, cut, lo, hi });
+        treap_map_matches(&ops, cut, lo, hi);
     }
 
     #[test]
