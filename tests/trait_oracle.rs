@@ -172,8 +172,9 @@ impl SetBackendDriver for SetOracle {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// `TreapMap` is the one map backend, so "every" is that one.
     #[test]
-    fn treap_map_matches_btreemap(
+    fn every_map_backend_matches_btreemap(
         ops in ops_strategy(),
         cut in 0usize..80,
         lo in 0i64..64,
